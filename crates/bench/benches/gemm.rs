@@ -1,64 +1,36 @@
-//! GEMM kernels: the measured host-side compute substrate.
+//! `gemm_packed` at the three precisions on the perf ledger's layer shapes
+//! (`dlrm_rmc2(8,16)` at batch 32, and its first layer at batch 1).
 
 use std::time::Duration;
 
 use microrec_bench::harness::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use microrec_dnn::{
-    gemm_blocked, gemm_flops, gemm_naive, gemm_packed, gemv, Matrix, PackedB, Q16, Q32,
-};
+use microrec_dnn::{gemm_flops, gemm_packed, FixedNum, Matrix, PackedB, Q16, Q32};
 
-fn matrices(m: usize, k: usize, n: usize) -> (Matrix, Matrix) {
-    let a = Matrix::from_fn(m, k, |r, c| ((r * 31 + c * 17) as f32 * 0.01).sin() * 0.5);
-    let b = Matrix::from_fn(k, n, |r, c| ((r * 13 + c * 7) as f32 * 0.01).cos() * 0.5);
-    (a, b)
+/// (batch m, inner k, outputs n).
+const SHAPES: [(usize, usize, usize); 4] =
+    [(32, 512, 1024), (32, 1024, 512), (32, 512, 256), (1, 512, 1024)];
+
+fn bench_precision<T: FixedNum>(c: &mut Criterion, precision: &str) {
+    let mut group = c.benchmark_group(format!("gemm_packed_{precision}"));
+    group.measurement_time(Duration::from_secs(2)).warm_up_time(Duration::from_millis(500));
+    for (m, k, n) in SHAPES {
+        let b = Matrix::from_fn(k, n, |r, col| ((r * 13 + col * 7) as f32 * 0.01).cos() * 0.1);
+        let packed: PackedB<T> = PackedB::pack(&b);
+        let a: Vec<T> = (0..m * k).map(|i| T::from_f32((i as f32 * 0.01).sin() * 0.5)).collect();
+        let mut out = vec![T::ZERO; m * n];
+        group.throughput(Throughput::Elements(gemm_flops(m, k, n)));
+        group.bench_function(format!("{m}x{k}x{n}"), |bench| {
+            bench.iter(|| gemm_packed(black_box(&a), m, black_box(&packed), &mut out).unwrap())
+        });
+    }
+    group.finish();
 }
 
 fn bench_gemm(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gemm");
-    group.measurement_time(Duration::from_secs(3)).warm_up_time(Duration::from_secs(1));
-    // The small production model's second layer at batch 64.
-    let (m, k, n) = (64, 1024, 512);
-    group.throughput(Throughput::Elements(gemm_flops(m, k, n)));
-    let (a, b) = matrices(m, k, n);
-    group.bench_function("blocked_64x1024x512", |bench| {
-        bench.iter(|| gemm_blocked(black_box(&a), black_box(&b)).unwrap())
-    });
-    group.throughput(Throughput::Elements(gemm_flops(m, k, n)));
-    let packed: PackedB<f32> = PackedB::pack(&b);
-    let mut out = vec![0.0f32; m * n];
-    group.bench_function("packed_64x1024x512", |bench| {
-        bench
-            .iter(|| gemm_packed(black_box(a.as_slice()), m, black_box(&packed), &mut out).unwrap())
-    });
-    let (a2, b2) = matrices(16, 256, 256);
-    group.throughput(Throughput::Elements(gemm_flops(16, 256, 256)));
-    group.bench_function("naive_16x256x256", |bench| {
-        bench.iter(|| gemm_naive(black_box(&a2), black_box(&b2)).unwrap())
-    });
-    group.finish();
+    bench_precision::<f32>(c, "f32");
+    bench_precision::<Q16>(c, "q16");
+    bench_precision::<Q32>(c, "q32");
 }
 
-fn bench_gemv_precisions(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gemv_precision");
-    group.measurement_time(Duration::from_secs(3)).warm_up_time(Duration::from_secs(1));
-    let w = Matrix::from_fn(1024, 352, |r, cix| ((r + cix) as f32 * 0.001).sin() * 0.1);
-    let x32: Vec<f32> = (0..352).map(|i| (i as f32 * 0.01).cos() * 0.5).collect();
-    group.bench_function("f32_352x1024", |bench| {
-        let mut y = vec![0.0f32; 1024];
-        bench.iter(|| gemv(black_box(&w), black_box(&x32), &mut y).unwrap())
-    });
-    let xq16: Vec<Q16> = x32.iter().map(|&v| Q16::from_f32(v)).collect();
-    group.bench_function("q16_352x1024", |bench| {
-        let mut y = vec![Q16::ZERO; 1024];
-        bench.iter(|| gemv(black_box(&w), black_box(&xq16), &mut y).unwrap())
-    });
-    let xq32: Vec<Q32> = x32.iter().map(|&v| Q32::from_f32(v)).collect();
-    group.bench_function("q32_352x1024", |bench| {
-        let mut y = vec![Q32::ZERO; 1024];
-        bench.iter(|| gemv(black_box(&w), black_box(&xq32), &mut y).unwrap())
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_gemm, bench_gemv_precisions);
+criterion_group!(benches, bench_gemm);
 criterion_main!(benches);

@@ -548,10 +548,7 @@ fn main() {
         ("bit_identical".to_string(), true.to_json()),
         ("headline_speedup_f16_warm_zipf".to_string(), headline.to_json()),
         ("points".to_string(), points.to_json()),
-        (
-            "tiered_budget_pcts".to_string(),
-            TIERED_BUDGET_PCTS.to_vec().to_json(),
-        ),
+        ("tiered_budget_pcts".to_string(), TIERED_BUDGET_PCTS.to_vec().to_json()),
         ("prefetch_workers".to_string(), (prefetch_workers() as u64).to_json()),
         ("tiered_gate_qps_vs_all_resident".to_string(), gate_ratio.to_json()),
         ("tiered_points".to_string(), tiered_points.to_json()),

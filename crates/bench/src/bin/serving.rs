@@ -641,19 +641,18 @@ fn run_adaptive_attempt(n: usize) -> AdaptiveAttempt {
     let lookup = runtime.lookup_stats();
     let records = runtime.migration_records();
 
-    let identical = [(&skewed, &want1), (&pre, &want2), (&post, &want3)].iter().all(
-        |(outcome, exp)| {
+    let identical =
+        [(&skewed, &want1), (&pre, &want2), (&post, &want3)].iter().all(|(outcome, exp)| {
             outcome.results.len() == exp.len()
                 && outcome
                     .results
                     .iter()
                     .zip(exp.iter())
                     .all(|(got, e)| got.is_some_and(|g| g.to_bits() == e.to_bits()))
-        },
-    );
+        });
 
-    let mut record =
-        ServingFrontierRecord::from_run(&adaptive_runtime_config(), &post).with_migrations(&records);
+    let mut record = ServingFrontierRecord::from_run(&adaptive_runtime_config(), &post)
+        .with_migrations(&records);
     if let Some(stats) = &lookup {
         record = record.with_lookup(stats);
     }

@@ -358,7 +358,8 @@ impl MicroRecBuilder {
 
         // Channel assignment: each logical table inherits the memory
         // channel (bank) its physical table was placed on.
-        let compute_channels = |catalog: &Catalog| -> Vec<usize> { channel_assignment(catalog, &plan) };
+        let compute_channels =
+            |catalog: &Catalog| -> Vec<usize> { channel_assignment(catalog, &plan) };
 
         // Embedding fast path: a tiered parameter store, a shared or
         // freshly materialized all-resident arena, and an optional hot-row

@@ -318,8 +318,7 @@ mod tests {
         let queries: Vec<Vec<u64>> = (0..12)
             .map(|i| (0..16).map(|j| ((i * 211 + j * 37) % 500_000) as u64).collect())
             .collect();
-        let expected: Vec<u32> =
-            queries.iter().map(|q| p.predict(q).unwrap().to_bits()).collect();
+        let expected: Vec<u32> = queries.iter().map(|q| p.predict(q).unwrap().to_bits()).collect();
 
         // Re-shard the shared arena onto a different channel layout and
         // publish it as generation 1.

@@ -80,8 +80,15 @@ const SKETCH_SLOTS: usize = 4096;
 const SKETCH_WINDOW: u64 = 1024;
 /// Single-item timing iterations during startup calibration.
 const CALIBRATION_SINGLES: usize = 8;
-/// Analytic shape model: µs per MAC-pair FLOP on the scalar datapath.
-const SHAPE_US_PER_FLOP: f64 = 5e-4;
+/// Analytic shape model: µs per FLOP (two per MAC) on the packed FC
+/// datapath — `1 / (2 · dnn.gmacs_per_s)` with the perf ledger's traced
+/// `fc-batch` value of ≈ 14 GMAC/s (builder-default Q2.13, one AVX2 core;
+/// `crates/bench/src/bin/ledger/`). [`PathCostModel::from_shape`] only
+/// compares terms built from it against a stage hop: a tiny MLP's whole
+/// stack (≈ 1 kFLOP, 0.04 µs) is far below one hop, so it stays
+/// monolithic; `dlrm_rmc2(8,16)`'s layers off its bottleneck stage
+/// (≈ 1.3 MFLOP, 47 µs) cost several hops, so pipelining them pays.
+const SHAPE_US_PER_FLOP: f64 = 3.6e-5;
 /// Analytic shape model: µs per gathered embedding byte.
 const SHAPE_US_PER_BYTE: f64 = 2.5e-4;
 /// Analytic shape model: monolithic forward overhead vs the packed

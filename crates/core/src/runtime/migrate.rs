@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use microrec_embedding::{ModelSpec, Precision};
 use microrec_memsim::{BankId, MemoryConfig};
 use microrec_placement::{
-    allocate_with_traffic, heuristic_search, AllocStrategy, Plan, PlacementError, TrafficProfile,
+    allocate_with_traffic, heuristic_search, AllocStrategy, PlacementError, Plan, TrafficProfile,
 };
 
 use crate::engine::MicroRecBuilder;
@@ -368,9 +368,7 @@ impl Resharder {
                 Ok(ArenaGeneration::from_arena(Arc::new(rebuilt)))
             })
         } else {
-            Err(MicroRecError::Runtime(
-                "no published embedding store generation to migrate".into(),
-            ))
+            Err(MicroRecError::Runtime("no published embedding store generation to migrate".into()))
         }?;
         let build_us = build_started.elapsed().as_secs_f64() * 1e6;
         let publish_started = Instant::now();
@@ -450,7 +448,9 @@ mod tests {
     }
 
     fn queries(n: usize) -> Vec<Vec<u64>> {
-        (0..n).map(|i| (0..4).map(|j| ((i * 7919 + j * 104_729) % 100_000) as u64).collect()).collect()
+        (0..n)
+            .map(|i| (0..4).map(|j| ((i * 7919 + j * 104_729) % 100_000) as u64).collect())
+            .collect()
     }
 
     #[test]
@@ -619,5 +619,3 @@ mod tests {
         assert_eq!(engine.store_generation(), 1);
     }
 }
-
-

@@ -36,11 +36,11 @@ use std::time::{Duration, Instant};
 use crate::engine::{MicroRec, MicroRecBuilder};
 use crate::epoch::{ArenaGeneration, GenerationCell};
 use crate::error::MicroRecError;
-use crate::report::MigrationRecord;
 use crate::pipeline::{
     Calibration, ExecutionMode, PipelineConfig, PipelineExecutor, PipelinePlan, PipelineShared,
     StageSnapshot,
 };
+use crate::report::MigrationRecord;
 use crate::router::{PathCostModel, PathSet, RouterSnapshot};
 use crate::sync::{lock_or_recover, recover};
 use queue::{BoundedQueue, PushError};
@@ -504,7 +504,7 @@ impl ServingRuntime {
                         .into(),
                 ));
             }
-            if !lookup_meta.is_some_and(|(_, cache_rows, _)| cache_rows > 0) {
+            if lookup_meta.is_none_or(|(_, cache_rows, _)| cache_rows == 0) {
                 return Err(MicroRecError::Runtime(
                     "adaptive re-sharding needs the hot-row cache's per-table counters: \
                      enable hot_row_cache on the builder"

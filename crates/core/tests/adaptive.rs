@@ -47,7 +47,13 @@ fn skewed_queries(n: usize) -> Vec<Vec<u64>> {
 }
 
 fn adaptive_config() -> RuntimeConfig {
-    RuntimeConfig { workers: 2, max_batch: 8, max_wait_us: 1_000, adaptive: true, ..Default::default() }
+    RuntimeConfig {
+        workers: 2,
+        max_batch: 8,
+        max_wait_us: 1_000,
+        adaptive: true,
+        ..Default::default()
+    }
 }
 
 #[test]
@@ -166,11 +172,8 @@ fn rotated_hot_set_triggers_a_second_migration() {
 #[test]
 fn adaptive_gates_reject_unsupported_configurations() {
     // No shared embedding store: nothing to re-shard.
-    let err = ServingRuntime::start(
-        MicroRec::builder(skewed_model()).seed(13),
-        adaptive_config(),
-    )
-    .expect_err("adaptive without a shared store must fail");
+    let err = ServingRuntime::start(MicroRec::builder(skewed_model()).seed(13), adaptive_config())
+        .expect_err("adaptive without a shared store must fail");
     assert!(err.to_string().contains("shared embedding store"), "{err}");
 
     // No hot-row cache: no per-table counters to distill.
@@ -203,11 +206,9 @@ fn adaptive_gates_reject_unsupported_configurations() {
 
 #[test]
 fn migrate_now_requires_an_adaptive_runtime() {
-    let mut runtime = ServingRuntime::start(
-        builder(),
-        RuntimeConfig { adaptive: false, ..adaptive_config() },
-    )
-    .expect("runtime");
+    let mut runtime =
+        ServingRuntime::start(builder(), RuntimeConfig { adaptive: false, ..adaptive_config() })
+            .expect("runtime");
     let err = runtime.migrate_now().expect_err("non-adaptive runtime has no resharder");
     assert!(err.to_string().contains("not enabled"), "{err}");
     assert!(runtime.migration_records().is_empty());

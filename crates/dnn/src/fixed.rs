@@ -26,6 +26,7 @@ macro_rules! define_fixed {
         #[derive(
             Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
         )]
+        #[repr(transparent)]
         pub struct $name($repr);
 
         impl $name {
@@ -192,6 +193,16 @@ pub trait FixedNum:
     fn to_f32(self) -> f32;
     /// ReLU.
     fn relu(self) -> Self;
+
+    /// The register-tiled kernel behind [`gemm_packed`](crate::gemm_packed):
+    /// writes `C[i][j]` for every batch row `i` and every column `j` of the
+    /// full 4-column `panels` of a [`PackedB`](crate::PackedB) (`a` is
+    /// `m × k`, `c` is `m × n`, both row-major). Precisions with a vector
+    /// datapath override it; the result is bit-identical either way.
+    #[doc(hidden)]
+    fn gemm_panels(a: &[Self], k: usize, panels: &[Self], n: usize, c: &mut [Self]) {
+        crate::gemm::gemm_panels_portable(a, k, panels, n, c);
+    }
 }
 
 impl FixedNum for Q16 {
@@ -204,6 +215,9 @@ impl FixedNum for Q16 {
     }
     fn relu(self) -> Self {
         Q16::relu(self)
+    }
+    fn gemm_panels(a: &[Self], k: usize, panels: &[Self], n: usize, c: &mut [Self]) {
+        crate::gemm::gemm_panels_q16(a, k, panels, n, c);
     }
 }
 
@@ -230,6 +244,9 @@ impl FixedNum for f32 {
     }
     fn relu(self) -> Self {
         self.max(0.0)
+    }
+    fn gemm_panels(a: &[Self], k: usize, panels: &[Self], n: usize, c: &mut [Self]) {
+        crate::gemm::gemm_panels_f32(a, k, panels, n, c);
     }
 }
 

@@ -1,9 +1,10 @@
 //! # microrec-dnn
 //!
 //! Numeric substrate for the MicroRec reproduction (Jiang et al., MLSys
-//! 2021): a row-major matrix type, naive/blocked GEMM kernels, dense layers
-//! with ReLU/sigmoid activations, the paper's top-MLP head, and the 16/32-
-//! bit Q-format fixed-point arithmetic the FPGA datapath computes in.
+//! 2021): a row-major matrix type, the oracle and register-tiled GEMM
+//! kernels, dense layers with ReLU/sigmoid activations, the paper's top-MLP
+//! head, and the 16/32-bit Q-format fixed-point arithmetic the FPGA
+//! datapath computes in.
 //!
 //! ## Example
 //!
@@ -41,10 +42,7 @@ pub use gather::{
     f16_encode_slice, f32_decode_le_slice, i8_dequant_le_slice, i8_dequant_slice,
     i8_dequant_slice_scalar, i8_quant_slice,
 };
-pub use gemm::{
-    dot, dot_quantizing, dot_scalar, gemm_auto, gemm_blocked, gemm_flops, gemm_naive, gemm_packed,
-    gemv, PackedB,
-};
+pub use gemm::{dot_quantizing, dot_scalar, gemm_flops, gemm_naive, gemm_packed, gemv, PackedB};
 pub use interaction::{concat, elementwise_mul, weighted_sum, FeatureInteraction};
 pub use layer::{Activation, DenseLayer};
 pub use mlp::Mlp;

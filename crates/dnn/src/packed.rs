@@ -1,13 +1,14 @@
 //! Pre-packed MLP for batched, allocation-free inference.
 //!
-//! [`PackedMlp`] quantizes and transposes every layer's weights **once**
-//! (at precision `T`), then serves batches through [`gemm_packed`] into a
-//! caller-provided [`ScratchArena`] — the steady-state serving loop never
-//! allocates and never re-converts a weight. Because the packed kernel and
-//! the single-item GEMV share one dot-product routine (identical lane
-//! structure, and `T::from_f32(w)` gives the same element whether applied
-//! at pack time or per MAC), `forward_batch_into` is **bit-identical** to
-//! running [`Mlp::forward`] item by item.
+//! [`PackedMlp`] quantizes every layer's weights **once** (at precision `T`)
+//! into [`PackedB`]'s panel layout, then serves batches through
+//! [`gemm_packed`] into a caller-provided [`ScratchArena`] — the
+//! steady-state serving loop never allocates and never re-converts a
+//! weight. Because the packed kernel reproduces the single-item GEMV's
+//! inner product per output (identical lane structure and summation order,
+//! and `T::from_f32(w)` gives the same element whether applied at pack time
+//! or per MAC), `forward_batch_into` is **bit-identical** to running
+//! [`Mlp::forward`] item by item.
 
 use crate::error::DnnError;
 use crate::fixed::FixedNum;
@@ -16,7 +17,7 @@ use crate::layer::Activation;
 use crate::mlp::Mlp;
 use crate::scratch::ScratchArena;
 
-/// One packed dense layer: pre-quantized, pre-transposed weights plus
+/// One packed dense layer: pre-quantized, panel-packed weights plus
 /// bias and activation — the unit of work a dataflow-pipeline stage owns.
 ///
 /// [`PackedLayer::forward_batch`] is the *single* implementation of
@@ -57,20 +58,27 @@ impl<T: FixedNum> PackedLayer<T> {
         batch: usize,
         out: &mut Vec<T>,
     ) -> Result<(), DnnError> {
-        let width = self.weights.n();
-        out.resize(batch * width, T::ZERO);
+        out.resize(batch * self.weights.n(), T::ZERO);
         gemm_packed(input, batch, &self.weights, out)?;
-        for row in out.chunks_exact_mut(width) {
-            for (slot, &b) in row.iter_mut().zip(&self.bias) {
-                let pre = *slot + b;
-                *slot = match self.activation {
-                    Activation::Relu => pre.relu(),
-                    Activation::Identity => pre,
-                    Activation::Sigmoid => T::from_f32(Activation::Sigmoid.apply(pre.to_f32())),
-                };
+        match self.activation {
+            Activation::Relu => self.epilogue(out, T::relu),
+            Activation::Identity => self.epilogue(out, |pre| pre),
+            Activation::Sigmoid => {
+                self.epilogue(out, |pre| T::from_f32(Activation::Sigmoid.apply(pre.to_f32())));
             }
         }
         Ok(())
+    }
+
+    /// Bias add and activation over every row of `out`, one monomorphized
+    /// loop per activation kind (no per-element dispatch).
+    #[inline]
+    fn epilogue(&self, out: &mut [T], activate: impl Fn(T) -> T) {
+        for row in out.chunks_exact_mut(self.bias.len()) {
+            for (slot, &b) in row.iter_mut().zip(&self.bias) {
+                *slot = activate(*slot + b);
+            }
+        }
     }
 }
 
@@ -100,7 +108,7 @@ pub fn forward_layers<T: FixedNum>(
     Ok(())
 }
 
-/// An [`Mlp`] snapshot with per-layer pre-quantized, pre-transposed
+/// An [`Mlp`] snapshot with per-layer pre-quantized, panel-packed
 /// weights: the batched inference fast path.
 ///
 /// # Examples
@@ -135,8 +143,7 @@ impl<T: FixedNum> PackedMlp<T> {
             .layers()
             .iter()
             .map(|layer| PackedLayer {
-                // A dense layer's row-major [out x in] weight matrix *is*
-                // the packed Bᵀ layout, so packing is a quantizing copy.
+                // A dense layer's weight matrix is row-major [out x in]: Bᵀ.
                 weights: PackedB::from_transposed(layer.weights()),
                 // lint: allow(transitive-hot-path-alloc) one-time pack of the bias vector
                 bias: layer.bias().iter().map(|&b| T::from_f32(b)).collect(),

@@ -4,32 +4,8 @@
 use microrec_rng::Rng;
 
 use microrec_dnn::{
-    gemm_blocked, gemm_naive, Activation, DenseLayer, Matrix, Mlp, PackedMlp, QuantizedMlp,
-    ScratchArena, Q16, Q32,
+    Activation, DenseLayer, Matrix, Mlp, PackedMlp, QuantizedMlp, ScratchArena, Q16, Q32,
 };
-
-/// Blocked GEMM equals the naive kernel on random shapes and values.
-#[test]
-fn blocked_equals_naive() {
-    let mut rng = Rng::seed_from_u64(0xB10C);
-    for case in 0..48 {
-        let m = rng.gen_range_usize(1, 40);
-        let k = rng.gen_range_usize(1, 40);
-        let n = rng.gen_range_usize(1, 40);
-        let salt = rng.gen_range_f32(0.0, 100.0);
-        let f = |r: usize, c: usize, shift: usize| {
-            let x = (r * 31 + c * 17 + shift) as f32 + salt;
-            (x * 0.01).sin() * 0.5
-        };
-        let a = Matrix::from_fn(m, k, |r, c| f(r, c, 0));
-        let b = Matrix::from_fn(k, n, |r, c| f(r, c, 1000));
-        let c1 = gemm_naive(&a, &b).unwrap();
-        let c2 = gemm_blocked(&a, &b).unwrap();
-        for (x, y) in c1.as_slice().iter().zip(c2.as_slice()) {
-            assert!((x - y).abs() < 1e-4 * k as f32, "case {case} ({m}x{k}x{n})");
-        }
-    }
-}
 
 /// Q-format multiply error is bounded by format resolution for in-range
 /// operands.

@@ -634,8 +634,8 @@ mod tests {
             assert_eq!(old.generation(), 0);
             assert!(new.is_aligned(), "{format} rebuilt arena misaligned");
             assert_eq!(new.feature_len(), old.feature_len());
-            let mut got = vec![0.0f32; 12];
-            let mut want = vec![0.0f32; 12];
+            let mut got = [0.0f32; 12];
+            let mut want = [0.0f32; 12];
             for (t, table) in tabs.iter().enumerate() {
                 let dim = table.dim() as usize;
                 for row in 0..table.rows() {

@@ -1241,10 +1241,7 @@ mod tests {
             assert_eq!(new.generation(), 5);
             // Cold rows never move: both generations hold the same file.
             assert_eq!(old.cold_store_path(), new.cold_store_path());
-            assert!(Arc::ptr_eq(
-                old.cold.as_ref().unwrap(),
-                new.cold.as_ref().unwrap()
-            ));
+            assert!(Arc::ptr_eq(old.cold.as_ref().unwrap(), new.cold.as_ref().unwrap()));
             let mut old_store = TieredStore::new(Arc::clone(&old), 0);
             let mut new_store = TieredStore::new(Arc::clone(&new), 0);
             let mut a = vec![0.0f32; old.feature_len()];

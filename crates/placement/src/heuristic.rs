@@ -333,8 +333,7 @@ mod tests {
         // picks for that same load (same candidate set, same objective).
         let model = ModelSpec::small_production();
         let opts = HeuristicOptions::default();
-        let counts: Vec<u64> =
-            (0..model.num_tables()).map(|i| 1 + (i as u64 % 7) * 100).collect();
+        let counts: Vec<u64> = (0..model.num_tables()).map(|i| 1 + (i as u64 % 7) * 100).collect();
         let profile = TrafficProfile::from_counts(counts);
         let uniform = heuristic_search(&model, &u280(), Precision::F32, &opts).unwrap();
         let adaptive =

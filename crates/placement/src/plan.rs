@@ -210,11 +210,7 @@ impl Plan {
             } else {
                 tables_on_chip += 1;
             }
-            let weight: u128 = table
-                .members
-                .iter()
-                .map(|&m| u128::from(profile.count(m)))
-                .sum();
+            let weight: u128 = table.members.iter().map(|&m| u128::from(profile.count(m))).sum();
             let members = table.members.len() as u128;
             let replicas = table.banks.len() as u32;
             let row_bytes = table.row_bytes(self.precision);
@@ -228,9 +224,9 @@ impl Plan {
                     .bank_spec(bank)
                     .map(|s| s.timing.access_time(row_bytes))
                     .unwrap_or(SimTime::ZERO);
-                let contrib = u128::from(timing.as_ps()) * u128::from(reads) * FIX * weight
-                    * n_logical
-                    / (total * members);
+                let contrib =
+                    u128::from(timing.as_ps()) * u128::from(reads) * FIX * weight * n_logical
+                        / (total * members);
                 *bank_fix.entry(bank).or_insert(0) += contrib;
                 *bank_reads.entry(bank).or_insert(0) += reads as usize;
             }
