@@ -1,27 +1,33 @@
 //! `gemm_packed` at the three precisions on the perf ledger's layer shapes
-//! (`dlrm_rmc2(8,16)` at batch 32, and its first layer at batch 1).
+//! (`dlrm_rmc2(8,16)`'s three hidden layers), at the ledger's batch of 32
+//! and at the 1–4 rows an idle serving worker is handed — the MR = 4
+//! register tile's row tail.
 
 use std::time::Duration;
 
 use microrec_bench::harness::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use microrec_dnn::{gemm_flops, gemm_packed, FixedNum, Matrix, PackedB, Q16, Q32};
 
-/// (batch m, inner k, outputs n).
-const SHAPES: [(usize, usize, usize); 4] =
-    [(32, 512, 1024), (32, 1024, 512), (32, 512, 256), (1, 512, 1024)];
+/// (inner k, outputs n) per layer.
+const LAYERS: [(usize, usize); 3] = [(512, 1024), (1024, 512), (512, 256)];
+/// Batch rows m.
+const ROWS: [usize; 5] = [1, 2, 3, 4, 32];
 
 fn bench_precision<T: FixedNum>(c: &mut Criterion, precision: &str) {
     let mut group = c.benchmark_group(format!("gemm_packed_{precision}"));
     group.measurement_time(Duration::from_secs(2)).warm_up_time(Duration::from_millis(500));
-    for (m, k, n) in SHAPES {
+    for (k, n) in LAYERS {
         let b = Matrix::from_fn(k, n, |r, col| ((r * 13 + col * 7) as f32 * 0.01).cos() * 0.1);
         let packed: PackedB<T> = PackedB::pack(&b);
-        let a: Vec<T> = (0..m * k).map(|i| T::from_f32((i as f32 * 0.01).sin() * 0.5)).collect();
-        let mut out = vec![T::ZERO; m * n];
-        group.throughput(Throughput::Elements(gemm_flops(m, k, n)));
-        group.bench_function(format!("{m}x{k}x{n}"), |bench| {
-            bench.iter(|| gemm_packed(black_box(&a), m, black_box(&packed), &mut out).unwrap())
-        });
+        for m in ROWS {
+            let a: Vec<T> =
+                (0..m * k).map(|i| T::from_f32((i as f32 * 0.01).sin() * 0.5)).collect();
+            let mut out = vec![T::ZERO; m * n];
+            group.throughput(Throughput::Elements(gemm_flops(m, k, n)));
+            group.bench_function(format!("{m}x{k}x{n}"), |bench| {
+                bench.iter(|| gemm_packed(black_box(&a), m, black_box(&packed), &mut out).unwrap())
+            });
+        }
     }
     group.finish();
 }

@@ -1,6 +1,6 @@
 //! Serving-frontier benchmark: drives the live micro-batching runtime
 //! ([`ServingRuntime`]) with paced Poisson arrivals and sweeps offered
-//! load × batch window × worker count, emitting one JSON record per point
+//! load × worker count, emitting one JSON record per point
 //! (committed as `BENCH_serving.json`).
 //!
 //! Each point replays a seeded trace in real time, so offered load is a
@@ -103,11 +103,10 @@ fn replay(runtime: &ServingRuntime, trace: &RequestTrace) -> ReplayOutcome {
     microrec_core::replay_trace(runtime, trace)
 }
 
-fn config(workers: usize, max_batch: usize, max_wait_us: u64) -> RuntimeConfig {
+fn config(workers: usize, max_batch: usize) -> RuntimeConfig {
     RuntimeConfig {
         workers,
         max_batch,
-        max_wait_us,
         queue_depth: 512,
         admission: AdmissionPolicy::Reject,
         ..RuntimeConfig::default()
@@ -530,7 +529,6 @@ fn adaptive_runtime_config() -> RuntimeConfig {
     RuntimeConfig {
         workers: 2,
         max_batch: 16,
-        max_wait_us: 1_000,
         queue_depth: 512,
         admission: AdmissionPolicy::Block,
         adaptive: true,
@@ -751,30 +749,24 @@ fn main() {
     let seq_qps = measure_seq_qps(&model);
     eprintln!("sequential capacity: {seq_qps:.1} qps");
 
-    let identity_ok = check_bit_identity(&model, config(2, 32, 2_000));
+    let identity_ok = check_bit_identity(&model, config(2, 32));
     assert!(identity_ok, "runtime-served results diverged from sequential predict");
     eprintln!("bit-identity vs sequential predict: ok ({IDENTITY_QUERIES} queries)");
 
-    // (offered multiplier over seq capacity, batch window us, workers)
-    let points: Vec<(f64, u64, usize)> = if smoke {
-        vec![(2.0, 2_000, 1), (4.0, 2_000, 2)]
+    // (offered multiplier over seq capacity, workers). The close rule is
+    // work-conserving, so the low multiples sit at service time with
+    // batches of one; the high ones are where batches grow.
+    let points: Vec<(f64, usize)> = if smoke {
+        vec![(2.0, 1), (32.0, 2)]
     } else {
-        let mut p = Vec::new();
-        for &mult in &[2.0, 4.0, 6.0] {
-            for &wait_us in &[2_000u64, 10_000] {
-                for &workers in &[1usize, 2] {
-                    p.push((mult, wait_us, workers));
-                }
-            }
-        }
-        p
+        [2.0, 8.0, 32.0, 64.0].iter().flat_map(|&mult| [(mult, 1), (mult, 2)]).collect()
     };
     let n = if smoke { SMOKE_POINT_REQUESTS } else { FULL_POINT_REQUESTS };
 
     let mut records = Vec::with_capacity(points.len());
-    for &(mult, wait_us, workers) in &points {
+    for &(mult, workers) in &points {
         let rate = seq_qps * mult;
-        let cfg = config(workers, 64, wait_us);
+        let cfg = config(workers, 64);
         let (outcome, lookup) = run_point(&model, rate, n, cfg);
         let mut record = ServingFrontierRecord::from_run(&cfg, &outcome);
         if let Some(stats) = &lookup {
@@ -782,7 +774,7 @@ fn main() {
         }
         let hit_rate = lookup.as_ref().map_or(0.0, |s| s.hit_rate());
         eprintln!(
-            "offered {:>7.0} qps ({mult:.0}x seq, wait {wait_us:>5} us, {workers} worker): \
+            "offered {:>7.0} qps ({mult:.0}x seq, {workers} worker): \
              sustained {:>7.0} qps, mean batch {:>5.2}, p99 {:>8.0} us, drops {:.2}%, \
              cache hit {:>5.1}%",
             rate,

@@ -175,10 +175,8 @@ pub enum Command {
         live: bool,
         /// Worker threads (engine replicas) for the live runtime.
         workers: usize,
-        /// Micro-batch size close threshold for the live runtime.
+        /// Most requests a free worker takes as one micro-batch.
         max_batch: usize,
-        /// Micro-batch deadline close threshold in microseconds.
-        wait_us: u64,
         /// Admission-queue depth for the live runtime.
         queue_depth: usize,
         /// Reject (drop) requests on a full queue instead of blocking.
@@ -287,10 +285,6 @@ pub fn parse(args: &[String]) -> Result<Cli, ArgError> {
                 .unwrap_or("32")
                 .parse()
                 .map_err(|_| ArgError("bad --max-batch value".into()))?,
-            wait_us: flag("--wait-us")
-                .unwrap_or("2000")
-                .parse()
-                .map_err(|_| ArgError("bad --wait-us value".into()))?,
             queue_depth: flag("--queue-depth")
                 .unwrap_or("1024")
                 .parse()
@@ -341,7 +335,7 @@ USAGE:
   microrec compare [--model ...] [--batch N] [--precision ...]
   microrec explore [--model ...] [--precision ...] [--top N]
   microrec serve   [--model ...] [--rate QPS] [--queries N] [--sla-ms MS] [--hybrid]
-  microrec serve --live [--model ...] [--rate QPS] [--queries N] [--workers N] [--max-batch N] [--wait-us US] [--queue-depth N] [--reject] [--pipelined|--replicated|--auto|--routed] [--slo-us US] [--resident-bytes N[k|m|g]] [--adaptive]
+  microrec serve --live [--model ...] [--rate QPS] [--queries N] [--workers N] [--max-batch N] [--queue-depth N] [--reject] [--pipelined|--replicated|--auto|--routed] [--slo-us US] [--resident-bytes N[k|m|g]] [--adaptive]
   microrec help
 ";
 
@@ -448,7 +442,7 @@ mod tests {
     fn serve_live_command_parses() {
         let cli = parse(&argv(
             "serve --live --rate 500 --queries 200 --workers 3 --max-batch 16 \
-             --wait-us 1500 --queue-depth 64 --reject --pipelined",
+             --queue-depth 64 --reject --pipelined",
         ))
         .unwrap();
         match cli.command {
@@ -458,7 +452,6 @@ mod tests {
                 queries,
                 workers,
                 max_batch,
-                wait_us,
                 queue_depth,
                 reject,
                 execution,
@@ -469,7 +462,6 @@ mod tests {
                 assert_eq!(queries, 200);
                 assert_eq!(workers, 3);
                 assert_eq!(max_batch, 16);
-                assert_eq!(wait_us, 1_500);
                 assert_eq!(queue_depth, 64);
                 assert!(reject);
                 assert_eq!(execution, ExecutionMode::Pipelined);
@@ -500,7 +492,7 @@ mod tests {
         }
         assert!(parse(&argv("serve --live --slo-us soon")).is_err());
         assert!(parse(&argv("serve --live --workers many")).is_err());
-        assert!(parse(&argv("serve --live --wait-us -1")).is_err());
+        assert!(parse(&argv("serve --live --max-batch -1")).is_err());
     }
 
     #[test]

@@ -252,12 +252,11 @@ pub fn run_serve_live(
     };
     writeln!(
         s,
-        "model {} | live runtime: {} {} worker(s), max_batch {}, wait {} us, queue {} ({})",
+        "model {} | live runtime: {} {} worker(s), max_batch {}, queue {} ({})",
         spec.name,
         config.workers,
         mode,
         config.max_batch,
-        config.max_wait_us,
         config.queue_depth,
         match config.admission {
             AdmissionPolicy::Block => "block",
@@ -327,12 +326,8 @@ pub fn run_serve_live(
     )?;
     writeln!(
         s,
-        "batch: mean size {:.2} over {} batches ({} size-closed, {} deadline-closed, {} drained)",
-        snap.mean_batch_size,
-        snap.batches,
-        snap.size_closes,
-        snap.deadline_closes,
-        snap.drain_closes,
+        "batch: mean size {:.2} over {} batches ({} size-closed, {} ready-closed, {} drained)",
+        snap.mean_batch_size, snap.batches, snap.size_closes, snap.ready_closes, snap.drain_closes,
     )?;
     if let Some(lookup) = lookup.as_ref().filter(|l| l.tiered) {
         writeln!(
@@ -467,7 +462,6 @@ mod tests {
         let config = RuntimeConfig {
             workers: 1,
             max_batch: 8,
-            max_wait_us: 2_000,
             queue_depth: 256,
             admission: AdmissionPolicy::Block,
             execution: ExecutionMode::Monolithic,
@@ -488,7 +482,6 @@ mod tests {
         let config = RuntimeConfig {
             workers: 1,
             max_batch: 8,
-            max_wait_us: 2_000,
             queue_depth: 256,
             admission: AdmissionPolicy::Block,
             execution: ExecutionMode::Monolithic,
@@ -508,7 +501,6 @@ mod tests {
         let config = RuntimeConfig {
             workers: 1,
             max_batch: 8,
-            max_wait_us: 2_000,
             queue_depth: 256,
             admission: AdmissionPolicy::Block,
             execution: ExecutionMode::Pipelined,
@@ -528,7 +520,6 @@ mod tests {
         let config = RuntimeConfig {
             workers: 1,
             max_batch: 8,
-            max_wait_us: 2_000,
             queue_depth: 256,
             admission: AdmissionPolicy::Block,
             execution: ExecutionMode::Replicated,
@@ -548,7 +539,6 @@ mod tests {
         let config = RuntimeConfig {
             workers: 1,
             max_batch: 8,
-            max_wait_us: 2_000,
             queue_depth: 256,
             admission: AdmissionPolicy::Block,
             execution: ExecutionMode::Auto,
@@ -567,7 +557,6 @@ mod tests {
         let config = RuntimeConfig {
             workers: 1,
             max_batch: 8,
-            max_wait_us: 2_000,
             queue_depth: 256,
             admission: AdmissionPolicy::Block,
             execution: ExecutionMode::Routed,
@@ -599,7 +588,6 @@ mod tests {
         let config = RuntimeConfig {
             workers: 1,
             max_batch: 8,
-            max_wait_us: 2_000,
             queue_depth: 256,
             admission: AdmissionPolicy::Block,
             execution: ExecutionMode::Monolithic,

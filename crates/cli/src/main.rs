@@ -51,7 +51,6 @@ fn main() -> ExitCode {
             live,
             workers,
             max_batch,
-            wait_us,
             queue_depth,
             reject,
             execution,
@@ -63,7 +62,6 @@ fn main() -> ExitCode {
                 let config = microrec_core::RuntimeConfig {
                     workers: *workers,
                     max_batch: *max_batch,
-                    max_wait_us: *wait_us,
                     queue_depth: *queue_depth,
                     admission: if *reject {
                         microrec_core::AdmissionPolicy::Reject

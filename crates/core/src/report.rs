@@ -511,6 +511,8 @@ microrec_json::impl_json_struct!(
 /// One point on the serving runtime's QPS/tail-latency frontier: the
 /// outcome of replaying one offered load through one runtime
 /// configuration. Serializes to the `BENCH_serving.json` row format.
+/// Records written while batches still closed on a deadline also carry
+/// that deadline as a key of its own; unknown keys are ignored on read.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingFrontierRecord {
     /// Offered Poisson load (queries per second).
@@ -535,8 +537,6 @@ pub struct ServingFrontierRecord {
     pub workers: u64,
     /// Batch-size close threshold.
     pub max_batch: u64,
-    /// Batch-deadline close threshold (µs).
-    pub max_wait_us: u64,
     /// Admission-queue capacity.
     pub queue_depth: u64,
     /// Requests that produced a prediction.
@@ -569,7 +569,6 @@ microrec_json::impl_json_struct!(
         mean_batch_size,
         workers,
         max_batch,
-        max_wait_us,
         queue_depth,
         completed,
         rejected,
@@ -594,7 +593,6 @@ impl ServingFrontierRecord {
             mean_batch_size: snap.mean_batch_size,
             workers: config.workers as u64,
             max_batch: config.max_batch as u64,
-            max_wait_us: config.max_wait_us,
             queue_depth: config.queue_depth as u64,
             completed: outcome.completed as u64,
             rejected: outcome.rejected as u64,

@@ -178,7 +178,7 @@ pub struct RouteDecision {
     pub path: usize,
     /// Predicted total batch latency of the chosen path, µs.
     pub predicted_us: f64,
-    /// The SLO guard engaged (remaining deadline below the throughput
+    /// The SLO guard engaged (remaining budget below the throughput
     /// winner's predicted cost) and the measured lowest-latency path was
     /// taken instead.
     pub slo_fallback: bool,
@@ -533,9 +533,13 @@ impl PathCostModel {
 
     /// Scores every path for a batch of `items` and picks one.
     ///
+    /// `items` is whatever the work-conserving close handed the worker:
+    /// one or two requests when workers are idle, up to `max_batch` when
+    /// all are busy — both ends of the calibrated line are live inputs.
     /// `remaining_us` is the batch's remaining SLO budget (None = no
-    /// deadline): when the throughput winner's predicted cost exceeds
-    /// it, the guard falls back to the measured lowest-latency path.
+    /// objective), the objective minus the oldest request's queue age:
+    /// when the throughput winner's predicted cost exceeds it, the guard
+    /// falls back to the measured lowest-latency path.
     /// Under `overload` the router degrades conservatively: no probe
     /// dispatches, and a stricter warmth floor routes around cache
     /// paths that would miss.
@@ -565,9 +569,11 @@ impl PathCostModel {
         let mut best = 0usize;
         let mut best_score = f64::INFINITY;
         for (i, p) in self.paths.iter_mut().enumerate() {
-            // Once feedback arrives the EWMA per-item rate (which
-            // amortizes the fixed cost at live batch sizes) replaces
-            // the calibrated line.
+            // Once feedback arrives the EWMA per-item rate replaces the
+            // calibrated line. It amortizes the fixed cost at the batch
+            // sizes recently served, which follow the load (≈1 idle,
+            // `max_batch` saturated), so it is a rate for the current
+            // load, not for a fixed batch size.
             let mut score = if p.ewma_us > 0.0 {
                 n * p.ewma_us
             } else {
@@ -642,7 +648,7 @@ impl PathCostModel {
         if let Some(remaining) = remaining_us {
             let chosen_score = self.paths.get(choice).map_or(0.0, |p| p.score_us);
             if chosen_score > remaining {
-                // Deadline at risk: take the measured lowest-latency
+                // Objective at risk: take the measured lowest-latency
                 // path (calibrated single-item latency, cold-adjusted),
                 // not the highest-throughput one.
                 let mut low = choice;
@@ -1151,6 +1157,26 @@ mod tests {
         assert_eq!(model.route(32, None, false).path, 0);
         // Batch 2: 420 loses to 100.
         assert_eq!(model.route(2, None, false).path, 1);
+    }
+
+    #[test]
+    fn one_and_two_item_batches_are_scored_on_the_calibrated_line() {
+        // An idle worker is handed batches of one or two, so the fixed
+        // term decides: 30 + 10n against 35n crosses between n = 1 and 2.
+        let mut model = PathCostModel::new(vec![
+            descriptor("staged", PathKind::Pipelined, false),
+            descriptor("monolithic", PathKind::Monolithic, false),
+        ]);
+        let staged = PathCost::fit(40.0, 30.0 + 32.0 * 10.0, 32);
+        let mono = PathCost::fit(35.0, 32.0 * 35.0, 32);
+        model.seed_cost(0, staged);
+        model.seed_cost(1, mono);
+        let one = model.route(1, None, false);
+        assert_eq!((one.path, one.predicted_us), (1, mono.fixed_us + mono.per_item_us));
+        // Hysteresis keeps an incumbent only within 5%; 50 vs 70 is not.
+        let two = model.route(2, None, false);
+        assert_eq!((two.path, two.predicted_us), (0, staged.fixed_us + 2.0 * staged.per_item_us));
+        assert!((one.predicted_us - 35.0).abs() < 1e-9 && (two.predicted_us - 50.0).abs() < 1e-9);
     }
 
     #[test]

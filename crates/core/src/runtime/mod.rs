@@ -3,18 +3,21 @@
 //! Turns a live arrival stream into batched inference: producers
 //! [`submit`](ServingRuntime::submit) single queries into a bounded
 //! admission queue (backpressure or rejection when full), worker threads
-//! pop micro-batches formed by the `max_batch`-or-`max_wait_us` close rule
-//! and run them through [`MicroRec::predict_batch`] on a private engine
-//! replica whose packed weights and scratch arena are pre-warmed at
-//! startup, so the steady-state DNN loop never allocates. Every request
-//! carries its enqueue timestamp; completions feed a shared
+//! pop micro-batches and run them through [`MicroRec::predict_batch`] on a
+//! private engine replica whose packed weights and scratch arena are
+//! pre-warmed at startup, so the steady-state DNN loop never allocates.
+//! The close rule is work-conserving: a free worker takes whatever is
+//! queued now, up to `max_batch`, and blocks only on an empty queue — an
+//! idle runtime answers at service time, and batches grow by themselves
+//! while every worker is busy (see [`plan_batches`] for the pure model).
+//! Every request carries its enqueue timestamp; completions feed a shared
 //! [`LatencyHistogram`] from which p50/p95/p99/p999 are read out online.
 //!
 //! ```text
 //!  submit() ──▶ [bounded queue] ──▶ batch former ──▶ worker 0 (engine+arena)
 //!  submit() ──▶      │ depth ≤ queue_depth  │   ──▶ worker 1 (engine+arena)
 //!  submit() ──▶      ▼ full? block / reject ▼   ──▶ ...
-//!                 close at max_batch or max_wait_us
+//!           a free worker takes min(queued, max_batch)
 //! ```
 
 mod batcher;
@@ -68,10 +71,8 @@ pub enum AdmissionPolicy {
 pub struct RuntimeConfig {
     /// Number of worker threads, each owning one engine replica.
     pub workers: usize,
-    /// A micro-batch closes as soon as it holds this many requests.
+    /// Most requests a worker takes from the queue as one micro-batch.
     pub max_batch: usize,
-    /// A micro-batch closes once its oldest request waited this long (µs).
-    pub max_wait_us: u64,
     /// Admission-queue capacity (requests waiting to be batched).
     pub queue_depth: usize,
     /// Full-queue behavior.
@@ -102,7 +103,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             workers: 2,
             max_batch: 32,
-            max_wait_us: 2_000,
             queue_depth: 1024,
             admission: AdmissionPolicy::Block,
             execution: ExecutionMode::Monolithic,
@@ -116,7 +116,7 @@ impl RuntimeConfig {
     /// The batch-former half of the configuration.
     #[must_use]
     pub fn batch_former(&self) -> BatchFormerConfig {
-        BatchFormerConfig { max_batch: self.max_batch, max_wait_us: self.max_wait_us }
+        BatchFormerConfig { max_batch: self.max_batch, workers: self.workers }
     }
 }
 
@@ -221,7 +221,7 @@ struct SharedStats {
     failed: AtomicU64,
     batches: AtomicU64,
     size_closes: AtomicU64,
-    deadline_closes: AtomicU64,
+    ready_closes: AtomicU64,
     drain_closes: AtomicU64,
     hist: Mutex<LatencyHistogram>,
     lookup_bytes_from_cache: AtomicU64,
@@ -316,9 +316,13 @@ pub struct RuntimeSnapshot {
     pub failed: u64,
     /// Micro-batches executed.
     pub batches: u64,
-    /// Batches closed by reaching `max_batch`.
+    /// Batches closed full: `max_batch` or more requests were queued.
     pub size_closes: u64,
-    /// Batches closed by the `max_wait_us` deadline.
+    /// Batches of fewer than `max_batch`: a free worker took everything
+    /// that was queued.
+    pub ready_closes: u64,
+    /// Always 0: no batch waits for a deadline. Kept so readers of older
+    /// snapshots (the perf ledger's `deadline_close_frac`) keep compiling.
     pub deadline_closes: u64,
     /// Batches closed by the shutdown drain.
     pub drain_closes: u64,
@@ -347,8 +351,8 @@ impl RuntimeSnapshot {
     }
 }
 
-/// The streaming serving runtime: bounded admission queue, deadline batch
-/// former, and a pool of engine-replica workers.
+/// The streaming serving runtime: bounded admission queue, work-conserving
+/// batch former, and a pool of engine-replica workers.
 ///
 /// Dropping the runtime shuts it down cleanly: the queue closes, workers
 /// drain every admitted request, and their threads are joined.
@@ -829,7 +833,8 @@ impl ServingRuntime {
             failed,
             batches,
             size_closes: self.stats.size_closes.load(Relaxed),
-            deadline_closes: self.stats.deadline_closes.load(Relaxed),
+            ready_closes: self.stats.ready_closes.load(Relaxed),
+            deadline_closes: 0,
             drain_closes: self.stats.drain_closes.load(Relaxed),
             mean_batch_size: if batches == 0 {
                 0.0
@@ -962,99 +967,119 @@ impl Drop for ServingRuntime {
     }
 }
 
-/// Steady-state loop of one worker: pop a micro-batch, run it through the
-/// private engine replica, deliver results, record latencies.
-fn worker_loop_monolithic(
-    mut engine: MicroRec,
-    queue: &BoundedQueue<Request>,
+/// Books a popped batch — one more batch, closed for `close` — and moves
+/// each query out of its request into `queries` (the producer's
+/// allocation is reused, so the steady-state loop stays allocation-free).
+fn open_batch(
     stats: &SharedStats,
-    config: RuntimeConfig,
+    batch: &mut [Request],
+    close: BatchClose,
+    queries: &mut Vec<Vec<u64>>,
 ) {
-    let wait = Duration::from_micros(config.max_wait_us);
-    let mut queries: Vec<Vec<u64>> = Vec::with_capacity(config.max_batch);
-    // Previous cache-counter readings, so each batch publishes only its
-    // delta to the shared stats (buffers sized here, before the loop, to
-    // keep the steady state allocation-free).
-    let tables = engine.hot_row_cache().map_or(0, |c| c.per_table_hits().len());
-    let mut prev_hits: Vec<u64> = Vec::with_capacity(tables);
-    let mut prev_misses: Vec<u64> = Vec::with_capacity(tables);
-    prev_hits.resize(tables, 0);
-    prev_misses.resize(tables, 0);
-    let mut prev_bytes = (0u64, 0u64);
-    let mut prev_tier = microrec_embedding::TierCounters::default();
-    while let Some((mut batch, close)) = queue.pop_batch(config.max_batch, |r| r.enqueued_at + wait)
-    {
-        stats.batches.fetch_add(1, Relaxed);
-        match close {
-            BatchClose::Size => stats.size_closes.fetch_add(1, Relaxed),
-            BatchClose::Deadline => stats.deadline_closes.fetch_add(1, Relaxed),
-            BatchClose::Drain => stats.drain_closes.fetch_add(1, Relaxed),
-        };
-        queries.clear();
-        // Move each query out of its request (the producer's allocation is
-        // reused) so the steady-state loop stays allocation-free.
-        queries.extend(batch.iter_mut().map(|r| std::mem::take(&mut r.query)));
-        match engine.predict_batch(&queries) {
-            Ok(ctrs) => {
-                let now = Instant::now();
-                let mut hist = lock_or_recover(&stats.hist);
-                for request in &batch {
-                    hist.record_duration(now.saturating_duration_since(request.enqueued_at));
-                }
-                drop(hist);
-                stats.completed.fetch_add(batch.len() as u64, Relaxed);
-                for (request, ctr) in batch.into_iter().zip(ctrs) {
-                    request.slot.fulfill(Ok(ctr));
-                }
+    stats.batches.fetch_add(1, Relaxed);
+    let closes = match close {
+        BatchClose::Size => &stats.size_closes,
+        BatchClose::Ready => &stats.ready_closes,
+        BatchClose::Drain => &stats.drain_closes,
+    };
+    closes.fetch_add(1, Relaxed);
+    queries.clear();
+    queries.extend(batch.iter_mut().map(|r| std::mem::take(&mut r.query)));
+}
+
+/// Delivers a batch's outcome: records every latency and fulfils every
+/// slot. One malformed query must not poison its batch-mates, so a failed
+/// batch falls back to `predict_one` per item and fails only the
+/// offending requests.
+fn deliver(
+    stats: &SharedStats,
+    batch: Vec<Request>,
+    queries: &[Vec<u64>],
+    result: Result<Vec<f32>, MicroRecError>,
+    mut predict_one: impl FnMut(&[u64]) -> Result<f32, MicroRecError>,
+) {
+    match result {
+        Ok(ctrs) => {
+            let now = Instant::now();
+            let mut hist = lock_or_recover(&stats.hist);
+            for request in &batch {
+                hist.record_duration(now.saturating_duration_since(request.enqueued_at));
             }
-            Err(_) => {
-                // One malformed query must not poison its batch-mates:
-                // fall back to per-item prediction and fail only the
-                // offending requests.
-                for (request, query) in batch.into_iter().zip(&queries) {
-                    match engine.predict(query) {
-                        Ok(ctr) => {
-                            let elapsed = request.enqueued_at.elapsed();
-                            lock_or_recover(&stats.hist).record_duration(elapsed);
-                            stats.completed.fetch_add(1, Relaxed);
-                            request.slot.fulfill(Ok(ctr));
-                        }
-                        Err(e) => {
-                            stats.failed.fetch_add(1, Relaxed);
-                            request.slot.fulfill(Err(RuntimeError::Failed(e.to_string())));
-                        }
+            drop(hist);
+            stats.completed.fetch_add(batch.len() as u64, Relaxed);
+            for (request, ctr) in batch.into_iter().zip(ctrs) {
+                request.slot.fulfill(Ok(ctr));
+            }
+        }
+        Err(_) => {
+            for (request, query) in batch.into_iter().zip(queries) {
+                match predict_one(query) {
+                    Ok(ctr) => {
+                        let elapsed = request.enqueued_at.elapsed();
+                        lock_or_recover(&stats.hist).record_duration(elapsed);
+                        stats.completed.fetch_add(1, Relaxed);
+                        request.slot.fulfill(Ok(ctr));
+                    }
+                    Err(e) => {
+                        stats.failed.fetch_add(1, Relaxed);
+                        request.slot.fulfill(Err(RuntimeError::Failed(e.to_string())));
                     }
                 }
             }
         }
-        // Publish this batch's cache-counter deltas to the shared stats.
+    }
+}
+
+/// One engine's lookup counters as last published to the shared stats,
+/// so each publication adds only what moved since.
+#[derive(Debug, Default)]
+struct PublishedLookups {
+    hits: Vec<u64>,
+    misses: Vec<u64>,
+    bytes_from_cache: u64,
+    bytes_from_memory: u64,
+    tier: microrec_embedding::TierCounters,
+}
+
+impl PublishedLookups {
+    /// Sized for `engine` here, before the serving loop, to keep the
+    /// steady state allocation-free.
+    fn new(engine: &MicroRec) -> Self {
+        let tables = engine.hot_row_cache().map_or(0, |c| c.per_table_hits().len());
+        let mut published = PublishedLookups::default();
+        published.hits.resize(tables, 0);
+        published.misses.resize(tables, 0);
+        published
+    }
+
+    /// Adds `engine`'s cache and tier counter movement to the shared stats.
+    fn publish(&mut self, engine: &MicroRec, stats: &SharedStats) {
         if let Some(cache) = engine.hot_row_cache() {
             let mut shared = lock_or_recover(&stats.lookup_tables);
             for ((&h, prev), slot) in
-                cache.per_table_hits().iter().zip(&mut prev_hits).zip(&mut shared.hits)
+                cache.per_table_hits().iter().zip(&mut self.hits).zip(&mut shared.hits)
             {
                 *slot += h - *prev;
                 *prev = h;
             }
             for ((&m, prev), slot) in
-                cache.per_table_misses().iter().zip(&mut prev_misses).zip(&mut shared.misses)
+                cache.per_table_misses().iter().zip(&mut self.misses).zip(&mut shared.misses)
             {
                 *slot += m - *prev;
                 *prev = m;
             }
             drop(shared);
             let (bc, bm) = (cache.bytes_from_cache(), cache.bytes_from_memory());
-            stats.lookup_bytes_from_cache.fetch_add(bc - prev_bytes.0, Relaxed);
-            stats.lookup_bytes_from_memory.fetch_add(bm - prev_bytes.1, Relaxed);
-            prev_bytes = (bc, bm);
+            stats.lookup_bytes_from_cache.fetch_add(bc - self.bytes_from_cache, Relaxed);
+            stats.lookup_bytes_from_memory.fetch_add(bm - self.bytes_from_memory, Relaxed);
+            (self.bytes_from_cache, self.bytes_from_memory) = (bc, bm);
         }
-        // Tiered engines additionally publish per-tier deltas. Without a
-        // cache the tier counters are also the only source of the total
-        // bytes-from-memory figure (with one, the cache block above
-        // already counted every miss's source bytes).
+        // Without a cache the tier counters are also the only source of
+        // the total bytes-from-memory figure (with one, the cache block
+        // above already counted every miss's source bytes).
         if engine.is_tiered() {
             let now = engine.tier_counters();
-            let delta = now.delta_since(&prev_tier);
+            let delta = now.delta_since(&self.tier);
             stats.tier_resident_hits.fetch_add(delta.resident_hits, Relaxed);
             stats.tier_cold_reads.fetch_add(delta.cold_reads, Relaxed);
             stats.tier_prefetch_hits.fetch_add(delta.prefetch_hits, Relaxed);
@@ -1065,182 +1090,228 @@ fn worker_loop_monolithic(
                     .lookup_bytes_from_memory
                     .fetch_add(delta.bytes_from_resident + delta.bytes_from_cold, Relaxed);
             }
-            prev_tier = now;
+            self.tier = now;
         }
     }
 }
 
+/// Steady-state loop of one worker: pop a micro-batch, run it through the
+/// private engine replica, deliver results, publish the batch's lookup
+/// counter movement.
+fn worker_loop_monolithic(
+    mut engine: MicroRec,
+    queue: &BoundedQueue<Request>,
+    stats: &SharedStats,
+    config: RuntimeConfig,
+) {
+    let mut queries: Vec<Vec<u64>> = Vec::with_capacity(config.max_batch);
+    let mut published = PublishedLookups::new(&engine);
+    while let Some((mut batch, close)) = queue.pop_batch(config.max_batch) {
+        open_batch(stats, &mut batch, close, &mut queries);
+        let result = engine.predict_batch(&queries);
+        deliver(stats, batch, &queries, result, |q| engine.predict(q));
+        published.publish(&engine, stats);
+    }
+}
+
 /// Steady-state loop of one pipelined worker: pop a micro-batch, stream
-/// it through the staged dataflow executor, deliver results, record
-/// latencies.
+/// it through the staged dataflow executor, deliver results.
 ///
-/// Hot-row-cache counters live inside the lookup lanes' engines (they
-/// moved onto the stage threads), so unlike the monolithic loop they
-/// cannot be published per batch; each lane's totals land in the shared
-/// stats exactly once, when the drain completes and
-/// [`PipelineExecutor::shutdown_all`] hands every lane engine back.
+/// Lookup counters live inside the lookup lanes' engines (they moved onto
+/// the stage threads), so unlike the monolithic loop they cannot be
+/// published per batch; each lane's totals land in the shared stats
+/// exactly once, when the drain completes and
+/// [`PipelineExecutor::shutdown_all`] hands every lane engine back. A
+/// lane that panicked is absent from the list and its counters died with
+/// it.
 fn worker_loop_pipelined(
     mut executor: PipelineExecutor,
     queue: &BoundedQueue<Request>,
     stats: &SharedStats,
     config: RuntimeConfig,
 ) {
-    let wait = Duration::from_micros(config.max_wait_us);
     let mut queries: Vec<Vec<u64>> = Vec::with_capacity(config.max_batch);
-    while let Some((mut batch, close)) = queue.pop_batch(config.max_batch, |r| r.enqueued_at + wait)
-    {
-        stats.batches.fetch_add(1, Relaxed);
-        match close {
-            BatchClose::Size => stats.size_closes.fetch_add(1, Relaxed),
-            BatchClose::Deadline => stats.deadline_closes.fetch_add(1, Relaxed),
-            BatchClose::Drain => stats.drain_closes.fetch_add(1, Relaxed),
-        };
-        queries.clear();
-        queries.extend(batch.iter_mut().map(|r| std::mem::take(&mut r.query)));
-        match executor.predict_batch(&queries) {
-            Ok(ctrs) => {
-                let now = Instant::now();
-                let mut hist = lock_or_recover(&stats.hist);
-                for request in &batch {
-                    hist.record_duration(now.saturating_duration_since(request.enqueued_at));
-                }
-                drop(hist);
-                stats.completed.fetch_add(batch.len() as u64, Relaxed);
-                for (request, ctr) in batch.into_iter().zip(ctrs) {
-                    request.slot.fulfill(Ok(ctr));
-                }
-            }
-            Err(_) => {
-                // Same contract as the monolithic loop: one malformed
-                // query fails alone, its batch-mates still complete.
-                for (request, query) in batch.into_iter().zip(&queries) {
-                    match executor.predict(query) {
-                        Ok(ctr) => {
-                            let elapsed = request.enqueued_at.elapsed();
-                            lock_or_recover(&stats.hist).record_duration(elapsed);
-                            stats.completed.fetch_add(1, Relaxed);
-                            request.slot.fulfill(Ok(ctr));
-                        }
-                        Err(e) => {
-                            stats.failed.fetch_add(1, Relaxed);
-                            request.slot.fulfill(Err(RuntimeError::Failed(e.to_string())));
-                        }
-                    }
-                }
-            }
-        }
+    while let Some((mut batch, close)) = queue.pop_batch(config.max_batch) {
+        open_batch(stats, &mut batch, close, &mut queries);
+        let result = executor.predict_batch(&queries);
+        deliver(stats, batch, &queries, result, |q| executor.predict(q));
     }
-    // Queue drained: stop the stages and publish the cache totals each
-    // lookup lane's engine accumulated. Every lane publishes exactly once
-    // here — its own totals, never another lane's — so the shared counts
-    // are a plain sum with no double-counting. A lane that panicked is
-    // absent from the list and its counters died with it.
     for engine in executor.shutdown_all() {
-        if let Some(cache) = engine.hot_row_cache() {
-            let mut shared = lock_or_recover(&stats.lookup_tables);
-            for (&h, slot) in cache.per_table_hits().iter().zip(&mut shared.hits) {
-                *slot += h;
-            }
-            for (&m, slot) in cache.per_table_misses().iter().zip(&mut shared.misses) {
-                *slot += m;
-            }
-            drop(shared);
-            stats.lookup_bytes_from_cache.fetch_add(cache.bytes_from_cache(), Relaxed);
-            stats.lookup_bytes_from_memory.fetch_add(cache.bytes_from_memory(), Relaxed);
-        }
-        if engine.is_tiered() {
-            let tier = engine.tier_counters();
-            stats.tier_resident_hits.fetch_add(tier.resident_hits, Relaxed);
-            stats.tier_cold_reads.fetch_add(tier.cold_reads, Relaxed);
-            stats.tier_prefetch_hits.fetch_add(tier.prefetch_hits, Relaxed);
-            stats.tier_bytes_from_cold.fetch_add(tier.bytes_from_cold, Relaxed);
-            stats.tier_cold_errors.fetch_add(tier.cold_errors, Relaxed);
-            if engine.hot_row_cache().is_none() {
-                stats
-                    .lookup_bytes_from_memory
-                    .fetch_add(tier.bytes_from_resident + tier.bytes_from_cold, Relaxed);
-            }
-        }
+        PublishedLookups::new(&engine).publish(&engine, stats);
     }
+}
+
+/// The routed mode's SLO budget for a batch: the objective minus the
+/// queue age of its oldest request (`pop_batch` preserves arrival order),
+/// or `None` when `slo_us` is 0 and the guard is off. Batches are taken
+/// as soon as a worker is free, so queue age is the whole of the time
+/// already spent.
+fn slo_budget_us(slo_us: u64, oldest_age: Duration) -> Option<f64> {
+    (slo_us > 0).then_some(slo_us as f64 - oldest_age.as_secs_f64() * 1e6)
 }
 
 /// Steady-state loop of one routed worker: pop a micro-batch, ask the
 /// shared cost model for the predicted-fastest path, run the batch
 /// there, and feed the observed latency back.
 ///
-/// The SLO guard activates when `config.slo_us > 0`: each batch's
-/// remaining budget is the objective minus the oldest request's queue
-/// age, and a batch whose predicted cost overruns it takes the measured
-/// lowest-latency path instead. Overload (admission queue ≥ 3/4 full)
-/// suppresses probe dispatches and tightens the cold-cache degrade.
+/// A batch whose predicted cost overruns its [`slo_budget_us`] takes the
+/// measured lowest-latency path instead. Overload (admission queue ≥ 3/4
+/// full) suppresses probe dispatches and tightens the cold-cache degrade.
+/// The per-item fallback of a failed batch runs on path 0 (the monolithic
+/// engine, always registered first); no feedback is recorded for it.
 fn worker_loop_routed(
     mut set: PathSet,
     queue: &BoundedQueue<Request>,
     stats: &SharedStats,
     config: RuntimeConfig,
 ) {
-    let wait = Duration::from_micros(config.max_wait_us);
     let overload_depth = config.queue_depth - config.queue_depth / 4;
     let mut queries: Vec<Vec<u64>> = Vec::with_capacity(config.max_batch);
-    while let Some((mut batch, close)) = queue.pop_batch(config.max_batch, |r| r.enqueued_at + wait)
-    {
-        stats.batches.fetch_add(1, Relaxed);
-        match close {
-            BatchClose::Size => stats.size_closes.fetch_add(1, Relaxed),
-            BatchClose::Deadline => stats.deadline_closes.fetch_add(1, Relaxed),
-            BatchClose::Drain => stats.drain_closes.fetch_add(1, Relaxed),
-        };
-        queries.clear();
-        queries.extend(batch.iter_mut().map(|r| std::mem::take(&mut r.query)));
-        // Remaining SLO budget, from the oldest request in the batch
-        // (pop_batch preserves arrival order).
-        let remaining_us = if config.slo_us > 0 {
-            let age_us = batch.first().map_or(0.0, |r| r.enqueued_at.elapsed().as_secs_f64() * 1e6);
-            Some(config.slo_us as f64 - age_us)
-        } else {
-            None
-        };
+    while let Some((mut batch, close)) = queue.pop_batch(config.max_batch) {
+        open_batch(stats, &mut batch, close, &mut queries);
+        let oldest_age = batch.first().map_or(Duration::ZERO, |r| r.enqueued_at.elapsed());
+        let remaining_us = slo_budget_us(config.slo_us, oldest_age);
         let overload = queue.len() >= overload_depth;
         let decision = set.route(&queries, remaining_us, overload);
         let started = Instant::now();
-        match set.predict_batch_on(decision.path, &queries) {
-            Ok(ctrs) => {
-                set.observe(&decision, queries.len(), started.elapsed().as_secs_f64() * 1e6);
-                let now = Instant::now();
-                let mut hist = lock_or_recover(&stats.hist);
-                for request in &batch {
-                    hist.record_duration(now.saturating_duration_since(request.enqueued_at));
-                }
-                drop(hist);
-                stats.completed.fetch_add(batch.len() as u64, Relaxed);
-                for (request, ctr) in batch.into_iter().zip(ctrs) {
-                    request.slot.fulfill(Ok(ctr));
-                }
-            }
-            Err(_) => {
-                // Same contract as the other loops: one malformed query
-                // fails alone. The per-item fallback runs on path 0 (the
-                // monolithic engine, always registered first); no
-                // feedback is recorded for the failed batch.
-                for (request, query) in batch.into_iter().zip(&queries) {
-                    match set.predict_on(0, query) {
-                        Ok(ctr) => {
-                            let elapsed = request.enqueued_at.elapsed();
-                            lock_or_recover(&stats.hist).record_duration(elapsed);
-                            stats.completed.fetch_add(1, Relaxed);
-                            request.slot.fulfill(Ok(ctr));
-                        }
-                        Err(e) => {
-                            stats.failed.fetch_add(1, Relaxed);
-                            request.slot.fulfill(Err(RuntimeError::Failed(e.to_string())));
-                        }
-                    }
-                }
-            }
+        let result = set.predict_batch_on(decision.path, &queries);
+        if result.is_ok() {
+            set.observe(&decision, queries.len(), started.elapsed().as_secs_f64() * 1e6);
         }
+        deliver(stats, batch, &queries, result, |q| set.predict_on(0, q));
     }
     // Queue drained: join the staged paths' stage threads.
     set.shutdown();
+}
+
+#[cfg(test)]
+mod close_tests {
+    //! The close rule under a held worker: requests are admitted into a
+    //! runtime whose worker has not started, so what each batch holds is
+    //! decided by the test, not by thread timing.
+
+    use super::*;
+    use microrec_embedding::ModelSpec;
+
+    /// A monolithic runtime with its queue open and no worker yet, plus
+    /// the engine [`release`] will serve with.
+    fn held(config: RuntimeConfig) -> (ServingRuntime, MicroRec) {
+        let engine = MicroRec::builder(ModelSpec::dlrm_rmc2(4, 4)).seed(7).build().unwrap();
+        let model = engine.model();
+        let runtime = ServingRuntime {
+            queue: Arc::new(BoundedQueue::new(config.queue_depth)),
+            stats: Arc::new(SharedStats::default()),
+            config,
+            resolved: ExecutionMode::Monolithic,
+            plan: None,
+            calibration: None,
+            expected_arity: model.num_tables() * model.lookups_per_table as usize,
+            lookup_meta: None,
+            pipelines: Vec::new(),
+            router: None,
+            resharder: None,
+            reshard_stop: None,
+            reshard_driver: None,
+            workers: Vec::new(),
+        };
+        (runtime, engine)
+    }
+
+    /// Starts the held runtime's one worker.
+    fn release(runtime: &mut ServingRuntime, engine: MicroRec) {
+        let (queue, stats) = (Arc::clone(&runtime.queue), Arc::clone(&runtime.stats));
+        let config = runtime.config;
+        runtime.workers.push(std::thread::spawn(move || {
+            worker_loop_monolithic(engine, &queue, &stats, config);
+        }));
+    }
+
+    fn query(runtime: &ServingRuntime, i: u64) -> Vec<u64> {
+        (0..runtime.expected_arity as u64).map(|slot| (i * 31 + slot) % 100).collect()
+    }
+
+    #[test]
+    fn reject_policy_counts_drops_and_completes_the_rest() {
+        let (mut runtime, engine) = held(RuntimeConfig {
+            workers: 1,
+            max_batch: 4,
+            queue_depth: 2,
+            admission: AdmissionPolicy::Reject,
+            ..RuntimeConfig::default()
+        });
+        let mut pending = Vec::new();
+        for i in 0..50 {
+            match runtime.submit(query(&runtime, i)) {
+                Ok(p) => pending.push(p),
+                Err(e) => assert_eq!(e, RuntimeError::Rejected),
+            }
+        }
+        assert_eq!(pending.len(), 2, "a depth-2 queue nobody pops admits exactly two");
+        assert_eq!(runtime.snapshot().rejected, 48);
+        release(&mut runtime, engine);
+        let snapshot = runtime.shutdown();
+        assert_eq!((snapshot.admitted, snapshot.rejected, snapshot.completed), (2, 48, 2));
+        assert!((snapshot.drop_rate() - 48.0 / 50.0).abs() < 1e-12);
+        for p in pending {
+            p.wait().expect("admitted requests must still complete");
+        }
+    }
+
+    #[test]
+    fn size_closes_dominate_under_saturation() {
+        let (mut runtime, engine) =
+            held(RuntimeConfig { workers: 1, max_batch: 32, ..RuntimeConfig::default() });
+        // Eight full batches and five left over, all queued before the
+        // worker looks.
+        let pending: Vec<_> =
+            (0..261).map(|i| runtime.submit(query(&runtime, i)).expect("submit")).collect();
+        release(&mut runtime, engine);
+        for p in pending {
+            p.wait().expect("predict");
+        }
+        let snapshot = runtime.shutdown();
+        assert_eq!(snapshot.completed, 261);
+        assert_eq!(
+            (snapshot.batches, snapshot.size_closes, snapshot.ready_closes, snapshot.drain_closes),
+            (9, 8, 1, 0)
+        );
+        assert_eq!(snapshot.deadline_closes, 0);
+        assert!((snapshot.mean_batch_size - 261.0 / 9.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn shutdown_drains_what_a_late_worker_finds_queued() {
+        let (mut runtime, engine) =
+            held(RuntimeConfig { workers: 1, max_batch: 8, ..RuntimeConfig::default() });
+        let pending: Vec<_> =
+            (0..11).map(|i| runtime.submit(query(&runtime, i)).expect("submit")).collect();
+        // Close first, then start the worker: a full batch is still a
+        // size close, the remainder is the drain.
+        runtime.queue.close();
+        release(&mut runtime, engine);
+        let snapshot = runtime.shutdown();
+        assert_eq!(
+            (
+                snapshot.completed,
+                snapshot.size_closes,
+                snapshot.ready_closes,
+                snapshot.drain_closes
+            ),
+            (11, 1, 0, 1)
+        );
+        for p in pending {
+            p.wait().expect("every admitted request must complete");
+        }
+    }
+
+    #[test]
+    fn slo_budget_is_the_objective_minus_queue_age() {
+        assert_eq!(slo_budget_us(0, Duration::from_micros(700)), None, "0 turns the guard off");
+        assert_eq!(slo_budget_us(2_000, Duration::ZERO), Some(2_000.0));
+        assert_eq!(slo_budget_us(2_000, Duration::from_micros(700)), Some(1_300.0));
+        // Already late: the budget goes negative, it is not clamped.
+        assert_eq!(slo_budget_us(500, Duration::from_micros(700)), Some(-200.0));
+    }
 }
 
 #[cfg(test)]

@@ -4,15 +4,14 @@
 //! workers) pop whole micro-batches. The queue is bounded, which is the
 //! admission-control half of the runtime: when it is full a producer
 //! either blocks (`push_blocking`, backpressure) or is turned away
-//! (`try_push`, reject policy). The batch-forming pop implements the same
-//! close rule as [`plan_batches`](super::batcher::plan_batches), but
-//! against the wall clock: close at `max_batch` items or at the oldest
-//! request's deadline, whichever first, and drain unconditionally once
-//! the queue is closed.
+//! (`try_push`, reject policy). The batch-forming pop is work-conserving,
+//! the rule [`plan_batches`](super::batcher::plan_batches) models: a
+//! consumer blocks only while the queue is empty and otherwise takes what
+//! is queued now, up to `max_batch`. Batches therefore grow only while
+//! every consumer is busy, and nothing in the queue reads a clock.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Instant;
 
 use super::batcher::BatchClose;
 use crate::sync::{lock_or_recover, recover};
@@ -106,41 +105,28 @@ impl<T> BoundedQueue<T> {
         self.lock().items.len()
     }
 
-    /// Pops the next micro-batch, blocking until one closes.
-    ///
-    /// `head_deadline` maps the oldest queued item to the instant its
-    /// batch must close (its enqueue time plus the wait window). Returns
-    /// `None` once the queue is closed **and** empty — the clean-drain
-    /// termination signal.
-    pub fn pop_batch<F>(&self, max_batch: usize, head_deadline: F) -> Option<(Vec<T>, BatchClose)>
-    where
-        F: Fn(&T) -> Instant,
-    {
+    /// Pops the next micro-batch: everything queued, up to `max_batch`,
+    /// blocking only while the queue is empty. Returns `None` once the
+    /// queue is closed **and** empty — the clean-drain termination signal.
+    pub fn pop_batch(&self, max_batch: usize) -> Option<(Vec<T>, BatchClose)> {
         let max_batch = max_batch.max(1);
         let mut state = self.lock();
         loop {
-            if state.items.len() >= max_batch {
-                return Some(self.take(&mut state, max_batch, BatchClose::Size));
+            let queued = state.items.len();
+            if queued > 0 {
+                let close = if queued >= max_batch {
+                    BatchClose::Size
+                } else if state.closed {
+                    BatchClose::Drain
+                } else {
+                    BatchClose::Ready
+                };
+                return Some(self.take(&mut state, max_batch, close));
             }
             if state.closed {
-                if state.items.is_empty() {
-                    return None;
-                }
-                return Some(self.take(&mut state, max_batch, BatchClose::Drain));
+                return None;
             }
-            match state.items.front() {
-                None => state = recover(self.not_empty.wait(state)),
-                Some(head) => {
-                    let deadline = head_deadline(head);
-                    let now = Instant::now();
-                    if now >= deadline {
-                        let n = state.items.len();
-                        return Some(self.take(&mut state, n, BatchClose::Deadline));
-                    }
-                    let (s, _timeout) = recover(self.not_empty.wait_timeout(state, deadline - now));
-                    state = s;
-                }
-            }
+            state = recover(self.not_empty.wait(state));
         }
     }
 
@@ -165,122 +151,105 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
-    /// A queue item carrying its enqueue instant, like a real request.
-    struct Item(u32, Instant);
-
-    fn item(v: u32) -> Item {
-        Item(v, Instant::now())
-    }
-
-    fn deadline_after(wait: Duration) -> impl Fn(&Item) -> Instant {
-        move |it: &Item| it.1 + wait
+    fn filled(capacity: usize, values: std::ops::Range<u32>) -> BoundedQueue<u32> {
+        let q = BoundedQueue::new(capacity);
+        for v in values {
+            q.try_push(v).map_err(|_| ()).unwrap();
+        }
+        q
     }
 
     #[test]
-    fn fifo_order_is_preserved() {
-        let q = BoundedQueue::new(16);
-        for v in 0..10u32 {
-            q.try_push(item(v)).map_err(|_| ()).unwrap();
-        }
-        let (batch, close) = q.pop_batch(10, deadline_after(Duration::from_secs(1))).unwrap();
-        assert_eq!(close, BatchClose::Size);
-        let got: Vec<u32> = batch.iter().map(|i| i.0).collect();
-        assert_eq!(got, (0..10).collect::<Vec<_>>());
+    fn one_queued_item_is_returned_at_once() {
+        // Nothing else is coming: a pop that waited for company would
+        // never return.
+        let q = filled(16, 7..8);
+        assert_eq!(q.pop_batch(8), Some((vec![7], BatchClose::Ready)));
+        assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn everything_queued_below_max_batch_is_taken_in_fifo_order() {
+        let q = filled(16, 0..10);
+        assert_eq!(q.pop_batch(32), Some(((0..10).collect(), BatchClose::Ready)));
+    }
+
+    #[test]
+    fn max_batch_or_more_queued_is_a_size_close() {
+        let q = filled(16, 0..10);
+        assert_eq!(q.pop_batch(4), Some((vec![0, 1, 2, 3], BatchClose::Size)));
+        assert_eq!(q.pop_batch(6), Some(((4..10).collect(), BatchClose::Size)));
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn try_push_rejects_when_full() {
-        let q = BoundedQueue::new(2);
-        q.try_push(item(0)).map_err(|_| ()).unwrap();
-        q.try_push(item(1)).map_err(|_| ()).unwrap();
-        match q.try_push(item(2)) {
-            Err(PushError::Full(it)) => assert_eq!(it.0, 2),
+        let q = filled(2, 0..2);
+        match q.try_push(2) {
+            Err(PushError::Full(it)) => assert_eq!(it, 2),
             other => panic!("expected Full, got {:?}", other.map_err(|_| "err")),
         }
         assert_eq!(q.len(), 2);
     }
 
     #[test]
-    fn deadline_close_returns_partial_batch() {
-        let q = BoundedQueue::new(16);
-        q.try_push(item(7)).map_err(|_| ()).unwrap();
-        let start = Instant::now();
-        let (batch, close) = q.pop_batch(8, deadline_after(Duration::from_millis(20))).unwrap();
-        assert_eq!(close, BatchClose::Deadline);
-        assert_eq!(batch.len(), 1);
-        let waited = start.elapsed();
-        assert!(waited >= Duration::from_millis(15), "closed too early: {waited:?}");
-    }
-
-    #[test]
     fn close_wakes_blocked_producer_with_item_back() {
-        let q = Arc::new(BoundedQueue::new(1));
-        q.try_push(item(0)).map_err(|_| ()).unwrap();
+        let q = Arc::new(filled(1, 0..1));
         let q2 = Arc::clone(&q);
-        let producer = std::thread::spawn(move || q2.push_blocking(item(1)));
+        let producer = std::thread::spawn(move || q2.push_blocking(1));
         std::thread::sleep(Duration::from_millis(30));
         q.close();
-        let refused = producer.join().unwrap();
-        assert!(refused.is_err(), "close must hand the item back");
-        assert_eq!(refused.unwrap_err().0, 1);
+        assert_eq!(producer.join().unwrap(), Err(1), "close must hand the item back");
     }
 
     #[test]
     fn blocked_producer_resumes_when_space_frees() {
-        let q = Arc::new(BoundedQueue::new(1));
-        q.try_push(item(0)).map_err(|_| ()).unwrap();
+        let q = Arc::new(filled(1, 0..1));
         let q2 = Arc::clone(&q);
-        let producer = std::thread::spawn(move || q2.push_blocking(item(1)));
+        let producer = std::thread::spawn(move || q2.push_blocking(1));
         std::thread::sleep(Duration::from_millis(30));
         // Consume one: the producer must slot in.
-        let (batch, _) = q.pop_batch(1, deadline_after(Duration::from_secs(1))).unwrap();
-        assert_eq!(batch[0].0, 0);
-        producer.join().unwrap().map_err(|_| ()).unwrap();
-        let (batch, _) = q.pop_batch(1, deadline_after(Duration::from_secs(1))).unwrap();
-        assert_eq!(batch[0].0, 1);
+        assert_eq!(q.pop_batch(1).unwrap().0, vec![0]);
+        producer.join().unwrap().unwrap();
+        assert_eq!(q.pop_batch(1).unwrap().0, vec![1]);
     }
 
     #[test]
     fn poisoned_queue_still_closes_and_drains() {
-        // Regression for poison tolerance: `head_deadline` runs while the
-        // state lock is held, so a panic inside it poisons the mutex with
-        // items still queued. Every subsequent operation — push, close,
-        // drain — must recover the lock instead of propagating the panic,
-        // otherwise shutdown would deadlock or crash the caller.
-        let q = Arc::new(BoundedQueue::new(16));
-        q.try_push(item(1)).map_err(|_| ()).unwrap();
+        // Regression for poison tolerance: a thread that dies holding the
+        // state lock poisons it with items still queued. Every subsequent
+        // operation — push, close, drain — must recover the lock instead
+        // of propagating the panic, otherwise shutdown would deadlock or
+        // crash the caller.
+        let q = Arc::new(filled(16, 1..2));
         let q2 = Arc::clone(&q);
-        let consumer = std::thread::spawn(move || {
-            q2.pop_batch(8, |_: &Item| panic!("engine worker dies mid-batch"))
+        let holder = std::thread::spawn(move || {
+            let _guard = q2.state.lock().unwrap();
+            panic!("dies holding the queue lock");
         });
-        assert!(consumer.join().is_err(), "the injected panic must surface");
+        assert!(holder.join().is_err(), "the injected panic must surface");
+        assert!(q.state.is_poisoned());
 
         // The queue must remain fully operational on the poisoned lock.
-        q.try_push(item(2)).map_err(|_| ()).unwrap();
+        q.try_push(2).map_err(|_| ()).unwrap();
         assert_eq!(q.len(), 2);
         q.close();
-        let (batch, close) = q.pop_batch(8, deadline_after(Duration::from_secs(1))).unwrap();
-        assert_eq!(close, BatchClose::Drain);
-        let got: Vec<u32> = batch.iter().map(|i| i.0).collect();
-        assert_eq!(got, vec![1, 2], "no item may be lost to the poisoned lock");
-        assert!(q.pop_batch(8, deadline_after(Duration::from_secs(1))).is_none());
+        assert_eq!(
+            q.pop_batch(8),
+            Some((vec![1, 2], BatchClose::Drain)),
+            "no item may be lost to the poisoned lock"
+        );
+        assert!(q.pop_batch(8).is_none());
     }
 
     #[test]
     fn closed_queue_drains_then_signals_done() {
-        let q = BoundedQueue::new(16);
-        for v in 0..5u32 {
-            q.try_push(item(v)).map_err(|_| ()).unwrap();
-        }
+        let q = filled(16, 0..5);
         q.close();
-        assert!(matches!(q.try_push(item(99)), Err(PushError::Closed(_))));
-        let (batch, close) = q.pop_batch(3, deadline_after(Duration::from_secs(1))).unwrap();
+        assert!(matches!(q.try_push(99), Err(PushError::Closed(_))));
         // A full batch is still a size close even mid-drain.
-        assert_eq!(close, BatchClose::Size);
-        assert_eq!(batch.len(), 3);
-        let (batch, close) = q.pop_batch(3, deadline_after(Duration::from_secs(1))).unwrap();
-        assert_eq!(close, BatchClose::Drain);
-        assert_eq!(batch.len(), 2);
-        assert!(q.pop_batch(3, deadline_after(Duration::from_secs(1))).is_none());
+        assert_eq!(q.pop_batch(3), Some((vec![0, 1, 2], BatchClose::Size)));
+        assert_eq!(q.pop_batch(3), Some((vec![3, 4], BatchClose::Drain)));
+        assert!(q.pop_batch(3).is_none());
     }
 }

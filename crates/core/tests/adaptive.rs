@@ -47,13 +47,7 @@ fn skewed_queries(n: usize) -> Vec<Vec<u64>> {
 }
 
 fn adaptive_config() -> RuntimeConfig {
-    RuntimeConfig {
-        workers: 2,
-        max_batch: 8,
-        max_wait_us: 1_000,
-        adaptive: true,
-        ..Default::default()
-    }
+    RuntimeConfig { workers: 2, max_batch: 8, adaptive: true, ..Default::default() }
 }
 
 #[test]

@@ -89,7 +89,6 @@ fn pipelined_runtime_drains_cleanly_and_reports_stages() {
     let config = RuntimeConfig {
         workers: 1,
         max_batch: 16,
-        max_wait_us: 2_000,
         execution: ExecutionMode::Pipelined,
         ..RuntimeConfig::default()
     };
@@ -250,7 +249,6 @@ fn replicated_runtime_drains_cleanly_and_reports_lanes() {
     let config = RuntimeConfig {
         workers: 1,
         max_batch: 16,
-        max_wait_us: 2_000,
         execution: ExecutionMode::Replicated,
         ..RuntimeConfig::default()
     };

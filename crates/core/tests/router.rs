@@ -115,7 +115,6 @@ fn routed_runtime_is_lossless_and_reports_dispatches() {
         RuntimeConfig {
             workers: 2,
             max_batch: 8,
-            max_wait_us: 1_000,
             execution: ExecutionMode::Routed,
             ..Default::default()
         },
@@ -150,7 +149,6 @@ fn routed_runtime_with_impossible_slo_counts_fallbacks() {
         RuntimeConfig {
             workers: 1,
             max_batch: 8,
-            max_wait_us: 500,
             execution: ExecutionMode::Routed,
             slo_us: 1,
             ..Default::default()

@@ -1,6 +1,8 @@
 //! End-to-end tests for the micro-batching serving runtime: admission,
 //! clean drain, bit-identity with sequential prediction, and per-item
-//! failure isolation.
+//! failure isolation. The tests that need to decide what a batch holds
+//! (reject-policy overflow, size closes under saturation) hold the worker
+//! and live beside the runtime, in `src/runtime/mod.rs`.
 
 use microrec_core::{AdmissionPolicy, MicroRec, RuntimeConfig, RuntimeError, ServingRuntime};
 use microrec_embedding::ModelSpec;
@@ -25,10 +27,8 @@ fn start(model: &ModelSpec, config: RuntimeConfig) -> ServingRuntime {
 fn drain_on_shutdown_loses_nothing() {
     let model = model();
     let queries = queries(&model, 300);
-    let mut runtime = start(
-        &model,
-        RuntimeConfig { workers: 2, max_batch: 16, max_wait_us: 5_000, ..Default::default() },
-    );
+    let mut runtime =
+        start(&model, RuntimeConfig { workers: 2, max_batch: 16, ..Default::default() });
     let pending: Vec<_> =
         queries.iter().map(|q| runtime.submit(q.clone()).expect("submit")).collect();
     let snapshot = runtime.shutdown();
@@ -51,10 +51,8 @@ fn batched_results_are_bit_identical_to_sequential() {
     let expected: Vec<f32> =
         queries.iter().map(|q| sequential.predict(q).expect("predict")).collect();
 
-    let mut runtime = start(
-        &model,
-        RuntimeConfig { workers: 2, max_batch: 8, max_wait_us: 1_000, ..Default::default() },
-    );
+    let mut runtime =
+        start(&model, RuntimeConfig { workers: 2, max_batch: 8, ..Default::default() });
     let pending: Vec<_> =
         queries.iter().map(|q| runtime.submit(q.clone()).expect("submit")).collect();
     for (p, e) in pending.into_iter().zip(&expected) {
@@ -62,42 +60,6 @@ fn batched_results_are_bit_identical_to_sequential() {
         assert_eq!(got.to_bits(), e.to_bits(), "batched result diverged from sequential");
     }
     runtime.shutdown();
-}
-
-#[test]
-fn reject_policy_counts_drops_and_completes_the_rest() {
-    let model = model();
-    let queries = queries(&model, 50);
-    // A tiny queue with one slow-closing worker forces overflow.
-    let mut runtime = start(
-        &model,
-        RuntimeConfig {
-            workers: 1,
-            max_batch: 4,
-            max_wait_us: 200_000,
-            queue_depth: 2,
-            admission: AdmissionPolicy::Reject,
-            ..RuntimeConfig::default()
-        },
-    );
-    let mut pending = Vec::new();
-    let mut rejected = 0u64;
-    for q in &queries {
-        match runtime.submit(q.clone()) {
-            Ok(p) => pending.push(p),
-            Err(RuntimeError::Rejected) => rejected += 1,
-            Err(e) => panic!("unexpected error: {e}"),
-        }
-    }
-    assert!(rejected > 0, "burst of 50 into depth-2 queue must drop some");
-    let snapshot = runtime.shutdown();
-    assert_eq!(snapshot.admitted + snapshot.rejected, 50);
-    assert_eq!(snapshot.rejected, rejected);
-    assert_eq!(snapshot.completed, snapshot.admitted);
-    assert!((snapshot.drop_rate() - rejected as f64 / 50.0).abs() < 1e-12);
-    for p in pending {
-        p.wait().expect("admitted requests must still complete");
-    }
 }
 
 #[test]
@@ -109,7 +71,6 @@ fn block_policy_admits_everything_despite_tiny_queue() {
         RuntimeConfig {
             workers: 1,
             max_batch: 4,
-            max_wait_us: 500,
             queue_depth: 4,
             admission: AdmissionPolicy::Block,
             ..RuntimeConfig::default()
@@ -129,35 +90,19 @@ fn block_policy_admits_everything_despite_tiny_queue() {
 }
 
 #[test]
-fn size_closes_dominate_under_saturation() {
+fn sequential_requests_are_each_served_alone_and_at_once() {
     let model = model();
-    let queries = queries(&model, 256);
-    // Submit everything before workers can drain: batches fill to max_batch.
-    let mut runtime = start(
-        &model,
-        RuntimeConfig {
-            workers: 1,
-            max_batch: 32,
-            max_wait_us: 50_000,
-            queue_depth: 1024,
-            admission: AdmissionPolicy::Block,
-            ..RuntimeConfig::default()
-        },
-    );
-    let pending: Vec<_> =
-        queries.iter().map(|q| runtime.submit(q.clone()).expect("submit")).collect();
-    let snapshot = runtime.shutdown();
-    for p in pending {
-        p.wait().expect("predict");
+    let queries = queries(&model, 40);
+    let mut runtime = start(&model, RuntimeConfig { workers: 2, ..Default::default() });
+    // One request outstanding at a time: whichever worker is free takes
+    // it alone, there is never a second one to batch it with.
+    for q in &queries {
+        runtime.submit(q.clone()).expect("submit").wait().expect("predict");
     }
-    assert_eq!(snapshot.completed, 256);
-    assert!(snapshot.mean_batch_size > 1.0, "mean batch {}", snapshot.mean_batch_size);
-    assert!(
-        snapshot.size_closes >= snapshot.deadline_closes,
-        "saturated load should close mostly on size: size={} deadline={}",
-        snapshot.size_closes,
-        snapshot.deadline_closes,
-    );
+    let snapshot = runtime.shutdown();
+    assert_eq!((snapshot.completed, snapshot.batches, snapshot.ready_closes), (40, 40, 40));
+    assert_eq!((snapshot.size_closes, snapshot.drain_closes, snapshot.deadline_closes), (0, 0, 0));
+    assert_eq!(snapshot.mean_batch_size, 1.0);
 }
 
 #[test]
@@ -182,12 +127,10 @@ fn bad_row_fails_alone_and_batch_mates_survive() {
     let expected: Vec<f32> =
         queries.iter().map(|q| sequential.predict(q).expect("predict")).collect();
 
-    let mut runtime = start(
-        &model,
-        RuntimeConfig { workers: 1, max_batch: 16, max_wait_us: 20_000, ..Default::default() },
-    );
-    // Interleave one poisoned query (out-of-range row) with valid ones so
-    // they land in the same batch.
+    let mut runtime =
+        start(&model, RuntimeConfig { workers: 1, max_batch: 16, ..Default::default() });
+    // Interleave one poisoned query (out-of-range row) with valid ones:
+    // whichever of them share its batch, only it may fail.
     let arity = queries[0].len();
     let mut pending = Vec::new();
     for q in &queries[..4] {
@@ -244,7 +187,7 @@ fn cache_enabled_runtime_reports_lookup_stats() {
         MicroRec::builder(model.clone()).seed(7).embedding_arena(RowFormat::F32).hot_row_cache(512);
     let mut runtime = ServingRuntime::start(
         builder,
-        RuntimeConfig { workers: 2, max_batch: 8, max_wait_us: 1_000, ..Default::default() },
+        RuntimeConfig { workers: 2, max_batch: 8, ..Default::default() },
     )
     .expect("runtime");
     let pending: Vec<_> =

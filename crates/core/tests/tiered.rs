@@ -86,7 +86,7 @@ fn bigger_than_budget_model_serves_bit_identical_with_bounded_memory() {
 
         let mut runtime = ServingRuntime::start(
             builder,
-            RuntimeConfig { workers: 2, max_batch: 8, max_wait_us: 1_000, ..Default::default() },
+            RuntimeConfig { workers: 2, max_batch: 8, ..Default::default() },
         )
         .expect("runtime");
         let pending: Vec<_> =
@@ -136,7 +136,6 @@ fn pipelined_tiered_runtime_serves_and_reports_tier_counters() {
         RuntimeConfig {
             workers: 1,
             max_batch: 8,
-            max_wait_us: 1_000,
             execution: ExecutionMode::Pipelined,
             ..Default::default()
         },
@@ -179,7 +178,7 @@ fn cold_tier_io_failure_fails_only_affected_items_and_keeps_draining() {
 
     let mut runtime = ServingRuntime::start(
         builder,
-        RuntimeConfig { workers: 1, max_batch: 4, max_wait_us: 500, ..Default::default() },
+        RuntimeConfig { workers: 1, max_batch: 4, ..Default::default() },
     )
     .expect("runtime");
 

@@ -20,6 +20,16 @@
 //! references. Alignment is achieved without `unsafe` by over-allocating
 //! each channel buffer and skipping a computed element pad; table bases
 //! are then kept on 64-byte boundaries by construction.
+//!
+//! Building an arena is a bulk fill: the layout is fixed first, every
+//! channel is allocated zeroed at its final length (untouched pages,
+//! straight from the OS), and the tables' rows are then written in place
+//! by [`EmbeddingTable::fill_rows`] in jobs of a few thousand rows spread
+//! over the host's cores — so both the value generation and the
+//! first-touch page faults of a large arena are split. The bytes do not
+//! depend on how the jobs are scheduled.
+
+use std::sync::{Mutex, PoisonError};
 
 use crate::error::EmbeddingError;
 use crate::table::EmbeddingTable;
@@ -27,6 +37,17 @@ use microrec_dnn::{f16_decode_slice, f16_encode_slice, i8_dequant_slice, i8_quan
 
 /// Bytes of alignment for channel buffers and table bases.
 const ALIGN: usize = 64;
+
+/// Arenas smaller than this are filled on the calling thread: a few
+/// milliseconds of fill do not repay spawning threads (and a tiny model's
+/// process should not grow thread stacks and allocator arenas for it).
+const PAR_FILL_FLOOR_BYTES: u64 = 4 << 20;
+
+/// Elements per fill job: small enough that the jobs of one large table
+/// balance across threads and the `f32` staging buffer of an encoded
+/// format stays a 64 KB allocation, large enough that handing out a job
+/// costs nothing next to filling it.
+const FILL_JOB_ELEMS: usize = 1 << 14;
 
 /// How arena rows are stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,43 +88,12 @@ impl std::fmt::Display for RowFormat {
     }
 }
 
-/// One channel's backing store in the arena's row format.
+/// The channels' backing stores, all in the arena's row format.
 #[derive(Debug, Clone)]
-enum ChannelBuf {
-    F32(Vec<f32>),
-    F16(Vec<u16>),
-    I8(Vec<i8>),
-}
-
-impl ChannelBuf {
-    fn len(&self) -> usize {
-        match self {
-            ChannelBuf::F32(v) => v.len(),
-            ChannelBuf::F16(v) => v.len(),
-            ChannelBuf::I8(v) => v.len(),
-        }
-    }
-
-    /// Address of element `idx`, for alignment accounting.
-    fn addr_of(&self, idx: usize) -> usize {
-        match self {
-            ChannelBuf::F32(v) => v.as_ptr() as usize + idx * 4,
-            ChannelBuf::F16(v) => v.as_ptr() as usize + idx * 2,
-            ChannelBuf::I8(v) => v.as_ptr() as usize + idx,
-        }
-    }
-
-    /// Appends `len` encoded elements starting at `start` in `src`. Both
-    /// buffers come from the same arena format by construction; a
-    /// mismatched pair appends nothing (debug-asserted).
-    fn extend_from_range(&mut self, src: &ChannelBuf, start: usize, len: usize) {
-        match (self, src) {
-            (ChannelBuf::F32(d), ChannelBuf::F32(s)) => d.extend_from_slice(&s[start..start + len]),
-            (ChannelBuf::F16(d), ChannelBuf::F16(s)) => d.extend_from_slice(&s[start..start + len]),
-            (ChannelBuf::I8(d), ChannelBuf::I8(s)) => d.extend_from_slice(&s[start..start + len]),
-            _ => debug_assert!(false, "channel format mismatch"),
-        }
-    }
+enum Channels {
+    F32(Vec<Vec<f32>>),
+    F16(Vec<Vec<u16>>),
+    I8(Vec<Vec<i8>>),
 }
 
 /// Where one logical table lives inside the arena.
@@ -141,7 +131,7 @@ struct TableLoc {
 #[derive(Debug, Clone)]
 pub struct EmbeddingArena {
     format: RowFormat,
-    channels: Vec<ChannelBuf>,
+    channels: Channels,
     tables: Vec<TableLoc>,
     names: Vec<String>,
     /// Per-row dequantization scales (I8 format only, else empty).
@@ -160,6 +150,196 @@ fn align_up(n: usize, elem_bytes: usize) -> usize {
     n.div_ceil(step) * step
 }
 
+/// Channel sizes and table placement under one channel assignment.
+struct Layout {
+    /// Elements per channel, inter-table padding included.
+    channel_elems: Vec<usize>,
+    /// Each table's element offset from its channel's aligned origin
+    /// (always a multiple of 64 bytes).
+    bases: Vec<usize>,
+}
+
+impl Layout {
+    /// Lays tables of `table_elems` elements out back to back, in table
+    /// order, on the channels `channel_of` names.
+    fn plan(
+        table_elems: impl Iterator<Item = usize>,
+        channel_of: &[usize],
+        elem_bytes: usize,
+    ) -> Layout {
+        let num_channels = channel_of.iter().map(|&c| c + 1).max().unwrap_or(1);
+        let mut channel_elems = vec![0usize; num_channels];
+        let bases = table_elems
+            .zip(channel_of)
+            .map(|(elems, &ch)| {
+                let base = channel_elems[ch];
+                channel_elems[ch] = align_up(base + elems, elem_bytes);
+                base
+            })
+            .collect();
+        Layout { channel_elems, bases }
+    }
+
+    /// Encoded bytes of all channels.
+    fn bytes(&self, elem_bytes: usize) -> u64 {
+        self.channel_elems.iter().map(|&e| (e * elem_bytes) as u64).sum()
+    }
+
+    /// Allocates every channel zero-filled at its final length: `pad`
+    /// elements up to the buffer's first 64-byte boundary, then the
+    /// channel's elements. Returns the channels and their pads. A zeroed
+    /// allocation this large comes from the OS untouched, so its pages are
+    /// first touched by whoever writes the rows.
+    fn alloc<T: Copy + Default>(&self) -> (Vec<Vec<T>>, Vec<usize>) {
+        let elem_bytes = size_of::<T>();
+        self.channel_elems
+            .iter()
+            .map(|&elems| {
+                let mut buf = vec![T::default(); elems + ALIGN / elem_bytes];
+                let pad_bytes = (ALIGN - buf.as_ptr() as usize % ALIGN) % ALIGN;
+                debug_assert_eq!(pad_bytes % elem_bytes, 0);
+                let pad = pad_bytes / elem_bytes;
+                buf.truncate(pad + elems);
+                (buf, pad)
+            })
+            .unzip()
+    }
+}
+
+/// Splits `skip` elements and then `take` elements off the front of
+/// `rest`, returning the taken run.
+fn carve<'a, T>(rest: &mut &'a mut [T], skip: usize, take: usize) -> &'a mut [T] {
+    let (_, tail) = std::mem::take(rest).split_at_mut(skip);
+    let (taken, tail) = tail.split_at_mut(take);
+    *rest = tail;
+    taken
+}
+
+/// One unit of arena fill: rows `start_row..` of `table`, as many as fit
+/// `dst`, plus (for `i8`) those rows' scales.
+struct FillJob<'a, T> {
+    table: &'a EmbeddingTable,
+    start_row: u64,
+    dst: &'a mut [T],
+    scales: &'a mut [f32],
+}
+
+/// Threads that fill an arena of `arena_bytes`.
+fn fill_threads(arena_bytes: u64) -> usize {
+    if arena_bytes < PAR_FILL_FLOOR_BYTES {
+        1
+    } else {
+        microrec_par::default_threads()
+    }
+}
+
+/// Allocates `layout`'s channels and has `encode` write every table's
+/// rows (and `scales`, one per row, when the format has them) into place,
+/// `threads` jobs at a time. Returns the channels and their pads.
+fn materialize<T, E>(
+    tables: &[EmbeddingTable],
+    channel_of: &[usize],
+    layout: &Layout,
+    mut scales: &mut [f32],
+    threads: usize,
+    encode: E,
+) -> Result<(Vec<Vec<T>>, Vec<usize>), EmbeddingError>
+where
+    T: Copy + Default + Send,
+    E: Fn(&EmbeddingTable, u64, &mut [T], &mut [f32]) -> Result<(), EmbeddingError> + Sync,
+{
+    let (mut channels, pads) = layout.alloc::<T>();
+    // Carve the channels (and the scales, which run in table order) into
+    // disjoint per-job slices; tables sharing a channel follow each other
+    // at their planned bases.
+    let mut rest: Vec<&mut [T]> =
+        channels.iter_mut().zip(&pads).map(|(buf, &pad)| &mut buf[pad..]).collect();
+    let mut carved = vec![0usize; rest.len()];
+    let mut jobs = Vec::new();
+    for ((table, &ch), &base) in tables.iter().zip(channel_of).zip(&layout.bases) {
+        let (rows, dim) = (table.rows() as usize, table.dim() as usize);
+        let mut region = carve(&mut rest[ch], base - carved[ch], rows * dim);
+        carved[ch] = base + rows * dim;
+        let scale_rows = rows.min(scales.len());
+        let mut table_scales = carve(&mut scales, 0, scale_rows);
+        let job_rows = (FILL_JOB_ELEMS / dim.max(1)).max(1);
+        for start_row in (0..rows).step_by(job_rows) {
+            let n = job_rows.min(rows - start_row);
+            let scale_rows = n.min(table_scales.len());
+            jobs.push(Mutex::new(FillJob {
+                table,
+                start_row: start_row as u64,
+                dst: carve(&mut region, 0, n * dim),
+                scales: carve(&mut table_scales, 0, scale_rows),
+            }));
+        }
+    }
+    // Each job is locked once, by the one thread that runs it.
+    microrec_par::par_map(&jobs, threads, |_, job| {
+        let mut job = job.lock().unwrap_or_else(PoisonError::into_inner);
+        let FillJob { table, start_row, dst, scales } = &mut *job;
+        encode(table, *start_row, dst, scales)
+    })
+    .into_iter()
+    .collect::<Result<(), _>>()?;
+    drop(jobs);
+    Ok((channels, pads))
+}
+
+fn encode_f32(
+    table: &EmbeddingTable,
+    start_row: u64,
+    dst: &mut [f32],
+    _scales: &mut [f32],
+) -> Result<(), EmbeddingError> {
+    table.fill_rows(start_row, dst)
+}
+
+fn encode_f16(
+    table: &EmbeddingTable,
+    start_row: u64,
+    dst: &mut [u16],
+    _scales: &mut [f32],
+) -> Result<(), EmbeddingError> {
+    let mut values = vec![0.0f32; dst.len()];
+    table.fill_rows(start_row, &mut values)?;
+    f16_encode_slice(&values, dst);
+    Ok(())
+}
+
+fn encode_i8(
+    table: &EmbeddingTable,
+    start_row: u64,
+    dst: &mut [i8],
+    scales: &mut [f32],
+) -> Result<(), EmbeddingError> {
+    let dim = table.dim() as usize;
+    let mut values = vec![0.0f32; dst.len()];
+    table.fill_rows(start_row, &mut values)?;
+    for (row, scale) in scales.iter_mut().enumerate() {
+        let at = row * dim..(row + 1) * dim;
+        *scale = i8_quant_slice(&values[at.clone()], &mut dst[at]);
+    }
+    Ok(())
+}
+
+/// Copies every table's encoded elements from its place in `old` to its
+/// place under `layout`. Returns the new channels and their pads.
+fn relocate<T: Copy + Default>(
+    old: &[Vec<T>],
+    old_locs: &[TableLoc],
+    channel_of: &[usize],
+    layout: &Layout,
+) -> (Vec<Vec<T>>, Vec<usize>) {
+    let (mut channels, pads) = layout.alloc::<T>();
+    for ((loc, &ch), &base) in old_locs.iter().zip(channel_of).zip(&layout.bases) {
+        let elems = loc.rows as usize * loc.dim;
+        let at = pads[ch] + base;
+        channels[ch][at..at + elems].copy_from_slice(&old[loc.channel][loc.base..loc.base + elems]);
+    }
+    (channels, pads)
+}
+
 impl EmbeddingArena {
     /// Materializes `tables` into channel arenas. `channel_of[i]` assigns
     /// logical table `i` to a memory channel (use all zeros for a single
@@ -176,29 +356,33 @@ impl EmbeddingArena {
         channel_of: &[usize],
         limit_bytes: u64,
     ) -> Result<Self, EmbeddingError> {
+        Self::build_on(tables, format, channel_of, limit_bytes, fill_threads)
+    }
+
+    /// [`build`](Self::build) with the fill's thread count (a function of
+    /// the arena's encoded bytes) chosen by the caller.
+    fn build_on(
+        tables: &[EmbeddingTable],
+        format: RowFormat,
+        channel_of: &[usize],
+        limit_bytes: u64,
+        threads_for: impl FnOnce(u64) -> usize,
+    ) -> Result<Self, EmbeddingError> {
         if channel_of.len() != tables.len() {
             return Err(EmbeddingError::BufferSizeMismatch {
                 expected: tables.len(),
                 actual: channel_of.len(),
             });
         }
-        let num_channels = channel_of.iter().map(|&c| c + 1).max().unwrap_or(1);
         let elem_bytes = format.bytes_per_elem();
-
-        // Size each channel (element counts include inter-table padding).
-        let mut channel_elems = vec![0usize; num_channels];
-        let mut total_rows = 0u64;
-        for (table, &ch) in tables.iter().zip(channel_of) {
-            let elems = (table.rows() as usize) * table.dim() as usize;
-            channel_elems[ch] = align_up(channel_elems[ch] + elems, elem_bytes);
-            total_rows += table.rows();
-        }
-        let scale_bytes = if format == RowFormat::I8 { total_rows.saturating_mul(4) } else { 0 };
-        let total_bytes = channel_elems
-            .iter()
-            .map(|&e| (e * elem_bytes) as u64)
-            .sum::<u64>()
-            .saturating_add(scale_bytes);
+        let layout = Layout::plan(
+            tables.iter().map(|t| t.rows() as usize * t.dim() as usize),
+            channel_of,
+            elem_bytes,
+        );
+        let total_rows: u64 = tables.iter().map(EmbeddingTable::rows).sum();
+        let scale_rows = if format == RowFormat::I8 { total_rows } else { 0 };
+        let total_bytes = layout.bytes(elem_bytes).saturating_add(scale_rows.saturating_mul(4));
         if total_bytes > limit_bytes {
             return Err(EmbeddingError::TooLargeToMaterialize {
                 table: "<arena>".into(),
@@ -207,86 +391,52 @@ impl EmbeddingArena {
             });
         }
 
-        // Allocate each channel with slack for the alignment pad; capacity
-        // is reserved up front so the data pointer (and thus the measured
-        // pad) stays valid while the buffer grows within it.
-        let slack = ALIGN / elem_bytes;
-        let mut channels: Vec<ChannelBuf> = channel_elems
+        let mut scales = vec![0.0f32; scale_rows as usize];
+        let threads = threads_for(total_bytes);
+        let (channels, pads) = match format {
+            RowFormat::F32 => {
+                let (bufs, pads) =
+                    materialize(tables, channel_of, &layout, &mut scales, threads, encode_f32)?;
+                (Channels::F32(bufs), pads)
+            }
+            RowFormat::F16 => {
+                let (bufs, pads) =
+                    materialize(tables, channel_of, &layout, &mut scales, threads, encode_f16)?;
+                (Channels::F16(bufs), pads)
+            }
+            RowFormat::I8 => {
+                let (bufs, pads) =
+                    materialize(tables, channel_of, &layout, &mut scales, threads, encode_i8)?;
+                (Channels::I8(bufs), pads)
+            }
+        };
+
+        let mut scale_base = 0usize;
+        let locs = tables
             .iter()
-            .map(|&elems| match format {
-                RowFormat::F32 => ChannelBuf::F32(Vec::with_capacity(elems + slack)),
-                RowFormat::F16 => ChannelBuf::F16(Vec::with_capacity(elems + slack)),
-                RowFormat::I8 => ChannelBuf::I8(Vec::with_capacity(elems + slack)),
+            .zip(channel_of)
+            .zip(&layout.bases)
+            .map(|((table, &ch), &base)| {
+                let loc = TableLoc {
+                    channel: ch,
+                    base: base + pads[ch],
+                    rows: table.rows(),
+                    dim: table.dim() as usize,
+                    scale_base,
+                };
+                if format == RowFormat::I8 {
+                    scale_base += table.rows() as usize;
+                }
+                loc
             })
             .collect();
-        let mut pads = vec![0usize; num_channels];
-        for (buf, pad) in channels.iter_mut().zip(&mut pads) {
-            let misalign = buf.addr_of(0) % ALIGN;
-            let pad_bytes = (ALIGN - misalign) % ALIGN;
-            debug_assert_eq!(pad_bytes % elem_bytes, 0);
-            *pad = pad_bytes / elem_bytes;
-            match buf {
-                ChannelBuf::F32(v) => v.resize(*pad, 0.0),
-                ChannelBuf::F16(v) => v.resize(*pad, 0),
-                ChannelBuf::I8(v) => v.resize(*pad, 0),
-            }
-        }
-
-        // Encode every table row-by-row into its channel.
-        let mut locs = Vec::with_capacity(tables.len());
-        let mut names = Vec::with_capacity(tables.len());
-        let mut scales = Vec::new();
-        if format == RowFormat::I8 {
-            scales.reserve(total_rows as usize);
-        }
-        let max_dim = tables.iter().map(|t| t.dim() as usize).max().unwrap_or(0);
-        let mut tmp = vec![0.0f32; max_dim];
-        for (table, &ch) in tables.iter().zip(channel_of) {
-            let dim = table.dim() as usize;
-            let buf = &mut channels[ch];
-            let base = buf.len() - pads[ch]; // aligned-origin-relative
-            let scale_base = scales.len();
-            for row in 0..table.rows() {
-                table.read_row(row, &mut tmp[..dim])?;
-                match buf {
-                    ChannelBuf::F32(v) => v.extend_from_slice(&tmp[..dim]),
-                    ChannelBuf::F16(v) => {
-                        let start = v.len();
-                        v.resize(start + dim, 0);
-                        f16_encode_slice(&tmp[..dim], &mut v[start..]);
-                    }
-                    ChannelBuf::I8(v) => {
-                        let start = v.len();
-                        v.resize(start + dim, 0);
-                        scales.push(i8_quant_slice(&tmp[..dim], &mut v[start..]));
-                    }
-                }
-            }
-            // Pad so the next table base stays 64-byte aligned.
-            let padded = align_up(buf.len() - pads[ch], elem_bytes) + pads[ch];
-            match buf {
-                ChannelBuf::F32(v) => v.resize(padded, 0.0),
-                ChannelBuf::F16(v) => v.resize(padded, 0),
-                ChannelBuf::I8(v) => v.resize(padded, 0),
-            }
-            locs.push(TableLoc {
-                channel: ch,
-                base: base + pads[ch],
-                rows: table.rows(),
-                dim,
-                scale_base,
-            });
-            names.push(table.name().to_string());
-        }
-
-        let feature_len = tables.iter().map(|t| t.dim() as usize).sum();
         Ok(EmbeddingArena {
             format,
             channels,
             tables: locs,
-            names,
+            names: tables.iter().map(|t| t.name().to_string()).collect(),
             scales,
-            feature_len,
+            feature_len: tables.iter().map(|t| t.dim() as usize).sum(),
             total_bytes,
             generation: 0,
         })
@@ -317,64 +467,34 @@ impl EmbeddingArena {
                 actual: channel_of.len(),
             });
         }
-        let num_channels = channel_of.iter().map(|&c| c + 1).max().unwrap_or(1);
         let elem_bytes = self.format.bytes_per_elem();
-
-        let mut channel_elems = vec![0usize; num_channels];
-        for (loc, &ch) in self.tables.iter().zip(channel_of) {
-            let elems = loc.rows as usize * loc.dim;
-            channel_elems[ch] = align_up(channel_elems[ch] + elems, elem_bytes);
-        }
-        let scale_bytes = (self.scales.len() as u64) * 4;
-        let total_bytes = channel_elems
+        let layout = Layout::plan(
+            self.tables.iter().map(|loc| loc.rows as usize * loc.dim),
+            channel_of,
+            elem_bytes,
+        );
+        let total_bytes = layout.bytes(elem_bytes).saturating_add(self.scales.len() as u64 * 4);
+        let (channels, pads) = match &self.channels {
+            Channels::F32(old) => {
+                let (bufs, pads) = relocate(old, &self.tables, channel_of, &layout);
+                (Channels::F32(bufs), pads)
+            }
+            Channels::F16(old) => {
+                let (bufs, pads) = relocate(old, &self.tables, channel_of, &layout);
+                (Channels::F16(bufs), pads)
+            }
+            Channels::I8(old) => {
+                let (bufs, pads) = relocate(old, &self.tables, channel_of, &layout);
+                (Channels::I8(bufs), pads)
+            }
+        };
+        let locs = self
+            .tables
             .iter()
-            .map(|&e| (e * elem_bytes) as u64)
-            .sum::<u64>()
-            .saturating_add(scale_bytes);
-
-        let slack = ALIGN / elem_bytes;
-        let mut channels: Vec<ChannelBuf> = channel_elems
-            .iter()
-            .map(|&elems| match self.format {
-                RowFormat::F32 => ChannelBuf::F32(Vec::with_capacity(elems + slack)),
-                RowFormat::F16 => ChannelBuf::F16(Vec::with_capacity(elems + slack)),
-                RowFormat::I8 => ChannelBuf::I8(Vec::with_capacity(elems + slack)),
-            })
+            .zip(channel_of)
+            .zip(&layout.bases)
+            .map(|((loc, &ch), &base)| TableLoc { channel: ch, base: base + pads[ch], ..*loc })
             .collect();
-        let mut pads = vec![0usize; num_channels];
-        for (buf, pad) in channels.iter_mut().zip(&mut pads) {
-            let misalign = buf.addr_of(0) % ALIGN;
-            let pad_bytes = (ALIGN - misalign) % ALIGN;
-            debug_assert_eq!(pad_bytes % elem_bytes, 0);
-            *pad = pad_bytes / elem_bytes;
-            match buf {
-                ChannelBuf::F32(v) => v.resize(*pad, 0.0),
-                ChannelBuf::F16(v) => v.resize(*pad, 0),
-                ChannelBuf::I8(v) => v.resize(*pad, 0),
-            }
-        }
-
-        let mut locs = Vec::with_capacity(self.tables.len());
-        for (loc, &ch) in self.tables.iter().zip(channel_of) {
-            let elems = loc.rows as usize * loc.dim;
-            let src = &self.channels[loc.channel];
-            let buf = &mut channels[ch];
-            let base = buf.len() - pads[ch];
-            buf.extend_from_range(src, loc.base, elems);
-            let padded = align_up(buf.len() - pads[ch], elem_bytes) + pads[ch];
-            match buf {
-                ChannelBuf::F32(v) => v.resize(padded, 0.0),
-                ChannelBuf::F16(v) => v.resize(padded, 0),
-                ChannelBuf::I8(v) => v.resize(padded, 0),
-            }
-            locs.push(TableLoc {
-                channel: ch,
-                base: base + pads[ch],
-                rows: loc.rows,
-                dim: loc.dim,
-                scale_base: loc.scale_base,
-            });
-        }
 
         Ok(EmbeddingArena {
             format: self.format,
@@ -455,8 +575,15 @@ impl EmbeddingArena {
     /// Whether every table base sits on a 64-byte boundary.
     #[must_use]
     pub fn is_aligned(&self) -> bool {
+        fn addr_of<T>(channel: &[T], idx: usize) -> usize {
+            channel.as_ptr() as usize + idx * size_of::<T>()
+        }
         self.tables.iter().all(|loc| {
-            let base_addr = self.channels[loc.channel].addr_of(loc.base);
+            let base_addr = match &self.channels {
+                Channels::F32(c) => addr_of(&c[loc.channel], loc.base),
+                Channels::F16(c) => addr_of(&c[loc.channel], loc.base),
+                Channels::I8(c) => addr_of(&c[loc.channel], loc.base),
+            };
             base_addr.is_multiple_of(ALIGN)
         })
     }
@@ -493,12 +620,13 @@ impl EmbeddingArena {
             });
         }
         let start = loc.base + row as usize * loc.dim;
-        match &self.channels[loc.channel] {
-            ChannelBuf::F32(v) => out.copy_from_slice(&v[start..start + loc.dim]),
-            ChannelBuf::F16(v) => f16_decode_slice(&v[start..start + loc.dim], out),
-            ChannelBuf::I8(v) => {
+        let end = start + loc.dim;
+        match &self.channels {
+            Channels::F32(c) => out.copy_from_slice(&c[loc.channel][start..end]),
+            Channels::F16(c) => f16_decode_slice(&c[loc.channel][start..end], out),
+            Channels::I8(c) => {
                 let scale = self.scales[loc.scale_base + row as usize];
-                i8_dequant_slice(&v[start..start + loc.dim], scale, out);
+                i8_dequant_slice(&c[loc.channel][start..end], scale, out);
             }
         }
         Ok(())
@@ -621,6 +749,154 @@ mod tests {
         assert_eq!(f32a.source_row_bytes(0), 32);
         assert_eq!(f16a.source_row_bytes(0), 16);
         assert_eq!(i8a.source_row_bytes(0), 12); // 8 elems + 4-byte scale
+    }
+
+    /// Tables that share channels, span several fill jobs, and include
+    /// the degenerate sizes (one row; fewer elements than a cache line).
+    fn fill_tables() -> Vec<EmbeddingTable> {
+        vec![
+            EmbeddingTable::procedural(TableSpec::new("a", 5_000, 8), 11),
+            EmbeddingTable::procedural(TableSpec::new("b", 2_500, 12), 12),
+            EmbeddingTable::procedural(TableSpec::new("c", 60, 4), 13),
+            EmbeddingTable::procedural(TableSpec::new("d", 1, 16), 14),
+            EmbeddingTable::procedural(TableSpec::new("e", 4_097, 4), 15),
+        ]
+    }
+
+    /// An arena's contents as bit patterns: per channel, the pad and the
+    /// elements after it.
+    fn channel_bits(arena: &EmbeddingArena) -> Vec<Vec<u32>> {
+        match &arena.channels {
+            Channels::F32(c) => c.iter().map(|b| b.iter().map(|v| v.to_bits()).collect()).collect(),
+            Channels::F16(c) => {
+                c.iter().map(|b| b.iter().map(|&v| u32::from(v)).collect()).collect()
+            }
+            Channels::I8(c) => {
+                c.iter().map(|b| b.iter().map(|&v| u32::from(v as u8)).collect()).collect()
+            }
+        }
+    }
+
+    /// Checks every byte of `arena` against the obvious construction: one
+    /// `read_row` at a time, encoded and appended to its channel, zeros up
+    /// to the next 64 bytes after each table.
+    fn assert_matches_row_by_row_build(
+        arena: &EmbeddingArena,
+        tables: &[EmbeddingTable],
+        format: RowFormat,
+        channel_of: &[usize],
+    ) {
+        let step = ALIGN / format.bytes_per_elem();
+        let num_channels = channel_of.iter().max().unwrap() + 1;
+        let mut want: Vec<Vec<u32>> = vec![Vec::new(); num_channels];
+        let mut want_scales: Vec<f32> = Vec::new();
+        let mut want_bases = Vec::new();
+        for (table, &ch) in tables.iter().zip(channel_of) {
+            let dim = table.dim() as usize;
+            want_bases.push((want[ch].len(), want_scales.len()));
+            let mut row = vec![0.0f32; dim];
+            for r in 0..table.rows() {
+                table.read_row(r, &mut row).unwrap();
+                match format {
+                    RowFormat::F32 => want[ch].extend(row.iter().map(|v| v.to_bits())),
+                    RowFormat::F16 => {
+                        let mut enc = vec![0u16; dim];
+                        f16_encode_slice(&row, &mut enc);
+                        want[ch].extend(enc.iter().map(|&v| u32::from(v)));
+                    }
+                    RowFormat::I8 => {
+                        let mut enc = vec![0i8; dim];
+                        want_scales.push(i8_quant_slice(&row, &mut enc));
+                        want[ch].extend(enc.iter().map(|&v| u32::from(v as u8)));
+                    }
+                }
+            }
+            let padded = want[ch].len().div_ceil(step) * step;
+            want[ch].resize(padded, 0);
+        }
+
+        let got = channel_bits(arena);
+        assert_eq!(got.len(), num_channels);
+        for (ch, (got, want)) in got.iter().zip(&want).enumerate() {
+            let pad = got.len() - want.len();
+            assert!(pad < step, "{format} channel {ch}: pad {pad}");
+            assert!(got[..pad].iter().all(|&v| v == 0), "{format} channel {ch}: dirty pad");
+            assert!(got[pad..] == want[..], "{format} channel {ch}: rows differ");
+            for (t, loc) in arena.tables.iter().enumerate().filter(|(_, l)| l.channel == ch) {
+                let (base, scale_base) = want_bases[t];
+                assert_eq!((loc.base, loc.scale_base), (pad + base, scale_base), "table {t}");
+                assert_eq!((loc.rows, loc.dim), (tables[t].rows(), tables[t].dim() as usize));
+            }
+        }
+        assert_eq!(
+            arena.scales.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+            want_scales.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+            "{format} scales"
+        );
+        let bytes: usize = want.iter().map(|c| c.len() * format.bytes_per_elem()).sum();
+        assert_eq!(arena.total_bytes(), (bytes + want_scales.len() * 4) as u64);
+        assert!(arena.is_aligned());
+    }
+
+    #[test]
+    fn bulk_fill_is_byte_identical_to_a_row_by_row_build() {
+        let procedural = fill_tables();
+        let materialized: Vec<EmbeddingTable> =
+            procedural.iter().map(|t| t.to_materialized(u64::MAX).unwrap()).collect();
+        // One channel, fewer channels than fill threads, more channels
+        // than fill threads; one thread, two, and more than there are
+        // channels.
+        for channel_of in [[0usize; 5], [0, 1, 0, 1, 1], [4, 1, 0, 1, 2]] {
+            for format in [RowFormat::F32, RowFormat::F16, RowFormat::I8] {
+                for tables in [&procedural, &materialized] {
+                    for threads in [1usize, 2, 7] {
+                        let arena =
+                            EmbeddingArena::build_on(tables, format, &channel_of, u64::MAX, |_| {
+                                threads
+                            })
+                            .unwrap();
+                        assert_matches_row_by_row_build(&arena, tables, format, &channel_of);
+                    }
+                }
+                // A relocated arena is the arena built in the new place.
+                let moved = EmbeddingArena::build(&procedural, format, &channel_of, u64::MAX)
+                    .unwrap()
+                    .rebuild_with_channels(&[1, 0, 0, 2, 1], 1)
+                    .unwrap();
+                assert_matches_row_by_row_build(&moved, &procedural, format, &[1, 0, 0, 2, 1]);
+            }
+        }
+    }
+
+    #[test]
+    fn an_arena_under_the_size_floor_is_filled_on_the_calling_thread() {
+        use std::collections::HashSet;
+        use std::thread::{current, ThreadId};
+
+        // Which threads fill `tables` when the arena holds `bytes` bytes.
+        let fillers = |bytes: u64| -> HashSet<ThreadId> {
+            let tables = fill_tables();
+            let channel_of = [0, 1, 0, 1, 2];
+            let layout = Layout::plan(
+                tables.iter().map(|t| t.rows() as usize * t.dim() as usize),
+                &channel_of,
+                4,
+            );
+            let seen = Mutex::new(HashSet::new());
+            let encode = |table: &EmbeddingTable, row, dst: &mut [f32], scales: &mut [f32]| {
+                seen.lock().unwrap().insert(current().id());
+                encode_f32(table, row, dst, scales)
+            };
+            materialize(&tables, &channel_of, &layout, &mut [], fill_threads(bytes), encode)
+                .unwrap();
+            seen.into_inner().unwrap()
+        };
+        // The ledger's tiny4 arena is 64 KB.
+        assert_eq!(fillers(64 << 10), HashSet::from([current().id()]));
+        assert_eq!(fillers(PAR_FILL_FLOOR_BYTES - 1), HashSet::from([current().id()]));
+        if microrec_par::default_threads() > 1 {
+            assert!(!fillers(PAR_FILL_FLOOR_BYTES).contains(&current().id()));
+        }
     }
 
     #[test]

@@ -113,12 +113,8 @@ impl EmbeddingTable {
                 limit: limit_bytes,
             });
         }
-        let dim = self.spec.dim as usize;
-        let mut values = vec![0.0f32; self.spec.rows as usize * dim];
-        for row in 0..self.spec.rows {
-            let start = row as usize * dim;
-            self.read_row(row, &mut values[start..start + dim])?;
-        }
+        let mut values = vec![0.0f32; self.spec.rows as usize * self.spec.dim as usize];
+        self.fill_rows(0, &mut values)?;
         EmbeddingTable::materialized(self.spec.clone(), values)
     }
 
@@ -160,11 +156,7 @@ impl EmbeddingTable {
     /// of bounds.
     pub fn value(&self, row: u64, col: u32) -> Result<f32, EmbeddingError> {
         if row >= self.spec.rows || col >= self.spec.dim {
-            return Err(EmbeddingError::IndexOutOfRange {
-                table: self.spec.name.clone(),
-                index: row,
-                rows: self.spec.rows,
-            });
+            return Err(self.out_of_range(row));
         }
         Ok(match &self.data {
             TableData::Materialized(v) => v[row as usize * self.spec.dim as usize + col as usize],
@@ -180,28 +172,72 @@ impl EmbeddingTable {
     /// [`EmbeddingError::BufferSizeMismatch`] if `out.len() != dim`.
     pub fn read_row(&self, row: u64, out: &mut [f32]) -> Result<(), EmbeddingError> {
         if row >= self.spec.rows {
-            return Err(EmbeddingError::IndexOutOfRange {
-                table: self.spec.name.clone(),
-                index: row,
-                rows: self.spec.rows,
-            });
+            return Err(self.out_of_range(row));
         }
         let dim = self.spec.dim as usize;
         if out.len() != dim {
             return Err(EmbeddingError::BufferSizeMismatch { expected: dim, actual: out.len() });
         }
+        self.fill_rows_unchecked(row, out);
+        Ok(())
+    }
+
+    /// Copies the consecutive rows `start_row..start_row + out.len() / dim`
+    /// straight into `out`, row-major — the bulk form of
+    /// [`read_row`](Self::read_row), value for value, for callers that
+    /// materialize whole tables (one bounds check per call, no per-row
+    /// staging copy).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EmbeddingError::BufferSizeMismatch`] if `out` is not a
+    /// whole number of rows, and [`EmbeddingError::IndexOutOfRange`]
+    /// naming the first row past the end if the range leaves the table
+    /// (nothing is written in either case).
+    pub fn fill_rows(&self, start_row: u64, out: &mut [f32]) -> Result<(), EmbeddingError> {
+        let dim = (self.spec.dim as usize).max(1);
+        if !out.len().is_multiple_of(dim) {
+            return Err(EmbeddingError::BufferSizeMismatch {
+                expected: out.len().next_multiple_of(dim),
+                actual: out.len(),
+            });
+        }
+        let end = start_row.saturating_add((out.len() / dim) as u64);
+        if end > self.spec.rows {
+            return Err(self.out_of_range(start_row.max(self.spec.rows)));
+        }
+        self.fill_rows_unchecked(start_row, out);
+        Ok(())
+    }
+
+    /// `out` is a whole number of rows inside the table (checked by the
+    /// callers).
+    fn fill_rows_unchecked(&self, start_row: u64, out: &mut [f32]) {
+        if out.is_empty() {
+            return;
+        }
+        let dim = self.spec.dim as usize;
         match &self.data {
             TableData::Materialized(v) => {
-                let start = row as usize * dim;
-                out.copy_from_slice(&v[start..start + dim]);
+                let start = start_row as usize * dim;
+                out.copy_from_slice(&v[start..start + out.len()]);
             }
             TableData::Procedural { seed } => {
-                for (col, slot) in out.iter_mut().enumerate() {
-                    *slot = procedural_value(*seed, row, col as u32);
+                for (row, values) in (start_row..).zip(out.chunks_exact_mut(dim)) {
+                    for (col, slot) in values.iter_mut().enumerate() {
+                        *slot = procedural_value(*seed, row, col as u32);
+                    }
                 }
             }
         }
-        Ok(())
+    }
+
+    fn out_of_range(&self, row: u64) -> EmbeddingError {
+        EmbeddingError::IndexOutOfRange {
+            table: self.spec.name.clone(),
+            index: row,
+            rows: self.spec.rows,
+        }
     }
 
     /// Row `row` as a freshly allocated vector.
@@ -308,6 +344,45 @@ mod tests {
             t.read_row(0, &mut small),
             Err(EmbeddingError::BufferSizeMismatch { expected: 4, actual: 3 })
         ));
+    }
+
+    #[test]
+    fn fill_rows_equals_read_row_per_row() {
+        let p = EmbeddingTable::procedural(spec(50, 6), 5);
+        let m = p.to_materialized(u64::MAX).unwrap();
+        for table in [&p, &m] {
+            for (start, rows) in [(0u64, 50usize), (7, 13), (49, 1), (50, 0), (3, 0)] {
+                let mut bulk = vec![f32::NAN; rows * 6];
+                table.fill_rows(start, &mut bulk).unwrap();
+                let mut row = [0.0f32; 6];
+                for (r, got) in (start..).zip(bulk.chunks_exact(6)) {
+                    table.read_row(r, &mut row).unwrap();
+                    assert_eq!(got, row, "row {r}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fill_rows_past_the_end_fails_like_read_row_and_writes_nothing() {
+        let p = EmbeddingTable::procedural(spec(10, 4), 0);
+        let m = p.to_materialized(u64::MAX).unwrap();
+        let mut one = [0.0f32; 4];
+        for table in [&p, &m] {
+            // Rows 8, 9 exist, row 10 is the first that does not.
+            let mut out = [7.0f32; 12];
+            let want = table.read_row(10, &mut one).unwrap_err();
+            assert_eq!(table.fill_rows(8, &mut out).unwrap_err(), want);
+            assert_eq!(out, [7.0; 12]);
+            // A range that starts past the end names its own first row.
+            let want = table.read_row(12, &mut one).unwrap_err();
+            assert_eq!(table.fill_rows(12, &mut out[..4]).unwrap_err(), want);
+            assert!(table.fill_rows(u64::MAX, &mut out).is_err());
+            assert!(matches!(
+                table.fill_rows(0, &mut out[..7]),
+                Err(EmbeddingError::BufferSizeMismatch { expected: 8, actual: 7 })
+            ));
+        }
     }
 
     #[test]
