@@ -182,10 +182,8 @@ pub enum Command {
         /// Reject (drop) requests on a full queue instead of blocking.
         reject: bool,
         /// How each worker executes: monolithic (default), `--pipelined`
-        /// staged dataflow, `--replicated` staged dataflow with lookup
-        /// lanes, `--auto` startup calibration picking the winner, or
-        /// `--routed` per-batch cost-model routing across the full path
-        /// matrix.
+        /// staged dataflow, or `--routed` per-batch cost-model routing
+        /// across the full path matrix.
         execution: ExecutionMode,
         /// End-to-end latency objective per request in microseconds,
         /// consulted by the routed mode's SLO guard (0 disables it).
@@ -291,24 +289,20 @@ pub fn parse(args: &[String]) -> Result<Cli, ArgError> {
                 .map_err(|_| ArgError("bad --queue-depth value".into()))?,
             reject: has("--reject"),
             execution: {
-                let picked: Vec<(&str, ExecutionMode)> = [
-                    ("--pipelined", ExecutionMode::Pipelined),
-                    ("--replicated", ExecutionMode::Replicated),
-                    ("--auto", ExecutionMode::Auto),
-                    ("--routed", ExecutionMode::Routed),
-                ]
-                .into_iter()
-                .filter(|(flag, _)| has(flag))
-                .collect();
-                match picked.as_slice() {
-                    [] => ExecutionMode::Monolithic,
-                    [(_, mode)] => *mode,
-                    more => {
-                        let names: Vec<&str> = more.iter().map(|(f, _)| *f).collect();
-                        return Err(ArgError(format!(
-                            "pick one execution mode, got {}",
-                            names.join(" and ")
-                        )));
+                if let Some(gone) = ["--replicated", "--auto"].into_iter().find(|f| has(f)) {
+                    return Err(ArgError(format!(
+                        "{gone} is gone: use `--routed`, which picks a path per batch from \
+                         measured latencies"
+                    )));
+                }
+                match (has("--pipelined"), has("--routed")) {
+                    (false, false) => ExecutionMode::Monolithic,
+                    (true, false) => ExecutionMode::Pipelined,
+                    (false, true) => ExecutionMode::Routed,
+                    (true, true) => {
+                        return Err(ArgError(
+                            "pick one execution mode, got --pipelined and --routed".into(),
+                        ));
                     }
                 }
             },
@@ -335,7 +329,7 @@ USAGE:
   microrec compare [--model ...] [--batch N] [--precision ...]
   microrec explore [--model ...] [--precision ...] [--top N]
   microrec serve   [--model ...] [--rate QPS] [--queries N] [--sla-ms MS] [--hybrid]
-  microrec serve --live [--model ...] [--rate QPS] [--queries N] [--workers N] [--max-batch N] [--queue-depth N] [--reject] [--pipelined|--replicated|--auto|--routed] [--slo-us US] [--resident-bytes N[k|m|g]] [--adaptive]
+  microrec serve --live [--model ...] [--rate QPS] [--queries N] [--workers N] [--max-batch N] [--queue-depth N] [--reject] [--pipelined|--routed] [--slo-us US] [--resident-bytes N[k|m|g]] [--adaptive]
   microrec help
 ";
 
@@ -497,20 +491,22 @@ mod tests {
 
     #[test]
     fn execution_mode_flags_parse_and_conflict() {
-        for (flags, want) in [
-            ("--replicated", ExecutionMode::Replicated),
-            ("--auto", ExecutionMode::Auto),
-            ("--routed", ExecutionMode::Routed),
-        ] {
+        for (flags, want) in
+            [("--pipelined", ExecutionMode::Pipelined), ("--routed", ExecutionMode::Routed)]
+        {
             match parse(&argv(&format!("serve --live {flags}"))).unwrap().command {
                 Command::Serve { execution, .. } => assert_eq!(execution, want),
                 other => panic!("wrong command {other:?}"),
             }
         }
-        let err = parse(&argv("serve --live --pipelined --auto")).unwrap_err();
+        let err = parse(&argv("serve --live --pipelined --routed")).unwrap_err();
         assert!(err.0.contains("one execution mode"), "{err}");
-        assert!(parse(&argv("serve --live --replicated --pipelined --auto")).is_err());
-        assert!(parse(&argv("serve --live --routed --auto")).is_err());
+        // The two deleted modes are refused, not ignored, and the message
+        // names their replacement.
+        for gone in ["--replicated", "--auto", "--pipelined --auto", "--routed --replicated"] {
+            let err = parse(&argv(&format!("serve --live {gone}"))).unwrap_err();
+            assert!(err.0.contains("use `--routed`"), "{gone}: {err}");
+        }
     }
 
     #[test]

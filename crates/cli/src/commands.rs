@@ -4,8 +4,8 @@ use std::fmt::Write as _;
 
 use microrec_core::{
     best_fitting, explore_design_space, replay_trace, simulate_hybrid_serving,
-    simulate_microrec_serving, AdmissionPolicy, ExecutionMode, HybridConfig, MicroRec,
-    RuntimeConfig, ServingRuntime,
+    simulate_microrec_serving, AdmissionPolicy, HybridConfig, MicroRec, RuntimeConfig,
+    ServingRuntime,
 };
 use microrec_cpu::CpuTimingModel;
 use microrec_embedding::{Precision, RowFormat};
@@ -236,26 +236,19 @@ pub fn run_serve_live(
         builder = builder.hot_row_cache(ADAPTIVE_CACHE_ROWS);
     }
     let mut runtime = ServingRuntime::start(builder, config)?;
-    let resolved = runtime.resolved_execution();
     let plan_line = runtime.plan().map(|p| (p.summary(), p.fifo_depth, p.spin_rounds));
-    let calibration = runtime.calibration().cloned();
     let outcome = replay_trace(&runtime, &trace);
     let router = runtime.router_snapshot();
     let snap = runtime.shutdown();
     let lookup = runtime.lookup_stats();
     let migrations = runtime.migration_records();
     let mut s = String::new();
-    let mode = if config.execution == ExecutionMode::Auto {
-        format!("auto->{}", resolved.as_str())
-    } else {
-        resolved.as_str().to_string()
-    };
     writeln!(
         s,
         "model {} | live runtime: {} {} worker(s), max_batch {}, queue {} ({})",
         spec.name,
         config.workers,
-        mode,
+        config.execution.as_str(),
         config.max_batch,
         config.queue_depth,
         match config.admission {
@@ -263,14 +256,6 @@ pub fn run_serve_live(
             AdmissionPolicy::Reject => "reject",
         },
     )?;
-    if let Some(cal) = &calibration {
-        writeln!(
-            s,
-            "auto:  monolithic {:.1} us vs pipelined {:.1} us per item \
-             (lookup {:.1} us, hop {:.1} us, {} core(s))",
-            cal.monolithic_us, cal.pipelined_us, cal.lookup_us, cal.hop_us, cal.cores,
-        )?;
-    }
     if let Some((summary, fifo_depth, spin_rounds)) = &plan_line {
         writeln!(s, "plan:  {summary} (fifo depth {fifo_depth}, spin {spin_rounds})")?;
     }
@@ -332,11 +317,9 @@ pub fn run_serve_live(
     if let Some(lookup) = lookup.as_ref().filter(|l| l.tiered) {
         writeln!(
             s,
-            "tier:  {} resident hits, {} cold reads ({} prefetched, {:.1} KiB from disk), \
-             cold tier {}",
+            "tier:  {} resident hits, {} cold reads ({:.1} KiB from disk), cold tier {}",
             lookup.resident_hits,
             lookup.cold_reads,
-            lookup.prefetch_hits,
             lookup.bytes_from_cold as f64 / 1024.0,
             if lookup.cold_tier_healthy() { "healthy" } else { "UNHEALTHY" },
         )?;
@@ -360,7 +343,7 @@ pub fn run_serve_live(
     }
     if let Some(stages) = &snap.stages {
         for stage in stages {
-            write!(
+            writeln!(
                 s,
                 "stage {:>6}: {} items, {} stalls, {} backpressure, mean occupancy {:.2}",
                 stage.name,
@@ -369,10 +352,6 @@ pub fn run_serve_live(
                 stage.backpressure,
                 stage.mean_occupancy(),
             )?;
-            if stage.lanes > 1 {
-                write!(s, ", {} lanes", stage.lanes)?;
-            }
-            writeln!(s)?;
         }
     }
     Ok(s)
@@ -381,6 +360,7 @@ pub fn run_serve_live(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use microrec_core::ExecutionMode;
 
     #[test]
     fn plan_output_mentions_structure() {
@@ -513,43 +493,6 @@ mod tests {
         assert!(out.contains("200 of 200 completed"), "{out}");
         assert!(out.contains("stage lookup"), "{out}");
         assert!(out.contains("stage   sink"), "{out}");
-    }
-
-    #[test]
-    fn serve_live_replicated_reports_lanes() {
-        let config = RuntimeConfig {
-            workers: 1,
-            max_batch: 8,
-            queue_depth: 256,
-            admission: AdmissionPolicy::Block,
-            execution: ExecutionMode::Replicated,
-            slo_us: 0,
-            adaptive: false,
-        };
-        let out =
-            run_serve_live(&ModelArg::Dlrm { tables: 4, dim: 4 }, 2_000.0, 200, config, 0).unwrap();
-        assert!(out.contains("replicated worker(s)"), "{out}");
-        assert!(out.contains("200 of 200 completed"), "{out}");
-        assert!(out.contains("plan:  lookup x2"), "{out}");
-        assert!(out.contains("2 lanes"), "{out}");
-    }
-
-    #[test]
-    fn serve_live_auto_calibrates_and_routes() {
-        let config = RuntimeConfig {
-            workers: 1,
-            max_batch: 8,
-            queue_depth: 256,
-            admission: AdmissionPolicy::Block,
-            execution: ExecutionMode::Auto,
-            slo_us: 0,
-            adaptive: false,
-        };
-        let out =
-            run_serve_live(&ModelArg::Dlrm { tables: 4, dim: 4 }, 2_000.0, 200, config, 0).unwrap();
-        assert!(out.contains("auto->"), "{out}");
-        assert!(out.contains("auto:  monolithic"), "{out}");
-        assert!(out.contains("200 of 200 completed"), "{out}");
     }
 
     #[test]

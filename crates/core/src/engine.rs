@@ -17,6 +17,9 @@ use microrec_placement::{heuristic_search, HeuristicOptions, Plan, PlanCost};
 use crate::epoch::{ArenaGeneration, GenerationCell};
 use crate::error::MicroRecError;
 
+/// Set associativity of every engine's [`HotRowCache`].
+const CACHE_WAYS: usize = 8;
+
 /// Channel assignment induced by a placement plan: each logical table
 /// inherits the dense channel index of the memory bank its physical table
 /// was placed on (first-seen bank order). Shared by the initial build and
@@ -63,12 +66,9 @@ pub struct MicroRecBuilder {
     options: HeuristicOptions,
     accel: Option<AccelConfig>,
     arena_format: Option<RowFormat>,
-    arena_limit_bytes: u64,
     cache_rows: usize,
-    cache_ways: usize,
     shared_arena: Option<Arc<EmbeddingArena>>,
     tiered_budget: Option<u64>,
-    prefetch_workers: usize,
     shared_tiered: Option<Arc<TieredBacking>>,
     epoch: Option<Arc<GenerationCell>>,
 }
@@ -89,12 +89,9 @@ impl MicroRecBuilder {
             options: HeuristicOptions::default(),
             accel: None,
             arena_format: None,
-            arena_limit_bytes: u64::MAX,
             cache_rows: 0,
-            cache_ways: 8,
             shared_arena: None,
             tiered_budget: None,
-            prefetch_workers: 2,
             shared_tiered: None,
             epoch: None,
         }
@@ -156,27 +153,15 @@ impl MicroRecBuilder {
         self
     }
 
-    /// Caps how many bytes [`MicroRecBuilder::embedding_arena`] may
-    /// materialize (default: unlimited).
-    #[must_use]
-    pub fn arena_limit_bytes(mut self, limit: u64) -> Self {
-        self.arena_limit_bytes = limit;
-        self
-    }
-
-    /// Fronts the gather path with a Zipf-aware [`HotRowCache`] holding up
-    /// to `rows` dequantized rows (0 disables the cache, the default).
-    /// Cache-on output is bit-identical to cache-off.
+    /// Fronts the arena or tiered store with a Zipf-aware [`HotRowCache`]
+    /// holding up to `rows` dequantized rows (0 disables the cache, the
+    /// default). Cache-on output is bit-identical to cache-off. Needs
+    /// [`MicroRecBuilder::embedding_arena`] or
+    /// [`MicroRecBuilder::tiered_storage`]: [`MicroRecBuilder::build`]
+    /// rejects a cache over the procedural catalog.
     #[must_use]
     pub fn hot_row_cache(mut self, rows: usize) -> Self {
         self.cache_rows = rows;
-        self
-    }
-
-    /// Sets the cache's set associativity (default 8).
-    #[must_use]
-    pub fn cache_ways(mut self, ways: usize) -> Self {
-        self.cache_ways = ways.max(1);
         self
     }
 
@@ -194,10 +179,10 @@ impl MicroRecBuilder {
     /// a single all-resident arena: whole tables are admitted to a
     /// budget-capped resident [`EmbeddingArena`] (smallest first — the
     /// greedy optimum for once-per-round table traffic) and the rest are
-    /// written to a file-backed cold tier read via positioned `pread`,
-    /// with misses overlapped by an async prefetcher. Output is
-    /// bit-identical to [`MicroRecBuilder::embedding_arena`] with the same
-    /// `format` at any budget.
+    /// written to a file-backed cold tier read via positioned `pread` on
+    /// the serving thread. Output is bit-identical to
+    /// [`MicroRecBuilder::embedding_arena`] with the same `format` at any
+    /// budget.
     #[must_use]
     pub fn tiered_storage(mut self, budget_bytes: u64, format: RowFormat) -> Self {
         self.tiered_budget = Some(budget_bytes);
@@ -205,11 +190,12 @@ impl MicroRecBuilder {
         self
     }
 
-    /// Number of async cold-tier prefetch threads each engine spawns on
-    /// its first cold miss (default 2; 0 reads cold rows synchronously).
+    /// Inert: there is no cold-tier prefetcher any more, every cold row is
+    /// one `pread` on the serving thread whatever `workers` says. Kept, and
+    /// storing nothing, only because the frozen perf ledger calls
+    /// `prefetch_workers(0)`.
     #[must_use]
-    pub fn prefetch_workers(mut self, workers: usize) -> Self {
-        self.prefetch_workers = workers;
+    pub fn prefetch_workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -361,7 +347,7 @@ impl MicroRecBuilder {
         let compute_channels =
             |catalog: &Catalog| -> Vec<usize> { channel_assignment(catalog, &plan) };
 
-        // Embedding fast path: a tiered parameter store, a shared or
+        // Embedding fast path: a tiered parameter store or a shared or
         // freshly materialized all-resident arena, and an optional hot-row
         // cache in front of either.
         let mut arena: Option<Arc<EmbeddingArena>> = None;
@@ -372,13 +358,13 @@ impl MicroRecBuilder {
                     "shared tiered backing does not match the model's tables".into(),
                 ));
             }
-            tiered = Some(TieredStore::new(Arc::clone(shared), self.prefetch_workers));
+            tiered = Some(TieredStore::new(Arc::clone(shared)));
         } else if let Some(budget) = self.tiered_budget {
             let format = self.arena_format.unwrap_or(RowFormat::F32);
             let channel_of = compute_channels(&catalog);
             let backing =
                 TieredBacking::build(catalog.logical_tables(), format, &channel_of, budget)?;
-            tiered = Some(TieredStore::new(backing, self.prefetch_workers));
+            tiered = Some(TieredStore::new(backing));
         } else {
             arena = match (&self.shared_arena, self.arena_format) {
                 (Some(shared), _) => {
@@ -395,19 +381,25 @@ impl MicroRecBuilder {
                         catalog.logical_tables(),
                         format,
                         &channel_of,
-                        self.arena_limit_bytes,
                     )?))
                 }
                 (None, None) => None,
             };
         }
         let cache = if self.cache_rows > 0 {
+            if arena.is_none() && tiered.is_none() {
+                return Err(MicroRecError::Runtime(
+                    "hot_row_cache needs a row store to front: configure embedding_arena or \
+                     tiered_storage on the builder"
+                        .into(),
+                ));
+            }
             let dims: Vec<u32> = catalog
                 .logical_tables()
                 .iter()
                 .map(microrec_embedding::EmbeddingTable::dim)
                 .collect();
-            Some(HotRowCache::new(&dims, self.cache_rows, self.cache_ways))
+            Some(HotRowCache::new(&dims, self.cache_rows, CACHE_WAYS))
         } else {
             None
         };
@@ -879,17 +871,16 @@ impl MicroRec {
     }
 
     /// Functionally gathers one lookup round's concatenated feature slice
-    /// for a query, through the fast path when configured: hot-row cache
-    /// in front of the arena (or the legacy per-table read on a miss when
-    /// no arena is built). Cache and arena change where the bytes come
+    /// for a query: from the tiered store or the arena, behind the hot-row
+    /// cache when one is configured, or from the catalog's per-table reads
+    /// when no store is built. The store changes where the bytes come
     /// from — a dequantized cached copy vs. a stride-indexed arena row vs.
     /// a procedural/materialized table read — never what they are, so all
     /// combinations are bit-identical for `RowFormat::F32` storage.
     fn gather_round_into(&mut self, indices: &[u64], out: &mut [f32]) -> Result<(), MicroRecError> {
-        // Tiered parameter store: the round is classified per tier before
-        // any miss is serviced, with cold reads overlapped by the
-        // prefetcher. With a cache, only the probe misses reach the tiers
-        // and every served row is admitted through the `on_row` hook.
+        // Tiered parameter store: one pass over the round, cold rows read
+        // on this thread. With a cache, only the probe misses reach the
+        // tiers and every served row is admitted through the `on_row` hook.
         if let Some(tiered) = self.tiered.as_mut() {
             return match self.cache.as_mut() {
                 Some(cache) => {
@@ -906,8 +897,10 @@ impl MicroRec {
                 None => Ok(tiered.gather_round(indices, &self.feature_offsets, out)?),
             };
         }
-        let arena = self.arena.as_deref();
-        let catalog = &self.catalog;
+        let Some(arena) = self.arena.as_deref() else {
+            // lint: allow(transitive-hot-path-alloc) no-arena fallback path; arena gather_into is the serving route
+            return Ok(self.catalog.gather(indices, out)?);
+        };
         match self.cache.as_mut() {
             Some(cache) => {
                 // Probe the whole round first, then service the misses in
@@ -917,28 +910,14 @@ impl MicroRec {
                 for &table in &self.miss_scratch {
                     let row = indices[table];
                     let offset = self.feature_offsets[table];
-                    let dim = catalog.logical_tables()[table].dim() as usize;
+                    let dim = self.catalog.logical_tables()[table].dim() as usize;
                     let slot = &mut out[offset..offset + dim];
-                    let source_bytes = match arena {
-                        Some(a) => {
-                            a.read_row_into(table, row, slot)?;
-                            a.source_row_bytes(table)
-                        }
-                        None => {
-                            // lint: allow(transitive-hot-path-alloc) no-arena fallback clones the row; serving gathers through the arena
-                            catalog.logical_tables()[table].read_row(row, slot)?;
-                            dim * 4
-                        }
-                    };
-                    cache.insert(table, row, slot, source_bytes);
+                    arena.read_row_into(table, row, slot)?;
+                    cache.insert(table, row, slot, arena.source_row_bytes(table));
                 }
                 Ok(())
             }
-            None => match arena {
-                Some(a) => Ok(a.gather_into(indices, out)?),
-                // lint: allow(transitive-hot-path-alloc) no-arena fallback path; arena gather_into is the serving route
-                None => Ok(catalog.gather(indices, out)?),
-            },
+            None => Ok(arena.gather_into(indices, out)?),
         }
     }
 
@@ -1251,9 +1230,9 @@ mod tests {
 
     #[test]
     fn fast_path_is_bit_identical_across_storage_and_cache() {
-        // Legacy procedural reads, an f32 arena, a cache-fronted arena, and
-        // a cache over the legacy path must all predict identical bits, for
-        // every datapath precision, in both predict and predict_batch.
+        // Legacy procedural reads, an f32 arena, and a cache-fronted arena
+        // must all predict identical bits, for every datapath precision, in
+        // both predict and predict_batch.
         for precision in [Precision::F32, Precision::Fixed16, Precision::Fixed32] {
             let mut legacy = small_builder(precision).build().unwrap();
             let mut variants = [
@@ -1263,7 +1242,6 @@ mod tests {
                     .hot_row_cache(128)
                     .build()
                     .unwrap(),
-                small_builder(precision).hot_row_cache(128).build().unwrap(),
             ];
             let queries = small_queries(40);
             let want: Vec<f32> = queries.iter().map(|q| legacy.predict(q).unwrap()).collect();
@@ -1291,6 +1269,46 @@ mod tests {
                 assert_eq!(engine.memory().stats().total().reads, (queries.len() * 6 * 4) as u64);
             }
         }
+    }
+
+    #[test]
+    fn cache_never_changes_a_bit_at_any_arena_format() {
+        // Quantized storage decodes to its own values, so the reference is
+        // the same arena without the cache: cold pass, warm pass and
+        // predict_batch must all return its bits.
+        let queries = small_queries(40);
+        for format in [RowFormat::F32, RowFormat::F16, RowFormat::I8] {
+            let mut plain =
+                small_builder(Precision::Fixed16).embedding_arena(format).build().unwrap();
+            let want: Vec<f32> = queries.iter().map(|q| plain.predict(q).unwrap()).collect();
+            let mut cached = small_builder(Precision::Fixed16)
+                .embedding_arena(format)
+                .hot_row_cache(2048)
+                .build()
+                .unwrap();
+            for pass in 0..2 {
+                for (i, q) in queries.iter().enumerate() {
+                    let got = cached.predict(q).unwrap();
+                    assert_eq!(got.to_bits(), want[i].to_bits(), "{format} pass {pass} query {i}");
+                }
+            }
+            let got = cached.predict_batch(&queries).unwrap();
+            assert!(got.iter().map(|c| c.to_bits()).eq(want.iter().map(|c| c.to_bits())));
+            assert!(cached.hot_row_cache().unwrap().hits() > 0, "{format}: the warm pass must hit");
+        }
+    }
+
+    #[test]
+    fn cache_without_a_row_store_is_rejected_at_build() {
+        let err = small_builder(Precision::Fixed16).hot_row_cache(128).build().unwrap_err();
+        assert!(matches!(err, MicroRecError::Runtime(_)), "{err:?}");
+        let message = err.to_string();
+        assert!(
+            message.contains("embedding_arena") && message.contains("tiered_storage"),
+            "{message}"
+        );
+        // Zero rows is "no cache", which needs no store.
+        small_builder(Precision::Fixed16).hot_row_cache(0).build().unwrap();
     }
 
     /// Encoded row bytes of the 6×2000×8 small model in `format`.
@@ -1339,6 +1357,32 @@ mod tests {
                 assert_eq!(engine.tier_counters(), microrec_embedding::TierCounters::default());
             }
         }
+    }
+
+    #[test]
+    fn prefetch_workers_is_inert() {
+        // The setter is kept for the frozen perf ledger only: whatever it
+        // is given, the engine serves the same bits and counts the same
+        // reads, none of them prefetched.
+        let budget = small_model_bytes(RowFormat::F16) / 3;
+        let build = |workers: usize| {
+            small_builder(Precision::Fixed16)
+                .tiered_storage(budget, RowFormat::F16)
+                .hot_row_cache(64)
+                .prefetch_workers(workers)
+                .build()
+                .unwrap()
+        };
+        let (mut sync, mut two) = (build(0), build(2));
+        let queries = small_queries(30);
+        for q in &queries {
+            assert_eq!(sync.predict(q).unwrap().to_bits(), two.predict(q).unwrap().to_bits());
+        }
+        let (a, b) = (sync.predict_batch(&queries).unwrap(), two.predict_batch(&queries).unwrap());
+        assert!(a.iter().map(|c| c.to_bits()).eq(b.iter().map(|c| c.to_bits())));
+        assert_eq!(sync.tier_counters(), two.tier_counters());
+        assert!(sync.tier_counters().cold_reads > 0, "the cold tier must have been exercised");
+        assert_eq!(two.tier_counters().prefetch_hits, 0);
     }
 
     #[test]

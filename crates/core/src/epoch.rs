@@ -140,7 +140,7 @@ mod tests {
 
     fn arena(generation: u64) -> Arc<EmbeddingArena> {
         let tables = vec![EmbeddingTable::procedural(TableSpec::new("t", 10, 4), 1)];
-        let base = EmbeddingArena::build(&tables, RowFormat::F32, &[0], u64::MAX).unwrap();
+        let base = EmbeddingArena::build(&tables, RowFormat::F32, &[0]).unwrap();
         if generation == 0 {
             Arc::new(base)
         } else {

@@ -58,19 +58,17 @@ pub use hybrid_serving::{
     simulate_hybrid_serving, surviving_dram_fraction, HybridConfig, HybridReport,
 };
 pub use pipeline::{
-    Calibration, ExecutionMode, FcStage, PipelineConfig, PipelineExecutor, PipelinePlan,
-    StageSnapshot,
+    ExecutionMode, FcStage, PipelineConfig, PipelineExecutor, PipelinePlan, StageSnapshot,
 };
 pub use pool::EnginePool;
 pub use ranking::{kendall_tau, rank_descending, ranking_fidelity, top_k_overlap, RankingFidelity};
 pub use report::{
-    end_to_end_report, AwsPrices, CalibrationRecord, CostReport, CpuPoint, EmbeddingReport,
-    EndToEndReport, FpgaPoint, LookupCountersRecord, MigrationRecord, PipelineStageRecord,
-    RouterPathRecord, RouterRecord, ServingFrontierRecord,
+    end_to_end_report, AwsPrices, CostReport, CpuPoint, EmbeddingReport, EndToEndReport, FpgaPoint,
+    MigrationRecord,
 };
 pub use router::{
     ExecutionPath, PathCost, PathCostModel, PathDescriptor, PathKind, PathSet, RouteDecision,
-    RouterPathStats, RouterSnapshot, SHAPE_DEFAULT_HOP_US,
+    RouterPathStats, RouterSnapshot,
 };
 pub use runtime::{
     plan_batches, replay_trace, AdmissionPolicy, BatchClose, BatchFormerConfig, LatencyHistogram,

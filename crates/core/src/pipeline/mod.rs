@@ -47,7 +47,7 @@ use crate::error::MicroRecError;
 
 pub mod plan;
 
-pub use plan::{Calibration, FcStage, PipelinePlan};
+pub use plan::{FcStage, PipelinePlan};
 
 /// How the serving runtime executes inference on each worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -60,13 +60,6 @@ pub enum ExecutionMode {
     /// whose lookup/fc/sink stages run on their own threads, connected by
     /// bounded FIFOs (the fixed per-layer, one-lane topology).
     Pipelined,
-    /// The staged path with the lookup stage replicated across two lanes
-    /// ([`PipelinePlan::replicated_default`]): deterministic lane
-    /// fan-out/fan-in without a calibration pass.
-    Replicated,
-    /// Calibrate at startup ([`PipelinePlan::calibrate`]) and route to
-    /// whichever of the other modes the measured cost model picks.
-    Auto,
     /// Build the full path matrix ([`crate::PathSet`]) per worker and
     /// route every formed batch to its predicted-fastest path, with EWMA
     /// feedback and the SLO guard (see [`crate::PathCostModel`]).
@@ -80,8 +73,6 @@ impl ExecutionMode {
         match self {
             ExecutionMode::Monolithic => "monolithic",
             ExecutionMode::Pipelined => "pipelined",
-            ExecutionMode::Replicated => "replicated",
-            ExecutionMode::Auto => "auto",
             ExecutionMode::Routed => "routed",
         }
     }

@@ -1,43 +1,18 @@
-//! Pipeline topology plans and the counter-driven auto-tuner.
+//! Pipeline topology plans.
 //!
 //! A [`PipelinePlan`] describes one concrete dataflow topology: how the
 //! MLP's layers are grouped into fused FC stages, how many parallel
 //! lanes each stage runs, how deep the inter-stage FIFOs are, and how
-//! long a blocked endpoint spins before parking. The default plan
-//! reproduces the fixed one-thread-per-layer topology of the original
-//! pipeline; [`PipelinePlan::calibrate`] replaces the hand tuning with a
-//! measurement pass, mirroring how the paper sizes each FPGA stage to
-//! its service rate instead of replicating everything uniformly.
-//!
-//! Calibration is deterministic in *procedure*: the query set is derived
-//! from a fixed LCG, the same micro-benchmarks run in the same order,
-//! and the solver is a pure function of the measured times — two runs on
-//! the same machine under the same load converge to the same plan.
-//!
-//! The solver applies the hop-cost rule in both directions:
-//! - **Fusion**: an FC stage whose service time is below the measured
-//!   FIFO handoff cost cannot pay for its own thread — its occupancy
-//!   counters would show near-permanent starvation — so adjacent cheap
-//!   layers fuse into one stage, eliminating the ring hop between them.
-//! - **Replication**: while spare cores remain, the bottleneck stage
-//!   (highest per-lane service time, if still above the hop cost) gets
-//!   another lane.
-//!
-//! The resulting [`Calibration`] doubles as the cost model for the
-//! Monolithic/Pipelined/Replicated router: it carries the measured
-//! monolithic per-item time, a pilot-run measurement of the planned
-//! topology, and an analytic estimate for cross-checking.
+//! long a blocked endpoint spins before parking. The default plan is one
+//! single-lane stage per layer; any other topology is written down by the
+//! caller and handed to [`crate::PipelineExecutor::with_plan`]. Which
+//! path a batch takes is decided at run time by the router
+//! ([`crate::PathCostModel`]) from measured batch latencies, not by a
+//! start-up solver.
 
-use std::sync::Arc;
-use std::time::Instant;
+use microrec_par::DEFAULT_SPIN_ROUNDS;
 
-use microrec_dnn::{FixedNum, PackedLayer, PackedMlp};
-use microrec_embedding::ModelSpec;
-use microrec_par::{SpscRing, DEFAULT_SPIN_ROUNDS};
-
-use crate::engine::MicroRec;
 use crate::error::MicroRecError;
-use crate::pipeline::PipelineExecutor;
 
 /// One FC stage of a plan: a run of consecutive MLP layers fused onto
 /// one thread (per lane).
@@ -78,17 +53,6 @@ impl PipelinePlan {
         }
     }
 
-    /// The fixed replicated topology [`ExecutionMode::Replicated`] runs:
-    /// per-layer FC stages with the lookup stage doubled. Deterministic
-    /// by construction (no measurement), so tests and the CLI exercise
-    /// lane fan-out/fan-in identically on every host.
-    #[must_use]
-    pub fn replicated_default(num_layers: usize, fifo_depth: usize) -> Self {
-        let mut plan = Self::per_layer(num_layers, fifo_depth);
-        plan.lookup_lanes = 2;
-        plan
-    }
-
     /// Total MLP layers the plan covers.
     #[must_use]
     pub fn num_fc_layers(&self) -> usize {
@@ -99,26 +63,6 @@ impl PipelinePlan {
     #[must_use]
     pub fn num_stages(&self) -> usize {
         self.fc.len() + 2
-    }
-
-    /// Threads the pipeline spawns: every lane of every stage plus the
-    /// sink.
-    #[must_use]
-    pub fn total_lane_threads(&self) -> usize {
-        self.lookup_lanes + self.fc.iter().map(|s| s.lanes).sum::<usize>() + 1
-    }
-
-    /// Whether any stage runs more than one lane.
-    #[must_use]
-    pub fn is_replicated(&self) -> bool {
-        self.lookup_lanes > 1 || self.fc.iter().any(|s| s.lanes > 1)
-    }
-
-    /// Ring hops one job crosses end to end: owner → lookup → each FC
-    /// stage → sink → owner.
-    #[must_use]
-    pub fn num_hops(&self) -> usize {
-        self.fc.len() + 3
     }
 
     /// Checks internal consistency against the engine's layer count.
@@ -163,422 +107,19 @@ impl PipelinePlan {
         s.push_str(" | sink");
         s
     }
-
-    /// Measures the engine's per-stage service times, solves a plan from
-    /// them, pilots it, and returns the engine together with the plan
-    /// and the [`Calibration`] cost model.
-    ///
-    /// `cores` bounds replication (use [`microrec_par::default_threads`]
-    /// for the machine's parallelism); `rounds` is the number of
-    /// calibration queries per micro-benchmark (64 is plenty; the pilot
-    /// streams the same set).
-    ///
-    /// # Errors
-    ///
-    /// Returns the engine's error if a calibration query fails (the
-    /// query set is valid by construction, so this indicates a broken
-    /// engine), or [`MicroRecError::Runtime`] if the pilot pipeline
-    /// cannot start.
-    pub fn calibrate(
-        engine: MicroRec,
-        cores: usize,
-        rounds: usize,
-    ) -> Result<(MicroRec, PipelinePlan, Calibration), MicroRecError> {
-        match engine.precision() {
-            microrec_embedding::Precision::F32 => calibrate_typed::<f32>(engine, cores, rounds),
-            microrec_embedding::Precision::Fixed16 => {
-                calibrate_typed::<microrec_dnn::Q16>(engine, cores, rounds)
-            }
-            microrec_embedding::Precision::Fixed32 => {
-                calibrate_typed::<microrec_dnn::Q32>(engine, cores, rounds)
-            }
-        }
-    }
-}
-
-/// Measured service times and the calibrated cost model behind an
-/// auto-tuned [`PipelinePlan`].
-///
-/// All times are mean microseconds per item.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Calibration {
-    /// Gather + quantize time of the lookup stage.
-    pub lookup_us: f64,
-    /// Per-MLP-layer packed forward time, in layer order.
-    pub layer_us: Vec<f64>,
-    /// One-way cost of handing an item across an SPSC ring between two
-    /// threads (measured by a ping-pong echo, so it includes the wake
-    /// latency a serialized handoff pays).
-    pub hop_us: f64,
-    /// The monolithic [`MicroRec::predict`] path, measured on the same
-    /// query set.
-    pub monolithic_us: f64,
-    /// Pilot run of the solved plan's topology (single lookup lane),
-    /// streaming the calibration queries through a real executor.
-    pub pipelined_us: f64,
-    /// Core budget the solver worked with.
-    pub cores: usize,
-}
-
-impl Calibration {
-    /// Analytic per-item estimate for `plan`: with enough cores, the
-    /// bottleneck stage's per-lane service time plus one hop, floored by
-    /// the serial work divided across threads; with fewer cores than
-    /// threads, the serial work time-multiplexed over the cores.
-    #[must_use]
-    pub fn estimated_pipelined_us(&self, plan: &PipelinePlan) -> f64 {
-        let mut stage_times = Vec::with_capacity(plan.fc.len() + 1);
-        stage_times.push(self.lookup_us / plan.lookup_lanes as f64);
-        let mut layer = 0usize;
-        for stage in &plan.fc {
-            let group: f64 = self.layer_us[layer..layer + stage.layers].iter().sum();
-            stage_times.push(group / stage.lanes as f64);
-            layer += stage.layers;
-        }
-        let serial = stage_times.iter().sum::<f64>() + plan.num_hops() as f64 * self.hop_us;
-        let threads = plan.total_lane_threads();
-        if self.cores >= threads {
-            let bottleneck = stage_times.iter().cloned().fold(0.0f64, f64::max) + self.hop_us;
-            bottleneck.max(serial / threads as f64)
-        } else {
-            serial / self.cores.max(1) as f64
-        }
-    }
-}
-
-/// Deterministic calibration query set: valid ids for every table slot,
-/// spread by a fixed LCG so lookups stride across rows (and the hot-row
-/// cache sees a realistic mix).
-pub(crate) fn calibration_queries(spec: &ModelSpec, count: usize) -> Vec<Vec<u64>> {
-    let arity = spec.lookups_per_item() as usize;
-    let per_table = spec.lookups_per_table.max(1) as usize;
-    (0..count as u64)
-        .map(|k| {
-            (0..arity as u64)
-                .map(|j| {
-                    let rows =
-                        spec.tables[(j as usize / per_table).min(spec.tables.len() - 1)].rows;
-                    (k.wrapping_mul(7919).wrapping_add(j.wrapping_mul(104_729))) % rows.max(1)
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn mean_us(total: std::time::Duration, items: usize) -> f64 {
-    total.as_secs_f64() * 1e6 / items.max(1) as f64
-}
-
-/// One-way SPSC handoff cost, measured as half a cross-thread ping-pong
-/// round trip. Serialized on purpose: this is the price a starved stage
-/// pays per item, which is exactly the quantity fusion trades against.
-fn measure_hop_us(depth: usize, iters: usize) -> f64 {
-    let ping: Arc<SpscRing<u64>> = Arc::new(SpscRing::new(depth.max(1)));
-    let pong: Arc<SpscRing<u64>> = Arc::new(SpscRing::new(depth.max(1)));
-    let elapsed = std::thread::scope(|scope| {
-        let (ping_rx, pong_tx) = (Arc::clone(&ping), Arc::clone(&pong));
-        scope.spawn(move || {
-            while let Some(v) = ping_rx.pop_blocking() {
-                if pong_tx.push_blocking(v).is_err() {
-                    break;
-                }
-            }
-            pong_tx.close();
-        });
-        // Warm-up lap so thread startup does not pollute the timing.
-        for i in 0..16u64 {
-            let _ = ping.push_blocking(i);
-            let _ = pong.pop_blocking();
-        }
-        let start = Instant::now();
-        for i in 0..iters as u64 {
-            let _ = ping.push_blocking(i);
-            let _ = pong.pop_blocking();
-        }
-        let elapsed = start.elapsed();
-        ping.close();
-        elapsed
-    });
-    mean_us(elapsed, 2 * iters)
-}
-
-/// Greedy plan solver, a pure function of the measured times.
-fn solve_plan(
-    lookup_us: f64,
-    layer_us: &[f64],
-    hop_us: f64,
-    cores: usize,
-    fifo_depth: usize,
-) -> PipelinePlan {
-    // Start per-layer, then fuse adjacent stages that cannot pay for
-    // their hop: merge the cheapest adjacent pair while either side is
-    // below the hop cost (its thread would mostly stall).
-    let mut groups: Vec<(usize, f64)> = layer_us.iter().map(|&t| (1usize, t)).collect();
-    loop {
-        let mut best: Option<(usize, f64)> = None;
-        for i in 0..groups.len().saturating_sub(1) {
-            let (a, b) = (groups[i].1, groups[i + 1].1);
-            if a.min(b) <= hop_us {
-                let combined = a + b;
-                if best.is_none_or(|(_, t)| combined < t) {
-                    best = Some((i, combined));
-                }
-            }
-        }
-        match best {
-            Some((i, _)) if groups.len() > 1 => {
-                let (len, t) = groups.remove(i + 1);
-                groups[i].0 += len;
-                groups[i].1 += t;
-            }
-            _ => break,
-        }
-    }
-    // Respect the core budget: more stage threads than cores just
-    // time-multiplexes hops for no overlap, so keep fusing the cheapest
-    // adjacent pair until the thread count fits (floor: one FC stage).
-    while groups.len() > 1 && groups.len() + 2 > cores {
-        let mut cheapest = 0usize;
-        for i in 1..groups.len() - 1 {
-            if groups[i].1 + groups[i + 1].1 < groups[cheapest].1 + groups[cheapest + 1].1 {
-                cheapest = i;
-            }
-        }
-        let (len, t) = groups.remove(cheapest + 1);
-        groups[cheapest].0 += len;
-        groups[cheapest].1 += t;
-    }
-    // Replicate the bottleneck stage while spare cores remain and the
-    // per-lane service time still dwarfs the hop the lane adds.
-    let mut lookup_lanes = 1usize;
-    let mut fc: Vec<FcStage> =
-        groups.iter().map(|&(layers, _)| FcStage { layers, lanes: 1 }).collect();
-    let mut spare = cores.saturating_sub(groups.len() + 2);
-    while spare > 0 {
-        let mut times: Vec<f64> = Vec::with_capacity(fc.len() + 1);
-        times.push(lookup_us / lookup_lanes as f64);
-        for (stage, &(_, t)) in fc.iter().zip(&groups) {
-            times.push(t / stage.lanes as f64);
-        }
-        let (bottleneck, peak) = times
-            .iter()
-            .copied()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .unwrap_or((0, 0.0));
-        if peak <= hop_us * 2.0 {
-            break;
-        }
-        if bottleneck == 0 {
-            lookup_lanes += 1;
-        } else {
-            fc[bottleneck - 1].lanes += 1;
-        }
-        spare -= 1;
-    }
-    // Spin budget: when every stage finishes an item faster than a
-    // handoff costs, spinning at a blocked endpoint only steals cycles
-    // from the thread that would unblock it — park almost immediately.
-    let peak_stage = layer_us.iter().cloned().fold(lookup_us, f64::max);
-    let spin_rounds = if peak_stage < hop_us { 8 } else { DEFAULT_SPIN_ROUNDS };
-    PipelinePlan { fifo_depth: fifo_depth.max(1), spin_rounds, lookup_lanes, fc }
-}
-
-fn calibrate_typed<T: FixedNum + Send + Sync + 'static>(
-    mut engine: MicroRec,
-    cores: usize,
-    rounds: usize,
-) -> Result<(MicroRec, PipelinePlan, Calibration), MicroRecError> {
-    let rounds = rounds.max(8);
-    let queries = calibration_queries(engine.model(), rounds);
-    let feature_len = engine.model().feature_len() as usize;
-
-    // Monolithic reference (also warms the arena and caches).
-    for q in &queries {
-        engine.predict(q)?;
-    }
-    let start = Instant::now();
-    for q in &queries {
-        engine.predict(q)?;
-    }
-    let monolithic_us = mean_us(start.elapsed(), rounds);
-
-    // Lookup stage: gather + quantize, exactly the pipeline's stage 0.
-    let mut features: Vec<f32> = Vec::with_capacity(feature_len);
-    let mut data: Vec<T> = Vec::with_capacity(feature_len);
-    let start = Instant::now();
-    for q in &queries {
-        engine.gather_features_into(q, &mut features)?;
-        data.clear();
-        data.extend(features.iter().map(|&v| T::from_f32(v)));
-    }
-    let lookup_us = mean_us(start.elapsed(), rounds);
-
-    // Per-layer forward times on the packed path the FC stages run.
-    let packed: PackedMlp<T> = PackedMlp::pack(engine.mlp());
-    let layers: Vec<PackedLayer<T>> = packed.into_layers();
-    let mut layer_total = vec![std::time::Duration::ZERO; layers.len()];
-    let mut scratch: Vec<T> = Vec::new();
-    for q in &queries {
-        engine.gather_features_into(q, &mut features)?;
-        data.clear();
-        data.extend(features.iter().map(|&v| T::from_f32(v)));
-        for (i, layer) in layers.iter().enumerate() {
-            let start = Instant::now();
-            layer.forward_batch(&data, 1, &mut scratch).map_err(MicroRecError::Dnn)?;
-            layer_total[i] += start.elapsed();
-            std::mem::swap(&mut data, &mut scratch);
-        }
-    }
-    let layer_us: Vec<f64> = layer_total.into_iter().map(|t| mean_us(t, rounds)).collect();
-
-    let hop_us = measure_hop_us(4, 256);
-    let plan = solve_plan(lookup_us, &layer_us, hop_us, cores.max(1), 4);
-
-    // Pilot the solved topology with the one engine we have (lookup
-    // forced to a single lane; extra lookup lanes need their own
-    // engines, which only the serving runtime can build).
-    let mut pilot_plan = plan.clone();
-    pilot_plan.lookup_lanes = 1;
-    let mut exec = PipelineExecutor::with_plan(vec![engine], &pilot_plan)?;
-    exec.predict_batch(&queries)?; // warm the stage threads
-    let start = Instant::now();
-    exec.predict_batch(&queries)?;
-    let pipelined_us = mean_us(start.elapsed(), rounds);
-
-    // Refine the FIFO depth from the pilot's own counters: sustained
-    // backpressure on a quarter of pushes means the rings are too
-    // shallow to absorb the stage-time imbalance.
-    let mut plan = plan;
-    if exec.stage_stats().iter().any(|s| s.items > 0 && s.backpressure * 4 > s.items) {
-        plan.fifo_depth = (plan.fifo_depth * 2).min(16);
-    }
-    let engine = exec
-        .shutdown()
-        .ok_or_else(|| MicroRecError::Runtime("calibration pilot lost its engine".into()))?;
-
-    let calibration = Calibration {
-        lookup_us,
-        layer_us,
-        hop_us,
-        monolithic_us,
-        pipelined_us,
-        cores: cores.max(1),
-    };
-    Ok((engine, plan, calibration))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::ExecutionMode;
 
     #[test]
     fn per_layer_plan_matches_legacy_topology() {
         let plan = PipelinePlan::per_layer(3, 4);
         assert_eq!(plan.num_stages(), 5);
         assert_eq!(plan.num_fc_layers(), 3);
-        assert_eq!(plan.total_lane_threads(), 5);
-        assert!(!plan.is_replicated());
         assert!(plan.validate(3).is_ok());
         assert!(plan.validate(2).is_err());
         assert_eq!(plan.summary(), "lookup x1 | fc[0] x1 | fc[1] x1 | fc[2] x1 | sink");
-    }
-
-    #[test]
-    fn solver_fuses_starved_stages() {
-        // Every layer far below the hop cost on a single core: the
-        // solver must collapse to one FC stage with no lanes.
-        let plan = solve_plan(0.5, &[0.2, 0.3, 0.1], 5.0, 1, 4);
-        assert_eq!(plan.fc.len(), 1);
-        assert_eq!(plan.fc[0].layers, 3);
-        assert!(!plan.is_replicated());
-        assert_eq!(plan.spin_rounds, 8, "tiny stages park immediately");
-    }
-
-    #[test]
-    fn solver_replicates_the_bottleneck_given_cores() {
-        // Lookup dominates and eight cores are free: it gets the lanes.
-        let plan = solve_plan(100.0, &[40.0, 35.0], 1.0, 8, 4);
-        assert!(plan.lookup_lanes > 1, "{plan:?}");
-        assert_eq!(plan.num_fc_layers(), 2);
-        assert!(plan.validate(2).is_ok());
-        assert_eq!(plan.spin_rounds, DEFAULT_SPIN_ROUNDS);
-    }
-
-    #[test]
-    fn solver_never_exceeds_reasonable_threads() {
-        let plan = solve_plan(10.0, &[10.0, 10.0, 10.0], 0.1, 4, 4);
-        // 4 cores: stage threads (lookup + fc stages + sink) fit them.
-        assert!(plan.total_lane_threads() <= 4, "{plan:?}");
-    }
-
-    #[test]
-    fn calibration_queries_are_valid_and_deterministic() {
-        let spec = ModelSpec::dlrm_rmc2(4, 4);
-        let a = calibration_queries(&spec, 16);
-        let b = calibration_queries(&spec, 16);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 16);
-        for q in &a {
-            assert_eq!(q.len(), spec.lookups_per_item() as usize);
-        }
-        let distinct: std::collections::HashSet<&Vec<u64>> = a.iter().collect();
-        assert!(distinct.len() > 1, "queries must not all collide");
-    }
-
-    #[test]
-    fn estimate_prefers_monolithic_when_hops_dominate() {
-        let cal = Calibration {
-            lookup_us: 0.3,
-            layer_us: vec![0.2],
-            hop_us: 10.0,
-            monolithic_us: 2.0,
-            pipelined_us: 45.0,
-            cores: 1,
-        };
-        let plan = PipelinePlan::per_layer(1, 1);
-        assert!(cal.estimated_pipelined_us(&plan) > cal.monolithic_us);
-        let model = crate::PathCostModel::from_calibration(&cal, &plan);
-        assert_eq!(model.choose_mode(), ExecutionMode::Monolithic);
-    }
-
-    #[test]
-    fn unified_cost_model_keeps_choose_tie_semantics() {
-        // Equal measurements tie to monolithic, exactly as the old
-        // `Calibration::choose` did (fewer threads for the same speed).
-        let cal = Calibration {
-            lookup_us: 1.0,
-            layer_us: vec![1.0],
-            hop_us: 1.0,
-            monolithic_us: 100.0,
-            pipelined_us: 100.0,
-            cores: 1,
-        };
-        let plan = PipelinePlan::per_layer(1, 4);
-        let model = crate::PathCostModel::from_calibration(&cal, &plan);
-        assert_eq!(model.choose_mode(), ExecutionMode::Monolithic);
-    }
-
-    #[test]
-    fn estimate_prefers_pipelined_for_the_lean_datapath() {
-        // The staged path's serial work is far below the monolithic
-        // per-item time (the lean-datapath effect the bench measures).
-        let cal = Calibration {
-            lookup_us: 200.0,
-            layer_us: vec![300.0, 250.0],
-            hop_us: 5.0,
-            monolithic_us: 4000.0,
-            pipelined_us: 800.0,
-            cores: 1,
-        };
-        let plan = PipelinePlan::per_layer(2, 4);
-        assert!(cal.estimated_pipelined_us(&plan) < cal.monolithic_us);
-        let model = crate::PathCostModel::from_calibration(&cal, &plan);
-        assert_eq!(model.choose_mode(), ExecutionMode::Pipelined);
-        let mut replicated = plan;
-        replicated.lookup_lanes = 2;
-        let model = crate::PathCostModel::from_calibration(&cal, &replicated);
-        assert_eq!(model.choose_mode(), ExecutionMode::Replicated);
     }
 }

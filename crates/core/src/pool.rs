@@ -123,11 +123,9 @@ impl EnginePool {
         // single-query chunks and pay a thread spawn per item; one
         // replica's batched fast path beats that.
         if queries.len() <= self.engines.len() {
-            // lint: allow(blocking-under-lock) a tiered engine's prefetch workers block in their own threads on their own rings, never under this replica's guard
             return self.acquire().predict_batch(queries);
         }
         let shards = microrec_par::par_chunks(queries.len(), self.engines.len(), |_, range| {
-            // lint: allow(blocking-under-lock) same thread-boundary chain as above: the spawned prefetch loop owns its rings
             self.acquire().predict_batch(&queries[range])
         });
         let mut out = Vec::with_capacity(queries.len());

@@ -17,9 +17,6 @@ use microrec_memsim::SimTime;
 
 use crate::engine::MicroRec;
 use crate::error::MicroRecError;
-use crate::pipeline::{Calibration, PipelinePlan, StageSnapshot};
-use crate::router::RouterSnapshot;
-use crate::runtime::{ReplayOutcome, RuntimeConfig, RuntimeLookupStats};
 
 /// One CPU operating point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -185,286 +182,9 @@ impl CostReport {
     }
 }
 
-/// Embedding-lookup counters for one serving run: which row format the
-/// engines stored, how the hot-row cache performed, and how many bytes
-/// the lookups moved from cache versus backing memory. Attached to
-/// [`ServingFrontierRecord`] as the optional `lookup` field, so records
-/// written before the fast path existed still parse.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LookupCountersRecord {
-    /// Arena row format (`"f32"`, `"f16"`, or `"i8"`).
-    pub format: String,
-    /// Hot-row cache capacity in rows (0 = cache disabled).
-    pub cache_rows: u64,
-    /// Cache hits across all tables and workers.
-    pub hits: u64,
-    /// Cache misses across all tables and workers.
-    pub misses: u64,
-    /// `hits / (hits + misses)`; 0 when no lookups ran.
-    pub hit_rate: f64,
-    /// Feature bytes served from the cache (dequantized f32).
-    pub bytes_from_cache: u64,
-    /// Source-row bytes fetched from backing storage on misses.
-    pub bytes_from_memory: u64,
-    /// Cache hits per logical table.
-    pub per_table_hits: Vec<u64>,
-    /// Cache misses per logical table.
-    pub per_table_misses: Vec<u64>,
-    /// Rows served by the tiered store's resident arena; `None` for runs
-    /// that predate the tiered store or did not use it (records written
-    /// without these per-tier keys still parse).
-    pub resident_hits: Option<u64>,
-    /// Rows read from the file-backed cold tier.
-    pub cold_reads: Option<u64>,
-    /// Cold reads fully overlapped by the async prefetcher.
-    pub prefetch_hits: Option<u64>,
-    /// Bytes moved off the cold store.
-    pub bytes_from_cold: Option<u64>,
-}
-
-microrec_json::impl_json_struct!(
-    LookupCountersRecord,
-    required {
-        format,
-        cache_rows,
-        hits,
-        misses,
-        hit_rate,
-        bytes_from_cache,
-        bytes_from_memory,
-        per_table_hits,
-        per_table_misses,
-    },
-    default { resident_hits, cold_reads, prefetch_hits, bytes_from_cold }
-);
-
-impl LookupCountersRecord {
-    /// Converts the runtime's aggregated lookup stats into the record form.
-    /// Per-tier fields are populated only for tiered runs.
-    #[must_use]
-    pub fn from_stats(stats: &RuntimeLookupStats) -> Self {
-        LookupCountersRecord {
-            format: stats.format.to_string(),
-            cache_rows: stats.cache_rows as u64,
-            hits: stats.hits,
-            misses: stats.misses,
-            hit_rate: stats.hit_rate(),
-            bytes_from_cache: stats.bytes_from_cache,
-            bytes_from_memory: stats.bytes_from_memory,
-            per_table_hits: stats.per_table_hits.clone(),
-            per_table_misses: stats.per_table_misses.clone(),
-            resident_hits: stats.tiered.then_some(stats.resident_hits),
-            cold_reads: stats.tiered.then_some(stats.cold_reads),
-            prefetch_hits: stats.tiered.then_some(stats.prefetch_hits),
-            bytes_from_cold: stats.tiered.then_some(stats.bytes_from_cold),
-        }
-    }
-}
-
-/// Counters of one dataflow-pipeline stage, in the form bench records
-/// persist (`BENCH_pipeline.json`). Built from the executor's or the
-/// runtime's [`StageSnapshot`]s.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PipelineStageRecord {
-    /// Stage name (`"lookup"`, `"fc0"`…, `"sink"`).
-    pub stage: String,
-    /// Jobs the stage processed.
-    pub items: u64,
-    /// Pops that found the stage's input FIFO empty.
-    pub stalls: u64,
-    /// Pushes that found the stage's output FIFO full.
-    pub backpressure: u64,
-    /// Mean input-FIFO occupancy observed at pop time.
-    pub mean_occupancy: f64,
-    /// Parallel lanes the stage ran as (0 in records written before
-    /// replication existed; treat 0 and 1 the same).
-    pub lanes: u64,
-}
-
-microrec_json::impl_json_struct!(
-    PipelineStageRecord,
-    required { stage, items, stalls, backpressure, mean_occupancy },
-    default { lanes }
-);
-
-impl PipelineStageRecord {
-    /// Converts one stage's counters into the record form.
-    #[must_use]
-    pub fn from_snapshot(snapshot: &StageSnapshot) -> Self {
-        PipelineStageRecord {
-            stage: snapshot.name.clone(),
-            items: snapshot.items,
-            stalls: snapshot.stalls,
-            backpressure: snapshot.backpressure,
-            mean_occupancy: snapshot.mean_occupancy(),
-            lanes: snapshot.lanes,
-        }
-    }
-}
-
-/// The auto-tuner's measured cost model and the topology it solved, in
-/// the form bench records persist (`BENCH_pipeline.json`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CalibrationRecord {
-    /// Human-readable lane topology (see [`PipelinePlan::summary`]).
-    pub plan: String,
-    /// FIFO depth the plan settled on.
-    pub fifo_depth: u64,
-    /// SPSC spin budget the plan settled on.
-    pub spin_rounds: u64,
-    /// Measured gather + quantize time of the lookup stage (µs/item).
-    pub lookup_us: f64,
-    /// Measured per-layer packed forward times (µs/item, layer order).
-    pub layer_us: Vec<f64>,
-    /// Measured one-way cross-thread handoff cost (µs).
-    pub hop_us: f64,
-    /// Measured monolithic `predict` time (µs/item).
-    pub monolithic_us: f64,
-    /// Measured pilot run of the solved topology (µs/item).
-    pub pipelined_us: f64,
-    /// Core budget the solver worked with.
-    pub cores: u64,
-    /// The execution mode the cost model chose.
-    pub chosen: String,
-}
-
-microrec_json::impl_json_struct!(
-    CalibrationRecord,
-    required {
-        plan,
-        fifo_depth,
-        spin_rounds,
-        lookup_us,
-        layer_us,
-        hop_us,
-        monolithic_us,
-        pipelined_us,
-        cores,
-        chosen
-    }
-);
-
-impl CalibrationRecord {
-    /// Converts a calibration and its solved plan into the record form.
-    #[must_use]
-    pub fn from_calibration(calibration: &Calibration, plan: &PipelinePlan) -> Self {
-        CalibrationRecord {
-            plan: plan.summary(),
-            fifo_depth: plan.fifo_depth as u64,
-            spin_rounds: plan.spin_rounds as u64,
-            lookup_us: calibration.lookup_us,
-            layer_us: calibration.layer_us.clone(),
-            hop_us: calibration.hop_us,
-            monolithic_us: calibration.monolithic_us,
-            pipelined_us: calibration.pipelined_us,
-            cores: calibration.cores as u64,
-            chosen: crate::router::PathCostModel::from_calibration(calibration, plan)
-                .choose_mode()
-                .as_str()
-                .to_string(),
-        }
-    }
-}
-
-/// One path's routing statistics, in the form bench records persist.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RouterPathRecord {
-    /// Path name (`"monolithic"`, `"monolithic-nocache"`, `"pipelined"`,
-    /// `"pool"`…).
-    pub path: String,
-    /// Engine variant (`"monolithic"`, `"pipelined"`, `"replicated"`,
-    /// `"pool"`).
-    pub kind: String,
-    /// Arena row format label.
-    pub format: String,
-    /// Whether a hot-row cache fronts this path.
-    pub cached: bool,
-    /// Batches the router dispatched to this path.
-    pub dispatches: u64,
-    /// Items the router dispatched to this path.
-    pub items: u64,
-    /// Mean predicted batch latency at dispatch time (µs).
-    pub mean_predicted_us: f64,
-    /// Mean observed batch latency (µs).
-    pub mean_observed_us: f64,
-    /// Calibrated per-batch fixed cost (µs).
-    pub fixed_us: f64,
-    /// Calibrated marginal per-item cost (µs).
-    pub per_item_us: f64,
-    /// Calibrated single-item latency (µs) — the SLO guard's metric.
-    pub single_us: f64,
-}
-
-microrec_json::impl_json_struct!(
-    RouterPathRecord,
-    required {
-        path,
-        kind,
-        format,
-        cached,
-        dispatches,
-        items,
-        mean_predicted_us,
-        mean_observed_us,
-        fixed_us,
-        per_item_us,
-        single_us,
-    }
-);
-
-/// Aggregate router statistics for one run (`BENCH_serving.json`'s
-/// optional `router` field and the `serve --live --routed` summary).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RouterRecord {
-    /// One row per registered path, in registration order.
-    pub paths: Vec<RouterPathRecord>,
-    /// Times the SLO guard engaged and took the lowest-latency path.
-    pub slo_fallbacks: u64,
-    /// Staleness re-probe dispatches.
-    pub probes: u64,
-    /// Final traffic-cacheability estimate (-1 when the sketch never
-    /// warmed).
-    pub traffic_hit_rate: f64,
-}
-
-microrec_json::impl_json_struct!(
-    RouterRecord,
-    required { paths, slo_fallbacks, probes, traffic_hit_rate }
-);
-
-impl RouterRecord {
-    /// Converts a router snapshot into the record form.
-    #[must_use]
-    pub fn from_snapshot(snapshot: &RouterSnapshot) -> Self {
-        RouterRecord {
-            paths: snapshot
-                .paths
-                .iter()
-                .map(|p| RouterPathRecord {
-                    path: p.descriptor.name.to_string(),
-                    kind: p.descriptor.kind.as_str().to_string(),
-                    format: p.descriptor.format.to_string(),
-                    cached: p.descriptor.cached,
-                    dispatches: p.dispatches,
-                    items: p.items,
-                    mean_predicted_us: p.mean_predicted_us,
-                    mean_observed_us: p.mean_observed_us,
-                    fixed_us: p.cost.fixed_us,
-                    per_item_us: p.cost.per_item_us,
-                    single_us: p.cost.single_us,
-                })
-                .collect(),
-            slo_fallbacks: snapshot.slo_fallbacks,
-            probes: snapshot.probes,
-            traffic_hit_rate: snapshot.traffic_hit_rate.unwrap_or(-1.0),
-        }
-    }
-}
-
 /// One online placement migration: what triggered it, the plan delta, and
-/// how long the shielded rebuild and the publish took. Attached to
-/// [`ServingFrontierRecord`] as the optional `migrations` field, so
-/// records written before traffic-adaptive placement existed still parse.
+/// how long the shielded rebuild and the publish took (see
+/// [`crate::ServingRuntime::migration_records`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MigrationRecord {
     /// Layout generation published by this migration (the as-built layout
@@ -491,140 +211,6 @@ pub struct MigrationRecord {
     /// serving path can observe, and it is one mutex store plus an atomic
     /// bump.
     pub swap_us: f64,
-}
-
-microrec_json::impl_json_struct!(
-    MigrationRecord,
-    required {
-        generation,
-        trigger_hits,
-        trigger_misses,
-        divergence,
-        old_weighted_us,
-        new_weighted_us,
-        tables_moved,
-        build_us,
-        swap_us,
-    }
-);
-
-/// One point on the serving runtime's QPS/tail-latency frontier: the
-/// outcome of replaying one offered load through one runtime
-/// configuration. Serializes to the `BENCH_serving.json` row format.
-/// Records written while batches still closed on a deadline also carry
-/// that deadline as a key of its own; unknown keys are ignored on read.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServingFrontierRecord {
-    /// Offered Poisson load (queries per second).
-    pub offered_qps: f64,
-    /// Sustained completion rate (queries per second).
-    pub qps: f64,
-    /// Median enqueue→completion latency (µs).
-    pub p50_us: f64,
-    /// 95th-percentile latency (µs).
-    pub p95_us: f64,
-    /// 99th-percentile latency (µs).
-    pub p99_us: f64,
-    /// 99.9th-percentile latency (µs).
-    pub p999_us: f64,
-    /// Mean latency (µs).
-    pub mean_latency_us: f64,
-    /// Fraction of offered requests dropped at admission.
-    pub drop_rate: f64,
-    /// Mean requests per executed micro-batch.
-    pub mean_batch_size: f64,
-    /// Worker threads (engine replicas).
-    pub workers: u64,
-    /// Batch-size close threshold.
-    pub max_batch: u64,
-    /// Admission-queue capacity.
-    pub queue_depth: u64,
-    /// Requests that produced a prediction.
-    pub completed: u64,
-    /// Requests refused at admission.
-    pub rejected: u64,
-    /// Embedding-lookup counters, when the run used the arena fast path.
-    /// Absent from records written before the fast path existed.
-    pub lookup: Option<LookupCountersRecord>,
-    /// Per-path routing counters, when the run used routed execution.
-    /// Absent from records written before the router existed.
-    pub router: Option<RouterRecord>,
-    /// Online placement migrations the run performed, when it served with
-    /// `--adaptive`. Absent from records written before traffic-adaptive
-    /// placement existed.
-    pub migrations: Option<Vec<MigrationRecord>>,
-}
-
-microrec_json::impl_json_struct!(
-    ServingFrontierRecord,
-    required {
-        offered_qps,
-        qps,
-        p50_us,
-        p95_us,
-        p99_us,
-        p999_us,
-        mean_latency_us,
-        drop_rate,
-        mean_batch_size,
-        workers,
-        max_batch,
-        queue_depth,
-        completed,
-        rejected,
-    },
-    default { lookup, router, migrations }
-);
-
-impl ServingFrontierRecord {
-    /// Builds the record for one replayed load point.
-    #[must_use]
-    pub fn from_run(config: &RuntimeConfig, outcome: &ReplayOutcome) -> Self {
-        let snap = &outcome.snapshot;
-        ServingFrontierRecord {
-            offered_qps: outcome.offered_qps,
-            qps: outcome.qps,
-            p50_us: snap.latency.p50_us,
-            p95_us: snap.latency.p95_us,
-            p99_us: snap.latency.p99_us,
-            p999_us: snap.latency.p999_us,
-            mean_latency_us: snap.mean_latency_us,
-            drop_rate: snap.drop_rate(),
-            mean_batch_size: snap.mean_batch_size,
-            workers: config.workers as u64,
-            max_batch: config.max_batch as u64,
-            queue_depth: config.queue_depth as u64,
-            completed: outcome.completed as u64,
-            rejected: outcome.rejected as u64,
-            lookup: None,
-            router: None,
-            migrations: None,
-        }
-    }
-
-    /// Attaches embedding-lookup counters from a runtime's aggregated
-    /// stats (builder style, for use after [`Self::from_run`]).
-    #[must_use]
-    pub fn with_lookup(mut self, stats: &RuntimeLookupStats) -> Self {
-        self.lookup = Some(LookupCountersRecord::from_stats(stats));
-        self
-    }
-
-    /// Attaches per-path routing counters from a routed runtime (builder
-    /// style, for use after [`Self::from_run`]).
-    #[must_use]
-    pub fn with_router(mut self, snapshot: &RouterSnapshot) -> Self {
-        self.router = Some(RouterRecord::from_snapshot(snapshot));
-        self
-    }
-
-    /// Attaches the online migrations an adaptive run performed (builder
-    /// style, for use after [`Self::from_run`]).
-    #[must_use]
-    pub fn with_migrations(mut self, records: &[MigrationRecord]) -> Self {
-        self.migrations = Some(records.to_vec());
-        self
-    }
 }
 
 /// Convenience: builds the full Table 2 report for `model` at `precision`.
@@ -700,173 +286,6 @@ mod tests {
         );
         assert!(cost.advantage() > 2.0, "advantage {:.2}", cost.advantage());
         assert!(cost.fpga_usd_per_million < cost.cpu_usd_per_million);
-    }
-
-    #[test]
-    fn serving_record_without_lookup_field_still_parses() {
-        // Records committed before the embedding fast path existed carry
-        // no `lookup` key; decoding must default it to `None`.
-        let old = r#"{
-            "offered_qps": 1000.0, "qps": 990.0,
-            "p50_us": 10.0, "p95_us": 20.0, "p99_us": 30.0, "p999_us": 40.0,
-            "mean_latency_us": 12.0, "drop_rate": 0.01, "mean_batch_size": 4.0,
-            "workers": 2, "max_batch": 8, "max_wait_us": 100, "queue_depth": 64,
-            "completed": 990, "rejected": 10
-        }"#;
-        let rec: ServingFrontierRecord = microrec_json::from_str(old).unwrap();
-        assert_eq!(rec.lookup, None);
-        assert_eq!(rec.router, None);
-        assert_eq!(rec.completed, 990);
-    }
-
-    #[test]
-    fn serving_record_with_router_round_trips_and_old_records_still_parse() {
-        // A PR 4-era record: has `lookup` but predates `router`.
-        let pre_router = r#"{
-            "offered_qps": 1000.0, "qps": 990.0,
-            "p50_us": 10.0, "p95_us": 20.0, "p99_us": 30.0, "p999_us": 40.0,
-            "mean_latency_us": 12.0, "drop_rate": 0.01, "mean_batch_size": 4.0,
-            "workers": 2, "max_batch": 8, "max_wait_us": 100, "queue_depth": 64,
-            "completed": 990, "rejected": 10,
-            "lookup": {
-                "format": "f16", "cache_rows": 4096, "hits": 900, "misses": 100,
-                "hit_rate": 0.9, "bytes_from_cache": 57600, "bytes_from_memory": 3200,
-                "per_table_hits": [450, 450], "per_table_misses": [50, 50]
-            }
-        }"#;
-        let mut rec: ServingFrontierRecord = microrec_json::from_str(pre_router).unwrap();
-        assert!(rec.lookup.is_some());
-        assert_eq!(rec.router, None);
-
-        rec.router = Some(RouterRecord {
-            paths: vec![RouterPathRecord {
-                path: "monolithic".to_string(),
-                kind: "monolithic".to_string(),
-                format: "f16".to_string(),
-                cached: true,
-                dispatches: 120,
-                items: 1900,
-                mean_predicted_us: 800.0,
-                mean_observed_us: 820.0,
-                fixed_us: 5.0,
-                per_item_us: 50.0,
-                single_us: 55.0,
-            }],
-            slo_fallbacks: 3,
-            probes: 2,
-            traffic_hit_rate: 0.82,
-        });
-        let encoded = microrec_json::to_string(&rec);
-        let back: ServingFrontierRecord = microrec_json::from_str(&encoded).unwrap();
-        assert_eq!(back, rec);
-        let router = back.router.unwrap();
-        assert_eq!(router.paths.len(), 1);
-        assert_eq!(router.paths[0].path, "monolithic");
-        assert_eq!(router.slo_fallbacks, 3);
-    }
-
-    #[test]
-    fn serving_record_without_migrations_field_still_parses() {
-        // A PR 7-era record: has `lookup` and `router` semantics but
-        // predates traffic-adaptive placement, so no `migrations` key;
-        // decoding must default it to `None`.
-        let pre_adaptive = r#"{
-            "offered_qps": 1000.0, "qps": 990.0,
-            "p50_us": 10.0, "p95_us": 20.0, "p99_us": 30.0, "p999_us": 40.0,
-            "mean_latency_us": 12.0, "drop_rate": 0.01, "mean_batch_size": 4.0,
-            "workers": 2, "max_batch": 8, "max_wait_us": 100, "queue_depth": 64,
-            "completed": 990, "rejected": 10,
-            "lookup": {
-                "format": "f16", "cache_rows": 4096, "hits": 900, "misses": 100,
-                "hit_rate": 0.9, "bytes_from_cache": 57600, "bytes_from_memory": 3200,
-                "per_table_hits": [450, 450], "per_table_misses": [50, 50]
-            }
-        }"#;
-        let rec: ServingFrontierRecord = microrec_json::from_str(pre_adaptive).unwrap();
-        assert_eq!(rec.migrations, None);
-        assert!(rec.lookup.is_some());
-
-        // And the migration-extended form round-trips.
-        let extended = rec.with_migrations(&[MigrationRecord {
-            generation: 1,
-            trigger_hits: 42_000,
-            trigger_misses: 18_000,
-            divergence: 0.12,
-            old_weighted_us: 1.9,
-            new_weighted_us: 1.67,
-            tables_moved: 3,
-            build_us: 5200.0,
-            swap_us: 4.0,
-        }]);
-        let encoded = microrec_json::to_string(&extended);
-        let back: ServingFrontierRecord = microrec_json::from_str(&encoded).unwrap();
-        assert_eq!(back, extended);
-        let migrations = back.migrations.unwrap();
-        assert_eq!(migrations.len(), 1);
-        assert_eq!(migrations[0].generation, 1);
-        assert_eq!(migrations[0].tables_moved, 3);
-    }
-
-    #[test]
-    fn serving_record_with_lookup_round_trips() {
-        let old = r#"{
-            "offered_qps": 1000.0, "qps": 990.0,
-            "p50_us": 10.0, "p95_us": 20.0, "p99_us": 30.0, "p999_us": 40.0,
-            "mean_latency_us": 12.0, "drop_rate": 0.01, "mean_batch_size": 4.0,
-            "workers": 2, "max_batch": 8, "max_wait_us": 100, "queue_depth": 64,
-            "completed": 990, "rejected": 10
-        }"#;
-        let mut rec: ServingFrontierRecord = microrec_json::from_str(old).unwrap();
-        rec.lookup = Some(LookupCountersRecord {
-            format: "f16".to_string(),
-            cache_rows: 4096,
-            hits: 900,
-            misses: 100,
-            hit_rate: 0.9,
-            bytes_from_cache: 57600,
-            bytes_from_memory: 3200,
-            per_table_hits: vec![450, 450],
-            per_table_misses: vec![50, 50],
-            resident_hits: Some(80),
-            cold_reads: Some(20),
-            prefetch_hits: Some(18),
-            bytes_from_cold: Some(640),
-        });
-        let encoded = microrec_json::to_string(&rec);
-        let back: ServingFrontierRecord = microrec_json::from_str(&encoded).unwrap();
-        assert_eq!(back, rec);
-        let lookup = back.lookup.unwrap();
-        assert_eq!(lookup.format, "f16");
-        assert_eq!(lookup.per_table_hits, vec![450, 450]);
-        assert_eq!(lookup.cold_reads, Some(20));
-    }
-
-    #[test]
-    fn lookup_record_without_tier_fields_still_parses() {
-        // A PR 4-era `lookup` block predates the tiered parameter store:
-        // no per-tier keys; decoding must default each of them to `None`.
-        let pre_tiered = r#"{
-            "format": "f16", "cache_rows": 4096, "hits": 900, "misses": 100,
-            "hit_rate": 0.9, "bytes_from_cache": 57600, "bytes_from_memory": 3200,
-            "per_table_hits": [450, 450], "per_table_misses": [50, 50]
-        }"#;
-        let rec: LookupCountersRecord = microrec_json::from_str(pre_tiered).unwrap();
-        assert_eq!(rec.resident_hits, None);
-        assert_eq!(rec.cold_reads, None);
-        assert_eq!(rec.prefetch_hits, None);
-        assert_eq!(rec.bytes_from_cold, None);
-        assert_eq!(rec.hits, 900);
-        // And the tier-extended form round-trips.
-        let tiered = LookupCountersRecord {
-            resident_hits: Some(700),
-            cold_reads: Some(200),
-            prefetch_hits: Some(180),
-            bytes_from_cold: Some(6400),
-            ..rec
-        };
-        let encoded = microrec_json::to_string(&tiered);
-        let back: LookupCountersRecord = microrec_json::from_str(&encoded).unwrap();
-        assert_eq!(back, tiered);
     }
 
     #[test]

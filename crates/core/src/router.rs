@@ -12,7 +12,7 @@
 //!
 //! 1. [`ExecutionPath`] is the one dispatch trait all variants implement.
 //! 2. [`PathCost`] is a fitted linear cost `fixed + n·per_item` per path,
-//!    measured at startup (generalizing PR 6's `Calibration`).
+//!    measured at startup.
 //! 3. [`PathCostModel`] scores every registered path per batch from the
 //!    calibrated costs, EWMA-corrected observed latency, and a live
 //!    traffic-cacheability sketch, and applies the SLO guard.
@@ -30,8 +30,7 @@ use microrec_embedding::{ModelSpec, RowFormat};
 
 use crate::engine::{MicroRec, MicroRecBuilder};
 use crate::error::MicroRecError;
-use crate::pipeline::plan::{calibration_queries, Calibration};
-use crate::pipeline::{ExecutionMode, PipelineExecutor, PipelinePlan, PipelineShared};
+use crate::pipeline::{PipelineExecutor, PipelinePlan, PipelineShared};
 use crate::pool::EnginePool;
 use crate::sync::lock_or_recover;
 
@@ -80,47 +79,16 @@ const SKETCH_SLOTS: usize = 4096;
 const SKETCH_WINDOW: u64 = 1024;
 /// Single-item timing iterations during startup calibration.
 const CALIBRATION_SINGLES: usize = 8;
-/// Analytic shape model: µs per FLOP (two per MAC) on the packed FC
-/// datapath — `1 / (2 · dnn.gmacs_per_s)` with the perf ledger's traced
-/// `fc-batch` value of ≈ 14 GMAC/s (builder-default Q2.13, one AVX2 core;
-/// `crates/bench/src/bin/ledger/`). [`PathCostModel::from_shape`] only
-/// compares terms built from it against a stage hop: a tiny MLP's whole
-/// stack (≈ 1 kFLOP, 0.04 µs) is far below one hop, so it stays
-/// monolithic; `dlrm_rmc2(8,16)`'s layers off its bottleneck stage
-/// (≈ 1.3 MFLOP, 47 µs) cost several hops, so pipelining them pays.
-const SHAPE_US_PER_FLOP: f64 = 3.6e-5;
-/// Analytic shape model: µs per gathered embedding byte.
-const SHAPE_US_PER_BYTE: f64 = 2.5e-4;
-/// Analytic shape model: monolithic forward overhead vs the packed
-/// stage kernels (re-quantization, unpacked weights).
-const SHAPE_MONO_FACTOR: f64 = 1.6;
-/// Analytic shape model: default per-hop handoff cost, µs.
-pub const SHAPE_DEFAULT_HOP_US: f64 = 6.0;
 
 /// Which engine variant a path runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PathKind {
     /// One [`MicroRec`] engine, batched fast path.
     Monolithic,
-    /// [`PipelineExecutor`] over a non-replicated staged plan.
+    /// [`PipelineExecutor`] over a staged plan.
     Pipelined,
-    /// [`PipelineExecutor`] over a lane-replicated staged plan.
-    Replicated,
     /// [`EnginePool`] sharding batches across replicas.
     Pool,
-}
-
-impl PathKind {
-    /// Stable lowercase label.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PathKind::Monolithic => "monolithic",
-            PathKind::Pipelined => "pipelined",
-            PathKind::Replicated => "replicated",
-            PathKind::Pool => "pool",
-        }
-    }
 }
 
 /// Identity of one routable path: variant, arena format, cache config.
@@ -398,79 +366,6 @@ impl PathCostModel {
         }
     }
 
-    /// The thin two-path model PR 6's `ExecutionMode::Auto` reduces to:
-    /// the measured monolithic path vs the calibrated staged plan.
-    #[must_use]
-    pub fn from_calibration(calibration: &Calibration, plan: &PipelinePlan) -> Self {
-        let staged = if plan.is_replicated() { PathKind::Replicated } else { PathKind::Pipelined };
-        let mut model = PathCostModel::new(vec![
-            PathDescriptor {
-                name: "monolithic",
-                kind: PathKind::Monolithic,
-                format: "any",
-                cached: false,
-            },
-            PathDescriptor { name: staged.as_str(), kind: staged, format: "any", cached: false },
-        ]);
-        model.seed_cost(
-            0,
-            PathCost {
-                fixed_us: 0.0,
-                per_item_us: calibration.monolithic_us,
-                single_us: calibration.monolithic_us,
-            },
-        );
-        model.seed_cost(
-            1,
-            PathCost {
-                fixed_us: 0.0,
-                per_item_us: calibration.pipelined_us,
-                single_us: calibration.pipelined_us,
-            },
-        );
-        model
-    }
-
-    /// A purely analytic monolithic-vs-pipelined model from the model
-    /// shape alone — per-layer MACs (bottleneck stage bounds the
-    /// pipeline), gathered bytes, and `hop_us` per stage handoff. Fully
-    /// deterministic; used to sanity-check routing decisions against
-    /// shape intuition (tiny MLP → monolithic, deep MLP → pipelined).
-    #[must_use]
-    pub fn from_shape(spec: &ModelSpec, hop_us: f64) -> Self {
-        let dims = spec.mlp_layer_dims();
-        let bottleneck_flops = dims.windows(2).map(|w| 2 * w[0] * w[1]).max().unwrap_or(0) as f64;
-        let total_flops = spec.flops_per_item() as f64;
-        let lookup_us = spec.gathered_bytes_per_item(microrec_embedding::Precision::F32) as f64
-            * SHAPE_US_PER_BYTE;
-        let mono_us = total_flops * SHAPE_US_PER_FLOP * SHAPE_MONO_FACTOR + lookup_us;
-        let bottleneck_us = (bottleneck_flops * SHAPE_US_PER_FLOP).max(lookup_us) + hop_us.max(0.0);
-        let mut model = PathCostModel::new(vec![
-            PathDescriptor {
-                name: "monolithic",
-                kind: PathKind::Monolithic,
-                format: "any",
-                cached: false,
-            },
-            PathDescriptor {
-                name: "pipelined",
-                kind: PathKind::Pipelined,
-                format: "any",
-                cached: false,
-            },
-        ]);
-        model.seed_cost(0, PathCost { fixed_us: 0.0, per_item_us: mono_us, single_us: mono_us });
-        model.seed_cost(
-            1,
-            PathCost {
-                fixed_us: 0.0,
-                per_item_us: bottleneck_us,
-                single_us: mono_us + hop_us.max(0.0) * spec.hidden.len().max(1) as f64,
-            },
-        );
-        model
-    }
-
     /// Number of registered paths.
     #[must_use]
     pub fn num_paths(&self) -> usize {
@@ -728,26 +623,6 @@ impl PathCostModel {
         }
     }
 
-    /// The [`ExecutionMode`] of the current lowest-cost path — PR 6's
-    /// `Calibration::choose`, restated over the unified cost model. Ties
-    /// resolve to the earliest-registered path (monolithic first).
-    #[must_use]
-    pub fn choose_mode(&self) -> ExecutionMode {
-        let mut best = PathKind::Monolithic;
-        let mut best_us = f64::INFINITY;
-        for p in &self.paths {
-            if p.cost.per_item_us < best_us {
-                best_us = p.cost.per_item_us;
-                best = p.descriptor.kind;
-            }
-        }
-        match best {
-            PathKind::Monolithic | PathKind::Pool => ExecutionMode::Monolithic,
-            PathKind::Pipelined => ExecutionMode::Pipelined,
-            PathKind::Replicated => ExecutionMode::Replicated,
-        }
-    }
-
     /// Point-in-time statistics for reporting.
     #[must_use]
     pub fn snapshot(&self) -> RouterSnapshot {
@@ -778,6 +653,25 @@ impl PathCostModel {
             traffic_hit_rate: self.sketch.hit_rate(),
         }
     }
+}
+
+/// Deterministic calibration query set: valid ids for every table slot,
+/// spread by a fixed LCG so lookups stride across rows (and the hot-row
+/// cache sees a realistic mix).
+fn calibration_queries(spec: &ModelSpec, count: usize) -> Vec<Vec<u64>> {
+    let arity = spec.lookups_per_item() as usize;
+    let per_table = spec.lookups_per_table.max(1) as usize;
+    (0..count as u64)
+        .map(|k| {
+            (0..arity as u64)
+                .map(|j| {
+                    let rows =
+                        spec.tables[(j as usize / per_table).min(spec.tables.len() - 1)].rows;
+                    (k.wrapping_mul(7919).wrapping_add(j.wrapping_mul(104_729))) % rows.max(1)
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// The single dispatch seam over every engine variant: anything that can
@@ -872,9 +766,7 @@ impl PathSet {
     /// The matrix: the monolithic engine as configured; a cache-off
     /// monolithic twin when a hot-row cache is configured (the uniform-
     /// traffic escape path); a per-layer staged pipeline; and a two-
-    /// replica cache-off [`EnginePool`]. Replicated staged plans remain
-    /// routable through the [`ExecutionPath`] seam but are not part of
-    /// the default matrix on single-core hosts. A tiered builder
+    /// replica cache-off [`EnginePool`]. A tiered builder
     /// registers its monolithic paths as `"tiered"`/`"tiered-nocache"`
     /// (every path shares one tiered backing), so the cost model learns
     /// the tiered store's real cost rather than an all-resident estimate.
@@ -1095,25 +987,6 @@ impl PathSet {
         lock_or_recover(&self.model).observe(decision, items, observed_us);
     }
 
-    /// Routes, executes, times, and feeds back one batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying engine's error (no feedback is recorded
-    /// for failed batches).
-    pub fn run_batch(
-        &mut self,
-        queries: &[Vec<u64>],
-        remaining_us: Option<f64>,
-        overload: bool,
-    ) -> Result<(RouteDecision, Vec<f32>), MicroRecError> {
-        let decision = self.route(queries, remaining_us, overload);
-        let start = Instant::now();
-        let outputs = self.predict_batch_on(decision.path, queries)?;
-        self.observe(&decision, queries.len(), start.elapsed().as_secs_f64() * 1e6);
-        Ok((decision, outputs))
-    }
-
     /// Point-in-time router statistics.
     #[must_use]
     pub fn snapshot(&self) -> RouterSnapshot {
@@ -1254,20 +1127,17 @@ mod tests {
     }
 
     #[test]
-    fn shape_model_prefers_monolithic_for_tiny_mlps_and_pipelined_for_deep_ones() {
-        use microrec_embedding::TableSpec;
-        let tiny = ModelSpec::new(
-            "tiny-mlp",
-            (0..4).map(|i| TableSpec::new(format!("t{i}"), 1_000, 4)).collect(),
-            vec![16],
-            2,
-        );
-        let tiny_model = PathCostModel::from_shape(&tiny, SHAPE_DEFAULT_HOP_US);
-        assert_eq!(tiny_model.choose_mode(), ExecutionMode::Monolithic);
-
-        let deep = ModelSpec::dlrm_rmc2(8, 16);
-        let deep_model = PathCostModel::from_shape(&deep, SHAPE_DEFAULT_HOP_US);
-        assert_eq!(deep_model.choose_mode(), ExecutionMode::Pipelined);
+    fn calibration_queries_are_valid_and_deterministic() {
+        let spec = ModelSpec::dlrm_rmc2(4, 4);
+        let a = calibration_queries(&spec, 16);
+        let b = calibration_queries(&spec, 16);
+        assert_eq!(a, b);
+        assert_eq!(a.len(), 16);
+        for q in &a {
+            assert_eq!(q.len(), spec.lookups_per_item() as usize);
+        }
+        let distinct: std::collections::HashSet<&Vec<u64>> = a.iter().collect();
+        assert!(distinct.len() > 1, "queries must not all collide");
     }
 
     #[test]

@@ -40,17 +40,12 @@ use crate::engine::{MicroRec, MicroRecBuilder};
 use crate::epoch::{ArenaGeneration, GenerationCell};
 use crate::error::MicroRecError;
 use crate::pipeline::{
-    Calibration, ExecutionMode, PipelineConfig, PipelineExecutor, PipelinePlan, PipelineShared,
-    StageSnapshot,
+    ExecutionMode, PipelineConfig, PipelineExecutor, PipelinePlan, PipelineShared, StageSnapshot,
 };
 use crate::report::MigrationRecord;
 use crate::router::{PathCostModel, PathSet, RouterSnapshot};
 use crate::sync::{lock_or_recover, recover};
 use queue::{BoundedQueue, PushError};
-
-/// Calibration queries per micro-benchmark when [`ExecutionMode::Auto`]
-/// resolves at startup (a one-time cost before the first worker spawns).
-const AUTO_CALIBRATION_ROUNDS: usize = 48;
 
 /// How often the adaptive driver re-reads the shared lookup counters and
 /// re-evaluates the [`ReshardingPolicy`] gates.
@@ -78,9 +73,7 @@ pub struct RuntimeConfig {
     /// Full-queue behavior.
     pub admission: AdmissionPolicy,
     /// How each worker executes inference: the classic monolithic
-    /// predict path, the staged dataflow pipeline (fixed or replicated
-    /// topology), [`ExecutionMode::Auto`], which calibrates at startup
-    /// and routes on the measured cost model, or
+    /// predict path, the staged per-layer dataflow pipeline, or
     /// [`ExecutionMode::Routed`], which re-routes every formed batch
     /// across the full path matrix.
     pub execution: ExecutionMode,
@@ -233,7 +226,6 @@ struct SharedStats {
     /// serve through the tiered parameter store.
     tier_resident_hits: AtomicU64,
     tier_cold_reads: AtomicU64,
-    tier_prefetch_hits: AtomicU64,
     tier_bytes_from_cold: AtomicU64,
     tier_cold_errors: AtomicU64,
 }
@@ -273,9 +265,6 @@ pub struct RuntimeLookupStats {
     pub resident_hits: u64,
     /// Rows read from the file-backed cold store (L3).
     pub cold_reads: u64,
-    /// Cold reads whose async response was already complete when
-    /// collected (fully overlapped with resident-tier work).
-    pub prefetch_hits: u64,
     /// Bytes moved off the cold store.
     pub bytes_from_cold: u64,
     /// Cold reads that failed (truncated/unreadable store file).
@@ -333,7 +322,7 @@ pub struct RuntimeSnapshot {
     /// Enqueue→completion latency percentiles.
     pub latency: LatencyPercentiles,
     /// Per-stage dataflow counters summed across workers, present under
-    /// the staged modes (pipelined / replicated).
+    /// pipelined and routed execution.
     pub stages: Option<Vec<StageSnapshot>>,
 }
 
@@ -361,13 +350,8 @@ pub struct ServingRuntime {
     queue: Arc<BoundedQueue<Request>>,
     stats: Arc<SharedStats>,
     config: RuntimeConfig,
-    /// The mode actually running ([`ExecutionMode::Auto`] resolves to a
-    /// concrete mode at startup).
-    resolved: ExecutionMode,
     /// The staged topology in use (`None` under monolithic execution).
     plan: Option<PipelinePlan>,
-    /// The startup cost model, when the runtime calibrated (`Auto` only).
-    calibration: Option<Calibration>,
     expected_arity: usize,
     /// `(row format, cache rows per worker, tiered)` when the engines run
     /// a hot-row cache and/or the tiered parameter store.
@@ -436,49 +420,18 @@ impl ServingRuntime {
             engine.reset_stats();
             Ok(engine)
         };
-        // Resolve what actually runs. `Auto` calibrates one replica up
-        // front and routes on the measured cost model; every already-built
-        // replica is recycled into the worker pool.
         let mut engines: Vec<MicroRec> = Vec::new();
-        let (resolved, plan, calibration) = match config.execution {
-            ExecutionMode::Monolithic => (ExecutionMode::Monolithic, None, None),
+        let plan = match config.execution {
+            // Routed took the early return above.
+            ExecutionMode::Monolithic | ExecutionMode::Routed => None,
             ExecutionMode::Pipelined => {
                 let engine = warm_engine(&builder)?;
                 let layers = engine.model().hidden.len() + 1;
                 engines.push(engine);
-                let plan = PipelinePlan::per_layer(layers, PipelineConfig::default().fifo_depth);
-                (ExecutionMode::Pipelined, Some(plan), None)
-            }
-            ExecutionMode::Replicated => {
-                let engine = warm_engine(&builder)?;
-                let layers = engine.model().hidden.len() + 1;
-                engines.push(engine);
-                let plan =
-                    PipelinePlan::replicated_default(layers, PipelineConfig::default().fifo_depth);
-                (ExecutionMode::Replicated, Some(plan), None)
-            }
-            ExecutionMode::Auto => {
-                let probe = warm_engine(&builder)?;
-                let (mut engine, plan, calibration) = PipelinePlan::calibrate(
-                    probe,
-                    microrec_par::default_threads(),
-                    AUTO_CALIBRATION_ROUNDS,
-                )?;
-                engine.reset_stats();
-                engines.push(engine);
-                // Auto is the router restricted to its two measured
-                // paths: argmin over the unified cost model.
-                let mode = PathCostModel::from_calibration(&calibration, &plan).choose_mode();
-                let plan = if mode == ExecutionMode::Monolithic { None } else { Some(plan) };
-                (mode, plan, Some(calibration))
-            }
-            ExecutionMode::Routed => {
-                // Handled by the early return above; nothing resolves here.
-                (ExecutionMode::Monolithic, None, None)
+                Some(PipelinePlan::per_layer(layers, PipelineConfig::default().fifo_depth))
             }
         };
-        let lanes_per_worker = plan.as_ref().map_or(1, |p| p.lookup_lanes.max(1));
-        while engines.len() < config.workers * lanes_per_worker {
+        while engines.len() < config.workers {
             engines.push(warm_engine(&builder)?);
         }
         let expected_arity =
@@ -535,8 +488,11 @@ impl ServingRuntime {
         let mut pipelines = Vec::new();
         let mut engine_pool = engines.into_iter();
         for id in 0..config.workers {
-            let mut lane_engines: Vec<MicroRec> =
-                engine_pool.by_ref().take(lanes_per_worker).collect();
+            // This worker's replica, as the lookup-lane list `with_plan`
+            // takes. The monolithic arm pops it back out: the ledger's
+            // `setup_s` moves with the allocation order here, so that arm
+            // allocates exactly what it always has.
+            let mut lane_engines: Vec<MicroRec> = engine_pool.by_ref().take(1).collect();
             let spawned =
                 std::thread::Builder::new().name(format!("microrec-worker-{id}")).spawn({
                     let queue = Arc::clone(&queue);
@@ -545,12 +501,10 @@ impl ServingRuntime {
                         None => {
                             let Some(engine) = lane_engines.pop() else {
                                 // Unreachable: the pool is sized above.
-                                queue.close();
-                                for worker in workers {
-                                    let _ = worker.join();
-                                }
-                                return Err(MicroRecError::Runtime(
-                                    "worker engine pool exhausted".into(),
+                                return Err(abort_start(
+                                    &queue,
+                                    workers,
+                                    MicroRecError::Runtime("worker engine pool exhausted".into()),
                                 ));
                             };
                             Box::new(move || {
@@ -558,18 +512,12 @@ impl ServingRuntime {
                             }) as Box<dyn FnOnce() + Send>
                         }
                         Some(plan) => {
-                            // Decompose this worker's replicas into stage
-                            // lanes before spawning, so spawn failures and
-                            // build failures surface here.
+                            // Decompose this worker's replica into stages
+                            // before spawning, so spawn failures and build
+                            // failures surface here.
                             let executor = match PipelineExecutor::with_plan(lane_engines, plan) {
                                 Ok(executor) => executor,
-                                Err(e) => {
-                                    queue.close();
-                                    for worker in workers {
-                                        let _ = worker.join();
-                                    }
-                                    return Err(e);
-                                }
+                                Err(e) => return Err(abort_start(&queue, workers, e)),
                             };
                             pipelines.push(Arc::clone(executor.shared()));
                             Box::new(move || {
@@ -581,13 +529,11 @@ impl ServingRuntime {
             match spawned {
                 Ok(handle) => workers.push(handle),
                 Err(e) => {
-                    queue.close();
-                    for worker in workers {
-                        let _ = worker.join();
-                    }
-                    return Err(MicroRecError::Runtime(format!(
-                        "failed to spawn worker {id}: {e}"
-                    )));
+                    return Err(abort_start(
+                        &queue,
+                        workers,
+                        MicroRecError::Runtime(format!("failed to spawn worker {id}: {e}")),
+                    ));
                 }
             }
         }
@@ -620,13 +566,11 @@ impl ServingRuntime {
                     reshard_stop = Some(stop);
                 }
                 Err(e) => {
-                    queue.close();
-                    for worker in workers {
-                        let _ = worker.join();
-                    }
-                    return Err(MicroRecError::Runtime(format!(
-                        "failed to spawn the re-shard driver: {e}"
-                    )));
+                    return Err(abort_start(
+                        &queue,
+                        workers,
+                        MicroRecError::Runtime(format!("failed to spawn the re-shard driver: {e}")),
+                    ));
                 }
             }
         }
@@ -634,9 +578,7 @@ impl ServingRuntime {
             queue,
             stats,
             config,
-            resolved,
             plan,
-            calibration,
             expected_arity,
             lookup_meta,
             pipelines,
@@ -710,13 +652,11 @@ impl ServingRuntime {
             match spawned {
                 Ok(handle) => workers.push(handle),
                 Err(e) => {
-                    queue.close();
-                    for worker in workers {
-                        let _ = worker.join();
-                    }
-                    return Err(MicroRecError::Runtime(format!(
-                        "failed to spawn worker {id}: {e}"
-                    )));
+                    return Err(abort_start(
+                        &queue,
+                        workers,
+                        MicroRecError::Runtime(format!("failed to spawn worker {id}: {e}")),
+                    ));
                 }
             }
         }
@@ -724,9 +664,7 @@ impl ServingRuntime {
             queue,
             stats,
             config,
-            resolved: ExecutionMode::Routed,
             plan: None,
-            calibration: None,
             expected_arity,
             lookup_meta: None,
             pipelines,
@@ -744,26 +682,11 @@ impl ServingRuntime {
         &self.config
     }
 
-    /// The execution mode actually running. Equal to
-    /// `config().execution` except under [`ExecutionMode::Auto`], which
-    /// resolves to the calibrated winner at startup.
-    #[must_use]
-    pub fn resolved_execution(&self) -> ExecutionMode {
-        self.resolved
-    }
-
     /// The staged lane topology the workers run, or `None` under
     /// monolithic execution.
     #[must_use]
     pub fn plan(&self) -> Option<&PipelinePlan> {
         self.plan.as_ref()
-    }
-
-    /// The startup cost model, when the runtime calibrated (only under
-    /// [`ExecutionMode::Auto`]).
-    #[must_use]
-    pub fn calibration(&self) -> Option<&Calibration> {
-        self.calibration.as_ref()
     }
 
     /// Per-path routing statistics (dispatch counts, predicted vs
@@ -890,7 +813,6 @@ impl ServingRuntime {
             tiered,
             resident_hits: self.stats.tier_resident_hits.load(Relaxed),
             cold_reads: self.stats.tier_cold_reads.load(Relaxed),
-            prefetch_hits: self.stats.tier_prefetch_hits.load(Relaxed),
             bytes_from_cold: self.stats.tier_bytes_from_cold.load(Relaxed),
             cold_errors: self.stats.tier_cold_errors.load(Relaxed),
         })
@@ -965,6 +887,21 @@ impl Drop for ServingRuntime {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// Unwinds a start-up that failed part-way: closes the queue so the
+/// workers already spawned drain out, joins them, and hands `error` back
+/// for the caller to return.
+fn abort_start(
+    queue: &BoundedQueue<Request>,
+    workers: Vec<JoinHandle<()>>,
+    error: MicroRecError,
+) -> MicroRecError {
+    queue.close();
+    for worker in workers {
+        let _ = worker.join();
+    }
+    error
 }
 
 /// Books a popped batch — one more batch, closed for `close` — and moves
@@ -1082,7 +1019,6 @@ impl PublishedLookups {
             let delta = now.delta_since(&self.tier);
             stats.tier_resident_hits.fetch_add(delta.resident_hits, Relaxed);
             stats.tier_cold_reads.fetch_add(delta.cold_reads, Relaxed);
-            stats.tier_prefetch_hits.fetch_add(delta.prefetch_hits, Relaxed);
             stats.tier_bytes_from_cold.fetch_add(delta.bytes_from_cold, Relaxed);
             stats.tier_cold_errors.fetch_add(delta.cold_errors, Relaxed);
             if engine.hot_row_cache().is_none() {
@@ -1202,9 +1138,7 @@ mod close_tests {
             queue: Arc::new(BoundedQueue::new(config.queue_depth)),
             stats: Arc::new(SharedStats::default()),
             config,
-            resolved: ExecutionMode::Monolithic,
             plan: None,
-            calibration: None,
             expected_arity: model.num_tables() * model.lookups_per_table as usize,
             lookup_meta: None,
             pipelines: Vec::new(),

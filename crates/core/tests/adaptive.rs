@@ -159,7 +159,16 @@ fn rotated_hot_set_triggers_a_second_migration() {
     assert!(total >= 2, "rotated skew must migrate again, got {total} migration(s)");
     let records = runtime.migration_records();
     assert!(records[1].generation > records[0].generation);
-    assert!(records[1].tables_moved > 0);
+    for m in &records {
+        assert!(m.tables_moved > 0, "gen {}: a migration must move tables", m.generation);
+        assert!(
+            m.new_weighted_us < m.old_weighted_us,
+            "gen {}: a migration must lower the traffic-weighted lookup cost ({} -> {} us)",
+            m.generation,
+            m.old_weighted_us,
+            m.new_weighted_us,
+        );
+    }
     runtime.shutdown();
 }
 

@@ -1,8 +1,8 @@
 //! End-to-end tests for the staged dataflow pipeline: bit-identity with
 //! the monolithic predict path across every precision × arena-format ×
-//! cache combination (including replicated lane topologies), clean
-//! shutdown drain through the serving runtime, auto-mode calibration,
-//! per-lane cache-counter merging, and stage-failure containment.
+//! cache combination (including hand-built multi-lane topologies), clean
+//! shutdown drain through the serving runtime, per-lane cache-counter
+//! accounting, and stage-failure containment.
 
 use microrec_core::{
     ExecutionMode, MicroRec, MicroRecBuilder, PipelineConfig, PipelineExecutor, PipelinePlan,
@@ -233,6 +233,17 @@ fn replicated_lanes_are_bit_identical_and_ordered_everywhere() {
                         "{precision:?} / {label} / {lanes} lanes: query {i} diverged"
                     );
                 }
+                let stages = exec.stage_stats();
+                assert_eq!(stages[0].lanes, lanes as u64, "lookup runs as {lanes} lane(s)");
+                assert_eq!(stages[1].lanes, lanes as u64);
+                for stage in &stages {
+                    assert_eq!(
+                        stage.items,
+                        queries.len() as u64,
+                        "stage {} lost jobs across its lanes",
+                        stage.name
+                    );
+                }
                 let engines = exec.shutdown_all();
                 assert_eq!(engines.len(), lanes, "every lane engine comes back");
             }
@@ -241,105 +252,52 @@ fn replicated_lanes_are_bit_identical_and_ordered_everywhere() {
 }
 
 #[test]
-fn replicated_runtime_drains_cleanly_and_reports_lanes() {
-    let queries = small_queries(300);
-    let mut mono = small_builder(Precision::Fixed16).build().unwrap();
-    let expected: Vec<f32> = queries.iter().map(|q| mono.predict(q).unwrap()).collect();
-
-    let config = RuntimeConfig {
-        workers: 1,
-        max_batch: 16,
-        execution: ExecutionMode::Replicated,
-        ..RuntimeConfig::default()
-    };
-    let mut runtime = ServingRuntime::start(small_builder(Precision::Fixed16), config).unwrap();
-    assert_eq!(runtime.resolved_execution(), ExecutionMode::Replicated);
-    assert_eq!(runtime.plan().expect("replicated runtime has a plan").lookup_lanes, 2);
-    let pending: Vec<_> =
-        queries.iter().map(|q| runtime.submit(q.clone()).expect("submit")).collect();
-    let snapshot = runtime.shutdown();
-
-    assert_eq!(snapshot.completed, 300);
-    assert_eq!(snapshot.failed, 0);
-    for (p, e) in pending.into_iter().zip(&expected) {
-        let got = p.wait().expect("every admitted request completes");
-        assert_eq!(got.to_bits(), e.to_bits(), "replicated runtime diverged from monolithic");
-    }
-
-    let stages = snapshot.stages.expect("replicated runtime publishes stage counters");
-    assert_eq!(stages[0].name, "lookup");
-    assert_eq!(stages[0].lanes, 2, "lookup runs as two lanes");
-    for stage in &stages {
-        assert_eq!(stage.items, 300, "stage {} lost jobs across its lanes", stage.name);
-    }
-}
-
-#[test]
-fn auto_runtime_calibrates_routes_and_serves() {
-    let queries = small_queries(100);
-    let mut mono = small_builder(Precision::Fixed16).build().unwrap();
-    let expected: Vec<f32> = queries.iter().map(|q| mono.predict(q).unwrap()).collect();
-
-    let config = RuntimeConfig {
-        workers: 1,
-        max_batch: 16,
-        execution: ExecutionMode::Auto,
-        ..RuntimeConfig::default()
-    };
-    let mut runtime = ServingRuntime::start(small_builder(Precision::Fixed16), config).unwrap();
-    let resolved = runtime.resolved_execution();
-    assert_ne!(resolved, ExecutionMode::Auto, "auto resolves to a concrete mode at startup");
-    let calibration = runtime.calibration().expect("auto keeps its cost model").clone();
-    assert!(calibration.monolithic_us > 0.0);
-    assert!(calibration.pipelined_us > 0.0);
-    assert_eq!(calibration.layer_us.len(), 3, "one service time per MLP layer");
-
-    let pending: Vec<_> =
-        queries.iter().map(|q| runtime.submit(q.clone()).expect("submit")).collect();
-    let snapshot = runtime.shutdown();
-    assert_eq!(snapshot.completed, 100);
-    for (p, e) in pending.into_iter().zip(&expected) {
-        let got = p.wait().expect("predict");
-        assert_eq!(got.to_bits(), e.to_bits(), "auto-routed runtime diverged from monolithic");
-    }
-}
-
-#[test]
-fn replicated_cache_counters_merge_without_double_counting() {
+fn lane_cache_counters_account_for_every_lookup_once() {
     // The same workload through a single-lane pipelined runtime and a
-    // two-lane replicated one. Each lookup lane owns a private cache, so
-    // hit/miss splits differ, but the merged totals must account for
-    // every row lookup exactly once in both topologies.
+    // hand-built two-lane executor. Each lookup lane owns a private cache,
+    // so hit/miss splits differ, but the totals must account for every
+    // row lookup exactly once in both topologies.
     let queries = small_queries(20);
     let rows_per_query = 6 * 4; // tables x lookups_per_table
     let repeats = 5;
     let expected_lookups = (queries.len() * repeats * rows_per_query) as u64;
+    let builder =
+        || small_builder(Precision::Fixed16).embedding_arena(RowFormat::F16).hot_row_cache(256);
 
-    let mut totals = Vec::new();
-    for execution in [ExecutionMode::Pipelined, ExecutionMode::Replicated] {
-        let config = RuntimeConfig { workers: 1, max_batch: 8, execution, ..Default::default() };
-        let builder =
-            small_builder(Precision::Fixed16).embedding_arena(RowFormat::F16).hot_row_cache(256);
-        let mut runtime = ServingRuntime::start(builder, config).unwrap();
-        let pending: Vec<_> = (0..repeats)
-            .flat_map(|_| queries.iter().map(|q| runtime.submit(q.clone()).expect("submit")))
-            .collect();
-        for p in pending {
-            p.wait().expect("predict");
-        }
-        runtime.shutdown();
-        let stats = runtime.lookup_stats().expect("cache-enabled runtime exposes lookup stats");
-        assert!(stats.hits > 0, "{execution:?}: repeated queries must hit the cache");
-        assert_eq!(
-            stats.hits + stats.misses,
-            expected_lookups,
-            "{execution:?}: every lookup counted exactly once"
-        );
-        let per_table: u64 = stats.per_table_hits.iter().chain(&stats.per_table_misses).sum();
-        assert_eq!(per_table, expected_lookups, "{execution:?}: per-table totals agree");
-        totals.push(stats.hits + stats.misses);
+    let config = RuntimeConfig {
+        workers: 1,
+        max_batch: 8,
+        execution: ExecutionMode::Pipelined,
+        ..Default::default()
+    };
+    let mut runtime = ServingRuntime::start(builder(), config).unwrap();
+    let pending: Vec<_> = (0..repeats)
+        .flat_map(|_| queries.iter().map(|q| runtime.submit(q.clone()).expect("submit")))
+        .collect();
+    for p in pending {
+        p.wait().expect("predict");
     }
-    assert_eq!(totals[0], totals[1], "lane count must not change the lookup total");
+    runtime.shutdown();
+    let stats = runtime.lookup_stats().expect("cache-enabled runtime exposes lookup stats");
+    assert!(stats.hits > 0, "repeated queries must hit the cache");
+    assert_eq!(stats.hits + stats.misses, expected_lookups, "every lookup counted exactly once");
+    let per_table: u64 = stats.per_table_hits.iter().chain(&stats.per_table_misses).sum();
+    assert_eq!(per_table, expected_lookups, "per-table totals agree");
+
+    let engines: Vec<MicroRec> = (0..2).map(|_| builder().build().unwrap()).collect();
+    let mut exec = PipelineExecutor::with_plan(engines, &replicated_plan(2)).unwrap();
+    for _ in 0..repeats {
+        exec.predict_batch(&queries).unwrap();
+    }
+    let lane_total: u64 = exec
+        .shutdown_all()
+        .iter()
+        .map(|engine| {
+            let cache = engine.hot_row_cache().expect("every lane has its cache");
+            cache.hits() + cache.misses()
+        })
+        .sum();
+    assert_eq!(lane_total, expected_lookups, "lane count must not change the lookup total");
 }
 
 #[test]

@@ -41,6 +41,7 @@ fn drain_on_shutdown_loses_nothing() {
     }
     assert!(snapshot.mean_latency_us > 0.0);
     assert!(snapshot.latency.p50_us <= snapshot.latency.p999_us);
+    assert!(snapshot.latency.p99_us.is_finite() && snapshot.latency.p99_us > 0.0);
 }
 
 #[test]

@@ -120,7 +120,7 @@ struct TableLoc {
 ///     EmbeddingTable::procedural(TableSpec::new("a", 100, 8), 1),
 ///     EmbeddingTable::procedural(TableSpec::new("b", 50, 8), 2),
 /// ];
-/// let arena = EmbeddingArena::build(&tables, RowFormat::F32, &[0, 0], u64::MAX)?;
+/// let arena = EmbeddingArena::build(&tables, RowFormat::F32, &[0, 0])?;
 /// let mut row = [0.0f32; 8];
 /// arena.read_row_into(1, 7, &mut row)?;
 /// let mut expect = [0.0f32; 8];
@@ -343,20 +343,18 @@ fn relocate<T: Copy + Default>(
 impl EmbeddingArena {
     /// Materializes `tables` into channel arenas. `channel_of[i]` assigns
     /// logical table `i` to a memory channel (use all zeros for a single
-    /// arena). Fails if the encoded arena would exceed `limit_bytes`.
+    /// arena).
     ///
     /// # Errors
     ///
     /// Returns [`EmbeddingError::BufferSizeMismatch`] if `channel_of` does
-    /// not have one entry per table, or
-    /// [`EmbeddingError::TooLargeToMaterialize`] over `limit_bytes`.
+    /// not have one entry per table.
     pub fn build(
         tables: &[EmbeddingTable],
         format: RowFormat,
         channel_of: &[usize],
-        limit_bytes: u64,
     ) -> Result<Self, EmbeddingError> {
-        Self::build_on(tables, format, channel_of, limit_bytes, fill_threads)
+        Self::build_on(tables, format, channel_of, fill_threads)
     }
 
     /// [`build`](Self::build) with the fill's thread count (a function of
@@ -365,7 +363,6 @@ impl EmbeddingArena {
         tables: &[EmbeddingTable],
         format: RowFormat,
         channel_of: &[usize],
-        limit_bytes: u64,
         threads_for: impl FnOnce(u64) -> usize,
     ) -> Result<Self, EmbeddingError> {
         if channel_of.len() != tables.len() {
@@ -383,13 +380,6 @@ impl EmbeddingArena {
         let total_rows: u64 = tables.iter().map(EmbeddingTable::rows).sum();
         let scale_rows = if format == RowFormat::I8 { total_rows } else { 0 };
         let total_bytes = layout.bytes(elem_bytes).saturating_add(scale_rows.saturating_mul(4));
-        if total_bytes > limit_bytes {
-            return Err(EmbeddingError::TooLargeToMaterialize {
-                table: "<arena>".into(),
-                bytes: total_bytes,
-                limit: limit_bytes,
-            });
-        }
 
         let mut scales = vec![0.0f32; scale_rows as usize];
         let threads = threads_for(total_bytes);
@@ -681,7 +671,7 @@ mod tests {
     #[test]
     fn f32_arena_is_bit_identical_to_tables() {
         let tabs = tables();
-        let arena = EmbeddingArena::build(&tabs, RowFormat::F32, &[0, 0, 0], u64::MAX).unwrap();
+        let arena = EmbeddingArena::build(&tabs, RowFormat::F32, &[0, 0, 0]).unwrap();
         for (t, table) in tabs.iter().enumerate() {
             let dim = table.dim() as usize;
             let mut got = vec![0.0f32; dim];
@@ -697,7 +687,7 @@ mod tests {
     #[test]
     fn gather_matches_catalog_order() {
         let tabs = tables();
-        let arena = EmbeddingArena::build(&tabs, RowFormat::F32, &[0, 1, 0], u64::MAX).unwrap();
+        let arena = EmbeddingArena::build(&tabs, RowFormat::F32, &[0, 1, 0]).unwrap();
         assert_eq!(arena.feature_len(), 24);
         let indices = [7u64, 3, 59];
         let mut got = vec![0.0f32; 24];
@@ -713,7 +703,7 @@ mod tests {
     fn quantized_formats_bound_error() {
         let tabs = tables();
         for (format, tol) in [(RowFormat::F16, 1e-3f32), (RowFormat::I8, 1.0 / 127.0)] {
-            let arena = EmbeddingArena::build(&tabs, format, &[0, 0, 0], u64::MAX).unwrap();
+            let arena = EmbeddingArena::build(&tabs, format, &[0, 0, 0]).unwrap();
             let mut got = [0.0f32; 12];
             let mut want = [0.0f32; 12];
             for (t, table) in tabs.iter().enumerate() {
@@ -733,7 +723,7 @@ mod tests {
     #[test]
     fn arena_bases_are_aligned() {
         for format in [RowFormat::F32, RowFormat::F16, RowFormat::I8] {
-            let arena = EmbeddingArena::build(&tables(), format, &[0, 0, 1], u64::MAX).unwrap();
+            let arena = EmbeddingArena::build(&tables(), format, &[0, 0, 1]).unwrap();
             assert!(arena.is_aligned(), "{format} arena misaligned");
         }
     }
@@ -741,9 +731,9 @@ mod tests {
     #[test]
     fn quantized_formats_shrink_storage() {
         let tabs = tables();
-        let f32a = EmbeddingArena::build(&tabs, RowFormat::F32, &[0, 0, 0], u64::MAX).unwrap();
-        let f16a = EmbeddingArena::build(&tabs, RowFormat::F16, &[0, 0, 0], u64::MAX).unwrap();
-        let i8a = EmbeddingArena::build(&tabs, RowFormat::I8, &[0, 0, 0], u64::MAX).unwrap();
+        let f32a = EmbeddingArena::build(&tabs, RowFormat::F32, &[0, 0, 0]).unwrap();
+        let f16a = EmbeddingArena::build(&tabs, RowFormat::F16, &[0, 0, 0]).unwrap();
+        let i8a = EmbeddingArena::build(&tabs, RowFormat::I8, &[0, 0, 0]).unwrap();
         assert!(f16a.total_bytes() < f32a.total_bytes());
         assert!(i8a.total_bytes() < f16a.total_bytes());
         assert_eq!(f32a.source_row_bytes(0), 32);
@@ -851,15 +841,13 @@ mod tests {
                 for tables in [&procedural, &materialized] {
                     for threads in [1usize, 2, 7] {
                         let arena =
-                            EmbeddingArena::build_on(tables, format, &channel_of, u64::MAX, |_| {
-                                threads
-                            })
-                            .unwrap();
+                            EmbeddingArena::build_on(tables, format, &channel_of, |_| threads)
+                                .unwrap();
                         assert_matches_row_by_row_build(&arena, tables, format, &channel_of);
                     }
                 }
                 // A relocated arena is the arena built in the new place.
-                let moved = EmbeddingArena::build(&procedural, format, &channel_of, u64::MAX)
+                let moved = EmbeddingArena::build(&procedural, format, &channel_of)
                     .unwrap()
                     .rebuild_with_channels(&[1, 0, 0, 2, 1], 1)
                     .unwrap();
@@ -903,7 +891,7 @@ mod tests {
     fn rebuild_relocates_bit_identically_in_every_format() {
         let tabs = tables();
         for format in [RowFormat::F32, RowFormat::F16, RowFormat::I8] {
-            let old = EmbeddingArena::build(&tabs, format, &[0, 1, 0], u64::MAX).unwrap();
+            let old = EmbeddingArena::build(&tabs, format, &[0, 1, 0]).unwrap();
             // Rotate the channel assignment: table moves across channels.
             let new = old.rebuild_with_channels(&[1, 0, 0], 3).unwrap();
             assert_eq!(new.generation(), 3);
@@ -930,9 +918,9 @@ mod tests {
     #[test]
     fn rebuild_to_fewer_channels_compacts() {
         let tabs = tables();
-        let spread = EmbeddingArena::build(&tabs, RowFormat::F16, &[0, 1, 2], u64::MAX).unwrap();
+        let spread = EmbeddingArena::build(&tabs, RowFormat::F16, &[0, 1, 2]).unwrap();
         let packed = spread.rebuild_with_channels(&[0, 0, 0], 1).unwrap();
-        let direct = EmbeddingArena::build(&tabs, RowFormat::F16, &[0, 0, 0], u64::MAX).unwrap();
+        let direct = EmbeddingArena::build(&tabs, RowFormat::F16, &[0, 0, 0]).unwrap();
         assert_eq!(packed.total_bytes(), direct.total_bytes());
         let mut a = vec![0.0f32; 8];
         let mut b = vec![0.0f32; 8];
@@ -943,7 +931,7 @@ mod tests {
 
     #[test]
     fn rebuild_rejects_wrong_arity() {
-        let arena = EmbeddingArena::build(&tables(), RowFormat::F32, &[0, 0, 0], u64::MAX).unwrap();
+        let arena = EmbeddingArena::build(&tables(), RowFormat::F32, &[0, 0, 0]).unwrap();
         assert!(matches!(
             arena.rebuild_with_channels(&[0, 0], 1),
             Err(EmbeddingError::BufferSizeMismatch { .. })
@@ -951,16 +939,8 @@ mod tests {
     }
 
     #[test]
-    fn build_respects_limit() {
-        assert!(matches!(
-            EmbeddingArena::build(&tables(), RowFormat::F32, &[0, 0, 0], 64),
-            Err(EmbeddingError::TooLargeToMaterialize { .. })
-        ));
-    }
-
-    #[test]
     fn bad_reads_fail() {
-        let arena = EmbeddingArena::build(&tables(), RowFormat::F32, &[0, 0, 0], u64::MAX).unwrap();
+        let arena = EmbeddingArena::build(&tables(), RowFormat::F32, &[0, 0, 0]).unwrap();
         let mut out = [0.0f32; 8];
         assert!(arena.read_row_into(0, 40, &mut out).is_err());
         assert!(arena.read_row_into(9, 0, &mut out).is_err());

@@ -156,28 +156,6 @@ impl ModelSpec {
         flops
     }
 
-    /// Activation widths of the top MLP, input-first and output-last:
-    /// `[feature_len, hidden..., 1]`. Consecutive pairs describe one dense
-    /// layer, so routers can reason about per-stage work without building
-    /// the network.
-    #[must_use]
-    pub fn mlp_layer_dims(&self) -> Vec<u64> {
-        let mut dims = Vec::with_capacity(self.hidden.len() + 2);
-        dims.push(u64::from(self.feature_len()));
-        dims.extend(self.hidden.iter().map(|&h| u64::from(h)));
-        dims.push(1);
-        dims
-    }
-
-    /// Bytes of embedding data gathered per inference item at `precision` —
-    /// the memory-traffic side of a path cost descriptor, complementing
-    /// [`ModelSpec::flops_per_item`] on the compute side.
-    #[must_use]
-    pub fn gathered_bytes_per_item(&self, precision: Precision) -> u64 {
-        u64::from(self.lookups_per_table)
-            * self.tables.iter().map(|t| u64::from(t.row_bytes(precision))).sum::<u64>()
-    }
-
     /// Checks internal consistency of the spec.
     ///
     /// # Errors
@@ -382,25 +360,6 @@ mod tests {
         assert_eq!(m.feature_len(), 876);
         let gb = m.total_bytes(Precision::F32) as f64 / GB;
         assert!((14.5..=15.7).contains(&gb), "large model is {gb:.2} GB, paper says 15.1 GB");
-    }
-
-    #[test]
-    fn path_descriptor_helpers_match_shape() {
-        let m = ModelSpec::new(
-            "d",
-            vec![TableSpec::new("a", 10, 4), TableSpec::new("b", 10, 8)],
-            vec![16, 8],
-            2,
-        );
-        // feature_len = (4 + 8) * 2 = 24.
-        assert_eq!(m.mlp_layer_dims(), vec![24, 16, 8, 1]);
-        // Consecutive-dims MACs must agree with flops_per_item.
-        let dims = m.mlp_layer_dims();
-        let macs: u64 = dims.windows(2).map(|w| 2 * w[0] * w[1]).sum();
-        assert_eq!(macs, m.flops_per_item());
-        // 2 lookups * (4 + 8) elems * 2 bytes.
-        assert_eq!(m.gathered_bytes_per_item(Precision::Fixed16), 48);
-        assert_eq!(m.gathered_bytes_per_item(Precision::F32), 96);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! The paper's larger production model (98 tables, 15.1 GB) does not fit
 //! the single in-memory [`EmbeddingArena`]; NVIDIA's inference parameter
 //! server shows the production answer: keep the hot head of the access
-//! distribution resident and serve the tail from cheaper storage, hiding
-//! the miss latency with prefetch. This module supplies the two pieces the
-//! repo was missing:
+//! distribution resident and serve the tail from cheaper storage, with one
+//! read path per tier. This module supplies the two pieces the repo was
+//! missing:
 //!
 //! * **L2½/L3 split** — [`TieredBacking`] partitions the logical tables
 //!   between a budget-capped resident [`EmbeddingArena`] (whole tables,
@@ -14,15 +14,15 @@
 //!   [`ColdStore`]: the same encoded rows written to a file at build time
 //!   and read back with positioned `pread` (`FileExt::read_at`), so a cold
 //!   read moves exactly one row and never touches a shared cursor.
-//! * **Round-classified serving with async prefetch** — [`TieredStore`]
-//!   extends the batched `probe_round` protocol: a whole lookup round is
-//!   classified per tier *before* any miss is serviced, cold rows are
-//!   enqueued to a bounded prefetcher (worker threads fed by
-//!   [`microrec_par::SpscRing`] request/response pairs, reusing its
-//!   close-then-drain shutdown), resident rows are served while the cold
-//!   reads are in flight, and the responses are collected in enqueue order.
-//!   Job shells (row buffers) are pre-allocated and recycled, so the steady
-//!   state is allocation-free.
+//! * **One-pass round serving** — [`TieredStore`] walks a lookup round
+//!   once in table order: a resident row is a stride-indexed arena read, a
+//!   cold row is one positioned read into a store-owned buffer followed by
+//!   the arena's own decode kernel, on the serving thread. The read buffer
+//!   is sized once at construction, so the steady state is allocation-free.
+//!   There is no prefetcher: worker threads fed over SPSC rings served
+//!   4 987 items/s on the ledger's `lookup-cold` where this synchronous
+//!   pass serves 20 596 — a dozen futex hand-offs per item to hide a
+//!   ≈1.5 µs page-cache `pread` (EXPERIMENTS.md, "One cold-read path").
 //!
 //! ## Residency policy
 //!
@@ -47,12 +47,10 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use microrec_dnn::{
     f16_decode_le_slice, f16_encode_slice, f32_decode_le_slice, i8_dequant_le_slice, i8_quant_slice,
 };
-use microrec_par::SpscRing;
 
 use crate::arena::{EmbeddingArena, RowFormat};
 use crate::error::EmbeddingError;
@@ -170,8 +168,8 @@ fn cold_io_error(name: &str, detail: &std::io::Error) -> EmbeddingError {
 }
 
 /// Positioned full-buffer read at `offset` (pread; never moves a cursor,
-/// so one shared read-only handle serves every engine replica and
-/// prefetch worker concurrently).
+/// so one shared read-only handle serves every engine replica
+/// concurrently).
 #[cfg(unix)]
 fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
     use std::os::unix::fs::FileExt;
@@ -429,8 +427,7 @@ impl TieredBacking {
                 resident_channels.push(channel_of[i]);
             }
         }
-        let resident =
-            EmbeddingArena::build(&resident_tables, format, &resident_channels, u64::MAX)?;
+        let resident = EmbeddingArena::build(&resident_tables, format, &resident_channels)?;
         let any_cold = plan.tiers.contains(&Tier::Cold);
         let cold = if any_cold {
             Some(Arc::new(ColdStore::build(tables, format, &plan.tiers)?))
@@ -595,117 +592,16 @@ impl TieredBacking {
     }
 }
 
-/// A cold-row fetch in flight between an engine and a prefetch worker.
-/// The buffer is pre-sized to the largest cold row and recycled, so a
-/// job round-trip performs no allocation.
-#[derive(Debug)]
-struct PrefetchJob {
-    table: usize,
-    row: u64,
-    buf: Vec<u8>,
-    result: Result<(), EmbeddingError>,
-}
-
-/// Worker threads plus their request/response rings. Each worker owns one
-/// SPSC pair (the engine is the single producer of requests and single
-/// consumer of responses), so no ring ever sees two producers.
-#[derive(Debug)]
-struct Prefetcher {
-    requests: Vec<Arc<SpscRing<PrefetchJob>>>,
-    responses: Vec<Arc<SpscRing<PrefetchJob>>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl Prefetcher {
-    /// Spawns `workers` threads over rings of `depth` jobs each. Returns
-    /// `None` if the OS refuses to spawn (the caller falls back to
-    /// synchronous reads).
-    fn spawn(backing: &Arc<TieredBacking>, workers: usize, depth: usize) -> Option<Prefetcher> {
-        let mut prefetcher = Prefetcher {
-            requests: Vec::with_capacity(workers),
-            responses: Vec::with_capacity(workers),
-            workers: Vec::with_capacity(workers),
-        };
-        for i in 0..workers {
-            let requests = Arc::new(SpscRing::new(depth));
-            let responses = Arc::new(SpscRing::new(depth));
-            let thread_backing = Arc::clone(backing);
-            let thread_requests = Arc::clone(&requests);
-            let thread_responses = Arc::clone(&responses);
-            let spawned = std::thread::Builder::new()
-                .name(format!("microrec-prefetch-{i}"))
-                .spawn(move || prefetch_loop(&thread_backing, &thread_requests, &thread_responses));
-            match spawned {
-                Ok(handle) => {
-                    prefetcher.requests.push(requests);
-                    prefetcher.responses.push(responses);
-                    prefetcher.workers.push(handle);
-                }
-                Err(_) => {
-                    prefetcher.shutdown();
-                    return None;
-                }
-            }
-        }
-        Some(prefetcher)
-    }
-
-    /// Close-then-drain shutdown: stop accepting requests, drain every
-    /// response ring until the workers close their end, then join.
-    fn shutdown(&mut self) {
-        for ring in &self.requests {
-            ring.close();
-        }
-        for ring in &self.responses {
-            while ring.pop_blocking().is_some() {}
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Prefetcher {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// One prefetch worker: pop a job, perform the positioned read, hand the
-/// job back. Ends when the request ring is closed and drained; closes the
-/// response ring so the engine's collector can never block forever.
-fn prefetch_loop(
-    backing: &TieredBacking,
-    requests: &SpscRing<PrefetchJob>,
-    responses: &SpscRing<PrefetchJob>,
-) {
-    while let Some(mut job) = requests.pop_blocking() {
-        job.result = match &backing.cold {
-            Some(cold) => cold.read_row(job.table, job.row, &mut job.buf),
-            // Jobs are only enqueued for cold tables; a missing cold store
-            // means the backing was built all-resident.
-            None => Err(EmbeddingError::IndexOutOfRange {
-                table: String::new(),
-                index: job.row,
-                rows: 0,
-            }),
-        };
-        if responses.push_blocking(job).is_err() {
-            break;
-        }
-    }
-    responses.close();
-}
-
 /// Per-tier serving counters for one engine's [`TieredStore`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierCounters {
     /// Rows served by the resident arena (L2).
     pub resident_hits: u64,
-    /// Rows read from the cold store (L3), async or synchronous.
+    /// Rows read from the cold store (L3).
     pub cold_reads: u64,
-    /// Cold reads whose response was already complete when collected —
-    /// i.e. reads fully overlapped with resident-tier work.
+    /// Always 0: there is no prefetcher, every cold row is read on the
+    /// serving thread. Kept so the frozen perf ledger
+    /// (`embedding.prefetch_hit_frac`) keeps compiling.
     pub prefetch_hits: u64,
     /// Bytes moved out of the resident arena.
     pub bytes_from_resident: u64,
@@ -732,50 +628,31 @@ impl TierCounters {
     }
 }
 
-/// The per-engine serving half of the tiered store: classification,
-/// prefetch dispatch, engine-owned scratch, and counters over a shared
+/// The per-engine serving half of the tiered store: the one-pass round
+/// walk, an engine-owned cold-read buffer, and counters over a shared
 /// [`TieredBacking`].
 ///
-/// Cloning (engine replicas derive `Clone`) shares the backing but starts
-/// with a fresh, unspawned prefetcher and zeroed counters — worker threads
-/// hold `JoinHandle`s, which cannot be cloned, and each replica wants its
-/// own SPSC endpoints anyway.
+/// Cloning (engine replicas derive `Clone`) shares the backing and starts
+/// with zeroed counters.
 #[derive(Debug)]
 pub struct TieredStore {
     backing: Arc<TieredBacking>,
-    /// Prefetch worker threads to run (0 = synchronous cold reads).
-    prefetch_workers: usize,
-    /// Spawned lazily on the first cold miss so that freshly built or
-    /// cloned engines that never touch the cold tier pay nothing.
-    prefetcher: Option<Prefetcher>,
-    /// Recycled job shells (capacity = one full round of cold misses).
-    free: Vec<PrefetchJob>,
-    /// Worker index of each in-flight job, in enqueue order.
-    pending: Vec<usize>,
-    /// Read buffer for the synchronous (0-worker) cold path.
-    sync_buf: Vec<u8>,
+    /// Read buffer for cold rows (largest encoded cold row).
+    cold_buf: Vec<u8>,
     /// Prebuilt 0..n table list backing [`TieredStore::gather_round`].
     all_tables: Box<[usize]>,
     counters: TierCounters,
 }
 
 impl TieredStore {
-    /// Creates a serving view over `backing` with `prefetch_workers`
-    /// asynchronous cold readers (0 serves cold rows synchronously).
+    /// Creates a serving view over `backing`.
     #[must_use]
-    pub fn new(backing: Arc<TieredBacking>, prefetch_workers: usize) -> Self {
+    pub fn new(backing: Arc<TieredBacking>) -> Self {
         let tables = backing.num_tables();
         let buf_bytes = backing.cold.as_ref().map_or(0, |c| c.max_row_bytes());
-        let free: Vec<PrefetchJob> = (0..tables)
-            .map(|_| PrefetchJob { table: 0, row: 0, buf: vec![0u8; buf_bytes], result: Ok(()) })
-            .collect();
         TieredStore {
             backing,
-            prefetch_workers,
-            prefetcher: None,
-            free,
-            pending: Vec::with_capacity(tables),
-            sync_buf: vec![0u8; buf_bytes],
+            cold_buf: vec![0u8; buf_bytes],
             all_tables: (0..tables).collect(),
             counters: TierCounters::default(),
         }
@@ -791,12 +668,10 @@ impl TieredStore {
     /// forward* — the epoch-swap path. Counter continuity matters: callers
     /// publish per-batch [`TierCounters::delta_since`] deltas against a
     /// previous snapshot, so a swapped-in store that reset its counters to
-    /// zero would make those raw-subtraction deltas underflow. The
-    /// prefetcher is fresh and unspawned (worker threads hold the *old*
-    /// backing's `Arc`; they die with the old store).
+    /// zero would make those raw-subtraction deltas underflow.
     #[must_use]
     pub fn with_backing(&self, backing: Arc<TieredBacking>) -> TieredStore {
-        let mut store = TieredStore::new(backing, self.prefetch_workers);
+        let mut store = TieredStore::new(backing);
         store.counters = self.counters;
         store
     }
@@ -820,14 +695,12 @@ impl TieredStore {
 
     /// Serves one whole lookup round (every logical table) into `out`,
     /// with `offsets[t]` giving each table's start inside the feature
-    /// vector. The round is classified per tier before any row is
-    /// serviced; cold rows overlap with resident ones via the prefetcher.
+    /// vector.
     ///
     /// # Errors
     ///
-    /// Propagates the first row failure after the round is fully drained
-    /// (in-flight cold reads are always collected, so a failure never
-    /// desynchronizes the rings).
+    /// Propagates the first row failure after the whole round was walked
+    /// (see [`TieredStore::serve_rows`]).
     #[inline]
     pub fn gather_round(
         &mut self,
@@ -858,15 +731,15 @@ impl TieredStore {
     /// `on_row(table, filled_slot, source_bytes)` for each served row —
     /// the hook the hot-row cache uses to admit fresh rows.
     ///
-    /// Protocol: classify the whole round, enqueue every cold row to the
-    /// prefetcher, serve the resident rows while those reads are in
-    /// flight, then collect the cold responses in enqueue order.
+    /// One pass in `tables` order: a resident row is read from the arena,
+    /// a cold row is read from the store file and decoded, both on the
+    /// calling thread.
     ///
     /// # Errors
     ///
-    /// Returns the first row failure; the round is always fully drained
-    /// first, and surviving rows (including later ones) are still written
-    /// and reported to `on_row`.
+    /// Returns the first row failure; the round is always walked to the
+    /// end first, and surviving rows (including later ones) are still
+    /// written and reported to `on_row`.
     #[inline]
     pub fn serve_rows<F>(
         &mut self,
@@ -880,53 +753,6 @@ impl TieredStore {
         F: FnMut(usize, &[f32], usize),
     {
         let mut first_err: Option<EmbeddingError> = None;
-
-        // Phase 1: classify and launch. Cold rows go to the prefetch
-        // rings round-robin; resident rows are deferred to phase 2.
-        self.pending.clear();
-        let mut next_worker = 0usize;
-        if self.prefetch_workers > 0 && self.prefetcher.is_none() && self.backing.cold.is_some() {
-            let any_cold = tables.iter().any(|&t| self.backing.tiers[t] == Tier::Cold);
-            if any_cold {
-                let depth = self.backing.num_tables().max(1);
-                self.prefetcher =
-                    // lint: allow(transitive-hot-path-alloc) one-time lazy spawn on the first cold round; every later round reuses the workers and rings
-                    Prefetcher::spawn(&self.backing, self.prefetch_workers, depth);
-                if self.prefetcher.is_none() {
-                    // Spawn refused: degrade to synchronous reads for good.
-                    self.prefetch_workers = 0;
-                }
-            }
-        }
-        if let Some(prefetcher) = &self.prefetcher {
-            let lanes = prefetcher.requests.len();
-            for &t in tables {
-                if self.backing.tiers[t] != Tier::Cold {
-                    continue;
-                }
-                let Some(mut job) = self.free.pop() else { break };
-                job.table = t;
-                job.row = indices[t];
-                job.result = Ok(());
-                match prefetcher.requests[next_worker].push_blocking(job) {
-                    Ok(()) => {
-                        self.pending.push(next_worker);
-                        next_worker = (next_worker + 1) % lanes;
-                    }
-                    Err(rejected) => {
-                        // Ring closed (shutdown race): recycle and fall
-                        // back to the synchronous path below.
-                        self.free.push(rejected);
-                        break;
-                    }
-                }
-            }
-        }
-
-        // Phase 2: resident rows (and, with no prefetcher, cold rows
-        // synchronously), while the async reads are in flight.
-        let launched = self.pending.len();
-        let mut seen_cold = 0usize;
         for &t in tables {
             let dim = self.backing.dims[t];
             let offset = offsets[t];
@@ -952,14 +778,10 @@ impl TieredStore {
                     }
                 }
                 Tier::Cold => {
-                    seen_cold += 1;
-                    if seen_cold <= launched {
-                        continue; // travelling through the prefetcher
-                    }
                     let Some(cold) = &self.backing.cold else { continue };
-                    match cold.read_row(t, indices[t], &mut self.sync_buf) {
+                    match cold.read_row(t, indices[t], &mut self.cold_buf) {
                         Ok(()) => {
-                            cold.decode_row(&self.sync_buf, slot);
+                            cold.decode_row(&self.cold_buf, slot);
                             let bytes = cold.row_bytes(t);
                             self.counters.cold_reads += 1;
                             self.counters.bytes_from_cold += bytes as u64;
@@ -975,59 +797,6 @@ impl TieredStore {
                 }
             }
         }
-
-        // Phase 3: collect the in-flight cold rows in enqueue order. Every
-        // launched job is drained even after a failure, so the rings stay
-        // consistent for the next round.
-        for i in 0..self.pending.len() {
-            let worker = self.pending[i];
-            let Some(prefetcher) = &self.prefetcher else { break };
-            let mut job = match prefetcher.responses[worker].try_pop() {
-                Some(job) => {
-                    self.counters.prefetch_hits += 1;
-                    job
-                }
-                None => match prefetcher.responses[worker].pop_blocking() {
-                    Some(job) => job,
-                    None => {
-                        // Response ring closed mid-round: shutdown race.
-                        if first_err.is_none() {
-                            first_err = Some(EmbeddingError::ColdTierIo {
-                                table: String::new(),
-                                detail: "prefetcher shut down mid-round".to_string(),
-                            });
-                        }
-                        break;
-                    }
-                },
-            };
-            let t = job.table;
-            // Move the result out of the shell (replaced with Ok) so error
-            // propagation transfers ownership instead of cloning.
-            match std::mem::replace(&mut job.result, Ok(())) {
-                Ok(()) => {
-                    if let Some(cold) = &self.backing.cold {
-                        let dim = self.backing.dims[t];
-                        let offset = offsets[t];
-                        let slot = &mut out[offset..offset + dim];
-                        cold.decode_row(&job.buf, slot);
-                        let bytes = cold.row_bytes(t);
-                        self.counters.cold_reads += 1;
-                        self.counters.bytes_from_cold += bytes as u64;
-                        on_row(t, slot, bytes);
-                    }
-                }
-                Err(e) => {
-                    self.counters.cold_errors += 1;
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-            self.free.push(job);
-        }
-        self.pending.clear();
-
         match first_err {
             Some(e) => Err(e),
             None => Ok(()),
@@ -1037,7 +806,7 @@ impl TieredStore {
 
 impl Clone for TieredStore {
     fn clone(&self) -> Self {
-        TieredStore::new(Arc::clone(&self.backing), self.prefetch_workers)
+        TieredStore::new(Arc::clone(&self.backing))
     }
 }
 
@@ -1091,39 +860,31 @@ mod tests {
         let channel_of = vec![0usize; tabs.len()];
         let offsets = offsets_of(&tabs);
         for format in [RowFormat::F32, RowFormat::F16, RowFormat::I8] {
-            let full = EmbeddingArena::build(&tabs, format, &channel_of, u64::MAX).unwrap();
+            let full = EmbeddingArena::build(&tabs, format, &channel_of).unwrap();
             let budget = total_bytes(&tabs, format) / 3;
-            for workers in [0usize, 2] {
-                let backing = TieredBacking::build(&tabs, format, &channel_of, budget).unwrap();
-                assert!(backing.num_resident_tables() < tabs.len(), "cold tier must exist");
-                assert!(backing.resident_bytes() <= budget);
-                let mut store = TieredStore::new(Arc::clone(&backing), workers);
-                let mut got = vec![0.0f32; backing.feature_len()];
-                let mut want = vec![0.0f32; backing.feature_len()];
-                for q in 0u64..50 {
-                    let indices: Vec<u64> = tabs
-                        .iter()
-                        .enumerate()
-                        .map(|(i, t)| (q * 13 + i as u64 * 7) % t.rows())
-                        .collect();
-                    store.gather_round(&indices, &offsets, &mut got).unwrap();
-                    full.gather_into(&indices, &mut want).unwrap();
-                    for (i, (a, b)) in got.iter().zip(&want).enumerate() {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "format {format:?} workers {workers} query {q} elem {i}"
-                        );
-                    }
+            let backing = TieredBacking::build(&tabs, format, &channel_of, budget).unwrap();
+            assert!(backing.num_resident_tables() < tabs.len(), "cold tier must exist");
+            assert!(backing.resident_bytes() <= budget);
+            let mut store = TieredStore::new(Arc::clone(&backing));
+            let mut got = vec![0.0f32; backing.feature_len()];
+            let mut want = vec![0.0f32; backing.feature_len()];
+            for q in 0u64..50 {
+                let indices: Vec<u64> = tabs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, t)| (q * 13 + i as u64 * 7) % t.rows())
+                    .collect();
+                store.gather_round(&indices, &offsets, &mut got).unwrap();
+                full.gather_into(&indices, &mut want).unwrap();
+                for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "format {format:?} query {q} elem {i}");
                 }
-                let c = store.counters();
-                assert!(c.resident_hits > 0 && c.cold_reads > 0);
-                assert_eq!(c.cold_errors, 0);
-                if workers == 0 {
-                    assert_eq!(c.prefetch_hits, 0, "sync path never prefetches");
-                }
-                assert!(c.bytes_from_cold > 0);
             }
+            let c = store.counters();
+            assert!(c.resident_hits > 0 && c.cold_reads > 0);
+            assert_eq!(c.cold_errors, 0);
+            assert_eq!(c.prefetch_hits, 0, "there is no prefetcher");
+            assert!(c.bytes_from_cold > 0);
         }
     }
 
@@ -1134,7 +895,7 @@ mod tests {
         let offsets = offsets_of(&tabs);
         let budget = total_bytes(&tabs, RowFormat::F32) / 3;
         let backing = TieredBacking::build(&tabs, RowFormat::F32, &channel_of, budget).unwrap();
-        let mut store = TieredStore::new(backing, 1);
+        let mut store = TieredStore::new(backing);
         let indices = vec![1u64, 2, 3, 4];
         let mut out = vec![0.0f32; store.backing().feature_len()];
         let mut admitted = Vec::new();
@@ -1161,38 +922,39 @@ mod tests {
         let budget = total_bytes(&tabs, RowFormat::F32) / 3;
         let backing = TieredBacking::build(&tabs, RowFormat::F32, &channel_of, budget).unwrap();
         let path = backing.cold_store_path().expect("cold tier exists").to_path_buf();
-        for workers in [0usize, 1] {
-            let mut store = TieredStore::new(Arc::clone(&backing), workers);
-            let mut out = vec![0.0f32; backing.feature_len()];
-            let indices = vec![0u64; tabs.len()];
-            store.gather_round(&indices, &offsets, &mut out).unwrap();
+        let mut store = TieredStore::new(Arc::clone(&backing));
+        let mut want = vec![0.0f32; backing.feature_len()];
+        let indices = vec![0u64; tabs.len()];
+        store.gather_round(&indices, &offsets, &mut want).unwrap();
 
-            // Truncate the store mid-serve: cold reads now hit EOF.
-            OpenOptions::new().write(true).open(&path).unwrap().set_len(0).unwrap();
-            let before = store.counters().cold_errors;
-            let err = store.gather_round(&indices, &offsets, &mut out).unwrap_err();
-            assert!(
-                matches!(err, EmbeddingError::ColdTierIo { .. }),
-                "workers {workers}: expected ColdTierIo, got {err:?}"
-            );
-            assert!(store.counters().cold_errors > before, "unhealthy tier must be visible");
+        // Truncate the store mid-serve: cold reads now hit EOF.
+        OpenOptions::new().write(true).open(&path).unwrap().set_len(0).unwrap();
+        let before = store.counters();
+        let mut out = vec![0.0f32; backing.feature_len()];
+        let err = store.gather_round(&indices, &offsets, &mut out).unwrap_err();
+        assert!(matches!(err, EmbeddingError::ColdTierIo { .. }), "got {err:?}");
+        let failed = store.counters().delta_since(&before);
+        let cold_tables = tabs.len() - backing.num_resident_tables();
+        assert_eq!(failed.cold_errors, cold_tables as u64, "every cold read of the round counts");
+        // The round was walked to the end: the resident rows after the
+        // first failing cold row were still served.
+        assert_eq!(failed.resident_hits, backing.num_resident_tables() as u64);
 
-            // The store keeps draining: the next round still terminates
-            // (and still fails, since the file is still truncated) without
-            // wedging a ring.
-            let err = store.gather_round(&indices, &offsets, &mut out).unwrap_err();
-            assert!(matches!(err, EmbeddingError::ColdTierIo { .. }));
+        // The next round fails the same way (the file is still truncated).
+        let err = store.gather_round(&indices, &offsets, &mut out).unwrap_err();
+        assert!(matches!(err, EmbeddingError::ColdTierIo { .. }));
 
-            // Restore the file for the next iteration of the loop.
-            drop(store);
-            let restored = ColdStore::build(
-                &tabs,
-                RowFormat::F32,
-                &ResidencyPlan::plan(&tabs, RowFormat::F32, budget).tiers,
-            )
-            .unwrap();
-            std::fs::copy(restored.path(), &path).unwrap();
-        }
+        // Restore the file's contents: later rounds are served again, by
+        // the same store, with the same bits.
+        let restored = ColdStore::build(
+            &tabs,
+            RowFormat::F32,
+            &ResidencyPlan::plan(&tabs, RowFormat::F32, budget).tiers,
+        )
+        .unwrap();
+        std::fs::copy(restored.path(), &path).unwrap();
+        store.gather_round(&indices, &offsets, &mut out).unwrap();
+        assert_eq!(out, want);
     }
 
     #[test]
@@ -1203,7 +965,7 @@ mod tests {
         assert!(backing.cold_store_path().is_none());
         assert_eq!(backing.num_resident_tables(), tabs.len());
         assert_eq!(backing.cold_bytes(), 0);
-        let mut store = TieredStore::new(backing, 2);
+        let mut store = TieredStore::new(backing);
         let offsets = offsets_of(&tabs);
         let mut out = vec![0.0f32; store.backing().feature_len()];
         store.gather_round(&[0, 0, 0, 0], &offsets, &mut out).unwrap();
@@ -1213,12 +975,12 @@ mod tests {
     }
 
     #[test]
-    fn clone_shares_backing_but_not_counters_or_workers() {
+    fn clone_shares_backing_but_not_counters() {
         let tabs = tables();
         let channel_of = vec![0usize; tabs.len()];
         let budget = total_bytes(&tabs, RowFormat::F32) / 2;
         let backing = TieredBacking::build(&tabs, RowFormat::F32, &channel_of, budget).unwrap();
-        let mut store = TieredStore::new(backing, 1);
+        let mut store = TieredStore::new(backing);
         let offsets = offsets_of(&tabs);
         let mut out = vec![0.0f32; store.backing().feature_len()];
         store.gather_round(&[1, 1, 1, 1], &offsets, &mut out).unwrap();
@@ -1226,7 +988,6 @@ mod tests {
         let clone = store.clone();
         assert!(Arc::ptr_eq(store.backing(), clone.backing()));
         assert_eq!(clone.counters(), TierCounters::default());
-        assert!(clone.prefetcher.is_none(), "clones start unspawned");
     }
 
     #[test]
@@ -1242,8 +1003,8 @@ mod tests {
             // Cold rows never move: both generations hold the same file.
             assert_eq!(old.cold_store_path(), new.cold_store_path());
             assert!(Arc::ptr_eq(old.cold.as_ref().unwrap(), new.cold.as_ref().unwrap()));
-            let mut old_store = TieredStore::new(Arc::clone(&old), 0);
-            let mut new_store = TieredStore::new(Arc::clone(&new), 0);
+            let mut old_store = TieredStore::new(Arc::clone(&old));
+            let mut new_store = TieredStore::new(Arc::clone(&new));
             let mut a = vec![0.0f32; old.feature_len()];
             let mut b = vec![0.0f32; new.feature_len()];
             for q in 0u64..30 {
@@ -1271,7 +1032,7 @@ mod tests {
         let offsets = offsets_of(&tabs);
         let budget = total_bytes(&tabs, RowFormat::F32) / 2;
         let old = TieredBacking::build(&tabs, RowFormat::F32, &[0, 0, 0, 0], budget).unwrap();
-        let mut store = TieredStore::new(Arc::clone(&old), 1);
+        let mut store = TieredStore::new(Arc::clone(&old));
         let mut out = vec![0.0f32; old.feature_len()];
         store.gather_round(&[1, 1, 1, 1], &offsets, &mut out).unwrap();
         let before = store.counters();
@@ -1280,7 +1041,6 @@ mod tests {
         let new = old.rebuild_with_channels(&[0, 1, 0, 1], 1).unwrap();
         let mut swapped = store.with_backing(Arc::clone(&new));
         assert_eq!(swapped.counters(), before, "swap must not reset counters");
-        assert!(swapped.prefetcher.is_none(), "swapped store starts unspawned");
         assert!(Arc::ptr_eq(swapped.backing(), &new));
         // Deltas against a pre-swap snapshot stay monotone (no underflow).
         swapped.gather_round(&[2, 2, 2, 2], &offsets, &mut out).unwrap();

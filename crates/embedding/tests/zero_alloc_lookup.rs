@@ -75,7 +75,7 @@ fn steady_state_lookup_never_allocates() {
     let dims = [16u32; 6];
 
     for format in [RowFormat::F32, RowFormat::F16, RowFormat::I8] {
-        let arena = EmbeddingArena::build(&tables, format, &[0; 6], u64::MAX).unwrap();
+        let arena = EmbeddingArena::build(&tables, format, &[0; 6]).unwrap();
         let mut cache = HotRowCache::new(&dims, 256, 8);
         let mut out = vec![0.0f32; arena.feature_len()];
         // A deterministic skewed trace: row = i² mod 97 re-hits heavily.
