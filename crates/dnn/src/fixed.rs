@@ -10,12 +10,29 @@
 //! * [`Q32`] — Q8.23: 1 sign bit, 8 integer bits, 23 fraction bits
 //!   (range ±256, resolution ≈ 1.2e-7).
 //!
-//! Both saturate on overflow (the behaviour of a DSP datapath with
-//! saturation logic) and round to nearest on conversion from `f32`.
+//! Both round to nearest on conversion from `f32`, and a single add or
+//! multiply saturates on overflow (the behaviour of a DSP datapath with
+//! saturation logic). They differ in the multiply–accumulate chain of an
+//! inner product ([`FixedNum::Acc`]):
+//!
+//! * Q2.13 accumulates **wide and saturates once per output**, as a DSP
+//!   slice does: the raw 32-bit products are summed exactly (an `i64` holds
+//!   any realistic `k`), the sum is shifted down 13 bits (floor, as
+//!   [`Q16::saturating_mul`] truncates) and clamped to `i16`. Partial sums
+//!   may leave ±4 and come back; the result is the exact inner product
+//!   wherever that is representable, and does not depend on the order of
+//!   the terms — which is what lets a `vpmaddwd` kernel compute it.
+//! * Q8.23 is unchanged: every product is truncated and every add
+//!   saturates, in the kernels' fixed 4-lane order. Its 64-bit products
+//!   have no wider hardware accumulator to model on this host, and with 8
+//!   integer bits a partial sum essentially never reaches the rails.
 
 use std::fmt;
 use std::iter::Sum;
+use std::num::NonZeroUsize;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub};
+
+use crate::gemm::PackedB;
 
 macro_rules! define_fixed {
     (
@@ -181,10 +198,10 @@ define_fixed!(
 /// A numeric type the quantized datapath can compute in.
 ///
 /// Implemented by [`Q16`], [`Q32`], and `f32` (the reference path), letting
-/// the same layer code run at every precision the paper evaluates.
-pub trait FixedNum:
-    Copy + Add<Output = Self> + Mul<Output = Self> + Sum + PartialOrd + fmt::Debug + 'static
-{
+/// the same layer code run at every precision the paper evaluates. Generic
+/// code can add (the bias) but not multiply: products exist only inside
+/// [`mac`](FixedNum::mac), each precision's one inner-product definition.
+pub trait FixedNum: Copy + Add<Output = Self> + Sum + PartialOrd + fmt::Debug + 'static {
     /// Additive identity.
     const ZERO: Self;
     /// Converts from `f32` (rounding/saturating as the format requires).
@@ -194,14 +211,43 @@ pub trait FixedNum:
     /// ReLU.
     fn relu(self) -> Self;
 
+    /// The running sum of an inner product. `mac` and `narrow` over it are
+    /// the one place a precision's multiply–accumulate is defined; every
+    /// kernel in the crate (`dot_scalar`, the tiles, their k-tails) is
+    /// written over them.
+    ///
+    /// `f32` and [`Q32`] accumulate in `Self`: each step rounds or
+    /// saturates, so which partial sums exist is part of the number and the
+    /// kernels share one 4-lane order. [`Q16`] accumulates raw products
+    /// exactly in an `i64` and narrows once, so any order gives its result.
+    #[doc(hidden)]
+    type Acc: Copy + Default + Add<Output = Self::Acc>;
+
+    /// `acc + x · w`.
+    #[doc(hidden)]
+    fn mac(acc: Self::Acc, x: Self, w: Self) -> Self::Acc;
+
+    /// The finished sum as an output value.
+    #[doc(hidden)]
+    fn narrow(acc: Self::Acc) -> Self;
+
+    /// How many k-quads of these packed weights a kernel may sum in `i32`
+    /// before widening to [`Acc`](FixedNum::Acc), found once per
+    /// [`PackedB`]; `None` where no kernel may accumulate narrower than
+    /// `Acc`.
+    #[doc(hidden)]
+    fn i32_quads(_packed: &[Self]) -> Option<NonZeroUsize> {
+        None
+    }
+
     /// The register-tiled kernel behind [`gemm_packed`](crate::gemm_packed):
     /// writes `C[i][j]` for every batch row `i` and every column `j` of the
-    /// full 4-column `panels` of a [`PackedB`](crate::PackedB) (`a` is
-    /// `m × k`, `c` is `m × n`, both row-major). Precisions with a vector
-    /// datapath override it; the result is bit-identical either way.
+    /// full 4-column panels of `b` (`a` is `m × k`, `c` is `m × n`, both
+    /// row-major). Precisions with a vector datapath override it; the
+    /// result is bit-identical either way.
     #[doc(hidden)]
-    fn gemm_panels(a: &[Self], k: usize, panels: &[Self], n: usize, c: &mut [Self]) {
-        crate::gemm::gemm_panels_portable(a, k, panels, n, c);
+    fn gemm_panels(a: &[Self], b: &PackedB<Self>, c: &mut [Self]) {
+        crate::gemm::gemm_panels_portable(a, b.k(), b.panels(), b.n(), c);
     }
 }
 
@@ -216,8 +262,18 @@ impl FixedNum for Q16 {
     fn relu(self) -> Self {
         Q16::relu(self)
     }
-    fn gemm_panels(a: &[Self], k: usize, panels: &[Self], n: usize, c: &mut [Self]) {
-        crate::gemm::gemm_panels_q16(a, k, panels, n, c);
+    type Acc = i64;
+    fn mac(acc: i64, x: Self, w: Self) -> i64 {
+        acc + i64::from(x.0) * i64::from(w.0)
+    }
+    fn narrow(acc: i64) -> Self {
+        Q16((acc >> Q16::FRAC_BITS).clamp(i64::from(i16::MIN), i64::from(i16::MAX)) as i16)
+    }
+    fn i32_quads(packed: &[Self]) -> Option<NonZeroUsize> {
+        crate::gemm::q16_i32_quads(packed)
+    }
+    fn gemm_panels(a: &[Self], b: &PackedB<Self>, c: &mut [Self]) {
+        crate::gemm::gemm_panels_q16(a, b, c);
     }
 }
 
@@ -232,6 +288,13 @@ impl FixedNum for Q32 {
     fn relu(self) -> Self {
         Q32::relu(self)
     }
+    type Acc = Self;
+    fn mac(acc: Self, x: Self, w: Self) -> Self {
+        acc + x * w
+    }
+    fn narrow(acc: Self) -> Self {
+        acc
+    }
 }
 
 impl FixedNum for f32 {
@@ -245,8 +308,15 @@ impl FixedNum for f32 {
     fn relu(self) -> Self {
         self.max(0.0)
     }
-    fn gemm_panels(a: &[Self], k: usize, panels: &[Self], n: usize, c: &mut [Self]) {
-        crate::gemm::gemm_panels_f32(a, k, panels, n, c);
+    type Acc = Self;
+    fn mac(acc: Self, x: Self, w: Self) -> Self {
+        acc + x * w
+    }
+    fn narrow(acc: Self) -> Self {
+        acc
+    }
+    fn gemm_panels(a: &[Self], b: &PackedB<Self>, c: &mut [Self]) {
+        crate::gemm::gemm_panels_f32(a, b, c);
     }
 }
 

@@ -2,12 +2,17 @@
 //!
 //! Two families live here. The **oracle** is [`dot_scalar`] (and its
 //! weight-quantizing twin [`dot_quantizing`], behind [`gemv`] and
-//! `Mlp::forward`): one inner product over two contiguous slices with 4
-//! accumulator lanes, lane `l` summing the products at `k ≡ l (mod 4)` in
+//! `Mlp::forward`): one inner product over two contiguous slices, written
+//! over the precision's own multiply–accumulate ([`FixedNum::Acc`]) with 4
+//! accumulator lanes — lane `l` summing the products at `k ≡ l (mod 4)` in
 //! ascending `k`, the lanes combined pairwise `(l0+l1)+(l2+l3)` and the
-//! `k mod 4` tail appended last. That summation order *is* the definition
-//! of every result in this crate — under Q-format saturation, and under
-//! `f32` rounding, any other order is a different number.
+//! `k mod 4` tail appended last. For `f32` and Q8.23, whose every step
+//! rounds or saturates, that summation order *is* the definition of the
+//! result — any other order is a different number. Q2.13 sums raw products
+//! exactly in an `i64` and saturates once per output
+//! (`clamp_i16((Σ xₖ·wₖ) >> 13)`, a DSP slice's wide accumulator), so the
+//! same code yields the order-independent exact result and a kernel is free
+//! to regroup its terms.
 //!
 //! The **batched kernel** ([`PackedB`] + [`gemm_packed`]) computes the same
 //! numbers with a register-tiled micro-kernel over a panel-interleaved
@@ -22,36 +27,42 @@
 //! full panel the `n mod 4` tail columns, each contiguous — one buffer of
 //! exactly `k·n` elements, no second layout. A vector register loaded from
 //! a k-quad therefore holds *4 k-lanes × 4 columns*: element `4c + l` is
-//! lane `l` of column `c`. Multiplying it element-wise by the activation
-//! quad `[x0 x1 x2 x3]` broadcast four times and adding it element-wise
-//! into an accumulator performs, in every element, exactly the oracle's
-//! `lanes[l] = lanes[l] + x[l] * w[l]` for one output — no element ever
-//! sees another's product, so saturation (or rounding) happens at the same
-//! step with the same operands as in [`dot_scalar`]. The tile keeps
-//! [`MR`] = 4 batch rows of accumulators in registers, so each weight
-//! vector is loaded once per 4 rows; panels are the outer loop, so B is
-//! streamed exactly once per call while the panel (`8k` bytes at Q2.13)
-//! stays in L1 across the batch. Lanes are combined and the k-tail
-//! appended by the same scalar code at every precision ([`finish_row`]).
+//! lane `l` of column `c`. For the lane-ordered precisions, multiplying it
+//! element-wise by the activation quad `[x0 x1 x2 x3]` broadcast four times
+//! and adding it element-wise into an accumulator performs, in every
+//! element, exactly the oracle's `lanes[l] = lanes[l] + x[l] * w[l]` for
+//! one output — no element ever sees another's product, so each rounding
+//! (or saturation) happens at the same step with the same operands as in
+//! [`dot_scalar`]. The tile keeps [`MR`] = 4 batch rows of accumulators in
+//! registers, so each weight vector is loaded once per 4 rows; panels are
+//! the outer loop, so B is streamed exactly once per call while the panel
+//! (`8k` bytes at Q2.13) stays in L1 across the batch. Lanes are combined
+//! ([`combine_lanes`]) and the k-tail appended ([`finish_row`]) by the same
+//! scalar code at every precision.
 //!
 //! Per precision ([`FixedNum::gemm_panels`] picks at run time):
 //!
-//! * **Q2.13 on AVX2** — 16 MACs per op-group of 8 vector instructions:
-//!   `mullo_epi16` + `mulhi_epi16` (the exact 32-bit products, split),
-//!   2 × `unpack{lo,hi}_epi16` (rejoined), 2 × `srai_epi32(13)`,
-//!   `packs_epi32` (saturate to `i16` — together `Q16::saturating_mul`),
-//!   `adds_epi16` (`Q16::saturating_add`). unpack and pack work within
-//!   128-bit halves and undo each other's element order. That op-group is
-//!   the ceiling: 2 MACs per vector instruction against the 16 per
-//!   instruction of the `f32` FMA peak the ledger measures as
-//!   `host.peak_gmacs_per_s` — `dnn.roofline_frac` divides by the latter,
-//!   so a perfectly scheduled Q2.13 kernel still reads well under 1.
-//! * **`f32` on AVX2** — the same tile, two 8-float vectors per k-quad
-//!   (2 columns each), `mul_ps` then `add_ps`; never FMA, which rounds
-//!   once where the oracle rounds twice.
-//! * **Q8.23, and every precision off AVX2** — the same tile in portable
-//!   scalar code ([`gemm_panels_portable`]), also the in-crate reference
-//!   the vector tiles are pinned against.
+//! * **Q2.13 on AVX2** — the k-quad layout already puts k-pairs side by
+//!   side, so `madd_epi16` (`vpmaddwd`) turns one weight vector and one
+//!   broadcast activation quad into 8 exact `i32` pair sums
+//!   `x₀w₀ + x₁w₁`, `x₂w₂ + x₃w₃` per column, and `add_epi32` accumulates
+//!   them: 16 MACs per 2 vector instructions. An `i32` lane holds
+//!   [`PackedB`]'s `i32_quads` k-quads of such sums without overflow (a
+//!   bound from the packed weights' largest magnitude, found at pack time;
+//!   45–63 for this repo's Xavier layers), after which it is widened into
+//!   two `i64` accumulators per row — the `Acc` the oracle sums in. Nothing
+//!   rounds or saturates before [`FixedNum::narrow`], so the regrouping is
+//!   exact. (The ledger's `dnn.roofline_frac` divides by the `f32`-FMA peak,
+//!   `host.peak_gmacs_per_s`: 16 MACs per instruction against this tile's 8.)
+//! * **`f32` on AVX2** — the lane-ordered tile, two 8-float vectors per
+//!   k-quad (2 columns each), `mul_ps` then `add_ps`; never FMA, which
+//!   rounds once where the oracle rounds twice.
+//! * **Q8.23, and every precision off AVX2** — the lane-ordered tile in
+//!   portable scalar code ([`gemm_panels_portable`]), also the in-crate
+//!   reference the vector tiles are pinned against; Q2.13 panels holding a
+//!   weight of −32768 take it too (see [`q16_i32_quads`]).
+
+use std::num::NonZeroUsize;
 
 use crate::error::DnnError;
 use crate::fixed::{FixedNum, Q16};
@@ -66,55 +77,52 @@ const QUAD: usize = NR * LANES;
 /// Batch rows per register tile.
 const MR: usize = 4;
 
-/// Inner product of two equal-length slices with 4 unrolled accumulator
-/// lanes, combined pairwise (`(l0+l1)+(l2+l3)`), remainder appended last.
+/// The oracle's lane structure over `len` operand pairs: 4 accumulator
+/// lanes (`pair(j)` goes to lane `j mod 4`), combined pairwise
+/// (`(l0+l1)+(l2+l3)`), the `len mod 4` remainder appended last, then
+/// narrowed — each step the precision's own [`FixedNum::mac`].
+#[inline]
+fn dot_lanes<T: FixedNum>(len: usize, pair: impl Fn(usize) -> (T, T)) -> T {
+    let mac = |acc: T::Acc, j: usize| {
+        let (x, w) = pair(j);
+        T::mac(acc, x, w)
+    };
+    let mut lanes = [T::Acc::default(); LANES];
+    let quads = len / LANES;
+    for i in 0..quads {
+        let j = i * LANES;
+        lanes[0] = mac(lanes[0], j);
+        lanes[1] = mac(lanes[1], j + 1);
+        lanes[2] = mac(lanes[2], j + 2);
+        lanes[3] = mac(lanes[3], j + 3);
+    }
+    let sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+    T::narrow((quads * LANES..len).fold(sum, mac))
+}
+
+/// Inner product of two equal-length slices — the oracle (`dot_lanes`).
 ///
-/// This is the oracle: [`dot_quantizing`] has the identical lane structure
-/// and [`gemm_packed`] reproduces it per output, which is what makes
-/// batched and single-item inference bit-identical — same element
-/// products, same summation order.
+/// [`dot_quantizing`] is the same function over on-the-fly weights and
+/// [`gemm_packed`] reproduces it per output, which is what makes batched
+/// and single-item inference bit-identical: at `f32` and Q8.23 the same
+/// element products in the same summation order, at Q2.13 the same exact
+/// sum.
 #[inline]
 pub fn dot_scalar<T: FixedNum>(a: &[T], b: &[T]) -> T {
     debug_assert_eq!(a.len(), b.len());
-    let mut lanes = [T::ZERO; LANES];
-    let quads = a.len() / LANES;
-    for i in 0..quads {
-        let j = i * LANES;
-        lanes[0] = lanes[0] + a[j] * b[j];
-        lanes[1] = lanes[1] + a[j + 1] * b[j + 1];
-        lanes[2] = lanes[2] + a[j + 2] * b[j + 2];
-        lanes[3] = lanes[3] + a[j + 3] * b[j + 3];
-    }
-    let mut sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-    for j in quads * LANES..a.len() {
-        sum = sum + a[j] * b[j];
-    }
-    sum
+    dot_lanes(a.len(), |j| (a[j], b[j]))
 }
 
 /// [`dot_scalar`] with `f32` weights quantized element-wise on the fly.
 ///
-/// `T::from_f32(w) * x` yields the same `T` value whether the weight was
-/// converted here or pre-converted during packing, and the lane structure
-/// matches [`dot_scalar`] exactly — so GEMV over master weights and the
-/// packed kernel over pre-quantized weights agree bit for bit.
+/// `T::from_f32(w)` yields the same `T` value whether the weight was
+/// converted here or pre-converted during packing — so GEMV over master
+/// weights and the packed kernel over pre-quantized weights agree bit for
+/// bit.
 #[inline]
 pub fn dot_quantizing<T: FixedNum>(w: &[f32], x: &[T]) -> T {
     debug_assert_eq!(w.len(), x.len());
-    let mut lanes = [T::ZERO; LANES];
-    let quads = w.len() / LANES;
-    for i in 0..quads {
-        let j = i * LANES;
-        lanes[0] = lanes[0] + T::from_f32(w[j]) * x[j];
-        lanes[1] = lanes[1] + T::from_f32(w[j + 1]) * x[j + 1];
-        lanes[2] = lanes[2] + T::from_f32(w[j + 2]) * x[j + 2];
-        lanes[3] = lanes[3] + T::from_f32(w[j + 3]) * x[j + 3];
-    }
-    let mut sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-    for j in quads * LANES..w.len() {
-        sum = sum + T::from_f32(w[j]) * x[j];
-    }
-    sum
+    dot_lanes(w.len(), |j| (T::from_f32(w[j]), x[j]))
 }
 
 /// Caches the AVX2 CPUID probe so the hot path pays one atomic load.
@@ -203,6 +211,9 @@ pub struct PackedB<T> {
     n: usize,
     /// `n / 4` panels of `4·k` elements, then `n % 4` contiguous columns.
     data: Vec<T>,
+    /// [`FixedNum::i32_quads`] of `data`; `None` sends [`gemm_packed`] to
+    /// the portable tile.
+    i32_quads: Option<NonZeroUsize>,
 }
 
 impl<T: FixedNum> PackedB<T> {
@@ -242,7 +253,8 @@ impl<T: FixedNum> PackedB<T> {
         for j in full..n {
             data.extend((0..k).map(|kk| T::from_f32(at(kk, j))));
         }
-        PackedB { k, n, data }
+        let i32_quads = T::i32_quads(&data);
+        PackedB { k, n, data, i32_quads }
     }
 
     /// Inner dimension `k` (rows of B).
@@ -255,6 +267,11 @@ impl<T: FixedNum> PackedB<T> {
     #[must_use]
     pub fn n(&self) -> usize {
         self.n
+    }
+
+    /// The full 4-column panels: all of the buffer but the tail columns.
+    pub(crate) fn panels(&self) -> &[T] {
+        &self.data[..(self.n - self.n % NR) * self.k]
     }
 
     /// The packed element `B[kk][j]`.
@@ -315,8 +332,8 @@ pub fn gemm_packed<T: FixedNum>(
         return Ok(());
     }
     let full = n - n % NR;
-    let (panels, tail_cols) = (&b.data[..full * k], &b.data[full * k..]);
-    T::gemm_panels(a, k, panels, n, c);
+    let tail_cols = &b.data[full * k..];
+    T::gemm_panels(a, b, c);
     for (arow, crow) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
         for (slot, col) in crow[full..].iter_mut().zip(tail_cols.chunks_exact(k)) {
             *slot = dot_scalar(arow, col);
@@ -326,19 +343,27 @@ pub fn gemm_packed<T: FixedNum>(
 }
 
 /// Combines one batch row's 4 × 4 accumulator lanes (`lanes[4c + l]` is
-/// lane `l` of panel column `c`) pairwise, appends the k-tail products in
-/// order, and writes the 4 outputs — the second half of [`dot_scalar`],
-/// shared by every tile so the vector paths cannot drift from it.
+/// lane `l` of panel column `c`) pairwise into the 4 columns' sums — the
+/// middle of [`dot_lanes`], shared by the lane-ordered tiles.
 #[inline]
-fn finish_row<T: FixedNum>(lanes: &[T; QUAD], a_tail: &[T], w_tail: &[T], out: &mut [T]) {
-    let kt = a_tail.len();
-    for (col, slot) in out[..NR].iter_mut().enumerate() {
+fn combine_lanes<T: FixedNum>(lanes: &[T::Acc; QUAD]) -> [T::Acc; NR] {
+    std::array::from_fn(|col| {
         let l = &lanes[col * LANES..(col + 1) * LANES];
-        let mut sum = (l[0] + l[1]) + (l[2] + l[3]);
+        (l[0] + l[1]) + (l[2] + l[3])
+    })
+}
+
+/// Appends the k-tail products in order to one batch row's 4 column sums,
+/// narrows them and writes the 4 outputs — the end of [`dot_lanes`], shared
+/// by every tile so the vector paths cannot drift from it.
+#[inline]
+fn finish_row<T: FixedNum>(sums: [T::Acc; NR], a_tail: &[T], w_tail: &[T], out: &mut [T]) {
+    let kt = a_tail.len();
+    for (col, (slot, mut sum)) in out[..NR].iter_mut().zip(sums).enumerate() {
         for (&x, &w) in a_tail.iter().zip(&w_tail[col * kt..(col + 1) * kt]) {
-            sum = sum + x * w;
+            sum = T::mac(sum, x, w);
         }
-        *slot = sum;
+        *slot = T::narrow(sum);
     }
 }
 
@@ -359,49 +384,62 @@ pub(crate) fn gemm_panels_portable<T: FixedNum>(
         let (w_body, w_tail) = (&panel[..body * NR], &panel[body * NR..]);
         for (arow, crow) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
             let (a_body, a_tail) = (&arow[..body], &arow[body..]);
-            let mut lanes = [T::ZERO; QUAD];
+            let mut lanes = [T::Acc::default(); QUAD];
             for (col, l) in lanes.chunks_exact_mut(LANES).enumerate() {
                 for (x, w) in a_body.chunks_exact(LANES).zip(w_body.chunks_exact(QUAD)) {
                     let w = &w[col * LANES..(col + 1) * LANES];
-                    l[0] = l[0] + x[0] * w[0];
-                    l[1] = l[1] + x[1] * w[1];
-                    l[2] = l[2] + x[2] * w[2];
-                    l[3] = l[3] + x[3] * w[3];
+                    l[0] = T::mac(l[0], x[0], w[0]);
+                    l[1] = T::mac(l[1], x[1], w[1]);
+                    l[2] = T::mac(l[2], x[2], w[2]);
+                    l[3] = T::mac(l[3], x[3], w[3]);
                 }
             }
-            finish_row(&lanes, a_tail, w_tail, &mut crow[p * NR..]);
+            finish_row(combine_lanes::<T>(&lanes), a_tail, w_tail, &mut crow[p * NR..]);
         }
     }
 }
 
+/// [`FixedNum::i32_quads`] at Q2.13, for [`tile_q16_avx2`]: `vpmaddwd`
+/// leaves `x₀w₀ + x₁w₁` in each `i32` lane, at most `2 · 32768 · max|w|` in
+/// magnitude whatever the activations, so `⌊(2³¹ − 1) / (2 · 32768 ·
+/// max|w|)⌋` k-quads of them sum without overflow (any number, if every
+/// weight is zero). A weight of −32768 gives `None`: next to an activation
+/// of −32768 the instruction itself wraps, and such panels take the
+/// portable tile.
+pub(crate) fn q16_i32_quads(packed: &[Q16]) -> Option<NonZeroUsize> {
+    let max = packed.iter().map(|w| u32::from(w.to_raw().unsigned_abs())).max().unwrap_or(0);
+    let quads = (i32::MAX as u32).checked_div(2 * 32768 * max);
+    NonZeroUsize::new(quads.map_or(usize::MAX, |quads| quads as usize))
+}
+
 /// Q2.13 [`FixedNum::gemm_panels`]: the AVX2 tile where the CPU has it.
-pub(crate) fn gemm_panels_q16(a: &[Q16], k: usize, panels: &[Q16], n: usize, c: &mut [Q16]) {
+pub(crate) fn gemm_panels_q16(a: &[Q16], b: &PackedB<Q16>, c: &mut [Q16]) {
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
+    if let (Some(i32_quads), true) = (b.i32_quads, avx2_available()) {
         // SAFETY: the feature check above guarantees AVX2.
-        unsafe { gemm_panels_q16_avx2(a, k, panels, n, c) };
+        unsafe { gemm_panels_q16_avx2(a, b.k, b.panels(), b.n, c, i32_quads) };
         return;
     }
-    gemm_panels_portable(a, k, panels, n, c);
+    gemm_panels_portable(a, b.k, b.panels(), b.n, c);
 }
 
 /// `f32` [`FixedNum::gemm_panels`]: the AVX2 tile where the CPU has it.
-pub(crate) fn gemm_panels_f32(a: &[f32], k: usize, panels: &[f32], n: usize, c: &mut [f32]) {
+pub(crate) fn gemm_panels_f32(a: &[f32], b: &PackedB<f32>, c: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: the feature check above guarantees AVX2.
-        unsafe { gemm_panels_f32_avx2(a, k, panels, n, c) };
+        unsafe { gemm_panels_f32_avx2(a, b.k, b.panels(), b.n, c) };
         return;
     }
-    gemm_panels_portable(a, k, panels, n, c);
+    gemm_panels_portable(a, b.k, b.panels(), b.n, c);
 }
 
 /// Walks panels (outer) and [`MR`]-row groups (inner), handing each
-/// `R × 4` tile to `$tile::<R>`; the last `m % MR` rows get a narrower
-/// instantiation of the same tile.
+/// `R × 4` tile to `$tile::<R>` (with any `$extra` arguments appended); the
+/// last `m % MR` rows get a narrower instantiation of the same tile.
 #[cfg(target_arch = "x86_64")]
 macro_rules! for_each_tile {
-    ($tile:ident, $a:ident, $k:ident, $panels:ident, $n:ident, $c:ident) => {{
+    ($tile:ident, $a:ident, $k:ident, $panels:ident, $n:ident, $c:ident $(, $extra:ident)*) => {{
         let m = $a.len() / $k;
         for (p, panel) in $panels.chunks_exact(NR * $k).enumerate() {
             let mut i = 0;
@@ -412,10 +450,10 @@ macro_rules! for_each_tile {
                 // SAFETY: the caller's own contract — AVX2 is available.
                 unsafe {
                     match rows {
-                        4 => $tile::<4>(a_rows, $k, panel, $n, c_rows),
-                        3 => $tile::<3>(a_rows, $k, panel, $n, c_rows),
-                        2 => $tile::<2>(a_rows, $k, panel, $n, c_rows),
-                        _ => $tile::<1>(a_rows, $k, panel, $n, c_rows),
+                        4 => $tile::<4>(a_rows, $k, panel, $n, c_rows $(, $extra)*),
+                        3 => $tile::<3>(a_rows, $k, panel, $n, c_rows $(, $extra)*),
+                        2 => $tile::<2>(a_rows, $k, panel, $n, c_rows $(, $extra)*),
+                        _ => $tile::<1>(a_rows, $k, panel, $n, c_rows $(, $extra)*),
                     }
                 }
                 i += rows;
@@ -424,25 +462,37 @@ macro_rules! for_each_tile {
     }};
 }
 
-/// AVX2 Q2.13 panels: see the module doc for the op-group.
+/// AVX2 Q2.13 panels: `madd_epi16` + `add_epi32`, widened every
+/// `i32_quads` k-quads (module doc).
 ///
 /// # Safety
 ///
 /// Caller must ensure the CPU supports AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn gemm_panels_q16_avx2(a: &[Q16], k: usize, panels: &[Q16], n: usize, c: &mut [Q16]) {
-    for_each_tile!(tile_q16_avx2, a, k, panels, n, c);
+unsafe fn gemm_panels_q16_avx2(
+    a: &[Q16],
+    k: usize,
+    panels: &[Q16],
+    n: usize,
+    c: &mut [Q16],
+    i32_quads: NonZeroUsize,
+) {
+    for_each_tile!(tile_q16_avx2, a, k, panels, n, c, i32_quads);
 }
 
 /// One `R × 4` Q2.13 tile: `a` is `R` rows of A, `panel` one packed panel,
 /// `c` starts at the tile's first output and has row stride `n`.
 ///
-/// Each 256-bit accumulator is one batch row's 4 lanes × 4 columns of
-/// `i16`. Per k-quad the weight vector is loaded once and reused for all
-/// `R` rows; each row broadcasts its activation quad (64 bits) four times
-/// and runs the op-group that is `saturating_mul` then `saturating_add` in
-/// every element.
+/// Per k-quad the weight vector is loaded once and reused for all `R`
+/// rows; each row broadcasts its activation quad (64 bits) four times, and
+/// `madd_epi16` leaves in `i32` element `2c + p` the exact sum of column
+/// `c`'s k-pair `p` — accumulated per row in one `i32` vector for at most
+/// `i32_quads` k-quads ([`q16_i32_quads`]: the panel's weights cannot
+/// overflow it before that), then sign-extended into the row's two `i64`
+/// vectors (columns 0–1, columns 2–3). All of it is exact integer
+/// arithmetic, so the 8 pair sums add up to [`FixedNum::mac`]'s `i64` sum
+/// over the panel's k-quads in any order.
 ///
 /// # Panics
 ///
@@ -461,40 +511,53 @@ unsafe fn tile_q16_avx2<const R: usize>(
     panel: &[Q16],
     n: usize,
     c: &mut [Q16],
+    i32_quads: NonZeroUsize,
 ) {
     use std::arch::x86_64::{
-        __m256i, _mm256_adds_epi16, _mm256_loadu_si256, _mm256_mulhi_epi16, _mm256_mullo_epi16,
-        _mm256_packs_epi32, _mm256_set1_epi64x, _mm256_setzero_si256, _mm256_srai_epi32,
-        _mm256_storeu_si256, _mm256_unpackhi_epi16, _mm256_unpacklo_epi16,
+        __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_castsi256_si128, _mm256_cvtepi32_epi64,
+        _mm256_extracti128_si256, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_set1_epi64x,
+        _mm256_setzero_si256, _mm256_storeu_si256,
     };
     assert!(a.len() == R * k && panel.len() == NR * k, "tile operands disagree with k");
     let quads = k / LANES;
-    let mut acc = [_mm256_setzero_si256(); R];
-    for q in 0..quads {
-        // SAFETY: `Q16` is `repr(transparent)` over `i16`; quad `q` of the
-        // panel is the 16 elements at `q * 16`, and `quads * 16 <= 4 * k`,
-        // the panel's length asserted above.
-        let w = unsafe { _mm256_loadu_si256(panel.as_ptr().add(q * QUAD).cast::<__m256i>()) };
-        for (r, acc_r) in acc.iter_mut().enumerate() {
-            // SAFETY: `a` is `R * k` long (asserted above) and `r < R`,
-            // `4 * (q + 1) <= k`: the 4 × i16 unaligned read at
-            // `r * k + 4 * q` is in bounds.
-            let quad = unsafe { a.as_ptr().add(r * k + q * LANES).cast::<i64>().read_unaligned() };
-            let x = _mm256_set1_epi64x(quad);
-            let lo = _mm256_mullo_epi16(x, w);
-            let hi = _mm256_mulhi_epi16(x, w);
-            let p0 = _mm256_srai_epi32::<13>(_mm256_unpacklo_epi16(lo, hi));
-            let p1 = _mm256_srai_epi32::<13>(_mm256_unpackhi_epi16(lo, hi));
-            *acc_r = _mm256_adds_epi16(*acc_r, _mm256_packs_epi32(p0, p1));
+    let mut wide = [[_mm256_setzero_si256(); 2]; R];
+    let mut block = 0;
+    while block < quads {
+        let end = quads.min(block.saturating_add(i32_quads.get()));
+        let mut acc = [_mm256_setzero_si256(); R];
+        for q in block..end {
+            // SAFETY: `Q16` is `repr(transparent)` over `i16`; quad `q` of
+            // the panel is the 16 elements at `q * 16`, and `quads * 16 <=
+            // 4 * k`, the panel's length asserted above.
+            let w = unsafe { _mm256_loadu_si256(panel.as_ptr().add(q * QUAD).cast::<__m256i>()) };
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let at = r * k + q * LANES;
+                // SAFETY: `a` is `R * k` long (asserted above) and `r < R`,
+                // `4 * (q + 1) <= k`: the 4 × i16 unaligned read at
+                // `r * k + 4 * q` is in bounds.
+                let quad = unsafe { a.as_ptr().add(at).cast::<i64>().read_unaligned() };
+                let pairs = _mm256_madd_epi16(_mm256_set1_epi64x(quad), w);
+                *acc_r = _mm256_add_epi32(*acc_r, pairs);
+            }
         }
+        for (wide_r, acc_r) in wide.iter_mut().zip(acc) {
+            let (low, high) = (_mm256_castsi256_si128(acc_r), _mm256_extracti128_si256::<1>(acc_r));
+            wide_r[0] = _mm256_add_epi64(wide_r[0], _mm256_cvtepi32_epi64(low));
+            wide_r[1] = _mm256_add_epi64(wide_r[1], _mm256_cvtepi32_epi64(high));
+        }
+        block = end;
     }
     let w_tail = &panel[quads * QUAD..];
-    for (r, acc_r) in acc.iter().enumerate() {
-        let mut lanes = [Q16::ZERO; QUAD];
-        // SAFETY: `lanes` is 16 × i16 (`Q16` is `repr(transparent)`), the
-        // width of one unaligned 256-bit store.
-        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), *acc_r) };
-        finish_row(&lanes, &a[r * k + quads * LANES..(r + 1) * k], w_tail, &mut c[r * n..]);
+    for (r, wide_r) in wide.iter().enumerate() {
+        let mut pairs = [0i64; 2 * NR];
+        // SAFETY: `pairs` is 8 × i64, the width of two unaligned 256-bit
+        // stores, the second one 4 elements in.
+        unsafe {
+            _mm256_storeu_si256(pairs.as_mut_ptr().cast::<__m256i>(), wide_r[0]);
+            _mm256_storeu_si256(pairs.as_mut_ptr().add(NR).cast::<__m256i>(), wide_r[1]);
+        }
+        let sums = std::array::from_fn(|col| pairs[2 * col] + pairs[2 * col + 1]);
+        finish_row(sums, &a[r * k + quads * LANES..(r + 1) * k], w_tail, &mut c[r * n..]);
     }
 }
 
@@ -564,7 +627,8 @@ unsafe fn tile_f32_avx2<const R: usize>(
             _mm256_storeu_ps(lanes.as_mut_ptr(), acc_r[0]);
             _mm256_storeu_ps(lanes.as_mut_ptr().add(QUAD / 2), acc_r[1]);
         }
-        finish_row(&lanes, &a[r * k + quads * LANES..(r + 1) * k], w_tail, &mut c[r * n..]);
+        let sums = combine_lanes::<f32>(&lanes);
+        finish_row(sums, &a[r * k + quads * LANES..(r + 1) * k], w_tail, &mut c[r * n..]);
     }
 }
 
@@ -579,6 +643,8 @@ pub fn gemm_flops(m: usize, k: usize, n: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::fixed::Q32;
+    use crate::layer::{Activation, DenseLayer};
+    use crate::mlp::Mlp;
     use microrec_rng::Rng;
 
     fn det_matrix(rows: usize, cols: usize, seed: f32) -> Matrix {
@@ -648,7 +714,9 @@ mod tests {
         }
     }
 
-    /// Runs the adversarial shape sweep at precision `T`: random operands of
+    /// Runs the adversarial shape sweep at a lane-ordered precision `T` (Q2.13
+    /// has its own, [`check_q16`], against a reference written out in the
+    /// test): random operands of
     /// the given `amplitude` (the rows of A listed by `special_rows` get
     /// those values planted at random positions), every output of the
     /// dispatched [`gemm_packed`] compared to [`dot_scalar`] over the
@@ -693,7 +761,7 @@ mod tests {
                     }
                     let full = n - n % NR;
                     let mut portable = vec![T::ZERO; m * n];
-                    gemm_panels_portable(&a, k, &packed.data[..full * k], n, &mut portable);
+                    gemm_panels_portable(&a, k, packed.panels(), n, &mut portable);
                     for (row, (got, want)) in
                         portable.chunks_exact(n).zip(c.chunks_exact(n)).enumerate()
                     {
@@ -706,27 +774,164 @@ mod tests {
         }
     }
 
+    /// The Q2.13 contract written out, independent of every kernel and of
+    /// `FixedNum::mac`: the exact sum of the raw products, shifted down 13
+    /// bits (floor) and clamped to `i16` once. Also returns whether some
+    /// proper prefix of the sum was outside the representable range.
+    fn wide_reference(arow: &[Q16], col: &[Q16]) -> (Q16, bool) {
+        let in_range = |sum: i64| (-32768..=32767).contains(&(sum >> 13));
+        let (mut sum, mut left) = (0i64, false);
+        for (x, w) in arow.iter().zip(col) {
+            left |= !in_range(sum);
+            sum += i64::from(x.to_raw()) * i64::from(w.to_raw());
+        }
+        (Q16::from_raw((sum >> 13).clamp(-32768, 32767) as i16), left)
+    }
+
+    /// What the contract this one replaced gave: every product truncated and
+    /// clamped, every add saturating, in the 4-lane order.
+    fn per_mac_saturating(arow: &[Q16], col: &[Q16]) -> Q16 {
+        let body = arow.len() - arow.len() % LANES;
+        let mut lanes = [Q16::ZERO; LANES];
+        for j in 0..body {
+            lanes[j % LANES] += arow[j] * col[j];
+        }
+        let sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+        (body..arow.len()).fold(sum, |sum, j| sum + arow[j] * col[j])
+    }
+
+    /// One Q2.13 case: `a` is `m × k`, `weight(kk, j)` the raw `B[kk][j]`.
+    /// The dispatched [`gemm_packed`], the portable tile over the same
+    /// panels and a one-layer `Mlp::forward::<Q16>` over the unpacked
+    /// weights must each equal [`wide_reference`] in every output. Returns
+    /// the packed `i32_quads`; `each` sees every (A row, B column, output).
+    fn check_q16(
+        m: usize,
+        n: usize,
+        a: &[Q16],
+        weight: impl Fn(usize, usize) -> i16,
+        mut each: impl FnMut(&[Q16], &[Q16], Q16),
+    ) -> usize {
+        let k = a.len() / m;
+        let shape = format!("{m}x{k}x{n}");
+        let b = Matrix::from_fn(k, n, |kk, j| f32::from(weight(kk, j)) / 8192.0);
+        let packed: PackedB<Q16> = PackedB::pack(&b);
+        assert_eq!(packed.data.len(), k * n, "{shape}: one buffer of k·n elements");
+        let mut c = vec![Q16::ONE; m * n];
+        gemm_packed(a, m, &packed, &mut c).unwrap();
+        let mut portable = vec![Q16::ONE; m * n];
+        gemm_panels_portable(a, k, packed.panels(), n, &mut portable);
+        let layer = DenseLayer::new(b.transposed(), vec![0.0; n], Activation::Identity).unwrap();
+        let mlp = Mlp::new(vec![layer]).unwrap();
+        for (i, arow) in a.chunks_exact(k).enumerate() {
+            let forward = mlp.forward::<Q16>(arow).unwrap();
+            for j in 0..n {
+                let col: Vec<Q16> = (0..k).map(|kk| Q16::from_raw(weight(kk, j))).collect();
+                let (want, _) = wide_reference(arow, &col);
+                assert_eq!(c[i * n + j], want, "{shape} [{i}][{j}]: dispatched tile");
+                assert_eq!(forward[j], want, "{shape} [{i}][{j}]: Mlp::forward");
+                if j < n - n % NR {
+                    assert_eq!(portable[i * n + j], want, "{shape} [{i}][{j}]: portable tile");
+                }
+                each(arow, &col, want);
+            }
+        }
+        packed.i32_quads.map_or(0, NonZeroUsize::get)
+    }
+
     #[test]
-    fn saturating_sweep_q16_matches_oracle_and_portable_tile() {
-        // Amplitude 3.9 in a ±4 format: single products clamp, and lane
-        // sums run into the rails and come back — a kernel that reorders k,
-        // or widens an accumulator, gets a different number.
-        let (mut outputs, mut clamped) = (0usize, 0usize);
-        sweep::<Q16>(
-            3.9,
-            &[],
-            |a, b| a == b,
-            |arow, col, got| {
-                let unclamped: i64 = arow
-                    .iter()
-                    .zip(col)
-                    .map(|(x, w)| i64::from((i32::from(x.to_raw()) * i32::from(w.to_raw())) >> 13))
-                    .sum();
-                outputs += 1;
-                clamped += usize::from(unclamped != i64::from(got.to_raw()));
-            },
+    fn rail_sweep_q16_matches_the_wide_reference() {
+        // Amplitude 3.9 in a ±4 format: a product alone can reach ±15, so
+        // final outputs rail and partial sums leave the range and come back
+        // — where per-MAC saturation clipped every step and this contract
+        // clips once. The last row of the taller cases is all −32768.
+        let mut rng = Rng::seed_from_u64(0x5A7_0001);
+        let (mut outputs, mut railed, mut returned, mut moved) = (0usize, 0usize, 0usize, 0usize);
+        for m in [1usize, 2, 3, 4, 5, 32, 33] {
+            for k in [1usize, 2, 3, 4, 5, 7, 8, 13, 50, 512] {
+                for n in [1usize, 3, 4, 5, 6, 7, 8, 33] {
+                    let mut a: Vec<Q16> =
+                        (0..m * k).map(|_| Q16::from_f32(rng.gen_range_f32(-3.9, 3.9))).collect();
+                    if m >= 4 {
+                        a[(m - 1) * k..].fill(Q16::MIN);
+                    }
+                    let b: Vec<i16> = (0..k * n)
+                        .map(|_| Q16::from_f32(rng.gen_range_f32(-3.9, 3.9)).to_raw())
+                        .collect();
+                    check_q16(
+                        m,
+                        n,
+                        &a,
+                        |kk, j| b[kk * n + j],
+                        |arow, col, got| {
+                            outputs += 1;
+                            railed += usize::from(got == Q16::MAX || got == Q16::MIN);
+                            returned += usize::from(
+                                wide_reference(arow, col).1 && got != Q16::MAX && got != Q16::MIN,
+                            );
+                            moved += usize::from(got != per_mac_saturating(arow, col));
+                        },
+                    );
+                }
+            }
+        }
+        assert!(railed * 8 > outputs && railed < outputs, "{railed} of {outputs} outputs railed");
+        assert!(returned * 8 > outputs, "{returned} of {outputs} sums left ±4 and came back");
+        assert!(moved * 4 > outputs, "only {moved} of {outputs} differ from per-MAC saturation");
+    }
+
+    #[test]
+    fn i32_block_bound_is_exact_at_the_spill() {
+        // For each weight magnitude `max`, inner dimensions whose k-quad
+        // count straddles the `i32` block (one short, exact, one over, two
+        // blocks and one), every k-tail, n-tails 1–3. Column 0 is all
+        // `-max` and column 1 all `+max`, row 0 all −32768: the `i32` lanes
+        // of those outputs reach ±`block · 2 · 32768 · max`, the bound
+        // itself, so one k-quad too many per block wraps.
+        let mut rng = Rng::seed_from_u64(0x5A7_0002);
+        for (max, block) in [(1i16, 32767usize), (512, 63), (724, 45), (32767, 1)] {
+            for quads in [block - 1, block, block + 1, 2 * block + 1] {
+                for (tail, m, n) in [(0usize, 5usize, 8usize), (1, 1, 5), (2, 4, 6), (3, 33, 7)] {
+                    let k = quads * LANES + tail;
+                    if k == 0 || m * k * n > 8_000_000 {
+                        continue; // keep the 32767-quad blocks to their small cases
+                    }
+                    let raw = |rng: &mut Rng, bound: i16| {
+                        rng.gen_range_u64(0, 2 * bound as u64 + 1) as i64 - i64::from(bound)
+                    };
+                    let mut a: Vec<Q16> =
+                        (0..m * k).map(|_| Q16::from_raw(raw(&mut rng, 32767) as i16)).collect();
+                    a[..k].fill(Q16::MIN);
+                    let b: Vec<i16> = (0..k * n).map(|_| raw(&mut rng, max) as i16).collect();
+                    let weight = |kk: usize, j: usize| match j {
+                        0 => -max,
+                        1 => max,
+                        _ => b[kk * n + j],
+                    };
+                    let i32_quads = check_q16(m, n, &a, weight, |_, _, _| ());
+                    assert_eq!(i32_quads, block, "max |w| {max}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn q16_weight_extremes_take_the_right_tile() {
+        let a = vec![Q16::MIN; 5 * 23];
+        // All-zero weights bound nothing: one block however long.
+        assert_eq!(
+            check_q16(5, 6, &a, |_, _| 0, |_, _, got| assert_eq!(got, Q16::ZERO)),
+            usize::MAX
         );
-        assert!(clamped * 2 > outputs, "only {clamped} of {outputs} outputs saw saturation");
+        // −32768 next to −32768 is the one operand pair `vpmaddwd` wraps
+        // on: no block length is safe, the panels take the portable tile.
+        let mut railed = 0;
+        let weight = |kk: usize, j: usize| if (kk + j).is_multiple_of(3) { i16::MIN } else { 4096 };
+        assert_eq!(
+            check_q16(5, 6, &a, weight, |_, _, got| railed += usize::from(got == Q16::MAX)),
+            0
+        );
+        assert!(railed > 0, "(−4)·(−4) sums must rail high");
     }
 
     #[test]

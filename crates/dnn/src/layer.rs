@@ -109,9 +109,11 @@ impl DenseLayer {
 
     /// Forward pass at precision `T`.
     ///
-    /// The matrix–vector product and bias-add run in `T`; activations are
-    /// evaluated in `f32` and re-quantized, matching an FPGA datapath with a
-    /// piecewise activation unit.
+    /// The matrix–vector product runs at `T`'s multiply–accumulate
+    /// ([`FixedNum::Acc`]: wide and saturated once per output at Q2.13) and
+    /// the bias is added in `T`; activations are evaluated in `f32` and
+    /// re-quantized, matching an FPGA datapath with a piecewise activation
+    /// unit.
     ///
     /// # Errors
     ///

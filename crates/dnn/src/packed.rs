@@ -5,9 +5,10 @@
 //! [`gemm_packed`] into a caller-provided [`ScratchArena`] — the
 //! steady-state serving loop never allocates and never re-converts a
 //! weight. Because the packed kernel reproduces the single-item GEMV's
-//! inner product per output (identical lane structure and summation order,
-//! and `T::from_f32(w)` gives the same element whether applied at pack time
-//! or per MAC), `forward_batch_into` is **bit-identical** to running
+//! inner product per output (at `f32` and Q8.23 the identical lane
+//! structure and summation order, at Q2.13 the same exact wide sum, and
+//! `T::from_f32(w)` gives the same element whether applied at pack time or
+//! per MAC), `forward_batch_into` is **bit-identical** to running
 //! [`Mlp::forward`] item by item.
 
 use crate::error::DnnError;
@@ -27,7 +28,11 @@ use crate::scratch::ScratchArena;
 #[derive(Debug, Clone)]
 pub struct PackedLayer<T> {
     weights: PackedB<T>,
-    bias: Vec<T>,
+    /// A boxed slice, not a `Vec`: it keeps the struct at the 72 bytes it
+    /// had before [`PackedB`] gained its inline block length, and the
+    /// ledger's `serve-open/setup_s` follows the size of the heap block
+    /// that holds a network's `PackedLayer`s (EXPERIMENTS.md, PR 24).
+    bias: Box<[T]>,
     activation: Activation,
 }
 

@@ -4,7 +4,8 @@
 use microrec_rng::Rng;
 
 use microrec_dnn::{
-    Activation, DenseLayer, Matrix, Mlp, PackedMlp, QuantizedMlp, ScratchArena, Q16, Q32,
+    forward_layers, gemm_packed, gemv, Activation, DenseLayer, FixedNum, Matrix, Mlp, PackedB,
+    PackedMlp, QuantizedMlp, ScratchArena, Q16, Q32,
 };
 
 /// Q-format multiply error is bounded by format resolution for in-range
@@ -122,4 +123,132 @@ fn packed_batch_bitwise_equals_sequential() {
             assert_eq!(out[i], single[0], "Q16 case {case} item {i}");
         }
     }
+}
+
+/// The Q2.13 network contract written out layer by layer, independent of
+/// the crate's kernels: per output the exact `i64` sum of raw products,
+/// shifted down 13 bits (floor) and clamped to `i16` once; then the
+/// saturating bias add and the activation.
+fn wide_accumulator_forward(mlp: &Mlp, input: &[Q16]) -> Vec<Q16> {
+    let mut current = input.to_vec();
+    for layer in mlp.layers() {
+        current = (0..layer.output_dim())
+            .map(|r| {
+                let mut sum = 0i64;
+                for (x, &w) in current.iter().zip(layer.weights().row(r)) {
+                    sum += i64::from(x.to_raw()) * i64::from(Q16::from_f32(w).to_raw());
+                }
+                let dot = (sum >> 13).clamp(-32768, 32767) as i16;
+                let pre = dot.saturating_add(Q16::from_f32(layer.bias()[r]).to_raw());
+                match layer.activation() {
+                    Activation::Relu => Q16::from_raw(pre.max(0)),
+                    Activation::Identity => Q16::from_raw(pre),
+                    Activation::Sigmoid => {
+                        Q16::from_f32(Activation::Sigmoid.apply(Q16::from_raw(pre).to_f32()))
+                    }
+                }
+            })
+            .collect();
+    }
+    current
+}
+
+/// Every Q2.13 execution path — `Mlp::forward`, the packed batch and the
+/// fused layer chain — equals the written-out wide-accumulator reference:
+/// on networks whose weights and inputs sit at the ±4 rails (odd widths:
+/// k-tails, n-tails, one `i32` block per k-quad) and on a Xavier network
+/// deep enough in `k` that the AVX2 tile widens several times per output.
+#[test]
+fn q16_paths_equal_the_wide_accumulator_reference() {
+    let mut rng = Rng::seed_from_u64(0x0DD5);
+    let mut railed_layer = |input: usize, output: usize, activation| {
+        let w = Matrix::from_fn(output, input, |_, _| rng.gen_range_f32(-3.9, 3.9));
+        let bias = (0..output).map(|_| rng.gen_range_f32(-3.9, 3.9)).collect();
+        DenseLayer::new(w, bias, activation).unwrap()
+    };
+    let networks = [
+        Mlp::new(vec![
+            railed_layer(37, 22, Activation::Relu),
+            railed_layer(22, 7, Activation::Identity),
+            railed_layer(7, 3, Activation::Sigmoid),
+        ])
+        .unwrap(),
+        Mlp::top_mlp(701, &[66, 9], 5).unwrap(),
+    ];
+    let mut rng = Rng::seed_from_u64(0x0DD6);
+    for (net, mlp) in networks.iter().enumerate() {
+        let (input, output) = (mlp.input_dim(), mlp.layers().last().unwrap().output_dim());
+        let packed: PackedMlp<Q16> = PackedMlp::pack(mlp);
+        let mut arena = ScratchArena::new();
+        for batch in [1usize, 2, 3, 4, 5, 32, 33] {
+            let x: Vec<Q16> =
+                (0..batch * input).map(|_| Q16::from_f32(rng.gen_range_f32(-3.9, 3.9))).collect();
+            let batched = packed.forward_batch_into(&x, batch, &mut arena).unwrap().to_vec();
+            let (mut chained, mut scratch) = (x.clone(), Vec::new());
+            forward_layers(packed.layers(), batch, &mut chained, &mut scratch).unwrap();
+            assert_eq!(chained, batched, "network {net} batch {batch}: fused layer chain");
+            for (i, item) in x.chunks_exact(input).enumerate() {
+                let want = wide_accumulator_forward(mlp, item);
+                assert_eq!(mlp.forward::<Q16>(item).unwrap(), want, "network {net}: Mlp::forward");
+                let got = &batched[i * output..(i + 1) * output];
+                assert_eq!(got, &want[..], "network {net} batch {batch} item {i}: packed");
+            }
+        }
+    }
+}
+
+/// FNV-1a over the bit pattern of every output of a seeded adversarial sweep
+/// at precision `T`: [`gemm_packed`] and [`gemv`] over the kernel's shape
+/// grid (row tails, k-tails, n-tails, amplitudes at the format's rails) and
+/// a three-layer network through [`Mlp::forward`] and [`PackedMlp`].
+fn sweep_digest<T: FixedNum>(amplitude: f32, bits: fn(T) -> u32) -> u64 {
+    let mut rng = Rng::seed_from_u64(0x5A7_0001);
+    let mut digest = 0xCBF2_9CE4_8422_2325u64;
+    let mut absorb = |values: &[T]| {
+        for &v in values {
+            for byte in bits(v).to_le_bytes() {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01B3);
+            }
+        }
+    };
+    for m in [1usize, 2, 3, 4, 5, 7, 32, 33] {
+        for k in [0usize, 1, 3, 4, 7, 8, 50, 512] {
+            for n in [1usize, 3, 4, 5, 8, 9, 33] {
+                let b = Matrix::from_fn(k, n, |_, _| rng.gen_range_f32(-amplitude, amplitude));
+                let a: Vec<T> = (0..m * k)
+                    .map(|_| T::from_f32(rng.gen_range_f32(-amplitude, amplitude)))
+                    .collect();
+                let mut c = vec![T::ZERO; m * n];
+                gemm_packed(&a, m, &PackedB::pack(&b), &mut c).unwrap();
+                absorb(&c);
+                let mut y = vec![T::ZERO; n];
+                gemv(&b.transposed(), &a[..k], &mut y).unwrap();
+                absorb(&y);
+            }
+        }
+    }
+    let mlp = Mlp::top_mlp(24, &[40, 17], 11).unwrap();
+    let packed: PackedMlp<T> = PackedMlp::pack(&mlp);
+    let mut arena = ScratchArena::new();
+    for batch in [1usize, 7, 33] {
+        let x: Vec<T> = (0..batch * 24)
+            .map(|_| T::from_f32(rng.gen_range_f32(-amplitude, amplitude)))
+            .collect();
+        absorb(packed.forward_batch_into(&x, batch, &mut arena).unwrap());
+        absorb(&mlp.forward::<T>(&x[..24]).unwrap());
+    }
+    digest
+}
+
+/// `f32` and Q8.23 keep the 4-lane rounding/saturating order as their
+/// definition. The digests were recorded at the commit before Q2.13 moved to
+/// a wide accumulator (151bce5): those two precisions may not move by a bit.
+#[test]
+fn f32_and_q32_outputs_are_pinned() {
+    assert_eq!(sweep_digest::<f32>(3.9, f32::to_bits), 0x6C15_5F37_8281_6D2A, "f32 outputs moved");
+    assert_eq!(
+        sweep_digest::<Q32>(250.0, |v| v.to_raw() as u32),
+        0xEFDA_AABE_92B9_E45E,
+        "Q8.23 outputs moved"
+    );
 }
