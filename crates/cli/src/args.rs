@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use microrec_core::ExecutionMode;
 use microrec_embedding::{ModelSpec, Precision};
 use microrec_placement::AllocStrategy;
 
@@ -181,13 +180,6 @@ pub enum Command {
         queue_depth: usize,
         /// Reject (drop) requests on a full queue instead of blocking.
         reject: bool,
-        /// How each worker executes: monolithic (default), `--pipelined`
-        /// staged dataflow, or `--routed` per-batch cost-model routing
-        /// across the full path matrix.
-        execution: ExecutionMode,
-        /// End-to-end latency objective per request in microseconds,
-        /// consulted by the routed mode's SLO guard (0 disables it).
-        slo_us: u64,
         /// Resident embedding budget in bytes for the tiered parameter
         /// store (0 = keep every table resident; `k`/`m`/`g` suffixes
         /// accepted). Tables that do not fit are served from a
@@ -201,6 +193,11 @@ pub enum Command {
     /// Print usage.
     Help,
 }
+
+/// `serve --live` flags of execution modes that no longer exist: refused,
+/// not ignored, so a script that asks for one learns it is not getting it.
+const REMOVED_SERVE_FLAGS: [&str; 5] =
+    ["--pipelined", "--routed", "--slo-us", "--replicated", "--auto"];
 
 /// Parses the full argument vector (excluding `argv[0]`).
 pub fn parse(args: &[String]) -> Result<Cli, ArgError> {
@@ -259,60 +256,46 @@ pub fn parse(args: &[String]) -> Result<Cli, ArgError> {
                 .parse()
                 .map_err(|_| ArgError("bad --top value".into()))?,
         },
-        "serve" => Command::Serve {
-            model: model()?,
-            rate: flag("--rate")
-                .unwrap_or("50000")
-                .parse()
-                .map_err(|_| ArgError("bad --rate value".into()))?,
-            queries: flag("--queries")
-                .unwrap_or("50000")
-                .parse()
-                .map_err(|_| ArgError("bad --queries value".into()))?,
-            sla_ms: flag("--sla-ms")
-                .unwrap_or("25")
-                .parse()
-                .map_err(|_| ArgError("bad --sla-ms value".into()))?,
-            hybrid: has("--hybrid"),
-            live: has("--live"),
-            workers: flag("--workers")
-                .unwrap_or("2")
-                .parse()
-                .map_err(|_| ArgError("bad --workers value".into()))?,
-            max_batch: flag("--max-batch")
-                .unwrap_or("32")
-                .parse()
-                .map_err(|_| ArgError("bad --max-batch value".into()))?,
-            queue_depth: flag("--queue-depth")
-                .unwrap_or("1024")
-                .parse()
-                .map_err(|_| ArgError("bad --queue-depth value".into()))?,
-            reject: has("--reject"),
-            execution: {
-                if let Some(gone) = ["--replicated", "--auto"].into_iter().find(|f| has(f)) {
-                    return Err(ArgError(format!(
-                        "{gone} is gone: use `--routed`, which picks a path per batch from \
-                         measured latencies"
-                    )));
-                }
-                match (has("--pipelined"), has("--routed")) {
-                    (false, false) => ExecutionMode::Monolithic,
-                    (true, false) => ExecutionMode::Pipelined,
-                    (false, true) => ExecutionMode::Routed,
-                    (true, true) => {
-                        return Err(ArgError(
-                            "pick one execution mode, got --pipelined and --routed".into(),
-                        ));
-                    }
-                }
-            },
-            slo_us: flag("--slo-us")
-                .unwrap_or("0")
-                .parse()
-                .map_err(|_| ArgError("bad --slo-us value".into()))?,
-            resident_bytes: flag("--resident-bytes").map_or(Ok(0), parse_bytes)?,
-            adaptive: has("--adaptive"),
-        },
+        "serve" => {
+            if let Some(gone) = REMOVED_SERVE_FLAGS.into_iter().find(|f| has(f)) {
+                return Err(ArgError(format!(
+                    "{gone} was removed: the live runtime always serves one monolithic engine \
+                     replica per worker"
+                )));
+            }
+            Command::Serve {
+                model: model()?,
+                rate: flag("--rate")
+                    .unwrap_or("50000")
+                    .parse()
+                    .map_err(|_| ArgError("bad --rate value".into()))?,
+                queries: flag("--queries")
+                    .unwrap_or("50000")
+                    .parse()
+                    .map_err(|_| ArgError("bad --queries value".into()))?,
+                sla_ms: flag("--sla-ms")
+                    .unwrap_or("25")
+                    .parse()
+                    .map_err(|_| ArgError("bad --sla-ms value".into()))?,
+                hybrid: has("--hybrid"),
+                live: has("--live"),
+                workers: flag("--workers")
+                    .unwrap_or("2")
+                    .parse()
+                    .map_err(|_| ArgError("bad --workers value".into()))?,
+                max_batch: flag("--max-batch")
+                    .unwrap_or("32")
+                    .parse()
+                    .map_err(|_| ArgError("bad --max-batch value".into()))?,
+                queue_depth: flag("--queue-depth")
+                    .unwrap_or("1024")
+                    .parse()
+                    .map_err(|_| ArgError("bad --queue-depth value".into()))?,
+                reject: has("--reject"),
+                resident_bytes: flag("--resident-bytes").map_or(Ok(0), parse_bytes)?,
+                adaptive: has("--adaptive"),
+            }
+        }
         "help" | "--help" | "-h" => Command::Help,
         other => return Err(ArgError(format!("unknown command `{other}` (try `help`)"))),
     };
@@ -329,7 +312,7 @@ USAGE:
   microrec compare [--model ...] [--batch N] [--precision ...]
   microrec explore [--model ...] [--precision ...] [--top N]
   microrec serve   [--model ...] [--rate QPS] [--queries N] [--sla-ms MS] [--hybrid]
-  microrec serve --live [--model ...] [--rate QPS] [--queries N] [--workers N] [--max-batch N] [--queue-depth N] [--reject] [--pipelined|--routed] [--slo-us US] [--resident-bytes N[k|m|g]] [--adaptive]
+  microrec serve --live [--model ...] [--rate QPS] [--queries N] [--workers N] [--max-batch N] [--queue-depth N] [--reject] [--resident-bytes N[k|m|g]] [--adaptive]
   microrec help
 ";
 
@@ -436,20 +419,12 @@ mod tests {
     fn serve_live_command_parses() {
         let cli = parse(&argv(
             "serve --live --rate 500 --queries 200 --workers 3 --max-batch 16 \
-             --queue-depth 64 --reject --pipelined",
+             --queue-depth 64 --reject",
         ))
         .unwrap();
         match cli.command {
             Command::Serve {
-                live,
-                rate,
-                queries,
-                workers,
-                max_batch,
-                queue_depth,
-                reject,
-                execution,
-                ..
+                live, rate, queries, workers, max_batch, queue_depth, reject, ..
             } => {
                 assert!(live);
                 assert_eq!(rate, 500.0);
@@ -458,16 +433,13 @@ mod tests {
                 assert_eq!(max_batch, 16);
                 assert_eq!(queue_depth, 64);
                 assert!(reject);
-                assert_eq!(execution, ExecutionMode::Pipelined);
             }
             other => panic!("wrong command {other:?}"),
         }
-        // Not passing the flag leaves the monolithic default, no SLO, the
-        // all-resident (untiered) store, and static placement.
+        // Not passing the flags leaves the all-resident (untiered) store
+        // and static placement.
         match parse(&argv("serve --live")).unwrap().command {
-            Command::Serve { execution, slo_us, resident_bytes, adaptive, .. } => {
-                assert_eq!(execution, ExecutionMode::Monolithic);
-                assert_eq!(slo_us, 0);
+            Command::Serve { resident_bytes, adaptive, .. } => {
                 assert_eq!(resident_bytes, 0);
                 assert!(!adaptive);
             }
@@ -477,35 +449,26 @@ mod tests {
             Command::Serve { adaptive, .. } => assert!(adaptive),
             other => panic!("wrong command {other:?}"),
         }
-        match parse(&argv("serve --live --routed --slo-us 2500")).unwrap().command {
-            Command::Serve { execution, slo_us, .. } => {
-                assert_eq!(execution, ExecutionMode::Routed);
-                assert_eq!(slo_us, 2_500);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        assert!(parse(&argv("serve --live --slo-us soon")).is_err());
         assert!(parse(&argv("serve --live --workers many")).is_err());
         assert!(parse(&argv("serve --live --max-batch -1")).is_err());
     }
 
     #[test]
-    fn execution_mode_flags_parse_and_conflict() {
-        for (flags, want) in
-            [("--pipelined", ExecutionMode::Pipelined), ("--routed", ExecutionMode::Routed)]
-        {
-            match parse(&argv(&format!("serve --live {flags}"))).unwrap().command {
-                Command::Serve { execution, .. } => assert_eq!(execution, want),
-                other => panic!("wrong command {other:?}"),
-            }
-        }
-        let err = parse(&argv("serve --live --pipelined --routed")).unwrap_err();
-        assert!(err.0.contains("one execution mode"), "{err}");
-        // The two deleted modes are refused, not ignored, and the message
-        // names their replacement.
-        for gone in ["--replicated", "--auto", "--pipelined --auto", "--routed --replicated"] {
+    fn removed_execution_mode_flags_are_refused() {
+        // Every deleted mode's flag is refused, not ignored, and the
+        // message names the flag and says what the runtime does instead.
+        for gone in [
+            "--pipelined",
+            "--routed",
+            "--slo-us 2500",
+            "--replicated",
+            "--auto",
+            "--routed --auto",
+        ] {
             let err = parse(&argv(&format!("serve --live {gone}"))).unwrap_err();
-            assert!(err.0.contains("use `--routed`"), "{gone}: {err}");
+            let flag = gone.split_whitespace().next().unwrap();
+            assert!(err.0.contains(&format!("{flag} was removed")), "{gone}: {err}");
+            assert!(err.0.contains("monolithic"), "{gone}: {err}");
         }
     }
 

@@ -236,19 +236,16 @@ pub fn run_serve_live(
         builder = builder.hot_row_cache(ADAPTIVE_CACHE_ROWS);
     }
     let mut runtime = ServingRuntime::start(builder, config)?;
-    let plan_line = runtime.plan().map(|p| (p.summary(), p.fifo_depth, p.spin_rounds));
     let outcome = replay_trace(&runtime, &trace);
-    let router = runtime.router_snapshot();
     let snap = runtime.shutdown();
     let lookup = runtime.lookup_stats();
     let migrations = runtime.migration_records();
     let mut s = String::new();
     writeln!(
         s,
-        "model {} | live runtime: {} {} worker(s), max_batch {}, queue {} ({})",
+        "model {} | live runtime: {} worker(s), max_batch {}, queue {} ({})",
         spec.name,
         config.workers,
-        config.execution.as_str(),
         config.max_batch,
         config.queue_depth,
         match config.admission {
@@ -256,41 +253,6 @@ pub fn run_serve_live(
             AdmissionPolicy::Reject => "reject",
         },
     )?;
-    if let Some((summary, fifo_depth, spin_rounds)) = &plan_line {
-        writeln!(s, "plan:  {summary} (fifo depth {fifo_depth}, spin {spin_rounds})")?;
-    }
-    if let Some(router) = &router {
-        let hit_rate = router
-            .traffic_hit_rate
-            .map_or_else(|| "warming".to_string(), |r| format!("{:.0}%", r * 100.0));
-        writeln!(
-            s,
-            "router: {} path(s), {} SLO fallback(s), {} probe(s), traffic hit-rate {}",
-            router.paths.len(),
-            router.slo_fallbacks,
-            router.probes,
-            hit_rate,
-        )?;
-        for path in &router.paths {
-            write!(
-                s,
-                "path {:>20}: {:>5} batches / {:>6} items | cost {:.1} + {:.2}n us",
-                path.descriptor.name,
-                path.dispatches,
-                path.items,
-                path.cost.fixed_us,
-                path.cost.per_item_us,
-            )?;
-            if path.dispatches > 0 {
-                write!(
-                    s,
-                    " | predicted {:.1} vs observed {:.1} us",
-                    path.mean_predicted_us, path.mean_observed_us,
-                )?;
-            }
-            writeln!(s)?;
-        }
-    }
     writeln!(
         s,
         "load:  {:.0} QPS offered, {:.0} QPS sustained ({} of {} completed, drop rate {:.2}%)",
@@ -341,26 +303,12 @@ pub fn run_serve_live(
             )?;
         }
     }
-    if let Some(stages) = &snap.stages {
-        for stage in stages {
-            writeln!(
-                s,
-                "stage {:>6}: {} items, {} stalls, {} backpressure, mean occupancy {:.2}",
-                stage.name,
-                stage.items,
-                stage.stalls,
-                stage.backpressure,
-                stage.mean_occupancy(),
-            )?;
-        }
-    }
     Ok(s)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use microrec_core::ExecutionMode;
 
     #[test]
     fn plan_output_mentions_structure() {
@@ -444,8 +392,6 @@ mod tests {
             max_batch: 8,
             queue_depth: 256,
             admission: AdmissionPolicy::Block,
-            execution: ExecutionMode::Monolithic,
-            slo_us: 0,
             adaptive: false,
         };
         let out =
@@ -453,7 +399,6 @@ mod tests {
         assert!(out.contains("200 of 200 completed"), "{out}");
         assert!(out.contains("p99"), "{out}");
         assert!(out.contains("mean size"), "{out}");
-        assert!(!out.contains("stage "), "{out}");
         assert!(!out.contains("adapt:"), "{out}");
     }
 
@@ -464,8 +409,6 @@ mod tests {
             max_batch: 8,
             queue_depth: 256,
             admission: AdmissionPolicy::Block,
-            execution: ExecutionMode::Monolithic,
-            slo_us: 0,
             adaptive: true,
         };
         let out =
@@ -477,64 +420,12 @@ mod tests {
     }
 
     #[test]
-    fn serve_live_pipelined_reports_stage_counters() {
-        let config = RuntimeConfig {
-            workers: 1,
-            max_batch: 8,
-            queue_depth: 256,
-            admission: AdmissionPolicy::Block,
-            execution: ExecutionMode::Pipelined,
-            slo_us: 0,
-            adaptive: false,
-        };
-        let out =
-            run_serve_live(&ModelArg::Dlrm { tables: 4, dim: 4 }, 2_000.0, 200, config, 0).unwrap();
-        assert!(out.contains("pipelined worker(s)"), "{out}");
-        assert!(out.contains("200 of 200 completed"), "{out}");
-        assert!(out.contains("stage lookup"), "{out}");
-        assert!(out.contains("stage   sink"), "{out}");
-    }
-
-    #[test]
-    fn serve_live_routed_reports_dispatch_table() {
-        let config = RuntimeConfig {
-            workers: 1,
-            max_batch: 8,
-            queue_depth: 256,
-            admission: AdmissionPolicy::Block,
-            execution: ExecutionMode::Routed,
-            slo_us: 50_000,
-            adaptive: false,
-        };
-        let out =
-            run_serve_live(&ModelArg::Dlrm { tables: 4, dim: 4 }, 2_000.0, 200, config, 0).unwrap();
-        assert!(out.contains("routed worker(s)"), "{out}");
-        assert!(out.contains("200 of 200 completed"), "{out}");
-        assert!(out.contains("router:"), "{out}");
-        assert!(out.contains("SLO fallback(s)"), "{out}");
-        // The full path matrix is registered and priced (default builder
-        // has no hot-row cache, so the monolithic path is the nocache one).
-        for path in ["monolithic-nocache", "pipelined", "pool"] {
-            assert!(out.contains(&format!("path {path:>20}:")), "missing {path} in {out}");
-        }
-        // Every admitted batch was dispatched somewhere.
-        let dispatched: u64 = out
-            .lines()
-            .filter(|l| l.starts_with("path "))
-            .filter_map(|l| l.split_whitespace().nth(2).and_then(|n| n.parse::<u64>().ok()))
-            .sum();
-        assert!(dispatched > 0, "{out}");
-    }
-
-    #[test]
     fn serve_live_tiered_reports_tier_counters() {
         let config = RuntimeConfig {
             workers: 1,
             max_batch: 8,
             queue_depth: 256,
             admission: AdmissionPolicy::Block,
-            execution: ExecutionMode::Monolithic,
-            slo_us: 0,
             adaptive: false,
         };
         // dlrm:4x4 is 32 MiB of f32 rows; an 8 MiB budget keeps one table

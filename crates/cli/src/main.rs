@@ -53,8 +53,6 @@ fn main() -> ExitCode {
             max_batch,
             queue_depth,
             reject,
-            execution,
-            slo_us,
             resident_bytes,
             adaptive,
         } => {
@@ -68,8 +66,6 @@ fn main() -> ExitCode {
                     } else {
                         microrec_core::AdmissionPolicy::Block
                     },
-                    execution: *execution,
-                    slo_us: *slo_us,
                     adaptive: *adaptive,
                 };
                 commands::run_serve_live(model, *rate, *queries, config, *resident_bytes)

@@ -167,7 +167,7 @@ impl MicroRecBuilder {
 
     /// Uses an existing read-only arena instead of materializing a new one
     /// per engine. Replicas built from clones of this builder then share
-    /// one arena allocation (see [`crate::EnginePool::from_builder`]).
+    /// one arena allocation.
     #[must_use]
     pub fn shared_arena(mut self, arena: Arc<EmbeddingArena>) -> Self {
         self.arena_format = Some(arena.format());
@@ -214,8 +214,8 @@ impl MicroRecBuilder {
     /// Attaches an epoch [`GenerationCell`]: every engine built from this
     /// builder polls the cell at batch boundaries (top of each gather) and
     /// adopts newly published arena generations — the seam that lets an
-    /// online re-shard reach every execution mode (monolithic, pipelined,
-    /// replicated pool, routed) without any of them re-plumbing.
+    /// online re-shard reach every serving worker's replica without
+    /// re-plumbing any of them.
     #[must_use]
     pub fn epoch_cell(mut self, cell: Arc<GenerationCell>) -> Self {
         self.epoch = Some(cell);
@@ -245,18 +245,6 @@ impl MicroRecBuilder {
     /// The placement-search options.
     pub(crate) fn heuristic_options(&self) -> &HeuristicOptions {
         &self.options
-    }
-
-    /// Whether this builder serves through the tiered parameter store.
-    #[must_use]
-    pub fn is_tiered(&self) -> bool {
-        self.tiered_budget.is_some() || self.shared_tiered.is_some()
-    }
-
-    /// The configured resident byte budget, when tiered.
-    #[must_use]
-    pub fn tiered_budget_bytes(&self) -> Option<u64> {
-        self.tiered_budget
     }
 
     /// Builds this configuration's arena once and installs it as the
@@ -290,24 +278,6 @@ impl MicroRecBuilder {
     #[must_use]
     pub fn model_spec(&self) -> &ModelSpec {
         &self.model
-    }
-
-    /// The datapath precision engines will be built with.
-    #[must_use]
-    pub fn datapath_precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// Hot-row cache capacity each built engine will get (0 = disabled).
-    #[must_use]
-    pub fn cache_rows(&self) -> usize {
-        self.cache_rows
-    }
-
-    /// The arena row format the builder will materialize, if configured.
-    #[must_use]
-    pub fn arena_row_format(&self) -> Option<RowFormat> {
-        self.arena_format
     }
 
     /// Runs the placement search and assembles the engine.
@@ -579,12 +549,6 @@ impl MicroRec {
     #[must_use]
     pub fn precision(&self) -> Precision {
         self.precision
-    }
-
-    /// The top MLP, for callers that stage its layers separately (the
-    /// dataflow pipeline packs one layer per FC stage).
-    pub(crate) fn mlp(&self) -> &Mlp {
-        &self.mlp
     }
 
     /// The hybrid memory with the plan applied (capacity ledger + access
@@ -973,9 +937,8 @@ impl MicroRec {
     }
 
     /// [`MicroRec::gather_features`] into a caller-owned buffer (cleared
-    /// first), so a streaming caller — e.g. the pipeline's lookup stage —
-    /// reuses one allocation across queries. Identical semantics and
-    /// bit-identical output.
+    /// first), so a streaming caller reuses one allocation across queries.
+    /// Identical semantics and bit-identical output.
     ///
     /// # Errors
     ///
@@ -1238,8 +1201,9 @@ mod tests {
     #[test]
     fn fast_path_is_bit_identical_across_storage_and_cache() {
         // Legacy procedural reads, an f32 arena, and a cache-fronted arena
-        // must all predict identical bits, for every datapath precision, in
-        // both predict and predict_batch.
+        // (one that evicts, one that holds the whole working set) must all
+        // predict identical bits, for every datapath precision, in both
+        // predict and predict_batch.
         for precision in [Precision::F32, Precision::Fixed16, Precision::Fixed32] {
             let mut legacy = small_builder(precision).build().unwrap();
             let mut variants = [
@@ -1247,6 +1211,11 @@ mod tests {
                 small_builder(precision)
                     .embedding_arena(RowFormat::F32)
                     .hot_row_cache(128)
+                    .build()
+                    .unwrap(),
+                small_builder(precision)
+                    .embedding_arena(RowFormat::F32)
+                    .hot_row_cache(2_048)
                     .build()
                     .unwrap(),
             ];

@@ -40,11 +40,8 @@ mod epoch;
 mod error;
 mod explore;
 mod hybrid_serving;
-mod pipeline;
-mod pool;
 mod ranking;
 mod report;
-mod router;
 mod runtime;
 mod serve;
 mod sync;
@@ -57,18 +54,10 @@ pub use explore::{best_fitting, derated_clock, explore_design_space, DesignPoint
 pub use hybrid_serving::{
     simulate_hybrid_serving, surviving_dram_fraction, HybridConfig, HybridReport,
 };
-pub use pipeline::{
-    ExecutionMode, FcStage, PipelineConfig, PipelineExecutor, PipelinePlan, StageSnapshot,
-};
-pub use pool::EnginePool;
 pub use ranking::{kendall_tau, rank_descending, ranking_fidelity, top_k_overlap, RankingFidelity};
 pub use report::{
     end_to_end_report, AwsPrices, CostReport, CpuPoint, EmbeddingReport, EndToEndReport, FpgaPoint,
     MigrationRecord,
-};
-pub use router::{
-    ExecutionPath, PathCost, PathCostModel, PathDescriptor, PathKind, PathSet, RouteDecision,
-    RouterPathStats, RouterSnapshot,
 };
 pub use runtime::{
     plan_batches, replay_trace, AdmissionPolicy, BatchClose, BatchFormerConfig, LatencyHistogram,

@@ -11,8 +11,7 @@
 //! improvement clears the [`ReshardingPolicy`] gates, it rebuilds the
 //! arena under the candidate's channel assignment *off-thread* (shielded —
 //! a panic mid-build leaves the old generation serving), publishes the new
-//! generation through the epoch [`GenerationCell`], and re-seeds the
-//! router's observed-latency history.
+//! generation through the epoch [`GenerationCell`].
 //!
 //! The merge plan is deliberately fixed online: engine catalogs (logical →
 //! physical table resolution, hot-row-cache keying) are immutable for the
@@ -21,7 +20,7 @@
 //! (restart with a new plan). Rebuilt generations relocate encoded row
 //! bytes verbatim, so a swap is bit-invisible to predictions.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use microrec_embedding::{ModelSpec, Precision};
@@ -34,8 +33,6 @@ use crate::engine::MicroRecBuilder;
 use crate::epoch::{build_generation_shielded, ArenaGeneration, GenerationCell};
 use crate::error::MicroRecError;
 use crate::report::MigrationRecord;
-use crate::router::PathCostModel;
-use crate::sync::lock_or_recover;
 
 /// Gates deciding when observed traffic justifies an online re-shard.
 ///
@@ -120,7 +117,6 @@ pub struct Resharder {
     strategy: AllocStrategy,
     policy: ReshardingPolicy,
     cell: Arc<GenerationCell>,
-    router: Option<Arc<Mutex<PathCostModel>>>,
     /// The plan currently serving (updated on every migration).
     plan: Plan,
     /// Channel of each logical table under `plan`.
@@ -167,7 +163,6 @@ impl Resharder {
             strategy: options.strategy,
             policy,
             cell,
-            router: None,
             plan: outcome.plan,
             channel_of,
             prev_hits: vec![0; n],
@@ -176,13 +171,6 @@ impl Resharder {
             records: Vec::new(),
             build_hook: None,
         })
-    }
-
-    /// Attaches the shared router cost model; after each migration its
-    /// observed-latency history is re-seeded (calibration kept), so paths
-    /// re-probe against the new layout instead of trusting stale EWMAs.
-    pub fn attach_router(&mut self, router: Arc<Mutex<PathCostModel>>) {
-        self.router = Some(router);
     }
 
     /// The active policy.
@@ -258,8 +246,8 @@ impl Resharder {
     ) -> Result<bool, MicroRecError> {
         let n = self.model.num_tables();
         if hits.len() != n || misses.len() != n {
-            // No per-table counters (cache disabled, or a mode that only
-            // publishes at drain): nothing to distill from.
+            // No per-table counters (cache disabled): nothing to distill
+            // from.
             return Ok(false);
         }
         // Window since the last migration: the counters are cumulative,
@@ -332,9 +320,9 @@ impl Resharder {
     }
 
     /// Rebuilds the arena off-thread under `new_channels`, publishes the
-    /// generation, re-seeds the router, and records the migration. Only on
-    /// success does the resharder's own state (plan, channels, window
-    /// base) advance — a failed build leaves it primed to retry.
+    /// generation, and records the migration. Only on success does the
+    /// resharder's own state (plan, channels, window base) advance — a
+    /// failed build leaves it primed to retry.
     fn migrate(
         &mut self,
         candidate: Plan,
@@ -374,9 +362,6 @@ impl Resharder {
         let publish_started = Instant::now();
         self.cell.publish(built);
         let swap_us = publish_started.elapsed().as_secs_f64() * 1e6;
-        if let Some(router) = &self.router {
-            lock_or_recover(router).reseed_after_swap();
-        }
         self.records.push(MigrationRecord {
             generation,
             trigger_hits: trigger.trigger_hits,

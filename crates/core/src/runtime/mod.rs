@@ -39,11 +39,7 @@ use std::time::{Duration, Instant};
 use crate::engine::{MicroRec, MicroRecBuilder};
 use crate::epoch::{ArenaGeneration, GenerationCell};
 use crate::error::MicroRecError;
-use crate::pipeline::{
-    ExecutionMode, PipelineConfig, PipelineExecutor, PipelinePlan, PipelineShared, StageSnapshot,
-};
 use crate::report::MigrationRecord;
-use crate::router::{PathCostModel, PathSet, RouterSnapshot};
 use crate::sync::{lock_or_recover, recover};
 use queue::{BoundedQueue, PushError};
 
@@ -72,22 +68,13 @@ pub struct RuntimeConfig {
     pub queue_depth: usize,
     /// Full-queue behavior.
     pub admission: AdmissionPolicy,
-    /// How each worker executes inference: the classic monolithic
-    /// predict path, the staged per-layer dataflow pipeline, or
-    /// [`ExecutionMode::Routed`], which re-routes every formed batch
-    /// across the full path matrix.
-    pub execution: ExecutionMode,
-    /// End-to-end latency objective per request (µs), consulted by the
-    /// routed mode's SLO guard; 0 disables the guard.
-    pub slo_us: u64,
     /// Enables traffic-adaptive online re-sharding: a background driver
     /// distills the workers' per-table cache counters into a
     /// [`TrafficProfile`](microrec_placement::TrafficProfile), and when
     /// the [`ReshardingPolicy`] gates pass, rebuilds the shared embedding
     /// store under a traffic-aware channel layout and publishes it as a
     /// new generation (workers adopt at batch boundaries, bit-identical).
-    /// Requires monolithic execution with a hot-row cache and a shared
-    /// arena or tiered store.
+    /// Requires a hot-row cache and a shared arena or tiered store.
     pub adaptive: bool,
 }
 
@@ -98,8 +85,6 @@ impl Default for RuntimeConfig {
             max_batch: 32,
             queue_depth: 1024,
             admission: AdmissionPolicy::Block,
-            execution: ExecutionMode::Monolithic,
-            slo_us: 0,
             adaptive: false,
         }
     }
@@ -321,9 +306,6 @@ pub struct RuntimeSnapshot {
     pub mean_latency_us: f64,
     /// Enqueue→completion latency percentiles.
     pub latency: LatencyPercentiles,
-    /// Per-stage dataflow counters summed across workers, present under
-    /// pipelined and routed execution.
-    pub stages: Option<Vec<StageSnapshot>>,
 }
 
 impl RuntimeSnapshot {
@@ -350,17 +332,10 @@ pub struct ServingRuntime {
     queue: Arc<BoundedQueue<Request>>,
     stats: Arc<SharedStats>,
     config: RuntimeConfig,
-    /// The staged topology in use (`None` under monolithic execution).
-    plan: Option<PipelinePlan>,
     expected_arity: usize,
     /// `(row format, cache rows per worker, tiered)` when the engines run
     /// a hot-row cache and/or the tiered parameter store.
     lookup_meta: Option<(&'static str, usize, bool)>,
-    /// Per-worker pipeline counter blocks (empty under
-    /// [`ExecutionMode::Monolithic`]).
-    pipelines: Vec<Arc<PipelineShared>>,
-    /// The shared per-batch cost model, under [`ExecutionMode::Routed`].
-    router: Option<Arc<Mutex<PathCostModel>>>,
     /// The online re-sharding coordinator, when `config.adaptive` is set.
     resharder: Option<Arc<Mutex<Resharder>>>,
     /// Stop flag for the adaptive driver thread.
@@ -390,9 +365,6 @@ impl ServingRuntime {
             queue_depth: config.queue_depth.max(1),
             ..config
         };
-        if config.execution == ExecutionMode::Routed {
-            return Self::start_routed(builder, config);
-        }
         // When an embedding arena is configured, materialize it once and
         // share it read-only across all worker replicas (worker memory no
         // longer scales with the arena size).
@@ -421,16 +393,6 @@ impl ServingRuntime {
             Ok(engine)
         };
         let mut engines: Vec<MicroRec> = Vec::new();
-        let plan = match config.execution {
-            // Routed took the early return above.
-            ExecutionMode::Monolithic | ExecutionMode::Routed => None,
-            ExecutionMode::Pipelined => {
-                let engine = warm_engine(&builder)?;
-                let layers = engine.model().hidden.len() + 1;
-                engines.push(engine);
-                Some(PipelinePlan::per_layer(layers, PipelineConfig::default().fifo_depth))
-            }
-        };
         while engines.len() < config.workers {
             engines.push(warm_engine(&builder)?);
         }
@@ -454,13 +416,6 @@ impl ServingRuntime {
                         .into(),
                 )
             })?;
-            if plan.is_some() {
-                return Err(MicroRecError::Runtime(
-                    "adaptive re-sharding requires monolithic execution (the staged modes \
-                     publish lookup counters only at drain)"
-                        .into(),
-                ));
-            }
             if lookup_meta.is_none_or(|(_, cache_rows, _)| cache_rows == 0) {
                 return Err(MicroRecError::Runtime(
                     "adaptive re-sharding needs the hot-row cache's per-table counters: \
@@ -485,46 +440,32 @@ impl ServingRuntime {
         }
         let stats = Arc::new(stats);
         let mut workers: Vec<JoinHandle<()>> = Vec::with_capacity(config.workers);
-        let mut pipelines = Vec::new();
-        let mut engine_pool = engines.into_iter();
+        let mut replicas = engines.into_iter();
         for id in 0..config.workers {
-            // This worker's replica, as the lookup-lane list `with_plan`
-            // takes. The monolithic arm pops it back out: the ledger's
-            // `setup_s` moves with the allocation order here, so that arm
-            // allocates exactly what it always has.
-            let mut lane_engines: Vec<MicroRec> = engine_pool.by_ref().take(1).collect();
+            // This worker's replica, taken as a one-element `Vec` and popped
+            // back out rather than with `next()`: the ledger's `setup_s`
+            // moves with the allocation order here (EXPERIMENTS.md, PR 19),
+            // so start-up allocates exactly what it always has.
+            let mut replica: Vec<MicroRec> = replicas.by_ref().take(1).collect();
             let spawned =
                 std::thread::Builder::new().name(format!("microrec-worker-{id}")).spawn({
                     let queue = Arc::clone(&queue);
                     let stats = Arc::clone(&stats);
-                    match &plan {
-                        None => {
-                            let Some(engine) = lane_engines.pop() else {
-                                // Unreachable: the pool is sized above.
-                                return Err(abort_start(
-                                    &queue,
-                                    workers,
-                                    MicroRecError::Runtime("worker engine pool exhausted".into()),
-                                ));
-                            };
-                            Box::new(move || {
-                                worker_loop_monolithic(engine, &queue, &stats, config);
-                            }) as Box<dyn FnOnce() + Send>
-                        }
-                        Some(plan) => {
-                            // Decompose this worker's replica into stages
-                            // before spawning, so spawn failures and build
-                            // failures surface here.
-                            let executor = match PipelineExecutor::with_plan(lane_engines, plan) {
-                                Ok(executor) => executor,
-                                Err(e) => return Err(abort_start(&queue, workers, e)),
-                            };
-                            pipelines.push(Arc::clone(executor.shared()));
-                            Box::new(move || {
-                                worker_loop_pipelined(executor, &queue, &stats, config);
-                            })
-                        }
-                    }
+                    let Some(engine) = replica.pop() else {
+                        // Unreachable: the pool is sized above.
+                        return Err(abort_start(
+                            &queue,
+                            workers,
+                            MicroRecError::Runtime("worker engine pool exhausted".into()),
+                        ));
+                    };
+                    // Boxed here although `spawn` boxes it again, for the
+                    // same reason: handing `spawn` the ≈1.1 KB closure
+                    // itself drops this block and grows std's own by as
+                    // much (EXPERIMENTS.md, "One execution path").
+                    Box::new(move || {
+                        worker_loop(engine, &queue, &stats, config);
+                    }) as Box<dyn FnOnce() + Send>
                 });
             match spawned {
                 Ok(handle) => workers.push(handle),
@@ -578,100 +519,11 @@ impl ServingRuntime {
             queue,
             stats,
             config,
-            plan,
             expected_arity,
             lookup_meta,
-            pipelines,
-            router: None,
             resharder,
             reshard_stop,
             reshard_driver,
-            workers,
-        })
-    }
-
-    /// Starts the routed runtime: each worker owns a full [`PathSet`]
-    /// (the path matrix built from `builder`'s configuration); the first
-    /// worker's startup calibration seeds a [`PathCostModel`] every
-    /// worker shares, and each formed batch is routed to its
-    /// predicted-fastest path with EWMA feedback and the SLO guard.
-    ///
-    /// Cache-backed lookup counters live inside individual paths here
-    /// (split across cache-on and cache-off engines), so
-    /// [`ServingRuntime::lookup_stats`] reports `None` under routed
-    /// execution; [`ServingRuntime::router_snapshot`] carries the
-    /// per-path accounting instead.
-    fn start_routed(
-        mut builder: MicroRecBuilder,
-        config: RuntimeConfig,
-    ) -> Result<Self, MicroRecError> {
-        if config.adaptive {
-            return Err(MicroRecError::Runtime(
-                "adaptive re-sharding is not available under routed execution: per-table \
-                 lookup counters live inside individual paths"
-                    .into(),
-            ));
-        }
-        builder.prepare_shared_arena()?;
-        let spec = builder.model_spec();
-        let expected_arity = spec.num_tables() * spec.lookups_per_table as usize;
-
-        let queue = Arc::new(BoundedQueue::new(config.queue_depth));
-        let stats = Arc::new(SharedStats::default());
-        let mut sets: Vec<PathSet> = Vec::with_capacity(config.workers);
-        let mut shared_model: Option<Arc<Mutex<PathCostModel>>> = None;
-        let mut pipelines = Vec::new();
-        for _ in 0..config.workers {
-            let set = match &shared_model {
-                None => PathSet::build(&builder, config.max_batch)?,
-                Some(model) => {
-                    PathSet::build_shared(&builder, config.max_batch, Arc::clone(model))?
-                }
-            };
-            if shared_model.is_none() {
-                shared_model = Some(set.model());
-            }
-            pipelines.extend(set.pipeline_shared().iter().map(Arc::clone));
-            sets.push(set);
-        }
-        let router = match shared_model {
-            Some(model) => model,
-            None => Arc::new(Mutex::new(PathCostModel::new(Vec::new()))),
-        };
-
-        let mut workers: Vec<JoinHandle<()>> = Vec::with_capacity(config.workers);
-        for (id, set) in sets.into_iter().enumerate() {
-            let spawned =
-                std::thread::Builder::new().name(format!("microrec-worker-{id}")).spawn({
-                    let queue = Arc::clone(&queue);
-                    let stats = Arc::clone(&stats);
-                    move || {
-                        worker_loop_routed(set, &queue, &stats, config);
-                    }
-                });
-            match spawned {
-                Ok(handle) => workers.push(handle),
-                Err(e) => {
-                    return Err(abort_start(
-                        &queue,
-                        workers,
-                        MicroRecError::Runtime(format!("failed to spawn worker {id}: {e}")),
-                    ));
-                }
-            }
-        }
-        Ok(ServingRuntime {
-            queue,
-            stats,
-            config,
-            plan: None,
-            expected_arity,
-            lookup_meta: None,
-            pipelines,
-            router: Some(router),
-            resharder: None,
-            reshard_stop: None,
-            reshard_driver: None,
             workers,
         })
     }
@@ -680,21 +532,6 @@ impl ServingRuntime {
     #[must_use]
     pub fn config(&self) -> &RuntimeConfig {
         &self.config
-    }
-
-    /// The staged lane topology the workers run, or `None` under
-    /// monolithic execution.
-    #[must_use]
-    pub fn plan(&self) -> Option<&PipelinePlan> {
-        self.plan.as_ref()
-    }
-
-    /// Per-path routing statistics (dispatch counts, predicted vs
-    /// observed latency, SLO fallbacks), only under
-    /// [`ExecutionMode::Routed`]. Valid both live and after shutdown.
-    #[must_use]
-    pub fn router_snapshot(&self) -> Option<RouterSnapshot> {
-        self.router.as_ref().map(|model| lock_or_recover(model).snapshot())
     }
 
     /// Current admission-queue depth.
@@ -766,26 +603,7 @@ impl ServingRuntime {
             },
             mean_latency_us: hist.mean_us(),
             latency: hist.percentiles(),
-            stages: self.merged_stage_stats(),
         }
-    }
-
-    /// Per-stage pipeline counters summed across workers (stage `i` of
-    /// every worker contributes to entry `i`), or `None` under monolithic
-    /// execution. `lanes` is a topology fact, identical across workers,
-    /// so it is carried through rather than summed.
-    fn merged_stage_stats(&self) -> Option<Vec<StageSnapshot>> {
-        let first = self.pipelines.first()?;
-        let mut merged = first.snapshots();
-        for shared in &self.pipelines[1..] {
-            for (total, stage) in merged.iter_mut().zip(shared.snapshots()) {
-                total.items += stage.items;
-                total.stalls += stage.stalls;
-                total.backpressure += stage.backpressure;
-                total.occupancy_sum += stage.occupancy_sum;
-            }
-        }
-        Some(merged)
     }
 
     /// A copy of the completion-latency histogram (for reports that need
@@ -1034,7 +852,7 @@ impl PublishedLookups {
 /// Steady-state loop of one worker: pop a micro-batch, run it through the
 /// private engine replica, deliver results, publish the batch's lookup
 /// counter movement.
-fn worker_loop_monolithic(
+fn worker_loop(
     mut engine: MicroRec,
     queue: &BoundedQueue<Request>,
     stats: &SharedStats,
@@ -1050,76 +868,6 @@ fn worker_loop_monolithic(
     }
 }
 
-/// Steady-state loop of one pipelined worker: pop a micro-batch, stream
-/// it through the staged dataflow executor, deliver results.
-///
-/// Lookup counters live inside the lookup lanes' engines (they moved onto
-/// the stage threads), so unlike the monolithic loop they cannot be
-/// published per batch; each lane's totals land in the shared stats
-/// exactly once, when the drain completes and
-/// [`PipelineExecutor::shutdown_all`] hands every lane engine back. A
-/// lane that panicked is absent from the list and its counters died with
-/// it.
-fn worker_loop_pipelined(
-    mut executor: PipelineExecutor,
-    queue: &BoundedQueue<Request>,
-    stats: &SharedStats,
-    config: RuntimeConfig,
-) {
-    let mut queries: Vec<Vec<u64>> = Vec::with_capacity(config.max_batch);
-    while let Some((mut batch, close)) = queue.pop_batch(config.max_batch) {
-        open_batch(stats, &mut batch, close, &mut queries);
-        let result = executor.predict_batch(&queries);
-        deliver(stats, batch, &queries, result, |q| executor.predict(q));
-    }
-    for engine in executor.shutdown_all() {
-        PublishedLookups::new(&engine).publish(&engine, stats);
-    }
-}
-
-/// The routed mode's SLO budget for a batch: the objective minus the
-/// queue age of its oldest request (`pop_batch` preserves arrival order),
-/// or `None` when `slo_us` is 0 and the guard is off. Batches are taken
-/// as soon as a worker is free, so queue age is the whole of the time
-/// already spent.
-fn slo_budget_us(slo_us: u64, oldest_age: Duration) -> Option<f64> {
-    (slo_us > 0).then_some(slo_us as f64 - oldest_age.as_secs_f64() * 1e6)
-}
-
-/// Steady-state loop of one routed worker: pop a micro-batch, ask the
-/// shared cost model for the predicted-fastest path, run the batch
-/// there, and feed the observed latency back.
-///
-/// A batch whose predicted cost overruns its [`slo_budget_us`] takes the
-/// measured lowest-latency path instead. Overload (admission queue ≥ 3/4
-/// full) suppresses probe dispatches and tightens the cold-cache degrade.
-/// The per-item fallback of a failed batch runs on path 0 (the monolithic
-/// engine, always registered first); no feedback is recorded for it.
-fn worker_loop_routed(
-    mut set: PathSet,
-    queue: &BoundedQueue<Request>,
-    stats: &SharedStats,
-    config: RuntimeConfig,
-) {
-    let overload_depth = config.queue_depth - config.queue_depth / 4;
-    let mut queries: Vec<Vec<u64>> = Vec::with_capacity(config.max_batch);
-    while let Some((mut batch, close)) = queue.pop_batch(config.max_batch) {
-        open_batch(stats, &mut batch, close, &mut queries);
-        let oldest_age = batch.first().map_or(Duration::ZERO, |r| r.enqueued_at.elapsed());
-        let remaining_us = slo_budget_us(config.slo_us, oldest_age);
-        let overload = queue.len() >= overload_depth;
-        let decision = set.route(&queries, remaining_us, overload);
-        let started = Instant::now();
-        let result = set.predict_batch_on(decision.path, &queries);
-        if result.is_ok() {
-            set.observe(&decision, queries.len(), started.elapsed().as_secs_f64() * 1e6);
-        }
-        deliver(stats, batch, &queries, result, |q| set.predict_on(0, q));
-    }
-    // Queue drained: join the staged paths' stage threads.
-    set.shutdown();
-}
-
 #[cfg(test)]
 mod close_tests {
     //! The close rule under a held worker: requests are admitted into a
@@ -1129,7 +877,7 @@ mod close_tests {
     use super::*;
     use microrec_embedding::ModelSpec;
 
-    /// A monolithic runtime with its queue open and no worker yet, plus
+    /// A runtime with its queue open and no worker yet, plus
     /// the engine [`release`] will serve with.
     fn held(config: RuntimeConfig) -> (ServingRuntime, MicroRec) {
         let engine = MicroRec::builder(ModelSpec::dlrm_rmc2(4, 4)).seed(7).build().unwrap();
@@ -1138,11 +886,8 @@ mod close_tests {
             queue: Arc::new(BoundedQueue::new(config.queue_depth)),
             stats: Arc::new(SharedStats::default()),
             config,
-            plan: None,
             expected_arity: model.num_tables() * model.lookups_per_table as usize,
             lookup_meta: None,
-            pipelines: Vec::new(),
-            router: None,
             resharder: None,
             reshard_stop: None,
             reshard_driver: None,
@@ -1156,7 +901,7 @@ mod close_tests {
         let (queue, stats) = (Arc::clone(&runtime.queue), Arc::clone(&runtime.stats));
         let config = runtime.config;
         runtime.workers.push(std::thread::spawn(move || {
-            worker_loop_monolithic(engine, &queue, &stats, config);
+            worker_loop(engine, &queue, &stats, config);
         }));
     }
 
@@ -1236,15 +981,6 @@ mod close_tests {
         for p in pending {
             p.wait().expect("every admitted request must complete");
         }
-    }
-
-    #[test]
-    fn slo_budget_is_the_objective_minus_queue_age() {
-        assert_eq!(slo_budget_us(0, Duration::from_micros(700)), None, "0 turns the guard off");
-        assert_eq!(slo_budget_us(2_000, Duration::ZERO), Some(2_000.0));
-        assert_eq!(slo_budget_us(2_000, Duration::from_micros(700)), Some(1_300.0));
-        // Already late: the budget goes negative, it is not clamped.
-        assert_eq!(slo_budget_us(500, Duration::from_micros(700)), Some(-200.0));
     }
 }
 

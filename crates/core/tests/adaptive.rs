@@ -5,9 +5,7 @@
 
 use std::time::{Duration, Instant};
 
-use microrec_core::{
-    ExecutionMode, MicroRec, MicroRecBuilder, ReshardingPolicy, RuntimeConfig, ServingRuntime,
-};
+use microrec_core::{MicroRec, MicroRecBuilder, ReshardingPolicy, RuntimeConfig, ServingRuntime};
 use microrec_embedding::{ModelSpec, RowFormat, TableSpec};
 use microrec_memsim::MemoryConfig;
 use microrec_placement::HeuristicOptions;
@@ -189,22 +187,6 @@ fn adaptive_gates_reject_unsupported_configurations() {
     )
     .expect_err("adaptive without a cache must fail");
     assert!(err.to_string().contains("per-table counters"), "{err}");
-
-    // Staged execution publishes counters only at drain.
-    let err = ServingRuntime::start(
-        builder(),
-        RuntimeConfig { execution: ExecutionMode::Pipelined, ..adaptive_config() },
-    )
-    .expect_err("adaptive under a staged mode must fail");
-    assert!(err.to_string().contains("monolithic execution"), "{err}");
-
-    // Routed execution keeps counters inside individual paths.
-    let err = ServingRuntime::start(
-        builder(),
-        RuntimeConfig { execution: ExecutionMode::Routed, ..adaptive_config() },
-    )
-    .expect_err("adaptive under routed execution must fail");
-    assert!(err.to_string().contains("routed execution"), "{err}");
 }
 
 #[test]

@@ -5,9 +5,7 @@
 //! injection (I/O failures fail only the affected items while the
 //! runtime keeps draining).
 
-use microrec_core::{
-    ExecutionMode, MicroRec, MicroRecBuilder, RuntimeConfig, RuntimeError, ServingRuntime,
-};
+use microrec_core::{MicroRec, MicroRecBuilder, RuntimeConfig, RuntimeError, ServingRuntime};
 use microrec_embedding::{ModelSpec, RowFormat, TableSpec};
 use microrec_workload::{QueryGenConfig, RequestTrace};
 
@@ -108,45 +106,6 @@ fn bigger_than_budget_model_serves_bit_identical_with_bounded_memory() {
         assert!(stats.cold_tier_healthy(), "{format}: no I/O faults in this test");
         assert!(stats.bytes_from_memory > 0);
     }
-}
-
-#[test]
-fn pipelined_tiered_runtime_serves_and_reports_tier_counters() {
-    let model = model();
-    let queries = queries(&model, 32);
-    let format = RowFormat::F16;
-    let mut reference = MicroRec::builder(model.clone())
-        .seed(7)
-        .embedding_arena(format)
-        .build()
-        .expect("all-resident engine");
-    let expected: Vec<f32> =
-        queries.iter().map(|q| reference.predict(q).expect("predict")).collect();
-
-    let budget = model_bytes(&model, format) / 4;
-    let mut runtime = ServingRuntime::start(
-        tiered_builder(&model, budget, format),
-        RuntimeConfig {
-            workers: 1,
-            max_batch: 8,
-            execution: ExecutionMode::Pipelined,
-            ..Default::default()
-        },
-    )
-    .expect("runtime");
-    let pending: Vec<_> =
-        queries.iter().map(|q| runtime.submit(q.clone()).expect("submit")).collect();
-    for (i, (p, e)) in pending.into_iter().zip(&expected).enumerate() {
-        let got = p.wait().expect("predict");
-        assert_eq!(got.to_bits(), e.to_bits(), "query {i} diverged");
-    }
-    runtime.shutdown();
-    // Pipelined lanes publish their tier totals at drain time.
-    let stats = runtime.lookup_stats().expect("tiered runtime exposes lookup stats");
-    assert!(stats.tiered);
-    assert!(stats.resident_hits > 0);
-    assert!(stats.cold_reads > 0);
-    assert!(stats.cold_tier_healthy());
 }
 
 #[test]

@@ -46,7 +46,7 @@ pub use gemm::{dot_quantizing, dot_scalar, gemm_flops, gemm_naive, gemm_packed, 
 pub use interaction::{concat, elementwise_mul, weighted_sum, FeatureInteraction};
 pub use layer::{Activation, DenseLayer};
 pub use mlp::Mlp;
-pub use packed::{forward_layers, PackedLayer, PackedMlp};
+pub use packed::{PackedLayer, PackedMlp};
 pub use quant::{QuantScale, QuantizedMlp};
 pub use scratch::ScratchArena;
 pub use tensor::Matrix;

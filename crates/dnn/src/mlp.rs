@@ -127,9 +127,7 @@ impl Mlp {
         self.layer_flops().sum()
     }
 
-    /// Per-layer MAC operations, input-first — the compute profile a
-    /// stage-level cost model scores (the bottleneck layer bounds a
-    /// pipelined plan's throughput).
+    /// Per-layer MAC operations, input-first.
     pub fn layer_flops(&self) -> impl Iterator<Item = u64> + '_ {
         self.layers.iter().map(DenseLayer::flops)
     }

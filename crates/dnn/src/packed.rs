@@ -19,12 +19,11 @@ use crate::mlp::Mlp;
 use crate::scratch::ScratchArena;
 
 /// One packed dense layer: pre-quantized, panel-packed weights plus
-/// bias and activation — the unit of work a dataflow-pipeline stage owns.
+/// bias and activation.
 ///
 /// [`PackedLayer::forward_batch`] is the *single* implementation of
 /// per-layer forwarding on the packed path; [`PackedMlp`]'s whole-network
-/// passes and the core crate's staged pipeline both drive it, so the two
-/// execution modes cannot drift apart numerically.
+/// passes and [`PackedMlp::forward_layer`] both drive it.
 #[derive(Debug, Clone)]
 pub struct PackedLayer<T> {
     weights: PackedB<T>,
@@ -85,32 +84,6 @@ impl<T: FixedNum> PackedLayer<T> {
             }
         }
     }
-}
-
-/// Forwards `data` through `layers` in order, ping-ponging between
-/// `data` and `scratch`; the final activation ends up back in `data`.
-///
-/// This is the kernel of a *fused* dataflow-pipeline stage: a stage that
-/// owns several consecutive layers runs them back to back on one thread
-/// with a single reusable scratch buffer (one per lane), instead of
-/// paying a FIFO hop between layers. Driving [`PackedLayer::forward_batch`]
-/// per layer keeps it bit-identical to the unfused per-stage path.
-///
-/// # Errors
-///
-/// Returns [`DnnError::ShapeMismatch`] if `data.len()` is not
-/// `batch * input_dim` of the next layer at any step.
-pub fn forward_layers<T: FixedNum>(
-    layers: &[PackedLayer<T>],
-    batch: usize,
-    data: &mut Vec<T>,
-    scratch: &mut Vec<T>,
-) -> Result<(), DnnError> {
-    for layer in layers {
-        layer.forward_batch(data, batch, scratch)?;
-        std::mem::swap(data, scratch);
-    }
-    Ok(())
 }
 
 /// An [`Mlp`] snapshot with per-layer pre-quantized, panel-packed
@@ -268,13 +241,6 @@ impl<T: FixedNum> PackedMlp<T> {
         })?;
         layer.forward_batch(input, batch, out)
     }
-
-    /// Decomposes the network into its layers, so each stage of a
-    /// dataflow pipeline can own exactly one layer's packed weights.
-    #[must_use]
-    pub fn into_layers(self) -> Vec<PackedLayer<T>> {
-        self.layers
-    }
 }
 
 #[cfg(test)]
@@ -345,9 +311,9 @@ mod tests {
 
     #[test]
     fn chained_forward_layer_is_bit_identical_to_whole_network() {
-        // The staged pipeline drives layers one at a time; ping-ponging
-        // forward_layer over plain Vecs must match both the arena-based
-        // whole-network pass and the unpacked reference, bit for bit.
+        // Ping-ponging forward_layer over plain Vecs, one layer at a time,
+        // must match both the arena-based whole-network pass and the
+        // unpacked reference, bit for bit.
         fn check<T: FixedNum>(m: &Mlp, raw: &[f32]) {
             let packed: PackedMlp<T> = PackedMlp::pack(m);
             assert_eq!(packed.num_layers(), m.layers().len());

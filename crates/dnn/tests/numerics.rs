@@ -4,8 +4,8 @@
 use microrec_rng::Rng;
 
 use microrec_dnn::{
-    forward_layers, gemm_packed, gemv, Activation, DenseLayer, FixedNum, Matrix, Mlp, PackedB,
-    PackedMlp, QuantizedMlp, ScratchArena, Q16, Q32,
+    gemm_packed, gemv, Activation, DenseLayer, FixedNum, Matrix, Mlp, PackedB, PackedMlp,
+    QuantizedMlp, ScratchArena, Q16, Q32,
 };
 
 /// Q-format multiply error is bounded by format resolution for in-range
@@ -153,8 +153,8 @@ fn wide_accumulator_forward(mlp: &Mlp, input: &[Q16]) -> Vec<Q16> {
     current
 }
 
-/// Every Q2.13 execution path — `Mlp::forward`, the packed batch and the
-/// fused layer chain — equals the written-out wide-accumulator reference:
+/// Every Q2.13 execution path — `Mlp::forward` and the packed batch —
+/// equals the written-out wide-accumulator reference:
 /// on networks whose weights and inputs sit at the ±4 rails (odd widths:
 /// k-tails, n-tails, one `i32` block per k-quad) and on a Xavier network
 /// deep enough in `k` that the AVX2 tile widens several times per output.
@@ -184,9 +184,6 @@ fn q16_paths_equal_the_wide_accumulator_reference() {
             let x: Vec<Q16> =
                 (0..batch * input).map(|_| Q16::from_f32(rng.gen_range_f32(-3.9, 3.9))).collect();
             let batched = packed.forward_batch_into(&x, batch, &mut arena).unwrap().to_vec();
-            let (mut chained, mut scratch) = (x.clone(), Vec::new());
-            forward_layers(packed.layers(), batch, &mut chained, &mut scratch).unwrap();
-            assert_eq!(chained, batched, "network {net} batch {batch}: fused layer chain");
             for (i, item) in x.chunks_exact(input).enumerate() {
                 let want = wide_accumulator_forward(mlp, item);
                 assert_eq!(mlp.forward::<Q16>(item).unwrap(), want, "network {net}: Mlp::forward");

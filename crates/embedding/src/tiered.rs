@@ -147,7 +147,7 @@ struct ColdTableLoc {
 /// and a raw-syscall mmap would need an `unsafe` block plus a lifetime
 /// argument for the mapping; a positioned read into an owned buffer has
 /// neither problem, and for one-row reads the page-cache hit cost is
-/// dominated by the syscall either way (see DESIGN.md §15).
+/// dominated by the syscall either way (see DESIGN.md §13).
 #[derive(Debug)]
 pub struct ColdStore {
     file: File,

@@ -250,8 +250,8 @@ fn receiver_hint(tokens: &[Token], i: usize) -> Option<String> {
 }
 
 /// Container/smart-pointer types that forward method resolution to
-/// their payload: a call through `&Arc<Mutex<PathCostModel>>` is a call
-/// on `PathCostModel` for flow purposes (guards and cells dereference).
+/// their payload: a call through `&Arc<Mutex<Resharder>>` is a call
+/// on `Resharder` for flow purposes (guards and cells dereference).
 const TYPE_WRAPPERS: [&str; 15] = [
     "Option",
     "Arc",
@@ -278,7 +278,7 @@ const PRIMITIVES: [&str; 17] = [
 ];
 
 /// The payload type named by an annotation's word sequence, e.g.
-/// `["Arc", "Mutex", "PathCostModel"]` → `PathCostModel`. Returns `None`
+/// `["Arc", "Mutex", "Resharder"]` → `Resharder`. Returns `None`
 /// for `dyn`/`impl Trait` (dispatch target unknowable — keep the
 /// conservative fan-out) and for annotations with no usable name.
 fn annotated_type(words: &[&str]) -> Option<String> {
@@ -842,7 +842,7 @@ mod tests {
         {
             let (index, cg) = graph(&[
                 ("src/a.rs", "fn f(v: &mut Vec<u8>) { v.pop(); }\n"),
-                ("src/b.rs", "impl FanIn { pub fn pop(&self) {} }\n"),
+                ("src/b.rs", "impl Stack { pub fn pop(&self) {} }\n"),
             ]);
             assert!(callee_names(&index, &cg, "f").is_empty());
         }

@@ -12,7 +12,7 @@ use std::fmt;
 /// Every lint id the tool knows, in reporting order. The first five are
 /// the single-file structural lints; the rest are the interprocedural
 /// flow lints added with the call-graph pass.
-pub const LINT_IDS: [&str; 11] = [
+pub const LINT_IDS: [&str; 10] = [
     "hot-path-alloc",
     "no-panic-serving",
     "unsafe-audit",
@@ -22,7 +22,6 @@ pub const LINT_IDS: [&str; 11] = [
     "transitive-panic",
     "lock-order",
     "blocking-under-lock",
-    "ring-protocol",
     "unused-allow",
 ];
 

@@ -18,7 +18,7 @@ pub struct LintDoc {
 }
 
 /// Every documented lint, in [`LINT_IDS`] order plus `malformed-allow`.
-pub const LINT_DOCS: [LintDoc; 12] = [
+pub const LINT_DOCS: [LintDoc; 11] = [
     LintDoc {
         id: "hot-path-alloc",
         invariant: "designated hot functions perform no heap allocation (Vec::new, vec!, .to_vec(), .clone(), format!, Box::new, .collect(), String::from)",
@@ -64,20 +64,14 @@ pub const LINT_DOCS: [LintDoc; 12] = [
     LintDoc {
         id: "lock-order",
         invariant: "the lock-acquisition graph (label held -> label acquired, including through calls) has no cycles",
-        rationale: "two threads taking the same pair of mutexes in opposite orders is the classic ABBA deadlock; the runtime/pool/router web has enough locks to get this wrong silently",
+        rationale: "two threads taking the same pair of mutexes in opposite orders is the classic ABBA deadlock; the runtime/resharder web has enough locks to get this wrong silently",
         allow_example: "// lint: allow(lock-order) both orders run under the scheduler big lock",
     },
     LintDoc {
         id: "blocking-under-lock",
-        invariant: "no blocking operation (SPSC blocking push/pop, condvar wait on another lock's guard, thread::park/sleep, JoinHandle::join) runs while a mutex guard is held, directly or via callees",
-        rationale: "a thread that blocks while holding a lock stalls every other thread that needs it; with rings in the middle this becomes a distributed deadlock",
+        invariant: "no blocking operation (blocking queue push/pop, condvar wait on another lock's guard, thread::park/sleep, JoinHandle::join) runs while a mutex guard is held, directly or via callees",
+        rationale: "a thread that blocks while holding a lock stalls every other thread that needs it; with a blocking queue in the middle this becomes a distributed deadlock",
         allow_example: "// lint: allow(blocking-under-lock) guard protects only this thread's slot",
-    },
-    LintDoc {
-        id: "ring-protocol",
-        invariant: "ring endpoints follow the close-then-drain protocol: no push after close, no bare try_pop loop without an is_closed check or exit, no reorder-buffer insert without an occupancy check",
-        rationale: "the SPSC rings shut down by close-then-drain; protocol violations manifest as lost items or spin-forever consumers only under load",
-        allow_example: "// lint: allow(ring-protocol) push races close by design: items dropped on shutdown",
     },
     LintDoc {
         id: "unused-allow",

@@ -26,8 +26,7 @@
 //! interprocedural lints: `transitive-hot-path-alloc` /
 //! `transitive-panic` (violations buried in callees, reported with the
 //! witness chain), `lock-order` (cycles in the lock-acquisition graph),
-//! `blocking-under-lock`, `ring-protocol` (close-then-drain discipline
-//! on the SPSC rings), and `unused-allow` (stale escape hatches).
+//! `blocking-under-lock`, and `unused-allow` (stale escape hatches).
 //!
 //! A further id, `malformed-allow`, fires on broken escape-hatch
 //! comments so a typo can never silently disable enforcement. Run

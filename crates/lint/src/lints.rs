@@ -9,9 +9,8 @@
 //!    [`crate::index::WorkspaceIndex`] / [`crate::callgraph::CallGraph`]
 //!    / [`crate::summaries::Summaries`] triple: transitive
 //!    allocation/panic reachability with witness chains, lock-order
-//!    cycle detection, blocking-under-lock, and the ring shutdown
-//!    protocol. A final pass flags `lint: allow` comments that
-//!    suppressed nothing.
+//!    cycle detection, and blocking-under-lock. A final pass flags
+//!    `lint: allow` comments that suppressed nothing.
 //!
 //! Both layers share one [`AllowSet`] so the escape hatch works (and is
 //! usage-counted) uniformly.
@@ -22,7 +21,7 @@ use crate::callgraph::CallGraph;
 use crate::config::{glob_match, Config, LintScope, Severity, LINT_IDS, MALFORMED_ALLOW};
 use crate::index::{FileModel, FnId, WorkspaceIndex};
 use crate::source::{Finding, FindingKind, Stripped};
-use crate::summaries::{RingOpKind, Summaries};
+use crate::summaries::Summaries;
 use crate::Report;
 
 /// One reported violation.
@@ -124,7 +123,6 @@ pub(crate) fn lint_workspace(files: Vec<FileModel>, config: &Config) -> Report {
     transitive_lints(&index, &graph, &sums, config, &mut allows, &mut diags);
     lock_order(&index, &graph, &sums, config, &mut allows, &mut diags);
     blocking_under_lock(&index, &graph, &sums, config, &mut allows, &mut diags);
-    ring_protocol(&index, &sums, config, &mut allows, &mut diags);
     unused_allows(config, &mut allows, &mut diags);
 
     diags.sort_by(|a, b| {
@@ -686,99 +684,6 @@ fn blocking_under_lock(
     }
 }
 
-/// `ring-protocol`: per-function state checks over the recorded ring
-/// operations — push after close, bare `try_pop` polling loops without a
-/// close check or exit, and reorder-buffer inserts without an occupancy
-/// check.
-fn ring_protocol(
-    index: &WorkspaceIndex,
-    sums: &Summaries,
-    config: &Config,
-    allows: &mut AllowSet,
-    out: &mut Vec<Diagnostic>,
-) {
-    let Some(scope) = config.lints.get("ring-protocol") else {
-        return;
-    };
-    for f in index.ids() {
-        if !designated(index, f, scope) {
-            continue;
-        }
-        let (file, def) = index.lookup(f);
-        let facts = &sums.facts[f];
-        let ops = &facts.ring_ops;
-        let mut emit = |line: usize, message: String, allows: &mut AllowSet| {
-            if allows.suppresses(&file.rel_path, "ring-protocol", line) {
-                return;
-            }
-            out.push(Diagnostic {
-                file: file.rel_path.clone(),
-                line,
-                lint: "ring-protocol".to_string(),
-                severity: scope.severity,
-                message,
-                chain: Vec::new(),
-            });
-        };
-        for close in ops.iter().filter(|o| o.kind == RingOpKind::Close) {
-            for push in ops.iter().filter(|o| {
-                o.kind == RingOpKind::Push && o.label == close.label && o.seq > close.seq
-            }) {
-                emit(
-                    push.line,
-                    format!(
-                        "push on `{}` after `close` (line {}) in `{}`: closed rings reject items",
-                        push.label,
-                        close.line,
-                        def.display_name(),
-                    ),
-                    allows,
-                );
-            }
-        }
-        for pop in ops.iter().filter(|o| o.kind == RingOpKind::TryPop) {
-            let Some(li) = pop.loop_idx else {
-                continue;
-            };
-            let info = &facts.loops[li];
-            let has_close_check =
-                ops.iter().any(|o| o.kind == RingOpKind::ClosedCheck && o.loop_idx == Some(li));
-            if info.bare && !info.has_exit && !has_close_check {
-                emit(
-                    pop.line,
-                    format!(
-                        "bare `loop` polls `try_pop` on `{}` without an `is_closed` check, `break`, or `return`: spins forever after shutdown",
-                        pop.label,
-                    ),
-                    allows,
-                );
-            }
-        }
-        // Reorder-buffer rule: only meaningful where the fn actually
-        // moves ring items (avoids flagging ordinary map inserts).
-        let touches_ring = ops.iter().any(|o| {
-            matches!(o.kind, RingOpKind::Push | RingOpKind::TryPop | RingOpKind::BlockingPop)
-        });
-        if touches_ring {
-            for ins in ops.iter().filter(|o| o.kind == RingOpKind::Insert) {
-                let checked = ops
-                    .iter()
-                    .any(|o| o.kind == RingOpKind::OccupancyCheck && o.label == ins.label);
-                if !checked {
-                    emit(
-                        ins.line,
-                        format!(
-                            "`insert` on `{}` without an `is_full`/drain check: slot reuse before drain loses items",
-                            ins.label,
-                        ),
-                        allows,
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// `unused-allow`: an allow that suppressed nothing is a stale exemption.
 fn unused_allows(config: &Config, allows: &mut AllowSet, out: &mut Vec<Diagnostic>) {
     let Some(scope) = config.lints.get("unused-allow") else {
@@ -1014,7 +919,7 @@ mod tests {
         let files = vec![
             FileModel::build(
                 "src/a.rs",
-                "fn f(&self) {\n    let g = lock_or_recover(&self.state);\n    self.ring.push_blocking(1);\n}\nfn h(&self) {\n    let g = lock_or_recover(&self.state);\n    helper();\n}\n",
+                "fn f(&self) {\n    let g = lock_or_recover(&self.state);\n    self.queue.push_blocking(1);\n}\nfn h(&self) {\n    let g = lock_or_recover(&self.state);\n    helper();\n}\n",
             ),
             FileModel::build("src/b.rs", "pub fn helper() { std::thread::sleep(d); }\n"),
         ];
@@ -1022,29 +927,6 @@ mod tests {
         let lines: Vec<usize> = report.diagnostics.iter().map(|d| d.line).collect();
         assert_eq!(lines, vec![3, 7], "{:?}", report.diagnostics);
         assert!(report.diagnostics[1].message.contains("may block"));
-    }
-
-    #[test]
-    fn ring_protocol_flags_push_after_close_and_spin_loops() {
-        let cfg = config("[lints.ring-protocol]\npaths = [\"**\"]\n");
-        let files = vec![FileModel::build(
-            "src/a.rs",
-            "fn shutdown(&self) {\n    self.ring.close();\n    let _ = self.ring.try_push(1);\n}\nfn consume(&self) {\n    loop {\n        if let Some(x) = self.ring.try_pop() { work(x); }\n    }\n}\n",
-        )];
-        let report = lint_workspace(files, &cfg);
-        let lints: Vec<(usize, &str)> =
-            report.diagnostics.iter().map(|d| (d.line, d.lint.as_str())).collect();
-        assert_eq!(lints, vec![(3, "ring-protocol"), (7, "ring-protocol")]);
-    }
-
-    #[test]
-    fn ring_protocol_accepts_the_close_then_drain_consumer() {
-        let cfg = config("[lints.ring-protocol]\npaths = [\"**\"]\n");
-        let files = vec![FileModel::build(
-            "src/a.rs",
-            "fn consume(&self) {\n    loop {\n        if let Some(x) = self.ring.try_pop() { work(x); continue; }\n        if self.ring.is_closed() { break; }\n    }\n}\n",
-        )];
-        assert!(lint_workspace(files, &cfg).diagnostics.is_empty());
     }
 
     #[test]

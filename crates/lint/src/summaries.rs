@@ -3,8 +3,7 @@
 //! In the spirit of compositional lock-set analyzers (RacerD-style),
 //! each function gets a *summary* of the facts the interprocedural lints
 //! need — does it allocate, can it panic, which locks does it acquire,
-//! can it block, which ring endpoints does it touch — computed from its
-//! own body, then propagated over the call graph to a fixpoint so a
+//! can it block — computed from its own body, then propagated over the call graph to a fixpoint so a
 //! caller inherits its callees' behavior without whole-program
 //! execution.
 //!
@@ -49,48 +48,6 @@ pub struct BlockingSite {
     pub held: Vec<String>,
 }
 
-/// Ring-endpoint operations the protocol lint reasons about.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RingOpKind {
-    /// `try_push` / `push_blocking`.
-    Push,
-    /// `pop_blocking` (terminates on close+drain by construction).
-    BlockingPop,
-    /// `try_pop` (can spin forever without a close check).
-    TryPop,
-    /// `close` / `close_all`.
-    Close,
-    /// Reorder-buffer `insert`.
-    Insert,
-    /// Occupancy / drain checks: `is_full`, `is_empty`, `len`,
-    /// `capacity`, `take`.
-    OccupancyCheck,
-    /// `is_closed`.
-    ClosedCheck,
-}
-
-/// One ring-endpoint operation in source order.
-#[derive(Debug, Clone)]
-pub struct RingOp {
-    pub kind: RingOpKind,
-    /// Receiver label (same lexical rule as lock labels).
-    pub label: String,
-    pub line: usize,
-    /// Monotonic source-order sequence within the function.
-    pub seq: usize,
-    /// Index into [`FnFacts::loops`] of the innermost enclosing loop.
-    pub loop_idx: Option<usize>,
-}
-
-/// One loop in a function body.
-#[derive(Debug, Clone)]
-pub struct LoopInfo {
-    /// A bare `loop { .. }` (as opposed to `while`/`for`).
-    pub bare: bool,
-    /// The loop body contains a `break`, `return`, or `?`.
-    pub has_exit: bool,
-}
-
 /// Everything extracted from one function body.
 #[derive(Debug, Clone, Default)]
 pub struct FnFacts {
@@ -101,8 +58,6 @@ pub struct FnFacts {
     /// Lock labels held at each call site, keyed by the callee-name
     /// token index ([`crate::callgraph::CallSite::tok`]).
     pub held_at_call: BTreeMap<usize, Vec<String>>,
-    pub ring_ops: Vec<RingOp>,
-    pub loops: Vec<LoopInfo>,
     /// `Some(label)` when the function returns a `MutexGuard` over the
     /// lock it acquires (a lock helper like `QueryQueue::lock`).
     pub returns_guard: Option<String>,
@@ -214,10 +169,7 @@ struct Walker<'a> {
     paren_depth: i32,
     /// Token indices since the last statement boundary.
     stmt: Vec<usize>,
-    /// Stack of (loop index, depth) for loops currently open.
-    loop_stack: Vec<(usize, usize)>,
     facts: FnFacts,
-    ring_seq: usize,
 }
 
 impl<'a> Walker<'a> {
@@ -375,38 +327,6 @@ impl<'a> Walker<'a> {
     fn release_binding(&mut self, name: &str) {
         self.held.retain(|h| h.binding.as_deref() != Some(name));
     }
-
-    fn mark_loop_exits(&mut self) {
-        for &(loop_idx, _) in &self.loop_stack {
-            self.facts.loops[loop_idx].has_exit = true;
-        }
-    }
-
-    fn ring_op(&mut self, kind: RingOpKind, label: String, line: usize) {
-        let seq = self.ring_seq;
-        self.ring_seq += 1;
-        self.facts.ring_ops.push(RingOp {
-            kind,
-            label,
-            line,
-            seq,
-            loop_idx: self.loop_stack.last().map(|&(idx, _)| idx),
-        });
-    }
-}
-
-/// Words opening a block: decide whether the `{` starts a loop and
-/// whether that loop is a bare `loop`.
-fn loop_kind(stmt_words: &[&str]) -> Option<bool> {
-    let mut bare = None;
-    for w in stmt_words {
-        match *w {
-            "loop" => bare = Some(true),
-            "while" | "for" => bare = Some(false),
-            _ => {}
-        }
-    }
-    bare
 }
 
 #[allow(clippy::too_many_lines)]
@@ -445,9 +365,7 @@ fn extract(
         depth: 0,
         paren_depth: 0,
         stmt: Vec::new(),
-        loop_stack: Vec::new(),
         facts,
-        ring_seq: 0,
     };
 
     let mut i = def.body.0;
@@ -460,29 +378,16 @@ fn extract(
         let line = w.tokens[i].line;
         match &w.tokens[i].tok {
             Tok::Punct('{') => {
-                let kind = {
-                    let stmt_words: Vec<&str> =
-                        w.stmt.iter().filter_map(|&idx| w.word(idx)).collect();
-                    loop_kind(&stmt_words)
-                };
                 // Entering a block drops `if`/`while` condition
                 // temporaries (`if !m.lock().ready() { .. }` runs the
                 // body unlocked). Over-releases a `match` on a guard
                 // temporary — accepted imprecision, see DESIGN.md.
                 w.release_temps();
                 w.depth += 1;
-                if let Some(bare) = kind {
-                    w.facts.loops.push(LoopInfo { bare, has_exit: false });
-                    let loop_idx = w.facts.loops.len() - 1;
-                    w.loop_stack.push((loop_idx, w.depth));
-                }
                 w.stmt.clear();
             }
             Tok::Punct('}') => {
                 w.release_block();
-                if w.loop_stack.last().is_some_and(|&(_, d)| d == w.depth) {
-                    w.loop_stack.pop();
-                }
                 w.depth = w.depth.saturating_sub(1);
                 w.stmt.clear();
             }
@@ -498,15 +403,10 @@ fn extract(
                 w.paren_depth -= 1;
                 w.stmt.push(i);
             }
-            Tok::Punct('?') => {
-                w.mark_loop_exits();
-                w.stmt.push(i);
-            }
             Tok::Word(word) => {
                 let prev_dot = i >= 1 && w.punct(i - 1) == Some('.');
                 let next_paren = w.punct(i + 1) == Some('(');
                 match word.as_str() {
-                    "break" | "return" => w.mark_loop_exits(),
                     // --- lock acquisitions ---
                     "lock_or_recover" if next_paren => {
                         let close = w.close_paren(i + 1);
@@ -552,21 +452,10 @@ fn extract(
                     }
                     "push_blocking" | "pop_blocking" if next_paren => {
                         w.facts.blocking.push(BlockingSite {
-                            what: format!("{word} (SPSC)"),
+                            what: word.clone(),
                             line,
                             held: w.held_labels(),
                         });
-                        let label = if prev_dot {
-                            w.receiver_label(i - 1).unwrap_or_else(|| "ring".to_string())
-                        } else {
-                            "ring".to_string()
-                        };
-                        let kind = if word == "push_blocking" {
-                            RingOpKind::Push
-                        } else {
-                            RingOpKind::BlockingPop
-                        };
-                        w.ring_op(kind, label, line);
                     }
                     "park" | "park_timeout" | "sleep" if next_paren && !prev_dot => {
                         w.facts.blocking.push(BlockingSite {
@@ -581,34 +470,6 @@ fn extract(
                             line,
                             held: w.held_labels(),
                         });
-                    }
-                    // --- ring protocol ---
-                    "try_push" if prev_dot && next_paren => {
-                        let label = w.receiver_label(i - 1).unwrap_or_else(|| "ring".to_string());
-                        w.ring_op(RingOpKind::Push, label, line);
-                    }
-                    "try_pop" if prev_dot && next_paren => {
-                        let label = w.receiver_label(i - 1).unwrap_or_else(|| "ring".to_string());
-                        w.ring_op(RingOpKind::TryPop, label, line);
-                    }
-                    "close" | "close_all" if prev_dot && next_paren => {
-                        let label = w.receiver_label(i - 1).unwrap_or_else(|| "ring".to_string());
-                        w.ring_op(RingOpKind::Close, label, line);
-                    }
-                    "insert" if prev_dot && next_paren => {
-                        let label = w.receiver_label(i - 1).unwrap_or_else(|| "ring".to_string());
-                        w.ring_op(RingOpKind::Insert, label, line);
-                    }
-                    "take" | "is_full" | "is_empty" | "len" | "capacity"
-                        if prev_dot && next_paren =>
-                    {
-                        if let Some(label) = w.receiver_label(i - 1) {
-                            w.ring_op(RingOpKind::OccupancyCheck, label, line);
-                        }
-                    }
-                    "is_closed" if prev_dot && next_paren => {
-                        let label = w.receiver_label(i - 1).unwrap_or_else(|| "ring".to_string());
-                        w.ring_op(RingOpKind::ClosedCheck, label, line);
                     }
                     _ => {}
                 }
@@ -819,19 +680,5 @@ mod tests {
         let (_, top) = facts_of(&index, &sums, "top");
         assert!(sums.may_block[top].is_some());
         assert!(sums.acquires_all[top].contains("STATS"));
-    }
-
-    #[test]
-    fn ring_ops_record_order_and_loop_context() {
-        let (index, _, sums) = summaries(&[(
-            "src/a.rs",
-            "fn f(&self) {\n    self.ring.close();\n    let _ = self.ring.try_push(1);\n    loop {\n        if let Some(x) = self.ring.try_pop() { use_it(x); }\n    }\n}\n",
-        )]);
-        let (facts, _) = facts_of(&index, &sums, "f");
-        let kinds: Vec<RingOpKind> = facts.ring_ops.iter().map(|o| o.kind).collect();
-        assert_eq!(kinds, vec![RingOpKind::Close, RingOpKind::Push, RingOpKind::TryPop]);
-        assert!(facts.ring_ops[2].loop_idx.is_some());
-        let loop_info = &facts.loops[facts.ring_ops[2].loop_idx.unwrap()];
-        assert!(loop_info.bare && !loop_info.has_exit);
     }
 }

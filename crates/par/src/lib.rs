@@ -4,9 +4,7 @@
 //! environment has no registry access, so this crate provides the small
 //! slice of rayon's API the workspace actually uses — `join`, `scope`,
 //! and indexed parallel maps with dynamic work stealing — with no
-//! external dependencies and no global thread pool to configure. It also
-//! vendors the bounded SPSC ring-buffer FIFO ([`SpscRing`]) that connects
-//! the stages of the core crate's dataflow pipeline.
+//! external dependencies and no global thread pool to configure.
 //!
 //! All entry points degrade gracefully: with `threads <= 1` (or a single
 //! available core) they run inline on the caller's thread, which keeps
@@ -14,12 +12,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-mod fanout;
-mod spsc;
-
-pub use fanout::{FanIn, FanOut, ReorderBuffer, Sequenced};
-pub use spsc::{SpscPushError, SpscRing, DEFAULT_SPIN_ROUNDS};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -81,14 +73,12 @@ where
                     local.push((i, f(i, &items[i])));
                 }
                 if !local.is_empty() {
-                    // lint: allow(transitive-panic) poisoned only if a sibling worker panicked; re-raising preserves fail-fast
                     out.lock().expect("result mutex poisoned").extend(local);
                 }
             });
         }
     });
 
-    // lint: allow(transitive-panic) poisoned only if a sibling worker panicked; re-raising preserves fail-fast
     let mut pairs = out.into_inner().expect("result mutex poisoned");
     pairs.sort_by_key(|(i, _)| *i);
     debug_assert_eq!(pairs.len(), items.len());

@@ -27,7 +27,6 @@ fn public_types_are_send_sync() {
     assert_send_sync::<microrec_cpu::CpuTimingModel>();
     assert_send_sync::<microrec_workload::RequestTrace>();
     assert_send_sync::<microrec_core::MicroRec>();
-    assert_send_sync::<microrec_core::EnginePool>();
     assert_send_sync::<microrec_core::MicroRecCluster>();
 }
 
