@@ -121,7 +121,7 @@ pub fn f16_encode_slice(src: &[f32], dst: &mut [u16]) {
 pub fn f16_decode_slice(src: &[u16], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len());
     #[cfg(target_arch = "x86_64")]
-    if f16c_available() {
+    if crate::gemm::cpu::has(crate::gemm::cpu::F16C) {
         // SAFETY: the feature check above guarantees F16C (and AVX).
         unsafe { f16_decode_slice_f16c(src, dst) };
         return;
@@ -134,24 +134,6 @@ pub fn f16_decode_slice(src: &[u16], dst: &mut [f32]) {
 pub fn f16_decode_slice_scalar(src: &[u16], dst: &mut [f32]) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d = f16_decode(s);
-    }
-}
-
-/// Caches the F16C CPUID probe so the hot path pays one atomic load.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn f16c_available() -> bool {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    static STATE: AtomicU8 = AtomicU8::new(0); // 0 unknown, 1 no, 2 yes
-    match STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => {
-            let yes = std::arch::is_x86_feature_detected!("f16c")
-                && std::arch::is_x86_feature_detected!("avx");
-            STATE.store(if yes { 2 } else { 1 }, Ordering::Relaxed);
-            yes
-        }
     }
 }
 
@@ -218,7 +200,7 @@ pub fn i8_quant_slice(src: &[f32], dst: &mut [i8]) -> f32 {
 pub fn i8_dequant_slice(src: &[i8], scale: f32, dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len());
     #[cfg(target_arch = "x86_64")]
-    if crate::gemm::avx2_available() {
+    if crate::gemm::cpu::has(crate::gemm::cpu::AVX2) {
         // SAFETY: the feature check above guarantees AVX2.
         unsafe { i8_dequant_slice_avx2(src, scale, dst) };
         return;

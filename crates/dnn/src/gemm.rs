@@ -52,8 +52,22 @@
 //!   45–63 for this repo's Xavier layers), after which it is widened into
 //!   two `i64` accumulators per row — the `Acc` the oracle sums in. Nothing
 //!   rounds or saturates before [`FixedNum::narrow`], so the regrouping is
-//!   exact. (The ledger's `dnn.roofline_frac` divides by the `f32`-FMA peak,
-//!   `host.peak_gmacs_per_s`: 16 MACs per instruction against this tile's 8.)
+//!   exact.
+//! * **Q2.13 on AVX-512 VNNI** (preferred where AVX-512F, -BW and -VNNI are
+//!   all present) — the same pair sums in the same `i32` lanes, two panels
+//!   per 512-bit weight vector (`vinserti64x4` of their k-quads), and
+//!   `dpwssd_epi32` (`vpdpwssd`) multiplies, pair-sums and accumulates in
+//!   one instruction: 32 MACs each. Its 5-cycle latency sits on the
+//!   accumulator chain, so the tile ([`tile_q16_avx512`]) is 6 panels × 4
+//!   rows, 12 independent chains. Of the shapes tried, 2 panels × 8 rows
+//!   served batches of 32 about as fast but `serve-open`'s single items
+//!   4–9 % slower, and the AVX2 tile's shape on 256-bit AVX-VNNI (4 chains)
+//!   lost to `vpmaddwd` + `vpaddd`. Blocks of `i32_quads` k-quads end in a
+//!   stack array of `i64`; panels left over after the 6-panel groups take a
+//!   4- or 2-panel instantiation and, if odd, the AVX2 tile. The ledger's
+//!   `dnn.roofline_frac` divides by the `f32` 256-bit FMA peak
+//!   (`host.peak_gmacs_per_s`, 8 MACs per instruction), so under this tile
+//!   it reads above 1.
 //! * **`f32` on AVX2** — the lane-ordered tile, two 8-float vectors per
 //!   k-quad (2 columns each), `mul_ps` then `add_ps`; never FMA, which
 //!   rounds once where the oracle rounds twice.
@@ -125,20 +139,37 @@ pub fn dot_quantizing<T: FixedNum>(w: &[f32], x: &[T]) -> T {
     dot_lanes(w.len(), |j| (T::from_f32(w[j]), x[j]))
 }
 
-/// Caches the AVX2 CPUID probe so the hot path pays one atomic load.
+/// The CPU features every vector kernel in the crate dispatches on, as bits
+/// of one word probed once per process: AVX2 (the AVX2 Q2.13 and `f32`
+/// tiles, `i8` dequant), AVX with F16C (half decode) and AVX-512F/BW/VNNI
+/// (the wide Q2.13 tile).
 #[cfg(target_arch = "x86_64")]
-#[inline]
-pub(crate) fn avx2_available() -> bool {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    static STATE: AtomicU8 = AtomicU8::new(0); // 0 unknown, 1 no, 2 yes
-    match STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => {
-            let yes = std::arch::is_x86_feature_detected!("avx2");
-            STATE.store(if yes { 2 } else { 1 }, Ordering::Relaxed);
-            yes
-        }
+pub(crate) mod cpu {
+    use std::arch::is_x86_feature_detected as detected;
+    use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
+    pub(crate) const AVX2: u8 = 1;
+    pub(crate) const F16C: u8 = 2;
+    pub(crate) const AVX512_VNNI: u8 = 4;
+    /// The probed features, with bit 7 set; 0 until the first probe.
+    static WORD: AtomicU8 = AtomicU8::new(0);
+
+    /// Whether the CPU has every feature in `features`: one relaxed load
+    /// after the first call, whose CPUID probe is out of line and cold.
+    #[inline]
+    pub(crate) fn has(features: u8) -> bool {
+        let word = WORD.load(Relaxed);
+        let word = if word == 0 { probe() } else { word };
+        word & features == features
+    }
+    #[cold]
+    fn probe() -> u8 {
+        let avx512_vnni = detected!("avx512f") && detected!("avx512bw") && detected!("avx512vnni");
+        let word = 0x80
+            | (u8::from(detected!("avx2")) * AVX2)
+            | (u8::from(detected!("avx") && detected!("f16c")) * F16C)
+            | (u8::from(avx512_vnni) * AVX512_VNNI);
+        WORD.store(word, Relaxed);
+        word
     }
 }
 
@@ -412,13 +443,22 @@ pub(crate) fn q16_i32_quads(packed: &[Q16]) -> Option<NonZeroUsize> {
     NonZeroUsize::new(quads.map_or(usize::MAX, |quads| quads as usize))
 }
 
-/// Q2.13 [`FixedNum::gemm_panels`]: the AVX2 tile where the CPU has it.
+/// Q2.13 [`FixedNum::gemm_panels`]: the AVX-512 VNNI tile where the CPU has
+/// it, else the AVX2 tile, else (or for a −32768 weight) the portable one.
 pub(crate) fn gemm_panels_q16(a: &[Q16], b: &PackedB<Q16>, c: &mut [Q16]) {
     #[cfg(target_arch = "x86_64")]
-    if let (Some(i32_quads), true) = (b.i32_quads, avx2_available()) {
-        // SAFETY: the feature check above guarantees AVX2.
-        unsafe { gemm_panels_q16_avx2(a, b.k, b.panels(), b.n, c, i32_quads) };
-        return;
+    if let Some(i32_quads) = b.i32_quads {
+        if cpu::has(cpu::AVX2 | cpu::AVX512_VNNI) {
+            // SAFETY: the feature check above guarantees AVX2 and
+            // AVX-512F/BW/VNNI.
+            unsafe { gemm_panels_q16_avx512(a, b.k, b.panels(), b.n, c, i32_quads) };
+            return;
+        }
+        if cpu::has(cpu::AVX2) {
+            // SAFETY: the feature check above guarantees AVX2.
+            unsafe { gemm_panels_q16_avx2(a, b.k, b.panels(), b.n, c, i32_quads) };
+            return;
+        }
     }
     gemm_panels_portable(a, b.k, b.panels(), b.n, c);
 }
@@ -426,7 +466,7 @@ pub(crate) fn gemm_panels_q16(a: &[Q16], b: &PackedB<Q16>, c: &mut [Q16]) {
 /// `f32` [`FixedNum::gemm_panels`]: the AVX2 tile where the CPU has it.
 pub(crate) fn gemm_panels_f32(a: &[f32], b: &PackedB<f32>, c: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
+    if cpu::has(cpu::AVX2) {
         // SAFETY: the feature check above guarantees AVX2.
         unsafe { gemm_panels_f32_avx2(a, b.k, b.panels(), b.n, c) };
         return;
@@ -434,32 +474,201 @@ pub(crate) fn gemm_panels_f32(a: &[f32], b: &PackedB<f32>, c: &mut [f32]) {
     gemm_panels_portable(a, b.k, b.panels(), b.n, c);
 }
 
-/// Walks panels (outer) and [`MR`]-row groups (inner), handing each
-/// `R × 4` tile to `$tile::<R>` (with any `$extra` arguments appended); the
-/// last `m % MR` rows get a narrower instantiation of the same tile.
+/// Walks groups of `$width` panels (outer) and [`MR`]-row groups (inner),
+/// handing each `R × 4·$width` tile to `$tile::<$G.., R>` (with any `$extra`
+/// arguments appended); the last `m % MR` rows get a narrower instantiation
+/// of the same tile.
 #[cfg(target_arch = "x86_64")]
 macro_rules! for_each_tile {
-    ($tile:ident, $a:ident, $k:ident, $panels:ident, $n:ident, $c:ident $(, $extra:ident)*) => {{
-        let m = $a.len() / $k;
-        for (p, panel) in $panels.chunks_exact(NR * $k).enumerate() {
+    (
+        $tile:ident $(::<$($g:ident),+>)?, $width:expr,
+        $a:ident, $k:ident, $panels:ident, $n:ident, $c:ident $(, $extra:ident)*
+    ) => {{
+        let (m, width) = ($a.len() / $k, $width);
+        for (p, group) in $panels.chunks_exact(width * NR * $k).enumerate() {
             let mut i = 0;
             while i < m {
                 let rows = (m - i).min(MR);
                 let a_rows = &$a[i * $k..(i + rows) * $k];
-                let c_rows = &mut $c[i * $n + p * NR..];
-                // SAFETY: the caller's own contract — AVX2 is available.
+                let c_rows = &mut $c[i * $n + p * width * NR..];
+                // SAFETY: the caller's own contract — the CPU has every
+                // feature the tile is compiled for.
                 unsafe {
                     match rows {
-                        4 => $tile::<4>(a_rows, $k, panel, $n, c_rows $(, $extra)*),
-                        3 => $tile::<3>(a_rows, $k, panel, $n, c_rows $(, $extra)*),
-                        2 => $tile::<2>(a_rows, $k, panel, $n, c_rows $(, $extra)*),
-                        _ => $tile::<1>(a_rows, $k, panel, $n, c_rows $(, $extra)*),
+                        4 => $tile::<$($($g,)+)? 4>(a_rows, $k, group, $n, c_rows $(, $extra)*),
+                        3 => $tile::<$($($g,)+)? 3>(a_rows, $k, group, $n, c_rows $(, $extra)*),
+                        2 => $tile::<$($($g,)+)? 2>(a_rows, $k, group, $n, c_rows $(, $extra)*),
+                        _ => $tile::<$($($g,)+)? 1>(a_rows, $k, group, $n, c_rows $(, $extra)*),
                     }
                 }
                 i += rows;
             }
         }
     }};
+}
+
+/// `vpdpwssd` accumulators per batch row of the AVX-512 VNNI tile, each
+/// holding two panels: the tile is 6 panels (24 columns) wide.
+#[cfg(target_arch = "x86_64")]
+const ZMM_PER_ROW: usize = 3;
+
+/// AVX-512 VNNI Q2.13 panels: groups of 6 panels in [`tile_q16_avx512`],
+/// the last 2 or 4 in a narrower instantiation of it, an odd last panel in
+/// [`tile_q16_avx2`].
+///
+/// # Safety
+///
+/// Caller must ensure the CPU supports AVX2 and AVX-512F/BW/VNNI.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f,avx512bw,avx512vnni")]
+unsafe fn gemm_panels_q16_avx512(
+    a: &[Q16],
+    k: usize,
+    panels: &[Q16],
+    n: usize,
+    c: &mut [Q16],
+    i32_quads: NonZeroUsize,
+) {
+    let pair = 2 * NR * k;
+    // Where the 2- or 4-panel rest and an odd last panel start in the panel
+    // buffer; offset / k is their first output column (a panel is `4k`).
+    let rest = panels.len() - panels.len() % (ZMM_PER_ROW * pair);
+    let odd = panels.len() - panels.len() % pair;
+    // SAFETY: the caller's own contract, for all four calls.
+    unsafe {
+        groups_q16_avx512::<ZMM_PER_ROW>(a, k, &panels[..rest], n, c, i32_quads);
+        let (pairs, c_pairs) = (&panels[rest..odd], &mut c[rest / k..]);
+        match pairs.len() / pair {
+            2 => groups_q16_avx512::<2>(a, k, pairs, n, c_pairs, i32_quads),
+            1 => groups_q16_avx512::<1>(a, k, pairs, n, c_pairs, i32_quads),
+            _ => {}
+        }
+        gemm_panels_q16_avx2(a, k, &panels[odd..], n, &mut c[odd / k..], i32_quads);
+    }
+}
+
+/// Hands every `2·Z`-panel group of `panels` to [`tile_q16_avx512`].
+///
+/// # Safety
+///
+/// Caller must ensure the CPU supports AVX-512F/BW/VNNI.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+unsafe fn groups_q16_avx512<const Z: usize>(
+    a: &[Q16],
+    k: usize,
+    panels: &[Q16],
+    n: usize,
+    c: &mut [Q16],
+    i32_quads: NonZeroUsize,
+) {
+    for_each_tile!(tile_q16_avx512::<Z>, 2 * Z, a, k, panels, n, c, i32_quads);
+}
+
+/// One `R × 8Z` Q2.13 tile: `panels` is `2Z` consecutive packed panels,
+/// the other arguments as in [`tile_q16_avx2`].
+///
+/// Per k-quad, panels `2z` and `2z + 1` fill the two 256-bit halves of
+/// weight vector `z` (`vinserti64x4`), so its `i32` element `8h + 2c + p`
+/// is column `c` of panel `2z + h`, k-pair `p` — the AVX2 tile's elements,
+/// two panels at once. Each row broadcasts its activation quad to all
+/// eight 64-bit lanes, and `dpwssd_epi32` (`vpdpwssd`) adds the exact pair
+/// sums `x₀w₀ + x₁w₁`, `x₂w₂ + x₃w₃` into the row's `Z` accumulators in one
+/// instruction: `R · Z` independent `i32` chains (12 at 4 × 3), which is
+/// what it takes to cover the instruction's latency. The `i32_quads` bound
+/// ([`q16_i32_quads`]) is the AVX2 tile's, for the same sums in the same
+/// lanes; after each block the accumulators are sign-extended and added
+/// into a stack array of `i64` pair sums, from which [`finish_row`] ends
+/// each panel's row.
+///
+/// # Panics
+///
+/// Panics unless `a.len() == R * k` and `panels.len() == 8 * Z * k` (the
+/// bounds of every raw read below), or if `c` is shorter than `(R - 1) * n
+/// + 8 * Z`.
+///
+/// # Safety
+///
+/// Caller must ensure the CPU supports AVX-512F/BW/VNNI.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+#[inline]
+unsafe fn tile_q16_avx512<const Z: usize, const R: usize>(
+    a: &[Q16],
+    k: usize,
+    panels: &[Q16],
+    n: usize,
+    c: &mut [Q16],
+    i32_quads: NonZeroUsize,
+) {
+    use std::arch::x86_64::{
+        __m256i, __m512i, _mm256_loadu_si256, _mm512_add_epi64, _mm512_castsi256_si512,
+        _mm512_castsi512_si256, _mm512_cvtepi32_epi64, _mm512_dpwssd_epi32,
+        _mm512_extracti64x4_epi64, _mm512_inserti64x4, _mm512_loadu_si512, _mm512_set1_epi64,
+        _mm512_setzero_si512, _mm512_storeu_si512,
+    };
+    let stride = NR * k;
+    assert!(a.len() == R * k && panels.len() == 2 * Z * stride, "tile operands disagree with k");
+    let quads = k / LANES;
+    // Row `r`'s pair sums: `wide[r][z]` widens accumulator `z`, element by
+    // element (two 8 × i64 halves).
+    let mut wide = [[[0i64; QUAD]; Z]; R];
+    let mut block = 0;
+    while block < quads {
+        let end = quads.min(block.saturating_add(i32_quads.get()));
+        let mut acc = [[_mm512_setzero_si512(); Z]; R];
+        for q in block..end {
+            let mut w = [_mm512_setzero_si512(); Z];
+            for (z, w_z) in w.iter_mut().enumerate() {
+                // SAFETY: `Q16` is `repr(transparent)` over `i16`; quad `q`
+                // of panel `2z + h` is the 16 elements at `(2z + h) * 4k +
+                // 16q`, and `16 * quads <= 4k`, so both reads end inside the
+                // `2Z` panels asserted above.
+                *w_z = unsafe {
+                    let low = panels.as_ptr().add(2 * z * stride + q * QUAD).cast::<__m256i>();
+                    let high = panels.as_ptr().add((2 * z + 1) * stride + q * QUAD);
+                    let low = _mm512_castsi256_si512(_mm256_loadu_si256(low));
+                    _mm512_inserti64x4::<1>(low, _mm256_loadu_si256(high.cast::<__m256i>()))
+                };
+            }
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let at = r * k + q * LANES;
+                // SAFETY: `a` is `R * k` long (asserted above) and `r < R`,
+                // `4 * (q + 1) <= k`: the 4 × i16 unaligned read at
+                // `r * k + 4 * q` is in bounds.
+                let quad = unsafe { a.as_ptr().add(at).cast::<i64>().read_unaligned() };
+                let x = _mm512_set1_epi64(quad);
+                for (acc_rz, &w_z) in acc_r.iter_mut().zip(&w) {
+                    *acc_rz = _mm512_dpwssd_epi32(*acc_rz, x, w_z);
+                }
+            }
+        }
+        for (wide_r, acc_r) in wide.iter_mut().zip(&acc) {
+            for (wide_rz, &acc_rz) in wide_r.iter_mut().zip(acc_r) {
+                let halves = [
+                    _mm512_cvtepi32_epi64(_mm512_castsi512_si256(acc_rz)),
+                    _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64::<1>(acc_rz)),
+                ];
+                for (sums, half) in wide_rz.chunks_exact_mut(QUAD / 2).zip(halves) {
+                    let at = sums.as_mut_ptr().cast::<__m512i>();
+                    // SAFETY: `sums` is 8 × i64, the width of one unaligned
+                    // 512-bit load and store.
+                    unsafe {
+                        _mm512_storeu_si512(at, _mm512_add_epi64(_mm512_loadu_si512(at), half))
+                    };
+                }
+            }
+        }
+        block = end;
+    }
+    for (r, wide_r) in wide.iter().enumerate() {
+        let a_tail = &a[r * k + quads * LANES..(r + 1) * k];
+        let pairs = wide_r.iter().flat_map(|sums| sums.chunks_exact(2 * NR));
+        for (p, (pairs, panel)) in pairs.zip(panels.chunks_exact(stride)).enumerate() {
+            let sums = std::array::from_fn(|col| pairs[2 * col] + pairs[2 * col + 1]);
+            finish_row(sums, a_tail, &panel[quads * QUAD..], &mut c[r * n + p * NR..]);
+        }
+    }
 }
 
 /// AVX2 Q2.13 panels: `madd_epi16` + `add_epi32`, widened every
@@ -478,7 +687,7 @@ unsafe fn gemm_panels_q16_avx2(
     c: &mut [Q16],
     i32_quads: NonZeroUsize,
 ) {
-    for_each_tile!(tile_q16_avx2, a, k, panels, n, c, i32_quads);
+    for_each_tile!(tile_q16_avx2, 1, a, k, panels, n, c, i32_quads);
 }
 
 /// One `R × 4` Q2.13 tile: `a` is `R` rows of A, `panel` one packed panel,
@@ -569,7 +778,7 @@ unsafe fn tile_q16_avx2<const R: usize>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn gemm_panels_f32_avx2(a: &[f32], k: usize, panels: &[f32], n: usize, c: &mut [f32]) {
-    for_each_tile!(tile_f32_avx2, a, k, panels, n, c);
+    for_each_tile!(tile_f32_avx2, 1, a, k, panels, n, c);
 }
 
 /// One `R × 4` `f32` tile, arguments as in [`tile_q16_avx2`]. A k-quad is
@@ -800,11 +1009,51 @@ mod tests {
         (body..arow.len()).fold(sum, |sum, j| sum + arow[j] * col[j])
     }
 
+    /// A Q2.13 panel tile called directly: `(a, k, panels, n, c, i32_quads)`.
+    type Q16Tile = fn(&[Q16], usize, &[Q16], usize, &mut [Q16], NonZeroUsize);
+
+    /// Every Q2.13 tile by name, `None` where this CPU cannot run it. The
+    /// first call prints which ones run here and which are skipped, so a
+    /// host without a vector unit cannot pass their checks silently.
+    fn q16_tiles() -> [(&'static str, Option<Q16Tile>); 3] {
+        let portable: Q16Tile = |a, k, panels, n, c, _| gemm_panels_portable(a, k, panels, n, c);
+        #[cfg(target_arch = "x86_64")]
+        let vector = {
+            let avx2: Q16Tile = |a, k, p, n, c, q| {
+                // SAFETY: listed below only where the CPU has AVX2.
+                unsafe { gemm_panels_q16_avx2(a, k, p, n, c, q) }
+            };
+            let avx512: Q16Tile = |a, k, p, n, c, q| {
+                // SAFETY: listed below only where the CPU has AVX2 and
+                // AVX-512F/BW/VNNI.
+                unsafe { gemm_panels_q16_avx512(a, k, p, n, c, q) }
+            };
+            [
+                cpu::has(cpu::AVX2).then_some(avx2),
+                cpu::has(cpu::AVX2 | cpu::AVX512_VNNI).then_some(avx512),
+            ]
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let vector: [Option<Q16Tile>; 2] = [None, None];
+        let tiles =
+            [("portable", Some(portable)), ("AVX2", vector[0]), ("AVX-512 VNNI", vector[1])];
+        static REPORT: std::sync::Once = std::sync::Once::new();
+        REPORT.call_once(|| {
+            for (name, tile) in &tiles {
+                let verdict = if tile.is_some() { "checked" } else { "SKIPPED: not on this CPU" };
+                eprintln!("Q2.13 {name} tile: {verdict}");
+            }
+        });
+        tiles
+    }
+
     /// One Q2.13 case: `a` is `m × k`, `weight(kk, j)` the raw `B[kk][j]`.
-    /// The dispatched [`gemm_packed`], the portable tile over the same
-    /// panels and a one-layer `Mlp::forward::<Q16>` over the unpacked
-    /// weights must each equal [`wide_reference`] in every output. Returns
-    /// the packed `i32_quads`; `each` sees every (A row, B column, output).
+    /// The dispatched [`gemm_packed`], every tile this CPU runs
+    /// ([`q16_tiles`]) over the same panels — only the portable one if a
+    /// weight is −32768 — and a one-layer `Mlp::forward::<Q16>` over the
+    /// unpacked weights must each equal [`wide_reference`] in every output.
+    /// Returns the packed `i32_quads`; `each` sees every (A row, B column,
+    /// output).
     fn check_q16(
         m: usize,
         n: usize,
@@ -819,8 +1068,22 @@ mod tests {
         assert_eq!(packed.data.len(), k * n, "{shape}: one buffer of k·n elements");
         let mut c = vec![Q16::ONE; m * n];
         gemm_packed(a, m, &packed, &mut c).unwrap();
-        let mut portable = vec![Q16::ONE; m * n];
-        gemm_panels_portable(a, k, packed.panels(), n, &mut portable);
+        let tiles: Vec<(&str, Vec<Q16>)> = q16_tiles()
+            .into_iter()
+            .filter_map(|(name, tile)| {
+                let tile = tile.filter(|_| packed.i32_quads.is_some() || name == "portable")?;
+                let mut out = vec![Q16::ONE; m * n];
+                tile(
+                    a,
+                    k,
+                    packed.panels(),
+                    n,
+                    &mut out,
+                    packed.i32_quads.unwrap_or(NonZeroUsize::MAX),
+                );
+                Some((name, out))
+            })
+            .collect();
         let layer = DenseLayer::new(b.transposed(), vec![0.0; n], Activation::Identity).unwrap();
         let mlp = Mlp::new(vec![layer]).unwrap();
         for (i, arow) in a.chunks_exact(k).enumerate() {
@@ -830,8 +1093,8 @@ mod tests {
                 let (want, _) = wide_reference(arow, &col);
                 assert_eq!(c[i * n + j], want, "{shape} [{i}][{j}]: dispatched tile");
                 assert_eq!(forward[j], want, "{shape} [{i}][{j}]: Mlp::forward");
-                if j < n - n % NR {
-                    assert_eq!(portable[i * n + j], want, "{shape} [{i}][{j}]: portable tile");
+                for (name, out) in tiles.iter().filter(|_| j < n - n % NR) {
+                    assert_eq!(out[i * n + j], want, "{shape} [{i}][{j}]: {name} tile");
                 }
                 each(arow, &col, want);
             }
@@ -849,7 +1112,7 @@ mod tests {
         let (mut outputs, mut railed, mut returned, mut moved) = (0usize, 0usize, 0usize, 0usize);
         for m in [1usize, 2, 3, 4, 5, 32, 33] {
             for k in [1usize, 2, 3, 4, 5, 7, 8, 13, 50, 512] {
-                for n in [1usize, 3, 4, 5, 6, 7, 8, 33] {
+                for n in [1usize, 3, 4, 5, 6, 7, 8, 24, 33, 44] {
                     let mut a: Vec<Q16> =
                         (0..m * k).map(|_| Q16::from_f32(rng.gen_range_f32(-3.9, 3.9))).collect();
                     if m >= 4 {
@@ -884,14 +1147,29 @@ mod tests {
     fn i32_block_bound_is_exact_at_the_spill() {
         // For each weight magnitude `max`, inner dimensions whose k-quad
         // count straddles the `i32` block (one short, exact, one over, two
-        // blocks and one), every k-tail, n-tails 1–3. Column 0 is all
-        // `-max` and column 1 all `+max`, row 0 all −32768: the `i32` lanes
-        // of those outputs reach ±`block · 2 · 32768 · max`, the bound
-        // itself, so one k-quad too many per block wraps.
+        // blocks and one), every k-tail, n-tails 1–3, and widths that reach
+        // the 6-panel AVX-512 tile, its 2- and 4-panel instantiations and
+        // its odd-panel AVX2 remainder (n = 24, 28, 31, 40, 52), at every
+        // row count up to 9. In every panel column 0 is all `-max` and
+        // column 1 all `+max`, row 0 all −32768: the `i32` lanes of those
+        // outputs reach ±`block · 2 · 32768 · max`, the bound itself, so
+        // one k-quad too many per block wraps.
         let mut rng = Rng::seed_from_u64(0x5A7_0002);
+        let shapes = [
+            (0usize, 5usize, 8usize),
+            (1, 1, 5),
+            (2, 4, 6),
+            (3, 33, 7),
+            (0, 9, 24),
+            (1, 2, 28),
+            (2, 3, 31),
+            (3, 6, 40),
+            (0, 7, 52),
+            (1, 8, 24),
+        ];
         for (max, block) in [(1i16, 32767usize), (512, 63), (724, 45), (32767, 1)] {
             for quads in [block - 1, block, block + 1, 2 * block + 1] {
-                for (tail, m, n) in [(0usize, 5usize, 8usize), (1, 1, 5), (2, 4, 6), (3, 33, 7)] {
+                for (tail, m, n) in shapes {
                     let k = quads * LANES + tail;
                     if k == 0 || m * k * n > 8_000_000 {
                         continue; // keep the 32767-quad blocks to their small cases
@@ -903,7 +1181,7 @@ mod tests {
                         (0..m * k).map(|_| Q16::from_raw(raw(&mut rng, 32767) as i16)).collect();
                     a[..k].fill(Q16::MIN);
                     let b: Vec<i16> = (0..k * n).map(|_| raw(&mut rng, max) as i16).collect();
-                    let weight = |kk: usize, j: usize| match j {
+                    let weight = |kk: usize, j: usize| match j % NR {
                         0 => -max,
                         1 => max,
                         _ => b[kk * n + j],
