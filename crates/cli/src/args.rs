@@ -185,19 +185,16 @@ pub enum Command {
         /// accepted). Tables that do not fit are served from a
         /// file-backed cold tier.
         resident_bytes: u64,
-        /// Traffic-adaptive online re-sharding for the live runtime:
-        /// observed per-table counters drive epoch-based arena
-        /// generations published while serving.
-        adaptive: bool,
     },
     /// Print usage.
     Help,
 }
 
-/// `serve --live` flags of execution modes that no longer exist: refused,
-/// not ignored, so a script that asks for one learns it is not getting it.
-const REMOVED_SERVE_FLAGS: [&str; 5] =
-    ["--pipelined", "--routed", "--slo-us", "--replicated", "--auto"];
+/// `serve --live` flags of execution modes and of online re-sharding, which
+/// no longer exist: refused, not ignored, so a script that asks for one
+/// learns it is not getting it.
+const REMOVED_SERVE_FLAGS: [&str; 6] =
+    ["--pipelined", "--routed", "--slo-us", "--replicated", "--auto", "--adaptive"];
 
 /// Parses the full argument vector (excluding `argv[0]`).
 pub fn parse(args: &[String]) -> Result<Cli, ArgError> {
@@ -260,7 +257,7 @@ pub fn parse(args: &[String]) -> Result<Cli, ArgError> {
             if let Some(gone) = REMOVED_SERVE_FLAGS.into_iter().find(|f| has(f)) {
                 return Err(ArgError(format!(
                     "{gone} was removed: the live runtime always serves one monolithic engine \
-                     replica per worker"
+                     replica per worker, on the placement it was started with"
                 )));
             }
             Command::Serve {
@@ -293,7 +290,6 @@ pub fn parse(args: &[String]) -> Result<Cli, ArgError> {
                     .map_err(|_| ArgError("bad --queue-depth value".into()))?,
                 reject: has("--reject"),
                 resident_bytes: flag("--resident-bytes").map_or(Ok(0), parse_bytes)?,
-                adaptive: has("--adaptive"),
             }
         }
         "help" | "--help" | "-h" => Command::Help,
@@ -312,7 +308,7 @@ USAGE:
   microrec compare [--model ...] [--batch N] [--precision ...]
   microrec explore [--model ...] [--precision ...] [--top N]
   microrec serve   [--model ...] [--rate QPS] [--queries N] [--sla-ms MS] [--hybrid]
-  microrec serve --live [--model ...] [--rate QPS] [--queries N] [--workers N] [--max-batch N] [--queue-depth N] [--reject] [--resident-bytes N[k|m|g]] [--adaptive]
+  microrec serve --live [--model ...] [--rate QPS] [--queries N] [--workers N] [--max-batch N] [--queue-depth N] [--reject] [--resident-bytes N[k|m|g]]
   microrec help
 ";
 
@@ -436,17 +432,9 @@ mod tests {
             }
             other => panic!("wrong command {other:?}"),
         }
-        // Not passing the flags leaves the all-resident (untiered) store
-        // and static placement.
+        // Not passing the flag leaves the all-resident (untiered) store.
         match parse(&argv("serve --live")).unwrap().command {
-            Command::Serve { resident_bytes, adaptive, .. } => {
-                assert_eq!(resident_bytes, 0);
-                assert!(!adaptive);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        match parse(&argv("serve --live --adaptive")).unwrap().command {
-            Command::Serve { adaptive, .. } => assert!(adaptive),
+            Command::Serve { resident_bytes, .. } => assert_eq!(resident_bytes, 0),
             other => panic!("wrong command {other:?}"),
         }
         assert!(parse(&argv("serve --live --workers many")).is_err());
@@ -454,9 +442,10 @@ mod tests {
     }
 
     #[test]
-    fn removed_execution_mode_flags_are_refused() {
-        // Every deleted mode's flag is refused, not ignored, and the
-        // message names the flag and says what the runtime does instead.
+    fn removed_serve_flags_are_refused() {
+        // Every deleted mode's flag, and online re-sharding's, is refused,
+        // not ignored, and the message names the flag and says what the
+        // runtime does instead.
         for gone in [
             "--pipelined",
             "--routed",
@@ -464,6 +453,7 @@ mod tests {
             "--replicated",
             "--auto",
             "--routed --auto",
+            "--adaptive",
         ] {
             let err = parse(&argv(&format!("serve --live {gone}"))).unwrap_err();
             let flag = gone.split_whitespace().next().unwrap();

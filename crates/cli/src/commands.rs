@@ -205,18 +205,11 @@ pub fn run_serve(
     Ok(s)
 }
 
-/// Hot-row cache capacity used when `--adaptive` asks for per-table
-/// traffic counters but the command line did not otherwise request one.
-const ADAPTIVE_CACHE_ROWS: usize = 4096;
-
 /// `microrec serve --live`: drives the real micro-batching runtime with a
 /// paced wall-clock replay of a seeded Poisson trace. A non-zero
 /// `resident_bytes` serves the embeddings through the tiered parameter
 /// store, keeping at most that many bytes of tables resident (f32 rows,
 /// bit-identical to the all-resident engine) and the rest file-backed.
-/// `--adaptive` additionally equips the engine with a shared embedding
-/// arena and a hot-row cache so the re-sharding driver has per-table
-/// counters to distill and a store generation to republish.
 pub fn run_serve_live(
     model: &ModelArg,
     rate: f64,
@@ -229,17 +222,11 @@ pub fn run_serve_live(
     let mut builder = MicroRec::builder(spec.clone());
     if resident_bytes > 0 {
         builder = builder.tiered_storage(resident_bytes, RowFormat::F32);
-    } else if config.adaptive {
-        builder = builder.embedding_arena(RowFormat::F32);
-    }
-    if config.adaptive {
-        builder = builder.hot_row_cache(ADAPTIVE_CACHE_ROWS);
     }
     let mut runtime = ServingRuntime::start(builder, config)?;
     let outcome = replay_trace(&runtime, &trace);
     let snap = runtime.shutdown();
     let lookup = runtime.lookup_stats();
-    let migrations = runtime.migration_records();
     let mut s = String::new();
     writeln!(
         s,
@@ -285,23 +272,6 @@ pub fn run_serve_live(
             lookup.bytes_from_cold as f64 / 1024.0,
             if lookup.cold_tier_healthy() { "healthy" } else { "UNHEALTHY" },
         )?;
-    }
-    if config.adaptive {
-        writeln!(s, "adapt: {} online migration(s)", migrations.len())?;
-        for m in &migrations {
-            writeln!(
-                s,
-                "  gen {:>3}: {} table(s) moved | divergence {:.1}% | weighted lookup \
-                 {:.2} -> {:.2} us | build {} us, swap {} us",
-                m.generation,
-                m.tables_moved,
-                m.divergence * 100.0,
-                m.old_weighted_us,
-                m.new_weighted_us,
-                m.build_us,
-                m.swap_us,
-            )?;
-        }
     }
     Ok(s)
 }
@@ -392,31 +362,12 @@ mod tests {
             max_batch: 8,
             queue_depth: 256,
             admission: AdmissionPolicy::Block,
-            adaptive: false,
         };
         let out =
             run_serve_live(&ModelArg::Dlrm { tables: 4, dim: 4 }, 2_000.0, 200, config, 0).unwrap();
         assert!(out.contains("200 of 200 completed"), "{out}");
         assert!(out.contains("p99"), "{out}");
         assert!(out.contains("mean size"), "{out}");
-        assert!(!out.contains("adapt:"), "{out}");
-    }
-
-    #[test]
-    fn serve_live_adaptive_reports_migrations() {
-        let config = RuntimeConfig {
-            workers: 1,
-            max_batch: 8,
-            queue_depth: 256,
-            admission: AdmissionPolicy::Block,
-            adaptive: true,
-        };
-        let out =
-            run_serve_live(&ModelArg::Dlrm { tables: 4, dim: 4 }, 2_000.0, 200, config, 0).unwrap();
-        assert!(out.contains("200 of 200 completed"), "{out}");
-        // The default trace is near-uniform, so the line reports the
-        // machinery is live even when no migration fires.
-        assert!(out.contains("online migration(s)"), "{out}");
     }
 
     #[test]
@@ -426,7 +377,6 @@ mod tests {
             max_batch: 8,
             queue_depth: 256,
             admission: AdmissionPolicy::Block,
-            adaptive: false,
         };
         // dlrm:4x4 is 32 MiB of f32 rows; an 8 MiB budget keeps one table
         // resident and serves the other three from the cold file.

@@ -54,7 +54,6 @@ fn main() -> ExitCode {
             queue_depth,
             reject,
             resident_bytes,
-            adaptive,
         } => {
             if *live {
                 let config = microrec_core::RuntimeConfig {
@@ -66,7 +65,6 @@ fn main() -> ExitCode {
                     } else {
                         microrec_core::AdmissionPolicy::Block
                     },
-                    adaptive: *adaptive,
                 };
                 commands::run_serve_live(model, *rate, *queries, config, *resident_bytes)
             } else {

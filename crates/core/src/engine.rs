@@ -14,7 +14,6 @@ use microrec_embedding::{
 use microrec_memsim::{AddressedRead, HybridMemory, MemoryConfig, RowPolicy, SimTime};
 use microrec_placement::{heuristic_search, HeuristicOptions, Plan, PlanCost};
 
-use crate::epoch::{ArenaGeneration, GenerationCell};
 use crate::error::MicroRecError;
 
 /// Set associativity of every engine's [`HotRowCache`].
@@ -22,10 +21,8 @@ const CACHE_WAYS: usize = 8;
 
 /// Channel assignment induced by a placement plan: each logical table
 /// inherits the dense channel index of the memory bank its physical table
-/// was placed on (first-seen bank order). Shared by the initial build and
-/// the online re-shard path, so a migration reproduces exactly the layout
-/// a fresh build with the same plan would produce.
-pub(crate) fn channel_assignment(catalog: &Catalog, plan: &Plan) -> Vec<usize> {
+/// was placed on (first-seen bank order).
+fn channel_assignment(catalog: &Catalog, plan: &Plan) -> Vec<usize> {
     let mut banks = Vec::new();
     (0..catalog.logical_tables().len())
         .map(|lidx| {
@@ -70,7 +67,6 @@ pub struct MicroRecBuilder {
     shared_arena: Option<Arc<EmbeddingArena>>,
     tiered_budget: Option<u64>,
     shared_tiered: Option<Arc<TieredBacking>>,
-    epoch: Option<Arc<GenerationCell>>,
 }
 
 impl MicroRecBuilder {
@@ -93,7 +89,6 @@ impl MicroRecBuilder {
             shared_arena: None,
             tiered_budget: None,
             shared_tiered: None,
-            epoch: None,
         }
     }
 
@@ -211,42 +206,6 @@ impl MicroRecBuilder {
         self
     }
 
-    /// Attaches an epoch [`GenerationCell`]: every engine built from this
-    /// builder polls the cell at batch boundaries (top of each gather) and
-    /// adopts newly published arena generations — the seam that lets an
-    /// online re-shard reach every serving worker's replica without
-    /// re-plumbing any of them.
-    #[must_use]
-    pub fn epoch_cell(mut self, cell: Arc<GenerationCell>) -> Self {
-        self.epoch = Some(cell);
-        self
-    }
-
-    /// The shared all-resident arena handle, when prepared.
-    pub(crate) fn shared_arena_handle(&self) -> Option<&Arc<EmbeddingArena>> {
-        self.shared_arena.as_ref()
-    }
-
-    /// The shared tiered backing handle, when prepared.
-    pub(crate) fn shared_tiered_handle(&self) -> Option<&Arc<TieredBacking>> {
-        self.shared_tiered.as_ref()
-    }
-
-    /// The memory platform engines will be placed on.
-    pub(crate) fn memory_config(&self) -> &MemoryConfig {
-        &self.memory
-    }
-
-    /// The embedding storage precision plans are sized for.
-    pub(crate) fn stored_precision(&self) -> Precision {
-        self.storage_precision
-    }
-
-    /// The placement-search options.
-    pub(crate) fn heuristic_options(&self) -> &HeuristicOptions {
-        &self.options
-    }
-
     /// Builds this configuration's arena once and installs it as the
     /// shared arena, so every subsequent [`MicroRecBuilder::build`] (on
     /// this builder or its clones) reuses the same allocation. No-op when
@@ -312,11 +271,6 @@ impl MicroRecBuilder {
 
         let catalog = Catalog::build(&self.model, &plan.merge, self.seed)?;
 
-        // Channel assignment: each logical table inherits the memory
-        // channel (bank) its physical table was placed on.
-        let compute_channels =
-            |catalog: &Catalog| -> Vec<usize> { channel_assignment(catalog, &plan) };
-
         // Embedding fast path: a tiered parameter store or a shared or
         // freshly materialized all-resident arena, and an optional hot-row
         // cache in front of either.
@@ -331,7 +285,7 @@ impl MicroRecBuilder {
             tiered = Some(TieredStore::new(Arc::clone(shared)));
         } else if let Some(budget) = self.tiered_budget {
             let format = self.arena_format.unwrap_or(RowFormat::F32);
-            let channel_of = compute_channels(&catalog);
+            let channel_of = channel_assignment(&catalog, &plan);
             let backing =
                 TieredBacking::build(catalog.logical_tables(), format, &channel_of, budget)?;
             tiered = Some(TieredStore::new(backing));
@@ -346,7 +300,7 @@ impl MicroRecBuilder {
                     Some(Arc::clone(shared))
                 }
                 (None, Some(format)) => {
-                    let channel_of = compute_channels(&catalog);
+                    let channel_of = channel_assignment(&catalog, &plan);
                     Some(Arc::new(EmbeddingArena::build(
                         catalog.logical_tables(),
                         format,
@@ -406,13 +360,7 @@ impl MicroRecBuilder {
         });
         let pipeline = Pipeline::build(&self.model, &accel, cost.lookup_latency)?;
 
-        // Joining an epoch cell mid-stream: record the version current at
-        // build time; the first gather adopts anything published later.
-        let epoch_seen = self.epoch.as_ref().map_or(0, |cell| cell.version());
-
         Ok(MicroRec {
-            epoch: self.epoch,
-            epoch_seen,
             model: self.model,
             precision: self.precision,
             plan,
@@ -496,10 +444,6 @@ pub struct MicroRec {
     accel: AccelConfig,
     pipeline: Pipeline,
     batch_path: BatchPath,
-    /// Epoch cell polled at batch boundaries (None = static layout).
-    epoch: Option<Arc<GenerationCell>>,
-    /// Last cell version this engine adopted (or decided not to).
-    epoch_seen: u64,
 }
 
 impl MicroRec {
@@ -589,83 +533,6 @@ impl MicroRec {
     #[must_use]
     pub fn tier_counters(&self) -> TierCounters {
         self.tiered.as_ref().map(TieredStore::counters).unwrap_or_default()
-    }
-
-    /// The layout generation this engine currently serves (0 = as built).
-    #[must_use]
-    pub fn store_generation(&self) -> u64 {
-        if let Some(tiered) = &self.tiered {
-            tiered.backing().generation()
-        } else if let Some(arena) = &self.arena {
-            arena.generation()
-        } else {
-            0
-        }
-    }
-
-    /// Polls the attached epoch cell (one atomic load when idle) and
-    /// adopts a newly published generation. Called at the top of every
-    /// gather — i.e. at batch boundaries — so one batch never mixes
-    /// generations. A failed adoption (shape mismatch) records the version
-    /// anyway: the engine keeps serving its current generation rather than
-    /// re-failing on every batch.
-    #[inline]
-    fn poll_epoch(&mut self) {
-        let Some(cell) = &self.epoch else { return };
-        let version = cell.version();
-        if version == self.epoch_seen {
-            return;
-        }
-        let snapshot = cell.snapshot();
-        self.epoch_seen = version;
-        let _ = self.adopt_generation(&snapshot);
-    }
-
-    /// Replaces this engine's embedding store with `generation`'s handles,
-    /// validating shapes against the catalog first. Swaps are like for
-    /// like: a tiered engine adopts tiered backings, an arena engine
-    /// adopts arenas. The hot-row cache is deliberately *not* flushed —
-    /// rebuilt generations relocate encoded rows verbatim, so every cached
-    /// dequantized row is still bit-correct.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MicroRecError::Runtime`] if the generation's store kind
-    /// or table shapes do not match this engine; the engine is unchanged.
-    pub fn adopt_generation(&mut self, generation: &ArenaGeneration) -> Result<(), MicroRecError> {
-        if let Some(store) = &self.tiered {
-            let Some(backing) = &generation.backing else {
-                return Err(MicroRecError::Runtime(
-                    "tiered engine cannot adopt a generation without a tiered backing".into(),
-                ));
-            };
-            if !backing.matches(self.catalog.logical_tables()) {
-                return Err(MicroRecError::Runtime(
-                    "published tiered backing does not match the engine's tables".into(),
-                ));
-            }
-            if !Arc::ptr_eq(store.backing(), backing) {
-                self.tiered = Some(store.with_backing(Arc::clone(backing)));
-            }
-            return Ok(());
-        }
-        if self.arena.is_some() {
-            let Some(arena) = &generation.arena else {
-                return Err(MicroRecError::Runtime(
-                    "arena engine cannot adopt a generation without an arena".into(),
-                ));
-            };
-            if !arena.matches(self.catalog.logical_tables()) {
-                return Err(MicroRecError::Runtime(
-                    "published arena does not match the engine's tables".into(),
-                ));
-            }
-            self.arena = Some(Arc::clone(arena));
-            return Ok(());
-        }
-        Err(MicroRecError::Runtime(
-            "engine without an arena or tiered store cannot adopt generations".into(),
-        ))
     }
 
     /// End-to-end single-item inference latency.
@@ -892,7 +759,6 @@ impl MicroRec {
         &mut self,
         queries: &[Vec<u64>],
     ) -> Result<Vec<Vec<f32>>, MicroRecError> {
-        self.poll_epoch();
         let tables = self.model.num_tables();
         let rounds = self.model.lookups_per_table as usize;
         let round_len = self.catalog.feature_len() as usize;
@@ -948,8 +814,6 @@ impl MicroRec {
         query: &[u64],
         features: &mut Vec<f32>,
     ) -> Result<(), MicroRecError> {
-        // lint: allow(transitive-hot-path-alloc) generation-adoption allocates once per published migration, not per batch
-        self.poll_epoch();
         self.check_query(query)?;
         let tables = self.model.num_tables();
         let rounds = self.model.lookups_per_table as usize;

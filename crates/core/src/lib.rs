@@ -36,7 +36,6 @@
 
 mod cluster;
 mod engine;
-mod epoch;
 mod error;
 mod explore;
 mod hybrid_serving;
@@ -48,7 +47,6 @@ mod sync;
 
 pub use cluster::{InterconnectConfig, MicroRecCluster};
 pub use engine::{MicroRec, MicroRecBuilder};
-pub use epoch::{build_generation_shielded, ArenaGeneration, GenerationCell};
 pub use error::MicroRecError;
 pub use explore::{best_fitting, derated_clock, explore_design_space, DesignPoint};
 pub use hybrid_serving::{
@@ -57,12 +55,10 @@ pub use hybrid_serving::{
 pub use ranking::{kendall_tau, rank_descending, ranking_fidelity, top_k_overlap, RankingFidelity};
 pub use report::{
     end_to_end_report, AwsPrices, CostReport, CpuPoint, EmbeddingReport, EndToEndReport, FpgaPoint,
-    MigrationRecord,
 };
 pub use runtime::{
     plan_batches, replay_trace, AdmissionPolicy, BatchClose, BatchFormerConfig, LatencyHistogram,
-    LatencyPercentiles, PendingPrediction, PlannedBatch, ReplayOutcome, Resharder,
-    ReshardingPolicy, RuntimeConfig, RuntimeError, RuntimeLookupStats, RuntimeSnapshot,
-    ServingRuntime,
+    LatencyPercentiles, PendingPrediction, PlannedBatch, ReplayOutcome, RuntimeConfig,
+    RuntimeError, RuntimeLookupStats, RuntimeSnapshot, ServingRuntime,
 };
 pub use serve::{simulate_cpu_serving, simulate_microrec_serving, ServingReport};

@@ -182,37 +182,6 @@ impl CostReport {
     }
 }
 
-/// One online placement migration: what triggered it, the plan delta, and
-/// how long the shielded rebuild and the publish took (see
-/// [`crate::ServingRuntime::migration_records`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MigrationRecord {
-    /// Layout generation published by this migration (the as-built layout
-    /// is generation 0).
-    pub generation: u64,
-    /// Total hot-row-cache hits in the trigger window (since the previous
-    /// migration, or startup).
-    pub trigger_hits: u64,
-    /// Total hot-row-cache misses in the trigger window — the counts the
-    /// traffic profile was distilled from.
-    pub trigger_misses: u64,
-    /// Predicted fractional improvement of the weighted lookup score
-    /// (`(old - new) / old`) that cleared the policy threshold.
-    pub divergence: f64,
-    /// Traffic-weighted lookup score of the old layout (µs).
-    pub old_weighted_us: f64,
-    /// Traffic-weighted lookup score of the new layout (µs).
-    pub new_weighted_us: f64,
-    /// Logical tables whose channel assignment changed.
-    pub tables_moved: u64,
-    /// Wall-clock time of the off-thread arena rebuild (µs).
-    pub build_us: f64,
-    /// Wall-clock time of the publish itself (µs) — the only step the
-    /// serving path can observe, and it is one mutex store plus an atomic
-    /// bump.
-    pub swap_us: f64,
-}
-
 /// Convenience: builds the full Table 2 report for `model` at `precision`.
 ///
 /// # Errors

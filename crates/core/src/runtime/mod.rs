@@ -22,30 +22,22 @@
 
 mod batcher;
 mod histogram;
-mod migrate;
 mod queue;
 mod replay;
 
 pub use batcher::{plan_batches, BatchClose, BatchFormerConfig, PlannedBatch};
 pub use histogram::{LatencyHistogram, LatencyPercentiles};
-pub use migrate::{Resharder, ReshardingPolicy};
 pub use replay::{replay_trace, ReplayOutcome};
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::engine::{MicroRec, MicroRecBuilder};
-use crate::epoch::{ArenaGeneration, GenerationCell};
 use crate::error::MicroRecError;
-use crate::report::MigrationRecord;
 use crate::sync::{lock_or_recover, recover};
 use queue::{BoundedQueue, PushError};
-
-/// How often the adaptive driver re-reads the shared lookup counters and
-/// re-evaluates the [`ReshardingPolicy`] gates.
-const RESHARD_POLL_MS: u64 = 10;
 
 /// What to do with a new request when the admission queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -68,14 +60,6 @@ pub struct RuntimeConfig {
     pub queue_depth: usize,
     /// Full-queue behavior.
     pub admission: AdmissionPolicy,
-    /// Enables traffic-adaptive online re-sharding: a background driver
-    /// distills the workers' per-table cache counters into a
-    /// [`TrafficProfile`](microrec_placement::TrafficProfile), and when
-    /// the [`ReshardingPolicy`] gates pass, rebuilds the shared embedding
-    /// store under a traffic-aware channel layout and publishes it as a
-    /// new generation (workers adopt at batch boundaries, bit-identical).
-    /// Requires a hot-row cache and a shared arena or tiered store.
-    pub adaptive: bool,
 }
 
 impl Default for RuntimeConfig {
@@ -85,7 +69,6 @@ impl Default for RuntimeConfig {
             max_batch: 32,
             queue_depth: 1024,
             admission: AdmissionPolicy::Block,
-            adaptive: false,
         }
     }
 }
@@ -336,13 +319,6 @@ pub struct ServingRuntime {
     /// `(row format, cache rows per worker, tiered)` when the engines run
     /// a hot-row cache and/or the tiered parameter store.
     lookup_meta: Option<(&'static str, usize, bool)>,
-    /// The online re-sharding coordinator, when `config.adaptive` is set.
-    resharder: Option<Arc<Mutex<Resharder>>>,
-    /// Stop flag for the adaptive driver thread.
-    reshard_stop: Option<Arc<AtomicBool>>,
-    /// The adaptive driver thread, joined at shutdown before the queue
-    /// closes (no migration may race the drain).
-    reshard_driver: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -369,19 +345,12 @@ impl ServingRuntime {
         // share it read-only across all worker replicas (worker memory no
         // longer scales with the arena size).
         builder.prepare_shared_arena()?;
-        // Epoch seam: publish the shared store as generation 0 and hand
-        // every replica the cell, so an online migration reaches all of
-        // them at their next batch boundary.
-        let epoch = if let Some(backing) = builder.shared_tiered_handle() {
-            Some(GenerationCell::new(ArenaGeneration::from_backing(Arc::clone(backing))))
-        } else {
-            builder
-                .shared_arena_handle()
-                .map(|arena| GenerationCell::new(ArenaGeneration::from_arena(Arc::clone(arena))))
-        };
-        if let Some(cell) = &epoch {
-            builder = builder.epoch_cell(Arc::clone(cell));
-        }
+        // The admission queue is created here, before the replicas, only for
+        // the set-up's heap layout: its 48 KiB buffer then sits below the
+        // arena, and a runtime started again in the same process reuses the
+        // freed arena's pages far more often instead of faulting them in
+        // afresh (EXPERIMENTS.md, "Residency, not channels").
+        let queue = Arc::new(BoundedQueue::new(config.queue_depth));
         // Pre-warm: one full-width dummy batch builds the packed weights
         // and sizes the arena, then the stats reset hides it.
         let warm_engine = |builder: &MicroRecBuilder| -> Result<MicroRec, MicroRecError> {
@@ -408,29 +377,6 @@ impl ServingRuntime {
             let cache_rows = engines[0].hot_row_cache().map_or(0, |c| c.capacity());
             lookup_meta = Some((format, cache_rows, tiered));
         }
-        let resharder = if config.adaptive {
-            let cell = epoch.as_ref().ok_or_else(|| {
-                MicroRecError::Runtime(
-                    "adaptive re-sharding needs a shared embedding store: enable the \
-                     embedding arena or tiered storage on the builder"
-                        .into(),
-                )
-            })?;
-            if lookup_meta.is_none_or(|(_, cache_rows, _)| cache_rows == 0) {
-                return Err(MicroRecError::Runtime(
-                    "adaptive re-sharding needs the hot-row cache's per-table counters: \
-                     enable hot_row_cache on the builder"
-                        .into(),
-                ));
-            }
-            let resharder =
-                Resharder::from_builder(&builder, Arc::clone(cell), ReshardingPolicy::default())?;
-            Some(Arc::new(Mutex::new(resharder)))
-        } else {
-            None
-        };
-
-        let queue = Arc::new(BoundedQueue::new(config.queue_depth));
         let mut stats = SharedStats::default();
         if lookup_meta.is_some() {
             let tables = engines[0].catalog().logical_tables().len();
@@ -478,54 +424,7 @@ impl ServingRuntime {
                 }
             }
         }
-        // The adaptive driver: periodically snapshot the shared counters
-        // (lock dropped before the resharder lock — the two are never held
-        // together in the other order) and let the resharder decide. A
-        // failed rebuild leaves the old generation serving and the driver
-        // keeps watching the next window.
-        let mut reshard_stop = None;
-        let mut reshard_driver = None;
-        if let Some(resharder) = &resharder {
-            let stop = Arc::new(AtomicBool::new(false));
-            let spawned = std::thread::Builder::new().name("microrec-reshard".into()).spawn({
-                let stop = Arc::clone(&stop);
-                let stats = Arc::clone(&stats);
-                let resharder = Arc::clone(resharder);
-                move || {
-                    while !stop.load(Relaxed) {
-                        std::thread::sleep(Duration::from_millis(RESHARD_POLL_MS));
-                        let counters = lock_or_recover(&stats.lookup_tables).clone();
-                        let mut resharder = lock_or_recover(&resharder);
-                        // lint: allow(blocking-under-lock) a migration build blocks only this driver; engines read the epoch cell lock-free
-                        let _ = resharder.evaluate(&counters.hits, &counters.misses);
-                    }
-                }
-            });
-            match spawned {
-                Ok(handle) => {
-                    reshard_driver = Some(handle);
-                    reshard_stop = Some(stop);
-                }
-                Err(e) => {
-                    return Err(abort_start(
-                        &queue,
-                        workers,
-                        MicroRecError::Runtime(format!("failed to spawn the re-shard driver: {e}")),
-                    ));
-                }
-            }
-        }
-        Ok(ServingRuntime {
-            queue,
-            stats,
-            config,
-            expected_arity,
-            lookup_meta,
-            resharder,
-            reshard_stop,
-            reshard_driver,
-            workers,
-        })
+        Ok(ServingRuntime { queue, stats, config, expected_arity, lookup_meta, workers })
     }
 
     /// The active configuration (after clamping zero knobs to 1).
@@ -636,61 +535,10 @@ impl ServingRuntime {
         })
     }
 
-    /// Every migration the adaptive driver (or [`Self::migrate_now`])
-    /// performed so far, oldest first. Empty when the runtime is not
-    /// adaptive.
-    #[must_use]
-    pub fn migration_records(&self) -> Vec<MigrationRecord> {
-        self.resharder.as_ref().map_or_else(Vec::new, |r| lock_or_recover(r).records().to_vec())
-    }
-
-    /// Memory channel of each logical table under the plan the adaptive
-    /// driver currently serves, or `None` when adaptive re-sharding is
-    /// disabled. The cold-table tie-breaks move with counter noise, so a
-    /// workload that wants to stress the co-located pair must observe the
-    /// assignment rather than predict it.
-    #[must_use]
-    pub fn resharding_channels(&self) -> Option<Vec<usize>> {
-        self.resharder.as_ref().map(|r| lock_or_recover(r).channels().to_vec())
-    }
-
-    /// Replaces the adaptive driver's [`ReshardingPolicy`] (applies from
-    /// its next evaluation). A no-op on a non-adaptive runtime.
-    pub fn set_resharding_policy(&self, policy: ReshardingPolicy) {
-        if let Some(resharder) = &self.resharder {
-            lock_or_recover(resharder).set_policy(policy);
-        }
-    }
-
-    /// Forces one re-shard evaluation from the current counters with the
-    /// traffic, divergence, and cooldown gates skipped. Returns whether a
-    /// migration was published (`Ok(false)` when the observed profile
-    /// changes nothing).
-    ///
-    /// # Errors
-    ///
-    /// [`MicroRecError::Runtime`] when the runtime is not adaptive, or if
-    /// the rebuild fails (the old generation keeps serving).
-    pub fn migrate_now(&self) -> Result<bool, MicroRecError> {
-        let resharder = self.resharder.as_ref().ok_or_else(|| {
-            MicroRecError::Runtime("adaptive re-sharding is not enabled on this runtime".into())
-        })?;
-        let counters = lock_or_recover(&self.stats.lookup_tables).clone();
-        // lint: allow(blocking-under-lock) a forced migration build blocks only the caller; engines read the epoch cell lock-free
-        lock_or_recover(resharder).force_migrate(&counters.hits, &counters.misses)
-    }
-
-    /// Shuts down: stops and joins the adaptive driver, closes the queue
-    /// (new submits fail, blocked producers wake), waits for workers to
-    /// drain every admitted request, and joins them. Idempotent. Returns
-    /// the final snapshot.
+    /// Shuts down: closes the queue (new submits fail, blocked producers
+    /// wake), waits for workers to drain every admitted request, and joins
+    /// them. Idempotent. Returns the final snapshot.
     pub fn shutdown(&mut self) -> RuntimeSnapshot {
-        if let Some(stop) = &self.reshard_stop {
-            stop.store(true, Relaxed);
-        }
-        if let Some(driver) = self.reshard_driver.take() {
-            let _ = driver.join();
-        }
         self.queue.close();
         for worker in self.workers.drain(..) {
             // A worker that panicked already abandoned its requests; the
@@ -888,9 +736,6 @@ mod close_tests {
             config,
             expected_arity: model.num_tables() * model.lookups_per_table as usize,
             lookup_meta: None,
-            resharder: None,
-            reshard_stop: None,
-            reshard_driver: None,
             workers: Vec::new(),
         };
         (runtime, engine)
@@ -916,7 +761,6 @@ mod close_tests {
             max_batch: 4,
             queue_depth: 2,
             admission: AdmissionPolicy::Reject,
-            ..RuntimeConfig::default()
         });
         let mut pending = Vec::new();
         for i in 0..50 {

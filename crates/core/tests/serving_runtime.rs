@@ -74,7 +74,6 @@ fn block_policy_admits_everything_despite_tiny_queue() {
             max_batch: 4,
             queue_depth: 4,
             admission: AdmissionPolicy::Block,
-            ..RuntimeConfig::default()
         },
     );
     let pending: Vec<_> = queries

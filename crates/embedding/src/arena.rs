@@ -138,9 +138,6 @@ pub struct EmbeddingArena {
     scales: Vec<f32>,
     feature_len: usize,
     total_bytes: u64,
-    /// Layout generation: 0 for a freshly built arena, bumped by
-    /// [`EmbeddingArena::rebuild_with_channels`] during online re-sharding.
-    generation: u64,
 }
 
 /// Rounds `n` elements up so the next table base lands on a 64-byte
@@ -323,23 +320,6 @@ fn encode_i8(
     Ok(())
 }
 
-/// Copies every table's encoded elements from its place in `old` to its
-/// place under `layout`. Returns the new channels and their pads.
-fn relocate<T: Copy + Default>(
-    old: &[Vec<T>],
-    old_locs: &[TableLoc],
-    channel_of: &[usize],
-    layout: &Layout,
-) -> (Vec<Vec<T>>, Vec<usize>) {
-    let (mut channels, pads) = layout.alloc::<T>();
-    for ((loc, &ch), &base) in old_locs.iter().zip(channel_of).zip(&layout.bases) {
-        let elems = loc.rows as usize * loc.dim;
-        let at = pads[ch] + base;
-        channels[ch][at..at + elems].copy_from_slice(&old[loc.channel][loc.base..loc.base + elems]);
-    }
-    (channels, pads)
-}
-
 impl EmbeddingArena {
     /// Materializes `tables` into channel arenas. `channel_of[i]` assigns
     /// logical table `i` to a memory channel (use all zeros for a single
@@ -428,80 +408,7 @@ impl EmbeddingArena {
             scales,
             feature_len: tables.iter().map(|t| t.dim() as usize).sum(),
             total_bytes,
-            generation: 0,
         })
-    }
-
-    /// Re-materializes this arena under a new channel assignment without
-    /// touching the source tables: every table's already-encoded bytes are
-    /// relocated verbatim (per-row `i8` scales shared untouched), so each
-    /// row of the new arena decodes bit-identically to the old one — the
-    /// invariant the online re-sharding swap depends on. The new arena is
-    /// tagged with `generation`.
-    ///
-    /// Relocation is a raw copy, not a decode/re-encode round trip: it
-    /// costs one memcpy per table and cannot drift quantized values.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmbeddingError::BufferSizeMismatch`] if `channel_of` does
-    /// not have one entry per table.
-    pub fn rebuild_with_channels(
-        &self,
-        channel_of: &[usize],
-        generation: u64,
-    ) -> Result<Self, EmbeddingError> {
-        if channel_of.len() != self.tables.len() {
-            return Err(EmbeddingError::BufferSizeMismatch {
-                expected: self.tables.len(),
-                actual: channel_of.len(),
-            });
-        }
-        let elem_bytes = self.format.bytes_per_elem();
-        let layout = Layout::plan(
-            self.tables.iter().map(|loc| loc.rows as usize * loc.dim),
-            channel_of,
-            elem_bytes,
-        );
-        let total_bytes = layout.bytes(elem_bytes).saturating_add(self.scales.len() as u64 * 4);
-        let (channels, pads) = match &self.channels {
-            Channels::F32(old) => {
-                let (bufs, pads) = relocate(old, &self.tables, channel_of, &layout);
-                (Channels::F32(bufs), pads)
-            }
-            Channels::F16(old) => {
-                let (bufs, pads) = relocate(old, &self.tables, channel_of, &layout);
-                (Channels::F16(bufs), pads)
-            }
-            Channels::I8(old) => {
-                let (bufs, pads) = relocate(old, &self.tables, channel_of, &layout);
-                (Channels::I8(bufs), pads)
-            }
-        };
-        let locs = self
-            .tables
-            .iter()
-            .zip(channel_of)
-            .zip(&layout.bases)
-            .map(|((loc, &ch), &base)| TableLoc { channel: ch, base: base + pads[ch], ..*loc })
-            .collect();
-
-        Ok(EmbeddingArena {
-            format: self.format,
-            channels,
-            tables: locs,
-            names: self.names.clone(),
-            scales: self.scales.clone(),
-            feature_len: self.feature_len,
-            total_bytes,
-            generation,
-        })
-    }
-
-    /// The layout generation this arena belongs to (0 = as built).
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// The row storage format.
@@ -846,12 +753,6 @@ mod tests {
                         assert_matches_row_by_row_build(&arena, tables, format, &channel_of);
                     }
                 }
-                // A relocated arena is the arena built in the new place.
-                let moved = EmbeddingArena::build(&procedural, format, &channel_of)
-                    .unwrap()
-                    .rebuild_with_channels(&[1, 0, 0, 2, 1], 1)
-                    .unwrap();
-                assert_matches_row_by_row_build(&moved, &procedural, format, &[1, 0, 0, 2, 1]);
             }
         }
     }
@@ -885,57 +786,6 @@ mod tests {
         if microrec_par::default_threads() > 1 {
             assert!(!fillers(PAR_FILL_FLOOR_BYTES).contains(&current().id()));
         }
-    }
-
-    #[test]
-    fn rebuild_relocates_bit_identically_in_every_format() {
-        let tabs = tables();
-        for format in [RowFormat::F32, RowFormat::F16, RowFormat::I8] {
-            let old = EmbeddingArena::build(&tabs, format, &[0, 1, 0]).unwrap();
-            // Rotate the channel assignment: table moves across channels.
-            let new = old.rebuild_with_channels(&[1, 0, 0], 3).unwrap();
-            assert_eq!(new.generation(), 3);
-            assert_eq!(old.generation(), 0);
-            assert!(new.is_aligned(), "{format} rebuilt arena misaligned");
-            assert_eq!(new.feature_len(), old.feature_len());
-            let mut got = [0.0f32; 12];
-            let mut want = [0.0f32; 12];
-            for (t, table) in tabs.iter().enumerate() {
-                let dim = table.dim() as usize;
-                for row in 0..table.rows() {
-                    new.read_row_into(t, row, &mut got[..dim]).unwrap();
-                    old.read_row_into(t, row, &mut want[..dim]).unwrap();
-                    assert_eq!(
-                        got[..dim].iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-                        want[..dim].iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-                        "{format}: table {t} row {row} drifted across relocation"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn rebuild_to_fewer_channels_compacts() {
-        let tabs = tables();
-        let spread = EmbeddingArena::build(&tabs, RowFormat::F16, &[0, 1, 2]).unwrap();
-        let packed = spread.rebuild_with_channels(&[0, 0, 0], 1).unwrap();
-        let direct = EmbeddingArena::build(&tabs, RowFormat::F16, &[0, 0, 0]).unwrap();
-        assert_eq!(packed.total_bytes(), direct.total_bytes());
-        let mut a = vec![0.0f32; 8];
-        let mut b = vec![0.0f32; 8];
-        packed.read_row_into(0, 5, &mut a).unwrap();
-        direct.read_row_into(0, 5, &mut b).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn rebuild_rejects_wrong_arity() {
-        let arena = EmbeddingArena::build(&tables(), RowFormat::F32, &[0, 0, 0]).unwrap();
-        assert!(matches!(
-            arena.rebuild_with_channels(&[0, 0], 1),
-            Err(EmbeddingError::BufferSizeMismatch { .. })
-        ));
     }
 
     #[test]

@@ -379,9 +379,7 @@ pub struct TieredBacking {
     /// Logical table index → arena-local index (resident tables only).
     resident_index: Vec<Option<usize>>,
     /// `None` when every table fits the budget (the 100% case pays no I/O).
-    /// Shared (`Arc`) so an online re-shard can relocate the resident
-    /// arena without rewriting the cold file: cold rows never move.
-    cold: Option<Arc<ColdStore>>,
+    cold: Option<ColdStore>,
     dims: Vec<usize>,
     rows: Vec<u64>,
     feature_len: usize,
@@ -429,11 +427,8 @@ impl TieredBacking {
         }
         let resident = EmbeddingArena::build(&resident_tables, format, &resident_channels)?;
         let any_cold = plan.tiers.contains(&Tier::Cold);
-        let cold = if any_cold {
-            Some(Arc::new(ColdStore::build(tables, format, &plan.tiers)?))
-        } else {
-            None
-        };
+        let cold =
+            if any_cold { Some(ColdStore::build(tables, format, &plan.tiers)?) } else { None };
         let dims: Vec<usize> = tables.iter().map(|t| t.dim() as usize).collect();
         let rows: Vec<u64> = tables.iter().map(EmbeddingTable::rows).collect();
         let feature_len = dims.iter().sum();
@@ -517,58 +512,6 @@ impl TieredBacking {
     #[must_use]
     pub fn cold_store_path(&self) -> Option<&Path> {
         self.cold.as_ref().map(|c| c.path())
-    }
-
-    /// The layout generation of the resident arena (0 = as built; bumped
-    /// by [`TieredBacking::rebuild_with_channels`]).
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.resident.generation()
-    }
-
-    /// Re-materializes the backing under a new per-logical-table channel
-    /// assignment. Only the resident arena is relocated (raw encoded-byte
-    /// copy, bit-identical rows — see
-    /// [`EmbeddingArena::rebuild_with_channels`]); the cold store file is
-    /// shared untouched, since cold rows are addressed by file offset and
-    /// never move. Tier membership is deliberately preserved: residency is
-    /// a byte-budget decision, not a channel decision.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmbeddingError::BufferSizeMismatch`] if `channel_of` does
-    /// not have one entry per logical table.
-    pub fn rebuild_with_channels(
-        &self,
-        channel_of: &[usize],
-        generation: u64,
-    ) -> Result<Arc<Self>, EmbeddingError> {
-        if channel_of.len() != self.tiers.len() {
-            return Err(EmbeddingError::BufferSizeMismatch {
-                expected: self.tiers.len(),
-                actual: channel_of.len(),
-            });
-        }
-        let resident_channels: Vec<usize> = self
-            .resident_index
-            .iter()
-            .zip(channel_of)
-            .filter_map(|(local, &ch)| local.map(|_| ch))
-            .collect();
-        let resident = self.resident.rebuild_with_channels(&resident_channels, generation)?;
-        Ok(Arc::new(TieredBacking {
-            format: self.format,
-            tiers: self.tiers.clone(),
-            resident,
-            resident_index: self.resident_index.clone(),
-            cold: self.cold.clone(),
-            dims: self.dims.clone(),
-            rows: self.rows.clone(),
-            feature_len: self.feature_len,
-            budget_bytes: self.budget_bytes,
-            resident_bytes: self.resident_bytes,
-            cold_bytes: self.cold_bytes,
-        }))
     }
 
     /// Whether this backing stores exactly the shapes of `tables` (used to
@@ -662,18 +605,6 @@ impl TieredStore {
     #[must_use]
     pub fn backing(&self) -> &Arc<TieredBacking> {
         &self.backing
-    }
-
-    /// A serving view over `backing` that *carries this store's counters
-    /// forward* — the epoch-swap path. Counter continuity matters: callers
-    /// publish per-batch [`TierCounters::delta_since`] deltas against a
-    /// previous snapshot, so a swapped-in store that reset its counters to
-    /// zero would make those raw-subtraction deltas underflow.
-    #[must_use]
-    pub fn with_backing(&self, backing: Arc<TieredBacking>) -> TieredStore {
-        let mut store = TieredStore::new(backing);
-        store.counters = self.counters;
-        store
     }
 
     /// Whether `table` is served by the resident arena.
@@ -988,64 +919,6 @@ mod tests {
         let clone = store.clone();
         assert!(Arc::ptr_eq(store.backing(), clone.backing()));
         assert_eq!(clone.counters(), TierCounters::default());
-    }
-
-    #[test]
-    fn rebuilt_backing_shares_cold_store_and_stays_bit_identical() {
-        let tabs = tables();
-        let offsets = offsets_of(&tabs);
-        for format in [RowFormat::F32, RowFormat::F16, RowFormat::I8] {
-            let budget = total_bytes(&tabs, format) / 2;
-            let old = TieredBacking::build(&tabs, format, &[0, 1, 0, 1], budget).unwrap();
-            assert_eq!(old.generation(), 0);
-            let new = old.rebuild_with_channels(&[1, 0, 1, 0], 5).unwrap();
-            assert_eq!(new.generation(), 5);
-            // Cold rows never move: both generations hold the same file.
-            assert_eq!(old.cold_store_path(), new.cold_store_path());
-            assert!(Arc::ptr_eq(old.cold.as_ref().unwrap(), new.cold.as_ref().unwrap()));
-            let mut old_store = TieredStore::new(Arc::clone(&old));
-            let mut new_store = TieredStore::new(Arc::clone(&new));
-            let mut a = vec![0.0f32; old.feature_len()];
-            let mut b = vec![0.0f32; new.feature_len()];
-            for q in 0u64..30 {
-                let indices: Vec<u64> = tabs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| (q * 17 + i as u64 * 3) % t.rows())
-                    .collect();
-                old_store.gather_round(&indices, &offsets, &mut a).unwrap();
-                new_store.gather_round(&indices, &offsets, &mut b).unwrap();
-                for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "{format:?} query {q} elem {i} drifted across re-shard"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn with_backing_carries_counters_forward() {
-        let tabs = tables();
-        let offsets = offsets_of(&tabs);
-        let budget = total_bytes(&tabs, RowFormat::F32) / 2;
-        let old = TieredBacking::build(&tabs, RowFormat::F32, &[0, 0, 0, 0], budget).unwrap();
-        let mut store = TieredStore::new(Arc::clone(&old));
-        let mut out = vec![0.0f32; old.feature_len()];
-        store.gather_round(&[1, 1, 1, 1], &offsets, &mut out).unwrap();
-        let before = store.counters();
-        assert!(before.resident_hits > 0);
-
-        let new = old.rebuild_with_channels(&[0, 1, 0, 1], 1).unwrap();
-        let mut swapped = store.with_backing(Arc::clone(&new));
-        assert_eq!(swapped.counters(), before, "swap must not reset counters");
-        assert!(Arc::ptr_eq(swapped.backing(), &new));
-        // Deltas against a pre-swap snapshot stay monotone (no underflow).
-        swapped.gather_round(&[2, 2, 2, 2], &offsets, &mut out).unwrap();
-        let delta = swapped.counters().delta_since(&before);
-        assert_eq!(delta.resident_hits + delta.cold_reads, tabs.len() as u64);
     }
 
     #[test]

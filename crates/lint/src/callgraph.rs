@@ -250,8 +250,9 @@ fn receiver_hint(tokens: &[Token], i: usize) -> Option<String> {
 }
 
 /// Container/smart-pointer types that forward method resolution to
-/// their payload: a call through `&Arc<Mutex<Resharder>>` is a call
-/// on `Resharder` for flow purposes (guards and cells dereference).
+/// their payload: a call through `&Arc<Mutex<LatencyHistogram>>` is a
+/// call on `LatencyHistogram` for flow purposes (guards and cells
+/// dereference).
 const TYPE_WRAPPERS: [&str; 15] = [
     "Option",
     "Arc",
@@ -278,7 +279,7 @@ const PRIMITIVES: [&str; 17] = [
 ];
 
 /// The payload type named by an annotation's word sequence, e.g.
-/// `["Arc", "Mutex", "Resharder"]` → `Resharder`. Returns `None`
+/// `["Arc", "BoundedQueue", "Request"]` → `BoundedQueue`. Returns `None`
 /// for `dyn`/`impl Trait` (dispatch target unknowable — keep the
 /// conservative fan-out) and for annotations with no usable name.
 fn annotated_type(words: &[&str]) -> Option<String> {

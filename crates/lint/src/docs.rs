@@ -64,7 +64,7 @@ pub const LINT_DOCS: [LintDoc; 11] = [
     LintDoc {
         id: "lock-order",
         invariant: "the lock-acquisition graph (label held -> label acquired, including through calls) has no cycles",
-        rationale: "two threads taking the same pair of mutexes in opposite orders is the classic ABBA deadlock; the runtime/resharder web has enough locks to get this wrong silently",
+        rationale: "two threads taking the same pair of mutexes in opposite orders is the classic ABBA deadlock; the runtime's queue, reply-slot and stats locks are enough to get this wrong silently",
         allow_example: "// lint: allow(lock-order) both orders run under the scheduler big lock",
     },
     LintDoc {

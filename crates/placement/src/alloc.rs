@@ -29,7 +29,6 @@ use microrec_memsim::{BankId, MemoryConfig, SimTime};
 
 use crate::error::PlacementError;
 use crate::plan::{PlacedTable, Plan};
-use crate::traffic::TrafficProfile;
 
 /// Builds the physical table specs for `model` under `merge`, in catalog
 /// order (merged groups first, then unmerged singles in logical order).
@@ -112,32 +111,6 @@ pub fn allocate_with(
     precision: Precision,
     strategy: AllocStrategy,
 ) -> Result<Plan, PlacementError> {
-    allocate_with_traffic(model, merge, config, precision, strategy, &TrafficProfile::uniform())
-}
-
-/// Allocates with the DRAM assignment *order* driven by an observed
-/// [`TrafficProfile`]: the hottest tables (weighted access time) are
-/// placed first, so the count-balancing strategies spread them across
-/// distinct channels before cold tables fill in around them. Under a
-/// uniform profile this is bit-identical to [`allocate_with`] (the
-/// original size-ordered placement), which keeps the default path and
-/// every recorded Table 3 structure unchanged.
-///
-/// Residency decisions (rule-4 on-chip caching, phase-3 replication) stay
-/// structural: traffic only reorders the channel assignment, which is the
-/// one decision an online re-shard can revisit without rebuilding tables.
-///
-/// # Errors
-///
-/// Returns [`PlacementError::Infeasible`] if some table fits no bank.
-pub fn allocate_with_traffic(
-    model: &ModelSpec,
-    merge: &MergePlan,
-    config: &MemoryConfig,
-    precision: Precision,
-    strategy: AllocStrategy,
-    profile: &TrafficProfile,
-) -> Result<Plan, PlacementError> {
     let specs = physical_specs(model, merge)?;
     let lookups = model.lookups_per_table;
 
@@ -196,28 +169,12 @@ pub fn allocate_with_traffic(
     }
 
     // Phase 2 — spread everything still unplaced over the DRAM channels,
-    // largest access first. With an observed traffic profile the order key
-    // becomes the *weighted* access time (access × mean member count), so
-    // the hottest tables claim distinct channels before cold tables pile
-    // onto them; a uniform profile reproduces the size order exactly.
-    let weighted = !profile.is_uniform();
+    // largest access first.
     let mut remaining: Vec<usize> = (0..specs.len()).filter(|&i| assignment[i].is_none()).collect();
     remaining.sort_by(|&a, &b| {
         let ta = dram_access_estimate(config, &specs[a].0, precision) * u64::from(lookups);
         let tb = dram_access_estimate(config, &specs[b].0, precision) * u64::from(lookups);
-        if weighted {
-            // Hotness ∝ ta · (Σ member counts / |members|); compared by
-            // cross-multiplication so no precision is lost.
-            let wa: u128 = specs[a].1.iter().map(|&m| u128::from(profile.count(m))).sum();
-            let wb: u128 = specs[b].1.iter().map(|&m| u128::from(profile.count(m))).sum();
-            let ka = u128::from(ta.as_ps()) * wa * specs[b].1.len() as u128;
-            let kb = u128::from(tb.as_ps()) * wb * specs[a].1.len() as u128;
-            kb.cmp(&ka)
-                .then_with(|| tb.cmp(&ta))
-                .then_with(|| specs[b].0.bytes(precision).cmp(&specs[a].0.bytes(precision)))
-        } else {
-            tb.cmp(&ta).then_with(|| specs[b].0.bytes(precision).cmp(&specs[a].0.bytes(precision)))
-        }
+        tb.cmp(&ta).then_with(|| specs[b].0.bytes(precision).cmp(&specs[a].0.bytes(precision)))
     });
     for &i in &remaining {
         let (spec, _) = &specs[i];
@@ -474,69 +431,6 @@ mod tests {
             allocate(&model, &MergePlan::none(), &MemoryConfig::u280(), Precision::F32).unwrap();
         let giant = plan.placed.iter().find(|t| t.spec.name == "giant").unwrap();
         assert_eq!(giant.banks[0].kind, MemoryKind::Ddr);
-    }
-
-    #[test]
-    fn traffic_allocation_spreads_hot_tables_across_channels() {
-        // Two big and two small DRAM tables over two DDR channels. The
-        // size order places [big0, big1, small0, small1], co-locating the
-        // two hot tables (big0, small0) on channel 0. The traffic order
-        // places the hot pair first, spreading it across both channels.
-        let model = ModelSpec::new(
-            "skewed",
-            vec![
-                TableSpec::new("hot-big", 200_000, 16),
-                TableSpec::new("hot-small", 100_000, 8),
-                TableSpec::new("cold-big", 200_000, 16),
-                TableSpec::new("cold-small", 100_000, 8),
-            ],
-            vec![8],
-            1,
-        );
-        let config = MemoryConfig::fpga_without_hbm(2);
-        let profile = TrafficProfile::from_counts(vec![100, 100, 1, 1]);
-        let plain = allocate(&model, &MergePlan::none(), &config, Precision::F32).unwrap();
-        let traffic = allocate_with_traffic(
-            &model,
-            &MergePlan::none(),
-            &config,
-            Precision::F32,
-            AllocStrategy::RoundRobin,
-            &profile,
-        )
-        .unwrap();
-        traffic.validate(&model, &config).unwrap();
-        let weighted_plain = plain.cost_with_traffic(&config, 1, &profile);
-        let weighted_traffic = traffic.cost_with_traffic(&config, 1, &profile);
-        assert!(
-            weighted_traffic.lookup_latency < weighted_plain.lookup_latency,
-            "hot tables must spread: traffic {:?} vs plain {:?}",
-            weighted_traffic.lookup_latency,
-            weighted_plain.lookup_latency
-        );
-        // The two hot tables land on different banks under traffic order.
-        assert_ne!(traffic.placed[0].banks[0], traffic.placed[1].banks[0]);
-    }
-
-    #[test]
-    fn uniform_traffic_allocation_is_bit_identical() {
-        let model = ModelSpec::small_production();
-        let config = MemoryConfig::u280();
-        let plain = allocate(&model, &MergePlan::none(), &config, Precision::F32).unwrap();
-        for profile in
-            [TrafficProfile::uniform(), TrafficProfile::from_counts(vec![9; model.num_tables()])]
-        {
-            let traffic = allocate_with_traffic(
-                &model,
-                &MergePlan::none(),
-                &config,
-                Precision::F32,
-                AllocStrategy::RoundRobin,
-                &profile,
-            )
-            .unwrap();
-            assert_eq!(traffic, plain);
-        }
     }
 
     #[test]

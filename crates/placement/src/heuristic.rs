@@ -24,10 +24,9 @@
 use microrec_embedding::{MergePlan, ModelSpec, Precision};
 use microrec_memsim::MemoryConfig;
 
-use crate::alloc::{allocate_with, allocate_with_traffic, AllocStrategy};
+use crate::alloc::{allocate_with, AllocStrategy};
 use crate::error::PlacementError;
 use crate::plan::{Plan, PlanCost};
-use crate::traffic::TrafficProfile;
 
 /// Options controlling the heuristic search.
 #[derive(Debug, Clone)]
@@ -99,62 +98,14 @@ pub fn heuristic_search(
     precision: Precision,
     options: &HeuristicOptions,
 ) -> Result<SearchOutcome, PlacementError> {
-    heuristic_search_with_traffic(model, config, precision, options, &TrafficProfile::uniform())
-}
-
-/// Runs Algorithm 1 with candidate plans scored under an observed
-/// [`TrafficProfile`] instead of the uniform workload assumption.
-///
-/// The search structure (rules 1–4, candidate iteration, stop condition)
-/// is identical to [`heuristic_search`]; only the objective changes, via
-/// [`Plan::cost_with_traffic`]. With a uniform profile this *is*
-/// `heuristic_search`, bit for bit. The returned [`SearchOutcome::cost`]
-/// is the traffic-weighted score of the winning plan.
-///
-/// Determinism: given the same model, config, options, and counter
-/// snapshot, two processes select the same plan with the same score.
-///
-/// # Errors
-///
-/// Returns [`PlacementError::Infeasible`] if not even the unmerged model
-/// can be placed.
-pub fn heuristic_search_with_traffic(
-    model: &ModelSpec,
-    config: &MemoryConfig,
-    precision: Precision,
-    options: &HeuristicOptions,
-    profile: &TrafficProfile,
-) -> Result<SearchOutcome, PlacementError> {
-    // For each candidate merge, evaluate the size-ordered allocation and
-    // (under a non-uniform profile) the traffic-ordered one, keeping the
-    // better under the weighted objective. Considering both guarantees the
-    // traffic-aware search never scores worse than the uniform plan
-    // re-scored under the same load.
-    let best_allocation = |merge: &MergePlan| -> Result<(Plan, PlanCost), PlacementError> {
+    let evaluate = |merge: &MergePlan| -> Result<(Plan, PlanCost), PlacementError> {
         let plan = allocate_with(model, merge, config, precision, options.strategy)?;
-        let cost = plan.cost_with_traffic(config, model.lookups_per_table, profile);
-        if profile.is_uniform() {
-            return Ok((plan, cost));
-        }
-        match allocate_with_traffic(model, merge, config, precision, options.strategy, profile) {
-            Ok(traffic_plan) => {
-                let traffic_cost =
-                    traffic_plan.cost_with_traffic(config, model.lookups_per_table, profile);
-                if traffic_cost.better_than(&cost) {
-                    Ok((traffic_plan, traffic_cost))
-                } else {
-                    Ok((plan, cost))
-                }
-            }
-            // A placement order can fail only on capacity; the size order
-            // already succeeded, so keep it.
-            Err(PlacementError::Infeasible(_)) => Ok((plan, cost)),
-            Err(e) => Err(e),
-        }
+        let cost = plan.cost(config, model.lookups_per_table);
+        Ok((plan, cost))
     };
 
     // Baseline: no merging. Must be feasible or the whole search fails.
-    let (base_plan, base_cost) = best_allocation(&MergePlan::none())?;
+    let (base_plan, base_cost) = evaluate(&MergePlan::none())?;
     let mut best = SearchOutcome { plan: base_plan.clone(), cost: base_cost, evaluated: 1 };
 
     if !options.allow_merge {
@@ -190,7 +141,7 @@ pub fn heuristic_search_with_traffic(
             (0..k).map(|j| (0..g).map(|m| candidates[j + m * k]).collect()).collect()
         };
         let merge = MergePlan { groups };
-        match best_allocation(&merge) {
+        match evaluate(&merge) {
             Ok((plan, cost)) => {
                 evaluated += 1;
                 if cost.better_than(&best.cost) {
@@ -304,48 +255,6 @@ mod tests {
         .unwrap();
         // At most 2 pairs can merge.
         assert!(out.plan.num_tables() >= 45);
-    }
-
-    #[test]
-    fn uniform_traffic_search_is_bit_identical_to_plain_search() {
-        use crate::traffic::TrafficProfile;
-        let model = ModelSpec::small_production();
-        let opts = HeuristicOptions::default();
-        let plain = heuristic_search(&model, &u280(), Precision::F32, &opts).unwrap();
-        for profile in
-            [TrafficProfile::uniform(), TrafficProfile::from_counts(vec![4; model.num_tables()])]
-        {
-            let traffic =
-                heuristic_search_with_traffic(&model, &u280(), Precision::F32, &opts, &profile)
-                    .unwrap();
-            assert_eq!(traffic.plan, plain.plan);
-            assert_eq!(traffic.cost, plain.cost);
-            assert_eq!(traffic.evaluated, plain.evaluated);
-        }
-    }
-
-    #[test]
-    fn traffic_search_never_loses_to_uniform_plan_under_observed_load() {
-        use crate::traffic::TrafficProfile;
-        // Skew most traffic onto the largest eligible tables: the plan
-        // chosen under the uniform assumption is re-scored under the
-        // observed load and must not beat what the traffic-aware search
-        // picks for that same load (same candidate set, same objective).
-        let model = ModelSpec::small_production();
-        let opts = HeuristicOptions::default();
-        let counts: Vec<u64> = (0..model.num_tables()).map(|i| 1 + (i as u64 % 7) * 100).collect();
-        let profile = TrafficProfile::from_counts(counts);
-        let uniform = heuristic_search(&model, &u280(), Precision::F32, &opts).unwrap();
-        let adaptive =
-            heuristic_search_with_traffic(&model, &u280(), Precision::F32, &opts, &profile)
-                .unwrap();
-        let uniform_rescored =
-            uniform.plan.cost_with_traffic(&u280(), model.lookups_per_table, &profile);
-        assert!(
-            !uniform_rescored.better_than(&adaptive.cost),
-            "traffic-aware search must be at least as good under observed load"
-        );
-        adaptive.plan.validate(&model, &u280()).unwrap();
     }
 
     #[test]

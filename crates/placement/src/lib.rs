@@ -36,17 +36,13 @@ mod heuristic;
 mod parallel;
 mod plan;
 mod refine;
-mod traffic;
 
-pub use alloc::{allocate, allocate_with, allocate_with_traffic, physical_specs, AllocStrategy};
+pub use alloc::{allocate, allocate_with, physical_specs, AllocStrategy};
 pub use brute::{
     brute_force_search, brute_force_search_parallel, optimality_gap, MAX_BRUTE_TABLES,
 };
 pub use error::PlacementError;
-pub use heuristic::{
-    heuristic_search, heuristic_search_with_traffic, HeuristicOptions, SearchOutcome,
-};
+pub use heuristic::{heuristic_search, HeuristicOptions, SearchOutcome};
 pub use parallel::heuristic_search_parallel;
 pub use plan::{PlacedTable, Plan, PlanCost};
 pub use refine::{refine_plan, RefineOutcome};
-pub use traffic::TrafficProfile;

@@ -6,7 +6,6 @@ use microrec_embedding::{cartesian, MergePlan, ModelSpec, Precision, TableSpec};
 use microrec_memsim::{BankId, HybridMemory, MemoryConfig, SimTime};
 
 use crate::error::PlacementError;
-use crate::traffic::TrafficProfile;
 
 /// One physical table (single or Cartesian product) placed in memory.
 ///
@@ -149,91 +148,6 @@ impl Plan {
         }
 
         let lookup_latency = bank_time.values().copied().max().unwrap_or(SimTime::ZERO);
-        let dram_rounds = bank_reads
-            .iter()
-            .filter(|(id, _)| id.kind.is_dram())
-            .map(|(_, &n)| n)
-            .max()
-            .unwrap_or(0);
-        PlanCost {
-            lookup_latency,
-            storage_bytes: storage,
-            dram_rounds,
-            tables_in_dram,
-            tables_on_chip,
-        }
-    }
-
-    /// Evaluates the plan's cost re-weighted by an observed
-    /// [`TrafficProfile`].
-    ///
-    /// With a uniform profile this delegates to [`Plan::cost`] and is
-    /// bit-identical to it. With a skewed profile, each physical table's
-    /// bank time is scaled by the observed demand of its logical members
-    /// (normalized so that a uniform profile yields weight 1 for every
-    /// table): a table whose members drew `w` of the `total` observed
-    /// backing accesses contributes `w · N / (total · |members|)` of its
-    /// unweighted bank time, where `N` is the number of logical tables.
-    /// The weighted `lookup_latency` is a deterministic *comparison score*
-    /// for plan selection under skew — not a physical latency prediction.
-    /// Structural fields (`storage_bytes`, `dram_rounds`, table counts)
-    /// are unweighted.
-    ///
-    /// All arithmetic is integer fixed-point (u128, 16 fractional bits),
-    /// so two processes scoring the same plan under the same counter
-    /// snapshot produce identical results.
-    #[must_use]
-    pub fn cost_with_traffic(
-        &self,
-        config: &MemoryConfig,
-        lookups_per_table: u32,
-        profile: &TrafficProfile,
-    ) -> PlanCost {
-        if profile.is_uniform() {
-            return self.cost(config, lookups_per_table);
-        }
-        const FIX: u128 = 1 << 16;
-        let n_logical: u128 =
-            self.placed.iter().map(|t| t.members.len() as u128).sum::<u128>().max(1);
-        let total = u128::from(profile.total()).max(1);
-
-        let mut bank_fix: BTreeMap<BankId, u128> = BTreeMap::new();
-        let mut bank_reads: BTreeMap<BankId, usize> = BTreeMap::new();
-        let mut storage = 0u64;
-        let mut tables_in_dram = 0usize;
-        let mut tables_on_chip = 0usize;
-
-        for table in &self.placed {
-            storage += table.spec.bytes(self.precision) * table.banks.len() as u64;
-            if table.banks[0].kind.is_dram() {
-                tables_in_dram += 1;
-            } else {
-                tables_on_chip += 1;
-            }
-            let weight: u128 = table.members.iter().map(|&m| u128::from(profile.count(m))).sum();
-            let members = table.members.len() as u128;
-            let replicas = table.banks.len() as u32;
-            let row_bytes = table.row_bytes(self.precision);
-            for (r, &bank) in table.banks.iter().enumerate() {
-                let reads = (u64::from(lookups_per_table) + replicas as u64 - 1 - r as u64)
-                    / u64::from(replicas);
-                if reads == 0 {
-                    continue;
-                }
-                let timing = config
-                    .bank_spec(bank)
-                    .map(|s| s.timing.access_time(row_bytes))
-                    .unwrap_or(SimTime::ZERO);
-                let contrib =
-                    u128::from(timing.as_ps()) * u128::from(reads) * FIX * weight * n_logical
-                        / (total * members);
-                *bank_fix.entry(bank).or_insert(0) += contrib;
-                *bank_reads.entry(bank).or_insert(0) += reads as usize;
-            }
-        }
-
-        let max_fix = bank_fix.values().copied().max().unwrap_or(0);
-        let lookup_latency = SimTime::from_ps((max_fix / FIX) as u64);
         let dram_rounds = bank_reads
             .iter()
             .filter(|(id, _)| id.kind.is_dram())
@@ -488,68 +402,6 @@ mod tests {
         let mut bad = good;
         bad.placed[0].spec.rows = 999;
         assert!(bad.validate(&m, &MemoryConfig::u280()).is_err());
-    }
-
-    #[test]
-    fn uniform_traffic_cost_is_bit_identical_to_cost() {
-        let plan = unmerged_plan();
-        let cfg = MemoryConfig::u280();
-        for lookups in [1u32, 4] {
-            let base = plan.cost(&cfg, lookups);
-            for profile in [
-                TrafficProfile::uniform(),
-                TrafficProfile::from_counts(vec![9, 9, 9]),
-                TrafficProfile::from_counts(vec![0, 0, 0]),
-            ] {
-                assert_eq!(plan.cost_with_traffic(&cfg, lookups, &profile), base);
-            }
-        }
-    }
-
-    #[test]
-    fn skewed_traffic_reweights_bottleneck() {
-        // Co-locate tables a and c on one bank so that bank serializes two
-        // reads; table b sits alone. Uniformly, the shared bank dominates.
-        let mut plan = unmerged_plan();
-        plan.placed[2].banks = vec![hbm(0)];
-        let cfg = MemoryConfig::u280();
-        let uniform = plan.cost_with_traffic(&cfg, 1, &TrafficProfile::uniform());
-
-        // All observed traffic on table b: the shared bank's score shrinks
-        // toward zero while b's bank is weighted up by N/|members| = 3.
-        let all_b = TrafficProfile::from_counts(vec![0, 30, 0]);
-        let skewed = plan.cost_with_traffic(&cfg, 1, &all_b);
-        let t = cfg.bank_spec(hbm(1)).unwrap().timing.clone();
-        // weight 30/30 * 3 logical tables = 3x the single 32-byte read.
-        assert_eq!(skewed.lookup_latency, t.access_time(32) * 3);
-        assert!(skewed.lookup_latency > uniform.lookup_latency);
-
-        // Structural fields stay unweighted.
-        assert_eq!(skewed.storage_bytes, uniform.storage_bytes);
-        assert_eq!(skewed.dram_rounds, uniform.dram_rounds);
-        assert_eq!(skewed.tables_in_dram, uniform.tables_in_dram);
-    }
-
-    #[test]
-    fn merged_table_weight_averages_members() {
-        let m = model();
-        let product = cartesian::product_spec(&[&m.tables[0], &m.tables[2]]).unwrap();
-        let plan = Plan {
-            model_name: m.name.clone(),
-            merge: MergePlan::pairs(&[(0, 2)]),
-            placed: vec![
-                PlacedTable { spec: product, members: vec![0, 2], banks: vec![hbm(0)] },
-                PlacedTable { spec: m.tables[1].clone(), members: vec![1], banks: vec![hbm(1)] },
-            ],
-            precision: Precision::F32,
-        };
-        let cfg = MemoryConfig::u280();
-        // Unequal logical counts whose *physical* weights both come out 1:
-        // merged {0,2} gets (15+5)·3/(30·2) = 1, single {1} gets
-        // 10·3/(30·1) = 1 — so the weighted path (taken, since counts are
-        // not uniform) must reproduce the unweighted cost exactly.
-        let p = TrafficProfile::from_counts(vec![15, 10, 5]);
-        assert_eq!(plan.cost_with_traffic(&cfg, 1, &p), plan.cost(&cfg, 1));
     }
 
     #[test]
