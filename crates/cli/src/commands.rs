@@ -263,7 +263,7 @@ pub fn run_serve_live(
         "batch: mean size {:.2} over {} batches ({} size-closed, {} ready-closed, {} drained)",
         snap.mean_batch_size, snap.batches, snap.size_closes, snap.ready_closes, snap.drain_closes,
     )?;
-    if let Some(lookup) = lookup.as_ref().filter(|l| l.tiered) {
+    if let Some(lookup) = &lookup {
         writeln!(
             s,
             "tier:  {} resident hits, {} cold reads ({:.1} KiB from disk), cold tier {}",

@@ -8,16 +8,13 @@ use std::sync::Arc;
 use microrec_accel::{estimate_usage, AccelConfig, Pipeline, ResourceUsage, U280_CAPACITY};
 use microrec_dnn::{FixedNum, Mlp, PackedMlp, ScratchArena, Q16, Q32};
 use microrec_embedding::{
-    synthetic_dense_features, Catalog, EmbeddingArena, HotRowCache, ModelSpec, Precision,
-    RowFormat, TierCounters, TieredBacking, TieredStore,
+    synthetic_dense_features, Catalog, EmbeddingArena, ModelSpec, Precision, RowFormat,
+    TierCounters, TieredBacking, TieredStore,
 };
 use microrec_memsim::{AddressedRead, HybridMemory, MemoryConfig, RowPolicy, SimTime};
 use microrec_placement::{heuristic_search, HeuristicOptions, Plan, PlanCost};
 
 use crate::error::MicroRecError;
-
-/// Set associativity of every engine's [`HotRowCache`].
-const CACHE_WAYS: usize = 8;
 
 /// Channel assignment induced by a placement plan: each logical table
 /// inherits the dense channel index of the memory bank its physical table
@@ -63,7 +60,6 @@ pub struct MicroRecBuilder {
     options: HeuristicOptions,
     accel: Option<AccelConfig>,
     arena_format: Option<RowFormat>,
-    cache_rows: usize,
     shared_arena: Option<Arc<EmbeddingArena>>,
     tiered_budget: Option<u64>,
     shared_tiered: Option<Arc<TieredBacking>>,
@@ -85,7 +81,6 @@ impl MicroRecBuilder {
             options: HeuristicOptions::default(),
             accel: None,
             arena_format: None,
-            cache_rows: 0,
             shared_arena: None,
             tiered_budget: None,
             shared_tiered: None,
@@ -148,15 +143,12 @@ impl MicroRecBuilder {
         self
     }
 
-    /// Fronts the arena or tiered store with a Zipf-aware [`HotRowCache`]
-    /// holding up to `rows` dequantized rows (0 disables the cache, the
-    /// default). Cache-on output is bit-identical to cache-off. Needs
-    /// [`MicroRecBuilder::embedding_arena`] or
-    /// [`MicroRecBuilder::tiered_storage`]: [`MicroRecBuilder::build`]
-    /// rejects a cache over the procedural catalog.
+    /// Inert: no engine serves through a hot-row cache any more, every row
+    /// comes from the arena or the tiered store whatever `rows` says. Kept,
+    /// and storing nothing, only because the frozen perf ledger calls
+    /// `hot_row_cache(65_536)`.
     #[must_use]
-    pub fn hot_row_cache(mut self, rows: usize) -> Self {
-        self.cache_rows = rows;
+    pub fn hot_row_cache(self, _rows: usize) -> Self {
         self
     }
 
@@ -272,8 +264,7 @@ impl MicroRecBuilder {
         let catalog = Catalog::build(&self.model, &plan.merge, self.seed)?;
 
         // Embedding fast path: a tiered parameter store or a shared or
-        // freshly materialized all-resident arena, and an optional hot-row
-        // cache in front of either.
+        // freshly materialized all-resident arena.
         let mut arena: Option<Arc<EmbeddingArena>> = None;
         let mut tiered: Option<TieredStore> = None;
         if let Some(shared) = &self.shared_tiered {
@@ -310,26 +301,8 @@ impl MicroRecBuilder {
                 (None, None) => None,
             };
         }
-        let cache = if self.cache_rows > 0 {
-            if arena.is_none() && tiered.is_none() {
-                return Err(MicroRecError::Runtime(
-                    "hot_row_cache needs a row store to front: configure embedding_arena or \
-                     tiered_storage on the builder"
-                        .into(),
-                ));
-            }
-            let dims: Vec<u32> = catalog
-                .logical_tables()
-                .iter()
-                .map(microrec_embedding::EmbeddingTable::dim)
-                .collect();
-            Some(HotRowCache::new(&dims, self.cache_rows, CACHE_WAYS))
-        } else {
-            None
-        };
         // Per-table offsets into one round's concatenated feature slice,
-        // plus the reusable miss list for the batched cache probe — both
-        // sized once here so the gather path never allocates.
+        // sized once here so the tiered gather never allocates.
         let feature_offsets: Vec<usize> = catalog
             .logical_tables()
             .iter()
@@ -339,7 +312,6 @@ impl MicroRecBuilder {
                 Some(offset)
             })
             .collect();
-        let miss_scratch = Vec::with_capacity(catalog.logical_tables().len());
 
         let mlp = Mlp::top_mlp(self.model.feature_len(), &self.model.hidden, self.seed ^ 0x5EED)?;
         let bottom = if self.model.has_bottom_mlp() {
@@ -370,9 +342,7 @@ impl MicroRecBuilder {
             catalog,
             arena,
             tiered,
-            cache,
             feature_offsets,
-            miss_scratch,
             mlp,
             bottom,
             accel,
@@ -436,9 +406,7 @@ pub struct MicroRec {
     catalog: Catalog,
     arena: Option<Arc<EmbeddingArena>>,
     tiered: Option<TieredStore>,
-    cache: Option<HotRowCache>,
     feature_offsets: Vec<usize>,
-    miss_scratch: Vec<usize>,
     mlp: Mlp,
     bottom: Option<Mlp>,
     accel: AccelConfig,
@@ -506,14 +474,6 @@ impl MicroRec {
     #[must_use]
     pub fn arena(&self) -> Option<&Arc<EmbeddingArena>> {
         self.arena.as_ref()
-    }
-
-    /// The hot-row cache fronting embedding reads, when enabled (its
-    /// per-table hit/miss and bytes-moved counters accumulate across
-    /// predictions until [`MicroRec::reset_stats`]).
-    #[must_use]
-    pub fn hot_row_cache(&self) -> Option<&HotRowCache> {
-        self.cache.as_ref()
     }
 
     /// The tiered parameter store serving embedding reads, when this
@@ -702,54 +662,20 @@ impl MicroRec {
     }
 
     /// Functionally gathers one lookup round's concatenated feature slice
-    /// for a query: from the tiered store or the arena, behind the hot-row
-    /// cache when one is configured, or from the catalog's per-table reads
-    /// when no store is built. The store changes where the bytes come
-    /// from — a dequantized cached copy vs. a stride-indexed arena row vs.
-    /// a procedural/materialized table read — never what they are, so all
-    /// combinations are bit-identical for `RowFormat::F32` storage.
+    /// for a query: from the tiered store, the arena, or the catalog's
+    /// per-table reads when no store is built. The store changes where the
+    /// bytes come from — a resident or cold arena-layout row vs. a
+    /// procedural/materialized table read — never what they are, so all
+    /// three are bit-identical for `RowFormat::F32` storage.
     fn gather_round_into(&mut self, indices: &[u64], out: &mut [f32]) -> Result<(), MicroRecError> {
-        // Tiered parameter store: one pass over the round, cold rows read
-        // on this thread. With a cache, only the probe misses reach the
-        // tiers and every served row is admitted through the `on_row` hook.
         if let Some(tiered) = self.tiered.as_mut() {
-            return match self.cache.as_mut() {
-                Some(cache) => {
-                    cache.probe_round(indices, out, &mut self.miss_scratch);
-                    tiered.serve_rows(
-                        indices,
-                        &self.miss_scratch,
-                        &self.feature_offsets,
-                        out,
-                        |t, slot, bytes| cache.insert(t, indices[t], slot, bytes),
-                    )?;
-                    Ok(())
-                }
-                None => Ok(tiered.gather_round(indices, &self.feature_offsets, out)?),
-            };
+            return Ok(tiered.gather_round(indices, &self.feature_offsets, out)?);
         }
         let Some(arena) = self.arena.as_deref() else {
             // lint: allow(transitive-hot-path-alloc) no-arena fallback path; arena gather_into is the serving route
             return Ok(self.catalog.gather(indices, out)?);
         };
-        match self.cache.as_mut() {
-            Some(cache) => {
-                // Probe the whole round first, then service the misses in
-                // bulk: the independent probe loads overlap instead of
-                // serializing behind each miss's storage read.
-                cache.probe_round(indices, out, &mut self.miss_scratch);
-                for &table in &self.miss_scratch {
-                    let row = indices[table];
-                    let offset = self.feature_offsets[table];
-                    let dim = self.catalog.logical_tables()[table].dim() as usize;
-                    let slot = &mut out[offset..offset + dim];
-                    arena.read_row_into(table, row, slot)?;
-                    cache.insert(table, row, slot, arena.source_row_bytes(table));
-                }
-                Ok(())
-            }
-            None => Ok(arena.gather_into(indices, out)?),
-        }
+        Ok(arena.gather_into(indices, out)?)
     }
 
     /// Gathers feature vectors for a whole batch, issuing each lookup
@@ -876,13 +802,10 @@ impl MicroRec {
         self.memory.set_row_policy(policy);
     }
 
-    /// Resets accumulated memory statistics and, when the hot-row cache is
-    /// enabled, its hit/miss/bytes counters (cached rows stay resident).
+    /// Resets accumulated memory statistics and, when the engine is
+    /// tiered, its per-tier counters.
     pub fn reset_stats(&mut self) {
         self.memory.reset_stats();
-        if let Some(cache) = &mut self.cache {
-            cache.reset_stats();
-        }
         if let Some(tiered) = &mut self.tiered {
             tiered.reset_stats();
         }
@@ -1063,92 +986,29 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_is_bit_identical_across_storage_and_cache() {
-        // Legacy procedural reads, an f32 arena, and a cache-fronted arena
-        // (one that evicts, one that holds the whole working set) must all
-        // predict identical bits, for every datapath precision, in both
-        // predict and predict_batch.
+    fn fast_path_is_bit_identical_across_storage() {
+        // Legacy procedural reads and an f32 arena must predict identical
+        // bits, for every datapath precision, in both predict and
+        // predict_batch.
         for precision in [Precision::F32, Precision::Fixed16, Precision::Fixed32] {
             let mut legacy = small_builder(precision).build().unwrap();
-            let mut variants = [
-                small_builder(precision).embedding_arena(RowFormat::F32).build().unwrap(),
-                small_builder(precision)
-                    .embedding_arena(RowFormat::F32)
-                    .hot_row_cache(128)
-                    .build()
-                    .unwrap(),
-                small_builder(precision)
-                    .embedding_arena(RowFormat::F32)
-                    .hot_row_cache(2_048)
-                    .build()
-                    .unwrap(),
-            ];
+            let mut arena =
+                small_builder(precision).embedding_arena(RowFormat::F32).build().unwrap();
             let queries = small_queries(40);
             let want: Vec<f32> = queries.iter().map(|q| legacy.predict(q).unwrap()).collect();
-            for (v, engine) in variants.iter_mut().enumerate() {
-                // Sequential predict: run twice so the second pass hits the
-                // warm cache — results must not change.
-                for pass in 0..2 {
-                    for (i, q) in queries.iter().enumerate() {
-                        let got = engine.predict(q).unwrap();
-                        assert_eq!(
-                            got.to_bits(),
-                            want[i].to_bits(),
-                            "{precision:?} variant {v} pass {pass} query {i}"
-                        );
-                    }
-                }
-                // Batched path over the same (now cached) rows.
-                engine.reset_stats();
-                let got = engine.predict_batch(&queries).unwrap();
-                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                    assert_eq!(g.to_bits(), w.to_bits(), "{precision:?} variant {v} batch {i}");
-                }
-                // The simulated memory still sees every physical read —
-                // the cache is a host-side structure, not a DRAM model.
-                assert_eq!(engine.memory().stats().total().reads, (queries.len() * 6 * 4) as u64);
+            for (i, q) in queries.iter().enumerate() {
+                let got = arena.predict(q).unwrap();
+                assert_eq!(got.to_bits(), want[i].to_bits(), "{precision:?} query {i}");
             }
-        }
-    }
-
-    #[test]
-    fn cache_never_changes_a_bit_at_any_arena_format() {
-        // Quantized storage decodes to its own values, so the reference is
-        // the same arena without the cache: cold pass, warm pass and
-        // predict_batch must all return its bits.
-        let queries = small_queries(40);
-        for format in [RowFormat::F32, RowFormat::F16, RowFormat::I8] {
-            let mut plain =
-                small_builder(Precision::Fixed16).embedding_arena(format).build().unwrap();
-            let want: Vec<f32> = queries.iter().map(|q| plain.predict(q).unwrap()).collect();
-            let mut cached = small_builder(Precision::Fixed16)
-                .embedding_arena(format)
-                .hot_row_cache(2048)
-                .build()
-                .unwrap();
-            for pass in 0..2 {
-                for (i, q) in queries.iter().enumerate() {
-                    let got = cached.predict(q).unwrap();
-                    assert_eq!(got.to_bits(), want[i].to_bits(), "{format} pass {pass} query {i}");
-                }
+            arena.reset_stats();
+            let got = arena.predict_batch(&queries).unwrap();
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "{precision:?} batch {i}");
             }
-            let got = cached.predict_batch(&queries).unwrap();
-            assert!(got.iter().map(|c| c.to_bits()).eq(want.iter().map(|c| c.to_bits())));
-            assert!(cached.hot_row_cache().unwrap().hits() > 0, "{format}: the warm pass must hit");
+            // The simulated memory still sees every physical read: the
+            // arena is a host-side structure, not a DRAM model.
+            assert_eq!(arena.memory().stats().total().reads, (queries.len() * 6 * 4) as u64);
         }
-    }
-
-    #[test]
-    fn cache_without_a_row_store_is_rejected_at_build() {
-        let err = small_builder(Precision::Fixed16).hot_row_cache(128).build().unwrap_err();
-        assert!(matches!(err, MicroRecError::Runtime(_)), "{err:?}");
-        let message = err.to_string();
-        assert!(
-            message.contains("embedding_arena") && message.contains("tiered_storage"),
-            "{message}"
-        );
-        // Zero rows is "no cache", which needs no store.
-        small_builder(Precision::Fixed16).hot_row_cache(0).build().unwrap();
     }
 
     /// Encoded row bytes of the 6×2000×8 small model in `format`.
@@ -1161,68 +1021,57 @@ mod tests {
     fn tiered_engine_is_bit_identical_to_all_resident() {
         // A tiered engine at a 1/3 budget (cold tier guaranteed) must
         // predict the same bits as the all-resident arena at every row
-        // format, with and without the hot-row cache in front, through
-        // both predict and predict_batch.
+        // format, through both predict and predict_batch.
         for format in [RowFormat::F32, RowFormat::F16, RowFormat::I8] {
             let budget = small_model_bytes(format) / 3;
             let mut full =
                 small_builder(Precision::Fixed16).embedding_arena(format).build().unwrap();
             let queries = small_queries(30);
             let want: Vec<f32> = queries.iter().map(|q| full.predict(q).unwrap()).collect();
-            for cache_rows in [0usize, 128] {
-                let mut engine = small_builder(Precision::Fixed16)
-                    .tiered_storage(budget, format)
-                    .hot_row_cache(cache_rows)
-                    .build()
-                    .unwrap();
-                let backing = engine.tiered_store().unwrap().backing();
-                assert!(backing.num_resident_tables() < 6, "cold tier must exist");
-                assert!(backing.resident_bytes() <= budget, "residency respects the budget");
-                for (i, q) in queries.iter().enumerate() {
-                    let got = engine.predict(q).unwrap();
-                    assert_eq!(
-                        got.to_bits(),
-                        want[i].to_bits(),
-                        "{format} cache {cache_rows} q{i}"
-                    );
-                }
-                let got = engine.predict_batch(&queries).unwrap();
-                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                    assert_eq!(g.to_bits(), w.to_bits(), "{format} cache {cache_rows} batch {i}");
-                }
-                let counters = engine.tier_counters();
-                assert!(counters.resident_hits > 0 && counters.cold_reads > 0);
-                assert_eq!(counters.cold_errors, 0);
-                engine.reset_stats();
-                assert_eq!(engine.tier_counters(), microrec_embedding::TierCounters::default());
+            let mut engine =
+                small_builder(Precision::Fixed16).tiered_storage(budget, format).build().unwrap();
+            let backing = engine.tiered_store().unwrap().backing();
+            assert!(backing.num_resident_tables() < 6, "cold tier must exist");
+            assert!(backing.resident_bytes() <= budget, "residency respects the budget");
+            for (i, q) in queries.iter().enumerate() {
+                let got = engine.predict(q).unwrap();
+                assert_eq!(got.to_bits(), want[i].to_bits(), "{format} q{i}");
             }
+            let got = engine.predict_batch(&queries).unwrap();
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "{format} batch {i}");
+            }
+            let counters = engine.tier_counters();
+            assert!(counters.resident_hits > 0 && counters.cold_reads > 0);
+            assert_eq!(counters.resident_hits + counters.cold_reads, 2 * 30 * 6 * 4);
+            assert_eq!(counters.cold_errors, 0);
+            engine.reset_stats();
+            assert_eq!(engine.tier_counters(), microrec_embedding::TierCounters::default());
         }
     }
 
     #[test]
-    fn prefetch_workers_is_inert() {
-        // The setter is kept for the frozen perf ledger only: whatever it
-        // is given, the engine serves the same bits and counts the same
-        // reads, none of them prefetched.
+    fn ledger_only_setters_are_inert() {
+        // `prefetch_workers` and `hot_row_cache` are kept for the frozen
+        // perf ledger only: whatever they are given, the engine serves the
+        // same bits and counts the same reads, none of them prefetched.
         let budget = small_model_bytes(RowFormat::F16) / 3;
-        let build = |workers: usize| {
-            small_builder(Precision::Fixed16)
-                .tiered_storage(budget, RowFormat::F16)
-                .hot_row_cache(64)
-                .prefetch_workers(workers)
-                .build()
-                .unwrap()
-        };
-        let (mut sync, mut two) = (build(0), build(2));
+        let tiered = || small_builder(Precision::Fixed16).tiered_storage(budget, RowFormat::F16);
+        let mut plain = tiered().build().unwrap();
+        let mut shimmed = tiered().hot_row_cache(64).prefetch_workers(2).build().unwrap();
         let queries = small_queries(30);
         for q in &queries {
-            assert_eq!(sync.predict(q).unwrap().to_bits(), two.predict(q).unwrap().to_bits());
+            assert_eq!(plain.predict(q).unwrap().to_bits(), shimmed.predict(q).unwrap().to_bits());
         }
-        let (a, b) = (sync.predict_batch(&queries).unwrap(), two.predict_batch(&queries).unwrap());
+        let a = plain.predict_batch(&queries).unwrap();
+        let b = shimmed.predict_batch(&queries).unwrap();
         assert!(a.iter().map(|c| c.to_bits()).eq(b.iter().map(|c| c.to_bits())));
-        assert_eq!(sync.tier_counters(), two.tier_counters());
-        assert!(sync.tier_counters().cold_reads > 0, "the cold tier must have been exercised");
-        assert_eq!(two.tier_counters().prefetch_hits, 0);
+        assert_eq!(plain.tier_counters(), shimmed.tier_counters());
+        assert!(plain.tier_counters().cold_reads > 0, "the cold tier must have been exercised");
+        assert_eq!(shimmed.tier_counters().prefetch_hits, 0);
+        // No row store to front is no error either: there is nothing to
+        // front any more.
+        small_builder(Precision::Fixed16).hot_row_cache(128).build().unwrap();
     }
 
     #[test]
@@ -1252,40 +1101,14 @@ mod tests {
     fn quantized_arena_stays_close_to_reference() {
         let mut legacy = small_builder(Precision::F32).build().unwrap();
         for (format, tol) in [(RowFormat::F16, 1e-2), (RowFormat::I8, 5e-2)] {
-            let mut quantized = small_builder(Precision::F32)
-                .embedding_arena(format)
-                .hot_row_cache(64)
-                .build()
-                .unwrap();
+            let mut quantized =
+                small_builder(Precision::F32).embedding_arena(format).build().unwrap();
             for q in small_queries(20) {
                 let want = legacy.predict(&q).unwrap();
                 let got = quantized.predict(&q).unwrap();
                 assert!((want - got).abs() < tol as f32, "{format}: {got} vs {want}");
             }
         }
-    }
-
-    #[test]
-    fn cache_counters_accumulate_and_reset() {
-        let mut e = small_builder(Precision::Fixed16)
-            .embedding_arena(RowFormat::F16)
-            .hot_row_cache(256)
-            .build()
-            .unwrap();
-        let queries = small_queries(10);
-        for q in &queries {
-            e.predict(q).unwrap();
-        }
-        let cache = e.hot_row_cache().unwrap();
-        // Every lookup (6 tables x 4 rounds x 10 queries) hit the cache
-        // layer and was classified.
-        assert_eq!(cache.hits() + cache.misses(), 240);
-        assert!(cache.bytes_from_memory() > 0);
-        assert_eq!(cache.per_table_hits().len(), 6);
-        e.reset_stats();
-        let cache = e.hot_row_cache().unwrap();
-        assert_eq!(cache.hits() + cache.misses(), 0);
-        assert_eq!(cache.bytes_from_memory(), 0);
     }
 
     #[test]

@@ -27,10 +27,11 @@ pub struct HybridConfig {
     pub cpu_batch: usize,
     /// CPU batch aggregation timeout.
     pub cpu_max_wait: SimTime,
-    /// Steady-state hot-row-cache hit rate, when the engine fronts its
-    /// embedding reads with a cache (e.g. the `lookup` bench's measured
-    /// rate). `Some(h)` shrinks the modelled lookup stage via
-    /// [`surviving_dram_fraction`]; `None` models the uncached engine.
+    /// Steady-state hit rate of a modelled hot-row cache in front of the
+    /// accelerator's embedding reads (e.g. the perf ledger's
+    /// `embedding.cache_hit_frac`). `Some(h)` shrinks the modelled lookup
+    /// stage via [`surviving_dram_fraction`]; `None` models the uncached
+    /// engine.
     pub lookup_hit_rate: Option<f64>,
 }
 

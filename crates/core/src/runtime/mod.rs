@@ -34,6 +34,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use microrec_embedding::TierCounters;
+
 use crate::engine::{MicroRec, MicroRecBuilder};
 use crate::error::MicroRecError;
 use crate::sync::{lock_or_recover, recover};
@@ -185,11 +187,6 @@ struct SharedStats {
     ready_closes: AtomicU64,
     drain_closes: AtomicU64,
     hist: Mutex<LatencyHistogram>,
-    lookup_bytes_from_cache: AtomicU64,
-    lookup_bytes_from_memory: AtomicU64,
-    /// Per-table hot-row-cache hit/miss totals across all workers (empty
-    /// when the engines run without a cache).
-    lookup_tables: Mutex<LookupTableCounters>,
     /// Per-tier totals across all workers, populated when the engines
     /// serve through the tiered parameter store.
     tier_resident_hits: AtomicU64,
@@ -198,37 +195,12 @@ struct SharedStats {
     tier_cold_errors: AtomicU64,
 }
 
-/// Aggregated per-table cache counters (one entry per logical table).
-#[derive(Debug, Default, Clone)]
-struct LookupTableCounters {
-    hits: Vec<u64>,
-    misses: Vec<u64>,
-}
-
-/// Aggregated embedding-lookup statistics of a runtime whose workers run
-/// a [`microrec_embedding::HotRowCache`] in front of their gathers.
+/// Aggregated per-tier counters of a runtime whose workers serve through
+/// the tiered parameter store.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeLookupStats {
-    /// Row storage format of the engines' arena (`"f32"` for the legacy
-    /// table path).
+    /// Row storage format of the tiered store.
     pub format: &'static str,
-    /// Hot-row-cache capacity in rows (per worker replica).
-    pub cache_rows: usize,
-    /// Total cache hits across workers and tables.
-    pub hits: u64,
-    /// Total cache misses across workers and tables.
-    pub misses: u64,
-    /// Bytes served from cached dequantized rows.
-    pub bytes_from_cache: u64,
-    /// Bytes moved from backing storage on misses.
-    pub bytes_from_memory: u64,
-    /// Cache hits per logical table.
-    pub per_table_hits: Vec<u64>,
-    /// Cache misses per logical table.
-    pub per_table_misses: Vec<u64>,
-    /// Whether the engines serve through the tiered parameter store (the
-    /// per-tier counters below are meaningful only when set).
-    pub tiered: bool,
     /// Rows served by the resident arena (L2) across all workers.
     pub resident_hits: u64,
     /// Rows read from the file-backed cold store (L3).
@@ -240,17 +212,6 @@ pub struct RuntimeLookupStats {
 }
 
 impl RuntimeLookupStats {
-    /// Hit fraction over all lookups (0 when none ran).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Whether the cold tier has served every read it was asked for. A
     /// runtime keeps draining while this is `false` — only the affected
     /// lookups fail — but the tier needs operator attention.
@@ -316,9 +277,9 @@ pub struct ServingRuntime {
     stats: Arc<SharedStats>,
     config: RuntimeConfig,
     expected_arity: usize,
-    /// `(row format, cache rows per worker, tiered)` when the engines run
-    /// a hot-row cache and/or the tiered parameter store.
-    lookup_meta: Option<(&'static str, usize, bool)>,
+    /// The row format of the tiered store, when the engines serve through
+    /// one.
+    tier_format: Option<&'static str>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -361,30 +322,14 @@ impl ServingRuntime {
             engine.reset_stats();
             Ok(engine)
         };
-        let mut engines: Vec<MicroRec> = Vec::new();
+        let mut engines: Vec<MicroRec> = Vec::with_capacity(config.workers);
         while engines.len() < config.workers {
             engines.push(warm_engine(&builder)?);
         }
         let expected_arity =
             engines[0].model().num_tables() * engines[0].model().lookups_per_table as usize;
-        let mut lookup_meta = None;
-        let tiered = engines[0].is_tiered();
-        if engines[0].hot_row_cache().is_some() || tiered {
-            let format = match engines[0].tiered_store() {
-                Some(t) => t.backing().format().as_str(),
-                None => engines[0].arena().map_or("f32", |a| a.format().as_str()),
-            };
-            let cache_rows = engines[0].hot_row_cache().map_or(0, |c| c.capacity());
-            lookup_meta = Some((format, cache_rows, tiered));
-        }
-        let mut stats = SharedStats::default();
-        if lookup_meta.is_some() {
-            let tables = engines[0].catalog().logical_tables().len();
-            let counters = stats.lookup_tables.get_mut().unwrap_or_else(|p| p.into_inner());
-            counters.hits.resize(tables, 0);
-            counters.misses.resize(tables, 0);
-        }
-        let stats = Arc::new(stats);
+        let tier_format = engines[0].tiered_store().map(|t| t.backing().format().as_str());
+        let stats = Arc::new(SharedStats::default());
         let mut workers: Vec<JoinHandle<()>> = Vec::with_capacity(config.workers);
         let mut replicas = engines.into_iter();
         for id in 0..config.workers {
@@ -424,7 +369,7 @@ impl ServingRuntime {
                 }
             }
         }
-        Ok(ServingRuntime { queue, stats, config, expected_arity, lookup_meta, workers })
+        Ok(ServingRuntime { queue, stats, config, expected_arity, tier_format, workers })
     }
 
     /// The active configuration (after clamping zero knobs to 1).
@@ -512,22 +457,12 @@ impl ServingRuntime {
         lock_or_recover(&self.stats.hist).clone()
     }
 
-    /// Aggregated embedding-lookup cache statistics across workers, or
-    /// `None` when the engines run without a hot-row cache.
+    /// Aggregated per-tier counters across workers, or `None` when the
+    /// engines do not serve through the tiered parameter store.
     #[must_use]
     pub fn lookup_stats(&self) -> Option<RuntimeLookupStats> {
-        let (format, cache_rows, tiered) = self.lookup_meta?;
-        let tables = lock_or_recover(&self.stats.lookup_tables).clone();
         Some(RuntimeLookupStats {
-            format,
-            cache_rows,
-            hits: tables.hits.iter().sum(),
-            misses: tables.misses.iter().sum(),
-            bytes_from_cache: self.stats.lookup_bytes_from_cache.load(Relaxed),
-            bytes_from_memory: self.stats.lookup_bytes_from_memory.load(Relaxed),
-            per_table_hits: tables.hits,
-            per_table_misses: tables.misses,
-            tiered,
+            format: self.tier_format?,
             resident_hits: self.stats.tier_resident_hits.load(Relaxed),
             cold_reads: self.stats.tier_cold_reads.load(Relaxed),
             bytes_from_cold: self.stats.tier_bytes_from_cold.load(Relaxed),
@@ -633,72 +568,20 @@ fn deliver(
     }
 }
 
-/// One engine's lookup counters as last published to the shared stats,
-/// so each publication adds only what moved since.
-#[derive(Debug, Default)]
-struct PublishedLookups {
-    hits: Vec<u64>,
-    misses: Vec<u64>,
-    bytes_from_cache: u64,
-    bytes_from_memory: u64,
-    tier: microrec_embedding::TierCounters,
-}
-
-impl PublishedLookups {
-    /// Sized for `engine` here, before the serving loop, to keep the
-    /// steady state allocation-free.
-    fn new(engine: &MicroRec) -> Self {
-        let tables = engine.hot_row_cache().map_or(0, |c| c.per_table_hits().len());
-        let mut published = PublishedLookups::default();
-        published.hits.resize(tables, 0);
-        published.misses.resize(tables, 0);
-        published
-    }
-
-    /// Adds `engine`'s cache and tier counter movement to the shared stats.
-    fn publish(&mut self, engine: &MicroRec, stats: &SharedStats) {
-        if let Some(cache) = engine.hot_row_cache() {
-            let mut shared = lock_or_recover(&stats.lookup_tables);
-            for ((&h, prev), slot) in
-                cache.per_table_hits().iter().zip(&mut self.hits).zip(&mut shared.hits)
-            {
-                *slot += h - *prev;
-                *prev = h;
-            }
-            for ((&m, prev), slot) in
-                cache.per_table_misses().iter().zip(&mut self.misses).zip(&mut shared.misses)
-            {
-                *slot += m - *prev;
-                *prev = m;
-            }
-            drop(shared);
-            let (bc, bm) = (cache.bytes_from_cache(), cache.bytes_from_memory());
-            stats.lookup_bytes_from_cache.fetch_add(bc - self.bytes_from_cache, Relaxed);
-            stats.lookup_bytes_from_memory.fetch_add(bm - self.bytes_from_memory, Relaxed);
-            (self.bytes_from_cache, self.bytes_from_memory) = (bc, bm);
-        }
-        // Without a cache the tier counters are also the only source of
-        // the total bytes-from-memory figure (with one, the cache block
-        // above already counted every miss's source bytes).
-        if engine.is_tiered() {
-            let now = engine.tier_counters();
-            let delta = now.delta_since(&self.tier);
-            stats.tier_resident_hits.fetch_add(delta.resident_hits, Relaxed);
-            stats.tier_cold_reads.fetch_add(delta.cold_reads, Relaxed);
-            stats.tier_bytes_from_cold.fetch_add(delta.bytes_from_cold, Relaxed);
-            stats.tier_cold_errors.fetch_add(delta.cold_errors, Relaxed);
-            if engine.hot_row_cache().is_none() {
-                stats
-                    .lookup_bytes_from_memory
-                    .fetch_add(delta.bytes_from_resident + delta.bytes_from_cold, Relaxed);
-            }
-            self.tier = now;
-        }
-    }
+/// Adds the movement of a tiered `engine`'s counters since `published` to
+/// the shared stats, and remembers the new values in `published`.
+fn publish_tiers(engine: &MicroRec, stats: &SharedStats, published: &mut TierCounters) {
+    let now = engine.tier_counters();
+    let delta = now.delta_since(published);
+    stats.tier_resident_hits.fetch_add(delta.resident_hits, Relaxed);
+    stats.tier_cold_reads.fetch_add(delta.cold_reads, Relaxed);
+    stats.tier_bytes_from_cold.fetch_add(delta.bytes_from_cold, Relaxed);
+    stats.tier_cold_errors.fetch_add(delta.cold_errors, Relaxed);
+    *published = now;
 }
 
 /// Steady-state loop of one worker: pop a micro-batch, run it through the
-/// private engine replica, deliver results, publish the batch's lookup
+/// private engine replica, deliver results, publish the batch's tier
 /// counter movement.
 fn worker_loop(
     mut engine: MicroRec,
@@ -707,12 +590,14 @@ fn worker_loop(
     config: RuntimeConfig,
 ) {
     let mut queries: Vec<Vec<u64>> = Vec::with_capacity(config.max_batch);
-    let mut published = PublishedLookups::new(&engine);
+    let mut published = TierCounters::default();
     while let Some((mut batch, close)) = queue.pop_batch(config.max_batch) {
         open_batch(stats, &mut batch, close, &mut queries);
         let result = engine.predict_batch(&queries);
         deliver(stats, batch, &queries, result, |q| engine.predict(q));
-        published.publish(&engine, stats);
+        if engine.is_tiered() {
+            publish_tiers(&engine, stats, &mut published);
+        }
     }
 }
 
@@ -735,7 +620,7 @@ mod close_tests {
             stats: Arc::new(SharedStats::default()),
             config,
             expected_arity: model.num_tables() * model.lookups_per_table as usize,
-            lookup_meta: None,
+            tier_format: None,
             workers: Vec::new(),
         };
         (runtime, engine)

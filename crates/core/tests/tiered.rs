@@ -2,11 +2,12 @@
 //! bigger than the resident budget serving through [`ServingRuntime`]
 //! bit-identically to the all-resident arena with bounded resident
 //! memory, per-tier counters in the serving report, and cold-tier fault
-//! injection (I/O failures fail only the affected items while the
-//! runtime keeps draining).
+//! injection (I/O failures fail only the items that read the broken rows
+//! while their batch-mates are served and the runtime keeps draining, and
+//! serving resumes when the file is back).
 
 use microrec_core::{MicroRec, MicroRecBuilder, RuntimeConfig, RuntimeError, ServingRuntime};
-use microrec_embedding::{ModelSpec, RowFormat, TableSpec};
+use microrec_embedding::{ModelSpec, RowFormat, TableSpec, Tier};
 use microrec_workload::{QueryGenConfig, RequestTrace};
 
 /// A scaled synthetic model whose embedding bytes comfortably exceed the
@@ -98,13 +99,11 @@ fn bigger_than_budget_model_serves_bit_identical_with_bounded_memory() {
 
         // Per-tier counters surface in the runtime stats.
         let stats = runtime.lookup_stats().expect("tiered runtime exposes lookup stats");
-        assert!(stats.tiered);
         assert_eq!(stats.format, format.as_str());
         assert!(stats.resident_hits > 0, "{format}: resident tier must serve rows");
         assert!(stats.cold_reads > 0, "{format}: cold tier must serve rows");
         assert!(stats.bytes_from_cold > 0);
         assert!(stats.cold_tier_healthy(), "{format}: no I/O faults in this test");
-        assert!(stats.bytes_from_memory > 0);
     }
 }
 
@@ -112,21 +111,38 @@ fn bigger_than_budget_model_serves_bit_identical_with_bounded_memory() {
 fn cold_tier_io_failure_fails_only_affected_items_and_keeps_draining() {
     let model = model();
     let format = RowFormat::F32;
+    let row_bytes = 16 * format.bytes_per_elem() as u64;
     let budget = model_bytes(&model, format) / 4;
-    // One worker with a large hot-row cache: the warm set stays cached, so
-    // after the cold store breaks, warm queries must still succeed while
-    // novel (uncached) queries fail individually.
-    let mut builder = tiered_builder(&model, budget, format).hot_row_cache(8192);
+    let mut builder = tiered_builder(&model, budget, format);
     builder.prepare_shared_arena().expect("shared tiered backing");
-    let probe = builder.clone().build().expect("tiered engine");
-    let cold_path = probe
-        .tiered_store()
-        .expect("tiered store")
-        .backing()
-        .cold_store_path()
-        .expect("cold tier exists")
-        .to_path_buf();
-    drop(probe);
+    let mut reference = builder.clone().build().expect("tiered engine");
+    let backing = reference.tiered_store().expect("tiered store").backing().clone();
+    let cold_path = backing.cold_store_path().expect("cold tier exists").to_path_buf();
+    let cold_bytes = std::fs::read(&cold_path).expect("read cold store");
+    // The store file holds the cold tables' rows in table order, so its
+    // last section is the highest-numbered cold table.
+    let last = (0..model.num_tables())
+        .rev()
+        .find(|&t| backing.tier(t) == Tier::Cold)
+        .expect("a cold table");
+    drop(backing);
+
+    let all = queries(&model, 32);
+    let expected: Vec<f32> = all.iter().map(|q| reference.predict(q).expect("predict")).collect();
+    drop(reference);
+    let (before, after) = all.split_at(16);
+
+    // Cut the file at row `cut` of the last cold table: a query survives
+    // iff every row it reads from that table (one per round) lies below it.
+    let max_row = |q: &[u64]| {
+        q.chunks_exact(model.num_tables()).map(|round| round[last]).max().expect("a round")
+    };
+    let mut rows: Vec<u64> = before.iter().map(|q| max_row(q)).collect();
+    rows.sort_unstable();
+    let cut = rows[rows.len() / 2];
+    let (intact, broken): (Vec<usize>, Vec<usize>) =
+        (0..before.len()).partition(|&i| max_row(&before[i]) < cut);
+    assert!(!intact.is_empty() && !broken.is_empty(), "the cut must split the queries");
 
     let mut runtime = ServingRuntime::start(
         builder,
@@ -134,53 +150,52 @@ fn cold_tier_io_failure_fails_only_affected_items_and_keeps_draining() {
     )
     .expect("runtime");
 
-    let all = queries(&model, 32);
-    let (warm, novel) = all.split_at(16);
-
-    // Warm pass: populates the worker engine's hot-row cache.
-    let pending: Vec<_> = warm.iter().map(|q| runtime.submit(q.clone()).expect("submit")).collect();
-    for p in pending {
-        p.wait().expect("warm pass must succeed");
-    }
-
-    // Break the cold tier mid-serve: truncate the store file. The open
-    // descriptor sees the new length, so every later cold read hits EOF.
+    // Break the cold tier mid-serve: truncate the store file to a whole
+    // number of rows. The open descriptor sees the new length, so every
+    // later read past it hits EOF.
+    let kept = cold_bytes.len() as u64 - (model.tables[last].rows - cut) * row_bytes;
     std::fs::OpenOptions::new()
         .write(true)
         .open(&cold_path)
         .expect("open cold store")
-        .set_len(0)
+        .set_len(kept)
         .expect("truncate cold store");
 
-    // Interleave warm (cache-served) and novel (cold-reading) queries in
-    // the same batches: the novel ones must fail alone.
-    let mut outcomes = Vec::new();
-    for (w, n) in warm.iter().zip(novel) {
-        outcomes.push((true, runtime.submit(w.clone()).expect("submit")));
-        outcomes.push((false, runtime.submit(n.clone()).expect("submit")));
-    }
-    let mut failed = 0u64;
-    for (is_warm, p) in outcomes {
-        match p.wait() {
-            Ok(_) => assert!(is_warm, "a novel query cannot succeed with a truncated store"),
-            Err(RuntimeError::Failed(msg)) => {
-                assert!(!is_warm, "a cache-served query must survive the broken cold tier");
+    // Interleave the two groups so they share batches: the queries that
+    // read past the cut must fail alone.
+    let order: Vec<usize> = intact
+        .iter()
+        .zip(&broken)
+        .flat_map(|(&a, &b)| [a, b])
+        .chain(intact.iter().skip(broken.len()).copied())
+        .chain(broken.iter().skip(intact.len()).copied())
+        .collect();
+    let pending: Vec<_> =
+        order.iter().map(|&i| (i, runtime.submit(before[i].clone()).expect("submit"))).collect();
+    for (i, p) in pending {
+        match (p.wait(), intact.contains(&i)) {
+            (Ok(got), true) => assert_eq!(got.to_bits(), expected[i].to_bits(), "query {i}"),
+            (Err(RuntimeError::Failed(msg)), false) => {
                 assert!(msg.contains("cold-tier"), "error names the tier: {msg}");
-                failed += 1;
             }
-            Err(e) => panic!("unexpected error: {e}"),
+            (other, intact) => panic!("query {i} (reads only kept rows: {intact}): {other:?}"),
         }
     }
-    assert_eq!(failed, novel.len() as u64);
-
-    // The runtime drained everything it admitted and reports the tier as
-    // unhealthy — it never wedged on the broken store.
-    let snapshot = runtime.shutdown();
-    assert_eq!(snapshot.admitted, (warm.len() * 2 + novel.len()) as u64);
-    assert_eq!(snapshot.completed + snapshot.failed, snapshot.admitted);
-    assert_eq!(snapshot.failed, novel.len() as u64);
     let stats = runtime.lookup_stats().expect("lookup stats");
-    assert!(stats.tiered);
     assert!(!stats.cold_tier_healthy(), "cold errors must be visible");
-    assert!(stats.cold_errors > 0);
+
+    // Put the bytes back: the same runtime, never wedged, serves the next
+    // queries with the same bits as before the fault.
+    std::fs::write(&cold_path, &cold_bytes).expect("restore cold store");
+    let pending: Vec<_> =
+        after.iter().map(|q| runtime.submit(q.clone()).expect("submit")).collect();
+    for (i, (p, e)) in pending.into_iter().zip(&expected[16..]).enumerate() {
+        assert_eq!(p.wait().expect("restored tier serves").to_bits(), e.to_bits(), "query {i}");
+    }
+
+    let snapshot = runtime.shutdown();
+    assert_eq!(snapshot.admitted, all.len() as u64);
+    assert_eq!(snapshot.failed, broken.len() as u64);
+    assert_eq!(snapshot.completed, (intact.len() + after.len()) as u64);
+    assert!(runtime.lookup_stats().expect("lookup stats").cold_errors > 0);
 }

@@ -445,18 +445,6 @@ impl EmbeddingArena {
         self.tables[table].dim
     }
 
-    /// Bytes one row read moves from memory in this format (row elements
-    /// plus the per-row scale for `i8`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `table` is out of range.
-    #[must_use]
-    pub fn source_row_bytes(&self, table: usize) -> usize {
-        let loc = &self.tables[table];
-        loc.dim * self.format.bytes_per_elem() + if self.format == RowFormat::I8 { 4 } else { 0 }
-    }
-
     /// Whether this arena stores exactly the shapes of `tables` (used to
     /// validate a shared arena against an engine's catalog).
     #[must_use]
@@ -643,9 +631,6 @@ mod tests {
         let i8a = EmbeddingArena::build(&tabs, RowFormat::I8, &[0, 0, 0]).unwrap();
         assert!(f16a.total_bytes() < f32a.total_bytes());
         assert!(i8a.total_bytes() < f16a.total_bytes());
-        assert_eq!(f32a.source_row_bytes(0), 32);
-        assert_eq!(f16a.source_row_bytes(0), 16);
-        assert_eq!(i8a.source_row_bytes(0), 12); // 8 elems + 4-byte scale
     }
 
     /// Tables that share channels, span several fill jobs, and include

@@ -1,19 +1,20 @@
 //! Zipf-aware hot-row cache for embedding lookups.
 //!
-//! Recommendation traffic is heavily skewed — our workload generator
-//! produces Zipf(1.05) keys, and at that exponent a small fraction of
-//! rows serves most lookups. [`HotRowCache`] exploits this: a
-//! fixed-capacity, set-associative cache of **dequantized f32 rows**
-//! keyed by `(table, row)`, with CLOCK (second-chance) eviction. Because
-//! it stores the exact f32 values the source read would have produced,
-//! cache-on output is bit-identical to cache-off by construction — the
-//! cache changes where bytes come from, never what they are.
+//! A fixed-capacity, set-associative cache of **dequantized f32 rows**
+//! keyed by `(table, row)`, with CLOCK (second-chance) eviction. Because it
+//! stores the exact f32 values the source read produced, a hit is
+//! bit-identical to the read it replaces.
 //!
-//! All storage is allocated in [`HotRowCache::new`]; `lookup_into` and
-//! `insert` are allocation-free, so the steady-state (warm-cache) lookup
-//! path performs zero allocations. Per-table hit/miss counters and
-//! bytes-moved accounting are maintained inline and surfaced through the
-//! serving runtime's stats.
+//! No engine serves through it: a probe costs more than the resident row
+//! it would skip, and on the perf ledger's `lookup-cold` workload it
+//! skipped 0.08 of 12 cold reads per item (EXPERIMENTS.md, "One row
+//! path"). It is kept only as the ledger's own probe behind its
+//! `embedding.cache_*` rows, and goes when those rows are retired.
+//!
+//! All storage is allocated in [`HotRowCache::new`]; `lookup_into`,
+//! `probe_round` and `insert` are allocation-free
+//! (`tests/zero_alloc_lookup.rs`). Per-table hit/miss counters and
+//! bytes-moved accounting are maintained inline.
 
 use crate::table::splitmix64;
 

@@ -1,5 +1,5 @@
-//! Three-tier embedding parameter store: hot-row cache → resident arena →
-//! file-backed cold tier.
+//! Two-tier embedding parameter store: resident arena → file-backed cold
+//! tier.
 //!
 //! The paper's larger production model (98 tables, 15.1 GB) does not fit
 //! the single in-memory [`EmbeddingArena`]; NVIDIA's inference parameter
@@ -527,12 +527,6 @@ impl TieredBacking {
                 .zip(tables)
                 .all(|((&dim, &rows), t)| rows == t.rows() && dim == t.dim() as usize)
     }
-
-    /// Bytes one row read moves from its tier (elements + `i8` scale).
-    #[must_use]
-    pub fn source_row_bytes(&self, table: usize) -> usize {
-        stored_row_bytes(self.dims[table], self.format)
-    }
 }
 
 /// Per-tier serving counters for one engine's [`TieredStore`].
@@ -546,8 +540,6 @@ pub struct TierCounters {
     /// serving thread. Kept so the frozen perf ledger
     /// (`embedding.prefetch_hit_frac`) keeps compiling.
     pub prefetch_hits: u64,
-    /// Bytes moved out of the resident arena.
-    pub bytes_from_resident: u64,
     /// Bytes moved off the cold store.
     pub bytes_from_cold: u64,
     /// Cold reads that failed (truncated/unreadable store file). The tier
@@ -564,7 +556,6 @@ impl TierCounters {
             resident_hits: self.resident_hits - prev.resident_hits,
             cold_reads: self.cold_reads - prev.cold_reads,
             prefetch_hits: self.prefetch_hits - prev.prefetch_hits,
-            bytes_from_resident: self.bytes_from_resident - prev.bytes_from_resident,
             bytes_from_cold: self.bytes_from_cold - prev.bytes_from_cold,
             cold_errors: self.cold_errors - prev.cold_errors,
         }
@@ -582,8 +573,6 @@ pub struct TieredStore {
     backing: Arc<TieredBacking>,
     /// Read buffer for cold rows (largest encoded cold row).
     cold_buf: Vec<u8>,
-    /// Prebuilt 0..n table list backing [`TieredStore::gather_round`].
-    all_tables: Box<[usize]>,
     counters: TierCounters,
 }
 
@@ -591,26 +580,14 @@ impl TieredStore {
     /// Creates a serving view over `backing`.
     #[must_use]
     pub fn new(backing: Arc<TieredBacking>) -> Self {
-        let tables = backing.num_tables();
         let buf_bytes = backing.cold.as_ref().map_or(0, |c| c.max_row_bytes());
-        TieredStore {
-            backing,
-            cold_buf: vec![0u8; buf_bytes],
-            all_tables: (0..tables).collect(),
-            counters: TierCounters::default(),
-        }
+        TieredStore { backing, cold_buf: vec![0u8; buf_bytes], counters: TierCounters::default() }
     }
 
     /// The shared backing.
     #[must_use]
     pub fn backing(&self) -> &Arc<TieredBacking> {
         &self.backing
-    }
-
-    /// Whether `table` is served by the resident arena.
-    #[must_use]
-    pub fn is_resident(&self, table: usize) -> bool {
-        self.backing.tiers[table] == Tier::Resident
     }
 
     /// Current counter values.
@@ -628,10 +605,15 @@ impl TieredStore {
     /// with `offsets[t]` giving each table's start inside the feature
     /// vector.
     ///
+    /// One pass in table order: a resident row is read from the arena, a
+    /// cold row is read from the store file and decoded, both on the
+    /// calling thread.
+    ///
     /// # Errors
     ///
-    /// Propagates the first row failure after the whole round was walked
-    /// (see [`TieredStore::serve_rows`]).
+    /// Returns the first row failure; the round is always walked to the
+    /// end first, and surviving rows (including later ones) are still
+    /// written and counted.
     #[inline]
     pub fn gather_round(
         &mut self,
@@ -651,40 +633,8 @@ impl TieredStore {
                 actual: out.len(),
             });
         }
-        let all = std::mem::take(&mut self.all_tables);
-        let result = self.serve_rows(indices, &all, offsets, out, |_, _, _| {});
-        self.all_tables = all;
-        result
-    }
-
-    /// Serves the listed `tables` of one lookup round into `out`
-    /// (`offsets[t]` = feature-vector start of table `t`), invoking
-    /// `on_row(table, filled_slot, source_bytes)` for each served row —
-    /// the hook the hot-row cache uses to admit fresh rows.
-    ///
-    /// One pass in `tables` order: a resident row is read from the arena,
-    /// a cold row is read from the store file and decoded, both on the
-    /// calling thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first row failure; the round is always walked to the
-    /// end first, and surviving rows (including later ones) are still
-    /// written and reported to `on_row`.
-    #[inline]
-    pub fn serve_rows<F>(
-        &mut self,
-        indices: &[u64],
-        tables: &[usize],
-        offsets: &[usize],
-        out: &mut [f32],
-        mut on_row: F,
-    ) -> Result<(), EmbeddingError>
-    where
-        F: FnMut(usize, &[f32], usize),
-    {
         let mut first_err: Option<EmbeddingError> = None;
-        for &t in tables {
+        for (t, &row) in indices.iter().enumerate() {
             let dim = self.backing.dims[t];
             let offset = offsets[t];
             let slot = &mut out[offset..offset + dim];
@@ -694,13 +644,8 @@ impl TieredStore {
                         Some(local) => local,
                         None => continue,
                     };
-                    match self.backing.resident.read_row_into(local, indices[t], slot) {
-                        Ok(()) => {
-                            let bytes = self.backing.source_row_bytes(t);
-                            self.counters.resident_hits += 1;
-                            self.counters.bytes_from_resident += bytes as u64;
-                            on_row(t, slot, bytes);
-                        }
+                    match self.backing.resident.read_row_into(local, row, slot) {
+                        Ok(()) => self.counters.resident_hits += 1,
                         Err(e) => {
                             if first_err.is_none() {
                                 first_err = Some(e);
@@ -710,13 +655,11 @@ impl TieredStore {
                 }
                 Tier::Cold => {
                     let Some(cold) = &self.backing.cold else { continue };
-                    match cold.read_row(t, indices[t], &mut self.cold_buf) {
+                    match cold.read_row(t, row, &mut self.cold_buf) {
                         Ok(()) => {
                             cold.decode_row(&self.cold_buf, slot);
-                            let bytes = cold.row_bytes(t);
                             self.counters.cold_reads += 1;
-                            self.counters.bytes_from_cold += bytes as u64;
-                            on_row(t, slot, bytes);
+                            self.counters.bytes_from_cold += cold.row_bytes(t) as u64;
                         }
                         Err(e) => {
                             self.counters.cold_errors += 1;
@@ -813,36 +756,11 @@ mod tests {
             }
             let c = store.counters();
             assert!(c.resident_hits > 0 && c.cold_reads > 0);
+            assert_eq!(c.resident_hits + c.cold_reads, 50 * tabs.len() as u64);
             assert_eq!(c.cold_errors, 0);
             assert_eq!(c.prefetch_hits, 0, "there is no prefetcher");
             assert!(c.bytes_from_cold > 0);
         }
-    }
-
-    #[test]
-    fn serve_rows_admits_to_cache_hook_and_counts_bytes() {
-        let tabs = tables();
-        let channel_of = vec![0usize; tabs.len()];
-        let offsets = offsets_of(&tabs);
-        let budget = total_bytes(&tabs, RowFormat::F32) / 3;
-        let backing = TieredBacking::build(&tabs, RowFormat::F32, &channel_of, budget).unwrap();
-        let mut store = TieredStore::new(backing);
-        let indices = vec![1u64, 2, 3, 4];
-        let mut out = vec![0.0f32; store.backing().feature_len()];
-        let mut admitted = Vec::new();
-        let tables_list: Vec<usize> = (0..tabs.len()).collect();
-        store
-            .serve_rows(&indices, &tables_list, &offsets, &mut out, |t, slot, bytes| {
-                admitted.push((t, slot.len(), bytes));
-            })
-            .unwrap();
-        assert_eq!(admitted.len(), tabs.len(), "every table admits exactly once");
-        for (t, dim, bytes) in admitted {
-            assert_eq!(dim, tabs[t].dim() as usize);
-            assert_eq!(bytes, stored_row_bytes(dim, RowFormat::F32));
-        }
-        let c = store.counters();
-        assert_eq!(c.resident_hits + c.cold_reads, tabs.len() as u64);
     }
 
     #[test]

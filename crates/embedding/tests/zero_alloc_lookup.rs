@@ -1,7 +1,8 @@
-//! Proves the steady-state embedding-lookup fast path performs zero heap
-//! allocations: with a warm [`HotRowCache`] in front of an
-//! [`EmbeddingArena`], repeated gathers (hits and misses alike) never
-//! touch the global allocator.
+//! Proves the steady-state embedding row path performs zero heap
+//! allocations: repeated round gathers from an [`EmbeddingArena`], through
+//! a warm [`HotRowCache`] in front of it, and from a [`TieredStore`]
+//! (resident reads and cold `pread`s alike) never touch the global
+//! allocator.
 //!
 //! A single `#[test]` keeps the process to one test thread, so the
 //! counting allocator's delta is attributable to the code under test.
@@ -68,56 +69,65 @@ fn settled_delta(mut f: impl FnMut()) -> u64 {
 
 #[test]
 fn steady_state_lookup_never_allocates() {
-    use microrec_embedding::{EmbeddingArena, EmbeddingTable, HotRowCache, RowFormat, TableSpec};
+    use microrec_embedding::{
+        EmbeddingArena, EmbeddingTable, HotRowCache, RowFormat, TableSpec, TieredBacking,
+        TieredStore,
+    };
 
     let tables: Vec<EmbeddingTable> =
         (0..6).map(|i| EmbeddingTable::procedural(TableSpec::new("t", 500, 16), 100 + i)).collect();
-    let dims = [16u32; 6];
+    let offsets: Vec<usize> = (0..6).map(|t| t * 16).collect();
+    // A deterministic skewed trace: row = i² mod 97.
+    let trace: Vec<u64> = (0..512u64).map(|i| (i * i) % 97).collect();
 
     for format in [RowFormat::F32, RowFormat::F16, RowFormat::I8] {
         let arena = EmbeddingArena::build(&tables, format, &[0; 6]).unwrap();
-        let mut cache = HotRowCache::new(&dims, 256, 8);
         let mut out = vec![0.0f32; arena.feature_len()];
-        // A deterministic skewed trace: row = i² mod 97 re-hits heavily.
-        let trace: Vec<u64> = (0..512u64).map(|i| (i * i) % 97).collect();
-
-        // Warm: run the whole trace once through the cache-fronted path.
-        let run = |cache: &mut HotRowCache, out: &mut [f32]| {
+        let run = |out: &mut [f32]| {
             for &row in &trace {
-                let mut offset = 0usize;
-                for (t, &dim) in dims.iter().enumerate() {
-                    let dim = dim as usize;
-                    let slot = &mut out[offset..offset + dim];
+                arena.gather_into(&[row; 6], out).unwrap();
+            }
+        };
+        run(&mut out);
+        let delta = settled_delta(|| {
+            for _ in 0..8 {
+                run(&mut out);
+            }
+        });
+        assert_eq!(delta, 0, "{format} arena gather allocated in steady state");
+
+        // The hot-row cache in front of the arena (the perf ledger's own
+        // probe): per-row lookups, and whole-round probes once the miss
+        // scratch has been sized to the table count, hits and misses alike.
+        let mut cache = HotRowCache::new(&[16; 6], 256, 8);
+        let source_bytes = 16 * format.bytes_per_elem();
+        let per_row = |cache: &mut HotRowCache, out: &mut [f32]| {
+            for &row in &trace {
+                for (t, slot) in out.chunks_exact_mut(16).enumerate() {
                     if !cache.lookup_into(t, row, slot) {
                         arena.read_row_into(t, row, slot).unwrap();
-                        cache.insert(t, row, slot, arena.source_row_bytes(t));
+                        cache.insert(t, row, slot, source_bytes);
                     }
-                    offset += dim;
                 }
             }
         };
-        run(&mut cache, &mut out);
+        per_row(&mut cache, &mut out);
         assert!(cache.hits() > 0, "warm-up produced no hits");
-
         let delta = settled_delta(|| {
             for _ in 0..8 {
-                run(&mut cache, &mut out);
+                per_row(&mut cache, &mut out);
             }
         });
-        assert_eq!(delta, 0, "{format} lookup path allocated in steady state");
+        assert_eq!(delta, 0, "{format} cache lookup path allocated in steady state");
 
-        // The batched probe is equally allocation-free once its miss
-        // scratch has been sized to the table count.
-        let mut misses = Vec::with_capacity(dims.len());
+        let mut misses = Vec::with_capacity(6);
         let probe = |cache: &mut HotRowCache, out: &mut [f32], misses: &mut Vec<usize>| {
             for &row in &trace {
-                let query = [row; 6];
-                cache.probe_round(&query, out, misses);
+                cache.probe_round(&[row; 6], out, misses);
                 for &t in misses.iter() {
-                    let offset = t * 16;
-                    let slot = &mut out[offset..offset + 16];
+                    let slot = &mut out[offsets[t]..offsets[t] + 16];
                     arena.read_row_into(t, row, slot).unwrap();
-                    cache.insert(t, row, slot, arena.source_row_bytes(t));
+                    cache.insert(t, row, slot, source_bytes);
                 }
             }
         };
@@ -128,5 +138,25 @@ fn steady_state_lookup_never_allocates() {
             }
         });
         assert_eq!(delta, 0, "{format} probe_round path allocated in steady state");
+        assert!(cache.misses() > 0, "the trace must also miss");
+
+        // Half the bytes resident: three tables are read from the cold file.
+        let budget = arena.total_bytes() / 2;
+        let backing = TieredBacking::build(&tables, format, &[0; 6], budget).unwrap();
+        assert!(backing.num_resident_tables() < 6, "{format}: the cold tier must exist");
+        let mut store = TieredStore::new(backing);
+        let round = |store: &mut TieredStore, out: &mut [f32]| {
+            for &row in &trace {
+                store.gather_round(&[row; 6], &offsets, out).unwrap();
+            }
+        };
+        round(&mut store, &mut out);
+        let delta = settled_delta(|| {
+            for _ in 0..8 {
+                round(&mut store, &mut out);
+            }
+        });
+        assert_eq!(delta, 0, "{format} tiered gather allocated in steady state");
+        assert!(store.counters().cold_reads > 0);
     }
 }

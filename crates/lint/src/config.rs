@@ -55,7 +55,7 @@ pub struct LintScope {
     /// If non-empty, the lint only fires inside functions with these
     /// names (the per-function hot-path designation). Entries are bare
     /// names (`worker_loop`) or qualified `Type::method` paths
-    /// (`HotRowCache::insert`) — a qualified entry only designates that
+    /// (`TieredStore::gather_round`) — a qualified entry only designates that
     /// impl's method, not every same-named function.
     pub functions: Vec<String>,
     pub severity: Severity,

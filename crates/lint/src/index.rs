@@ -2,10 +2,10 @@
 //!
 //! The single-file pass ([`crate::source`]) sees one file at a time; the
 //! interprocedural lints need to resolve a call in `runtime/mod.rs` to a
-//! function defined in `crates/embedding/src/cache.rs`. This module holds
+//! function defined in `crates/embedding/src/tiered.rs`. This module holds
 //! every file's lexical model plus a flat index of all function
-//! definitions, addressable by bare name (`insert`) and by qualified
-//! `Type::method` path (`HotRowCache::insert`), so the call-graph
+//! definitions, addressable by bare name (`gather_round`) and by qualified
+//! `Type::method` path (`TieredStore::gather_round`), so the call-graph
 //! pass can resolve call sites across crate boundaries.
 
 use std::collections::BTreeMap;
