@@ -191,10 +191,59 @@ pub enum Command {
 }
 
 /// `serve --live` flags of execution modes and of online re-sharding, which
-/// no longer exist: refused, not ignored, so a script that asks for one
-/// learns it is not getting it.
+/// no longer exist: refused with what the runtime does instead, so a script
+/// that asks for one learns it is not getting it.
 const REMOVED_SERVE_FLAGS: [&str; 6] =
     ["--pipelined", "--routed", "--slo-us", "--replicated", "--auto", "--adaptive"];
+
+/// The flags `cmd` knows, those that take a value and the switches, or
+/// `None` for a command that takes no flags.
+fn known_flags(cmd: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
+    Some(match cmd {
+        "plan" => (&["--model", "--strategy"], &["--no-merge", "--verbose", "-v", "--json"]),
+        "predict" => (&["--model", "--queries", "--precision", "--zipf", "--seed"], &[]),
+        "compare" => (&["--model", "--batch", "--precision"], &[]),
+        "explore" => (&["--model", "--precision", "--top"], &[]),
+        "serve" => (
+            &[
+                "--model",
+                "--rate",
+                "--queries",
+                "--sla-ms",
+                "--workers",
+                "--max-batch",
+                "--queue-depth",
+                "--resident-bytes",
+            ],
+            &["--hybrid", "--live", "--reject"],
+        ),
+        _ => return None,
+    })
+}
+
+/// Refuses every argument of `cmd` it does not know, before any is read: a
+/// misspelled flag must fail, not leave its default in place unseen.
+fn check_flags(cmd: &str, rest: &[&str]) -> Result<(), ArgError> {
+    let Some((valued, switches)) = known_flags(cmd) else {
+        return Ok(());
+    };
+    let mut args = rest.iter();
+    while let Some(&arg) = args.next() {
+        if valued.contains(&arg) {
+            if args.next().is_none() {
+                return Err(ArgError(format!("{arg} needs a value")));
+            }
+        } else if cmd == "serve" && REMOVED_SERVE_FLAGS.contains(&arg) {
+            return Err(ArgError(format!(
+                "{arg} was removed: the live runtime always serves one monolithic engine \
+                 replica per worker, on the placement it was started with"
+            )));
+        } else if !switches.contains(&arg) {
+            return Err(ArgError(format!("unknown argument `{arg}` for `{cmd}` (try `help`)")));
+        }
+    }
+    Ok(())
+}
 
 /// Parses the full argument vector (excluding `argv[0]`).
 pub fn parse(args: &[String]) -> Result<Cli, ArgError> {
@@ -203,6 +252,7 @@ pub fn parse(args: &[String]) -> Result<Cli, ArgError> {
         return Ok(Cli { command: Command::Help });
     };
     let rest: Vec<&str> = it.collect();
+    check_flags(cmd, &rest)?;
     let flag = |name: &str| -> Option<&str> {
         rest.iter().position(|&a| a == name).and_then(|i| rest.get(i + 1).copied())
     };
@@ -253,45 +303,37 @@ pub fn parse(args: &[String]) -> Result<Cli, ArgError> {
                 .parse()
                 .map_err(|_| ArgError("bad --top value".into()))?,
         },
-        "serve" => {
-            if let Some(gone) = REMOVED_SERVE_FLAGS.into_iter().find(|f| has(f)) {
-                return Err(ArgError(format!(
-                    "{gone} was removed: the live runtime always serves one monolithic engine \
-                     replica per worker, on the placement it was started with"
-                )));
-            }
-            Command::Serve {
-                model: model()?,
-                rate: flag("--rate")
-                    .unwrap_or("50000")
-                    .parse()
-                    .map_err(|_| ArgError("bad --rate value".into()))?,
-                queries: flag("--queries")
-                    .unwrap_or("50000")
-                    .parse()
-                    .map_err(|_| ArgError("bad --queries value".into()))?,
-                sla_ms: flag("--sla-ms")
-                    .unwrap_or("25")
-                    .parse()
-                    .map_err(|_| ArgError("bad --sla-ms value".into()))?,
-                hybrid: has("--hybrid"),
-                live: has("--live"),
-                workers: flag("--workers")
-                    .unwrap_or("2")
-                    .parse()
-                    .map_err(|_| ArgError("bad --workers value".into()))?,
-                max_batch: flag("--max-batch")
-                    .unwrap_or("32")
-                    .parse()
-                    .map_err(|_| ArgError("bad --max-batch value".into()))?,
-                queue_depth: flag("--queue-depth")
-                    .unwrap_or("1024")
-                    .parse()
-                    .map_err(|_| ArgError("bad --queue-depth value".into()))?,
-                reject: has("--reject"),
-                resident_bytes: flag("--resident-bytes").map_or(Ok(0), parse_bytes)?,
-            }
-        }
+        "serve" => Command::Serve {
+            model: model()?,
+            rate: flag("--rate")
+                .unwrap_or("50000")
+                .parse()
+                .map_err(|_| ArgError("bad --rate value".into()))?,
+            queries: flag("--queries")
+                .unwrap_or("50000")
+                .parse()
+                .map_err(|_| ArgError("bad --queries value".into()))?,
+            sla_ms: flag("--sla-ms")
+                .unwrap_or("25")
+                .parse()
+                .map_err(|_| ArgError("bad --sla-ms value".into()))?,
+            hybrid: has("--hybrid"),
+            live: has("--live"),
+            workers: flag("--workers")
+                .unwrap_or("2")
+                .parse()
+                .map_err(|_| ArgError("bad --workers value".into()))?,
+            max_batch: flag("--max-batch")
+                .unwrap_or("32")
+                .parse()
+                .map_err(|_| ArgError("bad --max-batch value".into()))?,
+            queue_depth: flag("--queue-depth")
+                .unwrap_or("1024")
+                .parse()
+                .map_err(|_| ArgError("bad --queue-depth value".into()))?,
+            reject: has("--reject"),
+            resident_bytes: flag("--resident-bytes").map_or(Ok(0), parse_bytes)?,
+        },
         "help" | "--help" | "-h" => Command::Help,
         other => return Err(ArgError(format!("unknown command `{other}` (try `help`)"))),
     };
@@ -460,6 +502,18 @@ mod tests {
             assert!(err.0.contains(&format!("{flag} was removed")), "{gone}: {err}");
             assert!(err.0.contains("monolithic"), "{gone}: {err}");
         }
+        // So is any flag a command does not know: a misspelling must not
+        // run with the default it meant to override.
+        for (line, typo) in [
+            ("predict --quries 5", "--quries"),
+            ("serve --live --worker 3", "--worker"),
+            ("plan --verbsoe", "--verbsoe"),
+            ("compare 64", "64"),
+        ] {
+            let err = parse(&argv(line)).unwrap_err();
+            assert!(err.0.contains(&format!("unknown argument `{typo}`")), "{line}: {err}");
+        }
+        assert!(parse(&argv("predict --queries")).unwrap_err().0.contains("needs a value"));
     }
 
     #[test]

@@ -365,7 +365,6 @@ struct FastPath<T> {
 
 impl<T: FixedNum> FastPath<T> {
     fn build(mlp: &Mlp) -> Self {
-        // lint: allow(transitive-hot-path-alloc) built once per precision swap; FastPath::run reuses it
         FastPath { packed: PackedMlp::pack(mlp), arena: ScratchArena::new(), staging: Vec::new() }
     }
 
@@ -380,7 +379,6 @@ impl<T: FixedNum> FastPath<T> {
         self.packed.warm(batch, &mut self.arena);
         let out = self.packed.forward_batch_into(&self.staging, batch, &mut self.arena)?;
         let stride = self.packed.output_dim().max(1);
-        // lint: allow(hot-path-alloc) the collected Vec is the output handed to the caller
         Ok(out.chunks_exact(stride).map(|c| c[0].to_f32()).collect())
     }
 }
@@ -546,7 +544,6 @@ impl MicroRec {
         let ctr = match self.precision {
             Precision::Fixed16 => self.mlp.predict_ctr_quantized::<Q16>(&features)?,
             Precision::Fixed32 => self.mlp.predict_ctr_quantized::<Q32>(&features)?,
-            // lint: allow(transitive-hot-path-alloc) f32 reference forward allocates per layer; batches use the packed path
             Precision::F32 => self.mlp.predict_ctr(&features)?,
         };
         Ok(ctr)
@@ -566,10 +563,8 @@ impl MicroRec {
     /// Returns [`MicroRecError`] for malformed queries.
     pub fn predict_batch(&mut self, queries: &[Vec<u64>]) -> Result<Vec<f32>, MicroRecError> {
         if queries.is_empty() {
-            // lint: allow(hot-path-alloc) an empty Vec never touches the allocator
             return Ok(Vec::new());
         }
-        // lint: allow(transitive-hot-path-alloc) drives the memory simulator and reference dense branch; both allocate by design
         let features = self.gather_features_batch(queries)?;
         let mut path = std::mem::replace(&mut self.batch_path, BatchPath::Unbuilt);
         let precision_matches = matches!(
@@ -672,7 +667,6 @@ impl MicroRec {
             return Ok(tiered.gather_round(indices, &self.feature_offsets, out)?);
         }
         let Some(arena) = self.arena.as_deref() else {
-            // lint: allow(transitive-hot-path-alloc) no-arena fallback path; arena gather_into is the serving route
             return Ok(self.catalog.gather(indices, out)?);
         };
         Ok(arena.gather_into(indices, out)?)
@@ -747,7 +741,6 @@ impl MicroRec {
         features.clear();
         // Dense path: the bottom MLP runs on the accelerator's datapath
         // precision (its own small PE group, §Figure 1's dense branch).
-        // lint: allow(transitive-hot-path-alloc) reference bottom-MLP branch builds per-query dense vectors by design
         features.extend(self.dense_features(query)?);
         let mut requests: Vec<AddressedRead> = Vec::with_capacity(tables);
         for round in 0..rounds {
@@ -756,7 +749,6 @@ impl MicroRec {
             // with real byte addresses (so DRAM row-buffer state is
             // modelled under the active page policy).
             requests.clear();
-            // lint: allow(transitive-hot-path-alloc) resolve materializes the round's physical locations (simulator bookkeeping)
             for l in &self.catalog.resolve(indices)? {
                 requests.push(self.addressed_read(l.table, l.row, round));
             }

@@ -137,7 +137,6 @@ impl<T> BoundedQueue<T> {
         close: BatchClose,
     ) -> (Vec<T>, BatchClose) {
         let n = n.min(state.items.len());
-        // lint: allow(transitive-hot-path-alloc) ownership handoff: one Vec per micro-batch crosses the queue boundary
         let batch: Vec<T> = state.items.drain(..n).collect();
         // Space freed: wake every blocked producer (each re-checks).
         self.not_full.notify_all();

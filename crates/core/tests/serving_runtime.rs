@@ -121,39 +121,54 @@ fn wrong_arity_is_rejected_at_submit() {
 
 #[test]
 fn bad_row_fails_alone_and_batch_mates_survive() {
+    use microrec_embedding::{Precision, RowFormat};
     let model = model();
     let queries = queries(&model, 8);
     let mut sequential = MicroRec::builder(model.clone()).seed(7).build().expect("engine");
     let expected: Vec<f32> =
         queries.iter().map(|q| sequential.predict(q).expect("predict")).collect();
 
-    let mut runtime =
-        start(&model, RuntimeConfig { workers: 1, max_batch: 16, ..Default::default() });
-    // Interleave one poisoned query (out-of-range row) with valid ones:
-    // whichever of them share its batch, only it may fail.
-    let arity = queries[0].len();
-    let mut pending = Vec::new();
-    for q in &queries[..4] {
-        pending.push((true, runtime.submit(q.clone()).expect("submit")));
-    }
-    pending.push((false, runtime.submit(vec![u64::MAX; arity]).expect("submit")));
-    for q in &queries[4..] {
-        pending.push((true, runtime.submit(q.clone()).expect("submit")));
-    }
-    let snapshot = runtime.shutdown();
-    assert_eq!(snapshot.failed, 1, "exactly the poisoned request fails");
-    assert_eq!(snapshot.completed, 8);
+    // On every store the runtime serves from: the catalog, the f32 arena,
+    // and the tiered store with half its bytes resident (two tables cold).
+    let half = model.tables.iter().map(|t| t.bytes(Precision::F32)).sum::<u64>() / 2;
+    let builder = MicroRec::builder(model.clone()).seed(7);
+    for (store, builder) in [
+        ("catalog", builder.clone()),
+        ("f32 arena", builder.clone().embedding_arena(RowFormat::F32)),
+        ("tiered", builder.tiered_storage(half, RowFormat::F32)),
+    ] {
+        let config = RuntimeConfig { workers: 1, max_batch: 16, ..Default::default() };
+        let mut runtime = ServingRuntime::start(builder, config).expect("runtime");
+        // Interleave one poisoned query (out-of-range row) with valid ones:
+        // whichever of them share its batch, only it may fail.
+        let arity = queries[0].len();
+        let mut pending = Vec::new();
+        for q in &queries[..4] {
+            pending.push((true, runtime.submit(q.clone()).expect("submit")));
+        }
+        pending.push((false, runtime.submit(vec![u64::MAX; arity]).expect("submit")));
+        for q in &queries[4..] {
+            pending.push((true, runtime.submit(q.clone()).expect("submit")));
+        }
+        let snapshot = runtime.shutdown();
+        assert_eq!(snapshot.failed, 1, "{store}: exactly the poisoned request fails");
+        assert_eq!(snapshot.completed, 8, "{store}");
+        if store == "tiered" {
+            let tiers = runtime.lookup_stats().expect("the runtime serves through the tiers");
+            assert!(tiers.cold_reads > 0, "{store}: no row came from the cold tier");
+        }
 
-    let mut good = expected.iter();
-    for (valid, p) in pending {
-        let result = p.wait();
-        if valid {
-            let got = result.expect("valid batch-mates must survive");
-            assert_eq!(got.to_bits(), good.next().unwrap().to_bits());
-        } else {
-            match result.expect_err("poisoned request must fail") {
-                RuntimeError::Failed(_) => {}
-                other => panic!("expected Failed, got {other}"),
+        let mut good = expected.iter();
+        for (valid, p) in pending {
+            let result = p.wait();
+            if valid {
+                let got = result.expect("valid batch-mates must survive");
+                assert_eq!(got.to_bits(), good.next().unwrap().to_bits(), "{store}");
+            } else {
+                match result.expect_err("poisoned request must fail") {
+                    RuntimeError::Failed(_) => {}
+                    other => panic!("{store}: expected Failed, got {other}"),
+                }
             }
         }
     }

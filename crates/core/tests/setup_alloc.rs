@@ -20,6 +20,18 @@
 //! std's own requests too (thread spawns, formatting), so a toolchain
 //! update can move them as well; they were recorded with rustc 1.95.
 //!
+//! A second phase counts the steady state, in the build profile it runs in
+//! (CI runs it in release too). Each engine the runtime can serve with — the
+//! fc model on the f32 arena, tiny4 on the f32 arena, the tiered store with
+//! a cold tier and the catalog, each at F32, Q2.13 and Q8.23 — is warmed,
+//! then every repeat of `predict_batch(32)`, `predict` and
+//! `gather_features_into` must ask for a pinned number of blocks. A
+//! one-worker tiny4 runtime must ask for `a` blocks per request and `b` per
+//! batch. The goldens name their terms; most are the in-path memory
+//! simulator's, and go when the engine stops driving it. This phase is the
+//! served path's allocation contract: a new block per call fails it, in
+//! whatever form it is asked for.
+//!
 //! The binary has its own `main` (`harness = false`): under libtest's output
 //! capture every `std::thread::spawn` asks for two more blocks than it does
 //! in the ledger, and no other test may run beside this one.
@@ -28,8 +40,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering::Relaxed};
 
-use microrec_core::{AdmissionPolicy, MicroRec, RuntimeConfig, ServingRuntime};
-use microrec_embedding::{ModelSpec, RowFormat, TableSpec};
+use microrec_core::{AdmissionPolicy, MicroRec, MicroRecBuilder, RuntimeConfig, ServingRuntime};
+use microrec_embedding::{ModelSpec, Precision, RowFormat, TableSpec};
 
 /// A request's kind, as logged and as written in a golden (`z`, `r`).
 const PLAIN: u64 = 0;
@@ -41,6 +53,9 @@ static RECORDING: AtomicBool = AtomicBool::new(false);
 /// One request per entry: thread tag (bits 56–63), kind (48–55), size.
 static LOG: [AtomicU64; LOG_CAPACITY] = [const { AtomicU64::new(0) }; LOG_CAPACITY];
 static LOG_LEN: AtomicUsize = AtomicUsize::new(0);
+/// Every request of every thread, logged or not: the steady-state phase's
+/// counter.
+static REQUESTS: AtomicU64 = AtomicU64::new(0);
 static NEXT_THREAD: AtomicU8 = AtomicU8::new(1);
 
 thread_local! {
@@ -60,6 +75,7 @@ fn thread_tag() -> u8 {
 }
 
 fn note(kind: u64, size: usize) {
+    REQUESTS.fetch_add(1, Relaxed);
     if RECORDING.load(Relaxed) {
         let at = LOG_LEN.fetch_add(1, Relaxed);
         if let Some(slot) = LOG.get(at) {
@@ -286,21 +302,27 @@ fn start_requests(model: ModelSpec, admission: AdmissionPolicy) -> (Vec<Request>
 /// same for both models.
 const WORKER: &str = "17 768";
 
-/// The one test, run by `main`: libtest is not in this binary.
-const TEST: &str = "start_requests_the_golden_heap_blocks";
+/// The tests, run in this order by `main`: libtest is not in this binary.
+/// The set-up lists come first, so nothing the steady-state phase leaves
+/// behind in the heap moves them.
+const TESTS: [(&str, fn()); 2] = [
+    ("start_requests_the_golden_heap_blocks", start_requests_the_golden_heap_blocks),
+    ("steady_state_requests_the_golden_counts", steady_state_requests_the_golden_counts),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|arg| arg == "--list") {
-        println!("{TEST}: test");
+        TESTS.iter().for_each(|(name, _)| println!("{name}: test"));
         return;
     }
     let filters: Vec<&String> = args.iter().filter(|arg| !arg.starts_with('-')).collect();
-    if !filters.is_empty() && !filters.iter().any(|filter| TEST.contains(filter.as_str())) {
-        return;
+    for (name, test) in TESTS {
+        if filters.is_empty() || filters.iter().any(|filter| name.contains(filter.as_str())) {
+            test();
+            println!("test {name} ... ok");
+        }
     }
-    start_requests_the_golden_heap_blocks();
-    println!("test {TEST} ... ok");
 }
 
 fn start_requests_the_golden_heap_blocks() {
@@ -312,9 +334,209 @@ fn start_requests_the_golden_heap_blocks() {
     } else {
         eprintln!("fc: SKIPPED: on one core the arena fill runs on the calling thread");
     }
-    let tables = (0..4).map(|i| TableSpec::new(format!("tiny{i}_d4"), 1000, 4)).collect();
-    let tiny4 = ModelSpec::new("tiny4", tables, vec![16], 2);
-    let (main, worker) = start_requests(tiny4, AdmissionPolicy::Block);
+    let (main, worker) = start_requests(tiny4(), AdmissionPolicy::Block);
     assert_requests("tiny4, calling thread", include_str!("setup_alloc/tiny4.txt"), 1, &main);
     assert_requests("tiny4, worker thread", WORKER, 1, &worker);
+}
+
+// ---------------------------------------------------------------------------
+// Steady state: how many blocks a warm engine and runtime ask for per call
+// ---------------------------------------------------------------------------
+
+/// Heap requests one `call` makes once warm: `call` runs once to warm,
+/// then `REPEATS` more times, and every repeat must ask for the same
+/// number of blocks.
+fn requests_per_call(what: &str, mut call: impl FnMut()) -> u64 {
+    const REPEATS: usize = 4;
+    call();
+    let mut counts = [0; REPEATS];
+    for count in &mut counts {
+        let before = REQUESTS.load(Relaxed);
+        call();
+        *count = REQUESTS.load(Relaxed) - before;
+    }
+    assert!(
+        counts.iter().all(|&count| count == counts[0]),
+        "{what}: the heap requests per call differ between repeats: {counts:?}"
+    );
+    counts[0]
+}
+
+/// `count` deterministic queries for `model`, each with distinct rows.
+fn queries(model: &ModelSpec, count: u64) -> Vec<Vec<u64>> {
+    let arity = model.num_tables() as u64 * u64::from(model.lookups_per_table);
+    let rows = model.tables.iter().map(|t| t.rows).min().unwrap_or(1);
+    (0..count).map(|i| (0..arity).map(|j| (i * 7919 + j * 104_729) % rows).collect()).collect()
+}
+
+/// `serve-sat`'s model: 4 tables × 1000 rows × dim 4, 2 lookup rounds, one
+/// hidden layer of 16.
+fn tiny4() -> ModelSpec {
+    let tables = (0..4).map(|i| TableSpec::new(format!("tiny{i}_d4"), 1000, 4)).collect();
+    ModelSpec::new("tiny4", tables, vec![16], 2)
+}
+
+/// Heap requests per call of a warm engine: `predict_batch` of 32 queries,
+/// `predict` of one, and `gather_features_into` a reused buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PerCall {
+    batch: u64,
+    predict: u64,
+    gather: u64,
+}
+
+/// The goldens, per model and precision. No store changes them: the arena,
+/// the tiered store's resident and cold rows and the catalog all fill the
+/// caller's slice in place. The terms, with T tables (each its own physical
+/// table, neither model merges any), R lookup rounds and L layers:
+///
+/// - `resolve`, 1 + 3T per query and round: `Catalog::resolve`'s output
+///   `Vec`, and per table its `sizes` and member-index `Vec`s plus the
+///   `String` of the overflow error `merged_row_index` builds eagerly
+///   (`ok_or`) on every call;
+/// - memsim's per-round map, 1 per round: the `BTreeMap` leaf of
+///   `parallel_read_addressed`'s per-bank times (at most 11 banks);
+/// - `gather_features_into`: its `requests` `Vec`, then per round
+///   `resolve` and the map;
+/// - `predict`: the gather, into a fresh feature `Vec` (one more), then the
+///   reference `Mlp`: at F32 the input copy and one `Vec` per layer
+///   (1 + L), at Q2.13 and Q8.23 also the quantized input (2 + L);
+/// - `predict_batch(32)`: the output `Vec`, the `Vec` of feature vectors,
+///   32 per-item feature `Vec`s and the `requests` `Vec`, then per round 32
+///   `resolve`s and the map. The packed path's staging and scratch are
+///   warm.
+fn golden(model: &str, precision: Precision) -> PerCall {
+    let fixed = u64::from(precision != Precision::F32);
+    match model {
+        // T = 8, R = 4, L = 4: resolve = 25.
+        "fc" => PerCall {
+            // 1 + 1 + 32 + 1 + 4 × (32 × 25 + 1)
+            batch: 3239,
+            // 105 + 1 + (1 + 4), or + (2 + 4) when quantized
+            predict: 111 + fixed,
+            // 1 + 4 × (25 + 1)
+            gather: 105,
+        },
+        // T = 4, R = 2, L = 2: resolve = 13.
+        "tiny4" => PerCall {
+            // 1 + 1 + 32 + 1 + 2 × (32 × 13 + 1)
+            batch: 869,
+            // 29 + 1 + (1 + 2), or + (2 + 2) when quantized
+            predict: 33 + fixed,
+            // 1 + 2 × (13 + 1)
+            gather: 29,
+        },
+        other => panic!("no golden for model {other}"),
+    }
+}
+
+/// A one-worker tiny4 runtime, on the f32 arena or the tiered store,
+/// serving `N` requests asks for `N·a + batches·b` blocks, across the
+/// submitting thread and the worker:
+///
+/// - a = 28 per request: the reply `Slot`'s `Arc` (1), and the engine's
+///   per-item terms of `predict_batch`, its feature `Vec` (1) and a
+///   `resolve` per round (2 × 13);
+/// - b = 6 per batch: the `Vec` `pop_batch` hands the worker (1), and the
+///   engine's per-batch terms: the output `Vec`, the `Vec` of feature
+///   vectors, the `requests` `Vec` and memsim's map per round (3 + 2).
+///
+/// The queries' own `Vec`s are built before the count and reach the engine
+/// without a copy.
+const PER_REQUEST: u64 = 28;
+const PER_BATCH: u64 = 6;
+
+fn steady_state_requests_the_golden_counts() {
+    let mut failures = Vec::new();
+    let fc = MicroRec::builder(ModelSpec::dlrm_rmc2(8, 16)).seed(42);
+    let arena = fc.clone().embedding_arena(RowFormat::F32).build().expect("fc builds");
+    let arena = arena.arena().cloned().expect("the fc engine has an arena");
+    let tiny = MicroRec::builder(tiny4()).seed(42);
+    // Half of tiny4's 64 000 bytes resident: two tables are read from the
+    // cold file.
+    let stores = [
+        ("fc", "f32 arena", fc.shared_arena(arena)),
+        ("tiny4", "f32 arena", tiny.clone().embedding_arena(RowFormat::F32)),
+        ("tiny4", "tiered", tiny.clone().tiered_storage(32_000, RowFormat::F32)),
+        ("tiny4", "catalog", tiny.clone()),
+    ];
+    for (model, store, builder) in stores {
+        for precision in [Precision::F32, Precision::Fixed16, Precision::Fixed32] {
+            let what = format!("{model}, {store}, {precision:?}");
+            let mut engine = builder.clone().precision(precision).build().expect("engine builds");
+            let batch = queries(engine.model(), 32);
+            let mut features = Vec::new();
+            let got = PerCall {
+                batch: requests_per_call(&what, || {
+                    engine.predict_batch(&batch).expect("batch predicts");
+                }),
+                predict: requests_per_call(&what, || {
+                    engine.predict(&batch[0]).expect("query predicts");
+                }),
+                gather: requests_per_call(&what, || {
+                    engine.gather_features_into(&batch[0], &mut features).expect("query gathers");
+                }),
+            };
+            if store == "tiered" {
+                let backing = engine.tiered_store().expect("tiered").backing();
+                assert_eq!(backing.num_resident_tables(), 2, "{what}: two tables are cold");
+                assert!(engine.tier_counters().cold_reads > 0, "{what}: no cold read");
+            }
+            let want = golden(model, precision);
+            if got != want {
+                failures.push(format!("{what}: got {got:?}, want {want:?}"));
+            }
+        }
+    }
+
+    for (store, builder) in [
+        ("f32 arena", tiny.clone().embedding_arena(RowFormat::F32)),
+        ("tiered", tiny.tiered_storage(32_000, RowFormat::F32)),
+    ] {
+        failures.extend(serve_against_the_golden(store, builder));
+    }
+    assert!(failures.is_empty(), "steady-state heap requests moved:\n{}", failures.join("\n"));
+}
+
+/// Serves rounds of `N` requests on a one-worker tiny4 runtime and returns
+/// every warm round whose heap requests are not `N·a + batches·b`. Requests
+/// go one at a time (a batch each), then all at once (batches of whatever
+/// the worker finds queued), so both `a` and `b` show. The first two rounds
+/// warm: the first replies ask for a few one-off blocks.
+fn serve_against_the_golden(store: &str, builder: MicroRecBuilder) -> Vec<String> {
+    const N: usize = 256;
+    let config =
+        RuntimeConfig { workers: 1, admission: AdmissionPolicy::Block, ..RuntimeConfig::default() };
+    let mut runtime = ServingRuntime::start(builder, config).expect("runtime starts");
+    let mut pending = Vec::with_capacity(N);
+    let mut failures = Vec::new();
+    for (round, one_by_one) in [true, false, true, false, true, false].into_iter().enumerate() {
+        let requests = queries(&tiny4(), N as u64);
+        let batches = runtime.snapshot().batches;
+        let before = REQUESTS.load(Relaxed);
+        for query in requests {
+            pending.push(runtime.submit(query).expect("admitted"));
+            if one_by_one {
+                pending.pop().expect("just pushed").wait().expect("served");
+            }
+        }
+        for reply in pending.drain(..) {
+            reply.wait().expect("served");
+        }
+        let got = REQUESTS.load(Relaxed) - before;
+        let batches = runtime.snapshot().batches - batches;
+        let want = N as u64 * PER_REQUEST + batches * PER_BATCH;
+        if round >= 2 && got != want {
+            failures.push(format!(
+                "runtime, {store}, round {round}: got {got}, want {want} = {N} requests × \
+                 {PER_REQUEST} + {batches} batches × {PER_BATCH}"
+            ));
+        }
+    }
+    if store == "tiered" {
+        let tiers = runtime.lookup_stats().expect("tiered runtime");
+        assert!(tiers.cold_reads > 0, "runtime, {store}: no cold read");
+    }
+    runtime.shutdown();
+    failures
 }

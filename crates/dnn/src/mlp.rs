@@ -176,7 +176,6 @@ impl Mlp {
         for layer in &self.layers {
             let (front, back) = arena.buffers();
             back.resize(layer.output_dim(), T::ZERO);
-            // lint: allow(transitive-hot-path-alloc) reference per-layer forward; the packed kernels serve the fast path
             layer.forward(front, back)?;
             arena.swap();
         }
@@ -226,7 +225,6 @@ impl Mlp {
         let mut arena = ScratchArena::new();
         packed.warm(inputs.rows(), &mut arena);
         let out = packed.forward_batch_into(inputs.as_slice(), inputs.rows(), &mut arena)?;
-        // lint: allow(hot-path-alloc) convenience Matrix API; callers on the hot path use PackedMlp directly
         Matrix::from_vec(inputs.rows(), self.output_dim(), out.to_vec())
     }
 }

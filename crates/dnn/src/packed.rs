@@ -123,11 +123,9 @@ impl<T: FixedNum> PackedMlp<T> {
             .map(|layer| PackedLayer {
                 // A dense layer's weight matrix is row-major [out x in]: Bᵀ.
                 weights: PackedB::from_transposed(layer.weights()),
-                // lint: allow(transitive-hot-path-alloc) one-time pack of the bias vector
                 bias: layer.bias().iter().map(|&b| T::from_f32(b)).collect(),
                 activation: layer.activation(),
             })
-            // lint: allow(transitive-hot-path-alloc) one-time pack of the layer stack
             .collect();
         PackedMlp {
             layers,

@@ -43,7 +43,6 @@ impl<T: FixedNum> ScratchArena<T> {
     /// [`ScratchArena::warm`] to front-load that).
     #[must_use]
     pub fn new() -> Self {
-        // lint: allow(transitive-hot-path-alloc) empty vecs; warm() front-loads the real allocation
         ScratchArena { ping: Vec::new(), pong: Vec::new() }
     }
 

@@ -1,6 +1,7 @@
-//! Proves the batched fast path performs zero heap allocations in steady
-//! state: after one warm-up call, repeated `forward_batch_into` /
-//! `forward_with` calls never touch the global allocator.
+//! Proves the DNN kernels perform zero heap allocations in steady state:
+//! after one warm-up call, repeated `forward_batch_into`, `forward_into`,
+//! `forward_layer` and `forward_with` calls at f32, Q2.13 and Q8.23, and the
+//! row decoders, never touch the global allocator.
 //!
 //! It also pins the set-up path's allocations: packing the ledger's FC stack
 //! at Q2.13, warming an arena and serving the first batch request exactly
@@ -65,50 +66,95 @@ fn allocation_count() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-#[test]
-fn steady_state_forward_never_allocates() {
-    use microrec_dnn::{Mlp, PackedMlp, ScratchArena, Q16};
+/// Heap requests of 32 calls of `f`, after one warming call.
+fn steady_delta(mut f: impl FnMut()) -> u64 {
+    f();
+    let before = allocation_count();
+    for _ in 0..32 {
+        f();
+    }
+    allocation_count() - before
+}
 
-    let mlp = Mlp::top_mlp(64, &[128, 64], 7).unwrap();
-    let batch = 64usize;
-    let inputs: Vec<f32> = (0..batch * 64).map(|i| ((i as f32) * 0.013).sin() * 0.5).collect();
+/// The packed batch path, its batch-of-one wrapper, the per-layer walk
+/// over reused buffers, and the unpacked scratch path, all at precision
+/// `T`: none asks for a block once warm.
+fn steady_state_at<T: microrec_dnn::FixedNum>(name: &str, inputs: &[f32], batch: usize) {
+    use microrec_dnn::{Mlp, PackedMlp, ScratchArena};
 
-    // Batched packed path, f32.
-    let packed: PackedMlp<f32> = PackedMlp::pack(&mlp);
+    // 68 outputs are 17 panels: on an AVX-512 VNNI host the Q2.13 path runs
+    // its 6-panel tile, the 4-panel rest and the AVX2 tile on the odd last
+    // panel; the 1-wide head runs `gemm_packed`'s scalar tail.
+    let mlp = Mlp::top_mlp(64, &[128, 68], 7).unwrap();
+    let inputs: Vec<T> = inputs.iter().map(|&v| T::from_f32(v)).collect();
+    let packed: PackedMlp<T> = PackedMlp::pack(&mlp);
     let mut arena = ScratchArena::new();
     packed.warm(batch, &mut arena);
-    let warm = packed.forward_batch_into(&inputs, batch, &mut arena).unwrap().to_vec();
-    let before = allocation_count();
-    for _ in 0..32 {
+    let delta = steady_delta(|| {
         let out = packed.forward_batch_into(&inputs, batch, &mut arena).unwrap();
-        assert_eq!(out.len(), warm.len());
-    }
-    assert_eq!(allocation_count() - before, 0, "forward_batch_into allocated in steady state");
+        assert_eq!(out.len(), batch);
+    });
+    assert_eq!(delta, 0, "{name} forward_batch_into allocated in steady state");
+    let delta = steady_delta(|| {
+        packed.forward_into(&inputs[..64], &mut arena).unwrap();
+    });
+    assert_eq!(delta, 0, "{name} forward_into allocated in steady state");
 
-    // Batched packed path, Q16 (a different element size through the arena).
-    let q: Vec<Q16> = inputs.iter().map(|&v| Q16::from_f32(v)).collect();
-    let packed_q: PackedMlp<Q16> = PackedMlp::pack(&mlp);
-    let mut arena_q = ScratchArena::new();
-    packed_q.warm(batch, &mut arena_q);
-    packed_q.forward_batch_into(&q, batch, &mut arena_q).unwrap();
-    let before = allocation_count();
-    for _ in 0..32 {
-        packed_q.forward_batch_into(&q, batch, &mut arena_q).unwrap();
-    }
-    assert_eq!(allocation_count() - before, 0, "Q16 forward_batch_into allocated in steady state");
+    // Sized for the widest layer: with an odd layer count the two buffers
+    // trade roles from one call to the next.
+    let mut current = Vec::with_capacity(batch * packed.max_width());
+    let mut next = Vec::with_capacity(batch * packed.max_width());
+    let delta = steady_delta(|| {
+        current.clear();
+        current.extend_from_slice(&inputs);
+        for index in 0..packed.num_layers() {
+            packed.forward_layer(index, &current, batch, &mut next).unwrap();
+            std::mem::swap(&mut current, &mut next);
+        }
+    });
+    assert_eq!(delta, 0, "{name} forward_layer allocated in steady state");
 
-    // Single-query scratch path on the unpacked Mlp.
-    let x = &inputs[..64];
-    let mut arena1 = ScratchArena::new();
-    arena1.warm(mlp.max_width());
-    mlp.forward_with::<f32>(x, &mut arena1).unwrap();
-    let before = allocation_count();
-    for _ in 0..32 {
-        mlp.forward_with::<f32>(x, &mut arena1).unwrap();
-    }
-    assert_eq!(allocation_count() - before, 0, "forward_with allocated in steady state");
+    let mut single = ScratchArena::new();
+    single.warm(mlp.max_width());
+    let delta = steady_delta(|| {
+        mlp.forward_with::<T>(&inputs[..64], &mut single).unwrap();
+    });
+    assert_eq!(delta, 0, "{name} forward_with allocated in steady state");
+}
+
+#[test]
+fn steady_state_forward_never_allocates() {
+    use microrec_dnn::{Q16, Q32};
+
+    let batch = 64usize;
+    let inputs: Vec<f32> = (0..batch * 64).map(|i| ((i as f32) * 0.013).sin() * 0.5).collect();
+    steady_state_at::<f32>("f32", &inputs, batch);
+    steady_state_at::<Q16>("Q2.13", &inputs, batch);
+    steady_state_at::<Q32>("Q8.23", &inputs, batch);
+    row_decodes_never_allocate();
 
     set_up_requests_the_parents_heap_blocks();
+}
+
+/// The portable row decoders, which the arena and tiered gathers fall back
+/// to on a CPU without F16C or AVX2, and the cold tier's byte decoders.
+fn row_decodes_never_allocate() {
+    use microrec_dnn::{
+        f16_decode_le_slice, f16_decode_slice_scalar, f32_decode_le_slice, i8_dequant_le_slice,
+        i8_dequant_slice_scalar,
+    };
+
+    let halves: Vec<u16> = (0..64).map(|i| 0x3C00 + i).collect();
+    let bytes: Vec<u8> = (0..256).map(|i| i as u8).collect();
+    let mut out = vec![0.0f32; 64];
+    let delta = steady_delta(|| {
+        f16_decode_slice_scalar(&halves, &mut out);
+        i8_dequant_slice_scalar(&[-3; 64], 0.5, &mut out);
+        f32_decode_le_slice(&bytes, &mut out);
+        f16_decode_le_slice(&bytes[..128], &mut out);
+        i8_dequant_le_slice(&bytes[..64], 0.5, &mut out);
+    });
+    assert_eq!(delta, 0, "a row decode allocated");
 }
 
 /// `PackedMlp::<Q16>::pack` of the ledger's 512→1024→512→256→1 stack, then

@@ -1,5 +1,6 @@
 //! Proves the steady-state embedding row path performs zero heap
-//! allocations: repeated round gathers from an [`EmbeddingArena`], through
+//! allocations: the tables' bulk row fill, repeated round gathers from an
+//! [`EmbeddingArena`], through
 //! a warm [`HotRowCache`] in front of it, and from a [`TieredStore`]
 //! (resident reads and cold `pread`s alike) never touch the global
 //! allocator.
@@ -79,6 +80,23 @@ fn steady_state_lookup_never_allocates() {
     let offsets: Vec<usize> = (0..6).map(|t| t * 16).collect();
     // A deterministic skewed trace: row = i² mod 97.
     let trace: Vec<u64> = (0..512u64).map(|i| (i * i) % 97).collect();
+
+    // The bulk row fill every arena build spends its time in, from a
+    // procedural and a materialized table, and the per-row read beside it.
+    for table in [tables[0].clone(), tables[0].to_materialized(u64::MAX).unwrap()] {
+        let mut bulk = vec![0.0f32; 500 * 16];
+        let mut row = [0.0f32; 16];
+        table.fill_rows(0, &mut bulk).unwrap();
+        let delta = settled_delta(|| {
+            for start in [0, 7, 250] {
+                table.fill_rows(start, &mut bulk[..250 * 16]).unwrap();
+            }
+            for &r in &trace {
+                table.read_row(r, &mut row).unwrap();
+            }
+        });
+        assert_eq!(delta, 0, "the bulk row fill allocated");
+    }
 
     for format in [RowFormat::F32, RowFormat::F16, RowFormat::I8] {
         let arena = EmbeddingArena::build(&tables, format, &[0; 6]).unwrap();

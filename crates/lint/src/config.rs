@@ -9,16 +9,14 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Every lint id the tool knows, in reporting order. The first five are
+/// Every lint id the tool knows, in reporting order. The first four are
 /// the single-file structural lints; the rest are the interprocedural
 /// flow lints added with the call-graph pass.
-pub const LINT_IDS: [&str; 10] = [
-    "hot-path-alloc",
+pub const LINT_IDS: [&str; 8] = [
     "no-panic-serving",
     "unsafe-audit",
     "determinism",
     "condvar-loop",
-    "transitive-hot-path-alloc",
     "transitive-panic",
     "lock-order",
     "blocking-under-lock",
@@ -53,10 +51,10 @@ pub struct LintScope {
     /// Path globs (workspace-relative) the lint scans.
     pub paths: Vec<String>,
     /// If non-empty, the lint only fires inside functions with these
-    /// names (the per-function hot-path designation). Entries are bare
+    /// names (for a flow lint: only from these roots). Entries are bare
     /// names (`worker_loop`) or qualified `Type::method` paths
-    /// (`TieredStore::gather_round`) — a qualified entry only designates that
-    /// impl's method, not every same-named function.
+    /// (`Slot::fulfill`) — a qualified entry only designates that impl's
+    /// method, not every same-named function.
     pub functions: Vec<String>,
     pub severity: Severity,
 }
@@ -300,12 +298,12 @@ mod tests {
 # workspace manifest
 exclude = ["target", "crates/lint/tests/fixtures"]
 
-[lints.hot-path-alloc]
+[lints.no-panic-serving]
 paths = [
-  "crates/dnn/src/gemm.rs", # hot kernels
-  "crates/core/src/runtime/mod.rs",
+  "crates/core/src/runtime/*.rs", # the serving runtime
+  "crates/core/src/sync.rs",
 ]
-functions = ["dot", "worker_loop"]
+functions = ["submit", "worker_loop"]
 
 [lints.determinism]
 paths = ["crates/memsim/**"]
@@ -314,9 +312,9 @@ severity = "deny"
         )
         .unwrap();
         assert_eq!(cfg.exclude.len(), 2);
-        let hot = &cfg.lints["hot-path-alloc"];
-        assert_eq!(hot.paths.len(), 2);
-        assert_eq!(hot.functions, vec!["dot", "worker_loop"]);
+        let serving = &cfg.lints["no-panic-serving"];
+        assert_eq!(serving.paths.len(), 2);
+        assert_eq!(serving.functions, vec!["submit", "worker_loop"]);
         assert_eq!(cfg.lints["determinism"].severity, Severity::Deny);
     }
 
@@ -330,12 +328,12 @@ severity = "deny"
     #[test]
     fn inherit_copies_scope_from_the_named_lint() {
         let cfg = Config::parse(
-            "[lints.transitive-hot-path-alloc]\ninherit = \"hot-path-alloc\"\n\n[lints.hot-path-alloc]\npaths = [\"crates/dnn/**\"]\nfunctions = [\"dot\", \"Gemm::run\"]\n",
+            "[lints.transitive-panic]\ninherit = \"no-panic-serving\"\n\n[lints.no-panic-serving]\npaths = [\"crates/core/**\"]\nfunctions = [\"submit\", \"Slot::fulfill\"]\n",
         )
         .unwrap();
-        let t = &cfg.lints["transitive-hot-path-alloc"];
-        assert_eq!(t.paths, vec!["crates/dnn/**"]);
-        assert_eq!(t.functions, vec!["dot", "Gemm::run"]);
+        let t = &cfg.lints["transitive-panic"];
+        assert_eq!(t.paths, vec!["crates/core/**"]);
+        assert_eq!(t.functions, vec!["submit", "Slot::fulfill"]);
     }
 
     #[test]

@@ -18,13 +18,7 @@ pub struct LintDoc {
 }
 
 /// Every documented lint, in [`LINT_IDS`] order plus `malformed-allow`.
-pub const LINT_DOCS: [LintDoc; 11] = [
-    LintDoc {
-        id: "hot-path-alloc",
-        invariant: "designated hot functions perform no heap allocation (Vec::new, vec!, .to_vec(), .clone(), format!, Box::new, .collect(), String::from)",
-        rationale: "the batched GEMM and lookup paths are measured in microseconds; one allocation is a double-digit-percent latency regression and a jitter source",
-        allow_example: "// lint: allow(hot-path-alloc) one-time buffer, reused across batches",
-    },
+pub const LINT_DOCS: [LintDoc; 9] = [
     LintDoc {
         id: "no-panic-serving",
         invariant: "the serving runtime never calls .unwrap()/.expect()/panic!/todo!/unimplemented! outside tests",
@@ -48,12 +42,6 @@ pub const LINT_DOCS: [LintDoc; 11] = [
         invariant: "Condvar::wait/wait_timeout sits inside a while/loop predicate re-check",
         rationale: "spurious wakeups are legal; a bare wait is a lost-wakeup deadlock seed",
         allow_example: "// lint: allow(condvar-loop) single-shot latch, predicate set exactly once",
-    },
-    LintDoc {
-        id: "transitive-hot-path-alloc",
-        invariant: "no function reachable from a designated hot function allocates (reported with the full call chain)",
-        rationale: "the direct lint stops at the function boundary; an allocation buried two helpers deep costs the same microseconds",
-        allow_example: "// lint: allow(transitive-hot-path-alloc) cold error path, hit once per run",
     },
     LintDoc {
         id: "transitive-panic",

@@ -2,13 +2,12 @@
 //!
 //! Two layers run over the workspace:
 //!
-//! 1. **Local lints** — the per-file structural checks (allocation,
-//!    panic, unsafe-audit, determinism, condvar-loop), scoped by the
-//!    manifest exactly as before.
+//! 1. **Local lints** — the per-file structural checks (panic,
+//!    unsafe-audit, determinism, condvar-loop), scoped by the manifest.
 //! 2. **Flow lints** — interprocedural checks over the
 //!    [`crate::index::WorkspaceIndex`] / [`crate::callgraph::CallGraph`]
-//!    / [`crate::summaries::Summaries`] triple: transitive
-//!    allocation/panic reachability with witness chains, lock-order
+//!    / [`crate::summaries::Summaries`] triple: transitive panic
+//!    reachability with witness chains, lock-order
 //!    cycle detection, and blocking-under-lock. A final pass flags
 //!    `lint: allow` comments that suppressed nothing.
 //!
@@ -120,7 +119,7 @@ pub(crate) fn lint_workspace(files: Vec<FileModel>, config: &Config) -> Report {
         local_lints(file, config, &mut allows, &mut diags);
     }
 
-    transitive_lints(&index, &graph, &sums, config, &mut allows, &mut diags);
+    transitive_panic(&index, &graph, &sums, config, &mut allows, &mut diags);
     lock_order(&index, &graph, &sums, config, &mut allows, &mut diags);
     blocking_under_lock(&index, &graph, &sums, config, &mut allows, &mut diags);
     unused_allows(config, &mut allows, &mut diags);
@@ -175,7 +174,6 @@ fn scope_for<'c>(
     rel_path: &str,
 ) -> Option<(&'static str, &'c LintScope)> {
     let lint = match finding.kind {
-        FindingKind::Alloc { .. } => "hot-path-alloc",
         FindingKind::PanicCall { .. } => "no-panic-serving",
         FindingKind::UnsafeSite { .. } => "unsafe-audit",
         FindingKind::Nondet { .. } => "determinism",
@@ -199,10 +197,10 @@ fn scope_accepts(scope: &LintScope, finding: &Finding) -> bool {
         // Unsafe code needs a SAFETY argument even in tests; a bare wait
         // is a deadlock seed wherever it appears.
         FindingKind::UnsafeSite { .. } | FindingKind::BareWait { .. } => true,
-        // Hot-path, panic, and determinism rules guard production code
-        // only — tests may allocate, unwrap, and time freely.
+        // Panic and determinism rules guard production code only — tests
+        // may unwrap and time freely.
         _ if finding.in_test => false,
-        FindingKind::Alloc { .. } if !scope.functions.is_empty() => {
+        _ if !scope.functions.is_empty() => {
             fn_entry_matches(&scope.functions, finding.func.as_deref(), finding.qual.as_deref())
         }
         _ => true,
@@ -211,10 +209,6 @@ fn scope_accepts(scope: &LintScope, finding: &Finding) -> bool {
 
 fn message_for(finding: &Finding) -> String {
     match &finding.kind {
-        FindingKind::Alloc { what } => {
-            let func = finding.func.as_deref().unwrap_or("?");
-            format!("`{what}` allocates inside designated hot path (fn `{func}`)")
-        }
         FindingKind::PanicCall { what } => {
             format!("`{what}` can panic inside the serving runtime; return an error instead")
         }
@@ -345,14 +339,13 @@ fn designated(index: &WorkspaceIndex, id: FnId, scope: &LintScope) -> bool {
         || fn_entry_matches(&scope.functions, Some(&def.name), Some(def.display_name()))
 }
 
-/// `transitive-hot-path-alloc` and `transitive-panic`: BFS from every
-/// designated root's call sites to functions *outside* the scope whose
-/// bodies allocate/panic, reporting the full witness chain. Traversal
-/// prunes at designated functions (their own bodies are the direct
-/// lint's job, and their calls are covered when they root their own
-/// search), so every violation is reported exactly once, at the nearest
-/// designated caller.
-fn transitive_lints(
+/// `transitive-panic`: BFS from every designated root's call sites to
+/// functions *outside* the scope whose bodies can panic, reporting the
+/// full witness chain. Traversal prunes at designated functions (their own
+/// bodies are `no-panic-serving`'s job, and their calls are covered when
+/// they root their own search), so every violation is reported exactly
+/// once, at the nearest designated caller.
+fn transitive_panic(
     index: &WorkspaceIndex,
     graph: &CallGraph,
     sums: &Summaries,
@@ -360,89 +353,75 @@ fn transitive_lints(
     allows: &mut AllowSet,
     out: &mut Vec<Diagnostic>,
 ) {
-    let variants: [(&str, &str, bool); 2] = [
-        ("transitive-hot-path-alloc", "hot-path-alloc", true),
-        ("transitive-panic", "no-panic-serving", false),
-    ];
-    for (lint_id, direct_id, is_alloc) in variants {
-        let Some(scope) = config.lints.get(lint_id) else {
+    let (lint_id, direct_id) = ("transitive-panic", "no-panic-serving");
+    let Some(scope) = config.lints.get(lint_id) else {
+        return;
+    };
+    let mut seen: BTreeSet<(String, usize, String, usize)> = BTreeSet::new();
+    for root in index.ids() {
+        if !designated(index, root, scope) {
             continue;
-        };
-        let mut seen: BTreeSet<(String, usize, String, usize)> = BTreeSet::new();
-        for root in index.ids() {
-            if !designated(index, root, scope) {
-                continue;
-            }
-            let (root_file, root_def) = index.lookup(root);
-            for call in graph.of(root) {
-                // BFS with parent pointers for chain reconstruction.
-                let mut parents: BTreeMap<FnId, FnId> = BTreeMap::new();
-                let mut queue: VecDeque<FnId> = VecDeque::new();
-                parents.insert(call.callee, root);
-                queue.push_back(call.callee);
-                while let Some(g) = queue.pop_front() {
-                    let (g_file, g_def) = index.lookup(g);
-                    if g_def.in_test || g_file.is_test_file || designated(index, g, scope) {
+        }
+        let (root_file, root_def) = index.lookup(root);
+        for call in graph.of(root) {
+            // BFS with parent pointers for chain reconstruction.
+            let mut parents: BTreeMap<FnId, FnId> = BTreeMap::new();
+            let mut queue: VecDeque<FnId> = VecDeque::new();
+            parents.insert(call.callee, root);
+            queue.push_back(call.callee);
+            while let Some(g) = queue.pop_front() {
+                let (g_file, g_def) = index.lookup(g);
+                if g_def.in_test || g_file.is_test_file || designated(index, g, scope) {
+                    continue;
+                }
+                for site in &sums.facts[g].panics {
+                    let key =
+                        (root_file.rel_path.clone(), call.line, g_file.rel_path.clone(), site.line);
+                    if !seen.insert(key) {
                         continue;
                     }
-                    let sites =
-                        if is_alloc { &sums.facts[g].allocs } else { &sums.facts[g].panics };
-                    for site in sites {
-                        let key = (
-                            root_file.rel_path.clone(),
-                            call.line,
-                            g_file.rel_path.clone(),
-                            site.line,
-                        );
-                        if !seen.insert(key) {
-                            continue;
-                        }
-                        // The site is justified by an allow at the site
-                        // itself (direct or transitive id) or at the
-                        // root's call line.
-                        if allows.suppresses(&g_file.rel_path, direct_id, site.line)
-                            || allows.suppresses(&g_file.rel_path, lint_id, site.line)
-                            || allows.suppresses(&root_file.rel_path, lint_id, call.line)
-                        {
-                            continue;
-                        }
-                        let mut chain_ids = vec![g];
-                        let mut cur = g;
-                        while let Some(&p) = parents.get(&cur) {
-                            chain_ids.push(p);
-                            if p == root {
-                                break;
-                            }
-                            cur = p;
-                        }
-                        chain_ids.reverse();
-                        let chain_names: Vec<&str> =
-                            chain_ids.iter().map(|&id| index.lookup(id).1.display_name()).collect();
-                        let verb = if is_alloc { "allocates" } else { "can panic" };
-                        let role = if is_alloc { "hot" } else { "serving" };
-                        out.push(Diagnostic {
-                            file: root_file.rel_path.clone(),
-                            line: call.line,
-                            lint: lint_id.to_string(),
-                            severity: scope.severity,
-                            message: format!(
-                                "`{}` {verb} at {}:{}, reached from {role} fn `{}` (chain: {})",
-                                site.what,
-                                g_file.rel_path,
-                                site.line,
-                                root_def.display_name(),
-                                chain_names.join(" -> "),
-                            ),
-                            chain: chain_ids.iter().map(|&id| index.describe(id)).collect(),
-                        });
+                    // The site is justified by an allow at the site itself
+                    // (direct or transitive id) or at the root's call line.
+                    if allows.suppresses(&g_file.rel_path, direct_id, site.line)
+                        || allows.suppresses(&g_file.rel_path, lint_id, site.line)
+                        || allows.suppresses(&root_file.rel_path, lint_id, call.line)
+                    {
+                        continue;
                     }
-                    for next in graph.of(g) {
-                        if let std::collections::btree_map::Entry::Vacant(e) =
-                            parents.entry(next.callee)
-                        {
-                            e.insert(g);
-                            queue.push_back(next.callee);
+                    let mut chain_ids = vec![g];
+                    let mut cur = g;
+                    while let Some(&p) = parents.get(&cur) {
+                        chain_ids.push(p);
+                        if p == root {
+                            break;
                         }
+                        cur = p;
+                    }
+                    chain_ids.reverse();
+                    let chain_names: Vec<&str> =
+                        chain_ids.iter().map(|&id| index.lookup(id).1.display_name()).collect();
+                    out.push(Diagnostic {
+                        file: root_file.rel_path.clone(),
+                        line: call.line,
+                        lint: lint_id.to_string(),
+                        severity: scope.severity,
+                        message: format!(
+                            "`{}` can panic at {}:{}, reached from serving fn `{}` (chain: {})",
+                            site.what,
+                            g_file.rel_path,
+                            site.line,
+                            root_def.display_name(),
+                            chain_names.join(" -> "),
+                        ),
+                        chain: chain_ids.iter().map(|&id| index.describe(id)).collect(),
+                    });
+                }
+                for next in graph.of(g) {
+                    if let std::collections::btree_map::Entry::Vacant(e) =
+                        parents.entry(next.callee)
+                    {
+                        e.insert(g);
+                        queue.push_back(next.callee);
                     }
                 }
             }
@@ -757,9 +736,10 @@ mod tests {
     }
 
     #[test]
-    fn hot_path_scopes_to_listed_functions() {
-        let cfg = config("[lints.hot-path-alloc]\npaths = [\"src/a.rs\"]\nfunctions = [\"hot\"]\n");
-        let src = "fn hot() { let v = Vec::new(); }\nfn cold() { let v = Vec::new(); }\n";
+    fn functions_scope_a_lint_to_the_listed_functions() {
+        let cfg =
+            config("[lints.no-panic-serving]\npaths = [\"src/a.rs\"]\nfunctions = [\"serve\"]\n");
+        let src = "fn serve() { x.unwrap(); }\nfn setup() { x.unwrap(); }\n";
         let report = lint_source("src/a.rs", src, &cfg);
         assert_eq!(report.diagnostics.len(), 1);
         assert_eq!(report.diagnostics[0].line, 1);
@@ -768,37 +748,37 @@ mod tests {
     #[test]
     fn qualified_function_entry_designates_only_that_impl() {
         let cfg = config(
-            "[lints.hot-path-alloc]\npaths = [\"src/a.rs\"]\nfunctions = [\"Cache::insert\"]\n",
+            "[lints.no-panic-serving]\npaths = [\"src/a.rs\"]\nfunctions = [\"Cache::insert\"]\n",
         );
-        let src = "impl Cache {\n    fn insert(&self) { let v = Vec::new(); }\n}\nimpl Buffer {\n    fn insert(&self) { let v = Vec::new(); }\n}\nfn insert() { let v = Vec::new(); }\n";
+        let src = "impl Cache {\n    fn insert(&self) { x.unwrap(); }\n}\nimpl Buffer {\n    fn insert(&self) { x.unwrap(); }\n}\nfn insert() { x.unwrap(); }\n";
         let report = lint_source("src/a.rs", src, &cfg);
         assert_eq!(report.diagnostics.len(), 1, "{:?}", report.diagnostics);
         assert_eq!(report.diagnostics[0].line, 2);
-        assert!(report.diagnostics[0].message.contains("fn `insert`"));
+        assert_eq!(report.diagnostics[0].lint, "no-panic-serving");
     }
 
     #[test]
     fn allow_with_reason_suppresses_and_without_reason_reports() {
-        let cfg = config("[lints.hot-path-alloc]\npaths = [\"**\"]\n");
-        let ok = "fn f() {\n    // lint: allow(hot-path-alloc) result vec is handed to caller\n    let v = Vec::new();\n}\n";
+        let cfg = config("[lints.no-panic-serving]\npaths = [\"**\"]\n");
+        let ok = "fn f() {\n    // lint: allow(no-panic-serving) checked non-empty above\n    let v = x.unwrap();\n}\n";
         let report = lint_source("src/a.rs", ok, &cfg);
         assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
         assert_eq!(report.suppressed, 1);
 
-        let bad = "fn f() {\n    let v = Vec::new(); // lint: allow(hot-path-alloc)\n}\n";
+        let bad = "fn f() {\n    let v = x.unwrap(); // lint: allow(no-panic-serving)\n}\n";
         let report = lint_source("src/a.rs", bad, &cfg);
         let lints: Vec<&str> = report.diagnostics.iter().map(|d| d.lint.as_str()).collect();
-        assert_eq!(lints, vec!["hot-path-alloc", "malformed-allow"]);
+        assert_eq!(lints, vec!["malformed-allow", "no-panic-serving"]);
     }
 
     #[test]
     fn allow_of_wrong_id_does_not_suppress() {
-        let cfg = config("[lints.hot-path-alloc]\npaths = [\"**\"]\n");
+        let cfg = config("[lints.no-panic-serving]\npaths = [\"**\"]\n");
         let src =
-            "fn f() {\n    // lint: allow(determinism) wrong id\n    let v = Vec::new();\n}\n";
+            "fn f() {\n    // lint: allow(determinism) wrong id\n    let v = x.unwrap();\n}\n";
         let report = lint_source("src/a.rs", src, &cfg);
         assert_eq!(report.diagnostics.len(), 1);
-        assert_eq!(report.diagnostics[0].lint, "hot-path-alloc");
+        assert_eq!(report.diagnostics[0].lint, "no-panic-serving");
     }
 
     #[test]
@@ -832,15 +812,15 @@ mod tests {
     }
 
     #[test]
-    fn transitive_alloc_reports_the_call_chain() {
+    fn transitive_panic_reports_the_call_chain() {
         let cfg = config(
-            "[lints.hot-path-alloc]\npaths = [\"src/hot.rs\"]\nfunctions = [\"dot\"]\n\n[lints.transitive-hot-path-alloc]\ninherit = \"hot-path-alloc\"\n",
+            "[lints.no-panic-serving]\npaths = [\"src/serve.rs\"]\nfunctions = [\"serve\"]\n\n[lints.transitive-panic]\ninherit = \"no-panic-serving\"\n",
         );
         let files = vec![
-            FileModel::build("src/hot.rs", "fn dot() {\n    helper();\n}\n"),
+            FileModel::build("src/serve.rs", "fn serve() {\n    helper();\n}\n"),
             FileModel::build(
                 "src/helper.rs",
-                "pub fn helper() { deeper(); }\nfn deeper() { let v = Vec::new(); }\n",
+                "pub fn helper() { deeper(); }\nfn deeper() { x.unwrap(); }\n",
             ),
         ];
         let report = lint_workspace(files, &cfg);
@@ -848,9 +828,9 @@ mod tests {
         let d = &report.diagnostics[0];
         assert_eq!(
             (d.file.as_str(), d.line, d.lint.as_str()),
-            ("src/hot.rs", 2, "transitive-hot-path-alloc")
+            ("src/serve.rs", 2, "transitive-panic")
         );
-        assert!(d.message.contains("dot -> helper -> deeper"), "{}", d.message);
+        assert!(d.message.contains("serve -> helper -> deeper"), "{}", d.message);
         assert_eq!(d.chain.len(), 3);
     }
 
@@ -932,9 +912,9 @@ mod tests {
     #[test]
     fn unused_allow_is_flagged_and_used_allow_is_not() {
         let cfg = config(
-            "[lints.hot-path-alloc]\npaths = [\"**\"]\n\n[lints.unused-allow]\npaths = [\"**\"]\n",
+            "[lints.no-panic-serving]\npaths = [\"**\"]\n\n[lints.unused-allow]\npaths = [\"**\"]\n",
         );
-        let src = "fn f() {\n    // lint: allow(hot-path-alloc) justified\n    let v = Vec::new();\n    // lint: allow(determinism) nothing here matches\n    let x = 1;\n}\n";
+        let src = "fn f() {\n    // lint: allow(no-panic-serving) justified\n    let v = x.unwrap();\n    // lint: allow(determinism) nothing here matches\n    let x = 1;\n}\n";
         let report = lint_source("src/a.rs", src, &cfg);
         assert_eq!(report.diagnostics.len(), 1, "{:?}", report.diagnostics);
         let d = &report.diagnostics[0];

@@ -1,7 +1,7 @@
 //! Lexical model of one Rust source file.
 //!
 //! The linter does not parse Rust; it works from a faithful *lexical*
-//! model: comments and string/char literals are stripped (so a `Vec::new`
+//! model: comments and string/char literals are stripped (so an `.unwrap()`
 //! inside a doc example or a log message never trips a lint), the
 //! remaining code is tokenized, and a single structural pass tracks the
 //! brace-nesting context — enclosing function, `#[cfg(test)]` regions,
@@ -267,8 +267,6 @@ pub fn tokenize(code_lines: &[String]) -> Vec<Token> {
 /// What a finding is, with enough lexical context to scope and report it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FindingKind {
-    /// An allocating construct (`Vec::new`, `.clone()`, ...).
-    Alloc { what: &'static str },
     /// A panicking construct (`.unwrap()`, `panic!`, ...).
     PanicCall { what: &'static str },
     /// An `unsafe` block / fn / impl / trait site.
@@ -454,27 +452,7 @@ pub fn scan(tokens: &[Token], file_is_test: bool) -> ScanResult {
                 let prev_dot = i > 0 && punct(i - 1) == Some('.');
                 let next_bang = punct(i + 1) == Some('!');
                 let next_paren = punct(i + 1) == Some('(');
-                let path_sep = punct(i + 1) == Some(':') && punct(i + 2) == Some(':');
                 match w.as_str() {
-                    // --- hot-path-alloc ---
-                    "Vec" if path_sep && word(i + 3) == Some("new") => {
-                        emit(FindingKind::Alloc { what: "Vec::new" });
-                    }
-                    "Box" if path_sep && word(i + 3) == Some("new") => {
-                        emit(FindingKind::Alloc { what: "Box::new" });
-                    }
-                    "String" if path_sep && word(i + 3) == Some("from") => {
-                        emit(FindingKind::Alloc { what: "String::from" });
-                    }
-                    "vec" if next_bang => emit(FindingKind::Alloc { what: "vec!" }),
-                    "format" if next_bang => emit(FindingKind::Alloc { what: "format!" }),
-                    "to_vec" if prev_dot => emit(FindingKind::Alloc { what: ".to_vec()" }),
-                    "clone" if prev_dot && next_paren => {
-                        emit(FindingKind::Alloc { what: ".clone()" });
-                    }
-                    "collect" if prev_dot && (next_paren || path_sep) => {
-                        emit(FindingKind::Alloc { what: ".collect()" });
-                    }
                     // --- no-panic-serving ---
                     "unwrap" if prev_dot && next_paren => {
                         emit(FindingKind::PanicCall { what: ".unwrap()" });
@@ -673,7 +651,7 @@ mod tests {
     #[test]
     fn impl_methods_get_qualified_names() {
         let result = scan_full(
-            "mod inner {\n    impl<T: Clone> Cache<T> {\n        fn insert(&mut self) { let v = Vec::new(); }\n    }\n    impl fmt::Display for Ring {\n        fn insert(&self) {}\n    }\n}\nfn free() {}\n",
+            "mod inner {\n    impl<T: Clone> Cache<T> {\n        fn insert(&mut self) { v.unwrap(); }\n    }\n    impl fmt::Display for Ring {\n        fn insert(&self) {}\n    }\n}\nfn free() {}\n",
         );
         let quals: Vec<_> = result.functions.iter().map(FnDef::display_name).collect();
         assert_eq!(quals, vec!["Cache::insert", "Ring::insert", "free"]);
@@ -732,10 +710,11 @@ fn f() {
     }
 
     #[test]
-    fn alloc_and_panic_sites_carry_fn_context() {
-        let findings = scan_src("fn hot() {\n    let v = Vec::new();\n    v.len().unwrap();\n}\n");
+    fn panic_sites_carry_fn_context() {
+        let findings =
+            scan_src("fn serve() {\n    let v = x.unwrap();\n    v.len().expect(\"\");\n}\n");
         assert_eq!(findings.len(), 2);
-        assert!(findings.iter().all(|f| f.func.as_deref() == Some("hot")));
+        assert!(findings.iter().all(|f| f.func.as_deref() == Some("serve")));
         assert!(!findings[0].in_test);
     }
 

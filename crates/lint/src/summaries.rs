@@ -2,10 +2,10 @@
 //!
 //! In the spirit of compositional lock-set analyzers (RacerD-style),
 //! each function gets a *summary* of the facts the interprocedural lints
-//! need — does it allocate, can it panic, which locks does it acquire,
-//! can it block — computed from its own body, then propagated over the call graph to a fixpoint so a
-//! caller inherits its callees' behavior without whole-program
-//! execution.
+//! need — can it panic, which locks does it acquire, can it block —
+//! computed from its own body, then propagated over the call graph to a
+//! fixpoint so a caller inherits its callees' behavior without
+//! whole-program execution.
 //!
 //! Lock identity is lexical: an acquisition's *label* is the last field
 //! or variable segment of the receiver expression
@@ -24,7 +24,7 @@ use crate::callgraph::CallGraph;
 use crate::index::{FnId, WorkspaceIndex};
 use crate::source::{FindingKind, Tok, Token};
 
-/// A direct allocation/panic site inside one function.
+/// A direct panic site inside one function.
 #[derive(Debug, Clone)]
 pub struct Site {
     pub what: String,
@@ -51,7 +51,6 @@ pub struct BlockingSite {
 /// Everything extracted from one function body.
 #[derive(Debug, Clone, Default)]
 pub struct FnFacts {
-    pub allocs: Vec<Site>,
     pub panics: Vec<Site>,
     pub acquires: Vec<LockAcquire>,
     pub blocking: Vec<BlockingSite>,
@@ -120,7 +119,7 @@ fn is_lock_helper(index: &WorkspaceIndex, id: FnId) -> bool {
     matches!(def.name.as_str(), "lock_or_recover" | "recover")
 }
 
-/// Direct alloc/panic facts come from the structural scan's findings,
+/// Direct panic facts come from the structural scan's findings,
 /// mapped onto the function whose body contains them.
 fn seed_sites(index: &WorkspaceIndex, id: FnId, facts: &mut FnFacts) {
     let (file, def) = index.lookup(id);
@@ -136,14 +135,8 @@ fn seed_sites(index: &WorkspaceIndex, id: FnId, facts: &mut FnFacts) {
         if finding.line < start_line.min(def.line) || finding.line > end_line {
             continue;
         }
-        match &finding.kind {
-            FindingKind::Alloc { what } => {
-                facts.allocs.push(Site { what: (*what).to_string(), line: finding.line });
-            }
-            FindingKind::PanicCall { what } => {
-                facts.panics.push(Site { what: (*what).to_string(), line: finding.line });
-            }
-            _ => {}
+        if let FindingKind::PanicCall { what } = &finding.kind {
+            facts.panics.push(Site { what: (*what).to_string(), line: finding.line });
         }
     }
 }

@@ -3,11 +3,11 @@
 //! so a typo can never silently disable enforcement.
 
 pub fn f() -> usize {
-    // lint: allow(hot-path-alloc)
+    // lint: allow(no-panic-serving)
     let a = 1;
     // lint: allow(no-such-lint) reason text
     let b = 2;
-    // lint: allow hot-path-alloc no parentheses
+    // lint: allow no-panic-serving no parentheses
     let c = 3;
     a + b + c
 }

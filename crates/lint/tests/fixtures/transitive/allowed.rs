@@ -1,16 +1,9 @@
-//! The same reachability, justified at the root's call sites through
-//! the escape hatch: one allow per transitive lint id.
+//! The same reachability, justified at the root's call site through the
+//! escape hatch.
 
 pub fn serve_batch(queries: &[u64]) -> usize {
-    // lint: allow(transitive-hot-path-alloc) report buffer is handed straight to the caller
-    let n = summarize(queries);
     // lint: allow(transitive-panic) admission guarantees a non-empty batch
-    n + tail(queries)
-}
-
-fn summarize(queries: &[u64]) -> usize {
-    let copied: Vec<u64> = queries.to_vec();
-    copied.len()
+    tail(queries)
 }
 
 fn tail(queries: &[u64]) -> usize {

@@ -1,7 +1,6 @@
 //! Helper for the designated root in `violation.rs` — deliberately in a
-//! different file. It both allocates and can panic, so the root's call
-//! site anchors one transitive-hot-path-alloc and one transitive-panic
-//! finding.
+//! different file. It can panic, so the root's call site anchors one
+//! transitive-panic finding.
 
 pub fn assemble_report(queries: &[u64]) -> usize {
     let doubled: Vec<u64> = queries.iter().map(|q| q * 2).collect();

@@ -1,5 +1,5 @@
-//! A designated root whose whole call tree neither allocates nor
-//! panics: nothing to report.
+//! A designated root whose whole call tree cannot panic: nothing to
+//! report.
 
 pub fn serve_batch(queries: &[u64]) -> usize {
     checksum(queries)

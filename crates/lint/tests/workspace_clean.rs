@@ -1,8 +1,8 @@
 //! Lints the real workspace as part of `cargo test`: the invariants in
-//! `lint.toml` are tier-1, not advisory. A new allocation on the hot
-//! path, an unwrap in the serving runtime, an undocumented `unsafe`, or
-//! a clock in a determinism crate fails this test (and the CI lint step)
-//! until it is fixed or justified with `// lint: allow(<id>) <reason>`.
+//! `lint.toml` are tier-1, not advisory. An unwrap in the serving
+//! runtime, an undocumented `unsafe`, or a clock in a determinism crate
+//! fails this test (and the CI lint step) until it is fixed or justified
+//! with `// lint: allow(<id>) <reason>`.
 
 use std::collections::BTreeMap;
 use std::path::Path;
