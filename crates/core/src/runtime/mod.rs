@@ -29,6 +29,7 @@ pub use batcher::{plan_batches, BatchClose, BatchFormerConfig, PlannedBatch};
 pub use histogram::{LatencyHistogram, LatencyPercentiles};
 pub use replay::{replay_trace, ReplayOutcome};
 
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -38,7 +39,7 @@ use microrec_embedding::TierCounters;
 
 use crate::engine::{MicroRec, MicroRecBuilder};
 use crate::error::MicroRecError;
-use crate::sync::{lock_or_recover, recover};
+use crate::sync::{join, lock_or_recover, wait};
 use queue::{BoundedQueue, PushError};
 
 /// What to do with a new request when the admission queue is full.
@@ -144,18 +145,21 @@ pub struct PendingPrediction {
 }
 
 impl PendingPrediction {
-    /// Blocks until the prediction completes.
+    /// Blocks until the prediction completes. Every admitted request is
+    /// answered, even when the engine panics on it: the worker contains the
+    /// panic and fails only this request.
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Failed`] if the engine rejected the query.
+    /// Returns [`RuntimeError::Failed`] if the engine rejected the query or
+    /// panicked on it.
     pub fn wait(self) -> Result<f32, RuntimeError> {
         let mut slot = lock_or_recover(&self.slot.result);
         loop {
             if let Some(result) = slot.take() {
                 return result;
             }
-            slot = recover(self.slot.ready.wait(slot));
+            slot = wait(slot, |g| self.slot.ready.wait(g));
         }
     }
 
@@ -355,7 +359,14 @@ impl ServingRuntime {
                     // itself drops this block and grows std's own by as
                     // much (EXPERIMENTS.md, "One execution path").
                     Box::new(move || {
-                        worker_loop(engine, &queue, &stats, config);
+                        worker_loop(
+                            engine,
+                            &queue,
+                            &stats,
+                            config,
+                            MicroRec::predict_batch,
+                            MicroRec::predict,
+                        );
                     }) as Box<dyn FnOnce() + Send>
                 });
             match spawned {
@@ -476,9 +487,9 @@ impl ServingRuntime {
     pub fn shutdown(&mut self) -> RuntimeSnapshot {
         self.queue.close();
         for worker in self.workers.drain(..) {
-            // A worker that panicked already abandoned its requests; the
-            // runtime's own counters remain valid.
-            let _ = worker.join();
+            // Engine panics are contained per request, so a worker only
+            // dies on a runtime bug; the runtime's counters remain valid.
+            let _ = join(worker);
         }
         self.snapshot()
     }
@@ -500,7 +511,7 @@ fn abort_start(
 ) -> MicroRecError {
     queue.close();
     for worker in workers {
-        let _ = worker.join();
+        let _ = join(worker);
     }
     error
 }
@@ -525,18 +536,20 @@ fn open_batch(
     queries.extend(batch.iter_mut().map(|r| std::mem::take(&mut r.query)));
 }
 
-/// Delivers a batch's outcome: records every latency and fulfils every
-/// slot. One malformed query must not poison its batch-mates, so a failed
-/// batch falls back to `predict_one` per item and fails only the
-/// offending requests.
+/// Runs a popped batch through the engine and answers every request:
+/// records each latency and fulfils each slot. A failed batch falls back
+/// to `predict_one` per item, so one bad query fails only its own request.
+/// Both calls run under [`contained`]: an engine panic is a failure of the
+/// call it happened in, never a lost batch or a dead worker.
 fn deliver(
     stats: &SharedStats,
     batch: Vec<Request>,
     queries: &[Vec<u64>],
-    result: Result<Vec<f32>, MicroRecError>,
-    mut predict_one: impl FnMut(&[u64]) -> Result<f32, MicroRecError>,
+    engine: &mut MicroRec,
+    predict_batch: impl FnOnce(&mut MicroRec, &[Vec<u64>]) -> Result<Vec<f32>, MicroRecError>,
+    mut predict_one: impl FnMut(&mut MicroRec, &[u64]) -> Result<f32, MicroRecError>,
 ) {
-    match result {
+    match contained(|| predict_batch(engine, queries)) {
         Ok(ctrs) => {
             let now = Instant::now();
             let mut hist = lock_or_recover(&stats.hist);
@@ -551,7 +564,7 @@ fn deliver(
         }
         Err(_) => {
             for (request, query) in batch.into_iter().zip(queries) {
-                match predict_one(query) {
+                match contained(|| predict_one(engine, query)) {
                     Ok(ctr) => {
                         let elapsed = request.enqueued_at.elapsed();
                         lock_or_recover(&stats.hist).record_duration(elapsed);
@@ -568,6 +581,22 @@ fn deliver(
     }
 }
 
+/// Runs one engine call, turning a panic into
+/// [`MicroRecError::Runtime`]`("engine panicked: …")`. The worker keeps
+/// serving with the same replica: a batch path the call had taken out is
+/// rebuilt by the next batch, and the simulator's counters may keep the
+/// interrupted call's reads.
+fn contained<T>(call: impl FnOnce() -> Result<T, MicroRecError>) -> Result<T, MicroRecError> {
+    std::panic::catch_unwind(AssertUnwindSafe(call)).unwrap_or_else(|payload| {
+        let what = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string payload");
+        Err(MicroRecError::Runtime(format!("engine panicked: {what}")))
+    })
+}
+
 /// Adds the movement of a tiered `engine`'s counters since `published` to
 /// the shared stats, and remembers the new values in `published`.
 fn publish_tiers(engine: &MicroRec, stats: &SharedStats, published: &mut TierCounters) {
@@ -582,19 +611,22 @@ fn publish_tiers(engine: &MicroRec, stats: &SharedStats, published: &mut TierCou
 
 /// Steady-state loop of one worker: pop a micro-batch, run it through the
 /// private engine replica, deliver results, publish the batch's tier
-/// counter movement.
+/// counter movement. The two engine calls are parameters only so a test
+/// can make them panic; in service they are `MicroRec::predict_batch` and
+/// `MicroRec::predict`.
 fn worker_loop(
     mut engine: MicroRec,
     queue: &BoundedQueue<Request>,
     stats: &SharedStats,
     config: RuntimeConfig,
+    mut predict_batch: impl FnMut(&mut MicroRec, &[Vec<u64>]) -> Result<Vec<f32>, MicroRecError>,
+    mut predict_one: impl FnMut(&mut MicroRec, &[u64]) -> Result<f32, MicroRecError>,
 ) {
     let mut queries: Vec<Vec<u64>> = Vec::with_capacity(config.max_batch);
     let mut published = TierCounters::default();
     while let Some((mut batch, close)) = queue.pop_batch(config.max_batch) {
         open_batch(stats, &mut batch, close, &mut queries);
-        let result = engine.predict_batch(&queries);
-        deliver(stats, batch, &queries, result, |q| engine.predict(q));
+        deliver(stats, batch, &queries, &mut engine, &mut predict_batch, &mut predict_one);
         if engine.is_tiered() {
             publish_tiers(&engine, stats, &mut published);
         }
@@ -609,11 +641,16 @@ mod close_tests {
 
     use super::*;
     use microrec_embedding::ModelSpec;
+    use std::time::Duration;
+
+    fn build_engine() -> MicroRec {
+        MicroRec::builder(ModelSpec::dlrm_rmc2(4, 4)).seed(7).build().unwrap()
+    }
 
     /// A runtime with its queue open and no worker yet, plus
     /// the engine [`release`] will serve with.
     fn held(config: RuntimeConfig) -> (ServingRuntime, MicroRec) {
-        let engine = MicroRec::builder(ModelSpec::dlrm_rmc2(4, 4)).seed(7).build().unwrap();
+        let engine = build_engine();
         let model = engine.model();
         let runtime = ServingRuntime {
             queue: Arc::new(BoundedQueue::new(config.queue_depth)),
@@ -628,11 +665,36 @@ mod close_tests {
 
     /// Starts the held runtime's one worker.
     fn release(runtime: &mut ServingRuntime, engine: MicroRec) {
+        release_with(runtime, engine, MicroRec::predict_batch, MicroRec::predict);
+    }
+
+    /// Starts the held runtime's one worker with the given engine calls.
+    fn release_with(
+        runtime: &mut ServingRuntime,
+        engine: MicroRec,
+        predict_batch: impl FnMut(&mut MicroRec, &[Vec<u64>]) -> Result<Vec<f32>, MicroRecError>
+            + Send
+            + 'static,
+        predict_one: impl FnMut(&mut MicroRec, &[u64]) -> Result<f32, MicroRecError> + Send + 'static,
+    ) {
         let (queue, stats) = (Arc::clone(&runtime.queue), Arc::clone(&runtime.stats));
         let config = runtime.config;
         runtime.workers.push(std::thread::spawn(move || {
-            worker_loop(engine, &queue, &stats, config);
+            worker_loop(engine, &queue, &stats, config, predict_batch, predict_one);
         }));
+    }
+
+    /// The request's answer, waited for at most 10 s: a lost answer fails
+    /// the test instead of hanging it.
+    fn answer(pending: &PendingPrediction) -> Result<f32, RuntimeError> {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            if let Some(result) = pending.try_take() {
+                return result;
+            }
+            assert!(Instant::now() < deadline, "request not answered within 10 s");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     fn query(runtime: &ServingRuntime, i: u64) -> Vec<u64> {
@@ -661,7 +723,7 @@ mod close_tests {
         assert_eq!((snapshot.admitted, snapshot.rejected, snapshot.completed), (2, 48, 2));
         assert!((snapshot.drop_rate() - 48.0 / 50.0).abs() < 1e-12);
         for p in pending {
-            p.wait().expect("admitted requests must still complete");
+            answer(&p).expect("admitted requests must still complete");
         }
     }
 
@@ -675,7 +737,7 @@ mod close_tests {
             (0..261).map(|i| runtime.submit(query(&runtime, i)).expect("submit")).collect();
         release(&mut runtime, engine);
         for p in pending {
-            p.wait().expect("predict");
+            answer(&p).expect("predict");
         }
         let snapshot = runtime.shutdown();
         assert_eq!(snapshot.completed, 261);
@@ -708,8 +770,54 @@ mod close_tests {
             (11, 1, 0, 1)
         );
         for p in pending {
-            p.wait().expect("every admitted request must complete");
+            answer(&p).expect("every admitted request must complete");
         }
+    }
+
+    #[test]
+    fn engine_panics_fail_only_their_request_and_the_worker_keeps_serving() {
+        let (mut runtime, engine) =
+            held(RuntimeConfig { workers: 1, max_batch: 8, ..RuntimeConfig::default() });
+        let pending: Vec<_> =
+            (0..4).map(|i| runtime.submit(query(&runtime, i)).expect("submit")).collect();
+        // All four are queued before the worker looks, so they are one
+        // batch. Its batch call panics, and so does the per-item fallback
+        // on request 2 alone.
+        let poison = query(&runtime, 2);
+        let in_batch = poison.clone();
+        release_with(
+            &mut runtime,
+            engine,
+            move |e, queries| {
+                assert!(!queries.contains(&in_batch), "injected batch panic");
+                e.predict_batch(queries)
+            },
+            move |e, q| {
+                assert!(q != poison.as_slice(), "injected item panic");
+                e.predict(q)
+            },
+        );
+        let mut sequential = build_engine();
+        for (i, p) in pending.iter().enumerate() {
+            match answer(p) {
+                Ok(got) => {
+                    let want = sequential.predict(&query(&runtime, i as u64)).unwrap();
+                    assert_eq!(got.to_bits(), want.to_bits(), "request {i}");
+                }
+                Err(RuntimeError::Failed(msg)) if i == 2 => {
+                    assert!(msg.contains("engine panicked: injected item panic"), "{msg}");
+                }
+                other => panic!("request {i}: unexpected {other:?}"),
+            }
+        }
+        assert_eq!((runtime.snapshot().completed, runtime.snapshot().failed), (3, 1));
+
+        // The same worker serves the next request through its batch call.
+        let next = runtime.submit(query(&runtime, 4)).expect("submit");
+        let want = sequential.predict(&query(&runtime, 4)).unwrap();
+        assert_eq!(answer(&next).map(f32::to_bits), Ok(want.to_bits()));
+        let snapshot = runtime.shutdown();
+        assert_eq!((snapshot.completed, snapshot.failed, snapshot.batches), (4, 1, 2));
     }
 }
 

@@ -11,10 +11,10 @@
 //! every consumer is busy, and nothing in the queue reads a clock.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
 
 use super::batcher::BatchClose;
-use crate::sync::{lock_or_recover, recover};
+use crate::sync::{lock_or_recover, wait, Guard};
 
 /// Why a push was refused.
 #[derive(Debug)]
@@ -53,7 +53,7 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, State<T>> {
+    fn lock(&self) -> Guard<'_, State<T>> {
         // Queue state stays consistent under panics (each mutation is a
         // single push/drain), so a poisoned lock is recovered, not fatal.
         lock_or_recover(&self.state)
@@ -72,7 +72,7 @@ impl<T> BoundedQueue<T> {
                 self.not_empty.notify_one();
                 return Ok(());
             }
-            state = recover(self.not_full.wait(state));
+            state = wait(state, |g| self.not_full.wait(g));
         }
     }
 
@@ -126,13 +126,13 @@ impl<T> BoundedQueue<T> {
             if state.closed {
                 return None;
             }
-            state = recover(self.not_empty.wait(state));
+            state = wait(state, |g| self.not_empty.wait(g));
         }
     }
 
     fn take(
         &self,
-        state: &mut MutexGuard<'_, State<T>>,
+        state: &mut Guard<'_, State<T>>,
         n: usize,
         close: BatchClose,
     ) -> (Vec<T>, BatchClose) {
@@ -197,6 +197,7 @@ mod tests {
         let q2 = Arc::clone(&q);
         let producer = std::thread::spawn(move || q2.push_blocking(1));
         std::thread::sleep(Duration::from_millis(30));
+        assert!(!producer.is_finished(), "a push into a full queue must block");
         q.close();
         assert_eq!(producer.join().unwrap(), Err(1), "close must hand the item back");
     }
@@ -207,6 +208,7 @@ mod tests {
         let q2 = Arc::clone(&q);
         let producer = std::thread::spawn(move || q2.push_blocking(1));
         std::thread::sleep(Duration::from_millis(30));
+        assert!(!producer.is_finished(), "a push into a full queue must block");
         // Consume one: the producer must slot in.
         assert_eq!(q.pop_batch(1).unwrap().0, vec![0]);
         producer.join().unwrap().unwrap();

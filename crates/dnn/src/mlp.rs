@@ -116,7 +116,7 @@ impl Mlp {
     /// Output width (1 for a CTR head).
     #[must_use]
     pub fn output_dim(&self) -> usize {
-        // lint: allow(transitive-panic) Mlp::new rejects empty layer stacks; last() cannot fail
+        // Mlp::new rejects empty layer stacks, so last() cannot fail.
         self.layers.last().expect("non-empty").output_dim()
     }
 
@@ -141,7 +141,7 @@ impl Mlp {
             .map(DenseLayer::output_dim)
             .chain(std::iter::once(self.input_dim()))
             .max()
-            // lint: allow(transitive-panic) the once() element makes the iterator non-empty
+            // The once() element makes the iterator non-empty.
             .expect("non-empty")
     }
 

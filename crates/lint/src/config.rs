@@ -9,22 +9,26 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Every lint id the tool knows, in reporting order. The first four are
-/// the single-file structural lints; the rest are the interprocedural
-/// flow lints added with the call-graph pass.
-pub const LINT_IDS: [&str; 8] = [
+/// Every lint id the tool reports, in reporting order. All are
+/// single-file token scans; the last, [`MALFORMED_ALLOW`], is always
+/// active and can be neither configured nor allowed.
+pub const LINT_IDS: [&str; 6] = [
     "no-panic-serving",
     "unsafe-audit",
     "determinism",
     "condvar-loop",
-    "transitive-panic",
-    "lock-order",
-    "blocking-under-lock",
     "unused-allow",
+    MALFORMED_ALLOW,
 ];
 
 /// Diagnostic id for a broken `lint: allow` comment (always active).
 pub const MALFORMED_ALLOW: &str = "malformed-allow";
+
+/// True for the ids a manifest section or a `lint: allow` may name.
+#[must_use]
+pub(crate) fn is_configurable(id: &str) -> bool {
+    id != MALFORMED_ALLOW && LINT_IDS.contains(&id)
+}
 
 /// How a lint's diagnostics are treated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -50,12 +54,6 @@ impl fmt::Display for Severity {
 pub struct LintScope {
     /// Path globs (workspace-relative) the lint scans.
     pub paths: Vec<String>,
-    /// If non-empty, the lint only fires inside functions with these
-    /// names (for a flow lint: only from these roots). Entries are bare
-    /// names (`worker_loop`) or qualified `Type::method` paths
-    /// (`Slot::fulfill`) — a qualified entry only designates that impl's
-    /// method, not every same-named function.
-    pub functions: Vec<String>,
     pub severity: Severity,
 }
 
@@ -93,9 +91,6 @@ impl Config {
     pub fn parse(text: &str) -> Result<Config, ConfigError> {
         let mut config = Config::default();
         let mut section: Vec<String> = Vec::new();
-        // `inherit = "<id>"` requests, resolved after the whole manifest
-        // is read so a section may inherit from one declared later.
-        let mut inherits: Vec<(String, String, usize)> = Vec::new();
         let lines: Vec<&str> = text.lines().collect();
         let mut i = 0usize;
         while i < lines.len() {
@@ -112,7 +107,7 @@ impl Config {
                 section = header.split('.').map(|s| s.trim().to_string()).collect();
                 if section.len() == 2 && section[0] == "lints" {
                     let id = section[1].clone();
-                    if !LINT_IDS.contains(&id.as_str()) {
+                    if !is_configurable(&id) {
                         return Err(err(lineno, &format!("unknown lint id `{id}`")));
                     }
                     config.lints.entry(id).or_default();
@@ -134,30 +129,7 @@ impl Config {
                 value.push_str(strip_toml_comment(lines[i]).trim());
                 i += 1;
             }
-            if section.len() == 2 && key == "inherit" {
-                let target = parse_string(&value, lineno)?;
-                if !LINT_IDS.contains(&target.as_str()) {
-                    return Err(err(lineno, &format!("cannot inherit unknown lint `{target}`")));
-                }
-                inherits.push((section[1].clone(), target, lineno));
-                continue;
-            }
             apply_key(&mut config, &section, &key, &value, lineno)?;
-        }
-        for (id, target, lineno) in inherits {
-            let Some(source) = config.lints.get(&target).cloned() else {
-                return Err(err(
-                    lineno,
-                    &format!("`inherit = \"{target}\"` refers to a lint not configured here"),
-                ));
-            };
-            let scope = config.lints.get_mut(&id).expect("section header inserted the entry");
-            if scope.paths.is_empty() {
-                scope.paths = source.paths;
-            }
-            if scope.functions.is_empty() {
-                scope.functions = source.functions;
-            }
         }
         Ok(config)
     }
@@ -239,7 +211,6 @@ fn apply_key(
     let scope = config.lints.get_mut(id).expect("section header inserted the entry");
     match key {
         "paths" => scope.paths = parse_string_array(value, line)?,
-        "functions" => scope.functions = parse_string_array(value, line)?,
         "severity" => {
             scope.severity = match parse_string(value, line)?.as_str() {
                 "deny" => Severity::Deny,
@@ -303,7 +274,6 @@ paths = [
   "crates/core/src/runtime/*.rs", # the serving runtime
   "crates/core/src/sync.rs",
 ]
-functions = ["submit", "worker_loop"]
 
 [lints.determinism]
 paths = ["crates/memsim/**"]
@@ -314,34 +284,17 @@ severity = "deny"
         assert_eq!(cfg.exclude.len(), 2);
         let serving = &cfg.lints["no-panic-serving"];
         assert_eq!(serving.paths.len(), 2);
-        assert_eq!(serving.functions, vec!["submit", "worker_loop"]);
         assert_eq!(cfg.lints["determinism"].severity, Severity::Deny);
     }
 
     #[test]
     fn unknown_lint_id_is_rejected() {
         assert!(Config::parse("[lints.no-such-lint]\npaths = []\n").is_err());
+        assert!(Config::parse("[lints.malformed-allow]\npaths = []\n").is_err());
         assert!(Config::parse("[wrong]\n").is_err());
         assert!(Config::parse("mystery = \"x\"\n").is_err());
-    }
-
-    #[test]
-    fn inherit_copies_scope_from_the_named_lint() {
-        let cfg = Config::parse(
-            "[lints.transitive-panic]\ninherit = \"no-panic-serving\"\n\n[lints.no-panic-serving]\npaths = [\"crates/core/**\"]\nfunctions = [\"submit\", \"Slot::fulfill\"]\n",
-        )
-        .unwrap();
-        let t = &cfg.lints["transitive-panic"];
-        assert_eq!(t.paths, vec!["crates/core/**"]);
-        assert_eq!(t.functions, vec!["submit", "Slot::fulfill"]);
-    }
-
-    #[test]
-    fn inherit_from_an_unconfigured_lint_fails() {
-        assert!(
-            Config::parse("[lints.transitive-panic]\ninherit = \"no-panic-serving\"\n").is_err()
-        );
-        assert!(Config::parse("[lints.transitive-panic]\ninherit = \"nope\"\n").is_err());
+        let removed = "[lints.no-panic-serving]\nfunctions = [\"serve\"]\n";
+        assert!(Config::parse(removed).is_err(), "`functions` is not a key any more");
     }
 
     #[test]

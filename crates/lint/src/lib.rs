@@ -6,13 +6,18 @@
 //! *invariants*, not conventions: the serving runtime must not panic,
 //! placement/simulation must be bit-identical across runs, every `unsafe`
 //! needs a written safety argument, and condvar waits must sit in
-//! predicate loops. This crate token-scans the workspace and enforces
-//! those rules in CI, with a per-site `// lint: allow(<id>) <reason>`
-//! escape hatch. Allocation-freedom of the served path is not a lint: a
-//! token pattern cannot see `Vec::with_capacity`, `Arc::new` or growth
-//! through `push`, so counting-allocator tests measure it instead
-//! (`crates/core/tests/setup_alloc.rs`, the dnn and embedding `zero_alloc`
-//! tests).
+//! predicate loops. This crate token-scans each file of the workspace on
+//! its own and enforces those rules in CI, with a per-site
+//! `// lint: allow(<id>) <reason>` escape hatch.
+//!
+//! What a single-file scan cannot see is carried by the code and its
+//! tests instead. Allocation-freedom of the served path is measured by
+//! counting-allocator tests (`crates/core/tests/setup_alloc.rs`, the dnn
+//! and embedding `zero_alloc` tests). A panic anywhere under an engine
+//! call, in any crate, is contained by the runtime worker and fails only
+//! its request. Lock discipline (runtime locks never nest; no condvar wait
+//! or join under another lock) is checked in debug builds on every
+//! acquisition by `crates/core/src/sync.rs`.
 //!
 //! Lints (configured per crate/module in the checked-in `lint.toml`):
 //!
@@ -22,34 +27,21 @@
 //! | `unsafe-audit` | every `unsafe` site carries an adjacent `// SAFETY:` comment (or `# Safety` doc section) |
 //! | `determinism` | no `HashMap`/`HashSet`/`Instant`/`SystemTime`/`thread_rng` in bit-identity crates |
 //! | `condvar-loop` | `Condvar::wait`/`wait_timeout` only inside `while`/`loop` predicate re-checks |
+//! | `unused-allow` | every `lint: allow` still suppresses something |
 //!
-//! On top of the per-file checks, a workspace-wide flow pass indexes
-//! every function, builds a call graph, and propagates per-function
-//! summaries to a fixpoint ([`crate::summaries`]), powering the
-//! interprocedural lints: `transitive-panic` (a panic buried in a
-//! callee, reported with the witness chain), `lock-order` (cycles in the
-//! lock-acquisition graph), `blocking-under-lock`, and `unused-allow`
-//! (stale escape hatches).
-//!
-//! A further id, `malformed-allow`, fires on broken escape-hatch
-//! comments so a typo can never silently disable enforcement. Run
+//! A sixth id, `malformed-allow`, fires on broken escape-hatch comments
+//! so a typo can never silently disable enforcement. Run
 //! `microrec-lint --explain <id>` for any lint's invariant and
 //! rationale.
 
-mod callgraph;
 mod config;
 mod docs;
-mod index;
 mod lints;
 mod source;
-mod summaries;
 
 pub use config::{glob_match, Config, ConfigError, Severity, LINT_IDS, MALFORMED_ALLOW};
 pub use docs::{explain, render_markdown_table, LintDoc, LINT_DOCS};
 pub use lints::{count_by_lint, lint_source, Diagnostic, FileReport};
-
-use index::FileModel;
-use lints::lint_workspace;
 
 use std::fs;
 use std::io;
@@ -101,39 +93,39 @@ pub fn load_config(path: &Path) -> io::Result<Config> {
 pub fn run(root: &Path, config: &Config) -> io::Result<Report> {
     let mut files = Vec::new();
     walk(root, root, config, &mut files)?;
-    files.sort();
-    let mut models = Vec::with_capacity(files.len());
+    let mut report = Report { files_scanned: files.len(), ..Report::default() };
     for rel in files {
         let text = fs::read_to_string(root.join(&rel))?;
         let rel_str = rel.to_string_lossy().replace('\\', "/");
-        models.push(FileModel::build(&rel_str, &text));
+        let file = lint_source(&rel_str, &text, config);
+        report.diagnostics.extend(file.diagnostics);
+        report.suppressed += file.suppressed;
     }
-    Ok(lint_workspace(models, config))
+    report.diagnostics.sort_by(|a, b| {
+        (&a.file, a.line, &a.lint, &a.message).cmp(&(&b.file, b.line, &b.lint, &b.message))
+    });
+    Ok(report)
 }
 
 /// Renders a report in the stable machine-readable schema
-/// (`microrec-lint-v2`): every diagnostic carries `file`, `line`,
-/// `lint`, `severity`, `message`, and the interprocedural witness
-/// `chain` (possibly empty). Consumed by CI artifacts and the
+/// (`microrec-lint-v3`): every diagnostic carries `file`, `line`, `lint`,
+/// `severity` and `message`. Consumed by CI artifacts and the
 /// workspace-clean integration test — field removals or renames are
-/// breaking.
+/// breaking (v3 removed v2's interprocedural `chain`).
 #[must_use]
 pub fn render_json(report: &Report) -> String {
-    let mut out = String::from("{\"schema\":\"microrec-lint-v2\",\"diagnostics\":[");
+    let mut out = String::from("{\"schema\":\"microrec-lint-v3\",\"diagnostics\":[");
     for (i, d) in report.diagnostics.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let chain: Vec<String> =
-            d.chain.iter().map(|hop| format!("\"{}\"", json_escape(hop))).collect();
         out.push_str(&format!(
-            "{{\"file\":\"{}\",\"line\":{},\"lint\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\",\"chain\":[{}]}}",
+            "{{\"file\":\"{}\",\"line\":{},\"lint\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\"}}",
             json_escape(&d.file),
             d.line,
             json_escape(&d.lint),
             d.severity,
             json_escape(&d.message),
-            chain.join(","),
         ));
     }
     out.push_str(&format!(

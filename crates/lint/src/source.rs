@@ -4,7 +4,7 @@
 //! model: comments and string/char literals are stripped (so an `.unwrap()`
 //! inside a doc example or a log message never trips a lint), the
 //! remaining code is tokenized, and a single structural pass tracks the
-//! brace-nesting context — enclosing function, `#[cfg(test)]` regions,
+//! brace-nesting context — function bodies, `#[cfg(test)]` regions,
 //! and `loop`/`while` bodies — that the lints need. This keeps the crate
 //! dependency-free while staying robust against the usual false-positive
 //! sources (strings, comments, doctests, test modules).
@@ -282,60 +282,14 @@ pub enum FindingKind {
 pub struct Finding {
     pub kind: FindingKind,
     pub line: usize,
-    /// Innermost enclosing named function, if any.
-    pub func: Option<String>,
-    /// `Type::method` when the enclosing function sits in an `impl Type`
-    /// (or `trait Type`) block; lets manifests disambiguate same-named
-    /// methods on different types.
-    pub qual: Option<String>,
     /// True inside `#[cfg(test)]` modules, `#[test]` fns, or files the
     /// caller marked as test-only (integration tests, benches).
     pub in_test: bool,
 }
 
-/// One function definition found by the structural pass, with the token
-/// extent of its body (for the interprocedural passes).
-#[derive(Debug, Clone)]
-pub struct FnDef {
-    /// Bare function name.
-    pub name: String,
-    /// `Type::method` when defined inside an `impl`/`trait` block.
-    pub qual: Option<String>,
-    /// 1-indexed line of the `fn` keyword's name token.
-    pub line: usize,
-    /// Token range of the body: `tokens[body.0..body.1]` is everything
-    /// between (exclusive) the opening and closing braces.
-    pub body: (usize, usize),
-    /// Signature words (attributes through return type), for cheap
-    /// checks like "returns a `MutexGuard`".
-    pub sig: Vec<String>,
-    pub in_test: bool,
-}
-
-impl FnDef {
-    /// The name manifests and reports refer to this function by.
-    #[must_use]
-    pub fn display_name(&self) -> &str {
-        self.qual.as_deref().unwrap_or(&self.name)
-    }
-}
-
-/// Everything the structural pass extracts from one file.
-#[derive(Debug, Default)]
-pub struct ScanResult {
-    pub findings: Vec<Finding>,
-    pub functions: Vec<FnDef>,
-}
-
 #[derive(Debug)]
 enum BlockKind {
-    Fn {
-        name: String,
-    },
-    /// An `impl Type`, `impl Trait for Type`, or `trait Type` block.
-    Impl {
-        type_name: String,
-    },
+    Fn,
     Loop,
     Other,
 }
@@ -344,27 +298,18 @@ enum BlockKind {
 struct Block {
     kind: BlockKind,
     is_test_root: bool,
-    /// Index into `ScanResult::functions` when this block is a fn body.
-    fn_index: Option<usize>,
 }
 
 /// Runs the structural pass: walks the token stream tracking blocks and
-/// emits every lintable site with its context, plus every function
-/// definition with its body extent. `file_is_test` marks whole files
-/// (integration tests, benches) as test context.
-pub fn scan(tokens: &[Token], file_is_test: bool) -> ScanResult {
-    let mut result = ScanResult::default();
+/// emits every lintable site with its context. `file_is_test` marks whole
+/// files (integration tests, benches) as test context.
+pub fn scan(tokens: &[Token], file_is_test: bool) -> Vec<Finding> {
+    let mut findings = Vec::new();
     let mut stack: Vec<Block> = Vec::new();
     // Token indices since the last statement/block boundary; decides what
     // an opening `{` belongs to.
     let mut buffer: Vec<usize> = Vec::new();
 
-    let word = |i: usize| -> Option<&str> {
-        match tokens.get(i).map(|t| &t.tok) {
-            Some(Tok::Word(w)) => Some(w.as_str()),
-            _ => None,
-        }
-    };
     let punct = |i: usize| -> Option<char> {
         match tokens.get(i).map(|t| &t.tok) {
             Some(Tok::Punct(c)) => Some(*c),
@@ -375,63 +320,16 @@ pub fn scan(tokens: &[Token], file_is_test: bool) -> ScanResult {
     for (i, token) in tokens.iter().enumerate() {
         let line = token.line;
         let in_test = file_is_test || stack.iter().any(|b| b.is_test_root);
-        let func = stack.iter().rev().find_map(|b| match &b.kind {
-            BlockKind::Fn { name } => Some(name.clone()),
-            _ => None,
-        });
-        let qual = func.as_ref().and_then(|_| {
-            stack.iter().rev().skip_while(|b| !matches!(b.kind, BlockKind::Fn { .. })).find_map(
-                |b| match &b.kind {
-                    BlockKind::Impl { type_name } => {
-                        Some(format!("{type_name}::{}", func.as_deref().unwrap_or("")))
-                    }
-                    _ => None,
-                },
-            )
-        });
         match &token.tok {
             Tok::Punct('{') => {
                 let kind = classify_block(tokens, &buffer);
                 let is_test_root = block_is_test_root(tokens, &buffer, &kind);
-                let fn_index = if let BlockKind::Fn { name } = &kind {
-                    let enclosing_impl = stack.iter().rev().find_map(|b| match &b.kind {
-                        BlockKind::Impl { type_name } => Some(type_name.clone()),
-                        _ => None,
-                    });
-                    let name_line = buffer
-                        .iter()
-                        .find(|&&idx| word(idx + 1).is_some() && word(idx) == Some("fn"))
-                        .and_then(|&idx| tokens.get(idx + 1).map(|t| t.line))
-                        .unwrap_or(line);
-                    let sig = buffer
-                        .iter()
-                        .filter_map(|&idx| match &tokens[idx].tok {
-                            Tok::Word(w) => Some(w.clone()),
-                            Tok::Punct(_) => None,
-                        })
-                        .collect();
-                    result.functions.push(FnDef {
-                        name: name.clone(),
-                        qual: enclosing_impl.map(|t| format!("{t}::{name}")),
-                        line: name_line,
-                        body: (i + 1, i + 1), // end patched when the block closes
-                        sig,
-                        in_test: in_test || is_test_root,
-                    });
-                    Some(result.functions.len() - 1)
-                } else {
-                    None
-                };
-                stack.push(Block { kind, is_test_root, fn_index });
+                stack.push(Block { kind, is_test_root });
                 buffer.clear();
                 continue;
             }
             Tok::Punct('}') => {
-                if let Some(block) = stack.pop() {
-                    if let Some(fn_index) = block.fn_index {
-                        result.functions[fn_index].body.1 = i;
-                    }
-                }
+                stack.pop();
                 buffer.clear();
                 continue;
             }
@@ -440,15 +338,7 @@ pub fn scan(tokens: &[Token], file_is_test: bool) -> ScanResult {
                 continue;
             }
             Tok::Word(w) => {
-                let mut emit = |kind: FindingKind| {
-                    result.findings.push(Finding {
-                        kind,
-                        line,
-                        func: func.clone(),
-                        qual: qual.clone(),
-                        in_test,
-                    });
-                };
+                let mut emit = |kind: FindingKind| findings.push(Finding { kind, line, in_test });
                 let prev_dot = i > 0 && punct(i - 1) == Some('.');
                 let next_bang = punct(i + 1) == Some('!');
                 let next_paren = punct(i + 1) == Some('(');
@@ -506,7 +396,7 @@ pub fn scan(tokens: &[Token], file_is_test: bool) -> ScanResult {
             buffer.drain(..128);
         }
     }
-    result
+    findings
 }
 
 /// True when the innermost enclosing block chain, up to the containing
@@ -515,97 +405,43 @@ fn in_loop(stack: &[Block]) -> bool {
     for block in stack.iter().rev() {
         match block.kind {
             BlockKind::Loop => return true,
-            BlockKind::Fn { .. } => return false,
-            BlockKind::Impl { .. } | BlockKind::Other => {}
+            BlockKind::Fn => return false,
+            BlockKind::Other => {}
         }
     }
     false
 }
 
 /// Decides what an opening `{` belongs to from the tokens since the last
-/// statement boundary (`buffer` holds indices into `tokens`).
+/// statement boundary (`buffer` holds indices into `tokens`): `fn` followed
+/// by a name opens a function body (`fn(u8)`, a pointer type, does not),
+/// and an `impl`/`trait` header is never a loop.
 fn classify_block(tokens: &[Token], buffer: &[usize]) -> BlockKind {
-    let mut fn_name: Option<String> = None;
+    let mut is_fn = false;
     let mut looped = false;
-    let mut expect_name = false;
     let mut is_impl = false;
+    let mut after_fn = false;
     for &idx in buffer {
         match &tokens[idx].tok {
             Tok::Word(w) => {
-                if expect_name {
-                    fn_name = Some(w.clone());
-                    expect_name = false;
-                }
+                is_fn |= after_fn;
+                after_fn = w == "fn";
                 match w.as_str() {
-                    "fn" => expect_name = true,
                     "impl" | "trait" => is_impl = true,
                     "loop" | "while" | "for" => looped = true,
                     _ => {}
                 }
             }
-            Tok::Punct(_) => expect_name = false,
+            Tok::Punct(_) => after_fn = false,
         }
     }
-    if let Some(name) = fn_name {
-        BlockKind::Fn { name }
-    } else if is_impl {
-        match impl_type_name(tokens, buffer) {
-            Some(type_name) => BlockKind::Impl { type_name },
-            None => BlockKind::Other,
-        }
-    } else if looped {
+    if is_fn {
+        BlockKind::Fn
+    } else if looped && !is_impl {
         BlockKind::Loop
     } else {
         BlockKind::Other
     }
-}
-
-/// Extracts the implemented type's name from an `impl`/`trait` header:
-/// the last path segment of the type after `for` when present
-/// (`impl Trait for Type`), else the first type path after the keyword
-/// (`impl<T> Type<T>`, `trait Name`). Generic parameter lists are
-/// skipped by angle-bracket depth.
-fn impl_type_name(tokens: &[Token], buffer: &[usize]) -> Option<String> {
-    let mut after_keyword = false;
-    let mut depth = 0i32;
-    let mut candidate: Option<String> = None;
-    let mut take_next = false;
-    for &idx in buffer {
-        match &tokens[idx].tok {
-            Tok::Word(w) => match w.as_str() {
-                "impl" | "trait" => after_keyword = true,
-                "for" if depth == 0 && after_keyword => {
-                    candidate = None;
-                    take_next = true;
-                }
-                "where" if depth == 0 => break,
-                "dyn" | "mut" | "const" => {}
-                _ if after_keyword && depth == 0 => {
-                    if take_next || candidate.is_none() {
-                        candidate = Some(w.clone());
-                        take_next = false;
-                    } else if candidate.is_some() && path_continues(tokens, buffer, idx) {
-                        // `a::b::C` — keep the last segment.
-                        candidate = Some(w.clone());
-                    }
-                }
-                _ => {}
-            },
-            Tok::Punct('<') => depth += 1,
-            Tok::Punct('>') => depth -= 1,
-            Tok::Punct(_) => {}
-        }
-    }
-    candidate
-}
-
-/// True when the word at token `idx` is preceded by `::` (it continues a
-/// path whose earlier segments were already seen).
-fn path_continues(tokens: &[Token], buffer: &[usize], idx: usize) -> bool {
-    let pos = buffer.iter().position(|&b| b == idx).unwrap_or(0);
-    pos >= 2
-        && matches!(tokens[buffer[pos - 1]].tok, Tok::Punct(':'))
-        && matches!(tokens[buffer[pos - 2]].tok, Tok::Punct(':'))
 }
 
 /// True when the block being opened is a test root: a `#[cfg(test)]`
@@ -631,7 +467,7 @@ fn block_is_test_root(tokens: &[Token], buffer: &[usize], kind: &BlockKind) -> b
     if !(has_attr && has_test) || has_not {
         return false;
     }
-    has_mod || matches!(kind, BlockKind::Fn { .. })
+    has_mod || matches!(kind, BlockKind::Fn)
 }
 
 #[cfg(test)]
@@ -640,58 +476,7 @@ mod tests {
 
     fn scan_src(src: &str) -> Vec<Finding> {
         let stripped = strip(src);
-        scan(&tokenize(&stripped.code_lines), false).findings
-    }
-
-    fn scan_full(src: &str) -> ScanResult {
-        let stripped = strip(src);
         scan(&tokenize(&stripped.code_lines), false)
-    }
-
-    #[test]
-    fn impl_methods_get_qualified_names() {
-        let result = scan_full(
-            "mod inner {\n    impl<T: Clone> Cache<T> {\n        fn insert(&mut self) { v.unwrap(); }\n    }\n    impl fmt::Display for Ring {\n        fn insert(&self) {}\n    }\n}\nfn free() {}\n",
-        );
-        let quals: Vec<_> = result.functions.iter().map(FnDef::display_name).collect();
-        assert_eq!(quals, vec!["Cache::insert", "Ring::insert", "free"]);
-        assert_eq!(result.findings.len(), 1);
-        assert_eq!(result.findings[0].qual.as_deref(), Some("Cache::insert"));
-        assert_eq!(result.findings[0].func.as_deref(), Some("insert"));
-    }
-
-    #[test]
-    fn trait_default_methods_are_qualified_too() {
-        let result = scan_full("trait Path {\n    fn run(&self) { x.unwrap(); }\n}\n");
-        assert_eq!(result.functions[0].display_name(), "Path::run");
-        assert_eq!(result.findings[0].qual.as_deref(), Some("Path::run"));
-    }
-
-    #[test]
-    fn fn_body_extents_cover_exactly_the_body() {
-        let src = "fn a() { one(); }\nfn b() { two(); }\n";
-        let stripped = strip(src);
-        let tokens = tokenize(&stripped.code_lines);
-        let result = scan(&tokens, false);
-        assert_eq!(result.functions.len(), 2);
-        for (def, callee) in result.functions.iter().zip(["one", "two"]) {
-            let words: Vec<_> = tokens[def.body.0..def.body.1]
-                .iter()
-                .filter_map(|t| match &t.tok {
-                    Tok::Word(w) => Some(w.as_str()),
-                    Tok::Punct(_) => None,
-                })
-                .collect();
-            assert_eq!(words, vec![callee], "{}", def.name);
-        }
-        assert!(result.functions[0].sig.contains(&"fn".to_string()));
-    }
-
-    #[test]
-    fn signature_words_capture_return_type() {
-        let result =
-            scan_full("fn lock(&self) -> MutexGuard<'_, u8> { lock_or_recover(&self.state) }\n");
-        assert!(result.functions[0].sig.contains(&"MutexGuard".to_string()));
     }
 
     #[test]
@@ -710,12 +495,11 @@ fn f() {
     }
 
     #[test]
-    fn panic_sites_carry_fn_context() {
+    fn panic_sites_outside_tests_are_live() {
         let findings =
             scan_src("fn serve() {\n    let v = x.unwrap();\n    v.len().expect(\"\");\n}\n");
         assert_eq!(findings.len(), 2);
-        assert!(findings.iter().all(|f| f.func.as_deref() == Some("serve")));
-        assert!(!findings[0].in_test);
+        assert!(findings.iter().all(|f| !f.in_test));
     }
 
     #[test]
