@@ -59,7 +59,8 @@ pub struct MicroRecBuilder {
     seed: u64,
     options: HeuristicOptions,
     accel: Option<AccelConfig>,
-    arena_format: Option<RowFormat>,
+    /// Whether to serve from an [`EmbeddingArena`] (ignored when tiered).
+    arena: bool,
     shared_arena: Option<Arc<EmbeddingArena>>,
     tiered_budget: Option<u64>,
     shared_tiered: Option<Arc<TieredBacking>>,
@@ -80,7 +81,7 @@ impl MicroRecBuilder {
             seed: 0x00AC_CE55,
             options: HeuristicOptions::default(),
             accel: None,
-            arena_format: None,
+            arena: false,
             shared_arena: None,
             tiered_budget: None,
             shared_tiered: None,
@@ -132,14 +133,14 @@ impl MicroRecBuilder {
     }
 
     /// Materializes the logical tables into a contiguous, 64-byte-aligned
-    /// [`EmbeddingArena`] (one buffer per memory channel) in the given row
-    /// format, replacing procedural per-element hashing on the functional
-    /// gather path. `RowFormat::F32` is bit-identical to the legacy path;
-    /// `F16`/`I8` trade 2–4× fewer row bytes for bounded quantization
-    /// error.
+    /// [`EmbeddingArena`] (one `f32` buffer per memory channel), replacing
+    /// procedural per-element hashing on the functional gather path. Reads
+    /// are bit-identical to the catalog's: `format` has the one value
+    /// [`RowFormat::F32`], the paper's 32-bit element.
     #[must_use]
     pub fn embedding_arena(mut self, format: RowFormat) -> Self {
-        self.arena_format = Some(format);
+        let RowFormat::F32 = format;
+        self.arena = true;
         self
     }
 
@@ -157,7 +158,7 @@ impl MicroRecBuilder {
     /// one arena allocation.
     #[must_use]
     pub fn shared_arena(mut self, arena: Arc<EmbeddingArena>) -> Self {
-        self.arena_format = Some(arena.format());
+        self.arena = true;
         self.shared_arena = Some(arena);
         self
     }
@@ -168,12 +169,12 @@ impl MicroRecBuilder {
     /// greedy optimum for once-per-round table traffic) and the rest are
     /// written to a file-backed cold tier read via positioned `pread` on
     /// the serving thread. Output is bit-identical to
-    /// [`MicroRecBuilder::embedding_arena`] with the same `format` at any
-    /// budget.
+    /// [`MicroRecBuilder::embedding_arena`] at any budget; `format` has the
+    /// one value [`RowFormat::F32`].
     #[must_use]
     pub fn tiered_storage(mut self, budget_bytes: u64, format: RowFormat) -> Self {
+        let RowFormat::F32 = format;
         self.tiered_budget = Some(budget_bytes);
-        self.arena_format = Some(format);
         self
     }
 
@@ -192,7 +193,6 @@ impl MicroRecBuilder {
     /// resident allocation and one cold file.
     #[must_use]
     pub fn shared_tiered_backing(mut self, backing: Arc<TieredBacking>) -> Self {
-        self.arena_format = Some(backing.format());
         self.tiered_budget = Some(backing.budget_bytes());
         self.shared_tiered = Some(backing);
         self
@@ -201,7 +201,7 @@ impl MicroRecBuilder {
     /// Builds this configuration's arena once and installs it as the
     /// shared arena, so every subsequent [`MicroRecBuilder::build`] (on
     /// this builder or its clones) reuses the same allocation. No-op when
-    /// no arena format is configured or a shared arena is already set.
+    /// no arena is configured or a shared arena is already set.
     ///
     /// # Errors
     ///
@@ -217,7 +217,7 @@ impl MicroRecBuilder {
             }
             return Ok(());
         }
-        if self.arena_format.is_none() || self.shared_arena.is_some() {
+        if !self.arena || self.shared_arena.is_some() {
             return Ok(());
         }
         let engine = self.clone().build()?;
@@ -275,13 +275,11 @@ impl MicroRecBuilder {
             }
             tiered = Some(TieredStore::new(Arc::clone(shared)));
         } else if let Some(budget) = self.tiered_budget {
-            let format = self.arena_format.unwrap_or(RowFormat::F32);
             let channel_of = channel_assignment(&catalog, &plan);
-            let backing =
-                TieredBacking::build(catalog.logical_tables(), format, &channel_of, budget)?;
+            let backing = TieredBacking::build(catalog.logical_tables(), &channel_of, budget)?;
             tiered = Some(TieredStore::new(backing));
         } else {
-            arena = match (&self.shared_arena, self.arena_format) {
+            arena = match (&self.shared_arena, self.arena) {
                 (Some(shared), _) => {
                     if !shared.matches(catalog.logical_tables()) {
                         return Err(MicroRecError::Runtime(
@@ -290,15 +288,11 @@ impl MicroRecBuilder {
                     }
                     Some(Arc::clone(shared))
                 }
-                (None, Some(format)) => {
+                (None, true) => {
                     let channel_of = channel_assignment(&catalog, &plan);
-                    Some(Arc::new(EmbeddingArena::build(
-                        catalog.logical_tables(),
-                        format,
-                        &channel_of,
-                    )?))
+                    Some(Arc::new(EmbeddingArena::build(catalog.logical_tables(), &channel_of)?))
                 }
-                (None, None) => None,
+                (None, false) => None,
             };
         }
         // Per-table offsets into one round's concatenated feature slice,
@@ -661,7 +655,7 @@ impl MicroRec {
     /// per-table reads when no store is built. The store changes where the
     /// bytes come from — a resident or cold arena-layout row vs. a
     /// procedural/materialized table read — never what they are, so all
-    /// three are bit-identical for `RowFormat::F32` storage.
+    /// three are bit-identical.
     fn gather_round_into(&mut self, indices: &[u64], out: &mut [f32]) -> Result<(), MicroRecError> {
         if let Some(tiered) = self.tiered.as_mut() {
             return Ok(tiered.gather_round(indices, &self.feature_offsets, out)?);
@@ -1003,43 +997,40 @@ mod tests {
         }
     }
 
-    /// Encoded row bytes of the 6×2000×8 small model in `format`.
-    fn small_model_bytes(format: RowFormat) -> u64 {
-        let per_row = 8 * format.bytes_per_elem() + if format == RowFormat::I8 { 4 } else { 0 };
-        (6 * 2000 * per_row) as u64
-    }
+    /// Row bytes of the 6×2000×8 small model.
+    const SMALL_MODEL_BYTES: u64 = 6 * 2000 * 8 * 4;
 
     #[test]
     fn tiered_engine_is_bit_identical_to_all_resident() {
         // A tiered engine at a 1/3 budget (cold tier guaranteed) must
-        // predict the same bits as the all-resident arena at every row
-        // format, through both predict and predict_batch.
-        for format in [RowFormat::F32, RowFormat::F16, RowFormat::I8] {
-            let budget = small_model_bytes(format) / 3;
-            let mut full =
-                small_builder(Precision::Fixed16).embedding_arena(format).build().unwrap();
-            let queries = small_queries(30);
-            let want: Vec<f32> = queries.iter().map(|q| full.predict(q).unwrap()).collect();
-            let mut engine =
-                small_builder(Precision::Fixed16).tiered_storage(budget, format).build().unwrap();
-            let backing = engine.tiered_store().unwrap().backing();
-            assert!(backing.num_resident_tables() < 6, "cold tier must exist");
-            assert!(backing.resident_bytes() <= budget, "residency respects the budget");
-            for (i, q) in queries.iter().enumerate() {
-                let got = engine.predict(q).unwrap();
-                assert_eq!(got.to_bits(), want[i].to_bits(), "{format} q{i}");
-            }
-            let got = engine.predict_batch(&queries).unwrap();
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(g.to_bits(), w.to_bits(), "{format} batch {i}");
-            }
-            let counters = engine.tier_counters();
-            assert!(counters.resident_hits > 0 && counters.cold_reads > 0);
-            assert_eq!(counters.resident_hits + counters.cold_reads, 2 * 30 * 6 * 4);
-            assert_eq!(counters.cold_errors, 0);
-            engine.reset_stats();
-            assert_eq!(engine.tier_counters(), microrec_embedding::TierCounters::default());
+        // predict the same bits as the all-resident arena, through both
+        // predict and predict_batch.
+        let budget = SMALL_MODEL_BYTES / 3;
+        let mut full =
+            small_builder(Precision::Fixed16).embedding_arena(RowFormat::F32).build().unwrap();
+        let queries = small_queries(30);
+        let want: Vec<f32> = queries.iter().map(|q| full.predict(q).unwrap()).collect();
+        let mut engine = small_builder(Precision::Fixed16)
+            .tiered_storage(budget, RowFormat::F32)
+            .build()
+            .unwrap();
+        let backing = engine.tiered_store().unwrap().backing();
+        assert!(backing.num_resident_tables() < 6, "cold tier must exist");
+        assert!(backing.resident_bytes() <= budget, "residency respects the budget");
+        for (i, q) in queries.iter().enumerate() {
+            let got = engine.predict(q).unwrap();
+            assert_eq!(got.to_bits(), want[i].to_bits(), "q{i}");
         }
+        let got = engine.predict_batch(&queries).unwrap();
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "batch {i}");
+        }
+        let counters = engine.tier_counters();
+        assert!(counters.resident_hits > 0 && counters.cold_reads > 0);
+        assert_eq!(counters.resident_hits + counters.cold_reads, 2 * 30 * 6 * 4);
+        assert_eq!(counters.cold_errors, 0);
+        engine.reset_stats();
+        assert_eq!(engine.tier_counters(), microrec_embedding::TierCounters::default());
     }
 
     #[test]
@@ -1047,8 +1038,8 @@ mod tests {
         // `prefetch_workers` and `hot_row_cache` are kept for the frozen
         // perf ledger only: whatever they are given, the engine serves the
         // same bits and counts the same reads, none of them prefetched.
-        let budget = small_model_bytes(RowFormat::F16) / 3;
-        let tiered = || small_builder(Precision::Fixed16).tiered_storage(budget, RowFormat::F16);
+        let budget = SMALL_MODEL_BYTES / 3;
+        let tiered = || small_builder(Precision::Fixed16).tiered_storage(budget, RowFormat::F32);
         let mut plain = tiered().build().unwrap();
         let mut shimmed = tiered().hot_row_cache(64).prefetch_workers(2).build().unwrap();
         let queries = small_queries(30);
@@ -1068,8 +1059,8 @@ mod tests {
 
     #[test]
     fn shared_tiered_backing_is_one_allocation_across_builds() {
-        let budget = small_model_bytes(RowFormat::F16) / 3;
-        let mut builder = small_builder(Precision::Fixed16).tiered_storage(budget, RowFormat::F16);
+        let budget = SMALL_MODEL_BYTES / 3;
+        let mut builder = small_builder(Precision::Fixed16).tiered_storage(budget, RowFormat::F32);
         builder.prepare_shared_arena().unwrap();
         let a = builder.clone().build().unwrap();
         let b = builder.clone().build().unwrap();
@@ -1078,7 +1069,7 @@ mod tests {
             "replicas must share one tiered backing"
         );
         let mut own = small_builder(Precision::Fixed16)
-            .tiered_storage(budget, RowFormat::F16)
+            .tiered_storage(budget, RowFormat::F32)
             .build()
             .unwrap();
         let (mut a, mut b) = (a, b);
@@ -1090,22 +1081,8 @@ mod tests {
     }
 
     #[test]
-    fn quantized_arena_stays_close_to_reference() {
-        let mut legacy = small_builder(Precision::F32).build().unwrap();
-        for (format, tol) in [(RowFormat::F16, 1e-2), (RowFormat::I8, 5e-2)] {
-            let mut quantized =
-                small_builder(Precision::F32).embedding_arena(format).build().unwrap();
-            for q in small_queries(20) {
-                let want = legacy.predict(&q).unwrap();
-                let got = quantized.predict(&q).unwrap();
-                assert!((want - got).abs() < tol as f32, "{format}: {got} vs {want}");
-            }
-        }
-    }
-
-    #[test]
     fn shared_arena_is_one_allocation_across_builds() {
-        let mut builder = small_builder(Precision::Fixed16).embedding_arena(RowFormat::F16);
+        let mut builder = small_builder(Precision::Fixed16).embedding_arena(RowFormat::F32);
         builder.prepare_shared_arena().unwrap();
         let a = builder.clone().build().unwrap();
         let b = builder.clone().build().unwrap();
@@ -1115,7 +1092,7 @@ mod tests {
         );
         // And predictions agree with an engine that built its own arena.
         let mut own =
-            small_builder(Precision::Fixed16).embedding_arena(RowFormat::F16).build().unwrap();
+            small_builder(Precision::Fixed16).embedding_arena(RowFormat::F32).build().unwrap();
         let (mut a, mut b) = (a, b);
         for q in small_queries(5) {
             let want = own.predict(&q).unwrap();
@@ -1126,7 +1103,7 @@ mod tests {
 
     #[test]
     fn mismatched_shared_arena_is_rejected() {
-        let mut builder = small_builder(Precision::Fixed16).embedding_arena(RowFormat::F16);
+        let mut builder = small_builder(Precision::Fixed16).embedding_arena(RowFormat::F32);
         builder.prepare_shared_arena().unwrap();
         let arena = builder.build().unwrap().arena().unwrap().clone();
         let err =

@@ -203,8 +203,6 @@ struct SharedStats {
 /// the tiered parameter store.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeLookupStats {
-    /// Row storage format of the tiered store.
-    pub format: &'static str,
     /// Rows served by the resident arena (L2) across all workers.
     pub resident_hits: u64,
     /// Rows read from the file-backed cold store (L3).
@@ -281,9 +279,8 @@ pub struct ServingRuntime {
     stats: Arc<SharedStats>,
     config: RuntimeConfig,
     expected_arity: usize,
-    /// The row format of the tiered store, when the engines serve through
-    /// one.
-    tier_format: Option<&'static str>,
+    /// Whether the engines serve through the tiered parameter store.
+    tiered: bool,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -332,7 +329,7 @@ impl ServingRuntime {
         }
         let expected_arity =
             engines[0].model().num_tables() * engines[0].model().lookups_per_table as usize;
-        let tier_format = engines[0].tiered_store().map(|t| t.backing().format().as_str());
+        let tiered = engines[0].is_tiered();
         let stats = Arc::new(SharedStats::default());
         let mut workers: Vec<JoinHandle<()>> = Vec::with_capacity(config.workers);
         let mut replicas = engines.into_iter();
@@ -380,7 +377,7 @@ impl ServingRuntime {
                 }
             }
         }
-        Ok(ServingRuntime { queue, stats, config, expected_arity, tier_format, workers })
+        Ok(ServingRuntime { queue, stats, config, expected_arity, tiered, workers })
     }
 
     /// The active configuration (after clamping zero knobs to 1).
@@ -472,8 +469,7 @@ impl ServingRuntime {
     /// engines do not serve through the tiered parameter store.
     #[must_use]
     pub fn lookup_stats(&self) -> Option<RuntimeLookupStats> {
-        Some(RuntimeLookupStats {
-            format: self.tier_format?,
+        self.tiered.then(|| RuntimeLookupStats {
             resident_hits: self.stats.tier_resident_hits.load(Relaxed),
             cold_reads: self.stats.tier_cold_reads.load(Relaxed),
             bytes_from_cold: self.stats.tier_bytes_from_cold.load(Relaxed),
@@ -657,7 +653,7 @@ mod close_tests {
             stats: Arc::new(SharedStats::default()),
             config,
             expected_arity: model.num_tables() * model.lookups_per_table as usize,
-            tier_format: None,
+            tiered: false,
             workers: Vec::new(),
         };
         (runtime, engine)

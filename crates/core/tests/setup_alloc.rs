@@ -390,10 +390,8 @@ struct PerCall {
 /// caller's slice in place. The terms, with T tables (each its own physical
 /// table, neither model merges any), R lookup rounds and L layers:
 ///
-/// - `resolve`, 1 + 3T per query and round: `Catalog::resolve`'s output
-///   `Vec`, and per table its `sizes` and member-index `Vec`s plus the
-///   `String` of the overflow error `merged_row_index` builds eagerly
-///   (`ok_or`) on every call;
+/// - `resolve`, 1 + 2T per query and round: `Catalog::resolve`'s output
+///   `Vec`, and per table its `sizes` and member-index `Vec`s;
 /// - memsim's per-round map, 1 per round: the `BTreeMap` leaf of
 ///   `parallel_read_addressed`'s per-bank times (at most 11 banks);
 /// - `gather_features_into`: its `requests` `Vec`, then per round
@@ -408,23 +406,23 @@ struct PerCall {
 fn golden(model: &str, precision: Precision) -> PerCall {
     let fixed = u64::from(precision != Precision::F32);
     match model {
-        // T = 8, R = 4, L = 4: resolve = 25.
+        // T = 8, R = 4, L = 4: resolve = 17.
         "fc" => PerCall {
-            // 1 + 1 + 32 + 1 + 4 × (32 × 25 + 1)
-            batch: 3239,
-            // 105 + 1 + (1 + 4), or + (2 + 4) when quantized
-            predict: 111 + fixed,
-            // 1 + 4 × (25 + 1)
-            gather: 105,
+            // 1 + 1 + 32 + 1 + 4 × (32 × 17 + 1)
+            batch: 2215,
+            // 73 + 1 + (1 + 4), or + (2 + 4) when quantized
+            predict: 79 + fixed,
+            // 1 + 4 × (17 + 1)
+            gather: 73,
         },
-        // T = 4, R = 2, L = 2: resolve = 13.
+        // T = 4, R = 2, L = 2: resolve = 9.
         "tiny4" => PerCall {
-            // 1 + 1 + 32 + 1 + 2 × (32 × 13 + 1)
-            batch: 869,
-            // 29 + 1 + (1 + 2), or + (2 + 2) when quantized
-            predict: 33 + fixed,
-            // 1 + 2 × (13 + 1)
-            gather: 29,
+            // 1 + 1 + 32 + 1 + 2 × (32 × 9 + 1)
+            batch: 613,
+            // 21 + 1 + (1 + 2), or + (2 + 2) when quantized
+            predict: 25 + fixed,
+            // 1 + 2 × (9 + 1)
+            gather: 21,
         },
         other => panic!("no golden for model {other}"),
     }
@@ -434,16 +432,16 @@ fn golden(model: &str, precision: Precision) -> PerCall {
 /// serving `N` requests asks for `N·a + batches·b` blocks, across the
 /// submitting thread and the worker:
 ///
-/// - a = 28 per request: the reply `Slot`'s `Arc` (1), and the engine's
+/// - a = 20 per request: the reply `Slot`'s `Arc` (1), and the engine's
 ///   per-item terms of `predict_batch`, its feature `Vec` (1) and a
-///   `resolve` per round (2 × 13);
+///   `resolve` per round (2 × 9);
 /// - b = 6 per batch: the `Vec` `pop_batch` hands the worker (1), and the
 ///   engine's per-batch terms: the output `Vec`, the `Vec` of feature
 ///   vectors, the `requests` `Vec` and memsim's map per round (3 + 2).
 ///
 /// The queries' own `Vec`s are built before the count and reach the engine
 /// without a copy.
-const PER_REQUEST: u64 = 28;
+const PER_REQUEST: u64 = 20;
 const PER_BATCH: u64 = 6;
 
 fn steady_state_requests_the_golden_counts() {

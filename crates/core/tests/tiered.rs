@@ -22,14 +22,9 @@ fn model() -> ModelSpec {
     )
 }
 
-/// Encoded embedding bytes of [`model`] in `format`.
-fn model_bytes(model: &ModelSpec, format: RowFormat) -> u64 {
-    let extra = if format == RowFormat::I8 { 4 } else { 0 };
-    model
-        .tables
-        .iter()
-        .map(|t| t.rows * (t.dim as usize * format.bytes_per_elem() + extra) as u64)
-        .sum()
+/// Embedding row bytes of [`model`].
+fn model_bytes(model: &ModelSpec) -> u64 {
+    model.tables.iter().map(|t| t.rows * u64::from(t.dim) * 4).sum()
 }
 
 fn queries(model: &ModelSpec, n: usize) -> Vec<Vec<u64>> {
@@ -39,81 +34,77 @@ fn queries(model: &ModelSpec, n: usize) -> Vec<Vec<u64>> {
         .to_vec()
 }
 
-fn tiered_builder(model: &ModelSpec, budget: u64, format: RowFormat) -> MicroRecBuilder {
-    MicroRec::builder(model.clone()).seed(7).tiered_storage(budget, format)
+fn tiered_builder(model: &ModelSpec, budget: u64) -> MicroRecBuilder {
+    MicroRec::builder(model.clone()).seed(7).tiered_storage(budget, RowFormat::F32)
 }
 
 #[test]
 fn bigger_than_budget_model_serves_bit_identical_with_bounded_memory() {
     let model = model();
     let queries = queries(&model, 48);
-    for format in [RowFormat::F32, RowFormat::F16, RowFormat::I8] {
-        // Reference: the all-resident arena at the same format.
-        let mut reference = MicroRec::builder(model.clone())
-            .seed(7)
-            .embedding_arena(format)
-            .build()
-            .expect("all-resident engine");
-        let expected: Vec<f32> =
-            queries.iter().map(|q| reference.predict(q).expect("predict")).collect();
+    // Reference: the all-resident arena.
+    let mut reference = MicroRec::builder(model.clone())
+        .seed(7)
+        .embedding_arena(RowFormat::F32)
+        .build()
+        .expect("all-resident engine");
+    let expected: Vec<f32> =
+        queries.iter().map(|q| reference.predict(q).expect("predict")).collect();
 
-        // Tiered: a quarter of the model resident. Prepare the shared
-        // backing first so the budget assertions below inspect the exact
-        // store the runtime's workers serve from.
-        let budget = model_bytes(&model, format) / 4;
-        let mut builder = tiered_builder(&model, budget, format);
-        builder.prepare_shared_arena().expect("shared tiered backing");
-        let probe = builder.clone().build().expect("tiered engine");
-        let backing = probe.tiered_store().expect("tiered store").backing();
-        assert!(
-            backing.resident_bytes() <= budget,
-            "{format}: resident {} bytes must fit the {budget}-byte budget",
-            backing.resident_bytes(),
-        );
-        assert!(
-            backing.resident_arena_bytes() <= budget,
-            "{format}: allocated arena {} bytes must fit the {budget}-byte budget",
-            backing.resident_arena_bytes(),
-        );
-        assert!(
-            backing.num_resident_tables() < model.num_tables(),
-            "{format}: the model must not fit the budget entirely"
-        );
-        assert!(backing.cold_bytes() > 0);
-        drop(probe);
+    // Tiered: a quarter of the model resident. Prepare the shared
+    // backing first so the budget assertions below inspect the exact
+    // store the runtime's workers serve from.
+    let budget = model_bytes(&model) / 4;
+    let mut builder = tiered_builder(&model, budget);
+    builder.prepare_shared_arena().expect("shared tiered backing");
+    let probe = builder.clone().build().expect("tiered engine");
+    let backing = probe.tiered_store().expect("tiered store").backing();
+    assert!(
+        backing.resident_bytes() <= budget,
+        "resident {} bytes must fit the {budget}-byte budget",
+        backing.resident_bytes(),
+    );
+    assert!(
+        backing.resident_arena_bytes() <= budget,
+        "allocated arena {} bytes must fit the {budget}-byte budget",
+        backing.resident_arena_bytes(),
+    );
+    assert!(
+        backing.num_resident_tables() < model.num_tables(),
+        "the model must not fit the budget entirely"
+    );
+    assert!(backing.cold_bytes() > 0);
+    drop(probe);
 
-        let mut runtime = ServingRuntime::start(
-            builder,
-            RuntimeConfig { workers: 2, max_batch: 8, ..Default::default() },
-        )
-        .expect("runtime");
-        let pending: Vec<_> =
-            queries.iter().map(|q| runtime.submit(q.clone()).expect("submit")).collect();
-        for (i, (p, e)) in pending.into_iter().zip(&expected).enumerate() {
-            let got = p.wait().expect("predict");
-            assert_eq!(got.to_bits(), e.to_bits(), "{format} query {i} diverged");
-        }
-        let snapshot = runtime.shutdown();
-        assert_eq!(snapshot.completed, queries.len() as u64);
-        assert_eq!(snapshot.failed, 0);
-
-        // Per-tier counters surface in the runtime stats.
-        let stats = runtime.lookup_stats().expect("tiered runtime exposes lookup stats");
-        assert_eq!(stats.format, format.as_str());
-        assert!(stats.resident_hits > 0, "{format}: resident tier must serve rows");
-        assert!(stats.cold_reads > 0, "{format}: cold tier must serve rows");
-        assert!(stats.bytes_from_cold > 0);
-        assert!(stats.cold_tier_healthy(), "{format}: no I/O faults in this test");
+    let mut runtime = ServingRuntime::start(
+        builder,
+        RuntimeConfig { workers: 2, max_batch: 8, ..Default::default() },
+    )
+    .expect("runtime");
+    let pending: Vec<_> =
+        queries.iter().map(|q| runtime.submit(q.clone()).expect("submit")).collect();
+    for (i, (p, e)) in pending.into_iter().zip(&expected).enumerate() {
+        let got = p.wait().expect("predict");
+        assert_eq!(got.to_bits(), e.to_bits(), "query {i} diverged");
     }
+    let snapshot = runtime.shutdown();
+    assert_eq!(snapshot.completed, queries.len() as u64);
+    assert_eq!(snapshot.failed, 0);
+
+    // Per-tier counters surface in the runtime stats.
+    let stats = runtime.lookup_stats().expect("tiered runtime exposes lookup stats");
+    assert!(stats.resident_hits > 0, "resident tier must serve rows");
+    assert!(stats.cold_reads > 0, "cold tier must serve rows");
+    assert!(stats.bytes_from_cold > 0);
+    assert!(stats.cold_tier_healthy(), "no I/O faults in this test");
 }
 
 #[test]
 fn cold_tier_io_failure_fails_only_affected_items_and_keeps_draining() {
     let model = model();
-    let format = RowFormat::F32;
-    let row_bytes = 16 * format.bytes_per_elem() as u64;
-    let budget = model_bytes(&model, format) / 4;
-    let mut builder = tiered_builder(&model, budget, format);
+    let row_bytes = 16 * 4;
+    let budget = model_bytes(&model) / 4;
+    let mut builder = tiered_builder(&model, budget);
     builder.prepare_shared_arena().expect("shared tiered backing");
     let mut reference = builder.clone().build().expect("tiered engine");
     let backing = reference.tiered_store().expect("tiered store").backing().clone();

@@ -141,15 +141,13 @@ pub fn dot_quantizing<T: FixedNum>(w: &[f32], x: &[T]) -> T {
 
 /// The CPU features every vector kernel in the crate dispatches on, as bits
 /// of one word probed once per process: AVX2 (the AVX2 Q2.13 and `f32`
-/// tiles, `i8` dequant), AVX with F16C (half decode) and AVX-512F/BW/VNNI
-/// (the wide Q2.13 tile).
+/// tiles) and AVX-512F/BW/VNNI (the wide Q2.13 tile).
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod cpu {
     use std::arch::is_x86_feature_detected as detected;
     use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
     pub(crate) const AVX2: u8 = 1;
-    pub(crate) const F16C: u8 = 2;
-    pub(crate) const AVX512_VNNI: u8 = 4;
+    pub(crate) const AVX512_VNNI: u8 = 2;
     /// The probed features, with bit 7 set; 0 until the first probe.
     static WORD: AtomicU8 = AtomicU8::new(0);
 
@@ -164,10 +162,8 @@ pub(crate) mod cpu {
     #[cold]
     fn probe() -> u8 {
         let avx512_vnni = detected!("avx512f") && detected!("avx512bw") && detected!("avx512vnni");
-        let word = 0x80
-            | (u8::from(detected!("avx2")) * AVX2)
-            | (u8::from(detected!("avx") && detected!("f16c")) * F16C)
-            | (u8::from(avx512_vnni) * AVX512_VNNI);
+        let word =
+            0x80 | (u8::from(detected!("avx2")) * AVX2) | (u8::from(avx512_vnni) * AVX512_VNNI);
         WORD.store(word, Relaxed);
         word
     }

@@ -25,9 +25,7 @@
 
 mod error;
 mod fixed;
-mod gather;
 mod gemm;
-mod interaction;
 mod layer;
 mod mlp;
 mod packed;
@@ -37,13 +35,7 @@ mod tensor;
 
 pub use error::DnnError;
 pub use fixed::{FixedNum, Q16, Q32};
-pub use gather::{
-    f16_decode, f16_decode_le_slice, f16_decode_slice, f16_decode_slice_scalar, f16_encode,
-    f16_encode_slice, f32_decode_le_slice, i8_dequant_le_slice, i8_dequant_slice,
-    i8_dequant_slice_scalar, i8_quant_slice,
-};
 pub use gemm::{dot_quantizing, dot_scalar, gemm_flops, gemm_naive, gemm_packed, gemv, PackedB};
-pub use interaction::{concat, elementwise_mul, weighted_sum, FeatureInteraction};
 pub use layer::{Activation, DenseLayer};
 pub use mlp::Mlp;
 pub use packed::{PackedLayer, PackedMlp};

@@ -158,30 +158,6 @@ impl Mlp {
         Ok(current)
     }
 
-    /// Forward pass through caller-owned scratch: after
-    /// [`ScratchArena::warm`]`(self.max_width())`, repeated calls perform
-    /// zero heap allocations. Bit-identical to [`Mlp::forward`].
-    ///
-    /// The result borrows `arena`; copy it out before the next call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DnnError::ShapeMismatch`] if `input` has the wrong width.
-    pub fn forward_with<'a, T: FixedNum>(
-        &self,
-        input: &[T],
-        arena: &'a mut ScratchArena<T>,
-    ) -> Result<&'a [T], DnnError> {
-        arena.load(input);
-        for layer in &self.layers {
-            let (front, back) = arena.buffers();
-            back.resize(layer.output_dim(), T::ZERO);
-            layer.forward(front, back)?;
-            arena.swap();
-        }
-        Ok(arena.front())
-    }
-
     /// Predicts the click-through rate for one `f32` feature vector.
     ///
     /// # Errors
@@ -293,24 +269,6 @@ mod tests {
                 batch.get(r, 0)
             );
         }
-    }
-
-    #[test]
-    fn forward_with_matches_forward_and_reuses_arena() {
-        let mlp = small_head();
-        let mut arena = ScratchArena::<f32>::new();
-        arena.warm(mlp.max_width());
-        assert_eq!(mlp.max_width(), 64);
-        for k in 0..5 {
-            let x: Vec<f32> = (0..32).map(|i| ((i + k) as f32 * 0.2).sin() * 0.5).collect();
-            let alloc = mlp.forward::<f32>(&x).unwrap();
-            let scratch = mlp.forward_with(&x, &mut arena).unwrap();
-            assert_eq!(scratch.len(), alloc.len());
-            for (s, a) in scratch.iter().zip(&alloc) {
-                assert_eq!(s.to_bits(), a.to_bits());
-            }
-        }
-        assert!(mlp.forward_with(&[0.0f32; 31], &mut arena).is_err());
     }
 
     #[test]

@@ -22,8 +22,8 @@ use crate::scratch::ScratchArena;
 /// bias and activation.
 ///
 /// [`PackedLayer::forward_batch`] is the *single* implementation of
-/// per-layer forwarding on the packed path; [`PackedMlp`]'s whole-network
-/// passes and [`PackedMlp::forward_layer`] both drive it.
+/// per-layer forwarding on the packed path: [`PackedMlp`]'s whole-network
+/// pass drives it, and so does a caller timing one layer at a time.
 #[derive(Debug, Clone)]
 pub struct PackedLayer<T> {
     weights: PackedB<T>,
@@ -191,19 +191,6 @@ impl<T: FixedNum> PackedMlp<T> {
         Ok(arena.front())
     }
 
-    /// Single-item forward pass through the packed path (a batch of one).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DnnError::ShapeMismatch`] for a wrong input width.
-    pub fn forward_into<'a>(
-        &self,
-        input: &[T],
-        arena: &'a mut ScratchArena<T>,
-    ) -> Result<&'a [T], DnnError> {
-        self.forward_batch_into(input, 1, arena)
-    }
-
     /// Number of packed layers.
     #[must_use]
     pub fn num_layers(&self) -> usize {
@@ -214,30 +201,6 @@ impl<T: FixedNum> PackedMlp<T> {
     #[must_use]
     pub fn layers(&self) -> &[PackedLayer<T>] {
         &self.layers
-    }
-
-    /// Forwards through layer `index` alone (see
-    /// [`PackedLayer::forward_batch`]); chaining `0..num_layers` over a
-    /// ping-pong buffer pair reproduces [`PackedMlp::forward_batch_into`]
-    /// bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DnnError::ShapeMismatch`] for an out-of-range layer
-    /// index or a wrong input width.
-    pub fn forward_layer(
-        &self,
-        index: usize,
-        input: &[T],
-        batch: usize,
-        out: &mut Vec<T>,
-    ) -> Result<(), DnnError> {
-        let layer = self.layers.get(index).ok_or(DnnError::ShapeMismatch {
-            context: "PackedMlp::forward_layer index",
-            expected: self.layers.len(),
-            actual: index,
-        })?;
-        layer.forward_batch(input, batch, out)
     }
 }
 
@@ -308,44 +271,40 @@ mod tests {
     }
 
     #[test]
-    fn chained_forward_layer_is_bit_identical_to_whole_network() {
-        // Ping-ponging forward_layer over plain Vecs, one layer at a time,
-        // must match both the arena-based whole-network pass and the
-        // unpacked reference, bit for bit.
-        fn check<T: FixedNum>(m: &Mlp, raw: &[f32]) {
+    fn chained_layers_are_bit_identical_to_whole_network() {
+        // Ping-ponging each layer's forward_batch over plain Vecs, one layer
+        // at a time, must match both the arena-based whole-network pass and
+        // the unpacked reference, bit for bit.
+        fn check<T: FixedNum>(m: &Mlp, raw: &[f32], batch: usize) {
             let packed: PackedMlp<T> = PackedMlp::pack(m);
             assert_eq!(packed.num_layers(), m.layers().len());
             let input: Vec<T> = raw.iter().map(|&v| T::from_f32(v)).collect();
 
             let mut current = input.clone();
             let mut next: Vec<T> = Vec::new();
-            for (index, layer) in packed.layers().iter().enumerate() {
-                assert_eq!(layer.input_dim(), current.len());
-                packed.forward_layer(index, &current, 1, &mut next).unwrap();
-                assert_eq!(next.len(), layer.output_dim());
+            for layer in packed.layers() {
+                assert_eq!(layer.input_dim() * batch, current.len());
+                layer.forward_batch(&current, batch, &mut next).unwrap();
+                assert_eq!(next.len(), layer.output_dim() * batch);
                 std::mem::swap(&mut current, &mut next);
             }
 
             let mut arena = ScratchArena::new();
-            let whole = packed.forward_into(&input, &mut arena).unwrap();
-            let reference = m.forward::<T>(&input).unwrap();
-            assert_eq!(current, whole, "forward_layer chain vs forward_batch_into");
-            assert_eq!(current, reference, "forward_layer chain vs Mlp::forward");
+            let whole = packed.forward_batch_into(&input, batch, &mut arena).unwrap();
+            assert_eq!(current, whole, "layer chain vs forward_batch_into");
+            for (item, out) in input.chunks_exact(m.input_dim()).zip(&current) {
+                let reference = m.forward::<T>(item).unwrap();
+                assert_eq!(*out, reference[0], "layer chain vs Mlp::forward");
+            }
         }
 
         let m = mlp();
-        let raw = features(24);
-        check::<f32>(&m, &raw);
-        check::<Q16>(&m, &raw);
-        check::<Q32>(&m, &raw);
-    }
-
-    #[test]
-    fn forward_layer_rejects_bad_index_and_width() {
-        let packed: PackedMlp<f32> = PackedMlp::pack(&mlp());
-        let mut out = Vec::new();
-        assert!(packed.forward_layer(3, &[0.0; 17], 1, &mut out).is_err());
-        assert!(packed.forward_layer(0, &[0.0; 23], 1, &mut out).is_err());
+        for batch in [1usize, 5] {
+            let raw = features(batch * 24);
+            check::<f32>(&m, &raw, batch);
+            check::<Q16>(&m, &raw, batch);
+            check::<Q32>(&m, &raw, batch);
+        }
     }
 
     #[test]
@@ -353,6 +312,7 @@ mod tests {
         let packed: PackedMlp<f32> = PackedMlp::pack(&mlp());
         let mut arena = ScratchArena::new();
         assert!(packed.forward_batch_into(&[0.0; 23], 1, &mut arena).is_err());
-        assert!(packed.forward_into(&[0.0; 25], &mut arena).is_err());
+        assert!(packed.forward_batch_into(&[0.0; 25], 1, &mut arena).is_err());
+        assert!(packed.layers()[0].forward_batch(&[0.0; 23], 1, &mut Vec::new()).is_err());
     }
 }

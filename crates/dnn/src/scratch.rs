@@ -22,13 +22,14 @@ use crate::fixed::FixedNum;
 /// # Examples
 ///
 /// ```
-/// use microrec_dnn::{Mlp, ScratchArena};
+/// use microrec_dnn::{Mlp, PackedMlp, ScratchArena};
 ///
 /// let mlp = Mlp::top_mlp(32, &[64, 16], 9)?;
+/// let packed: PackedMlp<f32> = PackedMlp::pack(&mlp);
 /// let mut arena = ScratchArena::<f32>::new();
-/// arena.warm(mlp.max_width()); // one-off; after this, forwards never allocate
-/// let x = vec![0.1f32; 32];
-/// let ctr = mlp.forward_with(&x, &mut arena)?[0];
+/// arena.warm(4 * mlp.max_width()); // one-off; after this, batches of 4 never allocate
+/// let x = vec![0.1f32; 4 * 32];
+/// let ctr = packed.forward_batch_into(&x, 4, &mut arena)?[0];
 /// assert!(ctr > 0.0 && ctr < 1.0);
 /// # Ok::<(), microrec_dnn::DnnError>(())
 /// ```

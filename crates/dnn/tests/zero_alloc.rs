@@ -1,7 +1,6 @@
 //! Proves the DNN kernels perform zero heap allocations in steady state:
-//! after one warm-up call, repeated `forward_batch_into`, `forward_into`,
-//! `forward_layer` and `forward_with` calls at f32, Q2.13 and Q8.23, and the
-//! row decoders, never touch the global allocator.
+//! after one warm-up call, repeated `forward_batch_into` calls at f32, Q2.13
+//! and Q8.23 never touch the global allocator.
 //!
 //! It also pins the set-up path's allocations: packing the ledger's FC stack
 //! at Q2.13, warming an arena and serving the first batch request exactly
@@ -76,9 +75,8 @@ fn steady_delta(mut f: impl FnMut()) -> u64 {
     allocation_count() - before
 }
 
-/// The packed batch path, its batch-of-one wrapper, the per-layer walk
-/// over reused buffers, and the unpacked scratch path, all at precision
-/// `T`: none asks for a block once warm.
+/// The packed batch path at precision `T`, at `batch` and at a batch of
+/// one: it asks for no block once warm.
 fn steady_state_at<T: microrec_dnn::FixedNum>(name: &str, inputs: &[f32], batch: usize) {
     use microrec_dnn::{Mlp, PackedMlp, ScratchArena};
 
@@ -96,30 +94,10 @@ fn steady_state_at<T: microrec_dnn::FixedNum>(name: &str, inputs: &[f32], batch:
     });
     assert_eq!(delta, 0, "{name} forward_batch_into allocated in steady state");
     let delta = steady_delta(|| {
-        packed.forward_into(&inputs[..64], &mut arena).unwrap();
+        let out = packed.forward_batch_into(&inputs[..64], 1, &mut arena).unwrap();
+        assert_eq!(out.len(), 1);
     });
-    assert_eq!(delta, 0, "{name} forward_into allocated in steady state");
-
-    // Sized for the widest layer: with an odd layer count the two buffers
-    // trade roles from one call to the next.
-    let mut current = Vec::with_capacity(batch * packed.max_width());
-    let mut next = Vec::with_capacity(batch * packed.max_width());
-    let delta = steady_delta(|| {
-        current.clear();
-        current.extend_from_slice(&inputs);
-        for index in 0..packed.num_layers() {
-            packed.forward_layer(index, &current, batch, &mut next).unwrap();
-            std::mem::swap(&mut current, &mut next);
-        }
-    });
-    assert_eq!(delta, 0, "{name} forward_layer allocated in steady state");
-
-    let mut single = ScratchArena::new();
-    single.warm(mlp.max_width());
-    let delta = steady_delta(|| {
-        mlp.forward_with::<T>(&inputs[..64], &mut single).unwrap();
-    });
-    assert_eq!(delta, 0, "{name} forward_with allocated in steady state");
+    assert_eq!(delta, 0, "{name} batch of one allocated in steady state");
 }
 
 #[test]
@@ -131,30 +109,8 @@ fn steady_state_forward_never_allocates() {
     steady_state_at::<f32>("f32", &inputs, batch);
     steady_state_at::<Q16>("Q2.13", &inputs, batch);
     steady_state_at::<Q32>("Q8.23", &inputs, batch);
-    row_decodes_never_allocate();
 
     set_up_requests_the_parents_heap_blocks();
-}
-
-/// The portable row decoders, which the arena and tiered gathers fall back
-/// to on a CPU without F16C or AVX2, and the cold tier's byte decoders.
-fn row_decodes_never_allocate() {
-    use microrec_dnn::{
-        f16_decode_le_slice, f16_decode_slice_scalar, f32_decode_le_slice, i8_dequant_le_slice,
-        i8_dequant_slice_scalar,
-    };
-
-    let halves: Vec<u16> = (0..64).map(|i| 0x3C00 + i).collect();
-    let bytes: Vec<u8> = (0..256).map(|i| i as u8).collect();
-    let mut out = vec![0.0f32; 64];
-    let delta = steady_delta(|| {
-        f16_decode_slice_scalar(&halves, &mut out);
-        i8_dequant_slice_scalar(&[-3; 64], 0.5, &mut out);
-        f32_decode_le_slice(&bytes, &mut out);
-        f16_decode_le_slice(&bytes[..128], &mut out);
-        i8_dequant_le_slice(&bytes[..64], 0.5, &mut out);
-    });
-    assert_eq!(delta, 0, "a row decode allocated");
 }
 
 /// `PackedMlp::<Q16>::pack` of the ledger's 512→1024→512→256→1 stack, then

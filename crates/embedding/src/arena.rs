@@ -1,25 +1,17 @@
 //! Arena-backed embedding storage.
 //!
 //! An [`EmbeddingArena`] materializes a model's logical tables into one
-//! contiguous, 64-byte-aligned buffer per memory channel, so a
+//! contiguous, 64-byte-aligned `f32` buffer per memory channel, so a
 //! round-combined batch gather walks sequential stride-indexed slices
 //! instead of pointer-chasing per-table `Vec`s (and, for procedural
-//! tables, instead of re-hashing every element on every read). Rows can
-//! be stored in three formats:
+//! tables, instead of re-hashing every element on every read). Rows are
+//! exact copies of the table values, so a read is a copy, bit-identical
+//! to [`crate::EmbeddingTable::read_row`]: the paper keeps every embedding
+//! element 32 bits wide for both datapath precisions (Table 4).
 //!
-//! * [`RowFormat::F32`] — exact copies of the table values; reads are
-//!   bit-identical to [`crate::EmbeddingTable::read_row`].
-//! * [`RowFormat::F16`] — IEEE half precision, 2 bytes/element (2× fewer
-//!   row bytes moved per gather).
-//! * [`RowFormat::I8`] — symmetric 8-bit quantization with one `f32`
-//!   scale per row, ~1 byte/element (4× fewer row bytes).
-//!
-//! Decoding is fused with the copy into the destination buffer by the
-//! runtime-dispatched kernels in `microrec-dnn` (`f16_decode_slice`,
-//! `i8_dequant_slice`), which are bit-identical to their scalar
-//! references. Alignment is achieved without `unsafe` by over-allocating
-//! each channel buffer and skipping a computed element pad; table bases
-//! are then kept on 64-byte boundaries by construction.
+//! Alignment is achieved without `unsafe` by over-allocating each channel
+//! buffer and skipping a computed element pad; table bases are then kept
+//! on 64-byte boundaries by construction.
 //!
 //! Building an arena is a bulk fill: the layout is fixed first, every
 //! channel is allocated zeroed at its final length (untouched pages,
@@ -33,10 +25,12 @@ use std::sync::{Mutex, PoisonError};
 
 use crate::error::EmbeddingError;
 use crate::table::EmbeddingTable;
-use microrec_dnn::{f16_decode_slice, f16_encode_slice, i8_dequant_slice, i8_quant_slice};
 
 /// Bytes of alignment for channel buffers and table bases.
 const ALIGN: usize = 64;
+
+/// `f32` elements per [`ALIGN`] bytes.
+const ALIGN_ELEMS: usize = ALIGN / size_of::<f32>();
 
 /// Arenas smaller than this are filled on the calling thread: a few
 /// milliseconds of fill do not repay spawning threads (and a tiny model's
@@ -44,56 +38,17 @@ const ALIGN: usize = 64;
 const PAR_FILL_FLOOR_BYTES: u64 = 4 << 20;
 
 /// Elements per fill job: small enough that the jobs of one large table
-/// balance across threads and the `f32` staging buffer of an encoded
-/// format stays a 64 KB allocation, large enough that handing out a job
-/// costs nothing next to filling it.
+/// balance across threads, large enough that handing out a job costs
+/// nothing next to filling it.
 const FILL_JOB_ELEMS: usize = 1 << 14;
 
-/// How arena rows are stored.
+/// How arena rows are stored: exact `f32` values, 4 bytes per element.
+/// It has one value; the engine builder's `embedding_arena` and
+/// `tiered_storage` take it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowFormat {
     /// Exact `f32` values (bit-identical to the source tables).
     F32,
-    /// IEEE 754 binary16, 2 bytes per element.
-    F16,
-    /// 8-bit symmetric quantization with a per-row `f32` scale.
-    I8,
-}
-
-impl RowFormat {
-    /// Bytes per stored element (excluding the `i8` per-row scale).
-    #[must_use]
-    pub fn bytes_per_elem(self) -> usize {
-        match self {
-            RowFormat::F32 => 4,
-            RowFormat::F16 => 2,
-            RowFormat::I8 => 1,
-        }
-    }
-
-    /// Stable lowercase name (used in bench/report records).
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RowFormat::F32 => "f32",
-            RowFormat::F16 => "f16",
-            RowFormat::I8 => "i8",
-        }
-    }
-}
-
-impl std::fmt::Display for RowFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// The channels' backing stores, all in the arena's row format.
-#[derive(Debug, Clone)]
-enum Channels {
-    F32(Vec<Vec<f32>>),
-    F16(Vec<Vec<u16>>),
-    I8(Vec<Vec<i8>>),
 }
 
 /// Where one logical table lives inside the arena.
@@ -104,47 +59,42 @@ struct TableLoc {
     base: usize,
     rows: u64,
     dim: usize,
-    /// Index of this table's first per-row scale (I8 only).
-    scale_base: usize,
 }
 
-/// Contiguous, aligned, optionally quantized storage for a model's
-/// logical embedding tables.
+/// Contiguous, aligned `f32` storage for a model's logical embedding
+/// tables.
 ///
 /// # Examples
 ///
 /// ```
-/// use microrec_embedding::{EmbeddingArena, EmbeddingTable, RowFormat, TableSpec};
+/// use microrec_embedding::{EmbeddingArena, EmbeddingTable, TableSpec};
 ///
 /// let tables = vec![
 ///     EmbeddingTable::procedural(TableSpec::new("a", 100, 8), 1),
 ///     EmbeddingTable::procedural(TableSpec::new("b", 50, 8), 2),
 /// ];
-/// let arena = EmbeddingArena::build(&tables, RowFormat::F32, &[0, 0])?;
+/// let arena = EmbeddingArena::build(&tables, &[0, 0])?;
 /// let mut row = [0.0f32; 8];
 /// arena.read_row_into(1, 7, &mut row)?;
 /// let mut expect = [0.0f32; 8];
 /// tables[1].read_row(7, &mut expect)?;
-/// assert_eq!(row, expect); // F32 arena reads are bit-identical
+/// assert_eq!(row, expect); // arena reads are bit-identical
 /// # Ok::<(), microrec_embedding::EmbeddingError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct EmbeddingArena {
-    format: RowFormat,
-    channels: Channels,
+    /// One buffer per memory channel, each starting with its alignment pad.
+    channels: Vec<Vec<f32>>,
     tables: Vec<TableLoc>,
     names: Vec<String>,
-    /// Per-row dequantization scales (I8 format only, else empty).
-    scales: Vec<f32>,
     feature_len: usize,
     total_bytes: u64,
 }
 
 /// Rounds `n` elements up so the next table base lands on a 64-byte
 /// boundary (relative to an aligned origin).
-fn align_up(n: usize, elem_bytes: usize) -> usize {
-    let step = ALIGN / elem_bytes;
-    n.div_ceil(step) * step
+fn align_up(n: usize) -> usize {
+    n.div_ceil(ALIGN_ELEMS) * ALIGN_ELEMS
 }
 
 /// Channel sizes and table placement under one channel assignment.
@@ -159,27 +109,23 @@ struct Layout {
 impl Layout {
     /// Lays tables of `table_elems` elements out back to back, in table
     /// order, on the channels `channel_of` names.
-    fn plan(
-        table_elems: impl Iterator<Item = usize>,
-        channel_of: &[usize],
-        elem_bytes: usize,
-    ) -> Layout {
+    fn plan(table_elems: impl Iterator<Item = usize>, channel_of: &[usize]) -> Layout {
         let num_channels = channel_of.iter().map(|&c| c + 1).max().unwrap_or(1);
         let mut channel_elems = vec![0usize; num_channels];
         let bases = table_elems
             .zip(channel_of)
             .map(|(elems, &ch)| {
                 let base = channel_elems[ch];
-                channel_elems[ch] = align_up(base + elems, elem_bytes);
+                channel_elems[ch] = align_up(base + elems);
                 base
             })
             .collect();
         Layout { channel_elems, bases }
     }
 
-    /// Encoded bytes of all channels.
-    fn bytes(&self, elem_bytes: usize) -> u64 {
-        self.channel_elems.iter().map(|&e| (e * elem_bytes) as u64).sum()
+    /// Bytes of all channels.
+    fn bytes(&self) -> u64 {
+        self.channel_elems.iter().map(|&e| (e * size_of::<f32>()) as u64).sum()
     }
 
     /// Allocates every channel zero-filled at its final length: `pad`
@@ -187,15 +133,14 @@ impl Layout {
     /// channel's elements. Returns the channels and their pads. A zeroed
     /// allocation this large comes from the OS untouched, so its pages are
     /// first touched by whoever writes the rows.
-    fn alloc<T: Copy + Default>(&self) -> (Vec<Vec<T>>, Vec<usize>) {
-        let elem_bytes = size_of::<T>();
+    fn alloc(&self) -> (Vec<Vec<f32>>, Vec<usize>) {
         self.channel_elems
             .iter()
             .map(|&elems| {
-                let mut buf = vec![T::default(); elems + ALIGN / elem_bytes];
+                let mut buf = vec![0.0f32; elems + ALIGN_ELEMS];
                 let pad_bytes = (ALIGN - buf.as_ptr() as usize % ALIGN) % ALIGN;
-                debug_assert_eq!(pad_bytes % elem_bytes, 0);
-                let pad = pad_bytes / elem_bytes;
+                debug_assert_eq!(pad_bytes % size_of::<f32>(), 0);
+                let pad = pad_bytes / size_of::<f32>();
                 buf.truncate(pad + elems);
                 (buf, pad)
             })
@@ -213,12 +158,11 @@ fn carve<'a, T>(rest: &mut &'a mut [T], skip: usize, take: usize) -> &'a mut [T]
 }
 
 /// One unit of arena fill: rows `start_row..` of `table`, as many as fit
-/// `dst`, plus (for `i8`) those rows' scales.
-struct FillJob<'a, T> {
+/// `dst`.
+struct FillJob<'a> {
     table: &'a EmbeddingTable,
     start_row: u64,
-    dst: &'a mut [T],
-    scales: &'a mut [f32],
+    dst: &'a mut [f32],
 }
 
 /// Threads that fill an arena of `arena_bytes`.
@@ -230,26 +174,23 @@ fn fill_threads(arena_bytes: u64) -> usize {
     }
 }
 
-/// Allocates `layout`'s channels and has `encode` write every table's
-/// rows (and `scales`, one per row, when the format has them) into place,
-/// `threads` jobs at a time. Returns the channels and their pads.
-fn materialize<T, E>(
+/// Allocates `layout`'s channels and has `fill` write every table's rows
+/// into place, `threads` jobs at a time. Returns the channels and their
+/// pads.
+fn materialize<F>(
     tables: &[EmbeddingTable],
     channel_of: &[usize],
     layout: &Layout,
-    mut scales: &mut [f32],
     threads: usize,
-    encode: E,
-) -> Result<(Vec<Vec<T>>, Vec<usize>), EmbeddingError>
+    fill: F,
+) -> Result<(Vec<Vec<f32>>, Vec<usize>), EmbeddingError>
 where
-    T: Copy + Default + Send,
-    E: Fn(&EmbeddingTable, u64, &mut [T], &mut [f32]) -> Result<(), EmbeddingError> + Sync,
+    F: Fn(&EmbeddingTable, u64, &mut [f32]) -> Result<(), EmbeddingError> + Sync,
 {
-    let (mut channels, pads) = layout.alloc::<T>();
-    // Carve the channels (and the scales, which run in table order) into
-    // disjoint per-job slices; tables sharing a channel follow each other
-    // at their planned bases.
-    let mut rest: Vec<&mut [T]> =
+    let (mut channels, pads) = layout.alloc();
+    // Carve the channels into disjoint per-job slices; tables sharing a
+    // channel follow each other at their planned bases.
+    let mut rest: Vec<&mut [f32]> =
         channels.iter_mut().zip(&pads).map(|(buf, &pad)| &mut buf[pad..]).collect();
     let mut carved = vec![0usize; rest.len()];
     let mut jobs = Vec::new();
@@ -257,67 +198,26 @@ where
         let (rows, dim) = (table.rows() as usize, table.dim() as usize);
         let mut region = carve(&mut rest[ch], base - carved[ch], rows * dim);
         carved[ch] = base + rows * dim;
-        let scale_rows = rows.min(scales.len());
-        let mut table_scales = carve(&mut scales, 0, scale_rows);
         let job_rows = (FILL_JOB_ELEMS / dim.max(1)).max(1);
         for start_row in (0..rows).step_by(job_rows) {
             let n = job_rows.min(rows - start_row);
-            let scale_rows = n.min(table_scales.len());
             jobs.push(Mutex::new(FillJob {
                 table,
                 start_row: start_row as u64,
                 dst: carve(&mut region, 0, n * dim),
-                scales: carve(&mut table_scales, 0, scale_rows),
             }));
         }
     }
     // Each job is locked once, by the one thread that runs it.
     microrec_par::par_map(&jobs, threads, |_, job| {
         let mut job = job.lock().unwrap_or_else(PoisonError::into_inner);
-        let FillJob { table, start_row, dst, scales } = &mut *job;
-        encode(table, *start_row, dst, scales)
+        let FillJob { table, start_row, dst } = &mut *job;
+        fill(table, *start_row, dst)
     })
     .into_iter()
     .collect::<Result<(), _>>()?;
     drop(jobs);
     Ok((channels, pads))
-}
-
-fn encode_f32(
-    table: &EmbeddingTable,
-    start_row: u64,
-    dst: &mut [f32],
-    _scales: &mut [f32],
-) -> Result<(), EmbeddingError> {
-    table.fill_rows(start_row, dst)
-}
-
-fn encode_f16(
-    table: &EmbeddingTable,
-    start_row: u64,
-    dst: &mut [u16],
-    _scales: &mut [f32],
-) -> Result<(), EmbeddingError> {
-    let mut values = vec![0.0f32; dst.len()];
-    table.fill_rows(start_row, &mut values)?;
-    f16_encode_slice(&values, dst);
-    Ok(())
-}
-
-fn encode_i8(
-    table: &EmbeddingTable,
-    start_row: u64,
-    dst: &mut [i8],
-    scales: &mut [f32],
-) -> Result<(), EmbeddingError> {
-    let dim = table.dim() as usize;
-    let mut values = vec![0.0f32; dst.len()];
-    table.fill_rows(start_row, &mut values)?;
-    for (row, scale) in scales.iter_mut().enumerate() {
-        let at = row * dim..(row + 1) * dim;
-        *scale = i8_quant_slice(&values[at.clone()], &mut dst[at]);
-    }
-    Ok(())
 }
 
 impl EmbeddingArena {
@@ -329,19 +229,14 @@ impl EmbeddingArena {
     ///
     /// Returns [`EmbeddingError::BufferSizeMismatch`] if `channel_of` does
     /// not have one entry per table.
-    pub fn build(
-        tables: &[EmbeddingTable],
-        format: RowFormat,
-        channel_of: &[usize],
-    ) -> Result<Self, EmbeddingError> {
-        Self::build_on(tables, format, channel_of, fill_threads)
+    pub fn build(tables: &[EmbeddingTable], channel_of: &[usize]) -> Result<Self, EmbeddingError> {
+        Self::build_on(tables, channel_of, fill_threads)
     }
 
     /// [`build`](Self::build) with the fill's thread count (a function of
-    /// the arena's encoded bytes) chosen by the caller.
+    /// the arena's bytes) chosen by the caller.
     fn build_on(
         tables: &[EmbeddingTable],
-        format: RowFormat,
         channel_of: &[usize],
         threads_for: impl FnOnce(u64) -> usize,
     ) -> Result<Self, EmbeddingError> {
@@ -351,70 +246,30 @@ impl EmbeddingArena {
                 actual: channel_of.len(),
             });
         }
-        let elem_bytes = format.bytes_per_elem();
-        let layout = Layout::plan(
-            tables.iter().map(|t| t.rows() as usize * t.dim() as usize),
-            channel_of,
-            elem_bytes,
-        );
-        let total_rows: u64 = tables.iter().map(EmbeddingTable::rows).sum();
-        let scale_rows = if format == RowFormat::I8 { total_rows } else { 0 };
-        let total_bytes = layout.bytes(elem_bytes).saturating_add(scale_rows.saturating_mul(4));
-
-        let mut scales = vec![0.0f32; scale_rows as usize];
+        let layout =
+            Layout::plan(tables.iter().map(|t| t.rows() as usize * t.dim() as usize), channel_of);
+        let total_bytes = layout.bytes();
         let threads = threads_for(total_bytes);
-        let (channels, pads) = match format {
-            RowFormat::F32 => {
-                let (bufs, pads) =
-                    materialize(tables, channel_of, &layout, &mut scales, threads, encode_f32)?;
-                (Channels::F32(bufs), pads)
-            }
-            RowFormat::F16 => {
-                let (bufs, pads) =
-                    materialize(tables, channel_of, &layout, &mut scales, threads, encode_f16)?;
-                (Channels::F16(bufs), pads)
-            }
-            RowFormat::I8 => {
-                let (bufs, pads) =
-                    materialize(tables, channel_of, &layout, &mut scales, threads, encode_i8)?;
-                (Channels::I8(bufs), pads)
-            }
-        };
-
-        let mut scale_base = 0usize;
+        let (channels, pads) =
+            materialize(tables, channel_of, &layout, threads, EmbeddingTable::fill_rows)?;
         let locs = tables
             .iter()
             .zip(channel_of)
             .zip(&layout.bases)
-            .map(|((table, &ch), &base)| {
-                let loc = TableLoc {
-                    channel: ch,
-                    base: base + pads[ch],
-                    rows: table.rows(),
-                    dim: table.dim() as usize,
-                    scale_base,
-                };
-                if format == RowFormat::I8 {
-                    scale_base += table.rows() as usize;
-                }
-                loc
+            .map(|((table, &ch), &base)| TableLoc {
+                channel: ch,
+                base: base + pads[ch],
+                rows: table.rows(),
+                dim: table.dim() as usize,
             })
             .collect();
         Ok(EmbeddingArena {
-            format,
             channels,
             tables: locs,
             names: tables.iter().map(|t| t.name().to_string()).collect(),
-            scales,
             feature_len: tables.iter().map(|t| t.dim() as usize).sum(),
             total_bytes,
         })
-    }
-
-    /// The row storage format.
-    #[must_use]
-    pub fn format(&self) -> RowFormat {
-        self.format
     }
 
     /// Number of logical tables stored.
@@ -429,7 +284,7 @@ impl EmbeddingArena {
         self.feature_len
     }
 
-    /// Encoded size of the arena in bytes (rows + `i8` scales + padding).
+    /// Size of the arena in bytes (rows + alignment padding).
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
@@ -460,22 +315,15 @@ impl EmbeddingArena {
     /// Whether every table base sits on a 64-byte boundary.
     #[must_use]
     pub fn is_aligned(&self) -> bool {
-        fn addr_of<T>(channel: &[T], idx: usize) -> usize {
-            channel.as_ptr() as usize + idx * size_of::<T>()
-        }
         self.tables.iter().all(|loc| {
-            let base_addr = match &self.channels {
-                Channels::F32(c) => addr_of(&c[loc.channel], loc.base),
-                Channels::F16(c) => addr_of(&c[loc.channel], loc.base),
-                Channels::I8(c) => addr_of(&c[loc.channel], loc.base),
-            };
-            base_addr.is_multiple_of(ALIGN)
+            let channel = self.channels[loc.channel].as_ptr() as usize;
+            (channel + loc.base * size_of::<f32>()).is_multiple_of(ALIGN)
         })
     }
 
-    /// Decodes row `row` of logical table `table` into `out` (length must
-    /// equal the table's dim). For [`RowFormat::F32`] this is bit-identical
-    /// to [`EmbeddingTable::read_row`] on the source table.
+    /// Copies row `row` of logical table `table` into `out` (length must
+    /// equal the table's dim), bit-identical to [`EmbeddingTable::read_row`]
+    /// on the source table.
     ///
     /// # Errors
     ///
@@ -505,15 +353,7 @@ impl EmbeddingArena {
             });
         }
         let start = loc.base + row as usize * loc.dim;
-        let end = start + loc.dim;
-        match &self.channels {
-            Channels::F32(c) => out.copy_from_slice(&c[loc.channel][start..end]),
-            Channels::F16(c) => f16_decode_slice(&c[loc.channel][start..end], out),
-            Channels::I8(c) => {
-                let scale = self.scales[loc.scale_base + row as usize];
-                i8_dequant_slice(&c[loc.channel][start..end], scale, out);
-            }
-        }
+        out.copy_from_slice(&self.channels[loc.channel][start..start + loc.dim]);
         Ok(())
     }
 
@@ -566,7 +406,7 @@ mod tests {
     #[test]
     fn f32_arena_is_bit_identical_to_tables() {
         let tabs = tables();
-        let arena = EmbeddingArena::build(&tabs, RowFormat::F32, &[0, 0, 0]).unwrap();
+        let arena = EmbeddingArena::build(&tabs, &[0, 0, 0]).unwrap();
         for (t, table) in tabs.iter().enumerate() {
             let dim = table.dim() as usize;
             let mut got = vec![0.0f32; dim];
@@ -582,7 +422,7 @@ mod tests {
     #[test]
     fn gather_matches_catalog_order() {
         let tabs = tables();
-        let arena = EmbeddingArena::build(&tabs, RowFormat::F32, &[0, 1, 0]).unwrap();
+        let arena = EmbeddingArena::build(&tabs, &[0, 1, 0]).unwrap();
         assert_eq!(arena.feature_len(), 24);
         let indices = [7u64, 3, 59];
         let mut got = vec![0.0f32; 24];
@@ -595,42 +435,9 @@ mod tests {
     }
 
     #[test]
-    fn quantized_formats_bound_error() {
-        let tabs = tables();
-        for (format, tol) in [(RowFormat::F16, 1e-3f32), (RowFormat::I8, 1.0 / 127.0)] {
-            let arena = EmbeddingArena::build(&tabs, format, &[0, 0, 0]).unwrap();
-            let mut got = [0.0f32; 12];
-            let mut want = [0.0f32; 12];
-            for (t, table) in tabs.iter().enumerate() {
-                let dim = table.dim() as usize;
-                for row in [0, table.rows() - 1] {
-                    arena.read_row_into(t, row, &mut got[..dim]).unwrap();
-                    table.read_row(row, &mut want[..dim]).unwrap();
-                    for (g, w) in got[..dim].iter().zip(&want[..dim]) {
-                        // Values lie in [-1, 1): absolute tolerance works.
-                        assert!((g - w).abs() <= tol, "{format}: {g} vs {w}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn arena_bases_are_aligned() {
-        for format in [RowFormat::F32, RowFormat::F16, RowFormat::I8] {
-            let arena = EmbeddingArena::build(&tables(), format, &[0, 0, 1]).unwrap();
-            assert!(arena.is_aligned(), "{format} arena misaligned");
-        }
-    }
-
-    #[test]
-    fn quantized_formats_shrink_storage() {
-        let tabs = tables();
-        let f32a = EmbeddingArena::build(&tabs, RowFormat::F32, &[0, 0, 0]).unwrap();
-        let f16a = EmbeddingArena::build(&tabs, RowFormat::F16, &[0, 0, 0]).unwrap();
-        let i8a = EmbeddingArena::build(&tabs, RowFormat::I8, &[0, 0, 0]).unwrap();
-        assert!(f16a.total_bytes() < f32a.total_bytes());
-        assert!(i8a.total_bytes() < f16a.total_bytes());
+        let arena = EmbeddingArena::build(&tables(), &[0, 0, 1]).unwrap();
+        assert!(arena.is_aligned());
     }
 
     /// Tables that share channels, span several fill jobs, and include
@@ -645,78 +452,43 @@ mod tests {
         ]
     }
 
-    /// An arena's contents as bit patterns: per channel, the pad and the
-    /// elements after it.
-    fn channel_bits(arena: &EmbeddingArena) -> Vec<Vec<u32>> {
-        match &arena.channels {
-            Channels::F32(c) => c.iter().map(|b| b.iter().map(|v| v.to_bits()).collect()).collect(),
-            Channels::F16(c) => {
-                c.iter().map(|b| b.iter().map(|&v| u32::from(v)).collect()).collect()
-            }
-            Channels::I8(c) => {
-                c.iter().map(|b| b.iter().map(|&v| u32::from(v as u8)).collect()).collect()
-            }
-        }
-    }
-
     /// Checks every byte of `arena` against the obvious construction: one
-    /// `read_row` at a time, encoded and appended to its channel, zeros up
-    /// to the next 64 bytes after each table.
+    /// `read_row` at a time, appended to its channel, zeros up to the next
+    /// 64 bytes after each table.
     fn assert_matches_row_by_row_build(
         arena: &EmbeddingArena,
         tables: &[EmbeddingTable],
-        format: RowFormat,
         channel_of: &[usize],
     ) {
-        let step = ALIGN / format.bytes_per_elem();
         let num_channels = channel_of.iter().max().unwrap() + 1;
         let mut want: Vec<Vec<u32>> = vec![Vec::new(); num_channels];
-        let mut want_scales: Vec<f32> = Vec::new();
         let mut want_bases = Vec::new();
         for (table, &ch) in tables.iter().zip(channel_of) {
-            let dim = table.dim() as usize;
-            want_bases.push((want[ch].len(), want_scales.len()));
-            let mut row = vec![0.0f32; dim];
+            want_bases.push(want[ch].len());
+            let mut row = vec![0.0f32; table.dim() as usize];
             for r in 0..table.rows() {
                 table.read_row(r, &mut row).unwrap();
-                match format {
-                    RowFormat::F32 => want[ch].extend(row.iter().map(|v| v.to_bits())),
-                    RowFormat::F16 => {
-                        let mut enc = vec![0u16; dim];
-                        f16_encode_slice(&row, &mut enc);
-                        want[ch].extend(enc.iter().map(|&v| u32::from(v)));
-                    }
-                    RowFormat::I8 => {
-                        let mut enc = vec![0i8; dim];
-                        want_scales.push(i8_quant_slice(&row, &mut enc));
-                        want[ch].extend(enc.iter().map(|&v| u32::from(v as u8)));
-                    }
-                }
+                want[ch].extend(row.iter().map(|v| v.to_bits()));
             }
-            let padded = want[ch].len().div_ceil(step) * step;
+            let padded = want[ch].len().div_ceil(ALIGN_ELEMS) * ALIGN_ELEMS;
             want[ch].resize(padded, 0);
         }
 
-        let got = channel_bits(arena);
+        let got: Vec<Vec<u32>> =
+            arena.channels.iter().map(|c| c.iter().map(|v| v.to_bits()).collect()).collect();
         assert_eq!(got.len(), num_channels);
         for (ch, (got, want)) in got.iter().zip(&want).enumerate() {
             let pad = got.len() - want.len();
-            assert!(pad < step, "{format} channel {ch}: pad {pad}");
-            assert!(got[..pad].iter().all(|&v| v == 0), "{format} channel {ch}: dirty pad");
-            assert!(got[pad..] == want[..], "{format} channel {ch}: rows differ");
+            assert!(pad < ALIGN_ELEMS, "channel {ch}: pad {pad}");
+            assert!(got[..pad].iter().all(|&v| v == 0), "channel {ch}: dirty pad");
+            assert!(got[pad..] == want[..], "channel {ch}: rows differ");
             for (t, loc) in arena.tables.iter().enumerate().filter(|(_, l)| l.channel == ch) {
-                let (base, scale_base) = want_bases[t];
-                assert_eq!((loc.base, loc.scale_base), (pad + base, scale_base), "table {t}");
+                assert_eq!(loc.base, pad + want_bases[t], "table {t}");
                 assert_eq!((loc.rows, loc.dim), (tables[t].rows(), tables[t].dim() as usize));
             }
         }
-        assert_eq!(
-            arena.scales.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-            want_scales.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-            "{format} scales"
-        );
-        let bytes: usize = want.iter().map(|c| c.len() * format.bytes_per_elem()).sum();
-        assert_eq!(arena.total_bytes(), (bytes + want_scales.len() * 4) as u64);
+        let bytes: usize = want.iter().map(|c| c.len() * size_of::<f32>()).sum();
+        assert_eq!(arena.total_bytes(), bytes as u64);
         assert!(arena.is_aligned());
     }
 
@@ -729,14 +501,10 @@ mod tests {
         // than fill threads; one thread, two, and more than there are
         // channels.
         for channel_of in [[0usize; 5], [0, 1, 0, 1, 1], [4, 1, 0, 1, 2]] {
-            for format in [RowFormat::F32, RowFormat::F16, RowFormat::I8] {
-                for tables in [&procedural, &materialized] {
-                    for threads in [1usize, 2, 7] {
-                        let arena =
-                            EmbeddingArena::build_on(tables, format, &channel_of, |_| threads)
-                                .unwrap();
-                        assert_matches_row_by_row_build(&arena, tables, format, &channel_of);
-                    }
+            for tables in [&procedural, &materialized] {
+                for threads in [1usize, 2, 7] {
+                    let arena = EmbeddingArena::build_on(tables, &channel_of, |_| threads).unwrap();
+                    assert_matches_row_by_row_build(&arena, tables, &channel_of);
                 }
             }
         }
@@ -754,15 +522,13 @@ mod tests {
             let layout = Layout::plan(
                 tables.iter().map(|t| t.rows() as usize * t.dim() as usize),
                 &channel_of,
-                4,
             );
             let seen = Mutex::new(HashSet::new());
-            let encode = |table: &EmbeddingTable, row, dst: &mut [f32], scales: &mut [f32]| {
+            let fill = |table: &EmbeddingTable, row, dst: &mut [f32]| {
                 seen.lock().unwrap().insert(current().id());
-                encode_f32(table, row, dst, scales)
+                table.fill_rows(row, dst)
             };
-            materialize(&tables, &channel_of, &layout, &mut [], fill_threads(bytes), encode)
-                .unwrap();
+            materialize(&tables, &channel_of, &layout, fill_threads(bytes), fill).unwrap();
             seen.into_inner().unwrap()
         };
         // The ledger's tiny4 arena is 64 KB.
@@ -775,7 +541,7 @@ mod tests {
 
     #[test]
     fn bad_reads_fail() {
-        let arena = EmbeddingArena::build(&tables(), RowFormat::F32, &[0, 0, 0]).unwrap();
+        let arena = EmbeddingArena::build(&tables(), &[0, 0, 0]).unwrap();
         let mut out = [0.0f32; 8];
         assert!(arena.read_row_into(0, 40, &mut out).is_err());
         assert!(arena.read_row_into(9, 0, &mut out).is_err());

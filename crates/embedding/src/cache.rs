@@ -1,6 +1,6 @@
 //! Zipf-aware hot-row cache for embedding lookups.
 //!
-//! A fixed-capacity, set-associative cache of **dequantized f32 rows**
+//! A fixed-capacity, set-associative cache of **f32 rows**
 //! keyed by `(table, row)`, with CLOCK (second-chance) eviction. Because it
 //! stores the exact f32 values the source read produced, a hit is
 //! bit-identical to the read it replaces.
@@ -18,7 +18,7 @@
 
 use crate::table::splitmix64;
 
-/// Set-associative CLOCK cache of dequantized embedding rows.
+/// Set-associative CLOCK cache of embedding rows.
 ///
 /// # Examples
 ///
@@ -79,7 +79,7 @@ fn pack_key(table: usize, row: u64) -> u64 {
 }
 
 impl HotRowCache {
-    /// Builds a cache holding up to `rows` dequantized rows for tables of
+    /// Builds a cache holding up to `rows` rows for tables of
     /// the given dims, organized as `ways`-associative sets. The set count
     /// is `rows / ways` rounded down to a power of two (minimum one set),
     /// keeping the per-lookup set index a mask rather than a division.
@@ -287,13 +287,13 @@ impl HotRowCache {
         }
     }
 
-    /// Bytes served from the cache (dequantized f32 rows).
+    /// Bytes served from the cache (f32 rows).
     #[must_use]
     pub fn bytes_from_cache(&self) -> u64 {
         self.bytes_from_cache
     }
 
-    /// Bytes moved from backing memory on misses (storage-format rows).
+    /// Bytes moved from backing memory on misses (as `insert` was told).
     #[must_use]
     pub fn bytes_from_memory(&self) -> u64 {
         self.bytes_from_memory
@@ -327,7 +327,7 @@ mod tests {
         let mut c = HotRowCache::new(&[8, 4], 16, 4);
         let mut out = [0.0f32; 8];
         assert!(!c.lookup_into(0, 1, &mut out));
-        c.insert(0, 1, &row(0.5, 8), 16); // e.g. f16 source row
+        c.insert(0, 1, &row(0.5, 8), 16); // the source bytes are the caller's count
         assert!(c.lookup_into(0, 1, &mut out));
         assert!(c.lookup_into(0, 1, &mut out));
         assert!(!c.lookup_into(1, 1, &mut out[..4]));

@@ -47,10 +47,9 @@ pub fn merged_row_index(sizes: &[u64], indices: &[u64]) -> Result<u64, Embedding
                 rows: n,
             });
         }
-        merged = merged
-            .checked_mul(n)
-            .and_then(|m| m.checked_add(i))
-            .ok_or(EmbeddingError::InvalidMergePlan("product row count overflows u64".into()))?;
+        merged = merged.checked_mul(n).and_then(|m| m.checked_add(i)).ok_or_else(|| {
+            EmbeddingError::InvalidMergePlan("product row count overflows u64".into())
+        })?;
     }
     Ok(merged)
 }

@@ -11,13 +11,13 @@
 //! * **L2½/L3 split** — [`TieredBacking`] partitions the logical tables
 //!   between a budget-capped resident [`EmbeddingArena`] (whole tables,
 //!   chosen by the deterministic residency policy below) and a
-//!   [`ColdStore`]: the same encoded rows written to a file at build time
+//!   [`ColdStore`]: the same `f32` rows written to a file at build time
 //!   and read back with positioned `pread` (`FileExt::read_at`), so a cold
 //!   read moves exactly one row and never touches a shared cursor.
 //! * **One-pass round serving** — [`TieredStore`] walks a lookup round
 //!   once in table order: a resident row is a stride-indexed arena read, a
 //!   cold row is one positioned read into a store-owned buffer followed by
-//!   the arena's own decode kernel, on the serving thread. The read buffer
+//!   a little-endian decode, on the serving thread. The read buffer
 //!   is sized once at construction, so the steady state is allocation-free.
 //!   There is no prefetcher: worker threads fed over SPSC rings served
 //!   4 987 items/s on the ledger's `lookup-cold` where this synchronous
@@ -30,17 +30,16 @@
 //! feature per table), so the expected rows served per resident byte is
 //! proportional to `1 / table_bytes` — admitting the smallest tables first
 //! is the optimal greedy knapsack under round traffic. The policy sorts
-//! tables by (encoded bytes ascending, index ascending) and admits while
+//! tables by (row bytes ascending, index ascending) and admits while
 //! the running total fits the budget; ties on size resolve by index so the
 //! plan is deterministic and identical across replicas.
 //!
 //! ## Bit identity
 //!
-//! Cold rows are encoded at build time by the *same* kernels the arena
-//! uses (`f16_encode_slice`, `i8_quant_slice`) and decoded by byte-slice
-//! twins of the same decode kernels, so a tiered gather is bit-identical
-//! to an all-resident arena gather at every row format — the tier split is
-//! purely a capacity/latency trade, never an accuracy one.
+//! A cold row is the table's `f32` values written as little-endian bytes
+//! and read back by the exact inverse, so a tiered gather is bit-identical
+//! to an all-resident arena gather — the tier split is purely a
+//! capacity/latency trade, never an accuracy one.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
@@ -48,11 +47,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use microrec_dnn::{
-    f16_decode_le_slice, f16_encode_slice, f32_decode_le_slice, i8_dequant_le_slice, i8_quant_slice,
-};
-
-use crate::arena::{EmbeddingArena, RowFormat};
+use crate::arena::EmbeddingArena;
 use crate::error::EmbeddingError;
 use crate::table::EmbeddingTable;
 
@@ -70,10 +65,9 @@ pub enum Tier {
 /// a timestamp: the embedding crate is under the determinism lint.
 static COLD_FILE_TAG: AtomicU64 = AtomicU64::new(0);
 
-/// Encoded bytes one row occupies in `format` (the `i8` per-row scale is
-/// stored inline in the cold tier, so it counts here).
-fn stored_row_bytes(dim: usize, format: RowFormat) -> usize {
-    dim * format.bytes_per_elem() + if format == RowFormat::I8 { 4 } else { 0 }
+/// Bytes one row of `dim` elements occupies in either tier.
+fn stored_row_bytes(dim: usize) -> usize {
+    dim * size_of::<f32>()
 }
 
 /// Deterministic frequency-aware residency plan: smallest tables first
@@ -87,12 +81,11 @@ pub struct ResidencyPlan {
 }
 
 impl ResidencyPlan {
-    /// Plans residency for `tables` encoded as `format` under
-    /// `budget_bytes` of resident row storage.
+    /// Plans residency for `tables` under `budget_bytes` of resident row
+    /// storage.
     #[must_use]
-    pub fn plan(tables: &[EmbeddingTable], format: RowFormat, budget_bytes: u64) -> Self {
-        let bytes_of =
-            |t: &EmbeddingTable| t.rows() * stored_row_bytes(t.dim() as usize, format) as u64;
+    pub fn plan(tables: &[EmbeddingTable], budget_bytes: u64) -> Self {
+        let bytes_of = |t: &EmbeddingTable| t.rows() * stored_row_bytes(t.dim() as usize) as u64;
         let mut order: Vec<usize> = (0..tables.len()).collect();
         order.sort_by_key(|&i| (bytes_of(&tables[i]), i));
         let mut tiers = vec![Tier::Cold; tables.len()];
@@ -116,13 +109,13 @@ impl ResidencyPlan {
         &self.tiers
     }
 
-    /// Encoded bytes admitted to the resident arena.
+    /// Row bytes admitted to the resident arena.
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
         self.resident_bytes
     }
 
-    /// Encoded bytes relegated to the cold store.
+    /// Row bytes relegated to the cold store.
     #[must_use]
     pub fn cold_bytes(&self) -> u64 {
         self.cold_bytes
@@ -134,7 +127,7 @@ impl ResidencyPlan {
 struct ColdTableLoc {
     /// Byte offset of the table's first row.
     base: u64,
-    /// Fixed encoded stride per row (scale prefix included for `i8`).
+    /// Fixed byte stride per row.
     row_bytes: usize,
     rows: u64,
 }
@@ -152,7 +145,6 @@ struct ColdTableLoc {
 pub struct ColdStore {
     file: File,
     path: PathBuf,
-    format: RowFormat,
     /// Indexed by logical table; `None` for resident tables.
     tables: Vec<Option<ColdTableLoc>>,
     names: Vec<String>,
@@ -189,19 +181,14 @@ fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()
 }
 
 impl ColdStore {
-    /// Writes every `Cold`-assigned table's encoded rows to a fresh store
-    /// file and returns the handle. Row encoding is identical to
-    /// [`EmbeddingArena::build`]'s (same kernels, row by row).
+    /// Writes every `Cold`-assigned table's rows to a fresh store file, as
+    /// little-endian `f32`s, and returns the handle.
     ///
     /// # Errors
     ///
     /// Returns [`EmbeddingError::ColdTierIo`] if the store file cannot be
     /// created or written, or propagates table read errors.
-    pub fn build(
-        tables: &[EmbeddingTable],
-        format: RowFormat,
-        tiers: &[Tier],
-    ) -> Result<Self, EmbeddingError> {
+    pub fn build(tables: &[EmbeddingTable], tiers: &[Tier]) -> Result<Self, EmbeddingError> {
         let tag = COLD_FILE_TAG.fetch_add(1, Ordering::Relaxed);
         let path =
             std::env::temp_dir().join(format!("microrec-cold-{}-{tag}.rows", std::process::id()));
@@ -214,7 +201,7 @@ impl ColdStore {
 
         let max_dim = tables.iter().map(|t| t.dim() as usize).max().unwrap_or(0);
         let mut row_f32 = vec![0.0f32; max_dim];
-        let mut encoded = vec![0u8; stored_row_bytes(max_dim, format)];
+        let mut encoded = vec![0u8; stored_row_bytes(max_dim)];
         let mut locs: Vec<Option<ColdTableLoc>> = Vec::with_capacity(tables.len());
         let mut names = Vec::with_capacity(tables.len());
         let mut offset = 0u64;
@@ -228,31 +215,25 @@ impl ColdStore {
                     continue;
                 }
                 let dim = table.dim() as usize;
-                let row_bytes = stored_row_bytes(dim, format);
+                let row_bytes = stored_row_bytes(dim);
                 max_row_bytes = max_row_bytes.max(row_bytes);
                 locs.push(Some(ColdTableLoc { base: offset, row_bytes, rows: table.rows() }));
                 for row in 0..table.rows() {
                     table.read_row(row, &mut row_f32[..dim])?;
-                    let n = encode_row(&row_f32[..dim], format, &mut encoded);
-                    writer.write_all(&encoded[..n]).map_err(|e| cold_io_error(table.name(), &e))?;
+                    encode_row(&row_f32[..dim], &mut encoded[..row_bytes]);
+                    writer
+                        .write_all(&encoded[..row_bytes])
+                        .map_err(|e| cold_io_error(table.name(), &e))?;
                 }
                 offset += table.rows() * row_bytes as u64;
             }
             writer.flush().map_err(|e| cold_io_error("<store>", &e))?;
         }
         file.sync_data().map_err(|e| cold_io_error("<store>", &e))?;
-        Ok(ColdStore {
-            file,
-            path,
-            format,
-            tables: locs,
-            names,
-            total_bytes: offset,
-            max_row_bytes,
-        })
+        Ok(ColdStore { file, path, tables: locs, names, total_bytes: offset, max_row_bytes })
     }
 
-    /// Reads one encoded row into the prefix of `buf` (which must hold at
+    /// Reads one stored row into the prefix of `buf` (which must hold at
     /// least [`ColdStore::max_row_bytes`]).
     ///
     /// # Errors
@@ -279,23 +260,19 @@ impl ColdStore {
         }
     }
 
-    /// Decodes an encoded row previously read by [`ColdStore::read_row`]
-    /// into `out` (length = the table's dim), using the same dequantize
-    /// kernels as the resident arena.
+    /// Decodes a row previously read by [`ColdStore::read_row`] into `out`
+    /// (length = the table's dim): the exact inverse of the store's write,
+    /// so the values are the table's bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf` is shorter than the row.
     #[inline]
     pub fn decode_row(&self, buf: &[u8], out: &mut [f32]) {
-        let dim = out.len();
-        match self.format {
-            RowFormat::F32 => f32_decode_le_slice(&buf[..dim * 4], out),
-            RowFormat::F16 => f16_decode_le_slice(&buf[..dim * 2], out),
-            RowFormat::I8 => {
-                let scale = f32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-                i8_dequant_le_slice(&buf[4..4 + dim], scale, out);
-            }
-        }
+        decode_bytes(&buf[..stored_row_bytes(out.len())], out);
     }
 
-    /// Encoded bytes one row of `table` moves from the file.
+    /// Bytes one row of `table` moves from the file.
     ///
     /// # Panics
     ///
@@ -308,13 +285,13 @@ impl ColdStore {
         }
     }
 
-    /// Largest encoded row stride in the store (read-buffer size).
+    /// Largest row stride in the store (read-buffer size).
     #[must_use]
     pub fn max_row_bytes(&self) -> usize {
         self.max_row_bytes
     }
 
-    /// Total encoded bytes on disk.
+    /// Total bytes on disk.
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
@@ -335,33 +312,19 @@ impl Drop for ColdStore {
     }
 }
 
-/// Encodes one f32 row into `out`'s prefix; returns the encoded length.
-fn encode_row(row: &[f32], format: RowFormat, out: &mut [u8]) -> usize {
-    match format {
-        RowFormat::F32 => {
-            for (chunk, v) in out.chunks_exact_mut(4).zip(row) {
-                chunk.copy_from_slice(&v.to_le_bytes());
-            }
-            row.len() * 4
-        }
-        RowFormat::F16 => {
-            let mut half = [0u16; 1];
-            for (chunk, v) in out.chunks_exact_mut(2).zip(row) {
-                f16_encode_slice(std::slice::from_ref(v), &mut half);
-                chunk.copy_from_slice(&half[0].to_le_bytes());
-            }
-            row.len() * 2
-        }
-        RowFormat::I8 => {
-            let (scale_prefix, elems) = out.split_at_mut(4);
-            let mut q = vec![0i8; row.len()];
-            let scale = i8_quant_slice(row, &mut q);
-            scale_prefix.copy_from_slice(&scale.to_le_bytes());
-            for (dst, &v) in elems.iter_mut().zip(&q) {
-                *dst = v as u8;
-            }
-            4 + row.len()
-        }
+/// Writes one `f32` row into `out` (exactly its size) as little-endian
+/// bytes.
+fn encode_row(row: &[f32], out: &mut [u8]) {
+    for (chunk, v) in out.chunks_exact_mut(size_of::<f32>()).zip(row) {
+        chunk.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// The inverse of [`encode_row`]: `src` holds exactly `dst`'s row.
+#[inline]
+fn decode_bytes(src: &[u8], dst: &mut [f32]) {
+    for (d, s) in dst.iter_mut().zip(src.chunks_exact(size_of::<f32>())) {
+        *d = f32::from_le_bytes([s[0], s[1], s[2], s[3]]);
     }
 }
 
@@ -371,7 +334,6 @@ fn encode_row(row: &[f32], format: RowFormat, out: &mut [u8]) -> usize {
 /// pre-warming workers never multiplies resident memory.
 #[derive(Debug)]
 pub struct TieredBacking {
-    format: RowFormat,
     tiers: Vec<Tier>,
     /// Arena over the resident subset, in logical-table order; empty when
     /// nothing fits the budget.
@@ -401,7 +363,6 @@ impl TieredBacking {
     /// length.
     pub fn build(
         tables: &[EmbeddingTable],
-        format: RowFormat,
         channel_of: &[usize],
         budget_bytes: u64,
     ) -> Result<Arc<Self>, EmbeddingError> {
@@ -411,7 +372,7 @@ impl TieredBacking {
                 actual: channel_of.len(),
             });
         }
-        let plan = ResidencyPlan::plan(tables, format, budget_bytes);
+        let plan = ResidencyPlan::plan(tables, budget_bytes);
         let mut resident_tables = Vec::new();
         let mut resident_channels = Vec::new();
         let mut resident_index = vec![None; tables.len()];
@@ -420,20 +381,18 @@ impl TieredBacking {
                 resident_index[i] = Some(resident_tables.len());
                 // Build-time clone of the source table handle; procedural
                 // tables are a few words, materialized ones briefly double
-                // until the arena encodes them.
+                // until the arena copies them.
                 resident_tables.push(table.clone());
                 resident_channels.push(channel_of[i]);
             }
         }
-        let resident = EmbeddingArena::build(&resident_tables, format, &resident_channels)?;
+        let resident = EmbeddingArena::build(&resident_tables, &resident_channels)?;
         let any_cold = plan.tiers.contains(&Tier::Cold);
-        let cold =
-            if any_cold { Some(ColdStore::build(tables, format, &plan.tiers)?) } else { None };
+        let cold = if any_cold { Some(ColdStore::build(tables, &plan.tiers)?) } else { None };
         let dims: Vec<usize> = tables.iter().map(|t| t.dim() as usize).collect();
         let rows: Vec<u64> = tables.iter().map(EmbeddingTable::rows).collect();
         let feature_len = dims.iter().sum();
         Ok(Arc::new(TieredBacking {
-            format,
             tiers: plan.tiers,
             resident,
             resident_index,
@@ -445,12 +404,6 @@ impl TieredBacking {
             resident_bytes: plan.resident_bytes,
             cold_bytes: plan.cold_bytes,
         }))
-    }
-
-    /// The row storage format (shared by both tiers).
-    #[must_use]
-    pub fn format(&self) -> RowFormat {
-        self.format
     }
 
     /// Tier serving logical table `table`.
@@ -481,7 +434,7 @@ impl TieredBacking {
         self.budget_bytes
     }
 
-    /// Encoded bytes admitted to the resident arena (≤ the budget; the
+    /// Row bytes admitted to the resident arena (≤ the budget; the
     /// arena itself adds only alignment padding, reported by
     /// [`TieredBacking::resident_arena_bytes`]).
     #[must_use]
@@ -495,7 +448,7 @@ impl TieredBacking {
         self.resident.total_bytes()
     }
 
-    /// Encoded bytes served from the cold store.
+    /// Row bytes served from the cold store.
     #[must_use]
     pub fn cold_bytes(&self) -> u64 {
         self.cold_bytes
@@ -571,7 +524,7 @@ impl TierCounters {
 #[derive(Debug)]
 pub struct TieredStore {
     backing: Arc<TieredBacking>,
-    /// Read buffer for cold rows (largest encoded cold row).
+    /// Read buffer for cold rows (largest cold row).
     cold_buf: Vec<u8>,
     counters: TierCounters,
 }
@@ -662,7 +615,11 @@ impl TieredStore {
                             self.counters.bytes_from_cold += cold.row_bytes(t) as u64;
                         }
                         Err(e) => {
-                            self.counters.cold_errors += 1;
+                            // A row past the table's end is the caller's
+                            // error, not the store file's.
+                            if matches!(e, EmbeddingError::ColdTierIo { .. }) {
+                                self.counters.cold_errors += 1;
+                            }
                             if first_err.is_none() {
                                 first_err = Some(e);
                             }
@@ -698,8 +655,8 @@ mod tests {
         ]
     }
 
-    fn total_bytes(tabs: &[EmbeddingTable], format: RowFormat) -> u64 {
-        tabs.iter().map(|t| t.rows() * stored_row_bytes(t.dim() as usize, format) as u64).sum()
+    fn total_bytes(tabs: &[EmbeddingTable]) -> u64 {
+        tabs.iter().map(|t| t.rows() * stored_row_bytes(t.dim() as usize) as u64).sum()
     }
 
     fn offsets_of(tabs: &[EmbeddingTable]) -> Vec<usize> {
@@ -716,50 +673,67 @@ mod tests {
     fn residency_plan_admits_smallest_tables_first_deterministically() {
         let tabs = tables();
         // Encoded f32 bytes: a=1280, b=1200, c=960, d=640.
-        let plan = ResidencyPlan::plan(&tabs, RowFormat::F32, 1700);
+        let plan = ResidencyPlan::plan(&tabs, 1700);
         assert_eq!(plan.tiers(), &[Tier::Cold, Tier::Cold, Tier::Resident, Tier::Resident]);
         assert_eq!(plan.resident_bytes(), 960 + 640);
         assert_eq!(plan.cold_bytes(), 1280 + 1200);
         // Zero budget: everything cold. Huge budget: everything resident.
-        let none = ResidencyPlan::plan(&tabs, RowFormat::F32, 0);
+        let none = ResidencyPlan::plan(&tabs, 0);
         assert!(none.tiers().iter().all(|&t| t == Tier::Cold));
-        let all = ResidencyPlan::plan(&tabs, RowFormat::F32, u64::MAX);
+        let all = ResidencyPlan::plan(&tabs, u64::MAX);
         assert!(all.tiers().iter().all(|&t| t == Tier::Resident));
-        assert_eq!(all.resident_bytes(), total_bytes(&tabs, RowFormat::F32));
+        assert_eq!(all.resident_bytes(), total_bytes(&tabs));
     }
 
     #[test]
-    fn tiered_gather_is_bit_identical_to_all_resident_at_every_format() {
+    fn tiered_gather_is_bit_identical_to_all_resident() {
         let tabs = tables();
         let channel_of = vec![0usize; tabs.len()];
         let offsets = offsets_of(&tabs);
-        for format in [RowFormat::F32, RowFormat::F16, RowFormat::I8] {
-            let full = EmbeddingArena::build(&tabs, format, &channel_of).unwrap();
-            let budget = total_bytes(&tabs, format) / 3;
-            let backing = TieredBacking::build(&tabs, format, &channel_of, budget).unwrap();
-            assert!(backing.num_resident_tables() < tabs.len(), "cold tier must exist");
-            assert!(backing.resident_bytes() <= budget);
-            let mut store = TieredStore::new(Arc::clone(&backing));
-            let mut got = vec![0.0f32; backing.feature_len()];
-            let mut want = vec![0.0f32; backing.feature_len()];
-            for q in 0u64..50 {
-                let indices: Vec<u64> = tabs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| (q * 13 + i as u64 * 7) % t.rows())
-                    .collect();
-                store.gather_round(&indices, &offsets, &mut got).unwrap();
-                full.gather_into(&indices, &mut want).unwrap();
-                for (i, (a, b)) in got.iter().zip(&want).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "format {format:?} query {q} elem {i}");
-                }
+        let full = EmbeddingArena::build(&tabs, &channel_of).unwrap();
+        let budget = total_bytes(&tabs) / 3;
+        let backing = TieredBacking::build(&tabs, &channel_of, budget).unwrap();
+        assert!(backing.num_resident_tables() < tabs.len(), "cold tier must exist");
+        assert!(backing.resident_bytes() <= budget);
+        let mut store = TieredStore::new(Arc::clone(&backing));
+        let mut got = vec![0.0f32; backing.feature_len()];
+        let mut want = vec![0.0f32; backing.feature_len()];
+        for q in 0u64..50 {
+            let indices: Vec<u64> =
+                tabs.iter().enumerate().map(|(i, t)| (q * 13 + i as u64 * 7) % t.rows()).collect();
+            store.gather_round(&indices, &offsets, &mut got).unwrap();
+            full.gather_into(&indices, &mut want).unwrap();
+            for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "query {q} elem {i}");
             }
-            let c = store.counters();
-            assert!(c.resident_hits > 0 && c.cold_reads > 0);
-            assert_eq!(c.resident_hits + c.cold_reads, 50 * tabs.len() as u64);
-            assert_eq!(c.cold_errors, 0);
-            assert_eq!(c.prefetch_hits, 0, "there is no prefetcher");
-            assert!(c.bytes_from_cold > 0);
+        }
+        let c = store.counters();
+        assert!(c.resident_hits > 0 && c.cold_reads > 0);
+        assert_eq!(c.resident_hits + c.cold_reads, 50 * tabs.len() as u64);
+        assert_eq!(c.cold_errors, 0);
+        assert_eq!(c.prefetch_hits, 0, "there is no prefetcher");
+        assert!(c.bytes_from_cold > 0);
+    }
+
+    #[test]
+    fn byte_round_trip_is_the_identity() {
+        // Every length class, and the values a lossy path would bend:
+        // signed zeros, subnormals, infinities, NaN payloads.
+        let special = [0.0f32, -0.0, f32::MIN_POSITIVE / 3.0, f32::INFINITY, f32::NEG_INFINITY]
+            .into_iter()
+            .chain([f32::from_bits(0x7FC0_1234), f32::from_bits(0xFF80_0001)]);
+        let special: Vec<f32> = special.collect();
+        for n in [0usize, 1, 3, 7, 8, 9, 15, 16, 31, 350] {
+            let values: Vec<f32> = (0..n)
+                .map(|i| special.get(i).copied().unwrap_or(((i as f32) * 0.527).sin() * 0.9))
+                .collect();
+            let mut bytes = vec![0u8; stored_row_bytes(n)];
+            encode_row(&values, &mut bytes);
+            let mut back = vec![1.0f32; n];
+            decode_bytes(&bytes, &mut back);
+            for (i, (a, b)) in values.iter().zip(&back).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "n={n} i={i}");
+            }
         }
     }
 
@@ -768,8 +742,8 @@ mod tests {
         let tabs = tables();
         let channel_of = vec![0usize; tabs.len()];
         let offsets = offsets_of(&tabs);
-        let budget = total_bytes(&tabs, RowFormat::F32) / 3;
-        let backing = TieredBacking::build(&tabs, RowFormat::F32, &channel_of, budget).unwrap();
+        let budget = total_bytes(&tabs) / 3;
+        let backing = TieredBacking::build(&tabs, &channel_of, budget).unwrap();
         let path = backing.cold_store_path().expect("cold tier exists").to_path_buf();
         let mut store = TieredStore::new(Arc::clone(&backing));
         let mut want = vec![0.0f32; backing.feature_len()];
@@ -795,12 +769,7 @@ mod tests {
 
         // Restore the file's contents: later rounds are served again, by
         // the same store, with the same bits.
-        let restored = ColdStore::build(
-            &tabs,
-            RowFormat::F32,
-            &ResidencyPlan::plan(&tabs, RowFormat::F32, budget).tiers,
-        )
-        .unwrap();
+        let restored = ColdStore::build(&tabs, &ResidencyPlan::plan(&tabs, budget).tiers).unwrap();
         std::fs::copy(restored.path(), &path).unwrap();
         store.gather_round(&indices, &offsets, &mut out).unwrap();
         assert_eq!(out, want);
@@ -810,7 +779,7 @@ mod tests {
     fn all_resident_backing_has_no_cold_file() {
         let tabs = tables();
         let channel_of = vec![0usize; tabs.len()];
-        let backing = TieredBacking::build(&tabs, RowFormat::F16, &channel_of, u64::MAX).unwrap();
+        let backing = TieredBacking::build(&tabs, &channel_of, u64::MAX).unwrap();
         assert!(backing.cold_store_path().is_none());
         assert_eq!(backing.num_resident_tables(), tabs.len());
         assert_eq!(backing.cold_bytes(), 0);
@@ -827,8 +796,8 @@ mod tests {
     fn clone_shares_backing_but_not_counters() {
         let tabs = tables();
         let channel_of = vec![0usize; tabs.len()];
-        let budget = total_bytes(&tabs, RowFormat::F32) / 2;
-        let backing = TieredBacking::build(&tabs, RowFormat::F32, &channel_of, budget).unwrap();
+        let budget = total_bytes(&tabs) / 2;
+        let backing = TieredBacking::build(&tabs, &channel_of, budget).unwrap();
         let mut store = TieredStore::new(backing);
         let offsets = offsets_of(&tabs);
         let mut out = vec![0.0f32; store.backing().feature_len()];
@@ -842,8 +811,8 @@ mod tests {
     #[test]
     fn cold_store_rejects_resident_tables_and_bad_rows() {
         let tabs = tables();
-        let plan = ResidencyPlan::plan(&tabs, RowFormat::F32, 1700);
-        let cold = ColdStore::build(&tabs, RowFormat::F32, plan.tiers()).unwrap();
+        let plan = ResidencyPlan::plan(&tabs, 1700);
+        let cold = ColdStore::build(&tabs, plan.tiers()).unwrap();
         let mut buf = vec![0u8; cold.max_row_bytes()];
         // Table 2 is resident under this plan; table 0 is cold.
         assert!(matches!(

@@ -71,8 +71,7 @@ fn settled_delta(mut f: impl FnMut()) -> u64 {
 #[test]
 fn steady_state_lookup_never_allocates() {
     use microrec_embedding::{
-        EmbeddingArena, EmbeddingTable, HotRowCache, RowFormat, TableSpec, TieredBacking,
-        TieredStore,
+        EmbeddingArena, EmbeddingTable, HotRowCache, TableSpec, TieredBacking, TieredStore,
     };
 
     let tables: Vec<EmbeddingTable> =
@@ -98,83 +97,81 @@ fn steady_state_lookup_never_allocates() {
         assert_eq!(delta, 0, "the bulk row fill allocated");
     }
 
-    for format in [RowFormat::F32, RowFormat::F16, RowFormat::I8] {
-        let arena = EmbeddingArena::build(&tables, format, &[0; 6]).unwrap();
-        let mut out = vec![0.0f32; arena.feature_len()];
-        let run = |out: &mut [f32]| {
-            for &row in &trace {
-                arena.gather_into(&[row; 6], out).unwrap();
-            }
-        };
-        run(&mut out);
-        let delta = settled_delta(|| {
-            for _ in 0..8 {
-                run(&mut out);
-            }
-        });
-        assert_eq!(delta, 0, "{format} arena gather allocated in steady state");
+    let arena = EmbeddingArena::build(&tables, &[0; 6]).unwrap();
+    let mut out = vec![0.0f32; arena.feature_len()];
+    let run = |out: &mut [f32]| {
+        for &row in &trace {
+            arena.gather_into(&[row; 6], out).unwrap();
+        }
+    };
+    run(&mut out);
+    let delta = settled_delta(|| {
+        for _ in 0..8 {
+            run(&mut out);
+        }
+    });
+    assert_eq!(delta, 0, "arena gather allocated in steady state");
 
-        // The hot-row cache in front of the arena (the perf ledger's own
-        // probe): per-row lookups, and whole-round probes once the miss
-        // scratch has been sized to the table count, hits and misses alike.
-        let mut cache = HotRowCache::new(&[16; 6], 256, 8);
-        let source_bytes = 16 * format.bytes_per_elem();
-        let per_row = |cache: &mut HotRowCache, out: &mut [f32]| {
-            for &row in &trace {
-                for (t, slot) in out.chunks_exact_mut(16).enumerate() {
-                    if !cache.lookup_into(t, row, slot) {
-                        arena.read_row_into(t, row, slot).unwrap();
-                        cache.insert(t, row, slot, source_bytes);
-                    }
-                }
-            }
-        };
-        per_row(&mut cache, &mut out);
-        assert!(cache.hits() > 0, "warm-up produced no hits");
-        let delta = settled_delta(|| {
-            for _ in 0..8 {
-                per_row(&mut cache, &mut out);
-            }
-        });
-        assert_eq!(delta, 0, "{format} cache lookup path allocated in steady state");
-
-        let mut misses = Vec::with_capacity(6);
-        let probe = |cache: &mut HotRowCache, out: &mut [f32], misses: &mut Vec<usize>| {
-            for &row in &trace {
-                cache.probe_round(&[row; 6], out, misses);
-                for &t in misses.iter() {
-                    let slot = &mut out[offsets[t]..offsets[t] + 16];
+    // The hot-row cache in front of the arena (the perf ledger's own
+    // probe): per-row lookups, and whole-round probes once the miss
+    // scratch has been sized to the table count, hits and misses alike.
+    let mut cache = HotRowCache::new(&[16; 6], 256, 8);
+    let source_bytes = 16 * size_of::<f32>();
+    let per_row = |cache: &mut HotRowCache, out: &mut [f32]| {
+        for &row in &trace {
+            for (t, slot) in out.chunks_exact_mut(16).enumerate() {
+                if !cache.lookup_into(t, row, slot) {
                     arena.read_row_into(t, row, slot).unwrap();
                     cache.insert(t, row, slot, source_bytes);
                 }
             }
-        };
-        probe(&mut cache, &mut out, &mut misses);
-        let delta = settled_delta(|| {
-            for _ in 0..8 {
-                probe(&mut cache, &mut out, &mut misses);
-            }
-        });
-        assert_eq!(delta, 0, "{format} probe_round path allocated in steady state");
-        assert!(cache.misses() > 0, "the trace must also miss");
+        }
+    };
+    per_row(&mut cache, &mut out);
+    assert!(cache.hits() > 0, "warm-up produced no hits");
+    let delta = settled_delta(|| {
+        for _ in 0..8 {
+            per_row(&mut cache, &mut out);
+        }
+    });
+    assert_eq!(delta, 0, "cache lookup path allocated in steady state");
 
-        // Half the bytes resident: three tables are read from the cold file.
-        let budget = arena.total_bytes() / 2;
-        let backing = TieredBacking::build(&tables, format, &[0; 6], budget).unwrap();
-        assert!(backing.num_resident_tables() < 6, "{format}: the cold tier must exist");
-        let mut store = TieredStore::new(backing);
-        let round = |store: &mut TieredStore, out: &mut [f32]| {
-            for &row in &trace {
-                store.gather_round(&[row; 6], &offsets, out).unwrap();
+    let mut misses = Vec::with_capacity(6);
+    let probe = |cache: &mut HotRowCache, out: &mut [f32], misses: &mut Vec<usize>| {
+        for &row in &trace {
+            cache.probe_round(&[row; 6], out, misses);
+            for &t in misses.iter() {
+                let slot = &mut out[offsets[t]..offsets[t] + 16];
+                arena.read_row_into(t, row, slot).unwrap();
+                cache.insert(t, row, slot, source_bytes);
             }
-        };
-        round(&mut store, &mut out);
-        let delta = settled_delta(|| {
-            for _ in 0..8 {
-                round(&mut store, &mut out);
-            }
-        });
-        assert_eq!(delta, 0, "{format} tiered gather allocated in steady state");
-        assert!(store.counters().cold_reads > 0);
-    }
+        }
+    };
+    probe(&mut cache, &mut out, &mut misses);
+    let delta = settled_delta(|| {
+        for _ in 0..8 {
+            probe(&mut cache, &mut out, &mut misses);
+        }
+    });
+    assert_eq!(delta, 0, "probe_round path allocated in steady state");
+    assert!(cache.misses() > 0, "the trace must also miss");
+
+    // Half the bytes resident: three tables are read from the cold file.
+    let budget = arena.total_bytes() / 2;
+    let backing = TieredBacking::build(&tables, &[0; 6], budget).unwrap();
+    assert!(backing.num_resident_tables() < 6, "the cold tier must exist");
+    let mut store = TieredStore::new(backing);
+    let round = |store: &mut TieredStore, out: &mut [f32]| {
+        for &row in &trace {
+            store.gather_round(&[row; 6], &offsets, out).unwrap();
+        }
+    };
+    round(&mut store, &mut out);
+    let delta = settled_delta(|| {
+        for _ in 0..8 {
+            round(&mut store, &mut out);
+        }
+    });
+    assert_eq!(delta, 0, "tiered gather allocated in steady state");
+    assert!(store.counters().cold_reads > 0);
 }
