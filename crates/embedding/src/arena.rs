@@ -32,15 +32,17 @@ const ALIGN: usize = 64;
 /// `f32` elements per [`ALIGN`] bytes.
 const ALIGN_ELEMS: usize = ALIGN / size_of::<f32>();
 
-/// Arenas smaller than this are filled on the calling thread: a few
-/// milliseconds of fill do not repay spawning threads (and a tiny model's
-/// process should not grow thread stacks and allocator arenas for it).
-const PAR_FILL_FLOOR_BYTES: u64 = 4 << 20;
+/// Arenas (and cold-tier files, `tiered.rs`) smaller than this are filled
+/// on the calling thread: a few milliseconds of fill do not repay spawning
+/// threads (and a tiny model's process should not grow thread stacks and
+/// allocator arenas for it).
+pub(crate) const PAR_FILL_FLOOR_BYTES: u64 = 4 << 20;
 
-/// Elements per fill job: small enough that the jobs of one large table
+/// Elements per fill job (64 KB of `f32`s; a cold-tier file is written in
+/// jobs of the same size): small enough that the jobs of one large table
 /// balance across threads, large enough that handing out a job costs
 /// nothing next to filling it.
-const FILL_JOB_ELEMS: usize = 1 << 14;
+pub(crate) const FILL_JOB_ELEMS: usize = 1 << 14;
 
 /// How arena rows are stored: exact `f32` values, 4 bytes per element.
 /// It has one value; the engine builder's `embedding_arena` and
@@ -165,8 +167,8 @@ struct FillJob<'a> {
     dst: &'a mut [f32],
 }
 
-/// Threads that fill an arena of `arena_bytes`.
-fn fill_threads(arena_bytes: u64) -> usize {
+/// Threads that fill an arena (or write a cold-tier file) of `arena_bytes`.
+pub(crate) fn fill_threads(arena_bytes: u64) -> usize {
     if arena_bytes < PAR_FILL_FLOOR_BYTES {
         1
     } else {

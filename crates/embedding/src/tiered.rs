@@ -13,7 +13,13 @@
 //!   chosen by the deterministic residency policy below) and a
 //!   [`ColdStore`]: the same `f32` rows written to a file at build time
 //!   and read back with positioned `pread` (`FileExt::read_at`), so a cold
-//!   read moves exactly one row and never touches a shared cursor.
+//!   read moves exactly one row and never touches a shared cursor. The
+//!   file is written the way the arena is filled: its layout is fixed and
+//!   its length set first, then jobs of 16 K elements are generated by
+//!   [`EmbeddingTable::fill_rows`], encoded and written with one
+//!   positioned write each, spread over the host's cores. It is never
+//!   fsynced: it is scratch that no process reopens, deleted on drop, and
+//!   every read of it goes through the same page cache the writes land in.
 //! * **One-pass round serving** — [`TieredStore`] walks a lookup round
 //!   once in table order: a resident row is a stride-indexed arena read, a
 //!   cold row is one positioned read into a store-owned buffer followed by
@@ -42,12 +48,11 @@
 //! capacity/latency trade, never an accuracy one.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::arena::EmbeddingArena;
+use crate::arena::{fill_threads, EmbeddingArena, FILL_JOB_ELEMS};
 use crate::error::EmbeddingError;
 use crate::table::EmbeddingTable;
 
@@ -132,9 +137,21 @@ struct ColdTableLoc {
     rows: u64,
 }
 
-/// File-backed cold tier: arena-layout rows written once at build time and
+/// File-backed cold tier: fixed-stride rows written once at build time and
 /// read back with positioned reads. The file lives in the OS temp
-/// directory and is deleted on drop (best effort).
+/// directory and is deleted on drop (best effort), and also when the build
+/// that created it fails.
+///
+/// The build is a bulk fill: every cold table's place in the file is
+/// fixed and the file's length set first, then the rows are generated in
+/// 64 KB jobs ([`EmbeddingTable::fill_rows`]), encoded, and written with
+/// one positioned write per job, on as many threads as the arena's fill
+/// would use for the same bytes (one, under 4 MB). The file's bytes do not
+/// depend on how the jobs are scheduled. There is no fsync: the file is
+/// scratch that no process reopens, it is deleted on drop, and every read
+/// goes through the page cache the writes went to, so durability buys
+/// nothing — and forcing the whole file to disk on every set-up costs more
+/// than writing it (DESIGN.md §13, "Build").
 ///
 /// We use `pread` rather than `mmap`: this crate is `#![forbid(unsafe_code)]`
 /// and a raw-syscall mmap would need an `unsafe` block plus a lifetime
@@ -144,12 +161,47 @@ struct ColdTableLoc {
 #[derive(Debug)]
 pub struct ColdStore {
     file: File,
-    path: PathBuf,
+    scratch: ScratchFile,
     /// Indexed by logical table; `None` for resident tables.
     tables: Vec<Option<ColdTableLoc>>,
     names: Vec<String>,
     total_bytes: u64,
     max_row_bytes: usize,
+}
+
+/// A scratch file's path, removed (best effort) when dropped: held from
+/// the moment the file is created, so a build that fails half way leaves
+/// nothing behind, and owned by the [`ColdStore`] it becomes.
+#[derive(Debug)]
+struct ScratchFile {
+    path: PathBuf,
+}
+
+impl ScratchFile {
+    /// Creates a fresh, process-unique store file in `dir`, open for
+    /// reading and writing.
+    fn create(dir: &Path) -> std::io::Result<(File, ScratchFile)> {
+        let tag = COLD_FILE_TAG.fetch_add(1, Ordering::Relaxed);
+        let path = dir.join(format!("microrec-cold-{}-{tag}.rows", std::process::id()));
+        let file = OpenOptions::new().read(true).write(true).create_new(true).open(&path)?;
+        Ok((file, ScratchFile { path }))
+    }
+}
+
+impl Drop for ScratchFile {
+    fn drop(&mut self) {
+        // Best effort: the file is process-private scratch.
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
+/// One unit of cold-file writing: `rows` rows of `table` from `start_row`
+/// on, written at byte `offset` of the file.
+struct WriteJob<'a> {
+    table: &'a EmbeddingTable,
+    start_row: u64,
+    rows: usize,
+    offset: u64,
 }
 
 /// Builds the cold-tier error for one table (allocation lives in this
@@ -168,10 +220,10 @@ fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()
     file.read_exact_at(buf, offset)
 }
 
-/// Portable fallback for non-unix hosts: re-open cheaply is not an option,
-/// so fall back to `seek_read` on Windows-alikes is unavailable here —
-/// instead clone the handle per call. Correct but slower; every supported
-/// target in CI is unix.
+/// Fallback for non-unix hosts: seek a clone of the handle, then read. A
+/// clone shares its cursor with the original, so calls that overlap in
+/// time race; correct only where reads do not overlap. Every target CI
+/// builds is unix.
 #[cfg(not(unix))]
 fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
     use std::io::{Read, Seek, SeekFrom};
@@ -180,57 +232,139 @@ fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()
     dup.read_exact(buf)
 }
 
+/// Positioned full-buffer write at `offset` (pwrite; never moves a cursor,
+/// so the build's jobs write one handle concurrently).
+#[cfg(unix)]
+fn write_all_at(file: &File, buf: &[u8], offset: u64) -> std::io::Result<()> {
+    use std::os::unix::fs::FileExt;
+    file.write_all_at(buf, offset)
+}
+
+/// Fallback for non-unix hosts, with [`read_exact_at`]'s shared-cursor
+/// caveat: the build writes on one thread there.
+#[cfg(not(unix))]
+fn write_all_at(file: &File, buf: &[u8], offset: u64) -> std::io::Result<()> {
+    use std::io::{Seek, SeekFrom, Write};
+    let mut dup = file.try_clone()?;
+    dup.seek(SeekFrom::Start(offset))?;
+    dup.write_all(buf)
+}
+
+/// Places every `Cold` table in the file back to back, in table order.
+/// Returns each table's location (`None` for resident tables) and the
+/// file's length.
+fn plan_file(tables: &[EmbeddingTable], tiers: &[Tier]) -> (Vec<Option<ColdTableLoc>>, u64) {
+    let mut offset = 0u64;
+    let locs = tables
+        .iter()
+        .zip(tiers)
+        .map(|(table, &tier)| {
+            (tier == Tier::Cold).then(|| {
+                let loc = ColdTableLoc {
+                    base: offset,
+                    row_bytes: stored_row_bytes(table.dim() as usize),
+                    rows: table.rows(),
+                };
+                offset += loc.rows * loc.row_bytes as u64;
+                loc
+            })
+        })
+        .collect();
+    (locs, offset)
+}
+
+/// Writes every cold table's rows into `file` at its planned location,
+/// `threads` jobs at a time, with `fill` generating each job's values.
+fn write_rows<F>(
+    tables: &[EmbeddingTable],
+    locs: &[Option<ColdTableLoc>],
+    file: &File,
+    threads: usize,
+    fill: F,
+) -> Result<(), EmbeddingError>
+where
+    F: Fn(&EmbeddingTable, u64, &mut [f32]) -> Result<(), EmbeddingError> + Sync,
+{
+    let mut jobs = Vec::new();
+    for (table, loc) in tables.iter().zip(locs) {
+        let Some(loc) = loc else { continue };
+        let job_rows = (FILL_JOB_ELEMS / (table.dim() as usize).max(1)).max(1) as u64;
+        for start_row in (0..loc.rows).step_by(job_rows as usize) {
+            jobs.push(WriteJob {
+                table,
+                start_row,
+                rows: job_rows.min(loc.rows - start_row) as usize,
+                offset: loc.base + start_row * loc.row_bytes as u64,
+            });
+        }
+    }
+    microrec_par::par_map(&jobs, threads, |_, job| {
+        let mut values = vec![0.0f32; job.rows * job.table.dim() as usize];
+        fill(job.table, job.start_row, &mut values)?;
+        let mut bytes = vec![0u8; stored_row_bytes(values.len())];
+        encode_row(&values, &mut bytes);
+        write_all_at(file, &bytes, job.offset).map_err(|e| cold_io_error(job.table.name(), &e))
+    })
+    .into_iter()
+    .collect()
+}
+
 impl ColdStore {
     /// Writes every `Cold`-assigned table's rows to a fresh store file, as
     /// little-endian `f32`s, and returns the handle.
     ///
     /// # Errors
     ///
-    /// Returns [`EmbeddingError::ColdTierIo`] if the store file cannot be
-    /// created or written, or propagates table read errors.
+    /// Returns [`EmbeddingError::BufferSizeMismatch`] if `tiers` does not
+    /// have one entry per table, [`EmbeddingError::ColdTierIo`] if the
+    /// store file cannot be created or written, or propagates table read
+    /// errors. A failed build removes the file it created.
     pub fn build(tables: &[EmbeddingTable], tiers: &[Tier]) -> Result<Self, EmbeddingError> {
-        let tag = COLD_FILE_TAG.fetch_add(1, Ordering::Relaxed);
-        let path =
-            std::env::temp_dir().join(format!("microrec-cold-{}-{tag}.rows", std::process::id()));
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create_new(true)
-            .open(&path)
-            .map_err(|e| cold_io_error("<store>", &e))?;
+        Self::build_with(
+            tables,
+            tiers,
+            &std::env::temp_dir(),
+            fill_threads,
+            EmbeddingTable::fill_rows,
+        )
+    }
 
-        let max_dim = tables.iter().map(|t| t.dim() as usize).max().unwrap_or(0);
-        let mut row_f32 = vec![0.0f32; max_dim];
-        let mut encoded = vec![0u8; stored_row_bytes(max_dim)];
-        let mut locs: Vec<Option<ColdTableLoc>> = Vec::with_capacity(tables.len());
-        let mut names = Vec::with_capacity(tables.len());
-        let mut offset = 0u64;
-        let mut max_row_bytes = 0usize;
-        {
-            let mut writer = BufWriter::new(&file);
-            for (i, table) in tables.iter().enumerate() {
-                names.push(table.name().to_string());
-                if tiers[i] != Tier::Cold {
-                    locs.push(None);
-                    continue;
-                }
-                let dim = table.dim() as usize;
-                let row_bytes = stored_row_bytes(dim);
-                max_row_bytes = max_row_bytes.max(row_bytes);
-                locs.push(Some(ColdTableLoc { base: offset, row_bytes, rows: table.rows() }));
-                for row in 0..table.rows() {
-                    table.read_row(row, &mut row_f32[..dim])?;
-                    encode_row(&row_f32[..dim], &mut encoded[..row_bytes]);
-                    writer
-                        .write_all(&encoded[..row_bytes])
-                        .map_err(|e| cold_io_error(table.name(), &e))?;
-                }
-                offset += table.rows() * row_bytes as u64;
-            }
-            writer.flush().map_err(|e| cold_io_error("<store>", &e))?;
+    /// [`build`](Self::build) in directory `dir`, with the write's thread
+    /// count (a function of the file's bytes) and the row generator chosen
+    /// by the caller.
+    fn build_with<F>(
+        tables: &[EmbeddingTable],
+        tiers: &[Tier],
+        dir: &Path,
+        threads_for: impl FnOnce(u64) -> usize,
+        fill: F,
+    ) -> Result<Self, EmbeddingError>
+    where
+        F: Fn(&EmbeddingTable, u64, &mut [f32]) -> Result<(), EmbeddingError> + Sync,
+    {
+        if tiers.len() != tables.len() {
+            return Err(EmbeddingError::BufferSizeMismatch {
+                expected: tables.len(),
+                actual: tiers.len(),
+            });
         }
-        file.sync_data().map_err(|e| cold_io_error("<store>", &e))?;
-        Ok(ColdStore { file, path, tables: locs, names, total_bytes: offset, max_row_bytes })
+        let (locs, total_bytes) = plan_file(tables, tiers);
+        let (file, scratch) = ScratchFile::create(dir).map_err(|e| cold_io_error("<store>", &e))?;
+        file.set_len(total_bytes).map_err(|e| cold_io_error("<store>", &e))?;
+        // Positioned writes through a cloned handle share a cursor off
+        // unix (see `write_all_at`), so the jobs run on one thread there.
+        let threads = if cfg!(unix) { threads_for(total_bytes) } else { 1 };
+        write_rows(tables, &locs, &file, threads, fill)?;
+        // No fsync: the file is scratch no process reopens, deleted on drop,
+        // and every read goes through the page cache these writes went to.
+        Ok(ColdStore {
+            file,
+            scratch,
+            max_row_bytes: locs.iter().flatten().map(|l| l.row_bytes).max().unwrap_or(0),
+            tables: locs,
+            names: tables.iter().map(|t| t.name().to_string()).collect(),
+            total_bytes,
+        })
     }
 
     /// Reads one stored row into the prefix of `buf` (which must hold at
@@ -272,11 +406,12 @@ impl ColdStore {
         decode_bytes(&buf[..stored_row_bytes(out.len())], out);
     }
 
-    /// Bytes one row of `table` moves from the file.
+    /// Bytes one row of `table` moves from the file; 0 for a table that is
+    /// not cold.
     ///
     /// # Panics
     ///
-    /// Panics if `table` is out of range or not cold.
+    /// Panics if `table` is out of range.
     #[must_use]
     pub fn row_bytes(&self, table: usize) -> usize {
         match &self.tables[table] {
@@ -301,21 +436,14 @@ impl ColdStore {
     /// operator diagnostics).
     #[must_use]
     pub fn path(&self) -> &Path {
-        &self.path
+        &self.scratch.path
     }
 }
 
-impl Drop for ColdStore {
-    fn drop(&mut self) {
-        // Best effort: the file is process-private scratch.
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-/// Writes one `f32` row into `out` (exactly its size) as little-endian
+/// Writes `f32` values into `out` (exactly their size) as little-endian
 /// bytes.
-fn encode_row(row: &[f32], out: &mut [u8]) {
-    for (chunk, v) in out.chunks_exact_mut(size_of::<f32>()).zip(row) {
+fn encode_row(values: &[f32], out: &mut [u8]) {
+    for (chunk, v) in out.chunks_exact_mut(size_of::<f32>()).zip(values) {
         chunk.copy_from_slice(&v.to_le_bytes());
     }
 }
@@ -644,6 +772,7 @@ impl Clone for TieredStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::PAR_FILL_FLOOR_BYTES;
     use crate::spec::TableSpec;
 
     fn tables() -> Vec<EmbeddingTable> {
@@ -806,6 +935,149 @@ mod tests {
         let clone = store.clone();
         assert!(Arc::ptr_eq(store.backing(), clone.backing()));
         assert_eq!(clone.counters(), TierCounters::default());
+    }
+
+    /// Cold tables whose dim does not divide a job (12), that are smaller
+    /// than one job (c) or end mid-job (a, e), with resident tables
+    /// between them.
+    fn write_tables() -> (Vec<EmbeddingTable>, Vec<Tier>) {
+        let tables = vec![
+            EmbeddingTable::procedural(TableSpec::new("a", 5_000, 12), 21),
+            EmbeddingTable::procedural(TableSpec::new("b", 300, 8), 22),
+            EmbeddingTable::procedural(TableSpec::new("c", 60, 4), 23),
+            EmbeddingTable::procedural(TableSpec::new("d", 1, 16), 24),
+            EmbeddingTable::procedural(TableSpec::new("e", 4_097, 4), 25),
+        ];
+        let tiers = vec![Tier::Cold, Tier::Resident, Tier::Cold, Tier::Resident, Tier::Cold];
+        (tables, tiers)
+    }
+
+    /// Checks every byte of `store`'s file against the obvious writer: one
+    /// `read_row` + `encode_row` at a time, cold tables back to back in
+    /// table order.
+    fn assert_matches_row_by_row_write(
+        store: &ColdStore,
+        tables: &[EmbeddingTable],
+        tiers: &[Tier],
+    ) {
+        let mut want = Vec::new();
+        for (t, (table, &tier)) in tables.iter().zip(tiers).enumerate() {
+            if tier != Tier::Cold {
+                assert_eq!(store.row_bytes(t), 0, "table {t}");
+                continue;
+            }
+            assert_eq!(store.tables[t].map(|l| l.base), Some(want.len() as u64), "table {t}");
+            let dim = table.dim() as usize;
+            let mut row = vec![0.0f32; dim];
+            let mut bytes = vec![0u8; stored_row_bytes(dim)];
+            for r in 0..table.rows() {
+                table.read_row(r, &mut row).unwrap();
+                encode_row(&row, &mut bytes);
+                want.extend_from_slice(&bytes);
+            }
+        }
+        assert_eq!(store.total_bytes(), want.len() as u64);
+        assert_eq!(store.max_row_bytes(), 48);
+        let got = std::fs::read(store.path()).unwrap();
+        assert_eq!(got.len(), want.len());
+        if let Some(at) = got.iter().zip(&want).position(|(a, b)| a != b) {
+            panic!("first differing byte at {at} of {}", want.len());
+        }
+    }
+
+    #[test]
+    fn bulk_write_is_byte_identical_to_a_row_by_row_write() {
+        let (procedural, tiers) = write_tables();
+        let materialized: Vec<EmbeddingTable> =
+            procedural.iter().map(|t| t.to_materialized(u64::MAX).unwrap()).collect();
+        for tables in [&procedural, &materialized] {
+            for threads in [1usize, 2, 3] {
+                let store = ColdStore::build_with(
+                    tables,
+                    &tiers,
+                    &std::env::temp_dir(),
+                    |_| threads,
+                    EmbeddingTable::fill_rows,
+                )
+                .unwrap();
+                assert_matches_row_by_row_write(&store, tables, &tiers);
+            }
+        }
+    }
+
+    #[test]
+    fn a_cold_file_under_the_size_floor_is_written_on_the_calling_thread() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        use std::thread::{current, ThreadId};
+
+        let (tables, tiers) = write_tables();
+        let store = ColdStore::build(&tables, &tiers).unwrap();
+        // Which threads generate the rows when the file holds `bytes` bytes.
+        let writers = |bytes: u64| -> HashSet<ThreadId> {
+            let seen = Mutex::new(HashSet::new());
+            let fill = |table: &EmbeddingTable, row, dst: &mut [f32]| {
+                seen.lock().unwrap().insert(current().id());
+                table.fill_rows(row, dst)
+            };
+            write_rows(&tables, &store.tables, &store.file, fill_threads(bytes), fill).unwrap();
+            seen.into_inner().unwrap()
+        };
+        assert!(store.total_bytes() < PAR_FILL_FLOOR_BYTES);
+        assert_eq!(writers(store.total_bytes()), HashSet::from([current().id()]));
+        assert_eq!(writers(PAR_FILL_FLOOR_BYTES - 1), HashSet::from([current().id()]));
+        if microrec_par::default_threads() > 1 {
+            assert!(!writers(PAR_FILL_FLOOR_BYTES).contains(&current().id()));
+        }
+        assert_matches_row_by_row_write(&store, &tables, &tiers);
+    }
+
+    #[test]
+    fn a_failed_build_leaves_no_file_and_a_dropped_store_removes_its_file() {
+        let (tables, tiers) = write_tables();
+        let dir = std::env::temp_dir().join(format!("microrec-cold-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let files = || std::fs::read_dir(&dir).unwrap().count();
+
+        // The third job fails, after the file was created and sized and
+        // other jobs were written.
+        let calls = AtomicU64::new(0);
+        let failing = |table: &EmbeddingTable, row, dst: &mut [f32]| {
+            if calls.fetch_add(1, Ordering::Relaxed) == 2 {
+                return Err(EmbeddingError::IndexOutOfRange {
+                    table: table.name().to_string(),
+                    index: row,
+                    rows: table.rows(),
+                });
+            }
+            table.fill_rows(row, dst)
+        };
+        let err = ColdStore::build_with(&tables, &tiers, &dir, |_| 1, failing).unwrap_err();
+        assert!(matches!(err, EmbeddingError::IndexOutOfRange { .. }), "got {err:?}");
+        // a is 4 jobs, c one, e two: every job ran.
+        assert_eq!(calls.load(Ordering::Relaxed), 7);
+        assert_eq!(files(), 0, "the failed build left its file behind");
+
+        let store =
+            ColdStore::build_with(&tables, &tiers, &dir, |_| 1, EmbeddingTable::fill_rows).unwrap();
+        let path = store.path().to_path_buf();
+        assert!(path.starts_with(&dir) && path.exists());
+        assert_eq!(files(), 1);
+        drop(store);
+        assert!(!path.exists());
+        assert_eq!(files(), 0);
+        std::fs::remove_dir(&dir).unwrap();
+    }
+
+    #[test]
+    fn build_rejects_a_tier_list_of_the_wrong_length() {
+        let tabs = tables();
+        for tiers in [&[][..], &[Tier::Cold; 3], &[Tier::Cold; 5]] {
+            assert!(matches!(
+                ColdStore::build(&tabs, tiers),
+                Err(EmbeddingError::BufferSizeMismatch { expected: 4, actual }) if actual == tiers.len()
+            ));
+        }
     }
 
     #[test]
