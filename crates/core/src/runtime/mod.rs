@@ -20,6 +20,19 @@
 //!           a free worker takes min(queued, max_batch)
 //! ```
 
+// Every admitted request is answered with a value or an error. The worker
+// contains engine panics, but one in admission, the queue or a reply slot
+// would drop requests, so the runtime and its submodules take no panicking
+// shortcut outside their tests.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+
 mod batcher;
 mod histogram;
 mod queue;
@@ -39,7 +52,7 @@ use microrec_embedding::TierCounters;
 
 use crate::engine::{MicroRec, MicroRecBuilder};
 use crate::error::MicroRecError;
-use crate::sync::{join, lock_or_recover, wait};
+use crate::sync::{join, lock_or_recover, wait_while};
 use queue::{BoundedQueue, PushError};
 
 /// What to do with a new request when the admission queue is full.
@@ -155,11 +168,13 @@ impl PendingPrediction {
     /// panicked on it.
     pub fn wait(self) -> Result<f32, RuntimeError> {
         let mut slot = lock_or_recover(&self.slot.result);
+        // `wait_while` returns only once the slot is filled; the loop takes
+        // the answer out of its `Option` without an `unwrap`.
         loop {
             if let Some(result) = slot.take() {
                 return result;
             }
-            slot = wait(slot, |g| self.slot.ready.wait(g));
+            slot = wait_while(slot, &self.slot.ready, |result| result.is_none());
         }
     }
 

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
 use super::batcher::BatchClose;
-use crate::sync::{lock_or_recover, wait, Guard};
+use crate::sync::{lock_or_recover, wait_while, Guard};
 
 /// Why a push was refused.
 #[derive(Debug)]
@@ -62,18 +62,15 @@ impl<T> BoundedQueue<T> {
     /// Pushes, blocking while the queue is full. Returns the item if the
     /// queue closed before space appeared (the request was never admitted).
     pub fn push_blocking(&self, item: T) -> Result<(), T> {
-        let mut state = self.lock();
-        loop {
-            if state.closed {
-                return Err(item);
-            }
-            if state.items.len() < self.capacity {
-                state.items.push_back(item);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            state = wait(state, |g| self.not_full.wait(g));
+        let mut state = wait_while(self.lock(), &self.not_full, |s| {
+            !s.closed && s.items.len() >= self.capacity
+        });
+        if state.closed {
+            return Err(item);
         }
+        state.items.push_back(item);
+        self.not_empty.notify_one();
+        Ok(())
     }
 
     /// Pushes without blocking; fails when full or closed.
@@ -110,24 +107,20 @@ impl<T> BoundedQueue<T> {
     /// queue is closed **and** empty — the clean-drain termination signal.
     pub fn pop_batch(&self, max_batch: usize) -> Option<(Vec<T>, BatchClose)> {
         let max_batch = max_batch.max(1);
-        let mut state = self.lock();
-        loop {
-            let queued = state.items.len();
-            if queued > 0 {
-                let close = if queued >= max_batch {
-                    BatchClose::Size
-                } else if state.closed {
-                    BatchClose::Drain
-                } else {
-                    BatchClose::Ready
-                };
-                return Some(self.take(&mut state, max_batch, close));
-            }
-            if state.closed {
-                return None;
-            }
-            state = wait(state, |g| self.not_empty.wait(g));
+        let mut state =
+            wait_while(self.lock(), &self.not_empty, |s| s.items.is_empty() && !s.closed);
+        let queued = state.items.len();
+        if queued == 0 {
+            return None;
         }
+        let close = if queued >= max_batch {
+            BatchClose::Size
+        } else if state.closed {
+            BatchClose::Drain
+        } else {
+            BatchClose::Ready
+        };
+        Some(self.take(&mut state, max_batch, close))
     }
 
     fn take(

@@ -5,24 +5,37 @@
 //! between fulfil and take, a histogram between records), so a panic on
 //! one thread must not take the lock — and with it admission, serving,
 //! and shutdown — down with it. All runtime code acquires locks through
-//! [`lock_or_recover`] and waits on condvars through [`wait`] instead of
-//! `.lock().unwrap()`: a poisoned mutex is recovered, not propagated, so a
-//! panicked thread can never wedge `ServingRuntime::shutdown` or starve
-//! other request threads. [`wait`] takes the condvar wait itself as a
-//! closure, so each `Condvar::wait` stays written at its call site, inside
-//! the predicate loop the `condvar-loop` lint checks.
+//! [`lock_or_recover`] and waits on condvars through [`wait_while`] instead
+//! of `.lock().unwrap()`: a poisoned mutex is recovered, not propagated, so
+//! a panicked thread can never wedge `ServingRuntime::shutdown` or starve
+//! other request threads. [`wait_while`] takes the condition it waits out
+//! and re-checks it after every wake-up, so no call site can forget the
+//! loop a spurious wake-up needs; clippy's `disallowed_methods` rejects a
+//! bare `Condvar::wait` anywhere in the workspace.
 //!
 //! The same helpers carry the lock discipline. The runtime's three locks
 //! (queue state, reply slot, latency histogram) never nest, so no lock
 //! order can deadlock and no thread blocks with a lock another thread
 //! needs. Debug builds check that where it can break, on every call: a
 //! thread-local count of runtime locks held makes [`lock_or_recover`]
-//! panic when the thread already holds one, [`wait`] panic when the thread
-//! holds any lock besides the one it waits on, and [`join`] panic when the
-//! thread holds any at all. Release builds compile the count out, and the
-//! helpers are the plain `std` calls.
+//! panic when the thread already holds one, [`wait_while`] panic when the
+//! thread holds any lock besides the one it waits on, and [`join`] panic
+//! when the thread holds any at all. Release builds compile the count out,
+//! and the helpers are thin wrappers over the `std` calls.
+//!
+//! Like the runtime it serves, this module denies the panicking shortcuts
+//! (`unwrap`, `expect`, `panic!` and kin) outside its tests.
 
-use std::sync::{LockResult, Mutex, MutexGuard, PoisonError};
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 
 /// A runtime lock's guard: a counted wrapper in debug builds, the `std`
@@ -40,6 +53,23 @@ fn recover<G>(result: Result<G, PoisonError<G>>) -> G {
     result.unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Blocks on `condvar` while `blocked` holds for `guard`'s state.
+/// `Condvar::wait_while` gives up on the first wake-up that finds the lock
+/// poisoned, without re-checking, so the poisoned guard is recovered and
+/// the wait resumed until `blocked` is false.
+fn recover_wait_while<'a, T>(
+    mut guard: MutexGuard<'a, T>,
+    condvar: &Condvar,
+    mut blocked: impl FnMut(&mut T) -> bool,
+) -> MutexGuard<'a, T> {
+    loop {
+        match condvar.wait_while(guard, &mut blocked) {
+            Ok(guard) => return guard,
+            Err(poisoned) => guard = poisoned.into_inner(),
+        }
+    }
+}
+
 /// Locks `mutex`, recovering the guard if a previous holder panicked.
 ///
 /// # Panics
@@ -50,19 +80,20 @@ pub(crate) fn lock_or_recover<T>(mutex: &Mutex<T>) -> Guard<'_, T> {
     recover(mutex.lock())
 }
 
-/// Runs `wait` — a `Condvar::wait` on `guard`'s lock — and recovers the
-/// re-acquired guard.
+/// Blocks on `condvar` while `blocked` holds for `guard`'s state, and
+/// returns the re-acquired guard, recovered if a holder panicked.
 ///
 /// # Panics
 ///
 /// In debug builds, if this thread holds any runtime lock besides
 /// `guard`'s.
 #[cfg(not(debug_assertions))]
-pub(crate) fn wait<'a, T>(
+pub(crate) fn wait_while<'a, T>(
     guard: Guard<'a, T>,
-    wait: impl FnOnce(MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>>,
+    condvar: &Condvar,
+    blocked: impl FnMut(&mut T) -> bool,
 ) -> Guard<'a, T> {
-    recover(wait(guard))
+    recover_wait_while(guard, condvar, blocked)
 }
 
 /// Joins `handle`.
@@ -76,11 +107,11 @@ pub(crate) fn join<T>(handle: JoinHandle<T>) -> thread::Result<T> {
 }
 
 #[cfg(debug_assertions)]
-pub(crate) use held::{join, lock_or_recover, wait};
+pub(crate) use held::{join, lock_or_recover, wait_while};
 
 #[cfg(debug_assertions)]
 mod held {
-    use super::{recover, thread, JoinHandle, LockResult, Mutex, MutexGuard};
+    use super::{recover, recover_wait_while, thread, Condvar, JoinHandle, Mutex, MutexGuard};
     use std::cell::Cell;
     use std::ops::{Deref, DerefMut};
 
@@ -136,13 +167,14 @@ mod held {
         Counted { guard, _count: Count::new() }
     }
 
-    pub(crate) fn wait<'a, T>(
+    pub(crate) fn wait_while<'a, T>(
         guard: Counted<'a, T>,
-        wait: impl FnOnce(MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>>,
+        condvar: &Condvar,
+        blocked: impl FnMut(&mut T) -> bool,
     ) -> Counted<'a, T> {
         assert_eq!(held(), 1, "condvar wait while holding another runtime lock");
         let Counted { guard, _count } = guard;
-        Counted { guard: recover(wait(guard)), _count }
+        Counted { guard: recover_wait_while(guard, condvar, blocked), _count }
     }
 
     pub(crate) fn join<T>(handle: JoinHandle<T>) -> thread::Result<T> {
@@ -153,7 +185,6 @@ mod held {
     #[cfg(test)]
     mod tests {
         use super::*;
-        use std::sync::Condvar;
 
         #[test]
         #[should_panic(expected = "runtime locks never nest")]
@@ -169,11 +200,8 @@ mod held {
             let (a, b) = (Mutex::new(0u32), Mutex::new(0u32));
             let _outer = lock_or_recover(&a);
             // Counted by hand, so the nesting check is not what fires.
-            let mut inner = Counted { guard: b.lock().unwrap(), _count: Count::new() };
-            let ready = Condvar::new();
-            while *inner == 0 {
-                inner = wait(inner, |g| ready.wait(g));
-            }
+            let inner = Counted { guard: b.lock().unwrap(), _count: Count::new() };
+            let _inner = wait_while(inner, &Condvar::new(), |v| *v == 0);
         }
 
         #[test]
@@ -213,13 +241,45 @@ mod tests {
         let (a, b) = (Mutex::new(0u32), Mutex::new(0u32));
         *lock_or_recover(&a) += 1;
         *lock_or_recover(&b) += 1;
-        let ready = Condvar::new();
-        let mut guard = lock_or_recover(&a);
-        while *guard < 1 {
-            guard = wait(guard, |g| ready.wait(g));
-        }
-        drop(guard);
+        drop(wait_while(lock_or_recover(&a), &Condvar::new(), |v| *v < 1));
         join(std::thread::spawn(|| ())).unwrap();
+    }
+
+    #[test]
+    fn wait_while_outlasts_a_wake_up_on_a_poisoned_lock() {
+        // (ready, times the waiter checked its condition)
+        let shared = Arc::new((Mutex::new((false, 0u32)), Condvar::new()));
+        let poisoner = Arc::clone(&shared);
+        let _ = std::thread::spawn(move || {
+            let _guard = poisoner.0.lock().unwrap();
+            panic!("poisons the lock");
+        })
+        .join();
+        let waiter_shared = Arc::clone(&shared);
+        let waiter = std::thread::spawn(move || {
+            let (lock, cv) = &*waiter_shared;
+            let state = wait_while(lock_or_recover(lock), cv, |(ready, checks)| {
+                *checks += 1;
+                !*ready
+            });
+            state.0
+        });
+        let (lock, cv) = &*shared;
+        let checks_reach = |n: u32| loop {
+            // The waiter checks only with the lock held, so it is asleep
+            // on the condvar whenever this sees a new count.
+            if lock_or_recover(lock).1 >= n || waiter.is_finished() {
+                break;
+            }
+            std::thread::yield_now();
+        };
+        checks_reach(1);
+        // A wake-up with the condition still true, on a poisoned lock.
+        cv.notify_all();
+        checks_reach(2);
+        lock_or_recover(lock).0 = true;
+        cv.notify_all();
+        assert!(waiter.join().unwrap(), "the waiter returned before its condition cleared");
     }
 
     #[test]

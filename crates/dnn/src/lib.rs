@@ -19,9 +19,9 @@
 //! # Ok::<(), microrec_dnn::DnnError>(())
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(clippy::disallowed_types)]
 
 mod error;
 mod fixed;

@@ -514,28 +514,31 @@ mod tests {
 
     #[test]
     fn an_arena_under_the_size_floor_is_filled_on_the_calling_thread() {
-        use std::collections::HashSet;
         use std::thread::{current, ThreadId};
 
         // Which threads fill `tables` when the arena holds `bytes` bytes.
-        let fillers = |bytes: u64| -> HashSet<ThreadId> {
+        let fillers = |bytes: u64| -> Vec<ThreadId> {
             let tables = fill_tables();
             let channel_of = [0, 1, 0, 1, 2];
             let layout = Layout::plan(
                 tables.iter().map(|t| t.rows() as usize * t.dim() as usize),
                 &channel_of,
             );
-            let seen = Mutex::new(HashSet::new());
+            let seen = Mutex::new(Vec::new());
             let fill = |table: &EmbeddingTable, row, dst: &mut [f32]| {
-                seen.lock().unwrap().insert(current().id());
+                let mut seen = seen.lock().unwrap();
+                if !seen.contains(&current().id()) {
+                    seen.push(current().id());
+                }
+                drop(seen);
                 table.fill_rows(row, dst)
             };
             materialize(&tables, &channel_of, &layout, fill_threads(bytes), fill).unwrap();
             seen.into_inner().unwrap()
         };
         // The ledger's tiny4 arena is 64 KB.
-        assert_eq!(fillers(64 << 10), HashSet::from([current().id()]));
-        assert_eq!(fillers(PAR_FILL_FLOOR_BYTES - 1), HashSet::from([current().id()]));
+        assert_eq!(fillers(64 << 10), vec![current().id()]);
+        assert_eq!(fillers(PAR_FILL_FLOOR_BYTES - 1), vec![current().id()]);
         if microrec_par::default_threads() > 1 {
             assert!(!fillers(PAR_FILL_FLOOR_BYTES).contains(&current().id()));
         }

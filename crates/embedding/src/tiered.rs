@@ -47,6 +47,17 @@
 //! to an all-resident arena gather — the tier split is purely a
 //! capacity/latency trade, never an accuracy one.
 
+// The round walk runs on the serving worker, so a panic here would take the
+// worker down with it: no panicking shortcut outside the tests.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,7 +78,8 @@ pub enum Tier {
 
 /// Monotonic tag making concurrent cold-store file names unique within a
 /// process (the process id distinguishes across processes). A counter, not
-/// a timestamp: the embedding crate is under the determinism lint.
+/// a timestamp: the embedding crate denies clock reads
+/// (`clippy::disallowed_types`).
 static COLD_FILE_TAG: AtomicU64 = AtomicU64::new(0);
 
 /// Bytes one row of `dim` elements occupies in either tier.
@@ -151,13 +163,13 @@ struct ColdTableLoc {
 /// scratch that no process reopens, it is deleted on drop, and every read
 /// goes through the page cache the writes went to, so durability buys
 /// nothing — and forcing the whole file to disk on every set-up costs more
-/// than writing it (DESIGN.md §13, "Build").
+/// than writing it (DESIGN.md §12, "Build").
 ///
 /// We use `pread` rather than `mmap`: this crate is `#![forbid(unsafe_code)]`
 /// and a raw-syscall mmap would need an `unsafe` block plus a lifetime
 /// argument for the mapping; a positioned read into an owned buffer has
 /// neither problem, and for one-row reads the page-cache hit cost is
-/// dominated by the syscall either way (see DESIGN.md §13).
+/// dominated by the syscall either way (see DESIGN.md §12).
 #[derive(Debug)]
 pub struct ColdStore {
     file: File,
@@ -1007,25 +1019,28 @@ mod tests {
 
     #[test]
     fn a_cold_file_under_the_size_floor_is_written_on_the_calling_thread() {
-        use std::collections::HashSet;
         use std::sync::Mutex;
         use std::thread::{current, ThreadId};
 
         let (tables, tiers) = write_tables();
         let store = ColdStore::build(&tables, &tiers).unwrap();
         // Which threads generate the rows when the file holds `bytes` bytes.
-        let writers = |bytes: u64| -> HashSet<ThreadId> {
-            let seen = Mutex::new(HashSet::new());
+        let writers = |bytes: u64| -> Vec<ThreadId> {
+            let seen = Mutex::new(Vec::new());
             let fill = |table: &EmbeddingTable, row, dst: &mut [f32]| {
-                seen.lock().unwrap().insert(current().id());
+                let mut seen = seen.lock().unwrap();
+                if !seen.contains(&current().id()) {
+                    seen.push(current().id());
+                }
+                drop(seen);
                 table.fill_rows(row, dst)
             };
             write_rows(&tables, &store.tables, &store.file, fill_threads(bytes), fill).unwrap();
             seen.into_inner().unwrap()
         };
         assert!(store.total_bytes() < PAR_FILL_FLOOR_BYTES);
-        assert_eq!(writers(store.total_bytes()), HashSet::from([current().id()]));
-        assert_eq!(writers(PAR_FILL_FLOOR_BYTES - 1), HashSet::from([current().id()]));
+        assert_eq!(writers(store.total_bytes()), vec![current().id()]);
+        assert_eq!(writers(PAR_FILL_FLOOR_BYTES - 1), vec![current().id()]);
         if microrec_par::default_threads() > 1 {
             assert!(!writers(PAR_FILL_FLOOR_BYTES).contains(&current().id()));
         }

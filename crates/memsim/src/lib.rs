@@ -35,6 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(clippy::disallowed_types)]
 
 mod bank;
 mod cache;

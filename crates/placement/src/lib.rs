@@ -28,6 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(clippy::disallowed_types)]
 
 mod alloc;
 mod brute;

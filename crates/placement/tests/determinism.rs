@@ -2,8 +2,8 @@
 //! byte-identical across two *fresh processes*, not just two calls.
 //! Per-process hasher seeds (`RandomState`), ASLR, and environment
 //! layout are exactly the perturbations an in-process repeat cannot see
-//! — and exactly what the `determinism` lint (no `HashMap`, no clocks,
-//! no OS-seeded RNG in `microrec-placement`) exists to rule out.
+//! — and exactly what `microrec-placement`'s `clippy::disallowed_types`
+//! deny (no `HashMap`, no clocks, no OS-seeded hasher) exists to rule out.
 //!
 //! The test re-executes its own binary in a child mode (selected by an
 //! environment variable) that prints a digest of the full search

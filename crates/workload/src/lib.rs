@@ -21,6 +21,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(clippy::disallowed_types)]
 
 mod arrival;
 mod error;
