@@ -1,5 +1,5 @@
 //! Host-executed end-to-end inference: the functional CPU reference engine
-//! and the MicroRec functional path (simulated memory + quantized MLP).
+//! and the MicroRec functional path (embedding rows + quantized MLP).
 
 use std::time::Duration;
 

@@ -88,6 +88,9 @@ pub fn run_predict(
     for i in 0..queries {
         let q = gen.next_query();
         let ctr = engine.predict(&q)?;
+        // Serving does not drive the simulated memory: issue the query's
+        // reads to it for the `memory:` line.
+        engine.observe(std::slice::from_ref(&q))?;
         writeln!(s, "  query {i:>3}: CTR {ctr:.4}")?;
     }
     let stats = engine.memory().stats().total();
@@ -327,7 +330,8 @@ mod tests {
         let out = run_predict(&ModelArg::Dlrm { tables: 4, dim: 4 }, 3, Precision::Fixed32, 1.0, 9)
             .unwrap();
         assert_eq!(out.matches("CTR 0.").count(), 3, "{out}");
-        assert!(out.contains("memory:"), "{out}");
+        // 4 tables x 4 lookup rounds x 3 queries, observed one by one.
+        assert!(out.contains("memory: 48 reads,"), "{out}");
     }
 
     #[test]

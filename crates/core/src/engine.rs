@@ -2,6 +2,12 @@
 //! assembled: Cartesian-merged tables placed across the hybrid memory by
 //! Algorithm 1, an item-by-item pipelined accelerator, and a fixed-point
 //! DNN datapath sharing weights with the `f32` reference.
+//!
+//! Serving and simulating are kept apart. `predict`, `predict_batch` and
+//! the gathers read rows from the engine's row store and run the MLP; the
+//! placed memory and the accelerator timing live in a [`Simulator`] that
+//! sees reads only through [`MicroRec::observe`] and
+//! [`MicroRec::measure_lookup`].
 
 use std::sync::Arc;
 
@@ -11,10 +17,11 @@ use microrec_embedding::{
     synthetic_dense_features, Catalog, EmbeddingArena, ModelSpec, Precision, RowFormat,
     TierCounters, TieredBacking, TieredStore,
 };
-use microrec_memsim::{AddressedRead, HybridMemory, MemoryConfig, RowPolicy, SimTime};
+use microrec_memsim::{HybridMemory, MemoryConfig, RowPolicy, SimTime};
 use microrec_placement::{heuristic_search, HeuristicOptions, Plan, PlanCost};
 
 use crate::error::MicroRecError;
+use crate::simulator::{self, Simulator};
 
 /// Channel assignment induced by a placement plan: each logical table
 /// inherits the dense channel index of the memory bank its physical table
@@ -243,23 +250,7 @@ impl MicroRecBuilder {
             heuristic_search(&self.model, &self.memory, self.storage_precision, &self.options)?;
         let plan = outcome.plan;
         let cost = outcome.cost;
-
-        let mut memory = HybridMemory::new(self.memory);
-        plan.apply(&mut memory)?;
-        // Byte offset of every (table, replica) region, for addressed reads.
-        let mut region_offsets = Vec::with_capacity(plan.placed.len());
-        for table in &plan.placed {
-            let mut offsets = Vec::with_capacity(table.banks.len());
-            for (r, &bank) in table.banks.iter().enumerate() {
-                let label = if table.banks.len() > 1 {
-                    format!("{}#r{r}", table.spec.name)
-                } else {
-                    table.spec.name.clone()
-                };
-                offsets.push(memory.region_offset(bank, &label)?);
-            }
-            region_offsets.push(offsets);
-        }
+        let placed = simulator::place(&plan, self.memory)?;
 
         let catalog = Catalog::build(&self.model, &plan.merge, self.seed)?;
 
@@ -329,19 +320,14 @@ impl MicroRecBuilder {
         Ok(MicroRec {
             model: self.model,
             precision: self.precision,
-            plan,
-            cost,
-            memory,
-            region_offsets,
             catalog,
             arena,
             tiered,
             feature_offsets,
             mlp,
             bottom,
-            accel,
-            pipeline,
             batch_path: BatchPath::Unbuilt,
+            sim: Simulator::new(plan, cost, placed, accel, pipeline),
         })
     }
 }
@@ -386,24 +372,20 @@ enum BatchPath {
     Q32(FastPath<Q32>),
 }
 
-/// The assembled MicroRec engine.
+/// The assembled MicroRec engine: a served row store and MLP, and the
+/// simulated FPGA memory and accelerator beside them.
 #[derive(Debug, Clone)]
 pub struct MicroRec {
     model: ModelSpec,
     precision: Precision,
-    plan: Plan,
-    cost: PlanCost,
-    memory: HybridMemory,
-    region_offsets: Vec<Vec<u64>>,
     catalog: Catalog,
     arena: Option<Arc<EmbeddingArena>>,
     tiered: Option<TieredStore>,
     feature_offsets: Vec<usize>,
     mlp: Mlp,
     bottom: Option<Mlp>,
-    accel: AccelConfig,
-    pipeline: Pipeline,
     batch_path: BatchPath,
+    sim: Simulator,
 }
 
 impl MicroRec {
@@ -422,13 +404,13 @@ impl MicroRec {
     /// The chosen placement plan.
     #[must_use]
     pub fn plan(&self) -> &Plan {
-        &self.plan
+        self.sim.plan()
     }
 
     /// The plan's cost summary (lookup latency, rounds, storage).
     #[must_use]
     pub fn placement_cost(&self) -> &PlanCost {
-        &self.cost
+        self.sim.cost()
     }
 
     /// The table catalog (logical→physical mapping).
@@ -440,13 +422,13 @@ impl MicroRec {
     /// The pipeline timing model.
     #[must_use]
     pub fn pipeline(&self) -> &Pipeline {
-        &self.pipeline
+        self.sim.pipeline()
     }
 
     /// The accelerator configuration.
     #[must_use]
     pub fn accel_config(&self) -> &AccelConfig {
-        &self.accel
+        self.sim.accel()
     }
 
     /// Datapath precision.
@@ -456,10 +438,11 @@ impl MicroRec {
     }
 
     /// The hybrid memory with the plan applied (capacity ledger + access
-    /// statistics).
+    /// statistics of the reads [`MicroRec::observe`] and
+    /// [`MicroRec::measure_lookup`] issued).
     #[must_use]
     pub fn memory(&self) -> &HybridMemory {
-        &self.memory
+        self.sim.memory()
     }
 
     /// The arena backing embedding reads, when one is configured.
@@ -490,13 +473,13 @@ impl MicroRec {
     /// End-to-end single-item inference latency.
     #[must_use]
     pub fn latency(&self) -> SimTime {
-        self.pipeline.latency()
+        self.sim.pipeline().latency()
     }
 
     /// Steady-state throughput in items per second.
     #[must_use]
     pub fn throughput_items_per_sec(&self) -> f64 {
-        self.pipeline.throughput_items_per_sec()
+        self.sim.pipeline().throughput_items_per_sec()
     }
 
     /// Operations per second (the paper's GOP/s metric).
@@ -508,13 +491,13 @@ impl MicroRec {
     /// Time to process `n` items through the pipeline.
     #[must_use]
     pub fn batch_latency(&self, n: u64) -> SimTime {
-        self.pipeline.batch_latency(n)
+        self.sim.pipeline().batch_latency(n)
     }
 
     /// Estimated FPGA resource usage (Table 6 model).
     #[must_use]
     pub fn resource_usage(&self) -> ResourceUsage {
-        estimate_usage(&self.model, &self.accel)
+        estimate_usage(&self.model, self.sim.accel())
     }
 
     /// Whether the design fits the U280.
@@ -523,9 +506,10 @@ impl MicroRec {
         self.resource_usage().fits(&U280_CAPACITY)
     }
 
-    /// Functionally predicts the CTR for one query, driving the simulated
-    /// memory (statistics accumulate in [`MicroRec::memory`]) and the
-    /// fixed-point datapath.
+    /// Functionally predicts the CTR for one query: its rows from the
+    /// engine's row store, then the MLP at the datapath precision. The
+    /// simulated memory is not touched; [`MicroRec::observe`] issues a
+    /// query's reads to it.
     ///
     /// The query layout matches the CPU reference engine: round-major,
     /// `lookups_per_table × num_tables` indices.
@@ -544,13 +528,14 @@ impl MicroRec {
     }
 
     /// Predicts CTRs for a batch of queries through the amortized fast
-    /// path: one embedding-gather sweep per lookup round for the whole
-    /// batch, and one packed GEMM per MLP layer for all items.
+    /// path: each item's rows gathered from the row store, then one packed
+    /// GEMM per MLP layer for all items.
     ///
     /// Results are **bit-identical** to calling [`MicroRec::predict`] per
-    /// query, and the simulated memory sees exactly the same reads (one
-    /// per table per round per query). The packed weights and scratch
-    /// buffers are built on first use and reused across calls.
+    /// query. Like it, the batch leaves the simulated memory alone;
+    /// [`MicroRec::observe`] issues the same queries' reads. The packed
+    /// weights and scratch buffers are built on first use and reused
+    /// across calls.
     ///
     /// # Errors
     ///
@@ -559,7 +544,12 @@ impl MicroRec {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
-        let features = self.gather_features_batch(queries)?;
+        let mut features = Vec::with_capacity(queries.len());
+        for query in queries {
+            let mut item = Vec::with_capacity(self.model.feature_len() as usize);
+            self.gather_features_into(query, &mut item)?;
+            features.push(item);
+        }
         let mut path = std::mem::replace(&mut self.batch_path, BatchPath::Unbuilt);
         let precision_matches = matches!(
             (&path, self.precision),
@@ -582,6 +572,28 @@ impl MicroRec {
         };
         self.batch_path = path;
         Ok(result?)
+    }
+
+    /// Issues the reads the FPGA would make for `queries`, served as one
+    /// batch, to the simulated memory: per lookup round, one parallel read
+    /// of every query's physical tables (one read per physical table per
+    /// query and round, at its placed byte address, replicas round-robin
+    /// across rounds). Statistics accumulate in [`MicroRec::memory`].
+    /// Returns the simulated lookup time, the rounds' elapsed times summed.
+    ///
+    /// Serving never calls this: it is how the paper's memory model sees a
+    /// query stream.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MicroRecError`] for malformed queries. Every query's
+    /// arity is checked before any read; a bad row index fails its round,
+    /// and the rounds before it stay recorded.
+    pub fn observe(&mut self, queries: &[Vec<u64>]) -> Result<SimTime, MicroRecError> {
+        for query in queries {
+            self.check_query(query)?;
+        }
+        self.sim.read(&self.catalog, queries, self.model.lookups_per_table as usize)
     }
 
     /// Checks a query's arity against the model.
@@ -622,16 +634,6 @@ impl MicroRec {
         Ok(processed)
     }
 
-    /// Maps one resolved lookup to a physical read (replicas round-robin
-    /// across lookup rounds).
-    fn addressed_read(&self, table: usize, row: u64, round: usize) -> AddressedRead {
-        let placed = &self.plan.placed[table];
-        let replica = round % placed.banks.len();
-        let row_bytes = placed.row_bytes(self.plan.precision);
-        let offset = self.region_offsets[table][replica] + row * u64::from(row_bytes);
-        AddressedRead::new(placed.banks[replica], offset, row_bytes)
-    }
-
     /// Quantizes gathered embedding values to the datapath precision
     /// (lossless per element relative to their stored width).
     fn quantize_features(&self, values: &mut [f32]) {
@@ -666,46 +668,8 @@ impl MicroRec {
         Ok(arena.gather_into(indices, out)?)
     }
 
-    /// Gathers feature vectors for a whole batch, issuing each lookup
-    /// round as one combined sweep of physical reads (the per-query read
-    /// count is unchanged; only the dispatch is amortized).
-    fn gather_features_batch(
-        &mut self,
-        queries: &[Vec<u64>],
-    ) -> Result<Vec<Vec<f32>>, MicroRecError> {
-        let tables = self.model.num_tables();
-        let rounds = self.model.lookups_per_table as usize;
-        let round_len = self.catalog.feature_len() as usize;
-        let mut features = Vec::with_capacity(queries.len());
-        for query in queries {
-            self.check_query(query)?;
-            let mut item = Vec::with_capacity(self.model.feature_len() as usize);
-            item.extend(self.dense_features(query)?);
-            features.push(item);
-        }
-        let mut requests = Vec::with_capacity(queries.len() * tables);
-        for round in 0..rounds {
-            requests.clear();
-            for query in queries {
-                let indices = &query[round * tables..(round + 1) * tables];
-                for lookup in &self.catalog.resolve(indices)? {
-                    requests.push(self.addressed_read(lookup.table, lookup.row, round));
-                }
-            }
-            self.memory.parallel_read_addressed(&requests)?;
-            for (item, query) in features.iter_mut().zip(queries) {
-                let indices = &query[round * tables..(round + 1) * tables];
-                let base = item.len();
-                item.resize(base + round_len, 0.0);
-                self.gather_round_into(indices, &mut item[base..])?;
-                self.quantize_features(&mut item[base..]);
-            }
-        }
-        Ok(features)
-    }
-
-    /// Gathers the (de-quantized) concatenated feature vector for a query,
-    /// issuing the physical reads against the simulated memory.
+    /// Gathers the (de-quantized) concatenated feature vector for a query
+    /// from the engine's row store.
     ///
     /// # Errors
     ///
@@ -736,20 +700,10 @@ impl MicroRec {
         // Dense path: the bottom MLP runs on the accelerator's datapath
         // precision (its own small PE group, §Figure 1's dense branch).
         features.extend(self.dense_features(query)?);
-        let mut requests: Vec<AddressedRead> = Vec::with_capacity(tables);
         for round in 0..rounds {
             let indices = &query[round * tables..(round + 1) * tables];
-            // Resolve to physical reads and drive the memory simulator
-            // with real byte addresses (so DRAM row-buffer state is
-            // modelled under the active page policy).
-            requests.clear();
-            for l in &self.catalog.resolve(indices)? {
-                requests.push(self.addressed_read(l.table, l.row, round));
-            }
-            self.memory.parallel_read_addressed(&requests)?;
-            // Functional gather through the fast path (embedding values
-            // quantize losslessly per element relative to their stored
-            // precision).
+            // Embedding values quantize losslessly per element relative
+            // to their stored precision.
             let base = features.len();
             features.resize(base + round_len, 0.0);
             self.gather_round_into(indices, &mut features[base..])?;
@@ -759,39 +713,27 @@ impl MicroRec {
     }
 
     /// Measures the lookup-stage time of one query against the simulated
-    /// memory (row-buffer state included), without running the MLP.
+    /// memory (row-buffer state included), without running the MLP: the
+    /// reads [`MicroRec::observe`] issues for the query alone.
     ///
     /// # Errors
     ///
     /// Returns [`MicroRecError`] for malformed queries.
     pub fn measure_lookup(&mut self, query: &[u64]) -> Result<SimTime, MicroRecError> {
         self.check_query(query)?;
-        let tables = self.model.num_tables();
-        let rounds = self.model.lookups_per_table as usize;
-        let mut total = SimTime::ZERO;
-        for round in 0..rounds {
-            let indices = &query[round * tables..(round + 1) * tables];
-            let requests: Vec<AddressedRead> = self
-                .catalog
-                .resolve(indices)?
-                .iter()
-                .map(|l| self.addressed_read(l.table, l.row, round))
-                .collect();
-            total += self.memory.parallel_read_addressed(&requests)?.elapsed;
-        }
-        Ok(total)
+        self.sim.read(&self.catalog, &[query], self.model.lookups_per_table as usize)
     }
 
     /// Sets the DRAM page policy of the simulated memory (closed page by
     /// default; open page lets Zipf-skewed traffic hit open rows).
     pub fn set_row_policy(&mut self, policy: RowPolicy) {
-        self.memory.set_row_policy(policy);
+        self.sim.set_row_policy(policy);
     }
 
     /// Resets accumulated memory statistics and, when the engine is
     /// tiered, its per-tier counters.
     pub fn reset_stats(&mut self) {
-        self.memory.reset_stats();
+        self.sim.reset_stats();
         if let Some(tiered) = &mut self.tiered {
             tiered.reset_stats();
         }
@@ -845,15 +787,20 @@ mod tests {
     }
 
     #[test]
-    fn predict_drives_memory_statistics() {
+    fn observe_drives_memory_statistics() {
         let mut e = toy_engine(Precision::Fixed16);
-        assert_eq!(e.memory().stats().total().reads, 0);
         let q = vec![0u64; 24];
         e.predict(&q).unwrap();
+        e.gather_features_into(&q, &mut Vec::new()).unwrap();
+        assert_eq!(e.memory().stats().total().reads, 0, "serving leaves the simulator alone");
+        let elapsed = e.observe(std::slice::from_ref(&q)).unwrap();
         // 6 physical tables x 4 rounds = 24 reads.
         assert_eq!(e.memory().stats().total().reads, 24);
+        assert!(elapsed > SimTime::ZERO);
         e.reset_stats();
         assert_eq!(e.memory().stats().total().reads, 0);
+        // One query observed alone is what `measure_lookup` times.
+        assert_eq!(e.measure_lookup(&q).unwrap(), elapsed);
     }
 
     #[test]
@@ -922,6 +869,7 @@ mod tests {
                     queries.iter().map(|q| sequential.predict(q).unwrap()).collect();
                 batched.reset_stats();
                 let fast = batched.predict_batch(&queries).unwrap();
+                assert_eq!(batched.memory().stats().total().reads, 0);
                 assert_eq!(fast.len(), batch);
                 for (i, (f, s)) in fast.iter().zip(&singles).enumerate() {
                     assert_eq!(
@@ -930,7 +878,8 @@ mod tests {
                         "{precision:?} batch {batch} item {i}: {f} vs {s}"
                     );
                 }
-                // Same physical traffic: 6 tables x 4 rounds per query.
+                // The batch's physical traffic: 6 tables x 4 rounds per query.
+                batched.observe(&queries).unwrap();
                 assert_eq!(batched.memory().stats().total().reads, (batch * 24) as u64);
             }
         }
@@ -940,6 +889,7 @@ mod tests {
     fn empty_batch_is_fine() {
         let mut e = toy_engine(Precision::Fixed16);
         assert!(e.predict_batch(&[]).unwrap().is_empty());
+        assert_eq!(e.observe(&[]).unwrap(), SimTime::ZERO);
         assert_eq!(e.memory().stats().total().reads, 0);
     }
 
@@ -950,6 +900,10 @@ mod tests {
         let mut q = vec![0u64; 24];
         q[3] = u64::MAX;
         assert!(e.predict(&q).is_err());
+        assert!(e.observe(&[vec![0u64; 24], vec![0u64; 23]]).is_err());
+        assert_eq!(e.memory().stats().total().reads, 0, "arity is checked before any read");
+        assert!(e.observe(&[q]).is_err());
+        assert!(e.measure_lookup(&[0u64; 25]).is_err());
     }
 
     fn small_model() -> ModelSpec {
@@ -991,8 +945,10 @@ mod tests {
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(g.to_bits(), w.to_bits(), "{precision:?} batch {i}");
             }
-            // The simulated memory still sees every physical read: the
-            // arena is a host-side structure, not a DRAM model.
+            // The arena is a host-side structure, not a DRAM model: the
+            // simulated memory sees the reads only when they are observed.
+            assert_eq!(arena.memory().stats().total().reads, 0);
+            arena.observe(&queries).unwrap();
             assert_eq!(arena.memory().stats().total().reads, (queries.len() * 6 * 4) as u64);
         }
     }

@@ -43,6 +43,7 @@ mod ranking;
 mod report;
 mod runtime;
 mod serve;
+mod simulator;
 mod sync;
 
 pub use cluster::{InterconnectConfig, MicroRecCluster};

@@ -329,7 +329,8 @@ impl ServingRuntime {
         // afresh (EXPERIMENTS.md, "Residency, not channels").
         let queue = Arc::new(BoundedQueue::new(config.queue_depth));
         // Pre-warm: one full-width dummy batch builds the packed weights
-        // and sizes the arena, then the stats reset hides it.
+        // and sizes the arena, then the stats reset hides it from the tier
+        // counters.
         let warm_engine = |builder: &MicroRecBuilder| -> Result<MicroRec, MicroRecError> {
             let mut engine = builder.clone().build()?;
             let arity = engine.model().num_tables() * engine.model().lookups_per_table as usize;
@@ -595,7 +596,7 @@ fn deliver(
 /// Runs one engine call, turning a panic into
 /// [`MicroRecError::Runtime`]`("engine panicked: …")`. The worker keeps
 /// serving with the same replica: a batch path the call had taken out is
-/// rebuilt by the next batch, and the simulator's counters may keep the
+/// rebuilt by the next batch, and the tier counters may keep the
 /// interrupted call's reads.
 fn contained<T>(call: impl FnOnce() -> Result<T, MicroRecError>) -> Result<T, MicroRecError> {
     std::panic::catch_unwind(AssertUnwindSafe(call)).unwrap_or_else(|payload| {

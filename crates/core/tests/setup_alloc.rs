@@ -27,10 +27,10 @@
 //! then every repeat of `predict_batch(32)`, `predict` and
 //! `gather_features_into` must ask for a pinned number of blocks. A
 //! one-worker tiny4 runtime must ask for `a` blocks per request and `b` per
-//! batch. The goldens name their terms; most are the in-path memory
-//! simulator's, and go when the engine stops driving it. This phase is the
-//! served path's allocation contract: a new block per call fails it, in
-//! whatever form it is asked for.
+//! batch. The goldens name their terms, and none of them is the memory
+//! simulator's: serving does not drive it. This phase is the served path's
+//! allocation contract: a new block per call fails it, in whatever form it
+//! is asked for.
 //!
 //! The binary has its own `main` (`harness = false`): under libtest's output
 //! capture every `std::thread::spawn` asks for two more blocks than it does
@@ -387,43 +387,25 @@ struct PerCall {
 
 /// The goldens, per model and precision. No store changes them: the arena,
 /// the tiered store's resident and cold rows and the catalog all fill the
-/// caller's slice in place. The terms, with T tables (each its own physical
-/// table, neither model merges any), R lookup rounds and L layers:
+/// caller's slice in place, and no call resolves a query or drives the
+/// simulated memory. The terms, with L layers:
 ///
-/// - `resolve`, 1 + 2T per query and round: `Catalog::resolve`'s output
-///   `Vec`, and per table its `sizes` and member-index `Vec`s;
-/// - memsim's per-round map, 1 per round: the `BTreeMap` leaf of
-///   `parallel_read_addressed`'s per-bank times (at most 11 banks);
-/// - `gather_features_into`: its `requests` `Vec`, then per round
-///   `resolve` and the map;
-/// - `predict`: the gather, into a fresh feature `Vec` (one more), then the
+/// - `gather_features_into`: none, the buffer is reused;
+/// - `predict`: the gather into a fresh feature `Vec` (1), then the
 ///   reference `Mlp`: at F32 the input copy and one `Vec` per layer
 ///   (1 + L), at Q2.13 and Q8.23 also the quantized input (2 + L);
-/// - `predict_batch(32)`: the output `Vec`, the `Vec` of feature vectors,
-///   32 per-item feature `Vec`s and the `requests` `Vec`, then per round 32
-///   `resolve`s and the map. The packed path's staging and scratch are
-///   warm.
+/// - `predict_batch(32)`: the output `Vec`, the `Vec` of feature vectors
+///   and 32 per-item feature `Vec`s. The packed path's staging and scratch
+///   are warm.
 fn golden(model: &str, precision: Precision) -> PerCall {
     let fixed = u64::from(precision != Precision::F32);
+    // 1 + 1 + 32
+    let batch = 34;
     match model {
-        // T = 8, R = 4, L = 4: resolve = 17.
-        "fc" => PerCall {
-            // 1 + 1 + 32 + 1 + 4 × (32 × 17 + 1)
-            batch: 2215,
-            // 73 + 1 + (1 + 4), or + (2 + 4) when quantized
-            predict: 79 + fixed,
-            // 1 + 4 × (17 + 1)
-            gather: 73,
-        },
-        // T = 4, R = 2, L = 2: resolve = 9.
-        "tiny4" => PerCall {
-            // 1 + 1 + 32 + 1 + 2 × (32 × 9 + 1)
-            batch: 613,
-            // 21 + 1 + (1 + 2), or + (2 + 2) when quantized
-            predict: 25 + fixed,
-            // 1 + 2 × (9 + 1)
-            gather: 21,
-        },
+        // L = 4: 1 + (1 + 4), or + (2 + 4) when quantized.
+        "fc" => PerCall { batch, predict: 6 + fixed, gather: 0 },
+        // L = 2: 1 + (1 + 2), or + (2 + 2) when quantized.
+        "tiny4" => PerCall { batch, predict: 4 + fixed, gather: 0 },
         other => panic!("no golden for model {other}"),
     }
 }
@@ -432,17 +414,16 @@ fn golden(model: &str, precision: Precision) -> PerCall {
 /// serving `N` requests asks for `N·a + batches·b` blocks, across the
 /// submitting thread and the worker:
 ///
-/// - a = 20 per request: the reply `Slot`'s `Arc` (1), and the engine's
-///   per-item terms of `predict_batch`, its feature `Vec` (1) and a
-///   `resolve` per round (2 × 9);
-/// - b = 6 per batch: the `Vec` `pop_batch` hands the worker (1), and the
-///   engine's per-batch terms: the output `Vec`, the `Vec` of feature
-///   vectors, the `requests` `Vec` and memsim's map per round (3 + 2).
+/// - a = 2 per request: the reply `Slot`'s `Arc` (1), and the engine's
+///   per-item term of `predict_batch`, its feature `Vec` (1);
+/// - b = 3 per batch: the `Vec` `pop_batch` hands the worker (1), and the
+///   engine's per-batch terms: the output `Vec` and the `Vec` of feature
+///   vectors (2).
 ///
 /// The queries' own `Vec`s are built before the count and reach the engine
 /// without a copy.
-const PER_REQUEST: u64 = 20;
-const PER_BATCH: u64 = 6;
+const PER_REQUEST: u64 = 2;
+const PER_BATCH: u64 = 3;
 
 fn steady_state_requests_the_golden_counts() {
     let mut failures = Vec::new();

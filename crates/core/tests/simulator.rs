@@ -37,19 +37,21 @@ impl Digest {
     }
 }
 
-/// The simulated time the reads of `queries`, issued as one batch, take.
-/// The model has one lookup round, so the batch is one parallel read and
+/// `engine.observe(queries)`, checked against the statistics it leaves:
+/// the model has one lookup round, so the batch is one parallel read and
 /// its elapsed time is the busiest bank's share of it.
 fn observe(engine: &mut MicroRec, queries: &[Vec<u64>]) -> SimTime {
     let before = engine.memory().stats().clone();
-    engine.predict_batch(queries).expect("batch predicts");
+    let elapsed = engine.observe(queries).expect("batch observes");
     let busy = |s: &AccessStats, bank| s.bank(bank).map_or(SimTime::ZERO, |b| b.busy);
-    engine
+    let busiest = engine
         .memory()
         .stats()
         .iter()
         .map(|(&bank, s)| s.busy.saturating_sub(busy(&before, bank)))
-        .fold(SimTime::ZERO, SimTime::max)
+        .fold(SimTime::ZERO, SimTime::max);
+    assert_eq!(elapsed, busiest, "one round's time is its busiest bank's");
+    elapsed
 }
 
 /// The digest of one page policy's run: `measure_lookup` per query and

@@ -38,8 +38,14 @@ pub fn merged_row_index(sizes: &[u64], indices: &[u64]) -> Result<u64, Embedding
     if sizes.len() != indices.len() {
         return Err(EmbeddingError::ArityMismatch { expected: sizes.len(), actual: indices.len() });
     }
+    merged_row(sizes.iter().copied().zip(indices.iter().copied()))
+}
+
+/// [`merged_row_index`] over `(rows, index)` pairs, one per member table in
+/// product order, without collecting them first.
+pub(crate) fn merged_row(members: impl Iterator<Item = (u64, u64)>) -> Result<u64, EmbeddingError> {
     let mut merged: u64 = 0;
-    for (k, (&n, &i)) in sizes.iter().zip(indices).enumerate() {
+    for (k, (n, i)) in members.enumerate() {
         if i >= n {
             return Err(EmbeddingError::IndexOutOfRange {
                 table: format!("product member {k}"),

@@ -9,7 +9,7 @@
 //! transparent to the model: merged and unmerged catalogs produce identical
 //! feature vectors.
 
-use crate::cartesian::{merged_row_index, product_spec};
+use crate::cartesian::{merged_row, product_spec};
 use crate::error::EmbeddingError;
 use crate::precision::Precision;
 use crate::spec::{ModelSpec, TableSpec};
@@ -234,20 +234,35 @@ impl Catalog {
     /// Returns [`EmbeddingError::ArityMismatch`] for the wrong number of
     /// indices and [`EmbeddingError::IndexOutOfRange`] for a bad index.
     pub fn resolve(&self, indices: &[u64]) -> Result<Vec<PhysicalLookup>, EmbeddingError> {
+        let mut lookups = Vec::with_capacity(self.physical.len());
+        self.resolve_with(indices, |lookup| lookups.push(lookup))?;
+        Ok(lookups)
+    }
+
+    /// [`Catalog::resolve`] handing each lookup to `visit` in physical
+    /// table order instead of collecting them, so a caller resolving many
+    /// queries allocates nothing. On an error `visit` may have seen some
+    /// of the query's lookups.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Catalog::resolve`].
+    pub fn resolve_with(
+        &self,
+        indices: &[u64],
+        mut visit: impl FnMut(PhysicalLookup),
+    ) -> Result<(), EmbeddingError> {
         if indices.len() != self.logical.len() {
             return Err(EmbeddingError::ArityMismatch {
                 expected: self.logical.len(),
                 actual: indices.len(),
             });
         }
-        let mut lookups = Vec::with_capacity(self.physical.len());
         for (pidx, phys) in self.physical.iter().enumerate() {
-            let sizes: Vec<u64> = phys.members.iter().map(|&i| self.logical[i].rows()).collect();
-            let member_indices: Vec<u64> = phys.members.iter().map(|&i| indices[i]).collect();
-            let row = merged_row_index(&sizes, &member_indices)?;
-            lookups.push(PhysicalLookup { table: pidx, row });
+            let members = phys.members.iter().map(|&i| (self.logical[i].rows(), indices[i]));
+            visit(PhysicalLookup { table: pidx, row: merged_row(members)? });
         }
-        Ok(lookups)
+        Ok(())
     }
 
     /// Functionally gathers the concatenated feature vector for a query, in

@@ -54,8 +54,8 @@ fn engine_predictions_are_run_independent() {
 
 #[test]
 fn predictions_do_not_depend_on_history() {
-    // The simulated memory accumulates statistics and row-buffer state,
-    // but functional answers must be pure.
+    // The simulated memory accumulates statistics and row-buffer state
+    // from the reads it observes, but functional answers must be pure.
     let model = ModelSpec::dlrm_rmc2(4, 8);
     let mut engine = MicroRec::builder(model.clone()).seed(SEED).build().unwrap();
     let q1 = vec![7u64; 16];
@@ -63,6 +63,7 @@ fn predictions_do_not_depend_on_history() {
     let fresh = engine.predict(&q1).unwrap();
     for _ in 0..50 {
         engine.predict(&q2).unwrap();
+        engine.observe(std::slice::from_ref(&q2)).unwrap();
     }
     assert_eq!(engine.predict(&q1).unwrap(), fresh);
 }

@@ -60,16 +60,28 @@ fn ranking_survives_quantization() {
     );
 }
 
+/// Serving leaves the simulated memory alone: `predict`, `predict_batch`
+/// and `gather_features_into` record no read.
+fn assert_serving_reads_nothing(engine: &mut MicroRec, queries: &[Vec<u64>]) {
+    for q in queries {
+        engine.predict(q).unwrap();
+        engine.gather_features_into(q, &mut Vec::new()).unwrap();
+    }
+    engine.predict_batch(queries).unwrap();
+    assert_eq!(engine.memory().stats().total().reads, 0, "serving drove the simulator");
+}
+
 /// The engine's memory statistics reflect the placement: production model
-/// queries hit HBM, DDR, and on-chip banks in the expected proportions.
+/// queries, observed, hit HBM, DDR, and on-chip banks in the expected
+/// proportions.
 #[test]
 fn memory_statistics_reflect_placement() {
     let model = ModelSpec::small_production();
     let mut engine = MicroRec::builder(model.clone()).seed(SEED).build().unwrap();
     let mut queries = QueryGenerator::new(&model, QueryGenConfig::default()).unwrap();
-    for q in queries.next_batch(10) {
-        engine.predict(&q).unwrap();
-    }
+    let batch = queries.next_batch(10);
+    assert_serving_reads_nothing(&mut engine, &batch);
+    engine.observe(&batch).unwrap();
     let stats = engine.memory().stats();
     // 42 physical tables x 10 queries.
     assert_eq!(stats.total().reads, 420);
@@ -145,6 +157,8 @@ fn dlrm_multi_lookup_end_to_end() {
     for s in scores {
         assert!(s > 0.0 && s < 1.0);
     }
+    assert_serving_reads_nothing(&mut engine, &batch);
+    engine.observe(&batch).unwrap();
     // 8 tables x 4 lookups x 5 queries.
     assert_eq!(engine.memory().stats().total().reads, 160);
 }
