@@ -1,7 +1,9 @@
 //! `gemm_packed` at the three precisions on the perf ledger's layer shapes
-//! (`dlrm_rmc2(8,16)`'s three hidden layers), at the ledger's batch of 32
-//! and at the 1–4 rows an idle serving worker is handed — the MR = 4
-//! register tile's row tail.
+//! (`dlrm_rmc2(8,16)`'s three hidden layers), at the ledger's batch of 32,
+//! at the 1–4 rows an idle serving worker is handed — the MR = 4 register
+//! tile's row tail — and at 8 and 16 rows, either side of where Q2.13
+//! switches from the AVX-512 VNNI tile to the AMX tile (`MIN_ROWS` in
+//! `crates/dnn/src/gemm.rs`, set from this bench).
 
 use std::time::Duration;
 
@@ -11,7 +13,7 @@ use microrec_dnn::{gemm_flops, gemm_packed, FixedNum, Matrix, PackedB, Q16, Q32}
 /// (inner k, outputs n) per layer.
 const LAYERS: [(usize, usize); 3] = [(512, 1024), (1024, 512), (512, 256)];
 /// Batch rows m.
-const ROWS: [usize; 5] = [1, 2, 3, 4, 32];
+const ROWS: [usize; 7] = [1, 2, 3, 4, 8, 16, 32];
 
 fn bench_precision<T: FixedNum>(c: &mut Criterion, precision: &str) {
     let mut group = c.benchmark_group(format!("gemm_packed_{precision}"));

@@ -29,6 +29,7 @@
 
 use std::fmt;
 use std::iter::Sum;
+use std::mem::MaybeUninit;
 use std::num::NonZeroUsize;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 
@@ -72,20 +73,24 @@ macro_rules! define_fixed {
                 self.0
             }
 
-            /// Converts from `f32`, rounding to nearest and saturating.
+            /// Converts from `f32`, rounding to nearest (half away from
+            /// zero) and saturating; NaN is zero.
+            ///
+            /// All in `f32` and integers, without a branch: scaling by
+            /// `2^FRAC_BITS` is exact (a power of two; it overflows only to
+            /// ±inf), the clamp to the raw range keeps NaN (which the cast
+            /// then makes 0), the cast truncates toward zero, and below
+            /// `2^23` in magnitude the fraction left over is exact, while
+            /// above it the scaled value is already an integer — so
+            /// comparing that fraction with ±0.5 rounds exactly, and the
+            /// ±1 it adds cannot leave the range.
             #[must_use]
             pub fn from_f32(v: f32) -> Self {
-                if v.is_nan() {
-                    return $name(0);
-                }
-                let scaled = (v as f64 * f64::from((1u32 << $frac) as f64)).round();
-                if scaled >= <$repr>::MAX as f64 {
-                    $name(<$repr>::MAX)
-                } else if scaled <= <$repr>::MIN as f64 {
-                    $name(<$repr>::MIN)
-                } else {
-                    $name(scaled as $repr)
-                }
+                let scaled = v * (1u32 << $frac) as f32;
+                let scaled = scaled.clamp(<$repr>::MIN as f32, <$repr>::MAX as f32);
+                let whole = scaled as $repr;
+                let rest = scaled - whole as f32;
+                $name(whole + <$repr>::from(rest >= 0.5) - <$repr>::from(rest <= -0.5))
             }
 
             /// Converts to `f32` (exact: the mantissa always fits).
@@ -240,13 +245,32 @@ pub trait FixedNum: Copy + Add<Output = Self> + Sum + PartialOrd + fmt::Debug + 
         None
     }
 
+    /// Elements of the byte planes [`PackedB`] stores after the panels of a
+    /// `k × n` B for a plane tile; 0 where the precision or the shape has
+    /// none. A function of the shape only, never of the host.
+    #[doc(hidden)]
+    fn plane_len(_k: usize, _n: usize) -> usize {
+        0
+    }
+
+    /// Writes the byte planes (`plane_len(k, n)` elements, zeroed) from
+    /// the already-quantized `panels` of a `k`-deep B.
+    #[doc(hidden)]
+    fn pack_planes(_panels: &[Self], _k: usize, _planes: &mut [Self]) {}
+
     /// The register-tiled kernel behind [`gemm_packed`](crate::gemm_packed):
     /// writes `C[i][j]` for every batch row `i` and every column `j` of the
     /// full 4-column panels of `b` (`a` is `m × k`, `c` is `m × n`, both
-    /// row-major). Precisions with a vector datapath override it; the
-    /// result is bit-identical either way.
+    /// row-major); `scratch` is working memory of at least
+    /// `b.scratch_len(m)` elements. Precisions with a vector datapath
+    /// override it; the result is bit-identical either way.
     #[doc(hidden)]
-    fn gemm_panels(a: &[Self], b: &PackedB<Self>, c: &mut [Self]) {
+    fn gemm_panels(
+        a: &[Self],
+        b: &PackedB<Self>,
+        c: &mut [Self],
+        _scratch: &mut [MaybeUninit<Self>],
+    ) {
         crate::gemm::gemm_panels_portable(a, b.k(), b.panels(), b.n(), c);
     }
 }
@@ -272,8 +296,19 @@ impl FixedNum for Q16 {
     fn i32_quads(packed: &[Self]) -> Option<NonZeroUsize> {
         crate::gemm::q16_i32_quads(packed)
     }
-    fn gemm_panels(a: &[Self], b: &PackedB<Self>, c: &mut [Self]) {
-        crate::gemm::gemm_panels_q16(a, b, c);
+    fn plane_len(k: usize, n: usize) -> usize {
+        crate::gemm::q16_plane_len(k, n)
+    }
+    fn pack_planes(panels: &[Self], k: usize, planes: &mut [Self]) {
+        crate::gemm::pack_q16_planes(panels, k, planes);
+    }
+    fn gemm_panels(
+        a: &[Self],
+        b: &PackedB<Self>,
+        c: &mut [Self],
+        scratch: &mut [MaybeUninit<Self>],
+    ) {
+        crate::gemm::gemm_panels_q16(a, b, c, scratch);
     }
 }
 
@@ -315,7 +350,7 @@ impl FixedNum for f32 {
     fn narrow(acc: Self) -> Self {
         acc
     }
-    fn gemm_panels(a: &[Self], b: &PackedB<Self>, c: &mut [Self]) {
+    fn gemm_panels(a: &[Self], b: &PackedB<Self>, c: &mut [Self], _: &mut [MaybeUninit<Self>]) {
         crate::gemm::gemm_panels_f32(a, b, c);
     }
 }
@@ -383,6 +418,109 @@ mod tests {
         assert_eq!(Q16::from_f32(-1e9), Q16::MIN);
         assert_eq!(Q16::from_f32(f32::NAN), Q16::ZERO);
         assert_eq!(Q32::from_f32(f32::INFINITY), Q32::MAX);
+    }
+
+    /// The conversion `from_f32` had before it moved to `f32` arithmetic —
+    /// through `f64` and libm's `round` — as the raw value of a format with
+    /// `frac` fraction bits and raw range `min..=max`: the oracle the tests
+    /// below hold it to.
+    fn from_f32_via_f64(v: f32, frac: u32, min: i64, max: i64) -> i64 {
+        if v.is_nan() {
+            return 0;
+        }
+        let scaled = (f64::from(v) * f64::from(1u32 << frac)).round();
+        if scaled >= max as f64 {
+            max
+        } else if scaled <= min as f64 {
+            min
+        } else {
+            scaled as i64
+        }
+    }
+
+    /// Whether both formats convert the `f32` with bit pattern `bits` as
+    /// the oracle does.
+    fn from_f32_agrees(bits: u32) -> bool {
+        let v = f32::from_bits(bits);
+        i64::from(Q16::from_f32(v).to_raw()) == from_f32_via_f64(v, 13, -32768, 32767)
+            && i64::from(Q32::from_f32(v).to_raw())
+                == from_f32_via_f64(v, 23, i32::MIN.into(), i32::MAX.into())
+    }
+
+    #[test]
+    fn from_f32_matches_the_f64_oracle_at_the_edges() {
+        let mut values = vec![
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7FC0_1234),
+            f32::from_bits(0xFF80_0001),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::from_bits(0x007F_FFFF),
+            f32::MAX,
+            f32::MIN,
+            0.5,
+            -0.5,
+            0.499_999_97,
+            -0.499_999_97,
+        ];
+        for frac in [13, 23] {
+            let scale = (1u32 << frac) as f32;
+            for raw in [0.5f32, 1.5, 2.5, 4095.5, 32766.5, 32767.5, 32768.5, 8_388_607.5] {
+                for offset in [-1i32, 0, 1] {
+                    let at = f32::from_bits((raw / scale).to_bits().wrapping_add_signed(offset));
+                    values.extend([at, -at]);
+                }
+            }
+            // The saturation edges: the largest in-range value, the rail, past it.
+            for rail in [32767.0f32, 32768.0, 2_147_483_520.0, 2_147_483_648.0, 4_294_967_296.0] {
+                values.extend([rail / scale, -rail / scale]);
+            }
+        }
+        for v in values {
+            assert!(from_f32_agrees(v.to_bits()), "from_f32({v:e}) left the oracle");
+        }
+        assert_eq!(Q16::from_f32(0.5 / 8192.0).to_raw(), 1, "half rounds away from zero");
+        assert_eq!(Q16::from_f32(-0.5 / 8192.0).to_raw(), -1, "half rounds away from zero");
+        assert_eq!(Q16::from_f32(32767.5 / 8192.0), Q16::MAX);
+        assert_eq!(Q32::from_f32(f32::NEG_INFINITY), Q32::MIN);
+    }
+
+    #[test]
+    fn from_f32_matches_the_f64_oracle_on_a_bit_pattern_sample() {
+        let bad: Vec<u32> =
+            (0..=u32::MAX).step_by(65_537).filter(|&b| !from_f32_agrees(b)).collect();
+        assert!(bad.is_empty(), "{} sampled patterns disagree, first {:#010x}", bad.len(), bad[0]);
+    }
+
+    /// Every one of the 2³² `f32` bit patterns, split over the available
+    /// threads: ≈45 s in release on two cores, far longer in debug, so debug
+    /// skips it.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "2^32 conversions: run with --release")]
+    fn from_f32_matches_the_f64_oracle_on_every_bit_pattern() {
+        let threads = std::thread::available_parallelism().map_or(1, usize::from).min(8) as u64;
+        let span = (1u64 << 32).div_ceil(threads);
+        let bad: Vec<(u64, u32)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    scope.spawn(move || {
+                        let range = t * span..((t + 1) * span).min(1 << 32);
+                        let mut bad = range.map(|b| b as u32).filter(|&b| !from_f32_agrees(b));
+                        let first = bad.next();
+                        first.map(|first| (1 + bad.count() as u64, first))
+                    })
+                })
+                .collect();
+            workers.into_iter().filter_map(|w| w.join().expect("sweep thread panicked")).collect()
+        });
+        assert!(bad.is_empty(), "patterns that disagree (count, first): {bad:x?}");
     }
 
     #[test]

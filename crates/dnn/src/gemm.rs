@@ -24,8 +24,10 @@
 //! ```
 //!
 //! followed by the panel's `k mod 4` tail (per column), and after the last
-//! full panel the `n mod 4` tail columns, each contiguous — one buffer of
-//! exactly `k·n` elements, no second layout. A vector register loaded from
+//! full panel the `n mod 4` tail columns, each contiguous — `k·n` elements,
+//! followed at Q2.13 by the AMX tile's byte planes of the panels where the
+//! shape has them (`k ≥ 64`, `n ≥ 16`: [`pack_q16_planes`]), in the same
+//! buffer. A vector register loaded from
 //! a k-quad therefore holds *4 k-lanes × 4 columns*: element `4c + l` is
 //! lane `l` of column `c`. For the lane-ordered precisions, multiplying it
 //! element-wise by the activation quad `[x0 x1 x2 x3]` broadcast four times
@@ -68,14 +70,36 @@
 //!   `dnn.roofline_frac` divides by the `f32` 256-bit FMA peak
 //!   (`host.peak_gmacs_per_s`, 8 MACs per instruction), so under this tile
 //!   it reads above 1.
+//! * **Q2.13 on AMX-INT8** (batches of [`MIN_ROWS`] = 8 rows or more, over
+//!   B with planes, where CPUID has AMX-TILE/INT8 beside AVX-512 and Linux
+//!   grants the tile data state) — a tile multiplies bytes, so every
+//!   activation and weight is split into a signed high and an unsigned low
+//!   byte, `x = 256·(x >> 8) + (x & 0xFF)`, and
+//!   `x·w = 2¹⁶·xh·wh + 2⁸·(xh·wl + xl·wh) + xl·wl`. Per 64-k chunk
+//!   `tdpbssd`, `tdpbsud`, `tdpbusd` and `tdpbuud` add the four byte-plane
+//!   products into four `i32` accumulator tiles (16 rows × 16 columns),
+//!   each product at most 2¹⁴, 32 640, 32 640 and 65 025 in magnitude. The
+//!   largest bound caps a block at ⌊(2³¹ − 1) / 65 025⌋ = 33 025 terms, so
+//!   every 32 768 (512 chunks) the tiles are stored and recombined in `i64`
+//!   as `(hh << 16) + ((xh·wl + xl·wh) << 8) + ll`: the exact sum of the
+//!   raw products, which is narrowed once. Nothing rounds before
+//!   [`FixedNum::narrow`], so the result is the wide sum bit for bit, and a
+//!   weight of −32768 (high byte −128, low byte 0) needs no fallback. The
+//!   loop is n-blocks outside m-blocks, so each B tile pair streams once per
+//!   16 rows; A is split per call into the spare capacity past `c`.
+//!   Below 8 rows a 16-row tile is mostly padding and the VNNI tile wins
+//!   (`serve-open`'s batches of one keep it), as does any layer with
+//!   `k < 64` (tiny4).
 //! * **`f32` on AVX2** — the lane-ordered tile, two 8-float vectors per
 //!   k-quad (2 columns each), `mul_ps` then `add_ps`; never FMA, which
 //!   rounds once where the oracle rounds twice.
 //! * **Q8.23, and every precision off AVX2** — the lane-ordered tile in
 //!   portable scalar code ([`gemm_panels_portable`]), also the in-crate
 //!   reference the vector tiles are pinned against; Q2.13 panels holding a
-//!   weight of −32768 take it too (see [`q16_i32_quads`]).
+//!   weight of −32768 take it too (see [`q16_i32_quads`]) unless the AMX
+//!   tile runs.
 
+use std::mem::MaybeUninit;
 use std::num::NonZeroUsize;
 
 use crate::error::DnnError;
@@ -141,13 +165,17 @@ pub fn dot_quantizing<T: FixedNum>(w: &[f32], x: &[T]) -> T {
 
 /// The CPU features every vector kernel in the crate dispatches on, as bits
 /// of one word probed once per process: AVX2 (the AVX2 Q2.13 and `f32`
-/// tiles) and AVX-512F/BW/VNNI (the wide Q2.13 tile).
+/// tiles), AVX-512F/BW/VNNI (the wide Q2.13 tile) and AMX-INT8 (the Q2.13
+/// byte-plane tile).
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod cpu {
     use std::arch::is_x86_feature_detected as detected;
     use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
     pub(crate) const AVX2: u8 = 1;
     pub(crate) const AVX512_VNNI: u8 = 2;
+    /// AMX-TILE and AMX-INT8 in CPUID, AVX-512F/BW/VNNI beside them, and
+    /// the kernel's permission to use the tile data state.
+    pub(crate) const AMX: u8 = 4;
     /// The probed features, with bit 7 set; 0 until the first probe.
     static WORD: AtomicU8 = AtomicU8::new(0);
 
@@ -162,10 +190,52 @@ pub(crate) mod cpu {
     #[cold]
     fn probe() -> u8 {
         let avx512_vnni = detected!("avx512f") && detected!("avx512bw") && detected!("avx512vnni");
-        let word =
-            0x80 | (u8::from(detected!("avx2")) * AVX2) | (u8::from(avx512_vnni) * AVX512_VNNI);
+        let amx = avx512_vnni && amx_in_cpuid() && request_tile_data();
+        let word = 0x80
+            | (u8::from(detected!("avx2")) * AVX2)
+            | (u8::from(avx512_vnni) * AVX512_VNNI)
+            | (u8::from(amx) * AMX);
         WORD.store(word, Relaxed);
         word
+    }
+
+    /// CPUID leaf 7, sub-leaf 0, EDX bits 24 (AMX-TILE) and 25 (AMX-INT8).
+    pub(crate) fn amx_in_cpuid() -> bool {
+        use std::arch::x86_64::{__cpuid, __cpuid_count};
+        // CPUID is in every x86-64 CPU; leaf 7 exists if leaf 0 says so.
+        __cpuid(0).eax >= 7 && __cpuid_count(7, 0).edx >> 24 & 0b11 == 0b11
+    }
+
+    /// Asks Linux for the tile data state (`arch_prctl(ARCH_REQ_XCOMP_PERM,
+    /// XFEATURE_XTILEDATA)`), without which the first tile instruction
+    /// faults. The permission is the whole process's, so one request covers
+    /// every thread; `false` if the kernel refuses (too old, or AMX off).
+    #[cfg(target_os = "linux")]
+    fn request_tile_data() -> bool {
+        const ARCH_PRCTL: isize = 158;
+        const ARCH_REQ_XCOMP_PERM: usize = 0x1023;
+        const XFEATURE_XTILEDATA: usize = 18;
+        let ret: isize;
+        // SAFETY: `arch_prctl` with these two integer arguments reads and
+        // writes no memory of this process; it only widens the set of
+        // register states the kernel saves for it. The `syscall`
+        // instruction clobbers `rcx` and `r11`, declared as outputs.
+        unsafe {
+            std::arch::asm!(
+                "syscall",
+                inlateout("rax") ARCH_PRCTL => ret,
+                in("rdi") ARCH_REQ_XCOMP_PERM,
+                in("rsi") XFEATURE_XTILEDATA,
+                lateout("rcx") _,
+                lateout("r11") _,
+                options(nostack),
+            );
+        }
+        ret == 0
+    }
+    #[cfg(not(target_os = "linux"))]
+    fn request_tile_data() -> bool {
+        false
     }
 }
 
@@ -236,7 +306,10 @@ pub fn gemm_naive(a: &Matrix, b: &Matrix) -> Result<Matrix, DnnError> {
 pub struct PackedB<T> {
     k: usize,
     n: usize,
-    /// `n / 4` panels of `4·k` elements, then `n % 4` contiguous columns.
+    /// `n / 4` panels of `4·k` elements, then `n % 4` contiguous columns,
+    /// then the byte planes if the precision and shape have them
+    /// ([`FixedNum::plane_len`]) — in this one `Vec`, which keeps
+    /// `PackedLayer` at 72 bytes.
     data: Vec<T>,
     /// [`FixedNum::i32_quads`] of `data`; `None` sends [`gemm_packed`] to
     /// the portable tile.
@@ -262,11 +335,13 @@ impl<T: FixedNum> PackedB<T> {
     }
 
     /// Quantizes `B[kk][j] = at(kk, j)` into the panel layout, in storage
-    /// order.
+    /// order, then derives the precision's byte planes (if any) from the
+    /// quantized panels in one more pass.
     fn pack_with(k: usize, n: usize, at: impl Fn(usize, usize) -> f32) -> Self {
         let body = k - k % LANES;
         let full = n - n % NR;
-        let mut data = Vec::with_capacity(k * n);
+        let planes = T::plane_len(k, n);
+        let mut data = Vec::with_capacity(k * n + planes);
         for j0 in (0..full).step_by(NR) {
             for q in (0..body).step_by(LANES) {
                 for j in j0..j0 + NR {
@@ -281,6 +356,11 @@ impl<T: FixedNum> PackedB<T> {
             data.extend((0..k).map(|kk| T::from_f32(at(kk, j))));
         }
         let i32_quads = T::i32_quads(&data);
+        if planes > 0 {
+            data.resize(k * n + planes, T::ZERO);
+            let (panels, planes) = data.split_at_mut(k * n);
+            T::pack_planes(&panels[..full * k], k, planes);
+        }
         PackedB { k, n, data, i32_quads }
     }
 
@@ -296,9 +376,26 @@ impl<T: FixedNum> PackedB<T> {
         self.n
     }
 
-    /// The full 4-column panels: all of the buffer but the tail columns.
+    /// The full 4-column panels: the buffer up to the tail columns.
     pub(crate) fn panels(&self) -> &[T] {
         &self.data[..(self.n - self.n % NR) * self.k]
+    }
+
+    /// The byte planes after the panels and tail columns; empty where the
+    /// precision or the shape has none ([`FixedNum::plane_len`]).
+    pub(crate) fn planes(&self) -> &[T] {
+        &self.data[self.k * self.n..]
+    }
+
+    /// Elements of scratch [`gemm_packed`] asks for past `m·n` outputs: the
+    /// byte-plane tile's split of A where the shape has planes and `m`
+    /// reaches [`MIN_ROWS`], else 0. Like the planes, a function of the
+    /// shape, not of the host.
+    pub(crate) fn scratch_len(&self, m: usize) -> usize {
+        if self.planes().is_empty() || m < MIN_ROWS {
+            return 0;
+        }
+        a_planes_len(m, self.k).div_ceil(std::mem::size_of::<T>())
     }
 
     /// The packed element `B[kk][j]`.
@@ -322,12 +419,16 @@ impl<T: FixedNum> PackedB<T> {
     }
 }
 
-/// `C = A · B` over a pre-packed B, writing into caller-provided scratch
-/// (`c`, length `m·n`) — no allocation on the hot path.
+/// `C = A · B` over a pre-packed B, into the caller's buffer `c` (length
+/// `m·n`) — no allocation on the hot path.
 ///
 /// `a` is row-major `m × k`. Every `C[i][j]` equals [`dot_scalar`] over
 /// row `i` of A and column `j` of B bit for bit, so results match [`gemv`]
-/// over the master weights.
+/// over the master weights. The spare capacity of `c` is the kernel's
+/// working memory: at Q2.13, for `m ≥ 8` rows over a B with byte planes
+/// (`k ≥ 64`, `n ≥ 16`), it holds A split into bytes, and `c` is first
+/// grown to fit — the one allocation, which a `c` kept across calls (or an
+/// arena warmed by [`PackedMlp::warm`](crate::PackedMlp::warm)) makes once.
 ///
 /// # Errors
 ///
@@ -337,7 +438,7 @@ pub fn gemm_packed<T: FixedNum>(
     a: &[T],
     m: usize,
     b: &PackedB<T>,
-    c: &mut [T],
+    c: &mut Vec<T>,
 ) -> Result<(), DnnError> {
     let (k, n) = (b.k, b.n);
     if a.len() != m * k {
@@ -358,15 +459,33 @@ pub fn gemm_packed<T: FixedNum>(
         c.fill(T::ZERO);
         return Ok(());
     }
+    c.reserve(b.scratch_len(m));
+    let (c, scratch) = split_spare(c);
     let full = n - n % NR;
-    let tail_cols = &b.data[full * k..];
-    T::gemm_panels(a, b, c);
+    let tail_cols = &b.data[full * k..n * k];
+    T::gemm_panels(a, b, c, scratch);
     for (arow, crow) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
         for (slot, col) in crow[full..].iter_mut().zip(tail_cols.chunks_exact(k)) {
             *slot = dot_scalar(arow, col);
         }
     }
     Ok(())
+}
+
+/// `v`'s elements and its spare capacity side by side, as the unstable
+/// `Vec::split_at_spare_mut` returns them.
+fn split_spare<T>(v: &mut Vec<T>) -> (&mut [T], &mut [MaybeUninit<T>]) {
+    let (len, spare) = (v.len(), v.capacity() - v.len());
+    let at = v.as_mut_ptr();
+    // SAFETY: the allocation holds `capacity` elements of which the first
+    // `len` are initialized; the two slices cover disjoint parts of it, the
+    // second as `MaybeUninit`, and both borrow `v` mutably for their life.
+    unsafe {
+        (
+            std::slice::from_raw_parts_mut(at, len),
+            std::slice::from_raw_parts_mut(at.add(len).cast::<MaybeUninit<T>>(), spare),
+        )
+    }
 }
 
 /// Combines one batch row's 4 × 4 accumulator lanes (`lanes[4c + l]` is
@@ -439,24 +558,344 @@ pub(crate) fn q16_i32_quads(packed: &[Q16]) -> Option<NonZeroUsize> {
     NonZeroUsize::new(quads.map_or(usize::MAX, |quads| quads as usize))
 }
 
-/// Q2.13 [`FixedNum::gemm_panels`]: the AVX-512 VNNI tile where the CPU has
-/// it, else the AVX2 tile, else (or for a −32768 weight) the portable one.
-pub(crate) fn gemm_panels_q16(a: &[Q16], b: &PackedB<Q16>, c: &mut [Q16]) {
+/// Q2.13 [`FixedNum::gemm_panels`]: the AMX byte-plane tile for batches of
+/// [`MIN_ROWS`] or more over a B with planes where the CPU and kernel allow
+/// it, else the AVX-512 VNNI tile where the CPU has it, else the AVX2 tile,
+/// else (or for a −32768 weight) the portable one.
+pub(crate) fn gemm_panels_q16(
+    a: &[Q16],
+    b: &PackedB<Q16>,
+    c: &mut [Q16],
+    scratch: &mut [MaybeUninit<Q16>],
+) {
     #[cfg(target_arch = "x86_64")]
-    if let Some(i32_quads) = b.i32_quads {
-        if cpu::has(cpu::AVX2 | cpu::AVX512_VNNI) {
-            // SAFETY: the feature check above guarantees AVX2 and
-            // AVX-512F/BW/VNNI.
-            unsafe { gemm_panels_q16_avx512(a, b.k, b.panels(), b.n, c, i32_quads) };
+    {
+        let planes = b.planes();
+        if a.len() >= MIN_ROWS * b.k && !planes.is_empty() && cpu::has(cpu::AMX) {
+            // SAFETY: the feature check above guarantees AMX-TILE/INT8 with
+            // the tile data permission, and AVX-512F/BW.
+            unsafe { gemm_panels_q16_amx(a, b.k, planes, b.n, c, scratch) };
             return;
         }
-        if cpu::has(cpu::AVX2) {
-            // SAFETY: the feature check above guarantees AVX2.
-            unsafe { gemm_panels_q16_avx2(a, b.k, b.panels(), b.n, c, i32_quads) };
-            return;
+        if let Some(i32_quads) = b.i32_quads {
+            if cpu::has(cpu::AVX2 | cpu::AVX512_VNNI) {
+                // SAFETY: the feature check above guarantees AVX2 and
+                // AVX-512F/BW/VNNI.
+                unsafe { gemm_panels_q16_avx512(a, b.k, b.panels(), b.n, c, i32_quads) };
+                return;
+            }
+            if cpu::has(cpu::AVX2) {
+                // SAFETY: the feature check above guarantees AVX2.
+                unsafe { gemm_panels_q16_avx2(a, b.k, b.panels(), b.n, c, i32_quads) };
+                return;
+            }
         }
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = scratch; // only the AMX tile works in it
     gemm_panels_portable(a, b.k, b.panels(), b.n, c);
+}
+
+/// Batch rows from which [`gemm_panels_q16`] takes the AMX tile: a tile is
+/// 16 rows whatever `m`, and `benches/gemm.rs` on the ledger's three layer
+/// shapes (2 vCPUs of a Xeon model 207) put its speed at 0.3–0.55× the
+/// VNNI tile's for 1–4 rows, 1.1–1.6× at 8 and 1.8–3.5× at 16.
+const MIN_ROWS: usize = 8;
+/// Bytes of A per tile row, k per plane chunk (the tile's inner depth).
+const KC: usize = 64;
+/// Output columns per AMX tile: a row of 16 `i32` accumulators.
+const NB: usize = 16;
+/// Rows per tile: batch rows of an A tile, k-quads of a B tile.
+const TILE_ROWS: usize = 16;
+/// Bytes in one tile.
+const TILE: usize = TILE_ROWS * KC;
+/// k-chunks per `i32` block of the AMX tile: 512 × 64 = 32 768 terms,
+/// inside the 33 025 for which the low bytes' products (at most
+/// 255 · 255 = 65 025 each) sum inside an `i32`.
+const AMX_BLOCK_CHUNKS: usize = 512;
+
+/// [`FixedNum::plane_len`] at Q2.13: for `k ≥ 64` and at least 16 panel
+/// columns, every 16-column block of the panels (the last one padded with
+/// zero columns) as `⌈k/64⌉` tile pairs, a tile of high bytes and one of
+/// low bytes, `k` padded with zeros to the chunk — [`pack_q16_planes`] has
+/// the layout. Two bytes per element, so a pair is [`TILE`] elements.
+pub(crate) fn q16_plane_len(k: usize, n: usize) -> usize {
+    let full = n - n % NR;
+    if k < KC || full < NB {
+        return 0;
+    }
+    k.div_ceil(KC) * full.div_ceil(NB) * TILE
+}
+
+/// Bytes of A's byte planes for `m` rows of a `k`-deep product, plus the
+/// slack that lets them start on a 64-byte line.
+fn a_planes_len(m: usize, k: usize) -> usize {
+    m.div_ceil(TILE_ROWS) * k.div_ceil(KC) * 2 * TILE + KC
+}
+
+/// `Q16` slices as their bytes.
+fn q16_bytes(v: &[Q16]) -> &[u8] {
+    // SAFETY: `Q16` is `repr(transparent)` over `i16`: two initialized
+    // bytes each, and `u8` has alignment 1.
+    unsafe { std::slice::from_raw_parts(v.as_ptr().cast::<u8>(), 2 * v.len()) }
+}
+
+/// [`FixedNum::pack_planes`] at Q2.13, in one streaming pass over the
+/// quantized panels. Each weight splits into a signed high byte and an
+/// unsigned low byte, `w = 256 · (w >> 8) + (w & 0xFF)`. Block `nb` (panels
+/// `4nb..4nb + 4`) is `⌈k/64⌉` tile pairs; pair `kc` is the high-byte tile,
+/// then the low-byte one, each 16 rows × 64 bytes, whose row `r` holds
+/// k-quad `16kc + r` of the block's 16 columns: byte `4j + l` is column
+/// `16nb + j` at `k = 64kc + 4r + l` — the B layout of `tdpb*d`. A panel's
+/// body k-quad is its 4 columns' quads side by side, the 16 bytes of the
+/// row at `16 · (p mod 4)`, so the body copies quad by quad; the `k mod 4`
+/// tail goes element by element. Whatever no weight lands on stays zero.
+pub(crate) fn pack_q16_planes(panels: &[Q16], k: usize, planes: &mut [Q16]) {
+    // SAFETY: as in `q16_bytes`; every byte pattern is a valid `i16`.
+    let planes = unsafe {
+        std::slice::from_raw_parts_mut(planes.as_mut_ptr().cast::<u8>(), 2 * planes.len())
+    };
+    let (pair, body) = (2 * TILE * k.div_ceil(KC), k - k % LANES);
+    let row_of = |q: usize| q / TILE_ROWS * 2 * TILE + q % TILE_ROWS * KC;
+    for (p, panel) in panels.chunks_exact(NR * k).enumerate() {
+        let tiles = &mut planes[p / NR * pair..][..pair];
+        let at = QUAD * (p % NR);
+        let (quads, tail) = panel.split_at(body * NR);
+        for (q, quad) in quads.chunks_exact(QUAD).enumerate() {
+            let row = row_of(q) + at;
+            for (i, w) in quad.iter().enumerate() {
+                let [low, high] = w.to_raw().to_le_bytes();
+                tiles[row + i] = high;
+                tiles[row + TILE + i] = low;
+            }
+        }
+        if body < k {
+            let row = row_of(body / LANES) + at;
+            for (col, tail) in tail.chunks_exact(k - body).enumerate() {
+                for (l, w) in tail.iter().enumerate() {
+                    let [low, high] = w.to_raw().to_le_bytes();
+                    tiles[row + LANES * col + l] = high;
+                    tiles[row + TILE + LANES * col + l] = low;
+                }
+            }
+        }
+    }
+}
+
+/// Splits `a` (`m × k`) into the AMX tile's byte planes in `planes`, the
+/// same way [`pack_q16_planes`] splits B: per 16-row block and 64-k chunk
+/// a 1 KB tile of high bytes then one of low bytes, row `i` of the tile
+/// being batch row `16mb + i`, byte `kk` its `k = 64kc + kk`; rows past
+/// `m` and k past `k` are zero. Writes all of `planes`, which must be a
+/// whole number of blocks, and returns it initialized.
+#[inline(always)]
+fn split_a<'p>(a: &[Q16], k: usize, planes: &'p mut [MaybeUninit<u8>]) -> &'p [u8] {
+    let pair = 2 * TILE * k.div_ceil(KC);
+    assert!(planes.len().is_multiple_of(pair) && planes.len() / pair * TILE_ROWS * k >= a.len());
+    let mut rows = a.chunks_exact(k);
+    for block in planes.chunks_exact_mut(pair) {
+        for i in 0..TILE_ROWS {
+            let row = rows.next().unwrap_or(&[]);
+            for (kc, tiles) in block.chunks_exact_mut(2 * TILE).enumerate() {
+                let (high, low) = tiles.split_at_mut(TILE);
+                let (high, low) = (&mut high[i * KC..][..KC], &mut low[i * KC..][..KC]);
+                let src = row.get(kc * KC..).unwrap_or(&[]);
+                if let Some(src) = src.first_chunk::<KC>() {
+                    for ((high, low), x) in high.iter_mut().zip(low).zip(src) {
+                        let [l, h] = x.to_raw().to_le_bytes();
+                        high.write(h);
+                        low.write(l);
+                    }
+                } else {
+                    for (j, (high, low)) in high.iter_mut().zip(low).enumerate() {
+                        let [l, h] = src.get(j).map_or(0, |x| x.to_raw()).to_le_bytes();
+                        high.write(h);
+                        low.write(l);
+                    }
+                }
+            }
+        }
+    }
+    // SAFETY: the loops above wrote every byte of every block, and `planes`
+    // is a whole number of blocks (asserted); `MaybeUninit<u8>` and `u8`
+    // share their layout.
+    unsafe { std::slice::from_raw_parts(planes.as_ptr().cast::<u8>(), planes.len()) }
+}
+
+/// What `ldtilecfg` loads: palette 1, tiles 0–7 each 16 rows × 64 bytes.
+#[cfg(target_arch = "x86_64")]
+#[repr(C, align(64))]
+struct TileConfig([u8; 64]);
+
+#[cfg(target_arch = "x86_64")]
+static TILE_CONFIG: TileConfig = {
+    let mut config = [0u8; 64];
+    config[0] = 1;
+    let mut tile = 0;
+    while tile < 8 {
+        config[16 + 2 * tile] = KC as u8; // bytes per row (u16, little-endian)
+        config[48 + tile] = TILE_ROWS as u8;
+        tile += 1;
+    }
+    TileConfig(config)
+};
+
+/// The four `i32` accumulator tiles as `tilestored` leaves them, in the
+/// order hh, xh·wl, xl·wh, ll.
+#[cfg(target_arch = "x86_64")]
+#[repr(C, align(64))]
+struct Accumulators([[i32; TILE_ROWS * NB]; 4]);
+
+/// The AMX Q2.13 panels (module doc): A is split into byte planes in the
+/// 64-byte-aligned start of `scratch`, then for each 16-column block of the
+/// planes (outer, so each B tile pair streams once per batch) and each
+/// 16-row block of A, four `tdpb*d` per 64-k chunk accumulate hh, xh·wl,
+/// xl·wh and ll in tiles 0–3 from A in tiles 4–5 and B in 6–7. Every
+/// [`AMX_BLOCK_CHUNKS`] chunks, and at the end, the tiles are stored and
+/// recombined in `i64` as `(hh << 16) + ((xh·wl + xl·wh) << 8) + ll` — the
+/// exact sum of the raw products — which the last block narrows
+/// (`>> 13`, saturated to `i16`: [`FixedNum::narrow`] lane by lane) into
+/// the rows and panel columns of `c` it covers.
+///
+/// # Panics
+///
+/// Panics unless `planes` is [`q16_plane_len`]`(k, n)` elements, `c` is
+/// `m·n` and `scratch` holds at least [`a_planes_len`]`(m, k)` bytes.
+///
+/// # Safety
+///
+/// Caller must ensure the CPU supports AMX-TILE, AMX-INT8 and AVX-512F/BW,
+/// and that the kernel has granted the tile data permission
+/// ([`cpu::AMX`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f,avx512bw")]
+unsafe fn gemm_panels_q16_amx(
+    a: &[Q16],
+    k: usize,
+    planes: &[Q16],
+    n: usize,
+    c: &mut [Q16],
+    scratch: &mut [MaybeUninit<Q16>],
+) {
+    use std::arch::asm;
+    use std::arch::x86_64::{
+        _mm256_load_si256, _mm256_set_m128i, _mm512_add_epi64, _mm512_castsi256_si512,
+        _mm512_cvtepi32_epi64, _mm512_cvtsepi64_epi16, _mm512_mask_storeu_epi16,
+        _mm512_setzero_si512, _mm512_slli_epi64, _mm512_srai_epi64, _mm_setzero_si128,
+    };
+    let (m, full, chunks) = (a.len() / k, n - n % NR, k.div_ceil(KC));
+    let pair = 2 * TILE * chunks;
+    let planes = q16_bytes(planes);
+    assert!(planes.len() == full.div_ceil(NB) * pair && c.len() == m * n, "AMX operands disagree");
+    // SAFETY: `MaybeUninit<Q16>` is two possibly uninitialized bytes, which
+    // is what `MaybeUninit<u8>` pairs are; alignment 1 is weaker.
+    let scratch = unsafe {
+        std::slice::from_raw_parts_mut(
+            scratch.as_mut_ptr().cast::<MaybeUninit<u8>>(),
+            2 * scratch.len(),
+        )
+    };
+    let skip = scratch.as_ptr().align_offset(KC).min(KC);
+    let a_planes = split_a(a, k, &mut scratch[skip..][..a_planes_len(m, k) - KC]);
+    let mut acc = Accumulators([[0; TILE_ROWS * NB]; 4]);
+    // The recombined sums of the blocks before the last, per row and half.
+    let mut carry = [_mm512_setzero_si512(); 2 * TILE_ROWS];
+    // SAFETY: the caller guarantees AMX with the tile data permission;
+    // `TILE_CONFIG` is a valid 64-byte palette-1 configuration.
+    unsafe {
+        asm!("ldtilecfg [{}]", in(reg) &TILE_CONFIG, options(nostack, preserves_flags, readonly))
+    };
+    for (nb, b_tiles) in planes.chunks_exact(pair).enumerate() {
+        let cols = (full - nb * NB).min(NB);
+        let mask = (1u32 << cols) - 1;
+        for (mb, a_tiles) in a_planes.chunks_exact(pair).enumerate() {
+            let rows = (m - mb * TILE_ROWS).min(TILE_ROWS);
+            for block in (0..chunks).step_by(AMX_BLOCK_CHUNKS) {
+                // SAFETY: AMX as above; the four tiles are registers only.
+                unsafe {
+                    asm!(
+                        "tilezero tmm0",
+                        "tilezero tmm1",
+                        "tilezero tmm2",
+                        "tilezero tmm3",
+                        options(nostack, preserves_flags, nomem)
+                    );
+                }
+                for kc in block..chunks.min(block + AMX_BLOCK_CHUNKS) {
+                    // SAFETY: AMX as above. Each `tileloadd` reads 16 rows
+                    // of 64 bytes at stride 64, one tile: the high-byte
+                    // tile of pair `kc` at `2 · TILE · kc` and the low-byte
+                    // one after it, inside `a_tiles` and `b_tiles`, which
+                    // are `pair = 2 · TILE · chunks` bytes long.
+                    unsafe {
+                        asm!(
+                            "tileloadd tmm4, [{a} + {stride}]",
+                            "tileloadd tmm5, [{a} + {stride} + 1024]",
+                            "tileloadd tmm6, [{b} + {stride}]",
+                            "tileloadd tmm7, [{b} + {stride} + 1024]",
+                            "tdpbssd tmm0, tmm4, tmm6",
+                            "tdpbsud tmm1, tmm4, tmm7",
+                            "tdpbusd tmm2, tmm5, tmm6",
+                            "tdpbuud tmm3, tmm5, tmm7",
+                            a = in(reg) a_tiles.as_ptr().add(2 * TILE * kc),
+                            b = in(reg) b_tiles.as_ptr().add(2 * TILE * kc),
+                            stride = in(reg) KC,
+                            options(nostack, preserves_flags, readonly),
+                        );
+                    }
+                }
+                // SAFETY: AMX as above; each `tilestored` writes 16 rows of
+                // 64 bytes at stride 64: one of `acc`'s four 1 KB arrays.
+                unsafe {
+                    asm!(
+                        "tilestored [{acc} + {stride}], tmm0",
+                        "tilestored [{acc} + {stride} + 1024], tmm1",
+                        "tilestored [{acc} + {stride} + 2048], tmm2",
+                        "tilestored [{acc} + {stride} + 3072], tmm3",
+                        acc = in(reg) acc.0.as_mut_ptr(),
+                        stride = in(reg) KC,
+                        options(nostack, preserves_flags),
+                    );
+                }
+                let last = block + AMX_BLOCK_CHUNKS >= chunks;
+                for r in 0..TILE_ROWS {
+                    let mut narrow = [_mm_setzero_si128(); 2];
+                    for (h, narrow) in narrow.iter_mut().enumerate() {
+                        let at = r * NB + h * NB / 2;
+                        let mut wide = [_mm512_setzero_si512(); 4];
+                        for (tile, wide) in acc.0.iter().zip(&mut wide) {
+                            // SAFETY: `at + 8 <= 256`: one 32-byte load,
+                            // aligned (`acc` is, and `at` is a multiple of 8).
+                            let lanes = unsafe { _mm256_load_si256(tile.as_ptr().add(at).cast()) };
+                            *wide = _mm512_cvtepi32_epi64(lanes);
+                        }
+                        let [hh, high_low, low_high, ll] = wide;
+                        let middle = _mm512_slli_epi64::<8>(_mm512_add_epi64(high_low, low_high));
+                        let sum = _mm512_add_epi64(_mm512_slli_epi64::<16>(hh), ll);
+                        let mut sum = _mm512_add_epi64(sum, middle);
+                        if block > 0 {
+                            sum = _mm512_add_epi64(carry[2 * r + h], sum);
+                        }
+                        if last {
+                            *narrow = _mm512_cvtsepi64_epi16(_mm512_srai_epi64::<13>(sum));
+                        } else {
+                            carry[2 * r + h] = sum;
+                        }
+                    }
+                    if last && r < rows {
+                        let out = c[(mb * TILE_ROWS + r) * n + nb * NB..].as_mut_ptr();
+                        let row = _mm512_castsi256_si512(_mm256_set_m128i(narrow[1], narrow[0]));
+                        // SAFETY: the mask writes `cols` elements, and
+                        // `16nb + cols <= full <= n`, in row `16mb + r < m`
+                        // of the `m × n` slice `c` (asserted above).
+                        unsafe { _mm512_mask_storeu_epi16(out.cast(), mask, row) };
+                    }
+                }
+            }
+        }
+    }
+    // SAFETY: AMX as above; releases the tile state this call configured.
+    unsafe { asm!("tilerelease", options(nostack, preserves_flags, nomem)) };
 }
 
 /// `f32` [`FixedNum::gemm_panels`]: the AVX2 tile where the CPU has it.
@@ -1005,39 +1444,124 @@ mod tests {
         (body..arow.len()).fold(sum, |sum, j| sum + arow[j] * col[j])
     }
 
-    /// A Q2.13 panel tile called directly: `(a, k, panels, n, c, i32_quads)`.
-    type Q16Tile = fn(&[Q16], usize, &[Q16], usize, &mut [Q16], NonZeroUsize);
+    /// The AMX tile's arithmetic in portable code, over the same byte
+    /// planes: A split by [`split_a`], B's planes as packed, and per
+    /// 16-column block, 16-row block and output the four byte-plane dot
+    /// products summed in wrapping `i32` (what the tile registers do) for
+    /// at most [`AMX_BLOCK_CHUNKS`] chunks, recombined in `i64` and
+    /// narrowed once. On a host without AMX it still pins the planes'
+    /// layout, padding and recombination.
+    fn byte_plane_reference(a: &[Q16], b: &PackedB<Q16>, c: &mut [Q16]) {
+        let (k, n, full) = (b.k(), b.n(), b.n() - b.n() % NR);
+        let (m, chunks, pair) = (a.len() / k, k.div_ceil(KC), 2 * TILE * k.div_ceil(KC));
+        let mut scratch = vec![MaybeUninit::uninit(); m.div_ceil(TILE_ROWS) * pair];
+        let a_planes = split_a(a, k, &mut scratch);
+        let b_planes = q16_bytes(b.planes());
+        assert_eq!(b_planes.len(), full.div_ceil(NB) * pair, "planes of a {k}x{n} B");
+        for i in 0..m {
+            let a_tiles = &a_planes[i / TILE_ROWS * pair..][..pair];
+            for j in 0..full {
+                let b_tiles = &b_planes[j / NB * pair..][..pair];
+                let mut sum = 0i64;
+                for block in (0..chunks).step_by(AMX_BLOCK_CHUNKS) {
+                    let mut acc = [0i32; 4];
+                    for kc in block..chunks.min(block + AMX_BLOCK_CHUNKS) {
+                        let (a_hi, a_lo) = a_tiles[2 * TILE * kc..][..2 * TILE].split_at(TILE);
+                        let (b_hi, b_lo) = b_tiles[2 * TILE * kc..][..2 * TILE].split_at(TILE);
+                        for kk in 0..KC {
+                            let at = i % TILE_ROWS * KC + kk;
+                            let bt = kk / LANES * KC + j % NB * LANES + kk % LANES;
+                            let (xh, xl) = (i32::from(a_hi[at] as i8), i32::from(a_lo[at]));
+                            let (wh, wl) = (i32::from(b_hi[bt] as i8), i32::from(b_lo[bt]));
+                            for (acc, product) in
+                                acc.iter_mut().zip([xh * wh, xh * wl, xl * wh, xl * wl])
+                            {
+                                *acc = acc.wrapping_add(product);
+                            }
+                        }
+                    }
+                    let [hh, high_low, low_high, ll] = acc.map(i64::from);
+                    sum += (hh << 16) + ((high_low + low_high) << 8) + ll;
+                }
+                c[i * n + j] = Q16::narrow(sum);
+            }
+        }
+    }
 
-    /// Every Q2.13 tile by name, `None` where this CPU cannot run it. The
-    /// first call prints which ones run here and which are skipped, so a
+    /// A Q2.13 panel tile called directly over packed operands; `false`
+    /// where it cannot take them (no `i32` block bound, or no planes).
+    type Q16Tile = fn(&[Q16], &PackedB<Q16>, &mut [Q16]) -> bool;
+
+    /// Every Q2.13 tile by name, or why the CPU cannot run it. The first
+    /// call prints which ones run here and which are skipped and why, so a
     /// host without a vector unit cannot pass their checks silently.
-    fn q16_tiles() -> [(&'static str, Option<Q16Tile>); 3] {
-        let portable: Q16Tile = |a, k, panels, n, c, _| gemm_panels_portable(a, k, panels, n, c);
+    fn q16_tiles() -> [(&'static str, Result<Q16Tile, &'static str>); 5] {
+        let portable: Q16Tile = |a, b, c| {
+            gemm_panels_portable(a, b.k, b.panels(), b.n, c);
+            true
+        };
+        let planes: Q16Tile = |a, b, c| {
+            let has = !b.planes().is_empty();
+            if has {
+                byte_plane_reference(a, b, c);
+            }
+            has
+        };
         #[cfg(target_arch = "x86_64")]
         let vector = {
-            let avx2: Q16Tile = |a, k, p, n, c, q| {
+            let avx2: Q16Tile = |a, b, c| {
                 // SAFETY: listed below only where the CPU has AVX2.
-                unsafe { gemm_panels_q16_avx2(a, k, p, n, c, q) }
+                let run = |q| unsafe { gemm_panels_q16_avx2(a, b.k, b.panels(), b.n, c, q) };
+                b.i32_quads.map(run).is_some()
             };
-            let avx512: Q16Tile = |a, k, p, n, c, q| {
+            let avx512: Q16Tile = |a, b, c| {
                 // SAFETY: listed below only where the CPU has AVX2 and
                 // AVX-512F/BW/VNNI.
-                unsafe { gemm_panels_q16_avx512(a, k, p, n, c, q) }
+                let run = |q| unsafe { gemm_panels_q16_avx512(a, b.k, b.panels(), b.n, c, q) };
+                b.i32_quads.map(run).is_some()
+            };
+            let amx: Q16Tile = |a, b, c| {
+                let has = !b.planes().is_empty();
+                if has {
+                    let bytes = a_planes_len(a.len() / b.k, b.k);
+                    let mut scratch = vec![MaybeUninit::uninit(); bytes.div_ceil(2)];
+                    // SAFETY: listed below only where `cpu::AMX` is set.
+                    unsafe { gemm_panels_q16_amx(a, b.k, b.planes(), b.n, c, &mut scratch) };
+                }
+                has
+            };
+            let amx = if cpu::has(cpu::AMX) {
+                Ok(amx)
+            } else if !cpu::amx_in_cpuid() {
+                Err("no AMX-TILE/AMX-INT8 CPUID bit")
+            } else if !cpu::has(cpu::AVX512_VNNI) {
+                Err("AMX without AVX-512F/BW/VNNI")
+            } else {
+                Err("the kernel refused the tile data permission")
             };
             [
-                cpu::has(cpu::AVX2).then_some(avx2),
-                cpu::has(cpu::AVX2 | cpu::AVX512_VNNI).then_some(avx512),
+                cpu::has(cpu::AVX2).then_some(avx2).ok_or("not on this CPU"),
+                cpu::has(cpu::AVX2 | cpu::AVX512_VNNI).then_some(avx512).ok_or("not on this CPU"),
+                amx,
             ]
         };
         #[cfg(not(target_arch = "x86_64"))]
-        let vector: [Option<Q16Tile>; 2] = [None, None];
-        let tiles =
-            [("portable", Some(portable)), ("AVX2", vector[0]), ("AVX-512 VNNI", vector[1])];
+        let vector: [Result<Q16Tile, _>; 3] = [Err("not an x86-64 CPU"); 3];
+        let [avx2, avx512, amx] = vector;
+        let tiles = [
+            ("portable", Ok(portable)),
+            ("byte-plane reference", Ok(planes)),
+            ("AVX2", avx2),
+            ("AVX-512 VNNI", avx512),
+            ("AMX-INT8", amx),
+        ];
         static REPORT: std::sync::Once = std::sync::Once::new();
         REPORT.call_once(|| {
             for (name, tile) in &tiles {
-                let verdict = if tile.is_some() { "checked" } else { "SKIPPED: not on this CPU" };
-                eprintln!("Q2.13 {name} tile: {verdict}");
+                match tile {
+                    Ok(_) => eprintln!("Q2.13 {name} tile: checked"),
+                    Err(why) => eprintln!("Q2.13 {name} tile: SKIPPED: {why}"),
+                }
             }
         });
         tiles
@@ -1045,11 +1569,12 @@ mod tests {
 
     /// One Q2.13 case: `a` is `m × k`, `weight(kk, j)` the raw `B[kk][j]`.
     /// The dispatched [`gemm_packed`], every tile this CPU runs
-    /// ([`q16_tiles`]) over the same panels — only the portable one if a
-    /// weight is −32768 — and a one-layer `Mlp::forward::<Q16>` over the
-    /// unpacked weights must each equal [`wide_reference`] in every output.
-    /// Returns the packed `i32_quads`; `each` sees every (A row, B column,
-    /// output).
+    /// ([`q16_tiles`]) over the same packed operands — where they can take
+    /// them: the `i32` tiles not where a weight is −32768, the byte-plane
+    /// tiles only where B has planes — and a one-layer `Mlp::forward::<Q16>`
+    /// over the unpacked weights must each equal [`wide_reference`] in every
+    /// output. Returns the packed `i32_quads`; `each` sees every (A row, B
+    /// column, output).
     fn check_q16(
         m: usize,
         n: usize,
@@ -1061,23 +1586,15 @@ mod tests {
         let shape = format!("{m}x{k}x{n}");
         let b = Matrix::from_fn(k, n, |kk, j| f32::from(weight(kk, j)) / 8192.0);
         let packed: PackedB<Q16> = PackedB::pack(&b);
-        assert_eq!(packed.data.len(), k * n, "{shape}: one buffer of k·n elements");
+        let planes = Q16::plane_len(k, n);
+        assert_eq!(packed.data.len(), k * n + planes, "{shape}: k·n elements, then the planes");
         let mut c = vec![Q16::ONE; m * n];
         gemm_packed(a, m, &packed, &mut c).unwrap();
         let tiles: Vec<(&str, Vec<Q16>)> = q16_tiles()
             .into_iter()
             .filter_map(|(name, tile)| {
-                let tile = tile.filter(|_| packed.i32_quads.is_some() || name == "portable")?;
                 let mut out = vec![Q16::ONE; m * n];
-                tile(
-                    a,
-                    k,
-                    packed.panels(),
-                    n,
-                    &mut out,
-                    packed.i32_quads.unwrap_or(NonZeroUsize::MAX),
-                );
-                Some((name, out))
+                tile.ok()?(a, &packed, &mut out).then_some((name, out))
             })
             .collect();
         let layer = DenseLayer::new(b.transposed(), vec![0.0; n], Activation::Identity).unwrap();
@@ -1187,6 +1704,69 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn byte_plane_tiles_cover_every_edge() {
+        // Batch rows around the 16-row tile (one short, whole, one over,
+        // two whole and one over), k off the 64-k chunk and off the k-quad,
+        // n off the 16-column block and off the panel (its tail columns
+        // take the scalar path), full-scale operands, A's first row all
+        // −32768 and weights of −32768 planted throughout: the byte-plane
+        // tiles need no fallback for them.
+        let mut rng = Rng::seed_from_u64(0x5A7_0003);
+        let mut planes = 0;
+        for m in [16usize, 17, 31, 32, 33] {
+            for (k, n) in [(64usize, 16usize), (100, 18), (130, 33), (195, 52), (64, 31)] {
+                let mut a: Vec<Q16> = (0..m * k)
+                    .map(|_| Q16::from_raw(rng.gen_range_u64(0, 1 << 16) as u16 as i16))
+                    .collect();
+                a[..k].fill(Q16::MIN);
+                let b: Vec<i16> = (0..k * n)
+                    .map(|i| {
+                        if i % 7 == 3 {
+                            i16::MIN
+                        } else {
+                            rng.gen_range_u64(0, 1 << 16) as u16 as i16
+                        }
+                    })
+                    .collect();
+                check_q16(m, n, &a, |kk, j| b[kk * n + j], |_, _, _| ());
+                planes += usize::from(Q16::plane_len(k, n) > 0);
+            }
+        }
+        assert_eq!(planes, 25, "every case has byte planes");
+    }
+
+    #[test]
+    fn byte_plane_blocks_flush_before_the_i32_wraps() {
+        // Every raw value −1: high byte −1, low byte 255, so the low bytes'
+        // tile gains 255 · 255 per term and passes `i32::MAX` after 33 025
+        // of them; k = 40 000 needs the flush at 32 768. The sum is 40 000,
+        // which `>> 13` makes 4.
+        let (m, k, n) = (16, 40_000, 16);
+        let a = vec![Q16::from_raw(-1); m * k];
+        check_q16(m, n, &a, |_, _| -1, |_, _, got| assert_eq!(got.to_raw(), 4));
+        assert!(AMX_BLOCK_CHUNKS * KC * 255 * 255 <= i32::MAX as usize);
+        assert!(k * 255 * 255 > i32::MAX as usize, "k must overflow one block");
+    }
+
+    #[test]
+    fn planes_are_packed_by_shape() {
+        // Q2.13 only, from k = 64 and 16 panel columns: the same on every
+        // host, so the set-up's heap blocks are too.
+        for (k, n, chunks, blocks) in
+            [(64, 16, 1, 1), (65, 19, 2, 1), (512, 1024, 8, 64), (100, 33, 2, 2)]
+        {
+            assert_eq!(Q16::plane_len(k, n), chunks * blocks * TILE, "{k}x{n}");
+        }
+        for (k, n) in [(63, 1024), (1024, 15), (32, 16), (256, 1)] {
+            assert_eq!(Q16::plane_len(k, n), 0, "{k}x{n}");
+        }
+        assert_eq!(f32::plane_len(512, 1024) + Q32::plane_len(512, 1024), 0);
+        let packed: PackedB<Q16> = PackedB::pack(&det_matrix(512, 64, 0.3));
+        assert_eq!(packed.scratch_len(MIN_ROWS - 1), 0);
+        assert_eq!(packed.scratch_len(32), (2 * 8 * 2 * TILE + KC) / 2);
     }
 
     #[test]

@@ -153,9 +153,17 @@ impl<T: FixedNum> PackedMlp<T> {
         self.max_width
     }
 
-    /// Warms `arena` so batches up to `batch` run allocation-free.
+    /// Warms `arena` so batches up to `batch` run allocation-free: each
+    /// buffer holds the widest activations, or a layer's output followed by
+    /// the scratch its kernel works in past it (at Q2.13, A split into byte
+    /// planes for the AMX tile), whichever is more.
     pub fn warm(&self, batch: usize, arena: &mut ScratchArena<T>) {
-        arena.warm(batch.max(1) * self.max_width);
+        let batch = batch.max(1);
+        let layers = self
+            .layers
+            .iter()
+            .map(|layer| batch * layer.output_dim() + layer.weights.scratch_len(batch));
+        arena.warm(layers.fold(batch * self.max_width, usize::max));
     }
 
     /// Batched forward pass: `inputs` is `batch` row-major feature vectors

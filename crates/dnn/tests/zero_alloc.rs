@@ -4,7 +4,8 @@
 //!
 //! It also pins the set-up path's allocations: packing the ledger's FC stack
 //! at Q2.13, warming an arena and serving the first batch request exactly
-//! the heap blocks they requested before the wide-accumulator kernel.
+//! the heap blocks they requested before the wide-accumulator kernel, grown
+//! only by the AMX tile's byte planes and A-plane scratch.
 //!
 //! A single `#[test]` keeps the process to one test thread, so the
 //! counting allocator's delta is attributable to the code under test.
@@ -115,10 +116,12 @@ fn steady_state_forward_never_allocates() {
 
 /// `PackedMlp::<Q16>::pack` of the ledger's 512→1024→512→256→1 stack, then
 /// `warm(32)` and one batch: the list of request sizes captured at commit
-/// 151bce5, the last one with a per-MAC-saturating Q2.13 kernel. The panel,
-/// bias and arena blocks are the contract; the small first block is the
-/// `Vec` of `PackedLayer` structs, pinned apart from them so that a layout
-/// change fails with its cause.
+/// 151bce5, the last one with a per-MAC-saturating Q2.13 kernel, grown only
+/// by the AMX tile's byte planes and A-plane scratch — the same blocks in
+/// the same order, three of them twice as large and the arena's by half.
+/// The panel, bias and arena blocks are the contract; the small first block
+/// is the `Vec` of `PackedLayer` structs, pinned apart from them so that a
+/// layout change fails with its cause.
 fn set_up_requests_the_parents_heap_blocks() {
     use microrec_dnn::{Mlp, PackedLayer, PackedMlp, ScratchArena, Q16};
 
@@ -147,10 +150,16 @@ fn set_up_requests_the_parents_heap_blocks() {
     );
     let parent = [
         layers,
-        // Per layer: the panel buffer (`k·n` two-byte elements), then the bias.
-        1_048_576, 2048, 1_048_576, 1024, 262_144, 512, 512, 2,
-        // `warm(32)`: the arena's two ping-pong buffers, 32 × 1024 elements.
-        65_536, 65_536,
+        // Per layer: the panel buffer (`k·n` two-byte elements; where k ≥ 64
+        // and n ≥ 16 followed by as many bytes of byte planes: 1 MB → 2 MB,
+        // 1 MB → 2 MB, 256 KB → 512 KB, the 256×1 head unchanged), then the
+        // bias.
+        2_097_152, 2048, 2_097_152, 1024, 524_288, 512, 512, 2,
+        // `warm(32)`: the arena's two ping-pong buffers, each a layer's
+        // output and the A planes past it — 32 × 1024 + 32 × 512 × 2 / 2
+        // or 32 × 512 + 32 × 1024 × 2 / 2 elements, plus 32 for the 64-byte
+        // line — where the parent's held 32 × 1024 elements (65 536 bytes).
+        98_368, 98_368,
     ];
     assert_eq!(recorded, parent, "set-up heap requests differ from the parent's");
 }
