@@ -5,7 +5,7 @@
 //! (embedding-lookup unit, inter-module FIFOs, AXI infrastructure) fitted
 //! to the paper's four published configurations. It exists so the Table 6
 //! bench can regenerate the utilization table for arbitrary PE counts, and
-//! so design-space exploration (more PEs vs. clock) stays resource-aware.
+//! so the engine can check that its configuration fits the device.
 
 use microrec_embedding::{ModelSpec, Precision};
 

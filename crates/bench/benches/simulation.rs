@@ -1,14 +1,13 @@
-//! Simulator-infrastructure benchmarks: event-driven pipeline flow,
-//! quantized inference, operator-graph execution, and the entry cache.
+//! Simulator-infrastructure benchmarks: event-driven pipeline flow and
+//! operator-graph execution.
 
 use std::time::Duration;
 
 use microrec_accel::{AccelConfig, FlowSim, Pipeline};
 use microrec_bench::harness::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use microrec_cpu::{CpuReferenceEngine, OpGraph};
-use microrec_dnn::QuantizedMlp;
 use microrec_embedding::{ModelSpec, Precision};
-use microrec_memsim::{AddressedRead, BankId, CacheConfig, EntryCache, MemoryKind, SimTime};
+use microrec_memsim::SimTime;
 
 fn bench_flow_sim(c: &mut Criterion) {
     let model = ModelSpec::small_production();
@@ -23,24 +22,6 @@ fn bench_flow_sim(c: &mut Criterion) {
             b.iter(|| sim.run_saturated(black_box(n)))
         });
     }
-    group.finish();
-}
-
-fn bench_quantized_mlp(c: &mut Criterion) {
-    let model = ModelSpec::dlrm_rmc2(8, 16);
-    let engine = CpuReferenceEngine::build(&model, 3).unwrap();
-    let cal: Vec<Vec<f32>> = (0..4)
-        .map(|i| (0..512).map(|j| ((i * 512 + j) as f32 * 0.01).sin() * 0.5).collect())
-        .collect();
-    let q8 = QuantizedMlp::quantize(engine.mlp(), 8, &cal).unwrap();
-    let x = cal[0].clone();
-    let mut group = c.benchmark_group("quantized_mlp");
-    group.measurement_time(Duration::from_secs(3)).warm_up_time(Duration::from_secs(1));
-    group.throughput(Throughput::Elements(1));
-    group.bench_function("int8_forward", |b| b.iter(|| q8.predict_ctr(black_box(&x)).unwrap()));
-    group.bench_function("f32_forward", |b| {
-        b.iter(|| engine.mlp().predict_ctr(black_box(&x)).unwrap())
-    });
     group.finish();
 }
 
@@ -59,29 +40,5 @@ fn bench_opgraph(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_entry_cache(c: &mut Criterion) {
-    let mut cache = EntryCache::new(CacheConfig::recnmp_1mb());
-    let reads: Vec<AddressedRead> = (0..1024u64)
-        .map(|i| {
-            AddressedRead::new(
-                BankId::new(MemoryKind::Ddr, 0),
-                (i % 300) * 64 + (i % 7) * 1_000_000,
-                64,
-            )
-        })
-        .collect();
-    let mut group = c.benchmark_group("entry_cache");
-    group.measurement_time(Duration::from_secs(3)).warm_up_time(Duration::from_secs(1));
-    group.throughput(Throughput::Elements(reads.len() as u64));
-    group.bench_function("access_1024", |b| {
-        b.iter(|| {
-            for r in &reads {
-                black_box(cache.access(r));
-            }
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_flow_sim, bench_quantized_mlp, bench_opgraph, bench_entry_cache);
+criterion_group!(benches, bench_flow_sim, bench_opgraph);
 criterion_main!(benches);

@@ -6,21 +6,7 @@
 use std::process::Command;
 
 const BINS: &[&str] = &[
-    "table1",
-    "fig3",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "fig7",
-    "cost",
-    "ablation",
-    "rowbuffer",
-    "hotcache",
-    "controller",
-    "design_space",
-    "scaleout",
+    "table1", "fig3", "table2", "table3", "table4", "table5", "table6", "fig7", "cost", "ablation",
 ];
 
 fn main() {
@@ -44,5 +30,18 @@ fn main() {
     } else {
         eprintln!("\nfailed: {failures:?}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::BINS;
+
+    #[test]
+    fn every_listed_bin_has_a_source() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        for bin in BINS {
+            assert!(dir.join(format!("{bin}.rs")).is_file(), "no src/bin/{bin}.rs for `{bin}`");
+        }
     }
 }

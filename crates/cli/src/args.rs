@@ -147,15 +147,6 @@ pub enum Command {
         /// Datapath precision.
         precision: Precision,
     },
-    /// Explore the PE design space.
-    Explore {
-        /// Target model.
-        model: ModelArg,
-        /// Datapath precision.
-        precision: Precision,
-        /// How many top designs to print.
-        top: usize,
-    },
     /// Simulate online serving under a Poisson load, or (with `--live`)
     /// drive the real micro-batching runtime with paced wall-clock
     /// arrivals.
@@ -168,8 +159,6 @@ pub enum Command {
         queries: usize,
         /// SLA in milliseconds.
         sla_ms: f64,
-        /// Also route overflow to the CPU baseline.
-        hybrid: bool,
         /// Run the live serving runtime instead of the simulation.
         live: bool,
         /// Worker threads (engine replicas) for the live runtime.
@@ -203,7 +192,6 @@ fn known_flags(cmd: &str) -> Option<(&'static [&'static str], &'static [&'static
         "plan" => (&["--model", "--strategy"], &["--no-merge", "--verbose", "-v", "--json"]),
         "predict" => (&["--model", "--queries", "--precision", "--zipf", "--seed"], &[]),
         "compare" => (&["--model", "--batch", "--precision"], &[]),
-        "explore" => (&["--model", "--precision", "--top"], &[]),
         "serve" => (
             &[
                 "--model",
@@ -215,7 +203,7 @@ fn known_flags(cmd: &str) -> Option<(&'static [&'static str], &'static [&'static
                 "--queue-depth",
                 "--resident-bytes",
             ],
-            &["--hybrid", "--live", "--reject"],
+            &["--live", "--reject"],
         ),
         _ => return None,
     })
@@ -295,14 +283,6 @@ pub fn parse(args: &[String]) -> Result<Cli, ArgError> {
                 .map_err(|_| ArgError("bad --batch value".into()))?,
             precision: precision()?,
         },
-        "explore" => Command::Explore {
-            model: model()?,
-            precision: precision()?,
-            top: flag("--top")
-                .unwrap_or("5")
-                .parse()
-                .map_err(|_| ArgError("bad --top value".into()))?,
-        },
         "serve" => Command::Serve {
             model: model()?,
             rate: flag("--rate")
@@ -317,7 +297,6 @@ pub fn parse(args: &[String]) -> Result<Cli, ArgError> {
                 .unwrap_or("25")
                 .parse()
                 .map_err(|_| ArgError("bad --sla-ms value".into()))?,
-            hybrid: has("--hybrid"),
             live: has("--live"),
             workers: flag("--workers")
                 .unwrap_or("2")
@@ -348,8 +327,7 @@ USAGE:
   microrec plan    [--model small|large|dlrm:<t>x<d>] [--no-merge] [--strategy roundrobin|lpt] [-v] [--json]
   microrec predict [--model ...] [--queries N] [--precision f32|fixed16|fixed32] [--zipf S] [--seed N]
   microrec compare [--model ...] [--batch N] [--precision ...]
-  microrec explore [--model ...] [--precision ...] [--top N]
-  microrec serve   [--model ...] [--rate QPS] [--queries N] [--sla-ms MS] [--hybrid]
+  microrec serve   [--model ...] [--rate QPS] [--queries N] [--sla-ms MS]
   microrec serve --live [--model ...] [--rate QPS] [--queries N] [--workers N] [--max-batch N] [--queue-depth N] [--reject] [--resident-bytes N[k|m|g]]
   microrec help
 ";
@@ -426,25 +404,15 @@ mod tests {
     fn defaults_and_help() {
         assert_eq!(parse(&[]).unwrap().command, Command::Help);
         assert_eq!(parse(&argv("help")).unwrap().command, Command::Help);
-        let cli = parse(&argv("explore")).unwrap();
-        match cli.command {
-            Command::Explore { top, model, precision } => {
-                assert_eq!(top, 5);
-                assert_eq!(model, ModelArg::Small);
-                assert_eq!(precision, Precision::Fixed16);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
     }
 
     #[test]
     fn serve_command_parses() {
-        let cli = parse(&argv("serve --rate 80000 --sla-ms 10 --hybrid")).unwrap();
+        let cli = parse(&argv("serve --rate 80000 --sla-ms 10")).unwrap();
         match cli.command {
-            Command::Serve { rate, sla_ms, hybrid, queries, live, workers, .. } => {
+            Command::Serve { rate, sla_ms, queries, live, workers, .. } => {
                 assert_eq!(rate, 80_000.0);
                 assert_eq!(sla_ms, 10.0);
-                assert!(hybrid);
                 assert_eq!(queries, 50_000);
                 assert!(!live);
                 assert_eq!(workers, 2);
@@ -514,6 +482,16 @@ mod tests {
             assert!(err.0.contains(&format!("unknown argument `{typo}`")), "{line}: {err}");
         }
         assert!(parse(&argv("predict --queries")).unwrap_err().0.contains("needs a value"));
+    }
+
+    #[test]
+    fn deleted_extension_surfaces_are_refused() {
+        // Neither exists: each fails as any unknown command or argument
+        // does, rather than running with a default.
+        let err = parse(&argv("explore --top 3")).unwrap_err();
+        assert!(err.0.contains("unknown command `explore`"), "{err}");
+        let err = parse(&argv("serve --hybrid")).unwrap_err();
+        assert!(err.0.contains("unknown argument `--hybrid`"), "{err}");
     }
 
     #[test]

@@ -3,8 +3,7 @@
 use std::fmt::Write as _;
 
 use microrec_core::{
-    best_fitting, explore_design_space, replay_trace, simulate_hybrid_serving,
-    simulate_microrec_serving, AdmissionPolicy, HybridConfig, MicroRec, RuntimeConfig,
+    replay_trace, simulate_microrec_serving, AdmissionPolicy, MicroRec, RuntimeConfig,
     ServingRuntime,
 };
 use microrec_cpu::CpuTimingModel;
@@ -132,46 +131,8 @@ pub fn run_compare(model: &ModelArg, batch: u64, precision: Precision) -> CliRes
     Ok(s)
 }
 
-/// `microrec explore`.
-pub fn run_explore(model: &ModelArg, precision: Precision, top: usize) -> CliResult {
-    let spec = model.to_spec();
-    let base = MicroRec::builder(spec.clone()).precision(precision).build()?;
-    let lookup = base.placement_cost().lookup_latency;
-    let points = explore_design_space(&spec, precision, lookup, 32, 512)?;
-    let mut fitting: Vec<_> = points.iter().filter(|p| p.fits).collect();
-    fitting.sort_by(|a, b| b.throughput.total_cmp(&a.throughput));
-    let mut s = String::new();
-    writeln!(
-        s,
-        "{} {precision}: {} designs evaluated, {} fit the U280",
-        spec.name,
-        points.len(),
-        fitting.len()
-    )?;
-    for p in fitting.iter().take(top) {
-        writeln!(
-            s,
-            "  {:?} @ {} MHz -> {:.0}k items/s, {:.1} us",
-            p.config.pes_per_layer,
-            p.config.clock_hz / 1_000_000,
-            p.throughput / 1e3,
-            p.latency.as_us()
-        )?;
-    }
-    if let Some(best) = best_fitting(&points) {
-        writeln!(s, "best: {:?}", best.config.pes_per_layer)?;
-    }
-    Ok(s)
-}
-
 /// `microrec serve`.
-pub fn run_serve(
-    model: &ModelArg,
-    rate: f64,
-    queries: usize,
-    sla_ms: f64,
-    hybrid: bool,
-) -> CliResult {
+pub fn run_serve(model: &ModelArg, rate: f64, queries: usize, sla_ms: f64) -> CliResult {
     let spec = model.to_spec();
     let engine = MicroRec::builder(spec.clone()).build()?;
     let sla = SimTime::from_ms(sla_ms);
@@ -192,19 +153,6 @@ pub fn run_serve(
         fpga.latency.p99,
         fpga.sla_hit_rate * 100.0
     )?;
-    if hybrid {
-        let cpu = CpuTimingModel::aws_16vcpu();
-        let report =
-            simulate_hybrid_serving(&engine, &cpu, &spec, &HybridConfig::default(), &trace, sla)?;
-        writeln!(
-            s,
-            "Hybrid:        p50 {} p99 {} SLA hit {:.2}% ({:.1}% on FPGA)",
-            report.combined.latency.p50,
-            report.combined.latency.p99,
-            report.combined.sla_hit_rate * 100.0,
-            report.fpga_fraction * 100.0
-        )?;
-    }
     Ok(s)
 }
 
@@ -353,10 +301,8 @@ mod tests {
 
     #[test]
     fn serve_reports_sla() {
-        let out =
-            run_serve(&ModelArg::Dlrm { tables: 4, dim: 4 }, 10_000.0, 2_000, 25.0, true).unwrap();
+        let out = run_serve(&ModelArg::Dlrm { tables: 4, dim: 4 }, 10_000.0, 2_000, 25.0).unwrap();
         assert!(out.contains("SLA hit"), "{out}");
-        assert!(out.contains("Hybrid"), "{out}");
     }
 
     #[test]
@@ -392,12 +338,5 @@ mod tests {
         assert!(out.contains("resident hits"), "{out}");
         assert!(out.contains("cold reads"), "{out}");
         assert!(out.contains("cold tier healthy"), "{out}");
-    }
-
-    #[test]
-    fn explore_lists_designs() {
-        let out = run_explore(&ModelArg::Small, Precision::Fixed16, 3).unwrap();
-        assert!(out.contains("best:"), "{out}");
-        assert!(out.contains("items/s"), "{out}");
     }
 }

@@ -4,7 +4,7 @@
 //! microrec plan --model small -v
 //! microrec predict --model dlrm:8x16 --queries 5
 //! microrec compare --model large --batch 2048 --precision fixed32
-//! microrec explore --model small --top 5
+//! microrec serve --live --model dlrm:4x4 --rate 2000 --queries 500
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,15 +39,11 @@ fn main() -> ExitCode {
         Command::Compare { model, batch, precision } => {
             commands::run_compare(model, *batch, *precision)
         }
-        Command::Explore { model, precision, top } => {
-            commands::run_explore(model, *precision, *top)
-        }
         Command::Serve {
             model,
             rate,
             queries,
             sla_ms,
-            hybrid,
             live,
             workers,
             max_batch,
@@ -68,7 +64,7 @@ fn main() -> ExitCode {
                 };
                 commands::run_serve_live(model, *rate, *queries, config, *resident_bytes)
             } else {
-                commands::run_serve(model, *rate, *queries, *sla_ms, *hybrid)
+                commands::run_serve(model, *rate, *queries, *sla_ms)
             }
         }
     };

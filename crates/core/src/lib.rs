@@ -34,26 +34,16 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod cluster;
 mod engine;
 mod error;
-mod explore;
-mod hybrid_serving;
-mod ranking;
 mod report;
 mod runtime;
 mod serve;
 mod simulator;
 mod sync;
 
-pub use cluster::{InterconnectConfig, MicroRecCluster};
 pub use engine::{MicroRec, MicroRecBuilder};
 pub use error::MicroRecError;
-pub use explore::{best_fitting, derated_clock, explore_design_space, DesignPoint};
-pub use hybrid_serving::{
-    simulate_hybrid_serving, surviving_dram_fraction, HybridConfig, HybridReport,
-};
-pub use ranking::{kendall_tau, rank_descending, ranking_fidelity, top_k_overlap, RankingFidelity};
 pub use report::{
     end_to_end_report, AwsPrices, CostReport, CpuPoint, EmbeddingReport, EndToEndReport, FpgaPoint,
 };

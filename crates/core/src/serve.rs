@@ -31,7 +31,7 @@ pub struct ServingReport {
 }
 
 /// Folds simulated latencies into the runtime's histogram representation.
-pub(crate) fn tail_percentiles(latencies: &[SimTime]) -> LatencyPercentiles {
+fn tail_percentiles(latencies: &[SimTime]) -> LatencyPercentiles {
     let mut hist = LatencyHistogram::new();
     for l in latencies {
         hist.record_us(l.as_us());

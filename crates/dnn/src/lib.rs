@@ -29,7 +29,6 @@ mod gemm;
 mod layer;
 mod mlp;
 mod packed;
-mod quant;
 mod scratch;
 mod tensor;
 
@@ -39,6 +38,5 @@ pub use gemm::{dot_quantizing, dot_scalar, gemm_flops, gemm_naive, gemm_packed, 
 pub use layer::{Activation, DenseLayer};
 pub use mlp::Mlp;
 pub use packed::{PackedLayer, PackedMlp};
-pub use quant::{QuantScale, QuantizedMlp};
 pub use scratch::ScratchArena;
 pub use tensor::Matrix;

@@ -38,23 +38,19 @@
 #![deny(clippy::disallowed_types)]
 
 mod bank;
-mod cache;
 mod config;
 mod error;
 mod hybrid;
 mod rowstate;
-mod sched;
 mod stats;
 mod time;
 mod timing;
 
 pub use bank::{Bank, BankId, MemoryKind, Region};
-pub use cache::{CacheConfig, EntryCache};
 pub use config::{BankSpec, MemoryConfig, GIB, MIB};
 pub use error::MemsimError;
 pub use hybrid::{BatchTiming, HybridMemory, ReadRequest};
 pub use rowstate::{AddressedRead, RowPolicy, RowState};
-pub use sched::{schedule_channel, BankRequest, DetailedTiming, ScheduleResult, SchedulerPolicy};
 pub use stats::{AccessStats, BankStats};
 pub use time::SimTime;
 pub use timing::MemTiming;

@@ -3,9 +3,8 @@
 //! Algorithm 1's outer loop — one candidate count `n` per iteration — is
 //! embarrassingly parallel: each iteration allocates an independent plan.
 //! This module fans the iterations out over worker threads with
-//! `microrec_par`, which matters when the search is embedded in a
-//! larger sweep (design-space exploration evaluates hundreds of placements)
-//! or run on big synthetic model families.
+//! `microrec_par`, which matters when the search runs on big synthetic
+//! model families.
 
 use microrec_embedding::{MergePlan, ModelSpec, Precision};
 use microrec_memsim::MemoryConfig;

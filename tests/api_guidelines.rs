@@ -14,20 +14,17 @@ fn assert_debug<T: Debug>() {}
 fn public_types_are_send_sync() {
     assert_send_sync::<microrec_memsim::HybridMemory>();
     assert_send_sync::<microrec_memsim::MemoryConfig>();
-    assert_send_sync::<microrec_memsim::EntryCache>();
     assert_send_sync::<microrec_embedding::EmbeddingTable>();
     assert_send_sync::<microrec_embedding::Catalog>();
     assert_send_sync::<microrec_embedding::ModelSpec>();
     assert_send_sync::<microrec_placement::Plan>();
     assert_send_sync::<microrec_dnn::Mlp>();
-    assert_send_sync::<microrec_dnn::QuantizedMlp>();
     assert_send_sync::<microrec_accel::Pipeline>();
     assert_send_sync::<microrec_accel::FlowSim>();
     assert_send_sync::<microrec_cpu::CpuReferenceEngine>();
     assert_send_sync::<microrec_cpu::CpuTimingModel>();
     assert_send_sync::<microrec_workload::RequestTrace>();
     assert_send_sync::<microrec_core::MicroRec>();
-    assert_send_sync::<microrec_core::MicroRecCluster>();
 }
 
 #[test]

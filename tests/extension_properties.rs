@@ -1,106 +1,9 @@
-//! Randomized tests over the extension modules: sharding, hybrid routing,
-//! the DRAM request scheduler, and per-tensor quantization. Cases come from
-//! a seeded RNG so every run is reproducible.
+//! Randomized tests over quantized storage. Cases come from a seeded RNG so
+//! every run is reproducible.
 
 use microrec_rng::Rng;
 
-use microrec_core::{simulate_hybrid_serving, HybridConfig, MicroRec, MicroRecCluster};
-use microrec_cpu::{CpuReferenceEngine, CpuTimingModel};
-use microrec_embedding::{ModelSpec, Precision, TableSpec};
-use microrec_memsim::{schedule_channel, BankRequest, DetailedTiming, SchedulerPolicy, SimTime};
-
-/// Sharded engines predict exactly what the monolithic reference does, for
-/// any per-device budget that admits the largest table.
-#[test]
-fn cluster_is_shard_invariant() {
-    let mut rng = Rng::seed_from_u64(0x5A4D);
-    for _ in 0..16 {
-        let budget_tables = rng.gen_range_usize(1, 8);
-        let seed = rng.next_u64();
-        let model = ModelSpec::new(
-            "prop-shard",
-            (0..8).map(|i| TableSpec::new(format!("t{i}"), 500 + 50 * i as u64, 4)).collect(),
-            vec![32, 16],
-            1,
-        );
-        // Budget sized to hold `budget_tables` of the largest tables.
-        let max_table = model.tables.iter().map(|t| t.bytes(Precision::F32)).max().unwrap();
-        let budget = max_table * budget_tables as u64;
-        let reference = CpuReferenceEngine::build(&model, seed).unwrap();
-        let mut cluster = MicroRecCluster::build(&model, budget, Precision::F32, seed).unwrap();
-        let q: Vec<u64> = (0..8).map(|j| (seed.wrapping_add(j * 31)) % 500).collect();
-        let a = cluster.predict(&q).unwrap();
-        let b = reference.predict(&q).unwrap();
-        assert!((a - b).abs() < 1e-6, "{a} vs {b} at {} devices", cluster.devices());
-    }
-}
-
-/// The hybrid router serves every query exactly once, whatever the load,
-/// and its latency stats are well-formed.
-#[test]
-fn hybrid_router_conserves_queries() {
-    let mut rng = Rng::seed_from_u64(0x4B2D);
-    let model = ModelSpec::dlrm_rmc2(4, 4);
-    let engine = MicroRec::builder(model.clone()).seed(1).build().unwrap();
-    let cpu = CpuTimingModel::aws_16vcpu();
-    for _ in 0..8 {
-        let count = rng.gen_range_usize(10, 200);
-        let backlog_us = rng.gen_range_u64(1, 5_000);
-        let mut t = SimTime::ZERO;
-        let arrivals: Vec<SimTime> = (0..count)
-            .map(|_| {
-                t += SimTime::from_ps(rng.gen_range_u64(1, 40_000_000) * 1000);
-                t
-            })
-            .collect();
-        let config = HybridConfig {
-            backlog_limit: SimTime::from_us(backlog_us as f64),
-            ..Default::default()
-        };
-        let report = simulate_hybrid_serving(
-            &engine,
-            &cpu,
-            &model,
-            &config,
-            &arrivals,
-            SimTime::from_ms(25.0),
-        )
-        .unwrap();
-        assert!((0.0..=1.0).contains(&report.fpga_fraction));
-        assert!((0.0..=1.0).contains(&report.combined.sla_hit_rate));
-        assert!(report.combined.latency.p50 <= report.combined.latency.p99);
-        assert!(report.combined.latency.p99 <= report.combined.latency.max);
-    }
-}
-
-/// The bank-parallel scheduler is never slower than the serial AXI
-/// controller, and both produce per-request completions bounded below by a
-/// single isolated access.
-#[test]
-fn scheduler_orderings() {
-    let mut rng = Rng::seed_from_u64(0x5EDC);
-    let timing = DetailedTiming::hbm2();
-    for _ in 0..40 {
-        let count = rng.gen_range_usize(1, 40);
-        let requests: Vec<BankRequest> = (0..count)
-            .map(|i| BankRequest {
-                bank: rng.gen_range_usize(0, 16),
-                row: i as u64,
-                bytes: rng.gen_range_u64(1, 512) as u32,
-            })
-            .collect();
-        let serial = schedule_channel(&timing, SchedulerPolicy::SerialAxi, &requests);
-        let parallel = schedule_channel(&timing, SchedulerPolicy::BankParallel, &requests);
-        assert!(parallel.makespan <= serial.makespan);
-        let min_single = requests
-            .iter()
-            .map(|r| timing.t_controller + timing.t_rcd + timing.t_cas + timing.burst_time(r.bytes))
-            .min()
-            .unwrap();
-        assert!(parallel.completions[0] >= min_single.saturating_sub(SimTime::from_ns(1.0)));
-        assert_eq!(serial.completions.len(), requests.len());
-    }
-}
+use microrec_embedding::{Precision, TableSpec};
 
 /// Quantized-storage row bytes halve exactly, for any table shape.
 #[test]
