@@ -6,10 +6,7 @@ use std::time::Duration;
 use microrec_bench::harness::{black_box, criterion_group, criterion_main, Criterion};
 use microrec_embedding::{ModelSpec, Precision, TableSpec};
 use microrec_memsim::MemoryConfig;
-use microrec_placement::{
-    brute_force_search, heuristic_search, heuristic_search_parallel, AllocStrategy,
-    HeuristicOptions,
-};
+use microrec_placement::{brute_force_search, heuristic_search, AllocStrategy, HeuristicOptions};
 
 fn bench_heuristic(c: &mut Criterion) {
     let config = MemoryConfig::u280();
@@ -24,29 +21,6 @@ fn bench_heuristic(c: &mut Criterion) {
                     &config,
                     Precision::F32,
                     &HeuristicOptions::default(),
-                )
-                .unwrap()
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_parallel_search(c: &mut Criterion) {
-    let config = MemoryConfig::u280();
-    let model = ModelSpec::large_production();
-    let mut group = c.benchmark_group("parallel_search");
-    group.measurement_time(Duration::from_secs(3)).warm_up_time(Duration::from_secs(1));
-    group.sample_size(20);
-    for threads in [1usize, 4] {
-        group.bench_function(format!("large_{threads}_threads"), |b| {
-            b.iter(|| {
-                heuristic_search_parallel(
-                    black_box(&model),
-                    &config,
-                    Precision::F32,
-                    &HeuristicOptions::default(),
-                    threads,
                 )
                 .unwrap()
             })
@@ -81,5 +55,5 @@ fn bench_brute_force(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_heuristic, bench_parallel_search, bench_brute_force);
+criterion_group!(benches, bench_heuristic, bench_brute_force);
 criterion_main!(benches);

@@ -62,7 +62,6 @@ pub struct MicroRecBuilder {
     model: ModelSpec,
     memory: MemoryConfig,
     precision: Precision,
-    storage_precision: Precision,
     seed: u64,
     options: HeuristicOptions,
     accel: Option<AccelConfig>,
@@ -84,7 +83,6 @@ impl MicroRecBuilder {
             model,
             memory: MemoryConfig::u280(),
             precision: Precision::Fixed16,
-            storage_precision: Precision::F32,
             seed: 0x00AC_CE55,
             options: HeuristicOptions::default(),
             accel: None,
@@ -106,14 +104,6 @@ impl MicroRecBuilder {
     #[must_use]
     pub fn precision(mut self, precision: Precision) -> Self {
         self.precision = precision;
-        self
-    }
-
-    /// Sets the embedding storage precision (default 32-bit, matching the
-    /// paper's memory layout for both datapath precisions).
-    #[must_use]
-    pub fn storage_precision(mut self, precision: Precision) -> Self {
-        self.storage_precision = precision;
         self
     }
 
@@ -194,17 +184,6 @@ impl MicroRecBuilder {
         self
     }
 
-    /// Uses an existing tiered backing (resident arena + cold store)
-    /// instead of materializing a new one per engine, the tiered twin of
-    /// [`MicroRecBuilder::shared_arena`]: replica engines share one
-    /// resident allocation and one cold file.
-    #[must_use]
-    pub fn shared_tiered_backing(mut self, backing: Arc<TieredBacking>) -> Self {
-        self.tiered_budget = Some(backing.budget_bytes());
-        self.shared_tiered = Some(backing);
-        self
-    }
-
     /// Builds this configuration's arena once and installs it as the
     /// shared arena, so every subsequent [`MicroRecBuilder::build`] (on
     /// this builder or its clones) reuses the same allocation. No-op when
@@ -246,8 +225,7 @@ impl MicroRecBuilder {
     /// placed, or the accelerator configuration does not fit it.
     pub fn build(self) -> Result<MicroRec, MicroRecError> {
         self.model.validate()?;
-        let outcome =
-            heuristic_search(&self.model, &self.memory, self.storage_precision, &self.options)?;
+        let outcome = heuristic_search(&self.model, &self.memory, Precision::F32, &self.options)?;
         let plan = outcome.plan;
         let cost = outcome.cost;
         let placed = simulator::place(&plan, self.memory)?;

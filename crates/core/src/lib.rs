@@ -48,8 +48,8 @@ pub use report::{
     end_to_end_report, AwsPrices, CostReport, CpuPoint, EmbeddingReport, EndToEndReport, FpgaPoint,
 };
 pub use runtime::{
-    plan_batches, replay_trace, AdmissionPolicy, BatchClose, BatchFormerConfig, LatencyHistogram,
-    LatencyPercentiles, PendingPrediction, PlannedBatch, ReplayOutcome, RuntimeConfig,
-    RuntimeError, RuntimeLookupStats, RuntimeSnapshot, ServingRuntime,
+    replay_trace, AdmissionPolicy, BatchClose, LatencyHistogram, LatencyPercentiles,
+    PendingPrediction, ReplayOutcome, RuntimeConfig, RuntimeError, RuntimeLookupStats,
+    RuntimeSnapshot, ServingRuntime,
 };
 pub use serve::{simulate_cpu_serving, simulate_microrec_serving, ServingReport};

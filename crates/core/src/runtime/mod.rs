@@ -9,7 +9,9 @@
 //! The close rule is work-conserving: a free worker takes whatever is
 //! queued now, up to `max_batch`, and blocks only on an empty queue — an
 //! idle runtime answers at service time, and batches grow by themselves
-//! while every worker is busy (see [`plan_batches`] for the pure model).
+//! while every worker is busy. Each batch records why it closed
+//! ([`BatchClose`]): full at `max_batch`, short because that was all that
+//! was queued, or short in the shutdown drain.
 //! Every request carries its enqueue timestamp; completions feed a shared
 //! [`LatencyHistogram`] from which p50/p95/p99/p999 are read out online.
 //!
@@ -33,13 +35,12 @@
     clippy::unreachable
 )]
 
-mod batcher;
 mod histogram;
 mod queue;
 mod replay;
 
-pub use batcher::{plan_batches, BatchClose, BatchFormerConfig, PlannedBatch};
 pub use histogram::{LatencyHistogram, LatencyPercentiles};
+pub use queue::BatchClose;
 pub use replay::{replay_trace, ReplayOutcome};
 
 use std::panic::AssertUnwindSafe;
@@ -86,14 +87,6 @@ impl Default for RuntimeConfig {
             queue_depth: 1024,
             admission: AdmissionPolicy::Block,
         }
-    }
-}
-
-impl RuntimeConfig {
-    /// The batch-former half of the configuration.
-    #[must_use]
-    pub fn batch_former(&self) -> BatchFormerConfig {
-        BatchFormerConfig { max_batch: self.max_batch, workers: self.workers }
     }
 }
 

@@ -4,17 +4,29 @@
 //! workers) pop whole micro-batches. The queue is bounded, which is the
 //! admission-control half of the runtime: when it is full a producer
 //! either blocks (`push_blocking`, backpressure) or is turned away
-//! (`try_push`, reject policy). The batch-forming pop is work-conserving,
-//! the rule [`plan_batches`](super::batcher::plan_batches) models: a
-//! consumer blocks only while the queue is empty and otherwise takes what
-//! is queued now, up to `max_batch`. Batches therefore grow only while
-//! every consumer is busy, and nothing in the queue reads a clock.
+//! (`try_push`, reject policy). The batch-forming pop is the runtime's
+//! close rule, and it is work-conserving: a consumer blocks only while the
+//! queue is empty and otherwise takes what is queued now, up to
+//! `max_batch` — a [`BatchClose::Size`] close when `max_batch` or more are
+//! queued, [`BatchClose::Ready`] when fewer are, [`BatchClose::Drain`] for
+//! a short batch after shutdown. Batches therefore grow only while every
+//! consumer is busy, and nothing in the queue reads a clock.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
-use super::batcher::BatchClose;
 use crate::sync::{lock_or_recover, wait_while, Guard};
+
+/// Why a micro-batch closed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchClose {
+    /// `max_batch` or more requests were queued; the batch is full.
+    Size,
+    /// A free worker took everything queued, fewer than `max_batch`.
+    Ready,
+    /// The runtime is shutting down and drained the queue.
+    Drain,
+}
 
 /// Why a push was refused.
 #[derive(Debug)]
@@ -172,6 +184,11 @@ mod tests {
         assert_eq!(q.pop_batch(4), Some((vec![0, 1, 2, 3], BatchClose::Size)));
         assert_eq!(q.pop_batch(6), Some(((4..10).collect(), BatchClose::Size)));
         assert_eq!(q.len(), 0);
+        // With `max_batch = 1` every pop is one item and a size close.
+        let q = filled(16, 0..5);
+        for v in 0..5 {
+            assert_eq!(q.pop_batch(1), Some((vec![v], BatchClose::Size)));
+        }
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //!
 //! Rayon-style data parallelism built on `std::thread::scope`. The build
 //! environment has no registry access, so this crate provides the small
-//! slice of rayon's API the workspace actually uses — `join`, `scope`,
-//! and indexed parallel maps with dynamic work stealing — with no
-//! external dependencies and no global thread pool to configure.
+//! slice of rayon's API the workspace actually uses — an indexed parallel
+//! map with dynamic work stealing — with no external dependencies and no
+//! global thread pool to configure.
 //!
-//! All entry points degrade gracefully: with `threads <= 1` (or a single
-//! available core) they run inline on the caller's thread, which keeps
-//! single-threaded determinism tests trivially correct.
+//! With `threads <= 1` (or a single available core) the map runs inline on
+//! the caller's thread, which keeps single-threaded determinism tests
+//! trivially correct.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,25 +21,6 @@ use std::sync::Mutex;
 #[must_use]
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-}
-
-/// Runs two closures, potentially in parallel, and returns both results.
-///
-/// The first closure runs on the calling thread; the second runs on a
-/// scoped worker. Mirrors `rayon::join`.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    std::thread::scope(|scope| {
-        let hb = scope.spawn(b);
-        let ra = a();
-        let rb = hb.join().expect("parallel closure panicked");
-        (ra, rb)
-    })
 }
 
 /// Maps `f` over `items`, running up to `threads` workers that pull items
@@ -85,44 +66,10 @@ where
     pairs.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Splits `0..len` into at most `threads` contiguous chunks of
-/// near-equal size and maps `f` over the `(start, end)` ranges in
-/// parallel. Returns per-chunk results in range order.
-///
-/// Useful when the caller wants each worker to own a contiguous shard
-/// (e.g. batch slices) rather than interleaved items.
-pub fn par_chunks<R, F>(len: usize, threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, std::ops::Range<usize>) -> R + Sync,
-{
-    if len == 0 {
-        return Vec::new();
-    }
-    let threads = threads.min(len).max(1);
-    let base = len / threads;
-    let extra = len % threads;
-    let mut ranges = Vec::with_capacity(threads);
-    let mut start = 0usize;
-    for i in 0..threads {
-        let size = base + usize::from(i < extra);
-        ranges.push(start..start + size);
-        start += size;
-    }
-    par_map(&ranges, threads, |i, r| f(i, r.clone()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = join(|| 2 + 2, || "ok".to_string());
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
-    }
 
     #[test]
     fn par_map_preserves_order_at_any_width() {
@@ -145,26 +92,8 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_partitions_exactly() {
-        for len in [0usize, 1, 5, 7, 64, 100] {
-            for threads in [1usize, 2, 3, 7, 16] {
-                let ranges = par_chunks(len, threads, |_, r| r);
-                let total: usize = ranges.iter().map(ExactSizeIterator::len).sum();
-                assert_eq!(total, len, "len {len} threads {threads}");
-                let mut next = 0usize;
-                for r in &ranges {
-                    assert_eq!(r.start, next, "contiguous shards");
-                    assert!(!r.is_empty(), "no empty shard emitted");
-                    next = r.end;
-                }
-            }
-        }
-    }
-
-    #[test]
     fn empty_input_is_fine() {
         let empty: Vec<u32> = Vec::new();
         assert!(par_map(&empty, 8, |_, &x| x).is_empty());
-        assert!(par_chunks(0, 8, |_, r| r).is_empty());
     }
 }

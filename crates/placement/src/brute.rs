@@ -70,78 +70,6 @@ pub fn brute_force_search(
     Ok(best)
 }
 
-/// Parallel variant of [`brute_force_search`]: the bitmask space is split
-/// across `threads` workers and the per-worker winners are merged with the
-/// sequential tie-break (first strictly-better plan in enumeration order),
-/// so the returned [`SearchOutcome`] is identical to the sequential one.
-///
-/// # Errors
-///
-/// Returns [`PlacementError::Infeasible`] under the same conditions as
-/// [`brute_force_search`].
-pub fn brute_force_search_parallel(
-    model: &ModelSpec,
-    config: &MemoryConfig,
-    precision: Precision,
-    strategy: AllocStrategy,
-    threads: usize,
-) -> Result<SearchOutcome, PlacementError> {
-    let n = model.num_tables();
-    if n > MAX_BRUTE_TABLES {
-        return Err(PlacementError::Infeasible(format!(
-            "brute force is limited to {MAX_BRUTE_TABLES} tables, model has {n} \
-             (the paper's point exactly — use the heuristic)"
-        )));
-    }
-
-    let base = allocate_with(model, &MergePlan::none(), config, precision, strategy)?;
-    let base_cost = base.cost(config, model.lookups_per_table);
-
-    let masks: Vec<u32> = (1u32..(1u32 << n)).filter(|m| m.count_ones() % 2 == 0).collect();
-    let threads = threads.max(1).min(masks.len().max(1));
-    // Contiguous mask ranges keep every worker's candidates in enumeration
-    // order; merging the workers in range order then reproduces the
-    // sequential scan's first-strictly-better-wins semantics exactly.
-    type Candidate = (crate::plan::Plan, PlanCost);
-    let locals: Vec<(Option<Candidate>, usize)> =
-        microrec_par::par_chunks(masks.len(), threads, |_, range| {
-            let mut best: Option<Candidate> = None;
-            let mut evaluated = 0usize;
-            for &mask in &masks[range] {
-                let members: Vec<usize> = (0..n).filter(|&i| mask & (1 << i) != 0).collect();
-                for_each_matching(&members, &mut |pairs| {
-                    let merge = MergePlan::pairs(pairs);
-                    if let Ok(plan) = allocate_with(model, &merge, config, precision, strategy) {
-                        evaluated += 1;
-                        let cost = plan.cost(config, model.lookups_per_table);
-                        let replace = match &best {
-                            None => true,
-                            Some((_, best_cost)) => cost.better_than(best_cost),
-                        };
-                        if replace {
-                            best = Some((plan, cost));
-                        }
-                    }
-                });
-            }
-            (best, evaluated)
-        });
-
-    // Merge exactly as the sequential scan would: a later candidate only
-    // displaces an earlier one when strictly better.
-    let mut best = SearchOutcome { plan: base, cost: base_cost, evaluated: 1 };
-    for (local, evaluated) in locals {
-        best.evaluated += evaluated;
-        if let Some((plan, cost)) = local {
-            if cost.better_than(&best.cost) {
-                best.plan = plan;
-                best.cost = cost;
-            }
-        }
-    }
-    Ok(best)
-}
-
 /// Calls `f` with every perfect matching of `items` (which must have even
 /// length).
 fn for_each_matching(items: &[usize], f: &mut impl FnMut(&[(usize, usize)])) {
@@ -263,47 +191,6 @@ mod tests {
                 "heuristic must explore far fewer solutions"
             );
         }
-    }
-
-    #[test]
-    fn parallel_brute_force_matches_sequential() {
-        for rows in [
-            &[100u64, 150, 200, 250, 300, 350][..],
-            &[10, 20, 5000, 6000, 30][..],
-            &[100, 100, 100, 100, 100][..],
-        ] {
-            let model = toy_model(rows);
-            let seq =
-                brute_force_search(&model, &cramped(), Precision::F32, AllocStrategy::RoundRobin)
-                    .unwrap();
-            for threads in [1usize, 2, 4, 9] {
-                let par = brute_force_search_parallel(
-                    &model,
-                    &cramped(),
-                    Precision::F32,
-                    AllocStrategy::RoundRobin,
-                    threads,
-                )
-                .unwrap();
-                assert_eq!(par.plan, seq.plan, "{rows:?} threads={threads}");
-                assert_eq!(par.cost, seq.cost);
-                assert_eq!(par.evaluated, seq.evaluated);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_brute_force_refuses_large_models() {
-        assert!(matches!(
-            brute_force_search_parallel(
-                &ModelSpec::small_production(),
-                &MemoryConfig::u280(),
-                Precision::F32,
-                AllocStrategy::RoundRobin,
-                4,
-            ),
-            Err(PlacementError::Infeasible(_))
-        ));
     }
 
     #[test]

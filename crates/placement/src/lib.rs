@@ -34,16 +34,10 @@ mod alloc;
 mod brute;
 mod error;
 mod heuristic;
-mod parallel;
 mod plan;
-mod refine;
 
 pub use alloc::{allocate, allocate_with, physical_specs, AllocStrategy};
-pub use brute::{
-    brute_force_search, brute_force_search_parallel, optimality_gap, MAX_BRUTE_TABLES,
-};
+pub use brute::{brute_force_search, optimality_gap, MAX_BRUTE_TABLES};
 pub use error::PlacementError;
 pub use heuristic::{heuristic_search, HeuristicOptions, SearchOutcome};
-pub use parallel::heuristic_search_parallel;
 pub use plan::{PlacedTable, Plan, PlanCost};
-pub use refine::{refine_plan, RefineOutcome};

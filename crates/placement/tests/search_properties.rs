@@ -6,8 +6,7 @@ use microrec_rng::Rng;
 use microrec_embedding::{synthetic_model, Precision, SyntheticModelConfig};
 use microrec_memsim::MemoryConfig;
 use microrec_placement::{
-    allocate_with, brute_force_search, brute_force_search_parallel, heuristic_search,
-    heuristic_search_parallel, optimality_gap, refine_plan, AllocStrategy, HeuristicOptions,
+    brute_force_search, heuristic_search, optimality_gap, AllocStrategy, HeuristicOptions,
 };
 
 /// The heuristic produces valid, never-regressing plans on random
@@ -37,96 +36,6 @@ fn heuristic_on_synthetic_models() {
         best.plan.validate(&model, &config).unwrap();
         assert!(best.cost.lookup_latency <= base.cost.lookup_latency);
         assert!(best.cost.dram_rounds <= base.cost.dram_rounds);
-    }
-}
-
-/// Refinement never regresses and always validates, whichever strategy
-/// produced the starting plan.
-#[test]
-fn refinement_is_safe() {
-    let mut rng = Rng::seed_from_u64(0x2EF1);
-    for _ in 0..24 {
-        let tables = rng.gen_range_usize(6, 30);
-        let seed = rng.next_u64();
-        let lpt = rng.gen_bool(0.5);
-        let model = synthetic_model(&SyntheticModelConfig {
-            tables,
-            target_bytes: 200_000_000,
-            seed,
-            ..Default::default()
-        })
-        .unwrap();
-        let config = MemoryConfig::u280();
-        let strategy = if lpt { AllocStrategy::Lpt } else { AllocStrategy::RoundRobin };
-        let plan = allocate_with(
-            &model,
-            &microrec_embedding::MergePlan::none(),
-            &config,
-            Precision::F32,
-            strategy,
-        )
-        .unwrap();
-        let out = refine_plan(&plan, &model, &config, 4);
-        out.plan.validate(&model, &config).unwrap();
-        assert!(out.after.lookup_latency <= out.before.lookup_latency);
-    }
-}
-
-/// The parallel searches agree exactly with their sequential counterparts
-/// on randomized synthetic models (beyond the production spot checks).
-#[test]
-fn parallel_searches_match_sequential_on_synthetic_models() {
-    let mut rng = Rng::seed_from_u64(0x9A12);
-    let config = MemoryConfig::u280();
-    for _ in 0..8 {
-        let tables = rng.gen_range_usize(8, 40);
-        let seed = rng.next_u64();
-        let model = synthetic_model(&SyntheticModelConfig {
-            tables,
-            target_bytes: 400_000_000,
-            seed,
-            ..Default::default()
-        })
-        .unwrap();
-        let seq = heuristic_search(&model, &config, Precision::F32, &Default::default()).unwrap();
-        let threads = rng.gen_range_usize(2, 8);
-        let par = heuristic_search_parallel(
-            &model,
-            &config,
-            Precision::F32,
-            &Default::default(),
-            threads,
-        )
-        .unwrap();
-        assert_eq!(par.plan, seq.plan, "tables={tables} threads={threads}");
-        assert_eq!(par.cost, seq.cost);
-    }
-
-    let mut cramped = MemoryConfig::fpga_without_hbm(3);
-    cramped.banks.retain(|b| b.id.kind.is_dram());
-    for seed in 0..4u64 {
-        let model = synthetic_model(&SyntheticModelConfig {
-            name: format!("pbrute{seed}"),
-            tables: 7,
-            target_bytes: 40_000_000,
-            hidden: vec![32],
-            lookups_per_table: 1,
-            seed,
-        })
-        .unwrap();
-        let seq = brute_force_search(&model, &cramped, Precision::F32, AllocStrategy::RoundRobin)
-            .unwrap();
-        let par = brute_force_search_parallel(
-            &model,
-            &cramped,
-            Precision::F32,
-            AllocStrategy::RoundRobin,
-            3,
-        )
-        .unwrap();
-        assert_eq!(par.plan, seq.plan, "seed {seed}");
-        assert_eq!(par.cost, seq.cost);
-        assert_eq!(par.evaluated, seq.evaluated);
     }
 }
 

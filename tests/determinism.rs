@@ -5,7 +5,7 @@
 use microrec_core::MicroRec;
 use microrec_embedding::{Catalog, MergePlan, ModelSpec, Precision};
 use microrec_memsim::MemoryConfig;
-use microrec_placement::{heuristic_search, heuristic_search_parallel, HeuristicOptions};
+use microrec_placement::{heuristic_search, HeuristicOptions};
 use microrec_workload::{QueryGenConfig, QueryGenerator, RequestTrace};
 
 const SEED: u64 = 0xD37E_2026;
@@ -20,18 +20,6 @@ fn placement_is_deterministic() {
         heuristic_search(&model, &config, Precision::F32, &HeuristicOptions::default()).unwrap();
     assert_eq!(a.plan, b.plan);
     assert_eq!(a.cost, b.cost);
-    // Parallel search agrees bit-for-bit at every thread count.
-    for threads in 1..=6 {
-        let p = heuristic_search_parallel(
-            &model,
-            &config,
-            Precision::F32,
-            &HeuristicOptions::default(),
-            threads,
-        )
-        .unwrap();
-        assert_eq!(p.plan, a.plan, "threads={threads}");
-    }
 }
 
 #[test]
