@@ -2,17 +2,20 @@
 //! lookup rounds grows (robustness of the pipelined design).
 
 use microrec_bench::print_table;
-use microrec_core::MicroRec;
+use microrec_core::Simulator;
 use microrec_embedding::{ModelSpec, Precision};
+use microrec_memsim::MemoryConfig;
+use microrec_placement::HeuristicOptions;
 
 fn main() {
     let mut rows = Vec::new();
     let mut knees = Vec::new();
     for model in [ModelSpec::small_production(), ModelSpec::large_production()] {
         for precision in [Precision::Fixed16, Precision::Fixed32] {
-            let engine =
-                MicroRec::builder(model.clone()).precision(precision).build().expect("engine");
-            let pipe = engine.pipeline();
+            let options = HeuristicOptions::default();
+            let sim = Simulator::build(&model, MemoryConfig::u280(), precision, &options, 0)
+                .expect("simulator");
+            let pipe = sim.pipeline();
             let base = pipe.throughput_items_per_sec();
             let mut knee = None;
             let mut cells = vec![format!("{} {precision}", model.name)];

@@ -2,9 +2,10 @@
 //! (HBM only, and HBM + Cartesian).
 
 use microrec_bench::{fmt_speedup, print_table};
-use microrec_core::{EmbeddingReport, MicroRec};
+use microrec_core::{EmbeddingReport, Simulator};
 use microrec_cpu::CpuTimingModel;
-use microrec_embedding::ModelSpec;
+use microrec_embedding::{ModelSpec, Precision};
+use microrec_memsim::MemoryConfig;
 use microrec_placement::HeuristicOptions;
 
 const BATCHES: [u64; 6] = [1, 64, 256, 512, 1024, 2048];
@@ -15,11 +16,12 @@ fn main() {
     let paper =
         [("alibaba-small", 0.774, 0.458, 8.17, 13.82), ("alibaba-large", 2.26, 1.63, 11.07, 14.70)];
     for model in [ModelSpec::small_production(), ModelSpec::large_production()] {
-        let merged = MicroRec::builder(model.clone()).build().expect("merged engine");
-        let unmerged = MicroRec::builder(model.clone())
-            .search_options(HeuristicOptions { allow_merge: false, ..Default::default() })
-            .build()
-            .expect("unmerged engine");
+        let simulator = |allow_merge| {
+            let options = HeuristicOptions { allow_merge, ..Default::default() };
+            Simulator::build(&model, MemoryConfig::u280(), Precision::Fixed16, &options, 0)
+                .expect("simulator")
+        };
+        let (merged, unmerged) = (simulator(true), simulator(false));
         let report = EmbeddingReport::build(&merged, &unmerged, &cpu, &BATCHES);
 
         let mut rows = Vec::new();

@@ -3,11 +3,11 @@
 use std::fmt::Write as _;
 
 use microrec_core::{
-    replay_trace, simulate_microrec_serving, AdmissionPolicy, MicroRec, RuntimeConfig,
-    ServingRuntime,
+    replay_trace, simulate_microrec_serving, AdmissionPolicy, MicroRec, MicroRecError,
+    RuntimeConfig, ServingRuntime, Simulator,
 };
 use microrec_cpu::CpuTimingModel;
-use microrec_embedding::{Precision, RowFormat};
+use microrec_embedding::{ModelSpec, Precision, RowFormat};
 use microrec_memsim::{MemoryConfig, SimTime};
 use microrec_placement::{heuristic_search, AllocStrategy, HeuristicOptions};
 use microrec_workload::{PoissonArrivals, QueryGenConfig, QueryGenerator, RequestTrace};
@@ -16,6 +16,15 @@ use crate::args::ModelArg;
 
 /// Boxed error shorthand.
 pub type CliResult = Result<String, Box<dyn std::error::Error>>;
+
+/// `spec` on the simulated U280 at `precision`, default search options.
+fn simulator(
+    spec: &ModelSpec,
+    precision: Precision,
+    seed: u64,
+) -> Result<Simulator, MicroRecError> {
+    Simulator::build(spec, MemoryConfig::u280(), precision, &HeuristicOptions::default(), seed)
+}
 
 /// `microrec plan`.
 pub fn run_plan(
@@ -81,6 +90,7 @@ pub fn run_predict(
 ) -> CliResult {
     let spec = model.to_spec();
     let mut engine = MicroRec::builder(spec.clone()).precision(precision).seed(seed).build()?;
+    let mut sim = simulator(&spec, precision, seed)?;
     let mut gen = QueryGenerator::new(&spec, QueryGenConfig { zipf_exponent: zipf, seed })?;
     let mut s = String::new();
     writeln!(s, "model: {} | precision {precision} | {queries} queries", spec.name)?;
@@ -89,16 +99,16 @@ pub fn run_predict(
         let ctr = engine.predict(&q)?;
         // Serving does not drive the simulated memory: issue the query's
         // reads to it for the `memory:` line.
-        engine.observe(std::slice::from_ref(&q))?;
+        sim.observe(std::slice::from_ref(&q))?;
         writeln!(s, "  query {i:>3}: CTR {ctr:.4}")?;
     }
-    let stats = engine.memory().stats().total();
+    let stats = sim.memory().stats().total();
     writeln!(s, "memory: {} reads, {} bytes, busy {}", stats.reads, stats.bytes, stats.busy)?;
     writeln!(
         s,
         "timing: {} per item, {:.0} items/s steady state",
-        engine.latency(),
-        engine.throughput_items_per_sec()
+        sim.latency(),
+        sim.throughput_items_per_sec()
     )?;
     Ok(s)
 }
@@ -106,10 +116,10 @@ pub fn run_predict(
 /// `microrec compare`.
 pub fn run_compare(model: &ModelArg, batch: u64, precision: Precision) -> CliResult {
     let spec = model.to_spec();
-    let engine = MicroRec::builder(spec.clone()).precision(precision).build()?;
+    let sim = simulator(&spec, precision, 0)?;
     let cpu = CpuTimingModel::aws_16vcpu();
     let cpu_latency = cpu.total_time(&spec, batch);
-    let fpga_batch = engine.batch_latency(batch);
+    let fpga_batch = sim.batch_latency(batch);
     let mut s = String::new();
     writeln!(s, "model: {} | batch {batch} | precision {precision}", spec.name)?;
     writeln!(
@@ -123,9 +133,9 @@ pub fn run_compare(model: &ModelArg, batch: u64, precision: Precision) -> CliRes
         s,
         "MicroRec: {:>12} for the batch | {:>10.0} items/s | {:.1} GOP/s | {} per item",
         fpga_batch.to_string(),
-        engine.throughput_items_per_sec(),
-        engine.throughput_ops_per_sec() / 1e9,
-        engine.latency(),
+        sim.throughput_items_per_sec(),
+        sim.throughput_ops_per_sec() / 1e9,
+        sim.latency(),
     )?;
     writeln!(s, "speedup:  {:.2}x", cpu_latency.as_ns() / fpga_batch.as_ns())?;
     Ok(s)
@@ -134,7 +144,7 @@ pub fn run_compare(model: &ModelArg, batch: u64, precision: Precision) -> CliRes
 /// `microrec serve`.
 pub fn run_serve(model: &ModelArg, rate: f64, queries: usize, sla_ms: f64) -> CliResult {
     let spec = model.to_spec();
-    let engine = MicroRec::builder(spec.clone()).build()?;
+    let sim = simulator(&spec, Precision::Fixed16, 0)?;
     let sla = SimTime::from_ms(sla_ms);
     let mut arrivals = PoissonArrivals::new(rate, 0xACCE55)?;
     let trace = arrivals.take(queries);
@@ -143,9 +153,9 @@ pub fn run_serve(model: &ModelArg, rate: f64, queries: usize, sla_ms: f64) -> Cl
         s,
         "model {} | {rate:.0} QPS offered vs {:.0} items/s capacity | SLA {sla_ms} ms",
         spec.name,
-        engine.throughput_items_per_sec()
+        sim.throughput_items_per_sec()
     )?;
-    let fpga = simulate_microrec_serving(&engine, &trace, sla)?;
+    let fpga = simulate_microrec_serving(&sim, &trace, sla)?;
     writeln!(
         s,
         "MicroRec only: p50 {} p99 {} SLA hit {:.2}%",

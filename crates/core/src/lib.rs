@@ -1,32 +1,40 @@
 //! # microrec-core
 //!
 //! The MicroRec recommendation inference engine (Jiang et al., MLSys
-//! 2021), assembled from its substrates: Cartesian-merged embedding tables
-//! ([`microrec_embedding`]) placed across a hybrid HBM/DDR/on-chip memory
-//! ([`microrec_memsim`]) by the Algorithm-1 search
-//! ([`microrec_placement`]), feeding a deeply pipelined fixed-point
-//! accelerator ([`microrec_accel`], [`microrec_dnn`]), and compared against
-//! the calibrated TensorFlow-Serving CPU baseline ([`microrec_cpu`]).
+//! 2021), assembled from its substrates, as two objects:
+//!
+//! * [`MicroRec`], the served CPU engine: embedding rows from a row store
+//!   ([`microrec_embedding`]) through the accelerator's fixed-point DNN
+//!   datapath ([`microrec_dnn`]), behind a micro-batching
+//!   [`ServingRuntime`]. It runs no placement search.
+//! * [`Simulator`], the paper's U280: Cartesian-merged tables placed across
+//!   a hybrid HBM/DDR/on-chip memory ([`microrec_memsim`]) by the
+//!   Algorithm-1 search ([`microrec_placement`]), feeding a deeply
+//!   pipelined accelerator ([`microrec_accel`]), compared against the
+//!   calibrated TensorFlow-Serving CPU baseline ([`microrec_cpu`]).
 //!
 //! ## Example
 //!
 //! ```
-//! use microrec_core::MicroRec;
+//! use microrec_core::{MicroRec, Simulator};
 //! use microrec_embedding::{ModelSpec, Precision};
+//! use microrec_memsim::MemoryConfig;
+//! use microrec_placement::HeuristicOptions;
 //!
-//! // Build the engine for the small Alibaba production model.
-//! let mut engine = MicroRec::builder(ModelSpec::small_production())
-//!     .precision(Precision::Fixed16)
-//!     .build()?;
+//! let model = ModelSpec::small_production();
 //!
-//! // Placement reproduces Table 3: one DRAM round after merging.
-//! assert_eq!(engine.placement_cost().dram_rounds, 1);
-//!
-//! // Functional inference at micro-second scale latency.
-//! let query: Vec<u64> = engine.model().tables.iter().map(|t| t.rows / 3).collect();
+//! // Serve the small Alibaba production model on the CPU.
+//! let mut engine = MicroRec::builder(model.clone()).precision(Precision::Fixed16).build()?;
+//! let query: Vec<u64> = model.tables.iter().map(|t| t.rows / 3).collect();
 //! let ctr = engine.predict(&query)?;
 //! assert!(ctr > 0.0 && ctr < 1.0);
-//! assert!(engine.latency().as_us() < 30.0);
+//!
+//! // Simulate it on the U280: placement reproduces Table 3, one DRAM
+//! // round after merging, at micro-second scale latency.
+//! let options = HeuristicOptions::default();
+//! let sim = Simulator::build(&model, MemoryConfig::u280(), Precision::Fixed16, &options, 7)?;
+//! assert_eq!(sim.placement_cost().dram_rounds, 1);
+//! assert!(sim.latency().as_us() < 30.0);
 //! # Ok::<(), microrec_core::MicroRecError>(())
 //! ```
 
@@ -53,3 +61,4 @@ pub use runtime::{
     RuntimeSnapshot, ServingRuntime,
 };
 pub use serve::{simulate_cpu_serving, simulate_microrec_serving, ServingReport};
+pub use simulator::Simulator;

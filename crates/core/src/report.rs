@@ -13,10 +13,11 @@
 
 use microrec_cpu::CpuTimingModel;
 use microrec_embedding::{ModelSpec, Precision};
-use microrec_memsim::SimTime;
+use microrec_memsim::{MemoryConfig, SimTime};
+use microrec_placement::HeuristicOptions;
 
-use crate::engine::MicroRec;
 use crate::error::MicroRecError;
+use crate::simulator::Simulator;
 
 /// One CPU operating point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,10 +60,10 @@ pub struct EndToEndReport {
 
 impl EndToEndReport {
     /// Builds the report by running the CPU timing model at each batch and
-    /// the already-built `engine` for the FPGA side.
+    /// the already-built simulator `sim` for the FPGA side.
     #[must_use]
-    pub fn build(engine: &MicroRec, cpu: &CpuTimingModel, batches: &[u64]) -> Self {
-        let model = engine.model();
+    pub fn build(sim: &Simulator, cpu: &CpuTimingModel, batches: &[u64]) -> Self {
+        let model = sim.model();
         let cpu_points = batches
             .iter()
             .map(|&b| CpuPoint {
@@ -73,12 +74,12 @@ impl EndToEndReport {
             })
             .collect();
         let fpga = FpgaPoint {
-            precision: engine.precision(),
-            latency: engine.latency(),
-            items_per_sec: engine.throughput_items_per_sec(),
-            ops_per_sec: engine.throughput_ops_per_sec(),
+            precision: sim.precision(),
+            latency: sim.latency(),
+            items_per_sec: sim.throughput_items_per_sec(),
+            ops_per_sec: sim.throughput_ops_per_sec(),
         };
-        let fpga_batch_latency = batches.iter().map(|&b| engine.batch_latency(b)).collect();
+        let fpga_batch_latency = batches.iter().map(|&b| sim.batch_latency(b)).collect();
         EndToEndReport { model: model.name.clone(), cpu: cpu_points, fpga, fpga_batch_latency }
     }
 
@@ -108,11 +109,11 @@ pub struct EmbeddingReport {
 }
 
 impl EmbeddingReport {
-    /// Builds the report from the two engines (merged and unmerged).
+    /// Builds the report from the two simulators (merged and unmerged).
     #[must_use]
     pub fn build(
-        merged: &MicroRec,
-        unmerged: &MicroRec,
+        merged: &Simulator,
+        unmerged: &Simulator,
         cpu: &CpuTimingModel,
         batches: &[u64],
     ) -> Self {
@@ -186,14 +187,15 @@ impl CostReport {
 ///
 /// # Errors
 ///
-/// Returns [`MicroRecError`] if the engine cannot be built.
+/// Returns [`MicroRecError`] if the simulator cannot be built.
 pub fn end_to_end_report(
     model: &ModelSpec,
     precision: Precision,
     batches: &[u64],
 ) -> Result<EndToEndReport, MicroRecError> {
-    let engine = MicroRec::builder(model.clone()).precision(precision).build()?;
-    Ok(EndToEndReport::build(&engine, &CpuTimingModel::aws_16vcpu(), batches))
+    let options = HeuristicOptions::default();
+    let sim = Simulator::build(model, MemoryConfig::u280(), precision, &options, 0)?;
+    Ok(EndToEndReport::build(&sim, &CpuTimingModel::aws_16vcpu(), batches))
 }
 
 #[cfg(test)]

@@ -315,11 +315,10 @@ impl ServingRuntime {
         // share it read-only across all worker replicas (worker memory no
         // longer scales with the arena size).
         builder.prepare_shared_arena()?;
-        // The admission queue is created here, before the replicas, only for
-        // the set-up's heap layout: its 48 KiB buffer then sits below the
-        // arena, and a runtime started again in the same process reuses the
-        // freed arena's pages far more often instead of faulting them in
-        // afresh (EXPERIMENTS.md, "Residency, not channels").
+        // The admission queue is created here, before the replicas: set-up
+        // time moves with the heap layout (EXPERIMENTS.md, "The engine
+        // without the simulator"), and `tests/setup_alloc.rs` pins this
+        // order.
         let queue = Arc::new(BoundedQueue::new(config.queue_depth));
         // Pre-warm: one full-width dummy batch builds the packed weights
         // and sizes the arena, then the stats reset hides it from the tier
@@ -393,12 +392,6 @@ impl ServingRuntime {
     #[must_use]
     pub fn config(&self) -> &RuntimeConfig {
         &self.config
-    }
-
-    /// Current admission-queue depth.
-    #[must_use]
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
     }
 
     /// Submits one query for prediction.

@@ -109,11 +109,6 @@ impl<T> BoundedQueue<T> {
         self.not_full.notify_all();
     }
 
-    /// Current queue depth.
-    pub fn len(&self) -> usize {
-        self.lock().items.len()
-    }
-
     /// Pops the next micro-batch: everything queued, up to `max_batch`,
     /// blocking only while the queue is empty. Returns `None` once the
     /// queue is closed **and** empty — the clean-drain termination signal.
@@ -169,7 +164,7 @@ mod tests {
         // never return.
         let q = filled(16, 7..8);
         assert_eq!(q.pop_batch(8), Some((vec![7], BatchClose::Ready)));
-        assert_eq!(q.len(), 0);
+        assert_eq!(q.lock().items.len(), 0);
     }
 
     #[test]
@@ -183,7 +178,7 @@ mod tests {
         let q = filled(16, 0..10);
         assert_eq!(q.pop_batch(4), Some((vec![0, 1, 2, 3], BatchClose::Size)));
         assert_eq!(q.pop_batch(6), Some(((4..10).collect(), BatchClose::Size)));
-        assert_eq!(q.len(), 0);
+        assert_eq!(q.lock().items.len(), 0);
         // With `max_batch = 1` every pop is one item and a size close.
         let q = filled(16, 0..5);
         for v in 0..5 {
@@ -198,7 +193,7 @@ mod tests {
             Err(PushError::Full(it)) => assert_eq!(it, 2),
             other => panic!("expected Full, got {:?}", other.map_err(|_| "err")),
         }
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.lock().items.len(), 2);
     }
 
     #[test]
@@ -243,7 +238,7 @@ mod tests {
 
         // The queue must remain fully operational on the poisoned lock.
         q.try_push(2).map_err(|_| ()).unwrap();
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.lock().items.len(), 2);
         q.close();
         assert_eq!(
             q.pop_batch(8),

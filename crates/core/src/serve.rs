@@ -4,7 +4,7 @@
 //! engine must hold queries until a batch fills, while the deep pipeline
 //! admits each query the moment a slot frees. These helpers drive both
 //! disciplines with the same arrival trace — the MicroRec side through the
-//! event-driven [`FlowSim`] over its actual pipeline stages — and report
+//! event-driven [`FlowSim`] over its simulated pipeline's stages — and report
 //! SLA-oriented statistics.
 
 use microrec_accel::FlowSim;
@@ -13,8 +13,8 @@ use microrec_embedding::ModelSpec;
 use microrec_memsim::SimTime;
 use microrec_workload::{simulate_batched_serving, LatencyStats, WorkloadError};
 
-use crate::engine::MicroRec;
 use crate::runtime::{LatencyHistogram, LatencyPercentiles};
+use crate::simulator::Simulator;
 
 /// Response-time summary of one serving simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,19 +56,18 @@ fn report(
     })
 }
 
-/// Serves `arrivals` through `engine`'s pipeline (item-by-item, FIFO depth
+/// Serves `arrivals` through `sim`'s pipeline (item-by-item, FIFO depth
 /// 2) and summarizes against `sla`.
 ///
 /// # Errors
 ///
 /// Returns [`WorkloadError::NoSamples`] for an empty trace.
 pub fn simulate_microrec_serving(
-    engine: &MicroRec,
+    sim: &Simulator,
     arrivals: &[SimTime],
     sla: SimTime,
 ) -> Result<ServingReport, WorkloadError> {
-    let sim = FlowSim::new(engine.pipeline(), 2);
-    let flow = sim.run(arrivals);
+    let flow = FlowSim::new(sim.pipeline(), 2).run(arrivals);
     report(&flow.latencies, flow.makespan(), sla)
 }
 
@@ -98,19 +97,25 @@ pub fn simulate_cpu_serving(
 mod tests {
     use super::*;
     use microrec_embedding::Precision;
+    use microrec_memsim::MemoryConfig;
+    use microrec_placement::HeuristicOptions;
     use microrec_workload::PoissonArrivals;
+
+    fn simulator(model: &ModelSpec) -> Simulator {
+        let options = HeuristicOptions::default();
+        Simulator::build(model, MemoryConfig::u280(), Precision::Fixed16, &options, 0).unwrap()
+    }
 
     #[test]
     fn microrec_meets_sla_that_cpu_misses() {
         let model = ModelSpec::small_production();
-        let engine =
-            MicroRec::builder(model.clone()).precision(Precision::Fixed16).build().unwrap();
+        let sim = simulator(&model);
         let cpu = CpuTimingModel::aws_16vcpu();
         let mut arrivals = PoissonArrivals::new(50_000.0, 3).unwrap();
         let trace = arrivals.take(10_000);
         let sla = SimTime::from_ms(20.0);
 
-        let fpga = simulate_microrec_serving(&engine, &trace, sla).unwrap();
+        let fpga = simulate_microrec_serving(&sim, &trace, sla).unwrap();
         let cpu_report =
             simulate_cpu_serving(&model, &cpu, 2048, SimTime::from_ms(15.0), &trace, sla).unwrap();
         assert!(fpga.sla_hit_rate > 0.999, "fpga hit {}", fpga.sla_hit_rate);
@@ -120,18 +125,16 @@ mod tests {
 
     #[test]
     fn overload_shows_up_as_latency_growth() {
-        let model = ModelSpec::small_production();
-        let engine =
-            MicroRec::builder(model.clone()).precision(Precision::Fixed16).build().unwrap();
+        let sim = simulator(&ModelSpec::small_production());
         // Offer 2x the pipeline's capacity.
-        let capacity = engine.throughput_items_per_sec();
+        let capacity = sim.throughput_items_per_sec();
         let mut arrivals = PoissonArrivals::new(capacity * 2.0, 5).unwrap();
         let trace = arrivals.take(5_000);
         let sla = SimTime::from_ms(20.0);
-        let loaded = simulate_microrec_serving(&engine, &trace, sla).unwrap();
+        let loaded = simulate_microrec_serving(&sim, &trace, sla).unwrap();
         let mut light = PoissonArrivals::new(capacity * 0.5, 5).unwrap();
         let light_trace = light.take(5_000);
-        let light_report = simulate_microrec_serving(&engine, &light_trace, sla).unwrap();
+        let light_report = simulate_microrec_serving(&sim, &light_trace, sla).unwrap();
         assert!(loaded.latency.p99 > light_report.latency.p99 * 4);
         // Under overload the pipeline still drains at its capacity.
         assert!((loaded.throughput - capacity).abs() / capacity < 0.1);
@@ -139,10 +142,9 @@ mod tests {
 
     #[test]
     fn empty_trace_is_an_error() {
-        let model = ModelSpec::dlrm_rmc2(4, 4);
-        let engine = MicroRec::builder(model).build().unwrap();
+        let sim = simulator(&ModelSpec::dlrm_rmc2(4, 4));
         assert!(matches!(
-            simulate_microrec_serving(&engine, &[], SimTime::from_ms(1.0)),
+            simulate_microrec_serving(&sim, &[], SimTime::from_ms(1.0)),
             Err(WorkloadError::NoSamples)
         ));
     }

@@ -9,7 +9,8 @@
 
 use microrec_core::{MicroRec, MicroRecBuilder, MicroRecError};
 use microrec_embedding::{
-    EmbeddingError, ModelSpec, Precision, RowFormat, TableSpec, Tier, TieredStore,
+    Catalog, EmbeddingError, MergePlan, ModelSpec, Precision, RowFormat, TableSpec, Tier,
+    TieredStore,
 };
 
 /// Four tables of distinct row counts and dims, two lookup rounds.
@@ -25,6 +26,11 @@ fn model() -> ModelSpec {
 /// Row bytes t0..t3: 800, 1184, 1024, 1472. Smallest first under 1900
 /// bytes admits t0 and t2; t1 and t3 are cold.
 const BUDGET: u64 = 1900;
+
+/// The engines' logical tables: [`model`]'s, procedural from seed 13.
+fn catalog() -> Catalog {
+    Catalog::build(&model(), &MergePlan::none(), 13).expect("catalog builds")
+}
 
 /// A builder per store at `precision`: the catalog, which is the
 /// reference, the arena and the tiered store (two tables resident, two
@@ -62,6 +68,7 @@ fn assert_out_of_range(err: MicroRecError, index: u64, rows: u64, what: &str) {
 #[test]
 fn last_row_is_identical_and_one_past_it_fails_in_every_store() {
     let model = model();
+    let catalog = catalog();
     let tables = model.num_tables();
     let rounds = model.lookups_per_table as usize;
     let cases: Vec<(usize, usize)> =
@@ -98,10 +105,10 @@ fn last_row_is_identical_and_one_past_it_fails_in_every_store() {
                 // The features are the tables' own last rows.
                 let mut row = [0.0f32; 16];
                 for (&(t, r), got) in cases.iter().zip(&gathered) {
-                    let table = &engine.catalog().logical_tables()[t];
+                    let table = &catalog.logical_tables()[t];
                     let dim = table.dim() as usize;
                     table.read_row(table.rows() - 1, &mut row[..dim]).expect("table read");
-                    let at = r * engine.catalog().feature_len() as usize
+                    let at = r * catalog.feature_len() as usize
                         + model.tables[..t].iter().map(|s| s.dim as usize).sum::<usize>();
                     let want: Vec<u32> = row[..dim].iter().map(|v| v.to_bits()).collect();
                     assert_eq!(got[at..at + dim], want[..], "{what}: table {t} round {r}");
@@ -140,17 +147,17 @@ fn last_row_is_identical_and_one_past_it_fails_in_every_store() {
 /// arena's `read_row_into` and the tiered store's resident read and cold
 /// `read_row`/`decode_row` are called directly at both rows.
 fn stores_bound_check_their_own_reads() {
-    let [(_, catalog), (_, arena), (_, tiered)] = stores(Precision::F32);
-    let catalog = catalog.build().expect("catalog engine");
+    let [_, (_, arena), (_, tiered)] = stores(Precision::F32);
+    let catalog = catalog();
     let arena = arena.build().expect("arena engine");
     let arena = arena.arena().expect("arena");
     let tiered = tiered.build().expect("tiered engine");
     let mut store: TieredStore = tiered.tiered_store().expect("tiered").clone();
-    let logical = catalog.catalog().logical_tables();
+    let logical = catalog.logical_tables();
     let offsets: Vec<usize> = (0..logical.len())
         .map(|t| logical[..t].iter().map(|table| table.dim() as usize).sum())
         .collect();
-    let mut round = vec![0.0f32; catalog.catalog().feature_len() as usize];
+    let mut round = vec![0.0f32; catalog.feature_len() as usize];
 
     for (t, table) in logical.iter().enumerate() {
         let (rows, dim) = (table.rows(), table.dim() as usize);

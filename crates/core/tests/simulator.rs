@@ -4,9 +4,10 @@
 //! accelerator's memory timing, so none of these numbers may move unless a
 //! change says it moves them.
 
-use microrec_core::MicroRec;
-use microrec_embedding::ModelSpec;
-use microrec_memsim::{AccessStats, RowPolicy, SimTime};
+use microrec_core::Simulator;
+use microrec_embedding::{ModelSpec, Precision};
+use microrec_memsim::{AccessStats, MemoryConfig, RowPolicy, SimTime};
+use microrec_placement::HeuristicOptions;
 use microrec_workload::{QueryGenConfig, QueryGenerator};
 
 /// FNV-1a over 64-bit words.
@@ -37,14 +38,14 @@ impl Digest {
     }
 }
 
-/// `engine.observe(queries)`, checked against the statistics it leaves:
-/// the model has one lookup round, so the batch is one parallel read and
-/// its elapsed time is the busiest bank's share of it.
-fn observe(engine: &mut MicroRec, queries: &[Vec<u64>]) -> SimTime {
-    let before = engine.memory().stats().clone();
-    let elapsed = engine.observe(queries).expect("batch observes");
+/// `sim.observe(queries)`, checked against the statistics it leaves: the
+/// model has one lookup round, so the batch is one parallel read and its
+/// elapsed time is the busiest bank's share of it.
+fn observe(sim: &mut Simulator, queries: &[Vec<u64>]) -> SimTime {
+    let before = sim.memory().stats().clone();
+    let elapsed = sim.observe(queries).expect("batch observes");
     let busy = |s: &AccessStats, bank| s.bank(bank).map_or(SimTime::ZERO, |b| b.busy);
-    let busiest = engine
+    let busiest = sim
         .memory()
         .stats()
         .iter()
@@ -60,25 +61,27 @@ fn observe(engine: &mut MicroRec, queries: &[Vec<u64>]) -> SimTime {
 fn run(policy: RowPolicy) -> u64 {
     let model = ModelSpec::small_production();
     assert_eq!(model.lookups_per_table, 1, "observe's elapsed time assumes one round");
-    let mut engine = MicroRec::builder(model.clone()).seed(17).build().expect("engine builds");
-    engine.set_row_policy(policy);
+    let options = HeuristicOptions::default();
+    let mut sim = Simulator::build(&model, MemoryConfig::u280(), Precision::Fixed16, &options, 17)
+        .expect("simulator builds");
+    sim.set_row_policy(policy);
     let config = QueryGenConfig { zipf_exponent: 1.05, seed: 0x51_u64 };
     let queries = QueryGenerator::new(&model, config).expect("generator").next_batch(256);
 
     let mut digest = Digest::new();
     for q in &queries[..64] {
-        digest.word(engine.measure_lookup(q).expect("lookup").as_ps());
+        digest.word(sim.measure_lookup(q).expect("lookup").as_ps());
     }
-    assert_eq!(engine.memory().stats().total().reads, 64 * 42);
-    digest.stats(engine.memory().stats());
-    engine.reset_stats();
+    assert_eq!(sim.memory().stats().total().reads, 64 * 42);
+    digest.stats(sim.memory().stats());
+    sim.reset_stats();
     for batch in queries.chunks(32) {
-        digest.word(observe(&mut engine, batch).as_ps());
+        digest.word(observe(&mut sim, batch).as_ps());
     }
-    let total = engine.memory().stats().total();
+    let total = sim.memory().stats().total();
     assert_eq!(total.reads, 256 * 42);
     assert_eq!(total.row_hits > 0, policy == RowPolicy::OpenPage, "row hits only under open page");
-    digest.stats(engine.memory().stats());
+    digest.stats(sim.memory().stats());
     digest.0
 }
 

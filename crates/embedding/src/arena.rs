@@ -1,32 +1,30 @@
 //! Arena-backed embedding storage.
 //!
 //! An [`EmbeddingArena`] materializes a model's logical tables into one
-//! contiguous, 64-byte-aligned `f32` buffer per memory channel, so a
-//! round-combined batch gather walks sequential stride-indexed slices
-//! instead of pointer-chasing per-table `Vec`s (and, for procedural
-//! tables, instead of re-hashing every element on every read). Rows are
-//! exact copies of the table values, so a read is a copy, bit-identical
-//! to [`crate::EmbeddingTable::read_row`]: the paper keeps every embedding
+//! contiguous, 64-byte-aligned `f32` block per table, so a round-combined
+//! batch gather walks stride-indexed slices (and, for procedural tables,
+//! does not re-hash every element on every read). Rows are exact copies of
+//! the table values, so a read is a copy, bit-identical to
+//! [`crate::EmbeddingTable::read_row`]: the paper keeps every embedding
 //! element 32 bits wide for both datapath precisions (Table 4).
 //!
-//! Alignment is achieved without `unsafe` by over-allocating each channel
-//! buffer and skipping a computed element pad; table bases are then kept
-//! on 64-byte boundaries by construction.
+//! Alignment is achieved without `unsafe` by over-allocating each block and
+//! skipping a computed element pad.
 //!
-//! Building an arena is a bulk fill: the layout is fixed first, every
-//! channel is allocated zeroed at its final length (untouched pages,
-//! straight from the OS), and the tables' rows are then written in place
-//! by [`EmbeddingTable::fill_rows`] in jobs of a few thousand rows spread
-//! over the host's cores — so both the value generation and the
-//! first-touch page faults of a large arena are split. The bytes do not
-//! depend on how the jobs are scheduled.
+//! Building an arena is a bulk fill: every block is allocated zeroed at its
+//! final length (untouched pages, straight from the OS), and the tables'
+//! rows are then written in place by [`EmbeddingTable::fill_rows`] in jobs
+//! of a few thousand rows spread over the host's cores — so both the value
+//! generation and the first-touch page faults of a large arena are split.
+//! The bytes do not depend on how the jobs are scheduled.
 
 use std::sync::{Mutex, PoisonError};
 
 use crate::error::EmbeddingError;
+use crate::par;
 use crate::table::EmbeddingTable;
 
-/// Bytes of alignment for channel buffers and table bases.
+/// Bytes of alignment for table blocks.
 const ALIGN: usize = 64;
 
 /// `f32` elements per [`ALIGN`] bytes.
@@ -53,11 +51,10 @@ pub enum RowFormat {
     F32,
 }
 
-/// Where one logical table lives inside the arena.
+/// Where one logical table's rows start in its block.
 #[derive(Debug, Clone, Copy)]
 struct TableLoc {
-    channel: usize,
-    /// Element offset of row 0 within the channel buffer.
+    /// Element offset of row 0 within the block: its alignment pad.
     base: usize,
     rows: u64,
     dim: usize,
@@ -75,7 +72,7 @@ struct TableLoc {
 ///     EmbeddingTable::procedural(TableSpec::new("a", 100, 8), 1),
 ///     EmbeddingTable::procedural(TableSpec::new("b", 50, 8), 2),
 /// ];
-/// let arena = EmbeddingArena::build(&tables, &[0, 0])?;
+/// let arena = EmbeddingArena::build(&tables)?;
 /// let mut row = [0.0f32; 8];
 /// arena.read_row_into(1, 7, &mut row)?;
 /// let mut expect = [0.0f32; 8];
@@ -85,78 +82,40 @@ struct TableLoc {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EmbeddingArena {
-    /// One buffer per memory channel, each starting with its alignment pad.
-    channels: Vec<Vec<f32>>,
+    /// One block per logical table, each starting with its alignment pad.
+    blocks: Vec<Vec<f32>>,
     tables: Vec<TableLoc>,
     names: Vec<String>,
     feature_len: usize,
     total_bytes: u64,
 }
 
-/// Rounds `n` elements up so the next table base lands on a 64-byte
-/// boundary (relative to an aligned origin).
-fn align_up(n: usize) -> usize {
-    n.div_ceil(ALIGN_ELEMS) * ALIGN_ELEMS
+/// Elements of each table's block: its rows, padded up to the next
+/// 64 bytes.
+fn block_elems(tables: &[EmbeddingTable]) -> Vec<usize> {
+    tables
+        .iter()
+        .map(|t| (t.rows() as usize * t.dim() as usize).div_ceil(ALIGN_ELEMS) * ALIGN_ELEMS)
+        .collect()
 }
 
-/// Channel sizes and table placement under one channel assignment.
-struct Layout {
-    /// Elements per channel, inter-table padding included.
-    channel_elems: Vec<usize>,
-    /// Each table's element offset from its channel's aligned origin
-    /// (always a multiple of 64 bytes).
-    bases: Vec<usize>,
-}
-
-impl Layout {
-    /// Lays tables of `table_elems` elements out back to back, in table
-    /// order, on the channels `channel_of` names.
-    fn plan(table_elems: impl Iterator<Item = usize>, channel_of: &[usize]) -> Layout {
-        let num_channels = channel_of.iter().map(|&c| c + 1).max().unwrap_or(1);
-        let mut channel_elems = vec![0usize; num_channels];
-        let bases = table_elems
-            .zip(channel_of)
-            .map(|(elems, &ch)| {
-                let base = channel_elems[ch];
-                channel_elems[ch] = align_up(base + elems);
-                base
-            })
-            .collect();
-        Layout { channel_elems, bases }
-    }
-
-    /// Bytes of all channels.
-    fn bytes(&self) -> u64 {
-        self.channel_elems.iter().map(|&e| (e * size_of::<f32>()) as u64).sum()
-    }
-
-    /// Allocates every channel zero-filled at its final length: `pad`
-    /// elements up to the buffer's first 64-byte boundary, then the
-    /// channel's elements. Returns the channels and their pads. A zeroed
-    /// allocation this large comes from the OS untouched, so its pages are
-    /// first touched by whoever writes the rows.
-    fn alloc(&self) -> (Vec<Vec<f32>>, Vec<usize>) {
-        self.channel_elems
-            .iter()
-            .map(|&elems| {
-                let mut buf = vec![0.0f32; elems + ALIGN_ELEMS];
-                let pad_bytes = (ALIGN - buf.as_ptr() as usize % ALIGN) % ALIGN;
-                debug_assert_eq!(pad_bytes % size_of::<f32>(), 0);
-                let pad = pad_bytes / size_of::<f32>();
-                buf.truncate(pad + elems);
-                (buf, pad)
-            })
-            .unzip()
-    }
-}
-
-/// Splits `skip` elements and then `take` elements off the front of
-/// `rest`, returning the taken run.
-fn carve<'a, T>(rest: &mut &'a mut [T], skip: usize, take: usize) -> &'a mut [T] {
-    let (_, tail) = std::mem::take(rest).split_at_mut(skip);
-    let (taken, tail) = tail.split_at_mut(take);
-    *rest = tail;
-    taken
+/// Allocates every block zero-filled at its final length: `pad` elements
+/// up to the buffer's first 64-byte boundary, then the block's elements.
+/// Returns the blocks and their pads. A zeroed allocation this large comes
+/// from the OS untouched, so its pages are first touched by whoever writes
+/// the rows.
+fn alloc(block_elems: &[usize]) -> (Vec<Vec<f32>>, Vec<usize>) {
+    block_elems
+        .iter()
+        .map(|&elems| {
+            let mut buf = vec![0.0f32; elems + ALIGN_ELEMS];
+            let pad_bytes = (ALIGN - buf.as_ptr() as usize % ALIGN) % ALIGN;
+            debug_assert_eq!(pad_bytes % size_of::<f32>(), 0);
+            let pad = pad_bytes / size_of::<f32>();
+            buf.truncate(pad + elems);
+            (buf, pad)
+        })
+        .unzip()
 }
 
 /// One unit of arena fill: rows `start_row..` of `table`, as many as fit
@@ -172,46 +131,34 @@ pub(crate) fn fill_threads(arena_bytes: u64) -> usize {
     if arena_bytes < PAR_FILL_FLOOR_BYTES {
         1
     } else {
-        microrec_par::default_threads()
+        par::default_threads()
     }
 }
 
-/// Allocates `layout`'s channels and has `fill` write every table's rows
-/// into place, `threads` jobs at a time. Returns the channels and their
-/// pads.
+/// Allocates the blocks of `block_elems` and has `fill` write every
+/// table's rows into place, `threads` jobs at a time. Returns the blocks
+/// and their pads.
 fn materialize<F>(
     tables: &[EmbeddingTable],
-    channel_of: &[usize],
-    layout: &Layout,
+    block_elems: &[usize],
     threads: usize,
     fill: F,
 ) -> Result<(Vec<Vec<f32>>, Vec<usize>), EmbeddingError>
 where
     F: Fn(&EmbeddingTable, u64, &mut [f32]) -> Result<(), EmbeddingError> + Sync,
 {
-    let (mut channels, pads) = layout.alloc();
-    // Carve the channels into disjoint per-job slices; tables sharing a
-    // channel follow each other at their planned bases.
-    let mut rest: Vec<&mut [f32]> =
-        channels.iter_mut().zip(&pads).map(|(buf, &pad)| &mut buf[pad..]).collect();
-    let mut carved = vec![0usize; rest.len()];
+    let (mut blocks, pads) = alloc(block_elems);
     let mut jobs = Vec::new();
-    for ((table, &ch), &base) in tables.iter().zip(channel_of).zip(&layout.bases) {
+    for ((table, block), &pad) in tables.iter().zip(&mut blocks).zip(&pads) {
         let (rows, dim) = (table.rows() as usize, table.dim() as usize);
-        let mut region = carve(&mut rest[ch], base - carved[ch], rows * dim);
-        carved[ch] = base + rows * dim;
         let job_rows = (FILL_JOB_ELEMS / dim.max(1)).max(1);
-        for start_row in (0..rows).step_by(job_rows) {
-            let n = job_rows.min(rows - start_row);
-            jobs.push(Mutex::new(FillJob {
-                table,
-                start_row: start_row as u64,
-                dst: carve(&mut region, 0, n * dim),
-            }));
+        for (job, dst) in block[pad..pad + rows * dim].chunks_mut(job_rows * dim.max(1)).enumerate()
+        {
+            jobs.push(Mutex::new(FillJob { table, start_row: (job * job_rows) as u64, dst }));
         }
     }
     // Each job is locked once, by the one thread that runs it.
-    microrec_par::par_map(&jobs, threads, |_, job| {
+    par::par_map(&jobs, threads, |_, job| {
         let mut job = job.lock().unwrap_or_else(PoisonError::into_inner);
         let FillJob { table, start_row, dst } = &mut *job;
         fill(table, *start_row, dst)
@@ -219,54 +166,40 @@ where
     .into_iter()
     .collect::<Result<(), _>>()?;
     drop(jobs);
-    Ok((channels, pads))
+    Ok((blocks, pads))
 }
 
 impl EmbeddingArena {
-    /// Materializes `tables` into channel arenas. `channel_of[i]` assigns
-    /// logical table `i` to a memory channel (use all zeros for a single
-    /// arena).
+    /// Materializes `tables`, one aligned block per table.
     ///
     /// # Errors
     ///
-    /// Returns [`EmbeddingError::BufferSizeMismatch`] if `channel_of` does
-    /// not have one entry per table.
-    pub fn build(tables: &[EmbeddingTable], channel_of: &[usize]) -> Result<Self, EmbeddingError> {
-        Self::build_on(tables, channel_of, fill_threads)
+    /// Propagates a table's [`EmbeddingTable::fill_rows`] error.
+    pub fn build(tables: &[EmbeddingTable]) -> Result<Self, EmbeddingError> {
+        Self::build_on(tables, fill_threads)
     }
 
     /// [`build`](Self::build) with the fill's thread count (a function of
     /// the arena's bytes) chosen by the caller.
     fn build_on(
         tables: &[EmbeddingTable],
-        channel_of: &[usize],
         threads_for: impl FnOnce(u64) -> usize,
     ) -> Result<Self, EmbeddingError> {
-        if channel_of.len() != tables.len() {
-            return Err(EmbeddingError::BufferSizeMismatch {
-                expected: tables.len(),
-                actual: channel_of.len(),
-            });
-        }
-        let layout =
-            Layout::plan(tables.iter().map(|t| t.rows() as usize * t.dim() as usize), channel_of);
-        let total_bytes = layout.bytes();
+        let block_elems = block_elems(tables);
+        let total_bytes = block_elems.iter().map(|&e| (e * size_of::<f32>()) as u64).sum();
         let threads = threads_for(total_bytes);
-        let (channels, pads) =
-            materialize(tables, channel_of, &layout, threads, EmbeddingTable::fill_rows)?;
+        let (blocks, pads) = materialize(tables, &block_elems, threads, EmbeddingTable::fill_rows)?;
         let locs = tables
             .iter()
-            .zip(channel_of)
-            .zip(&layout.bases)
-            .map(|((table, &ch), &base)| TableLoc {
-                channel: ch,
-                base: base + pads[ch],
+            .zip(pads)
+            .map(|(table, pad)| TableLoc {
+                base: pad,
                 rows: table.rows(),
                 dim: table.dim() as usize,
             })
             .collect();
         Ok(EmbeddingArena {
-            channels,
+            blocks,
             tables: locs,
             names: tables.iter().map(|t| t.name().to_string()).collect(),
             feature_len: tables.iter().map(|t| t.dim() as usize).sum(),
@@ -317,9 +250,8 @@ impl EmbeddingArena {
     /// Whether every table base sits on a 64-byte boundary.
     #[must_use]
     pub fn is_aligned(&self) -> bool {
-        self.tables.iter().all(|loc| {
-            let channel = self.channels[loc.channel].as_ptr() as usize;
-            (channel + loc.base * size_of::<f32>()).is_multiple_of(ALIGN)
+        self.tables.iter().zip(&self.blocks).all(|(loc, block)| {
+            (block.as_ptr() as usize + loc.base * size_of::<f32>()).is_multiple_of(ALIGN)
         })
     }
 
@@ -355,7 +287,7 @@ impl EmbeddingArena {
             });
         }
         let start = loc.base + row as usize * loc.dim;
-        out.copy_from_slice(&self.channels[loc.channel][start..start + loc.dim]);
+        out.copy_from_slice(&self.blocks[table][start..start + loc.dim]);
         Ok(())
     }
 
@@ -408,7 +340,7 @@ mod tests {
     #[test]
     fn f32_arena_is_bit_identical_to_tables() {
         let tabs = tables();
-        let arena = EmbeddingArena::build(&tabs, &[0, 0, 0]).unwrap();
+        let arena = EmbeddingArena::build(&tabs).unwrap();
         for (t, table) in tabs.iter().enumerate() {
             let dim = table.dim() as usize;
             let mut got = vec![0.0f32; dim];
@@ -424,7 +356,7 @@ mod tests {
     #[test]
     fn gather_matches_catalog_order() {
         let tabs = tables();
-        let arena = EmbeddingArena::build(&tabs, &[0, 1, 0]).unwrap();
+        let arena = EmbeddingArena::build(&tabs).unwrap();
         assert_eq!(arena.feature_len(), 24);
         let indices = [7u64, 3, 59];
         let mut got = vec![0.0f32; 24];
@@ -438,12 +370,12 @@ mod tests {
 
     #[test]
     fn arena_bases_are_aligned() {
-        let arena = EmbeddingArena::build(&tables(), &[0, 0, 1]).unwrap();
+        let arena = EmbeddingArena::build(&tables()).unwrap();
         assert!(arena.is_aligned());
     }
 
-    /// Tables that share channels, span several fill jobs, and include
-    /// the degenerate sizes (one row; fewer elements than a cache line).
+    /// Tables that span several fill jobs, and the degenerate sizes (one
+    /// row; fewer elements than a cache line).
     fn fill_tables() -> Vec<EmbeddingTable> {
         vec![
             EmbeddingTable::procedural(TableSpec::new("a", 5_000, 8), 11),
@@ -455,41 +387,29 @@ mod tests {
     }
 
     /// Checks every byte of `arena` against the obvious construction: one
-    /// `read_row` at a time, appended to its channel, zeros up to the next
-    /// 64 bytes after each table.
-    fn assert_matches_row_by_row_build(
-        arena: &EmbeddingArena,
-        tables: &[EmbeddingTable],
-        channel_of: &[usize],
-    ) {
-        let num_channels = channel_of.iter().max().unwrap() + 1;
-        let mut want: Vec<Vec<u32>> = vec![Vec::new(); num_channels];
-        let mut want_bases = Vec::new();
-        for (table, &ch) in tables.iter().zip(channel_of) {
-            want_bases.push(want[ch].len());
+    /// `read_row` at a time, appended to the table's block, zeros up to
+    /// the next 64 bytes.
+    fn assert_matches_row_by_row_build(arena: &EmbeddingArena, tables: &[EmbeddingTable]) {
+        assert_eq!(arena.blocks.len(), tables.len());
+        let mut bytes = 0;
+        for (t, table) in tables.iter().enumerate() {
+            let mut want: Vec<u32> = Vec::new();
             let mut row = vec![0.0f32; table.dim() as usize];
             for r in 0..table.rows() {
                 table.read_row(r, &mut row).unwrap();
-                want[ch].extend(row.iter().map(|v| v.to_bits()));
+                want.extend(row.iter().map(|v| v.to_bits()));
             }
-            let padded = want[ch].len().div_ceil(ALIGN_ELEMS) * ALIGN_ELEMS;
-            want[ch].resize(padded, 0);
-        }
+            want.resize(want.len().div_ceil(ALIGN_ELEMS) * ALIGN_ELEMS, 0);
+            bytes += want.len() * size_of::<f32>();
 
-        let got: Vec<Vec<u32>> =
-            arena.channels.iter().map(|c| c.iter().map(|v| v.to_bits()).collect()).collect();
-        assert_eq!(got.len(), num_channels);
-        for (ch, (got, want)) in got.iter().zip(&want).enumerate() {
+            let got: Vec<u32> = arena.blocks[t].iter().map(|v| v.to_bits()).collect();
             let pad = got.len() - want.len();
-            assert!(pad < ALIGN_ELEMS, "channel {ch}: pad {pad}");
-            assert!(got[..pad].iter().all(|&v| v == 0), "channel {ch}: dirty pad");
-            assert!(got[pad..] == want[..], "channel {ch}: rows differ");
-            for (t, loc) in arena.tables.iter().enumerate().filter(|(_, l)| l.channel == ch) {
-                assert_eq!(loc.base, pad + want_bases[t], "table {t}");
-                assert_eq!((loc.rows, loc.dim), (tables[t].rows(), tables[t].dim() as usize));
-            }
+            assert!(pad < ALIGN_ELEMS, "table {t}: pad {pad}");
+            assert!(got[..pad].iter().all(|&v| v == 0), "table {t}: dirty pad");
+            assert!(got[pad..] == want[..], "table {t}: rows differ");
+            let loc = arena.tables[t];
+            assert_eq!((loc.base, loc.rows, loc.dim), (pad, table.rows(), table.dim() as usize));
         }
-        let bytes: usize = want.iter().map(|c| c.len() * size_of::<f32>()).sum();
         assert_eq!(arena.total_bytes(), bytes as u64);
         assert!(arena.is_aligned());
     }
@@ -499,15 +419,11 @@ mod tests {
         let procedural = fill_tables();
         let materialized: Vec<EmbeddingTable> =
             procedural.iter().map(|t| t.to_materialized(u64::MAX).unwrap()).collect();
-        // One channel, fewer channels than fill threads, more channels
-        // than fill threads; one thread, two, and more than there are
-        // channels.
-        for channel_of in [[0usize; 5], [0, 1, 0, 1, 1], [4, 1, 0, 1, 2]] {
-            for tables in [&procedural, &materialized] {
-                for threads in [1usize, 2, 7] {
-                    let arena = EmbeddingArena::build_on(tables, &channel_of, |_| threads).unwrap();
-                    assert_matches_row_by_row_build(&arena, tables, &channel_of);
-                }
+        // One thread, fewer threads than tables, more threads than tables.
+        for tables in [&procedural, &materialized] {
+            for threads in [1usize, 2, 7] {
+                let arena = EmbeddingArena::build_on(tables, |_| threads).unwrap();
+                assert_matches_row_by_row_build(&arena, tables);
             }
         }
     }
@@ -519,11 +435,6 @@ mod tests {
         // Which threads fill `tables` when the arena holds `bytes` bytes.
         let fillers = |bytes: u64| -> Vec<ThreadId> {
             let tables = fill_tables();
-            let channel_of = [0, 1, 0, 1, 2];
-            let layout = Layout::plan(
-                tables.iter().map(|t| t.rows() as usize * t.dim() as usize),
-                &channel_of,
-            );
             let seen = Mutex::new(Vec::new());
             let fill = |table: &EmbeddingTable, row, dst: &mut [f32]| {
                 let mut seen = seen.lock().unwrap();
@@ -533,20 +444,20 @@ mod tests {
                 drop(seen);
                 table.fill_rows(row, dst)
             };
-            materialize(&tables, &channel_of, &layout, fill_threads(bytes), fill).unwrap();
+            materialize(&tables, &block_elems(&tables), fill_threads(bytes), fill).unwrap();
             seen.into_inner().unwrap()
         };
         // The ledger's tiny4 arena is 64 KB.
         assert_eq!(fillers(64 << 10), vec![current().id()]);
         assert_eq!(fillers(PAR_FILL_FLOOR_BYTES - 1), vec![current().id()]);
-        if microrec_par::default_threads() > 1 {
+        if par::default_threads() > 1 {
             assert!(!fillers(PAR_FILL_FLOOR_BYTES).contains(&current().id()));
         }
     }
 
     #[test]
     fn bad_reads_fail() {
-        let arena = EmbeddingArena::build(&tables(), &[0, 0, 0]).unwrap();
+        let arena = EmbeddingArena::build(&tables()).unwrap();
         let mut out = [0.0f32; 8];
         assert!(arena.read_row_into(0, 40, &mut out).is_err());
         assert!(arena.read_row_into(9, 0, &mut out).is_err());

@@ -37,6 +37,7 @@ pub mod cartesian;
 mod catalog;
 mod error;
 mod gen;
+mod par;
 mod precision;
 mod spec;
 mod table;

@@ -1,17 +1,11 @@
-//! # microrec-par
-//!
-//! Rayon-style data parallelism built on `std::thread::scope`. The build
-//! environment has no registry access, so this crate provides the small
-//! slice of rayon's API the workspace actually uses — an indexed parallel
-//! map with dynamic work stealing — with no external dependencies and no
-//! global thread pool to configure.
+//! Rayon-style data parallelism built on `std::thread::scope`: the one
+//! slice of rayon's API the arena fill and the cold-file write use, an
+//! indexed parallel map with dynamic work stealing, with no global thread
+//! pool to configure.
 //!
 //! With `threads <= 1` (or a single available core) the map runs inline on
 //! the caller's thread, which keeps single-threaded determinism tests
 //! trivially correct.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -19,7 +13,7 @@ use std::sync::Mutex;
 /// Returns the number of worker threads to use by default: the machine's
 /// available parallelism, clamped to at least 1.
 #[must_use]
-pub fn default_threads() -> usize {
+pub(crate) fn default_threads() -> usize {
     std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
 }
 
@@ -29,7 +23,7 @@ pub fn default_threads() -> usize {
 ///
 /// With `threads <= 1` or fewer than two items, runs inline with no
 /// thread spawns.
-pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+pub(crate) fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,

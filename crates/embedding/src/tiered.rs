@@ -310,7 +310,7 @@ where
             });
         }
     }
-    microrec_par::par_map(&jobs, threads, |_, job| {
+    crate::par::par_map(&jobs, threads, |_, job| {
         let mut values = vec![0.0f32; job.rows * job.table.dim() as usize];
         fill(job.table, job.start_row, &mut values)?;
         let mut bytes = vec![0u8; stored_row_bytes(values.len())];
@@ -485,36 +485,24 @@ pub struct TieredBacking {
     dims: Vec<usize>,
     rows: Vec<u64>,
     feature_len: usize,
-    budget_bytes: u64,
     resident_bytes: u64,
     cold_bytes: u64,
 }
 
 impl TieredBacking {
     /// Plans residency under `budget_bytes`, materializes the resident
-    /// arena, and writes the cold store. `channel_of` assigns each logical
-    /// table to a memory channel exactly as [`EmbeddingArena::build`] does;
-    /// the assignment is filtered down to the resident subset.
+    /// arena (one block per resident table, as [`EmbeddingArena::build`]
+    /// lays them out), and writes the cold store.
     ///
     /// # Errors
     ///
-    /// Propagates arena build and cold-store I/O errors;
-    /// [`EmbeddingError::BufferSizeMismatch`] if `channel_of` is the wrong
-    /// length.
+    /// Propagates arena build and cold-store I/O errors.
     pub fn build(
         tables: &[EmbeddingTable],
-        channel_of: &[usize],
         budget_bytes: u64,
     ) -> Result<Arc<Self>, EmbeddingError> {
-        if channel_of.len() != tables.len() {
-            return Err(EmbeddingError::BufferSizeMismatch {
-                expected: tables.len(),
-                actual: channel_of.len(),
-            });
-        }
         let plan = ResidencyPlan::plan(tables, budget_bytes);
         let mut resident_tables = Vec::new();
-        let mut resident_channels = Vec::new();
         let mut resident_index = vec![None; tables.len()];
         for (i, table) in tables.iter().enumerate() {
             if plan.tiers[i] == Tier::Resident {
@@ -523,10 +511,9 @@ impl TieredBacking {
                 // tables are a few words, materialized ones briefly double
                 // until the arena copies them.
                 resident_tables.push(table.clone());
-                resident_channels.push(channel_of[i]);
             }
         }
-        let resident = EmbeddingArena::build(&resident_tables, &resident_channels)?;
+        let resident = EmbeddingArena::build(&resident_tables)?;
         let any_cold = plan.tiers.contains(&Tier::Cold);
         let cold = if any_cold { Some(ColdStore::build(tables, &plan.tiers)?) } else { None };
         let dims: Vec<usize> = tables.iter().map(|t| t.dim() as usize).collect();
@@ -540,7 +527,6 @@ impl TieredBacking {
             dims,
             rows,
             feature_len,
-            budget_bytes,
             resident_bytes: plan.resident_bytes,
             cold_bytes: plan.cold_bytes,
         }))
@@ -566,12 +552,6 @@ impl TieredBacking {
     #[must_use]
     pub fn feature_len(&self) -> usize {
         self.feature_len
-    }
-
-    /// The configured resident byte budget.
-    #[must_use]
-    pub fn budget_bytes(&self) -> u64 {
-        self.budget_bytes
     }
 
     /// Row bytes admitted to the resident arena (≤ the budget; the
@@ -829,11 +809,10 @@ mod tests {
     #[test]
     fn tiered_gather_is_bit_identical_to_all_resident() {
         let tabs = tables();
-        let channel_of = vec![0usize; tabs.len()];
         let offsets = offsets_of(&tabs);
-        let full = EmbeddingArena::build(&tabs, &channel_of).unwrap();
+        let full = EmbeddingArena::build(&tabs).unwrap();
         let budget = total_bytes(&tabs) / 3;
-        let backing = TieredBacking::build(&tabs, &channel_of, budget).unwrap();
+        let backing = TieredBacking::build(&tabs, budget).unwrap();
         assert!(backing.num_resident_tables() < tabs.len(), "cold tier must exist");
         assert!(backing.resident_bytes() <= budget);
         let mut store = TieredStore::new(Arc::clone(&backing));
@@ -881,10 +860,9 @@ mod tests {
     #[test]
     fn truncated_store_fails_only_affected_rounds_and_reports() {
         let tabs = tables();
-        let channel_of = vec![0usize; tabs.len()];
         let offsets = offsets_of(&tabs);
         let budget = total_bytes(&tabs) / 3;
-        let backing = TieredBacking::build(&tabs, &channel_of, budget).unwrap();
+        let backing = TieredBacking::build(&tabs, budget).unwrap();
         let path = backing.cold_store_path().expect("cold tier exists").to_path_buf();
         let mut store = TieredStore::new(Arc::clone(&backing));
         let mut want = vec![0.0f32; backing.feature_len()];
@@ -919,8 +897,7 @@ mod tests {
     #[test]
     fn all_resident_backing_has_no_cold_file() {
         let tabs = tables();
-        let channel_of = vec![0usize; tabs.len()];
-        let backing = TieredBacking::build(&tabs, &channel_of, u64::MAX).unwrap();
+        let backing = TieredBacking::build(&tabs, u64::MAX).unwrap();
         assert!(backing.cold_store_path().is_none());
         assert_eq!(backing.num_resident_tables(), tabs.len());
         assert_eq!(backing.cold_bytes(), 0);
@@ -936,9 +913,8 @@ mod tests {
     #[test]
     fn clone_shares_backing_but_not_counters() {
         let tabs = tables();
-        let channel_of = vec![0usize; tabs.len()];
         let budget = total_bytes(&tabs) / 2;
-        let backing = TieredBacking::build(&tabs, &channel_of, budget).unwrap();
+        let backing = TieredBacking::build(&tabs, budget).unwrap();
         let mut store = TieredStore::new(backing);
         let offsets = offsets_of(&tabs);
         let mut out = vec![0.0f32; store.backing().feature_len()];
@@ -1041,7 +1017,7 @@ mod tests {
         assert!(store.total_bytes() < PAR_FILL_FLOOR_BYTES);
         assert_eq!(writers(store.total_bytes()), vec![current().id()]);
         assert_eq!(writers(PAR_FILL_FLOOR_BYTES - 1), vec![current().id()]);
-        if microrec_par::default_threads() > 1 {
+        if crate::par::default_threads() > 1 {
             assert!(!writers(PAR_FILL_FLOOR_BYTES).contains(&current().id()));
         }
         assert_matches_row_by_row_write(&store, &tables, &tiers);

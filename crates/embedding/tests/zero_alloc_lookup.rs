@@ -97,7 +97,7 @@ fn steady_state_lookup_never_allocates() {
         assert_eq!(delta, 0, "the bulk row fill allocated");
     }
 
-    let arena = EmbeddingArena::build(&tables, &[0; 6]).unwrap();
+    let arena = EmbeddingArena::build(&tables).unwrap();
     let mut out = vec![0.0f32; arena.feature_len()];
     let run = |out: &mut [f32]| {
         for &row in &trace {
@@ -158,7 +158,7 @@ fn steady_state_lookup_never_allocates() {
 
     // Half the bytes resident: three tables are read from the cold file.
     let budget = arena.total_bytes() / 2;
-    let backing = TieredBacking::build(&tables, &[0; 6], budget).unwrap();
+    let backing = TieredBacking::build(&tables, budget).unwrap();
     assert!(backing.num_resident_tables() < 6, "the cold tier must exist");
     let mut store = TieredStore::new(backing);
     let round = |store: &mut TieredStore, out: &mut [f32]| {

@@ -98,12 +98,6 @@ impl HybridMemory {
         }
     }
 
-    /// The active DRAM page policy.
-    #[must_use]
-    pub fn row_policy(&self) -> RowPolicy {
-        self.policy
-    }
-
     /// The configuration this memory was built from.
     #[must_use]
     pub fn config(&self) -> &MemoryConfig {
@@ -148,13 +142,6 @@ impl HybridMemory {
     pub fn release(&mut self, id: BankId, label: &str) -> Result<(), MemsimError> {
         self.banks.get_mut(&id).ok_or(MemsimError::UnknownBank(id))?.release(label)?;
         Ok(())
-    }
-
-    /// Clears every allocation (keeps statistics).
-    pub fn clear_allocations(&mut self) {
-        for bank in self.banks.values_mut() {
-            bank.clear();
-        }
     }
 
     /// Services a batch of reads with full inter-bank parallelism and

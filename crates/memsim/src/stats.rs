@@ -35,16 +35,6 @@ impl BankStats {
         }
     }
 
-    /// Fraction of reads that hit an open row.
-    #[must_use]
-    pub fn row_hit_rate(&self) -> f64 {
-        if self.reads == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / self.reads as f64
-        }
-    }
-
     /// Merges another counter set into this one.
     pub fn merge(&mut self, other: &BankStats) {
         self.reads += other.reads;

@@ -96,16 +96,6 @@ impl Plan {
         self.placed.len()
     }
 
-    /// The banks holding physical table `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    #[must_use]
-    pub fn banks_for(&self, idx: usize) -> &[BankId] {
-        &self.placed[idx].banks
-    }
-
     /// Evaluates the plan's cost for a model issuing `lookups_per_table`
     /// reads per logical table.
     ///

@@ -4,10 +4,11 @@
 //!
 //! Run with: `cargo run --example online_serving`
 
-use microrec_core::MicroRec;
+use microrec_core::Simulator;
 use microrec_cpu::CpuTimingModel;
 use microrec_embedding::{ModelSpec, Precision};
-use microrec_memsim::SimTime;
+use microrec_memsim::{MemoryConfig, SimTime};
+use microrec_placement::HeuristicOptions;
 use microrec_workload::{
     simulate_batched_serving, simulate_pipelined_serving, LatencyStats, PoissonArrivals,
 };
@@ -37,20 +38,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // MicroRec: no batching; queries enter the pipeline as they arrive.
-    let engine = MicroRec::builder(model).precision(Precision::Fixed16).build()?;
-    let latencies = simulate_pipelined_serving(
-        &stream,
-        engine.pipeline().initiation_interval(),
-        engine.latency(),
-    );
+    let options = HeuristicOptions::default();
+    let sim = Simulator::build(&model, MemoryConfig::u280(), Precision::Fixed16, &options, 7)?;
+    let latencies =
+        simulate_pipelined_serving(&stream, sim.pipeline().initiation_interval(), sim.latency());
     let stats = LatencyStats::from_samples(&latencies)?;
     println!(
         "MicroRec      : p50 {:>10} p99 {:>10} SLA hit {:.1}% (II {}, fill {})",
         stats.p50,
         stats.p99,
         LatencyStats::sla_hit_rate(&latencies, sla) * 100.0,
-        engine.pipeline().initiation_interval(),
-        engine.latency()
+        sim.pipeline().initiation_interval(),
+        sim.latency()
     );
     println!("\nReading: batching pays for throughput with milliseconds of");
     println!("aggregation wait; the deep pipeline removes the wait entirely");

@@ -4,9 +4,11 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use microrec_core::MicroRec;
+use microrec_core::{MicroRec, Simulator};
 use microrec_cpu::CpuTimingModel;
 use microrec_embedding::{ModelSpec, Precision};
+use microrec_memsim::MemoryConfig;
+use microrec_placement::HeuristicOptions;
 use microrec_workload::{QueryGenConfig, QueryGenerator};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -21,20 +23,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         model.total_bytes(Precision::F32) as f64 / 1e9
     );
 
-    // 2. Build the engine: runs Algorithm 1 (Cartesian merging + hybrid
+    // 2. Simulate the U280: runs Algorithm 1 (Cartesian merging + hybrid
     //    memory placement) and assembles the pipelined accelerator.
-    let mut engine = MicroRec::builder(model.clone()).precision(Precision::Fixed16).build()?;
-    let cost = engine.placement_cost();
+    let options = HeuristicOptions::default();
+    let sim = Simulator::build(&model, MemoryConfig::u280(), Precision::Fixed16, &options, 7)?;
+    let cost = sim.placement_cost();
     println!(
         "placement: {} physical tables, {} in DRAM, {} on chip, {} DRAM round(s), lookup {}",
-        engine.plan().num_tables(),
+        sim.plan().num_tables(),
         cost.tables_in_dram,
         cost.tables_on_chip,
         cost.dram_rounds,
         cost.lookup_latency,
     );
 
-    // 3. One real inference through the simulated datapath.
+    // 3. One real inference through the served engine's fixed-point
+    //    datapath.
+    let mut engine = MicroRec::builder(model.clone()).precision(Precision::Fixed16).build()?;
     let mut queries = QueryGenerator::new(&model, QueryGenConfig::default())?;
     let query = queries.next_query();
     let ctr = engine.predict(&query)?;
@@ -45,14 +50,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cpu_latency = cpu.total_time(&model, 2048);
     println!(
         "latency:   MicroRec {} per item vs CPU {:.1} ms per 2048-batch",
-        engine.latency(),
+        sim.latency(),
         cpu_latency.as_ms()
     );
     println!(
         "throughput: MicroRec {:.0} items/s vs CPU {:.0} items/s ({:.1}x)",
-        engine.throughput_items_per_sec(),
+        sim.throughput_items_per_sec(),
         cpu.throughput_items_per_sec(&model, 2048),
-        cpu_latency.as_ns() / engine.batch_latency(2048).as_ns(),
+        cpu_latency.as_ns() / sim.batch_latency(2048).as_ns(),
     );
     Ok(())
 }

@@ -2,7 +2,7 @@
 //! runs, across equivalent code paths, and independent of accumulated
 //! simulator state.
 
-use microrec_core::MicroRec;
+use microrec_core::{MicroRec, Simulator};
 use microrec_embedding::{Catalog, MergePlan, ModelSpec, Precision};
 use microrec_memsim::MemoryConfig;
 use microrec_placement::{heuristic_search, HeuristicOptions};
@@ -46,12 +46,15 @@ fn predictions_do_not_depend_on_history() {
     // from the reads it observes, but functional answers must be pure.
     let model = ModelSpec::dlrm_rmc2(4, 8);
     let mut engine = MicroRec::builder(model.clone()).seed(SEED).build().unwrap();
+    let options = HeuristicOptions::default();
+    let mut sim =
+        Simulator::build(&model, MemoryConfig::u280(), Precision::Fixed16, &options, SEED).unwrap();
     let q1 = vec![7u64; 16];
     let q2 = vec![123u64; 16];
     let fresh = engine.predict(&q1).unwrap();
     for _ in 0..50 {
         engine.predict(&q2).unwrap();
-        engine.observe(std::slice::from_ref(&q2)).unwrap();
+        sim.observe(std::slice::from_ref(&q2)).unwrap();
     }
     assert_eq!(engine.predict(&q1).unwrap(), fresh);
 }

@@ -2,9 +2,11 @@
 //! dense branch — Facebook's variant, which the paper's own production
 //! models omit but its benchmark comparisons reference).
 
-use microrec_core::MicroRec;
+use microrec_core::{MicroRec, Simulator};
 use microrec_cpu::CpuReferenceEngine;
 use microrec_embedding::{synthetic_dense_features, ModelSpec, Precision};
+use microrec_memsim::MemoryConfig;
+use microrec_placement::HeuristicOptions;
 use microrec_workload::{QueryGenConfig, QueryGenerator};
 
 #[test]
@@ -59,15 +61,19 @@ fn engines_agree_with_bottom_mlp() {
 #[test]
 fn bottom_stage_appears_in_pipeline_without_hurting_throughput() {
     let model = ModelSpec::dlrm_with_bottom(8, 16);
-    let engine = MicroRec::builder(model.clone()).seed(3).build().unwrap();
-    let names: Vec<&str> = engine.pipeline().stages().iter().map(|s| s.name.as_str()).collect();
+    let simulator = |model: &ModelSpec| {
+        let options = HeuristicOptions::default();
+        Simulator::build(model, MemoryConfig::u280(), Precision::Fixed16, &options, 3).unwrap()
+    };
+    let sim = simulator(&model);
+    let names: Vec<&str> = sim.pipeline().stages().iter().map(|s| s.name.as_str()).collect();
     assert!(names.contains(&"bottom.compute"), "{names:?}");
     // The (512,256,64) bottom stack over 13 features is tiny next to the
     // top MLP: it must not become the initiation interval.
-    assert!(engine.pipeline().bottleneck() != "bottom.compute");
+    assert!(sim.pipeline().bottleneck() != "bottom.compute");
 
-    let plain = MicroRec::builder(ModelSpec::dlrm_rmc2(8, 16)).seed(3).build().unwrap();
-    assert!(engine.latency() > plain.latency(), "bottom stage adds latency");
+    let plain = simulator(&ModelSpec::dlrm_rmc2(8, 16));
+    assert!(sim.latency() > plain.latency(), "bottom stage adds latency");
 }
 
 #[test]

@@ -1,11 +1,11 @@
-//! Cross-crate functional integration: the MicroRec engine, the CPU
-//! reference, the workload generator, and the serving simulators working
-//! together.
+//! Cross-crate functional integration: the MicroRec engine and simulator,
+//! the CPU reference, the workload generator, and the serving simulators
+//! working together.
 
-use microrec_core::MicroRec;
+use microrec_core::{MicroRec, Simulator};
 use microrec_cpu::CpuReferenceEngine;
 use microrec_embedding::{ModelSpec, Precision};
-use microrec_memsim::{MemoryKind, SimTime};
+use microrec_memsim::{MemoryConfig, MemoryKind, SimTime};
 use microrec_placement::HeuristicOptions;
 use microrec_workload::{
     simulate_batched_serving, simulate_pipelined_serving, LatencyStats, PoissonArrivals,
@@ -13,6 +13,11 @@ use microrec_workload::{
 };
 
 const SEED: u64 = 2024;
+
+/// The model on the simulated U280 under `options`.
+fn simulator(model: &ModelSpec, precision: Precision, options: &HeuristicOptions) -> Simulator {
+    Simulator::build(model, MemoryConfig::u280(), precision, options, SEED).unwrap()
+}
 
 /// Generated queries flow through both engines and agree within
 /// quantization error — on the *production-scale* small model.
@@ -60,29 +65,17 @@ fn ranking_survives_quantization() {
     );
 }
 
-/// Serving leaves the simulated memory alone: `predict`, `predict_batch`
-/// and `gather_features_into` record no read.
-fn assert_serving_reads_nothing(engine: &mut MicroRec, queries: &[Vec<u64>]) {
-    for q in queries {
-        engine.predict(q).unwrap();
-        engine.gather_features_into(q, &mut Vec::new()).unwrap();
-    }
-    engine.predict_batch(queries).unwrap();
-    assert_eq!(engine.memory().stats().total().reads, 0, "serving drove the simulator");
-}
-
-/// The engine's memory statistics reflect the placement: production model
-/// queries, observed, hit HBM, DDR, and on-chip banks in the expected
+/// The simulator's memory statistics reflect the placement: production
+/// model queries, observed, hit HBM, DDR, and on-chip banks in the expected
 /// proportions.
 #[test]
 fn memory_statistics_reflect_placement() {
     let model = ModelSpec::small_production();
-    let mut engine = MicroRec::builder(model.clone()).seed(SEED).build().unwrap();
+    let mut sim = simulator(&model, Precision::Fixed16, &HeuristicOptions::default());
     let mut queries = QueryGenerator::new(&model, QueryGenConfig::default()).unwrap();
     let batch = queries.next_batch(10);
-    assert_serving_reads_nothing(&mut engine, &batch);
-    engine.observe(&batch).unwrap();
-    let stats = engine.memory().stats();
+    sim.observe(&batch).unwrap();
+    let stats = sim.memory().stats();
     // 42 physical tables x 10 queries.
     assert_eq!(stats.total().reads, 420);
     let onchip = stats.by_kind(MemoryKind::Bram);
@@ -98,7 +91,7 @@ fn memory_statistics_reflect_placement() {
 #[test]
 fn serving_sla_comparison() {
     let model = ModelSpec::small_production();
-    let engine = MicroRec::builder(model.clone()).precision(Precision::Fixed16).build().unwrap();
+    let sim = simulator(&model, Precision::Fixed16, &HeuristicOptions::default());
     let cpu = microrec_cpu::CpuTimingModel::aws_16vcpu();
 
     let mut arrivals = PoissonArrivals::new(60_000.0, 11).unwrap();
@@ -111,11 +104,8 @@ fn serving_sla_comparison() {
         SimTime::from_ms(15.0),
         cpu.total_time(&model, 2048),
     );
-    let fpga_latencies = simulate_pipelined_serving(
-        &stream,
-        engine.pipeline().initiation_interval(),
-        engine.latency(),
-    );
+    let fpga_latencies =
+        simulate_pipelined_serving(&stream, sim.pipeline().initiation_interval(), sim.latency());
     let cpu_hit = LatencyStats::sla_hit_rate(&cpu_latencies, sla);
     let fpga_hit = LatencyStats::sla_hit_rate(&fpga_latencies, sla);
     assert!(fpga_hit > 0.999, "pipelined SLA hit {fpga_hit}");
@@ -124,21 +114,21 @@ fn serving_sla_comparison() {
     assert!(fpga_stats.p99.as_us() < 1_000.0, "p99 {}", fpga_stats.p99);
 }
 
-/// The ablation path works end to end: an engine built with merging
-/// disabled has strictly worse lookup latency but identical predictions.
+/// The ablation path works end to end: a simulator with merging disabled
+/// has strictly worse lookup latency, but its catalog gathers the features
+/// the merged one does.
 #[test]
 fn ablation_engines_agree_functionally() {
     let model = ModelSpec::small_production();
-    let mut merged = MicroRec::builder(model.clone()).seed(SEED).build().unwrap();
-    let mut unmerged = MicroRec::builder(model.clone())
-        .seed(SEED)
-        .search_options(HeuristicOptions { allow_merge: false, ..Default::default() })
-        .build()
-        .unwrap();
+    let merged = simulator(&model, Precision::Fixed16, &HeuristicOptions::default());
+    let no_merge = HeuristicOptions { allow_merge: false, ..Default::default() };
+    let unmerged = simulator(&model, Precision::Fixed16, &no_merge);
     assert!(merged.placement_cost().lookup_latency < unmerged.placement_cost().lookup_latency);
+    assert!(merged.catalog().physical_tables().len() < unmerged.catalog().physical_tables().len());
     let mut queries = QueryGenerator::new(&model, QueryGenConfig::default()).unwrap();
     for q in queries.next_batch(10) {
-        assert_eq!(merged.predict(&q).unwrap(), unmerged.predict(&q).unwrap());
+        let (want, got) = (merged.catalog().gather_vec(&q), unmerged.catalog().gather_vec(&q));
+        assert_eq!(got.unwrap(), want.unwrap());
     }
 }
 
@@ -149,7 +139,8 @@ fn dlrm_multi_lookup_end_to_end() {
     let model = ModelSpec::dlrm_rmc2(8, 8);
     let mut engine =
         MicroRec::builder(model.clone()).precision(Precision::Fixed32).seed(SEED).build().unwrap();
-    assert_eq!(engine.placement_cost().dram_rounds, 1, "replication flattens 32 lookups");
+    let mut sim = simulator(&model, Precision::Fixed32, &HeuristicOptions::default());
+    assert_eq!(sim.placement_cost().dram_rounds, 1, "replication flattens 32 lookups");
     let mut queries = QueryGenerator::new(&model, QueryGenConfig::default()).unwrap();
     let batch = queries.next_batch(5);
     let scores = engine.predict_batch(&batch).unwrap();
@@ -157,10 +148,9 @@ fn dlrm_multi_lookup_end_to_end() {
     for s in scores {
         assert!(s > 0.0 && s < 1.0);
     }
-    assert_serving_reads_nothing(&mut engine, &batch);
-    engine.observe(&batch).unwrap();
+    sim.observe(&batch).unwrap();
     // 8 tables x 4 lookups x 5 queries.
-    assert_eq!(engine.memory().stats().total().reads, 160);
+    assert_eq!(sim.memory().stats().total().reads, 160);
 }
 
 /// The umbrella crate re-exports compose.

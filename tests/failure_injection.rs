@@ -4,7 +4,7 @@
 
 use std::error::Error as _;
 
-use microrec_core::MicroRec;
+use microrec_core::{MicroRec, Simulator};
 use microrec_embedding::{MergePlan, ModelSpec, Precision, TableSpec};
 use microrec_memsim::{BankId, HybridMemory, MemoryConfig, MemoryKind, ReadRequest};
 use microrec_placement::{allocate, heuristic_search, HeuristicOptions, PlacementError};
@@ -69,7 +69,9 @@ fn merge_plan_overflow_is_an_error_not_a_wrap() {
 #[test]
 fn engine_build_failure_reports_cause_chain() {
     let model = model_with(vec![TableSpec::new("leviathan", 250_000_000, 64)]);
-    let err = MicroRec::builder(model).build().unwrap_err();
+    let options = HeuristicOptions::default();
+    let err = Simulator::build(&model, MemoryConfig::u280(), Precision::Fixed16, &options, 0)
+        .unwrap_err();
     let text = err.to_string();
     assert!(text.contains("placement"), "{text}");
     let mut depth = 0;
@@ -119,7 +121,7 @@ fn engine_survives_malformed_queries_interleaved_with_good_ones() {
 fn zero_size_models_are_rejected_everywhere() {
     let empty = ModelSpec::new("empty", vec![], vec![16], 1);
     assert!(empty.validate().is_err() || empty.num_tables() == 0);
-    // The builder validates before searching.
+    // The builder validates the model.
     let zero_rows = model_with(vec![TableSpec::new("z", 0, 4)]);
     assert!(MicroRec::builder(zero_rows).build().is_err());
     let zero_dim = model_with(vec![TableSpec::new("z", 4, 0)]);
