@@ -4,7 +4,6 @@
 use microrec_bench::print_table;
 use microrec_core::Simulator;
 use microrec_embedding::{ModelSpec, Precision};
-use microrec_memsim::MemoryConfig;
 use microrec_placement::HeuristicOptions;
 
 fn main() {
@@ -13,8 +12,7 @@ fn main() {
     for model in [ModelSpec::small_production(), ModelSpec::large_production()] {
         for precision in [Precision::Fixed16, Precision::Fixed32] {
             let options = HeuristicOptions::default();
-            let sim = Simulator::build(&model, MemoryConfig::u280(), precision, &options, 0)
-                .expect("simulator");
+            let sim = Simulator::build(&model, precision, &options).expect("simulator");
             let pipe = sim.pipeline();
             let base = pipe.throughput_items_per_sec();
             let mut knee = None;

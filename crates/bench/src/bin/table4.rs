@@ -5,7 +5,6 @@ use microrec_bench::{fmt_speedup, print_table};
 use microrec_core::{EmbeddingReport, Simulator};
 use microrec_cpu::CpuTimingModel;
 use microrec_embedding::{ModelSpec, Precision};
-use microrec_memsim::MemoryConfig;
 use microrec_placement::HeuristicOptions;
 
 const BATCHES: [u64; 6] = [1, 64, 256, 512, 1024, 2048];
@@ -18,8 +17,7 @@ fn main() {
     for model in [ModelSpec::small_production(), ModelSpec::large_production()] {
         let simulator = |allow_merge| {
             let options = HeuristicOptions { allow_merge, ..Default::default() };
-            Simulator::build(&model, MemoryConfig::u280(), Precision::Fixed16, &options, 0)
-                .expect("simulator")
+            Simulator::build(&model, Precision::Fixed16, &options).expect("simulator")
         };
         let (merged, unmerged) = (simulator(true), simulator(false));
         let report = EmbeddingReport::build(&merged, &unmerged, &cpu, &BATCHES);

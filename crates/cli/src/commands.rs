@@ -3,11 +3,11 @@
 use std::fmt::Write as _;
 
 use microrec_core::{
-    replay_trace, simulate_microrec_serving, AdmissionPolicy, MicroRec, MicroRecError,
-    RuntimeConfig, ServingRuntime, Simulator,
+    replay_trace, simulate_microrec_serving, AdmissionPolicy, MicroRec, RuntimeConfig,
+    ServingRuntime, Simulator,
 };
 use microrec_cpu::CpuTimingModel;
-use microrec_embedding::{ModelSpec, Precision, RowFormat};
+use microrec_embedding::{Precision, RowFormat};
 use microrec_memsim::{MemoryConfig, SimTime};
 use microrec_placement::{heuristic_search, AllocStrategy, HeuristicOptions};
 use microrec_workload::{PoissonArrivals, QueryGenConfig, QueryGenerator, RequestTrace};
@@ -16,15 +16,6 @@ use crate::args::ModelArg;
 
 /// Boxed error shorthand.
 pub type CliResult = Result<String, Box<dyn std::error::Error>>;
-
-/// `spec` on the simulated U280 at `precision`, default search options.
-fn simulator(
-    spec: &ModelSpec,
-    precision: Precision,
-    seed: u64,
-) -> Result<Simulator, MicroRecError> {
-    Simulator::build(spec, MemoryConfig::u280(), precision, &HeuristicOptions::default(), seed)
-}
 
 /// `microrec plan`.
 pub fn run_plan(
@@ -90,7 +81,7 @@ pub fn run_predict(
 ) -> CliResult {
     let spec = model.to_spec();
     let mut engine = MicroRec::builder(spec.clone()).precision(precision).seed(seed).build()?;
-    let mut sim = simulator(&spec, precision, seed)?;
+    let mut sim = Simulator::build(&spec, precision, &HeuristicOptions::default())?;
     let mut gen = QueryGenerator::new(&spec, QueryGenConfig { zipf_exponent: zipf, seed })?;
     let mut s = String::new();
     writeln!(s, "model: {} | precision {precision} | {queries} queries", spec.name)?;
@@ -116,7 +107,7 @@ pub fn run_predict(
 /// `microrec compare`.
 pub fn run_compare(model: &ModelArg, batch: u64, precision: Precision) -> CliResult {
     let spec = model.to_spec();
-    let sim = simulator(&spec, precision, 0)?;
+    let sim = Simulator::build(&spec, precision, &HeuristicOptions::default())?;
     let cpu = CpuTimingModel::aws_16vcpu();
     let cpu_latency = cpu.total_time(&spec, batch);
     let fpga_batch = sim.batch_latency(batch);
@@ -144,7 +135,7 @@ pub fn run_compare(model: &ModelArg, batch: u64, precision: Precision) -> CliRes
 /// `microrec serve`.
 pub fn run_serve(model: &ModelArg, rate: f64, queries: usize, sla_ms: f64) -> CliResult {
     let spec = model.to_spec();
-    let sim = simulator(&spec, Precision::Fixed16, 0)?;
+    let sim = Simulator::build(&spec, Precision::Fixed16, &HeuristicOptions::default())?;
     let sla = SimTime::from_ms(sla_ms);
     let mut arrivals = PoissonArrivals::new(rate, 0xACCE55)?;
     let trace = arrivals.take(queries);

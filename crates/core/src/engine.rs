@@ -16,7 +16,7 @@ use microrec_embedding::{
     synthetic_dense_features, Catalog, EmbeddingArena, MergePlan, ModelSpec, Precision, RowFormat,
     TierCounters, TieredBacking, TieredStore,
 };
-use microrec_memsim::{MemoryConfig, SimTime};
+use microrec_memsim::SimTime;
 use microrec_placement::HeuristicOptions;
 
 use crate::error::MicroRecError;
@@ -137,30 +137,32 @@ impl MicroRecBuilder {
         self
     }
 
-    /// Builds this configuration's arena once and installs it as the
-    /// shared arena, so every subsequent [`MicroRecBuilder::build`] (on
-    /// this builder or its clones) reuses the same allocation. No-op when
-    /// no arena is configured or a shared arena is already set.
+    /// Builds this configuration's row store once and installs it as the
+    /// shared arena (or tiered backing), so every subsequent
+    /// [`MicroRecBuilder::build`] (on this builder or its clones) reuses the
+    /// same allocation. Builds no engine: only the store. No-op when no
+    /// store is configured or a shared one is already set.
     ///
     /// # Errors
     ///
-    /// Returns [`MicroRecError`] if the model is inconsistent or arena
-    /// materialization fails.
+    /// Returns [`MicroRecError`] if the model is inconsistent or the store
+    /// cannot be built.
     pub fn prepare_shared_arena(&mut self) -> Result<(), MicroRecError> {
-        if self.tiered_budget.is_some() {
-            // Tiered twin: build once, share the backing (resident arena +
-            // cold store) across every engine built from this builder.
-            if self.shared_tiered.is_none() {
-                let engine = self.clone().build()?;
-                self.shared_tiered = engine.tiered_store().map(|t| Arc::clone(t.backing()));
-            }
+        let fresh = match self.tiered_budget {
+            Some(_) => self.shared_tiered.is_none(),
+            None => self.arena && self.shared_arena.is_none(),
+        };
+        if !fresh {
             return Ok(());
         }
-        if !self.arena || self.shared_arena.is_some() {
-            return Ok(());
+        self.model.validate()?;
+        let catalog = Catalog::build(&self.model, &MergePlan::none(), self.seed)?;
+        let tables = catalog.logical_tables();
+        if let Some(budget) = self.tiered_budget {
+            self.shared_tiered = Some(TieredBacking::build(tables, budget)?);
+        } else {
+            self.shared_arena = Some(Arc::new(EmbeddingArena::build(tables)?));
         }
-        let engine = self.clone().build()?;
-        self.shared_arena = engine.arena().cloned();
         Ok(())
     }
 
@@ -229,7 +231,6 @@ impl MicroRecBuilder {
         Ok(MicroRec {
             model: self.model,
             precision: self.precision,
-            seed: self.seed,
             catalog,
             arena,
             tiered,
@@ -287,7 +288,6 @@ enum BatchPath {
 pub struct MicroRec {
     model: ModelSpec,
     precision: Precision,
-    seed: u64,
     /// The unmerged logical tables: what the arena and the tiered store
     /// are built from, and the gather when neither is configured.
     catalog: Catalog,
@@ -537,45 +537,61 @@ impl MicroRec {
     }
 
     /// Ledger shim, ROADMAP 1A(b) deletes, as it does the four below that
-    /// read it: the U280 simulator of this engine's model, precision and
-    /// seed under default search options, built on first use. Panics if
-    /// the model does not fit the U280 (every ledger model does).
-    fn ledger_simulator(&self) -> &Simulator {
-        self.simulator.get_or_init(|| {
-            let options = HeuristicOptions::default();
-            let memory = MemoryConfig::u280();
-            let sim = Simulator::build(&self.model, memory, self.precision, &options, self.seed);
-            Box::new(sim.expect("the model fits the U280"))
-        })
+    /// read it: the U280 simulator of this engine's model and precision
+    /// under default search options, built on first use.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`Simulator::build`] error of a model that does not fit
+    /// the U280 (every ledger model fits).
+    fn ledger_simulator(&self) -> Result<&Simulator, MicroRecError> {
+        if let Some(sim) = self.simulator.get() {
+            return Ok(sim);
+        }
+        let sim = Simulator::build(&self.model, self.precision, &HeuristicOptions::default())?;
+        Ok(self.simulator.get_or_init(|| Box::new(sim)))
     }
 
     /// Ledger shim, ROADMAP 1A(b) deletes: [`Simulator::measure_lookup`].
     ///
     /// # Errors
     ///
-    /// Returns [`MicroRecError`] for a malformed query.
+    /// Returns [`MicroRecError`] for a malformed query, or when the model
+    /// does not fit the U280.
     pub fn measure_lookup(&mut self, query: &[u64]) -> Result<SimTime, MicroRecError> {
-        self.ledger_simulator();
+        self.ledger_simulator()?;
         self.simulator.get_mut().expect("built above").measure_lookup(query)
     }
 
     /// Ledger shim, ROADMAP 1A(b) deletes: [`Simulator::latency`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model does not fit the U280.
     #[must_use]
     pub fn latency(&self) -> SimTime {
-        self.ledger_simulator().latency()
+        self.ledger_simulator().expect("the model fits the U280").latency()
     }
 
     /// Ledger shim, ROADMAP 1A(b) deletes: [`Simulator::throughput_items_per_sec`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model does not fit the U280.
     #[must_use]
     pub fn throughput_items_per_sec(&self) -> f64 {
-        self.ledger_simulator().throughput_items_per_sec()
+        self.ledger_simulator().expect("the model fits the U280").throughput_items_per_sec()
     }
 
     /// Ledger shim, ROADMAP 1A(b) deletes: the simulator's Cartesian-merged
     /// [`Simulator::catalog`], not the engine's own unmerged tables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model does not fit the U280.
     #[must_use]
     pub fn catalog(&self) -> &Catalog {
-        self.ledger_simulator().catalog()
+        self.ledger_simulator().expect("the model fits the U280").catalog()
     }
 }
 
@@ -838,9 +854,11 @@ mod tests {
                 let reference = cpu.predict(q).unwrap();
                 assert!((reference - ctr).abs() < tolerance, "{precision:?}: {ctr} vs {reference}");
             }
-            let options = HeuristicOptions::default();
-            let err = Simulator::build(&model, MemoryConfig::u280(), precision, &options, 11)
-                .unwrap_err();
+            let err =
+                Simulator::build(&model, precision, &HeuristicOptions::default()).unwrap_err();
+            assert!(matches!(err, MicroRecError::Placement(_)), "{err}");
+            // The ledger shim reports the same error instead of panicking.
+            let err = engine.measure_lookup(&queries[0]).unwrap_err();
             assert!(matches!(err, MicroRecError::Placement(_)), "{err}");
         }
     }

@@ -18,7 +18,6 @@
 //! ```
 //! use microrec_core::{MicroRec, Simulator};
 //! use microrec_embedding::{ModelSpec, Precision};
-//! use microrec_memsim::MemoryConfig;
 //! use microrec_placement::HeuristicOptions;
 //!
 //! let model = ModelSpec::small_production();
@@ -32,7 +31,7 @@
 //! // Simulate it on the U280: placement reproduces Table 3, one DRAM
 //! // round after merging, at micro-second scale latency.
 //! let options = HeuristicOptions::default();
-//! let sim = Simulator::build(&model, MemoryConfig::u280(), Precision::Fixed16, &options, 7)?;
+//! let sim = Simulator::build(&model, Precision::Fixed16, &options)?;
 //! assert_eq!(sim.placement_cost().dram_rounds, 1);
 //! assert!(sim.latency().as_us() < 30.0);
 //! # Ok::<(), microrec_core::MicroRecError>(())

@@ -13,7 +13,7 @@
 
 use microrec_cpu::CpuTimingModel;
 use microrec_embedding::{ModelSpec, Precision};
-use microrec_memsim::{MemoryConfig, SimTime};
+use microrec_memsim::SimTime;
 use microrec_placement::HeuristicOptions;
 
 use crate::error::MicroRecError;
@@ -194,7 +194,7 @@ pub fn end_to_end_report(
     batches: &[u64],
 ) -> Result<EndToEndReport, MicroRecError> {
     let options = HeuristicOptions::default();
-    let sim = Simulator::build(model, MemoryConfig::u280(), precision, &options, 0)?;
+    let sim = Simulator::build(model, precision, &options)?;
     Ok(EndToEndReport::build(&sim, &CpuTimingModel::aws_16vcpu(), batches))
 }
 

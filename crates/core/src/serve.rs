@@ -97,19 +97,14 @@ pub fn simulate_cpu_serving(
 mod tests {
     use super::*;
     use microrec_embedding::Precision;
-    use microrec_memsim::MemoryConfig;
     use microrec_placement::HeuristicOptions;
     use microrec_workload::PoissonArrivals;
-
-    fn simulator(model: &ModelSpec) -> Simulator {
-        let options = HeuristicOptions::default();
-        Simulator::build(model, MemoryConfig::u280(), Precision::Fixed16, &options, 0).unwrap()
-    }
 
     #[test]
     fn microrec_meets_sla_that_cpu_misses() {
         let model = ModelSpec::small_production();
-        let sim = simulator(&model);
+        let sim =
+            Simulator::build(&model, Precision::Fixed16, &HeuristicOptions::default()).unwrap();
         let cpu = CpuTimingModel::aws_16vcpu();
         let mut arrivals = PoissonArrivals::new(50_000.0, 3).unwrap();
         let trace = arrivals.take(10_000);
@@ -125,7 +120,12 @@ mod tests {
 
     #[test]
     fn overload_shows_up_as_latency_growth() {
-        let sim = simulator(&ModelSpec::small_production());
+        let sim = Simulator::build(
+            &ModelSpec::small_production(),
+            Precision::Fixed16,
+            &HeuristicOptions::default(),
+        )
+        .unwrap();
         // Offer 2x the pipeline's capacity.
         let capacity = sim.throughput_items_per_sec();
         let mut arrivals = PoissonArrivals::new(capacity * 2.0, 5).unwrap();
@@ -142,7 +142,12 @@ mod tests {
 
     #[test]
     fn empty_trace_is_an_error() {
-        let sim = simulator(&ModelSpec::dlrm_rmc2(4, 4));
+        let sim = Simulator::build(
+            &ModelSpec::dlrm_rmc2(4, 4),
+            Precision::Fixed16,
+            &HeuristicOptions::default(),
+        )
+        .unwrap();
         assert!(matches!(
             simulate_microrec_serving(&sim, &[], SimTime::from_ms(1.0)),
             Err(WorkloadError::NoSamples)

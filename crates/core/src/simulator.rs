@@ -31,23 +31,25 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Runs Algorithm 1 for `model` on `memory` under `options`, applies
-    /// the plan to a fresh memory, builds the merged catalog from `seed`
-    /// and the accelerator pipeline at `precision` (the paper's PE counts
-    /// for a three-layer MLP, a generic allocation otherwise).
+    /// Runs Algorithm 1 for `model` on the U280's memory
+    /// ([`MemoryConfig::u280`]) under `options`, applies the plan to a
+    /// fresh memory, builds the merged catalog and the accelerator
+    /// pipeline at `precision` (the paper's PE counts for a three-layer
+    /// MLP, a generic allocation otherwise). The catalog's tables are the
+    /// procedural ones of seed 0: nothing the simulator reports reads a
+    /// row's values.
     ///
     /// # Errors
     ///
-    /// Returns [`MicroRecError`] if the model is inconsistent, cannot be
-    /// placed on `memory`, or the accelerator cannot be built for it.
+    /// Returns [`MicroRecError`] if the model is inconsistent, does not fit
+    /// the U280, or the accelerator cannot be built for it.
     pub fn build(
         model: &ModelSpec,
-        memory: MemoryConfig,
         precision: Precision,
         options: &HeuristicOptions,
-        seed: u64,
     ) -> Result<Self, MicroRecError> {
         model.validate()?;
+        let memory = MemoryConfig::u280();
         let outcome = heuristic_search(model, &memory, Precision::F32, options)?;
         let (plan, cost) = (outcome.plan, outcome.cost);
         let mut memory = HybridMemory::new(memory);
@@ -65,7 +67,7 @@ impl Simulator {
             }
             region_offsets.push(offsets);
         }
-        let catalog = Catalog::build(model, &plan.merge, seed)?;
+        let catalog = Catalog::build(model, &plan.merge, 0)?;
         let accel = if model.hidden.len() == 3 {
             AccelConfig::for_model(model, precision)
         } else {
@@ -242,16 +244,12 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use microrec_embedding::TableSpec;
-
-    fn simulator(model: &ModelSpec) -> Simulator {
-        let options = HeuristicOptions::default();
-        Simulator::build(model, MemoryConfig::u280(), Precision::Fixed16, &options, 11).unwrap()
-    }
 
     #[test]
     fn observe_drives_memory_statistics() {
-        let mut sim = simulator(&ModelSpec::dlrm_rmc2(6, 8));
+        let options = HeuristicOptions::default();
+        let mut sim =
+            Simulator::build(&ModelSpec::dlrm_rmc2(6, 8), Precision::Fixed16, &options).unwrap();
         assert!(sim.latency().as_us() < 100.0 && sim.throughput_items_per_sec() > 1e4);
         assert_eq!(sim.observe(&[]).unwrap(), SimTime::ZERO);
         let q = vec![0u64; 24];
@@ -270,7 +268,9 @@ mod tests {
 
     #[test]
     fn malformed_query_rejected() {
-        let mut sim = simulator(&ModelSpec::dlrm_rmc2(6, 8));
+        let options = HeuristicOptions::default();
+        let mut sim =
+            Simulator::build(&ModelSpec::dlrm_rmc2(6, 8), Precision::Fixed16, &options).unwrap();
         assert!(sim.observe(&[vec![0u64; 24], vec![0u64; 23]]).is_err());
         assert_eq!(sim.memory().stats().total().reads, 0, "arity is checked before any read");
         let mut q = vec![0u64; 24];
@@ -280,30 +280,10 @@ mod tests {
     }
 
     #[test]
-    fn merging_never_costs_lookup_latency() {
-        // A cramped memory forces merging, which must not make the lookup
-        // slower than the unmerged plan.
-        let model = ModelSpec::new(
-            "cramped",
-            (0..6).map(|i| TableSpec::new(format!("t{i}"), 100 + i as u64, 4)).collect(),
-            vec![64, 32],
-            1,
-        );
-        let mut few_channels = MemoryConfig::fpga_without_hbm(3);
-        few_channels.banks.retain(|b| b.id.kind.is_dram());
-        let build = |allow_merge| {
-            let options = HeuristicOptions { allow_merge, ..Default::default() };
-            Simulator::build(&model, few_channels.clone(), Precision::Fixed32, &options, 3).unwrap()
-        };
-        let (merged, unmerged) = (build(true), build(false));
-        assert!(merged.plan().merge.tables_eliminated() > 0, "expected merging");
-        assert_eq!(unmerged.plan().merge.tables_eliminated(), 0);
-        assert!(merged.placement_cost().lookup_latency <= unmerged.placement_cost().lookup_latency);
-    }
-
-    #[test]
     fn production_simulator_matches_table3() {
-        let sim = simulator(&ModelSpec::small_production());
+        let options = HeuristicOptions::default();
+        let sim =
+            Simulator::build(&ModelSpec::small_production(), Precision::Fixed16, &options).unwrap();
         assert_eq!(sim.plan().num_tables(), 42);
         assert_eq!(sim.placement_cost().dram_rounds, 1);
         // Memory ledger reflects the plan.

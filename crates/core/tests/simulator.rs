@@ -6,7 +6,7 @@
 
 use microrec_core::Simulator;
 use microrec_embedding::{ModelSpec, Precision};
-use microrec_memsim::{AccessStats, MemoryConfig, RowPolicy, SimTime};
+use microrec_memsim::{AccessStats, RowPolicy, SimTime};
 use microrec_placement::HeuristicOptions;
 use microrec_workload::{QueryGenConfig, QueryGenerator};
 
@@ -62,8 +62,7 @@ fn run(policy: RowPolicy) -> u64 {
     let model = ModelSpec::small_production();
     assert_eq!(model.lookups_per_table, 1, "observe's elapsed time assumes one round");
     let options = HeuristicOptions::default();
-    let mut sim = Simulator::build(&model, MemoryConfig::u280(), Precision::Fixed16, &options, 17)
-        .expect("simulator builds");
+    let mut sim = Simulator::build(&model, Precision::Fixed16, &options).expect("simulator builds");
     sim.set_row_policy(policy);
     let config = QueryGenConfig { zipf_exponent: 1.05, seed: 0x51_u64 };
     let queries = QueryGenerator::new(&model, config).expect("generator").next_batch(256);

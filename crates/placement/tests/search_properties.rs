@@ -3,14 +3,34 @@
 
 use microrec_rng::Rng;
 
-use microrec_embedding::{synthetic_model, Precision, SyntheticModelConfig};
+use microrec_embedding::{synthetic_model, ModelSpec, Precision, SyntheticModelConfig, TableSpec};
 use microrec_memsim::MemoryConfig;
 use microrec_placement::{
     brute_force_search, heuristic_search, optimality_gap, AllocStrategy, HeuristicOptions,
 };
 
+/// Merging never costs lookup latency: the merged plan of `model` on
+/// `config` is valid and no slower, in time and DRAM rounds, than the
+/// unmerged one. Returns the number of tables merging eliminated.
+fn merged_plan_never_regresses(model: &ModelSpec, config: &MemoryConfig) -> usize {
+    let base = heuristic_search(
+        model,
+        config,
+        Precision::F32,
+        &HeuristicOptions { allow_merge: false, ..Default::default() },
+    )
+    .unwrap();
+    assert_eq!(base.plan.merge.tables_eliminated(), 0);
+    let best = heuristic_search(model, config, Precision::F32, &Default::default()).unwrap();
+    best.plan.validate(model, config).unwrap();
+    assert!(best.cost.lookup_latency <= base.cost.lookup_latency);
+    assert!(best.cost.dram_rounds <= base.cost.dram_rounds);
+    best.plan.merge.tables_eliminated()
+}
+
 /// The heuristic produces valid, never-regressing plans on random
-/// production-like models of 8-60 tables.
+/// production-like models of 8-60 tables on the U280, and on a model that
+/// three DDR channels force to merge.
 #[test]
 fn heuristic_on_synthetic_models() {
     let mut rng = Rng::seed_from_u64(0x4E02);
@@ -24,19 +44,17 @@ fn heuristic_on_synthetic_models() {
             ..Default::default()
         })
         .unwrap();
-        let config = MemoryConfig::u280();
-        let base = heuristic_search(
-            &model,
-            &config,
-            Precision::F32,
-            &HeuristicOptions { allow_merge: false, ..Default::default() },
-        )
-        .unwrap();
-        let best = heuristic_search(&model, &config, Precision::F32, &Default::default()).unwrap();
-        best.plan.validate(&model, &config).unwrap();
-        assert!(best.cost.lookup_latency <= base.cost.lookup_latency);
-        assert!(best.cost.dram_rounds <= base.cost.dram_rounds);
+        merged_plan_never_regresses(&model, &MemoryConfig::u280());
     }
+    let cramped = ModelSpec::new(
+        "cramped",
+        (0..6).map(|i| TableSpec::new(format!("t{i}"), 100 + i as u64, 4)).collect(),
+        vec![64, 32],
+        1,
+    );
+    let mut few_channels = MemoryConfig::fpga_without_hbm(3);
+    few_channels.banks.retain(|b| b.id.kind.is_dram());
+    assert!(merged_plan_never_regresses(&cramped, &few_channels) > 0, "expected merging");
 }
 
 /// The heuristic stays near brute-force optimal across a deterministic

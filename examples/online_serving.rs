@@ -7,7 +7,7 @@
 use microrec_core::Simulator;
 use microrec_cpu::CpuTimingModel;
 use microrec_embedding::{ModelSpec, Precision};
-use microrec_memsim::{MemoryConfig, SimTime};
+use microrec_memsim::SimTime;
 use microrec_placement::HeuristicOptions;
 use microrec_workload::{
     simulate_batched_serving, simulate_pipelined_serving, LatencyStats, PoissonArrivals,
@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // MicroRec: no batching; queries enter the pipeline as they arrive.
     let options = HeuristicOptions::default();
-    let sim = Simulator::build(&model, MemoryConfig::u280(), Precision::Fixed16, &options, 7)?;
+    let sim = Simulator::build(&model, Precision::Fixed16, &options)?;
     let latencies =
         simulate_pipelined_serving(&stream, sim.pipeline().initiation_interval(), sim.latency());
     let stats = LatencyStats::from_samples(&latencies)?;

@@ -7,7 +7,6 @@
 use microrec_core::{MicroRec, Simulator};
 use microrec_cpu::CpuTimingModel;
 use microrec_embedding::{ModelSpec, Precision};
-use microrec_memsim::MemoryConfig;
 use microrec_placement::HeuristicOptions;
 use microrec_workload::{QueryGenConfig, QueryGenerator};
 
@@ -26,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Simulate the U280: runs Algorithm 1 (Cartesian merging + hybrid
     //    memory placement) and assembles the pipelined accelerator.
     let options = HeuristicOptions::default();
-    let sim = Simulator::build(&model, MemoryConfig::u280(), Precision::Fixed16, &options, 7)?;
+    let sim = Simulator::build(&model, Precision::Fixed16, &options)?;
     let cost = sim.placement_cost();
     println!(
         "placement: {} physical tables, {} in DRAM, {} on chip, {} DRAM round(s), lookup {}",

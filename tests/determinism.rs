@@ -47,8 +47,7 @@ fn predictions_do_not_depend_on_history() {
     let model = ModelSpec::dlrm_rmc2(4, 8);
     let mut engine = MicroRec::builder(model.clone()).seed(SEED).build().unwrap();
     let options = HeuristicOptions::default();
-    let mut sim =
-        Simulator::build(&model, MemoryConfig::u280(), Precision::Fixed16, &options, SEED).unwrap();
+    let mut sim = Simulator::build(&model, Precision::Fixed16, &options).unwrap();
     let q1 = vec![7u64; 16];
     let q2 = vec![123u64; 16];
     let fresh = engine.predict(&q1).unwrap();

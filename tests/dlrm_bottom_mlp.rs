@@ -5,7 +5,6 @@
 use microrec_core::{MicroRec, Simulator};
 use microrec_cpu::CpuReferenceEngine;
 use microrec_embedding::{synthetic_dense_features, ModelSpec, Precision};
-use microrec_memsim::MemoryConfig;
 use microrec_placement::HeuristicOptions;
 use microrec_workload::{QueryGenConfig, QueryGenerator};
 
@@ -61,18 +60,16 @@ fn engines_agree_with_bottom_mlp() {
 #[test]
 fn bottom_stage_appears_in_pipeline_without_hurting_throughput() {
     let model = ModelSpec::dlrm_with_bottom(8, 16);
-    let simulator = |model: &ModelSpec| {
-        let options = HeuristicOptions::default();
-        Simulator::build(model, MemoryConfig::u280(), Precision::Fixed16, &options, 3).unwrap()
-    };
-    let sim = simulator(&model);
+    let options = HeuristicOptions::default();
+    let sim = Simulator::build(&model, Precision::Fixed16, &options).unwrap();
     let names: Vec<&str> = sim.pipeline().stages().iter().map(|s| s.name.as_str()).collect();
     assert!(names.contains(&"bottom.compute"), "{names:?}");
     // The (512,256,64) bottom stack over 13 features is tiny next to the
     // top MLP: it must not become the initiation interval.
     assert!(sim.pipeline().bottleneck() != "bottom.compute");
 
-    let plain = simulator(&ModelSpec::dlrm_rmc2(8, 16));
+    let plain =
+        Simulator::build(&ModelSpec::dlrm_rmc2(8, 16), Precision::Fixed16, &options).unwrap();
     assert!(sim.latency() > plain.latency(), "bottom stage adds latency");
 }
 

@@ -5,7 +5,7 @@
 use microrec_core::{MicroRec, Simulator};
 use microrec_cpu::CpuReferenceEngine;
 use microrec_embedding::{ModelSpec, Precision};
-use microrec_memsim::{MemoryConfig, MemoryKind, SimTime};
+use microrec_memsim::{MemoryKind, SimTime};
 use microrec_placement::HeuristicOptions;
 use microrec_workload::{
     simulate_batched_serving, simulate_pipelined_serving, LatencyStats, PoissonArrivals,
@@ -13,11 +13,6 @@ use microrec_workload::{
 };
 
 const SEED: u64 = 2024;
-
-/// The model on the simulated U280 under `options`.
-fn simulator(model: &ModelSpec, precision: Precision, options: &HeuristicOptions) -> Simulator {
-    Simulator::build(model, MemoryConfig::u280(), precision, options, SEED).unwrap()
-}
 
 /// Generated queries flow through both engines and agree within
 /// quantization error — on the *production-scale* small model.
@@ -71,7 +66,8 @@ fn ranking_survives_quantization() {
 #[test]
 fn memory_statistics_reflect_placement() {
     let model = ModelSpec::small_production();
-    let mut sim = simulator(&model, Precision::Fixed16, &HeuristicOptions::default());
+    let mut sim =
+        Simulator::build(&model, Precision::Fixed16, &HeuristicOptions::default()).unwrap();
     let mut queries = QueryGenerator::new(&model, QueryGenConfig::default()).unwrap();
     let batch = queries.next_batch(10);
     sim.observe(&batch).unwrap();
@@ -91,7 +87,7 @@ fn memory_statistics_reflect_placement() {
 #[test]
 fn serving_sla_comparison() {
     let model = ModelSpec::small_production();
-    let sim = simulator(&model, Precision::Fixed16, &HeuristicOptions::default());
+    let sim = Simulator::build(&model, Precision::Fixed16, &HeuristicOptions::default()).unwrap();
     let cpu = microrec_cpu::CpuTimingModel::aws_16vcpu();
 
     let mut arrivals = PoissonArrivals::new(60_000.0, 11).unwrap();
@@ -120,9 +116,10 @@ fn serving_sla_comparison() {
 #[test]
 fn ablation_engines_agree_functionally() {
     let model = ModelSpec::small_production();
-    let merged = simulator(&model, Precision::Fixed16, &HeuristicOptions::default());
+    let merged =
+        Simulator::build(&model, Precision::Fixed16, &HeuristicOptions::default()).unwrap();
     let no_merge = HeuristicOptions { allow_merge: false, ..Default::default() };
-    let unmerged = simulator(&model, Precision::Fixed16, &no_merge);
+    let unmerged = Simulator::build(&model, Precision::Fixed16, &no_merge).unwrap();
     assert!(merged.placement_cost().lookup_latency < unmerged.placement_cost().lookup_latency);
     assert!(merged.catalog().physical_tables().len() < unmerged.catalog().physical_tables().len());
     let mut queries = QueryGenerator::new(&model, QueryGenConfig::default()).unwrap();
@@ -139,7 +136,8 @@ fn dlrm_multi_lookup_end_to_end() {
     let model = ModelSpec::dlrm_rmc2(8, 8);
     let mut engine =
         MicroRec::builder(model.clone()).precision(Precision::Fixed32).seed(SEED).build().unwrap();
-    let mut sim = simulator(&model, Precision::Fixed32, &HeuristicOptions::default());
+    let mut sim =
+        Simulator::build(&model, Precision::Fixed32, &HeuristicOptions::default()).unwrap();
     assert_eq!(sim.placement_cost().dram_rounds, 1, "replication flattens 32 lookups");
     let mut queries = QueryGenerator::new(&model, QueryGenConfig::default()).unwrap();
     let batch = queries.next_batch(5);

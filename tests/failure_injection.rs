@@ -70,8 +70,7 @@ fn merge_plan_overflow_is_an_error_not_a_wrap() {
 fn engine_build_failure_reports_cause_chain() {
     let model = model_with(vec![TableSpec::new("leviathan", 250_000_000, 64)]);
     let options = HeuristicOptions::default();
-    let err = Simulator::build(&model, MemoryConfig::u280(), Precision::Fixed16, &options, 0)
-        .unwrap_err();
+    let err = Simulator::build(&model, Precision::Fixed16, &options).unwrap_err();
     let text = err.to_string();
     assert!(text.contains("placement"), "{text}");
     let mut depth = 0;
