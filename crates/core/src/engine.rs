@@ -8,13 +8,22 @@
 //! [`EmbeddingArena`] with one 64-byte-aligned block per logical table, a
 //! [`TieredStore`] over such an arena and a cold file, or, with no store
 //! configured, the unmerged logical tables themselves.
+//!
+//! [`MicroRec::predict`] is the reference path: one item's features
+//! gathered into an `f32` vector, each value rounded to the datapath's grid
+//! and back, then the unpacked MLP. [`MicroRec::predict_batch`] is the
+//! served path, built at [`MicroRecBuilder::build`] for the engine's fixed
+//! precision: each item's rows are gathered a lookup round at a time and
+//! quantized once, straight into a batch-major staging matrix at the
+//! datapath type, and the packed MLP runs once per batch. The two are
+//! bit-identical.
 
 use std::sync::{Arc, OnceLock};
 
 use microrec_dnn::{FixedNum, Mlp, PackedMlp, ScratchArena, Q16, Q32};
 use microrec_embedding::{
-    synthetic_dense_features, Catalog, EmbeddingArena, MergePlan, ModelSpec, Precision, RowFormat,
-    TierCounters, TieredBacking, TieredStore,
+    synthetic_dense_features, synthetic_dense_features_into, Catalog, EmbeddingArena, MergePlan,
+    ModelSpec, Precision, RowFormat, TierCounters, TieredBacking, TieredStore,
 };
 use microrec_memsim::SimTime;
 use microrec_placement::HeuristicOptions;
@@ -228,59 +237,209 @@ impl MicroRecBuilder {
             None
         };
 
+        let rows = RowStore { catalog, arena, tiered, feature_offsets };
+        let round_buffer = rows.round_len().max(self.model.dense_dim as usize);
+        let batch_path = BatchPath::build(self.precision, &mlp, bottom.as_ref(), round_buffer);
         Ok(MicroRec {
             model: self.model,
             precision: self.precision,
-            catalog,
-            arena,
-            tiered,
-            feature_offsets,
+            rows,
             mlp,
             bottom,
-            batch_path: BatchPath::Unbuilt,
+            batch_path,
             simulator: OnceLock::new(),
         })
     }
 }
 
-/// Lazily built batched fast path at one datapath precision: packed
-/// weights (quantized once), a reusable scratch arena, and a staging
-/// buffer for quantized inputs. After the first batch, steady-state
-/// serving of same-or-smaller batches stops allocating in the DNN stage.
+/// Where the engine's rows come from: the tiered store, the arena, or the
+/// logical tables' own reads when no store is built.
+#[derive(Debug, Clone)]
+struct RowStore {
+    /// The unmerged logical tables: what the arena and the tiered store
+    /// are built from, and the gather when neither is configured.
+    catalog: Catalog,
+    arena: Option<Arc<EmbeddingArena>>,
+    tiered: Option<TieredStore>,
+    feature_offsets: Vec<usize>,
+}
+
+impl RowStore {
+    /// Elements of one lookup round's concatenated rows.
+    fn round_len(&self) -> usize {
+        self.catalog.feature_len() as usize
+    }
+
+    /// Gathers one lookup round's concatenated feature slice. The store
+    /// changes where the bytes come from — a resident or cold arena-layout
+    /// row vs. a procedural/materialized table read — never what they are,
+    /// so all three are bit-identical.
+    fn gather_round(&mut self, indices: &[u64], out: &mut [f32]) -> Result<(), MicroRecError> {
+        if let Some(tiered) = self.tiered.as_mut() {
+            return Ok(tiered.gather_round(indices, &self.feature_offsets, out)?);
+        }
+        let Some(arena) = self.arena.as_deref() else {
+            return Ok(self.catalog.gather(indices, out)?);
+        };
+        Ok(arena.gather_into(indices, out)?)
+    }
+}
+
+/// A datapath type the engine serves at, and how one gathered lookup round
+/// enters the staging matrix at it: bit-identical to the reference path,
+/// which rounds each value to the datapath's grid and back to `f32`
+/// ([`MicroRec::gather_features_into`]), then converts it again for the
+/// MLP.
+trait Datapath: FixedNum {
+    /// Writes `round` into `row` (of the same length) as the reference
+    /// path's two conversions leave it.
+    fn stage(round: &[f32], row: &mut [Self]);
+}
+
+impl Datapath for f32 {
+    /// Both conversions are the identity: a copy.
+    fn stage(round: &[f32], row: &mut [f32]) {
+        row.copy_from_slice(round);
+    }
+}
+
+impl Datapath for Q16 {
+    /// A Q2.13 value is exact in `f32`, so the second rounding returns the
+    /// first: one vectorized pass.
+    fn stage(round: &[f32], row: &mut [Q16]) {
+        Q16::quantize_into(round, row);
+    }
+}
+
+impl Datapath for Q32 {
+    /// `i32 as f32` rounds a raw value past 2²⁴ (|x| ≥ 2), where the second
+    /// rounding can move it: both, per element. No workload serves Q8.23.
+    fn stage(round: &[f32], row: &mut [Q32]) {
+        for (slot, &v) in row.iter_mut().zip(round) {
+            *slot = Q32::from_f32(Q32::from_f32(v).to_f32());
+        }
+    }
+}
+
+/// The batched fast path at the datapath type `T`, built by
+/// [`MicroRecBuilder::build`]: the packed MLPs (weights quantized once), a
+/// reused scratch arena, the batch-major staging matrix the gather writes
+/// each item's features into at `T`, and a buffer for one lookup round's
+/// `f32` rows. Once a batch has run, a batch no larger asks the heap only
+/// for its output `Vec`.
 #[derive(Debug, Clone)]
 struct FastPath<T> {
-    packed: PackedMlp<T>,
+    top: PackedMlp<T>,
+    /// The dense branch's bottom MLP, when the model has one.
+    bottom: Option<PackedMlp<T>>,
     arena: ScratchArena<T>,
+    /// `batch × feature_len`: row `i` is item `i`'s dense columns, then its
+    /// lookup rounds in order.
     staging: Vec<T>,
+    /// `batch × dense_dim`: the raw dense features at `T`, the bottom MLP's
+    /// input.
+    dense: Vec<T>,
+    /// One lookup round's rows as stored, or one item's raw dense
+    /// features: `max(round_len, dense_dim)` elements, L1 sized.
+    round: Vec<f32>,
 }
 
-impl<T: FixedNum> FastPath<T> {
-    fn build(mlp: &Mlp) -> Self {
-        FastPath { packed: PackedMlp::pack(mlp), arena: ScratchArena::new(), staging: Vec::new() }
+impl<T: Datapath> FastPath<T> {
+    fn build(mlp: &Mlp, bottom: Option<&Mlp>, round_buffer: usize) -> Self {
+        FastPath {
+            top: PackedMlp::pack(mlp),
+            bottom: bottom.map(PackedMlp::pack),
+            arena: ScratchArena::new(),
+            staging: Vec::new(),
+            dense: Vec::new(),
+            round: vec![0.0; round_buffer],
+        }
     }
 
-    /// Quantizes the gathered feature vectors and runs the packed batched
-    /// forward pass; returns de-quantized CTRs in query order.
-    fn run(&mut self, features: &[Vec<f32>]) -> Result<Vec<f32>, microrec_dnn::DnnError> {
-        let batch = features.len();
-        self.staging.clear();
-        for item in features {
-            self.staging.extend(item.iter().map(|&v| T::from_f32(v)));
+    /// Writes every item of `queries` (arity already checked) into its
+    /// staging row — the dense columns, then each lookup round gathered
+    /// into the round buffer and quantized straight into its columns — and
+    /// runs the packed MLP once for the batch; returns the de-quantized
+    /// CTRs in query order.
+    fn run(
+        &mut self,
+        rows: &mut RowStore,
+        model: &ModelSpec,
+        queries: &[Vec<u64>],
+    ) -> Result<Vec<f32>, MicroRecError> {
+        let (batch, width) = (queries.len(), self.top.input_dim());
+        let (tables, rounds) = (model.num_tables(), model.lookups_per_table as usize);
+        let round_len = rows.round_len();
+        // The dense branch's output width: the first columns of a row.
+        let dense_len = width - rounds * round_len;
+        self.staging.resize(batch * width, T::ZERO);
+        if model.dense_dim > 0 {
+            self.stage_dense(queries, model.dense_dim as usize, dense_len)?;
         }
-        self.packed.warm(batch, &mut self.arena);
-        let out = self.packed.forward_batch_into(&self.staging, batch, &mut self.arena)?;
-        let stride = self.packed.output_dim().max(1);
+        let round = &mut self.round[..round_len];
+        for (query, row) in queries.iter().zip(self.staging.chunks_exact_mut(width)) {
+            for r in 0..rounds {
+                rows.gather_round(&query[r * tables..(r + 1) * tables], round)?;
+                T::stage(round, &mut row[dense_len + r * round_len..][..round_len]);
+            }
+        }
+        self.top.warm(batch, &mut self.arena);
+        let out = self.top.forward_batch_into(&self.staging, batch, &mut self.arena)?;
+        let stride = self.top.output_dim().max(1);
         Ok(out.chunks_exact(stride).map(|c| c[0].to_f32()).collect())
     }
+
+    /// Writes every staging row's first `dense_len` columns: the `dim` raw
+    /// dense features at `T`, or the bottom MLP's outputs for the whole
+    /// batch at once, each through `to_f32` and back as the reference path
+    /// passes them on.
+    fn stage_dense(
+        &mut self,
+        queries: &[Vec<u64>],
+        dim: usize,
+        dense_len: usize,
+    ) -> Result<(), MicroRecError> {
+        let (batch, width) = (queries.len(), self.top.input_dim());
+        self.dense.resize(batch * dim, T::ZERO);
+        let raw = &mut self.round[..dim];
+        for (query, row) in queries.iter().zip(self.dense.chunks_exact_mut(dim)) {
+            synthetic_dense_features_into(query, raw);
+            T::quantize_into(raw, row);
+        }
+        let rows = self.staging.chunks_exact_mut(width);
+        let Some(bottom) = &self.bottom else {
+            for (row, dense) in rows.zip(self.dense.chunks_exact(dim)) {
+                row[..dim].copy_from_slice(dense);
+            }
+            return Ok(());
+        };
+        bottom.warm(batch, &mut self.arena);
+        let out = bottom.forward_batch_into(&self.dense, batch, &mut self.arena)?;
+        for (row, out) in rows.zip(out.chunks_exact(dense_len)) {
+            for (slot, &v) in row.iter_mut().zip(out) {
+                *slot = T::from_f32(v.to_f32());
+            }
+        }
+        Ok(())
+    }
 }
 
-/// The engine's cached fast path, keyed by the (fixed) datapath precision.
+/// The engine's fast path at its datapath precision, fixed at build.
 #[derive(Debug, Clone)]
 enum BatchPath {
-    Unbuilt,
     F32(FastPath<f32>),
     Q16(FastPath<Q16>),
     Q32(FastPath<Q32>),
+}
+
+impl BatchPath {
+    fn build(precision: Precision, mlp: &Mlp, bottom: Option<&Mlp>, round_buffer: usize) -> Self {
+        match precision {
+            Precision::F32 => BatchPath::F32(FastPath::build(mlp, bottom, round_buffer)),
+            Precision::Fixed16 => BatchPath::Q16(FastPath::build(mlp, bottom, round_buffer)),
+            Precision::Fixed32 => BatchPath::Q32(FastPath::build(mlp, bottom, round_buffer)),
+        }
+    }
 }
 
 /// The served MicroRec engine: a row store and the MLPs.
@@ -288,12 +447,8 @@ enum BatchPath {
 pub struct MicroRec {
     model: ModelSpec,
     precision: Precision,
-    /// The unmerged logical tables: what the arena and the tiered store
-    /// are built from, and the gather when neither is configured.
-    catalog: Catalog,
-    arena: Option<Arc<EmbeddingArena>>,
-    tiered: Option<TieredStore>,
-    feature_offsets: Vec<usize>,
+    rows: RowStore,
+    /// The reference MLPs `predict` runs.
     mlp: Mlp,
     bottom: Option<Mlp>,
     batch_path: BatchPath,
@@ -326,26 +481,26 @@ impl MicroRec {
     /// The arena backing embedding reads, when one is configured.
     #[must_use]
     pub fn arena(&self) -> Option<&Arc<EmbeddingArena>> {
-        self.arena.as_ref()
+        self.rows.arena.as_ref()
     }
 
     /// The tiered parameter store serving embedding reads, when this
     /// engine was built with [`MicroRecBuilder::tiered_storage`].
     #[must_use]
     pub fn tiered_store(&self) -> Option<&TieredStore> {
-        self.tiered.as_ref()
+        self.rows.tiered.as_ref()
     }
 
     /// Whether embeddings are served through the tiered parameter store.
     #[must_use]
     pub fn is_tiered(&self) -> bool {
-        self.tiered.is_some()
+        self.rows.tiered.is_some()
     }
 
     /// Per-tier serving counters (zeros when the engine is not tiered).
     #[must_use]
     pub fn tier_counters(&self) -> TierCounters {
-        self.tiered.as_ref().map(TieredStore::counters).unwrap_or_default()
+        self.rows.tiered.as_ref().map(TieredStore::counters).unwrap_or_default()
     }
 
     /// Functionally predicts the CTR for one query: its rows from the
@@ -367,13 +522,16 @@ impl MicroRec {
         Ok(ctr)
     }
 
-    /// Predicts CTRs for a batch of queries through the amortized fast
-    /// path: each item's rows gathered from the row store, then one packed
-    /// GEMM per MLP layer for all items.
+    /// Predicts CTRs for a batch of queries through the fast path built at
+    /// [`MicroRecBuilder::build`]: each item's rows gathered from the row
+    /// store a lookup round at a time and quantized straight into its row
+    /// of a batch-major staging matrix at the datapath type, then one packed
+    /// GEMM per MLP layer for all items (the dense branch's bottom MLP
+    /// likewise, once per batch).
     ///
     /// Results are **bit-identical** to calling [`MicroRec::predict`] per
-    /// query. The packed weights and scratch buffers are built on first
-    /// use and reused across calls.
+    /// query. The staging matrix and scratch buffers grow to the largest
+    /// batch seen and are reused across calls.
     ///
     /// # Errors
     ///
@@ -382,34 +540,15 @@ impl MicroRec {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
-        let mut features = Vec::with_capacity(queries.len());
         for query in queries {
-            let mut item = Vec::with_capacity(self.model.feature_len() as usize);
-            self.gather_features_into(query, &mut item)?;
-            features.push(item);
+            self.check_query(query)?;
         }
-        let mut path = std::mem::replace(&mut self.batch_path, BatchPath::Unbuilt);
-        let precision_matches = matches!(
-            (&path, self.precision),
-            (BatchPath::F32(_), Precision::F32)
-                | (BatchPath::Q16(_), Precision::Fixed16)
-                | (BatchPath::Q32(_), Precision::Fixed32)
-        );
-        if !precision_matches {
-            path = match self.precision {
-                Precision::F32 => BatchPath::F32(FastPath::build(&self.mlp)),
-                Precision::Fixed16 => BatchPath::Q16(FastPath::build(&self.mlp)),
-                Precision::Fixed32 => BatchPath::Q32(FastPath::build(&self.mlp)),
-            };
+        let (rows, model) = (&mut self.rows, &self.model);
+        match &mut self.batch_path {
+            BatchPath::F32(path) => path.run(rows, model, queries),
+            BatchPath::Q16(path) => path.run(rows, model, queries),
+            BatchPath::Q32(path) => path.run(rows, model, queries),
         }
-        let result = match &mut path {
-            BatchPath::F32(fp) => fp.run(&features),
-            BatchPath::Q16(fp) => fp.run(&features),
-            BatchPath::Q32(fp) => fp.run(&features),
-            BatchPath::Unbuilt => unreachable!("fast path built above"),
-        };
-        self.batch_path = path;
-        Ok(result?)
     }
 
     /// Checks a query's arity against the model.
@@ -468,22 +607,6 @@ impl MicroRec {
         }
     }
 
-    /// Functionally gathers one lookup round's concatenated feature slice
-    /// for a query: from the tiered store, the arena, or the catalog's
-    /// per-table reads when no store is built. The store changes where the
-    /// bytes come from — a resident or cold arena-layout row vs. a
-    /// procedural/materialized table read — never what they are, so all
-    /// three are bit-identical.
-    fn gather_round_into(&mut self, indices: &[u64], out: &mut [f32]) -> Result<(), MicroRecError> {
-        if let Some(tiered) = self.tiered.as_mut() {
-            return Ok(tiered.gather_round(indices, &self.feature_offsets, out)?);
-        }
-        let Some(arena) = self.arena.as_deref() else {
-            return Ok(self.catalog.gather(indices, out)?);
-        };
-        Ok(arena.gather_into(indices, out)?)
-    }
-
     /// Gathers the (de-quantized) concatenated feature vector for a query
     /// from the engine's row store.
     ///
@@ -511,7 +634,7 @@ impl MicroRec {
         self.check_query(query)?;
         let tables = self.model.num_tables();
         let rounds = self.model.lookups_per_table as usize;
-        let round_len = self.catalog.feature_len() as usize;
+        let round_len = self.rows.round_len();
         features.clear();
         // Dense path: the bottom MLP runs on the accelerator's datapath
         // precision (its own small PE group, §Figure 1's dense branch).
@@ -522,7 +645,7 @@ impl MicroRec {
             // to their stored precision.
             let base = features.len();
             features.resize(base + round_len, 0.0);
-            self.gather_round_into(indices, &mut features[base..])?;
+            self.rows.gather_round(indices, &mut features[base..])?;
             self.quantize_features(&mut features[base..]);
         }
         Ok(())
@@ -531,7 +654,7 @@ impl MicroRec {
     /// Resets the tiered store's per-tier counters (a no-op when the
     /// engine is not tiered).
     pub fn reset_stats(&mut self) {
-        if let Some(tiered) = &mut self.tiered {
+        if let Some(tiered) = &mut self.rows.tiered {
             tiered.reset_stats();
         }
     }
@@ -651,6 +774,45 @@ mod tests {
                         s.to_bits(),
                         "{precision:?} batch {batch} item {i}: {f} vs {s}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn predict_batch_is_bit_identical_on_ragged_rounds() {
+        // Rounds of 3 + 5 + 7 + 9 + 11 = 35 elements: two 16-lane vectors
+        // of the quantize kernel and a ragged tail of 3 per round. Every
+        // store, every precision, batches either side of 16 and 32.
+        let dims = [3, 5, 7, 9, 11];
+        let model = ModelSpec::new(
+            "ragged",
+            dims.iter().map(|&dim| TableSpec::new(format!("d{dim}"), 700, dim)).collect(),
+            vec![24, 8],
+            3,
+        );
+        let queries: Vec<Vec<u64>> = (0..33u64)
+            .map(|i| (0..15u64).map(|j| (i * 7919 + j * 104_729) % 700).collect())
+            .collect();
+        let bytes = 700 * 35 * 4;
+        for precision in [Precision::F32, Precision::Fixed16, Precision::Fixed32] {
+            let builder = MicroRec::builder(model.clone()).precision(precision).seed(5);
+            let mut reference = builder.clone().build().unwrap();
+            let want: Vec<u32> =
+                queries.iter().map(|q| reference.predict(q).unwrap().to_bits()).collect();
+            for (store, builder) in [
+                ("catalog", builder.clone()),
+                ("arena", builder.clone().embedding_arena(RowFormat::F32)),
+                ("tiered", builder.clone().tiered_storage(bytes / 2, RowFormat::F32)),
+            ] {
+                let mut engine = builder.build().unwrap();
+                for batch in [1usize, 15, 16, 17, 33] {
+                    let got = engine.predict_batch(&queries[..batch]).unwrap();
+                    let got: Vec<u32> = got.iter().map(|c| c.to_bits()).collect();
+                    assert_eq!(got, want[..batch], "{precision:?} {store} batch {batch}");
+                }
+                if store == "tiered" {
+                    assert!(engine.tier_counters().cold_reads > 0, "{precision:?}: no cold read");
                 }
             }
         }

@@ -293,9 +293,10 @@ pub struct ServingRuntime {
 }
 
 impl ServingRuntime {
-    /// Builds one engine replica per worker from `builder`, pre-warms each
-    /// replica's packed weights and scratch arena at `max_batch` (so the
-    /// steady-state loop is allocation-free), and starts the workers.
+    /// Builds one engine replica per worker from `builder` (which packs its
+    /// weights), pre-warms each replica's staging matrix and scratch arena
+    /// at `max_batch` (so the steady-state loop allocates only per-request
+    /// and per-batch results), and starts the workers.
     ///
     /// # Errors
     ///
@@ -320,9 +321,8 @@ impl ServingRuntime {
         // without the simulator"), and `tests/setup_alloc.rs` pins this
         // order.
         let queue = Arc::new(BoundedQueue::new(config.queue_depth));
-        // Pre-warm: one full-width dummy batch builds the packed weights
-        // and sizes the arena, then the stats reset hides it from the tier
-        // counters.
+        // Pre-warm: one full-width dummy batch sizes the staging matrix and
+        // the arena, then the stats reset hides it from the tier counters.
         let warm_engine = |builder: &MicroRecBuilder| -> Result<MicroRec, MicroRecError> {
             let mut engine = builder.clone().build()?;
             let arity = engine.model().num_tables() * engine.model().lookups_per_table as usize;

@@ -394,13 +394,13 @@ struct PerCall {
 /// - `predict`: the gather into a fresh feature `Vec` (1), then the
 ///   reference `Mlp`: at F32 the input copy and one `Vec` per layer
 ///   (1 + L), at Q2.13 and Q8.23 also the quantized input (2 + L);
-/// - `predict_batch(32)`: the output `Vec`, the `Vec` of feature vectors
-///   and 32 per-item feature `Vec`s. The packed path's staging and scratch
-///   are warm.
+/// - `predict_batch(32)`: the output `Vec` (1). The gather writes each
+///   item's rows straight into the fast path's staging matrix through its
+///   one round buffer, both built or warm, as are the packed weights and
+///   the scratch arena.
 fn golden(model: &str, precision: Precision) -> PerCall {
     let fixed = u64::from(precision != Precision::F32);
-    // 1 + 1 + 32
-    let batch = 34;
+    let batch = 1;
     match model {
         // L = 4: 1 + (1 + 4), or + (2 + 4) when quantized.
         "fc" => PerCall { batch, predict: 6 + fixed, gather: 0 },
@@ -414,16 +414,15 @@ fn golden(model: &str, precision: Precision) -> PerCall {
 /// serving `N` requests asks for `N·a + batches·b` blocks, across the
 /// submitting thread and the worker:
 ///
-/// - a = 2 per request: the reply `Slot`'s `Arc` (1), and the engine's
-///   per-item term of `predict_batch`, its feature `Vec` (1);
-/// - b = 3 per batch: the `Vec` `pop_batch` hands the worker (1), and the
-///   engine's per-batch terms: the output `Vec` and the `Vec` of feature
-///   vectors (2).
+/// - a = 1 per request: the reply `Slot`'s `Arc` (1); the engine's
+///   `predict_batch` has no per-item term;
+/// - b = 2 per batch: the `Vec` `pop_batch` hands the worker (1), and the
+///   engine's per-batch term, the output `Vec` (1).
 ///
 /// The queries' own `Vec`s are built before the count and reach the engine
 /// without a copy.
-const PER_REQUEST: u64 = 2;
-const PER_BATCH: u64 = 3;
+const PER_REQUEST: u64 = 1;
+const PER_BATCH: u64 = 2;
 
 fn steady_state_requests_the_golden_counts() {
     let mut failures = Vec::new();

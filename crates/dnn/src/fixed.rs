@@ -33,6 +33,8 @@ use std::mem::MaybeUninit;
 use std::num::NonZeroUsize;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 
+#[cfg(target_arch = "x86_64")]
+use crate::gemm::cpu;
 use crate::gemm::PackedB;
 
 macro_rules! define_fixed {
@@ -93,7 +95,9 @@ macro_rules! define_fixed {
                 $name(whole + <$repr>::from(rest >= 0.5) - <$repr>::from(rest <= -0.5))
             }
 
-            /// Converts to `f32` (exact: the mantissa always fits).
+            /// Converts to `f32`: exact while the raw value fits the
+            /// 24-bit mantissa (always for `Q16`; for `Q32` below 2 in
+            /// magnitude), else rounded to nearest.
             #[must_use]
             pub fn to_f32(self) -> f32 {
                 self.0 as f32 / (1u32 << $frac) as f32
@@ -216,6 +220,21 @@ pub trait FixedNum: Copy + Add<Output = Self> + Sum + PartialOrd + fmt::Debug + 
     /// ReLU.
     fn relu(self) -> Self;
 
+    /// Converts `src` into `dst`, each element as
+    /// [`from_f32`](FixedNum::from_f32) converts it: the batch path's one
+    /// quantize pass. [`Q16`] overrides it with a vector kernel; the result
+    /// is bit-identical either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two slices differ in length.
+    fn quantize_into(src: &[f32], dst: &mut [Self]) {
+        assert_eq!(src.len(), dst.len(), "quantize_into: slices differ in length");
+        for (slot, &v) in dst.iter_mut().zip(src) {
+            *slot = Self::from_f32(v);
+        }
+    }
+
     /// The running sum of an inner product. `mac` and `narrow` over it are
     /// the one place a precision's multiply–accumulate is defined; every
     /// kernel in the crate (`dot_scalar`, the tiles, their k-tails) is
@@ -273,6 +292,16 @@ pub trait FixedNum: Copy + Add<Output = Self> + Sum + PartialOrd + fmt::Debug + 
     ) {
         crate::gemm::gemm_panels_portable(a, b.k(), b.panels(), b.n(), c);
     }
+
+    /// The rest of [`gemm_packed`](crate::gemm_packed) after
+    /// [`gemm_panels`](FixedNum::gemm_panels): writes `C[i][j]` for every
+    /// batch row `i` and every column `j` past the last full panel of `b`,
+    /// [`dot_scalar`](crate::dot_scalar) per output. Q2.13 overrides it
+    /// with a vector row dot; the result is bit-identical either way.
+    #[doc(hidden)]
+    fn gemm_tail(a: &[Self], b: &PackedB<Self>, c: &mut [Self]) {
+        crate::gemm::gemm_tail_portable(a, b, c);
+    }
 }
 
 impl FixedNum for Q16 {
@@ -285,6 +314,25 @@ impl FixedNum for Q16 {
     }
     fn relu(self) -> Self {
         Q16::relu(self)
+    }
+    /// The AVX-512 kernel `quantize_q16_avx512` over whole 16-element
+    /// vectors where the CPU has AVX-512F/BW, then [`Q16::from_f32`] for
+    /// the rest.
+    fn quantize_into(src: &[f32], dst: &mut [Self]) {
+        assert_eq!(src.len(), dst.len(), "quantize_into: slices differ in length");
+        #[cfg(target_arch = "x86_64")]
+        let done = if cpu::has(cpu::AVX512_VNNI) {
+            // SAFETY: the feature check guarantees AVX-512F/BW, and the
+            // slices have the same length (asserted above).
+            unsafe { quantize_q16_avx512(src, dst) }
+        } else {
+            0
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let done = 0;
+        for (slot, &v) in dst[done..].iter_mut().zip(&src[done..]) {
+            *slot = Q16::from_f32(v);
+        }
     }
     type Acc = i64;
     fn mac(acc: i64, x: Self, w: Self) -> i64 {
@@ -310,6 +358,61 @@ impl FixedNum for Q16 {
     ) {
         crate::gemm::gemm_panels_q16(a, b, c, scratch);
     }
+    fn gemm_tail(a: &[Self], b: &PackedB<Self>, c: &mut [Self]) {
+        crate::gemm::gemm_tail_q16(a, b, c);
+    }
+}
+
+/// [`Q16::from_f32`] over the longest 16-element-aligned prefix of `src`,
+/// 16 lanes per step, each lane the scalar conversion's steps: the product
+/// by 2¹³ (exact), an ordered-compare mask that zeroes NaN (which the
+/// scalar cast makes 0), `max`/`min` to the raw range, the truncating
+/// `cvttps` (in range after the clamp, so it is `as i16`), the fraction
+/// left over as one exact subtraction, its compares with ±0.5 as a masked
+/// ±1, and `vpmovdw` to `i16` (the value already fits). Returns how many
+/// elements it wrote.
+///
+/// # Panics
+///
+/// Panics if `dst` is shorter than `src`.
+///
+/// # Safety
+///
+/// Caller must ensure the CPU supports AVX-512F/BW.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn quantize_q16_avx512(src: &[f32], dst: &mut [Q16]) -> usize {
+    use std::arch::x86_64::{
+        __m256i, _mm256_storeu_si256, _mm512_cmp_ps_mask, _mm512_cvtepi32_epi16,
+        _mm512_cvtepi32_ps, _mm512_cvttps_epi32, _mm512_loadu_ps, _mm512_mask_add_epi32,
+        _mm512_mask_sub_epi32, _mm512_maskz_mov_ps, _mm512_max_ps, _mm512_min_ps, _mm512_mul_ps,
+        _mm512_set1_epi32, _mm512_set1_ps, _mm512_sub_ps, _CMP_GE_OQ, _CMP_LE_OQ, _CMP_ORD_Q,
+    };
+    const LANES: usize = 16;
+    assert!(dst.len() >= src.len(), "quantize_q16_avx512: dst shorter than src");
+    let scale = _mm512_set1_ps((1u32 << Q16::FRAC_BITS) as f32);
+    let (min, max) = (_mm512_set1_ps(f32::from(i16::MIN)), _mm512_set1_ps(f32::from(i16::MAX)));
+    let (half, minus_half, one) = (_mm512_set1_ps(0.5), _mm512_set1_ps(-0.5), _mm512_set1_epi32(1));
+    let body = src.len() - src.len() % LANES;
+    for at in (0..body).step_by(LANES) {
+        // SAFETY: `at + 16 <= body <= src.len()`: the 16-float unaligned
+        // load is inside `src`.
+        let v = unsafe { _mm512_loadu_ps(src.as_ptr().add(at)) };
+        let scaled = _mm512_mul_ps(v, scale);
+        let scaled = _mm512_maskz_mov_ps(_mm512_cmp_ps_mask::<_CMP_ORD_Q>(scaled, scaled), scaled);
+        let scaled = _mm512_min_ps(_mm512_max_ps(scaled, min), max);
+        let whole = _mm512_cvttps_epi32(scaled);
+        let rest = _mm512_sub_ps(scaled, _mm512_cvtepi32_ps(whole));
+        let whole =
+            _mm512_mask_add_epi32(whole, _mm512_cmp_ps_mask::<_CMP_GE_OQ>(rest, half), whole, one);
+        let down = _mm512_cmp_ps_mask::<_CMP_LE_OQ>(rest, minus_half);
+        let raw = _mm512_cvtepi32_epi16(_mm512_mask_sub_epi32(whole, down, whole, one));
+        // SAFETY: `Q16` is `repr(transparent)` over `i16`, and `at + 16 <=
+        // src.len() <= dst.len()` (asserted above): the 16 × i16 unaligned
+        // store is inside `dst`.
+        unsafe { _mm256_storeu_si256(dst.as_mut_ptr().add(at).cast::<__m256i>(), raw) };
+    }
+    body
 }
 
 impl FixedNum for Q32 {
@@ -499,28 +602,133 @@ mod tests {
         assert!(bad.is_empty(), "{} sampled patterns disagree, first {:#010x}", bad.len(), bad[0]);
     }
 
+    /// Bit patterns per chunk of the exhaustive sweep's `quantize_into` pass.
+    const CHUNK: usize = 4096;
+
+    /// Whether [`Q16::quantize_into`] converts the `CHUNK` bit patterns from
+    /// `base` as [`Q16::from_f32`] does. They are laid out with 16 more
+    /// patterns either side (wrapping), and the buffer is converted from
+    /// each of its first 16 offsets: so every pattern of the chunk passes
+    /// through each of the 16 lanes of a vector kernel's body once, and the
+    /// views end in ragged tails of every length from 0 to 15.
+    fn quantize_into_agrees(base: u32, src: &mut Vec<f32>, want: &mut Vec<Q16>) -> bool {
+        let first = base.wrapping_sub(16);
+        src.clear();
+        src.extend((0..CHUNK as u32 + 32).map(|i| f32::from_bits(first.wrapping_add(i))));
+        want.clear();
+        want.extend(src.iter().map(|&v| Q16::from_f32(v)));
+        let mut got = vec![Q16::ONE; src.len()];
+        (0..16).all(|offset| {
+            Q16::quantize_into(&src[offset..], &mut got[offset..]);
+            got[offset..] == want[offset..]
+        })
+    }
+
     /// Every one of the 2³² `f32` bit patterns, split over the available
-    /// threads: ≈45 s in release on two cores, far longer in debug, so debug
-    /// skips it.
+    /// threads, through `from_f32` of both formats against the oracle and
+    /// through [`Q16::quantize_into`] at every lane position against
+    /// `Q16::from_f32`: ≈80 s in release on two cores, far longer in debug,
+    /// so debug skips it.
     #[test]
     #[cfg_attr(debug_assertions, ignore = "2^32 conversions: run with --release")]
     fn from_f32_matches_the_f64_oracle_on_every_bit_pattern() {
         let threads = std::thread::available_parallelism().map_or(1, usize::from).min(8) as u64;
         let span = (1u64 << 32).div_ceil(threads);
-        let bad: Vec<(u64, u32)> = std::thread::scope(|scope| {
+        let bad: Vec<(&str, u64, u32)> = std::thread::scope(|scope| {
             let workers: Vec<_> = (0..threads)
                 .map(|t| {
                     scope.spawn(move || {
                         let range = t * span..((t + 1) * span).min(1 << 32);
-                        let mut bad = range.map(|b| b as u32).filter(|&b| !from_f32_agrees(b));
-                        let first = bad.next();
-                        first.map(|first| (1 + bad.count() as u64, first))
+                        let mut bad =
+                            range.clone().map(|b| b as u32).filter(|&b| !from_f32_agrees(b));
+                        let oracle =
+                            bad.next().map(|first| ("from_f32", 1 + bad.count() as u64, first));
+                        let (mut src, mut want) = (Vec::new(), Vec::new());
+                        let mut bad = range
+                            .step_by(CHUNK)
+                            .map(|b| b as u32)
+                            .filter(|&b| !quantize_into_agrees(b, &mut src, &mut want));
+                        let vector = bad
+                            .next()
+                            .map(|first| ("quantize_into chunks", 1 + bad.count() as u64, first));
+                        [oracle, vector]
                     })
                 })
                 .collect();
-            workers.into_iter().filter_map(|w| w.join().expect("sweep thread panicked")).collect()
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("sweep thread panicked"))
+                .flatten()
+                .collect()
         });
-        assert!(bad.is_empty(), "patterns that disagree (count, first): {bad:x?}");
+        assert!(bad.is_empty(), "patterns that disagree (what, count, first): {bad:x?}");
+    }
+
+    /// Specials, values at the rounding and saturation edges, random bit
+    /// patterns and random values in and just past ±4.
+    fn quantize_inputs() -> Vec<f32> {
+        let mut rng = microrec_rng::Rng::seed_from_u64(0x0513_0016);
+        let mut values = vec![
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::MAX,
+            f32::MIN,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+        ];
+        for raw in [0.5f32, 1.5, 4095.5, 32766.5, 32767.0, 32767.5, 32768.0, 32768.5] {
+            for offset in [-1i32, 0, 1] {
+                let at = f32::from_bits((raw / 8192.0).to_bits().wrapping_add_signed(offset));
+                values.extend([at, -at]);
+            }
+        }
+        while values.len() < 4099 {
+            values.push(f32::from_bits(rng.next_u64() as u32));
+            values.push(rng.gen_range_f32(-4.5, 4.5));
+        }
+        values
+    }
+
+    /// The AVX-512 kernel called directly, where the CPU has it, against
+    /// the scalar conversion on the same inputs, at every length up to 48
+    /// and at the ledger's round (352) and item (1 408) widths; it must
+    /// write the aligned prefix and nothing past it. Prints whether it ran,
+    /// so a runner without AVX-512 cannot pass it unexercised silently.
+    /// `Q16::quantize_into`, whichever path it dispatches to, must convert
+    /// every element.
+    #[test]
+    fn quantize_kernel_matches_the_scalar_conversion() {
+        let values = quantize_inputs();
+        for len in [0usize, 1, 15, 16, 17, 33, 352, values.len()] {
+            let mut got = vec![Q16::ONE; len];
+            Q16::quantize_into(&values[..len], &mut got);
+            for (i, (&v, &g)) in values.iter().zip(&got).enumerate() {
+                assert_eq!(g, Q16::from_f32(v), "quantize_into: {v:e} at {i} of {len}");
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        if cpu::has(cpu::AVX512_VNNI) {
+            for offset in [0usize, 1, 7] {
+                for len in (0..=48).chain([352, 1408, 4000]) {
+                    let src = &values[offset..offset + len];
+                    let mut got = vec![Q16::ONE; len];
+                    // SAFETY: the feature check above guarantees AVX-512F/BW.
+                    let done = unsafe { quantize_q16_avx512(src, &mut got) };
+                    assert_eq!(done, len - len % 16, "length {len}");
+                    for (i, (&v, &g)) in src.iter().zip(&got).enumerate() {
+                        let want = if i < done { Q16::from_f32(v) } else { Q16::ONE };
+                        assert_eq!(g, want, "{v:e} at {i} of {len} (offset {offset})");
+                    }
+                }
+            }
+            eprintln!("Q2.13 quantize_into AVX-512 kernel: checked");
+            return;
+        }
+        eprintln!("Q2.13 quantize_into AVX-512 kernel: SKIPPED: no AVX-512F/BW/VNNI on this CPU");
     }
 
     #[test]

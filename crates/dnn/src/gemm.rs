@@ -461,15 +461,108 @@ pub fn gemm_packed<T: FixedNum>(
     }
     c.reserve(b.scratch_len(m));
     let (c, scratch) = split_spare(c);
+    T::gemm_panels(a, b, c, scratch);
+    T::gemm_tail(a, b, c);
+    Ok(())
+}
+
+/// Writes `C[i][j]` as `dot(row i of A, column j of B)` for every column
+/// `j` past the last full panel of `b` (its `n mod 4` tail columns, each
+/// contiguous), `a` and `c` as in [`FixedNum::gemm_panels`].
+fn for_each_tail_output<T: FixedNum>(
+    a: &[T],
+    b: &PackedB<T>,
+    c: &mut [T],
+    mut dot: impl FnMut(&[T], &[T]) -> T,
+) {
+    let (k, n) = (b.k, b.n);
     let full = n - n % NR;
     let tail_cols = &b.data[full * k..n * k];
-    T::gemm_panels(a, b, c, scratch);
     for (arow, crow) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
         for (slot, col) in crow[full..].iter_mut().zip(tail_cols.chunks_exact(k)) {
-            *slot = dot_scalar(arow, col);
+            *slot = dot(arow, col);
         }
     }
-    Ok(())
+}
+
+/// The default [`FixedNum::gemm_tail`]: [`dot_scalar`] per tail output.
+pub(crate) fn gemm_tail_portable<T: FixedNum>(a: &[T], b: &PackedB<T>, c: &mut [T]) {
+    for_each_tail_output(a, b, c, dot_scalar);
+}
+
+/// Q2.13 [`FixedNum::gemm_tail`]: the AVX-512 row dot
+/// ([`dot_q16_avx512`]) where the CPU has AVX-512 and the weights have an
+/// `i32` block bound, else [`dot_scalar`]. The `n = 1` CTR head is all
+/// tail.
+pub(crate) fn gemm_tail_q16(a: &[Q16], b: &PackedB<Q16>, c: &mut [Q16]) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(i32_quads) = b.i32_quads {
+        if cpu::has(cpu::AVX512_VNNI) {
+            // SAFETY: the feature check above guarantees AVX-512F/BW, and
+            // the operands are a row of A and a column of B, both `k` long.
+            let dot = |arow: &[Q16], col: &[Q16]| unsafe { dot_q16_avx512(arow, col, i32_quads) };
+            for_each_tail_output(a, b, c, dot);
+            return;
+        }
+    }
+    gemm_tail_portable(a, b, c);
+}
+
+/// One Q2.13 inner product of two contiguous `k`-element slices, 32
+/// elements per step: `madd_epi16` (`vpmaddwd`) leaves in each of 16 `i32`
+/// lanes one exact pair sum `x₀w₀ + x₁w₁`, at most `2 · 32768 · max|w|` in
+/// magnitude, and `add_epi32` accumulates them. So a lane takes one pair
+/// sum per step, as a panel tile's lane takes one per k-quad, and the
+/// panels' bound holds: after `i32_quads` steps ([`q16_i32_quads`]) the
+/// lanes are sign-extended into eight `i64` lanes. The last step loads
+/// `k mod 32` elements under a mask, zero past the end, so it needs no
+/// scalar tail. Every step is exact integer arithmetic, so the `i64` total
+/// is [`FixedNum::mac`]'s sum, narrowed once.
+///
+/// # Panics
+///
+/// Panics unless `a.len() == w.len()` (the bound of every raw read below).
+///
+/// # Safety
+///
+/// Caller must ensure the CPU supports AVX-512F/BW.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn dot_q16_avx512(a: &[Q16], w: &[Q16], i32_quads: NonZeroUsize) -> Q16 {
+    use std::arch::x86_64::{
+        _mm512_add_epi32, _mm512_add_epi64, _mm512_castsi512_si256, _mm512_cvtepi32_epi64,
+        _mm512_extracti64x4_epi64, _mm512_madd_epi16, _mm512_maskz_loadu_epi16,
+        _mm512_reduce_add_epi64, _mm512_setzero_si512,
+    };
+    const STEP: usize = 32;
+    assert_eq!(a.len(), w.len(), "row dot operands differ in length");
+    let k = a.len();
+    let steps = k.div_ceil(STEP);
+    let mut wide = _mm512_setzero_si512();
+    let mut block = 0;
+    while block < steps {
+        let end = steps.min(block.saturating_add(i32_quads.get()));
+        let mut acc = _mm512_setzero_si512();
+        for step in block..end {
+            let at = step * STEP;
+            let mask = u32::MAX >> (STEP - (k - at).min(STEP));
+            // SAFETY: `Q16` is `repr(transparent)` over `i16`; `at < k`, and
+            // the mask enables the `min(k - at, 32)` elements from `at`, all
+            // inside both slices (of length `k`, asserted above): a masked
+            // load reads no element it does not enable.
+            let (x, y) = unsafe {
+                (
+                    _mm512_maskz_loadu_epi16(mask, a.as_ptr().add(at).cast::<i16>()),
+                    _mm512_maskz_loadu_epi16(mask, w.as_ptr().add(at).cast::<i16>()),
+                )
+            };
+            acc = _mm512_add_epi32(acc, _mm512_madd_epi16(x, y));
+        }
+        wide = _mm512_add_epi64(wide, _mm512_cvtepi32_epi64(_mm512_castsi512_si256(acc)));
+        wide = _mm512_add_epi64(wide, _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64::<1>(acc)));
+        block = end;
+    }
+    Q16::narrow(_mm512_reduce_add_epi64(wide))
 }
 
 /// `v`'s elements and its spare capacity side by side, as the unstable
@@ -1666,7 +1759,9 @@ mod tests {
         // row count up to 9. In every panel column 0 is all `-max` and
         // column 1 all `+max`, row 0 all −32768: the `i32` lanes of those
         // outputs reach ±`block · 2 · 32768 · max`, the bound itself, so
-        // one k-quad too many per block wraps.
+        // one k-quad too many per block wraps. The tail columns' row dot
+        // takes a pair sum per lane per 32 k, not per k-quad: `8 · block`
+        // k-quads is its block exactly, and with a k-tail one step over.
         let mut rng = Rng::seed_from_u64(0x5A7_0002);
         let shapes = [
             (0usize, 5usize, 8usize),
@@ -1681,7 +1776,7 @@ mod tests {
             (1, 8, 24),
         ];
         for (max, block) in [(1i16, 32767usize), (512, 63), (724, 45), (32767, 1)] {
-            for quads in [block - 1, block, block + 1, 2 * block + 1] {
+            for quads in [block - 1, block, block + 1, 2 * block + 1, 8 * block] {
                 for (tail, m, n) in shapes {
                     let k = quads * LANES + tail;
                     if k == 0 || m * k * n > 8_000_000 {

@@ -50,5 +50,5 @@ pub use error::EmbeddingError;
 pub use gen::{synthetic_model, SyntheticModelConfig};
 pub use precision::Precision;
 pub use spec::{ModelSpec, TableSpec};
-pub use table::{synthetic_dense_features, EmbeddingTable};
+pub use table::{synthetic_dense_features, synthetic_dense_features_into, EmbeddingTable};
 pub use tiered::{ColdStore, ResidencyPlan, Tier, TierCounters, TieredBacking, TieredStore};

@@ -69,10 +69,22 @@ fn procedural_value(seed: u64, row: u64, col: u32) -> f32 {
 /// Values lie in `[-1, 1)`.
 #[must_use]
 pub fn synthetic_dense_features(query: &[u64], dim: u32) -> Vec<f32> {
-    let seed = query
-        .iter()
-        .fold(0xDE5E_F00Du64, |acc, &idx| splitmix64(acc ^ idx.wrapping_mul(0x9E37_79B9)));
+    let seed = dense_seed(query);
     (0..dim).map(|col| procedural_value(seed, 0, col)).collect()
+}
+
+/// [`synthetic_dense_features`] into a caller-owned slice: its first
+/// `out.len()` features.
+pub fn synthetic_dense_features_into(query: &[u64], out: &mut [f32]) {
+    let seed = dense_seed(query);
+    for (col, slot) in (0u32..).zip(out) {
+        *slot = procedural_value(seed, 0, col);
+    }
+}
+
+/// The procedural seed of a query's dense features.
+fn dense_seed(query: &[u64]) -> u64 {
+    query.iter().fold(0xDE5E_F00Du64, |acc, &idx| splitmix64(acc ^ idx.wrapping_mul(0x9E37_79B9)))
 }
 
 impl EmbeddingTable {

@@ -85,3 +85,28 @@ fn dense_path_changes_predictions() {
     q2[15] = 11;
     assert_ne!(cpu.predict(&q1).unwrap(), cpu.predict(&q2).unwrap());
 }
+
+#[test]
+fn predict_batch_is_bit_identical_to_predict_with_a_dense_branch() {
+    // The batch path packs the bottom MLP and runs it once per batch; the
+    // reference `predict` runs `Mlp::forward` per item. Also a dense branch
+    // without a bottom MLP, whose raw features go straight to the top MLP.
+    let with_bottom = ModelSpec::dlrm_with_bottom(6, 8);
+    let mut raw_dense = with_bottom.clone();
+    raw_dense.bottom_hidden.clear();
+    for model in [with_bottom, raw_dense] {
+        let mut gen = QueryGenerator::new(&model, QueryGenConfig::default()).unwrap();
+        let queries = gen.next_batch(33);
+        for precision in [Precision::F32, Precision::Fixed16, Precision::Fixed32] {
+            let mut engine =
+                MicroRec::builder(model.clone()).precision(precision).seed(77).build().unwrap();
+            let want: Vec<u32> =
+                queries.iter().map(|q| engine.predict(q).unwrap().to_bits()).collect();
+            for batch in [1usize, 17, 33] {
+                let got = engine.predict_batch(&queries[..batch]).unwrap();
+                let got: Vec<u32> = got.iter().map(|c| c.to_bits()).collect();
+                assert_eq!(got, want[..batch], "{} {precision:?} batch {batch}", model.name);
+            }
+        }
+    }
+}
